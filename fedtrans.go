@@ -232,9 +232,10 @@ func ScaleOptions() Options {
 
 // MassiveOptions is the extended scale profile at production population
 // size: one million generative clients (nothing materialized until a
-// client is sampled) behind four edge aggregators. Note the final
-// evaluation pass still visits every client, so full runs are long;
-// lower Population for CI-sized experiments.
+// client is sampled) behind four edge aggregators. With EvalSample unset
+// every evaluation pass visits every client, so full runs are long; set
+// EvalSample to evaluate a fixed seeded panel instead, or lower
+// Population for CI-sized experiments.
 func MassiveOptions() Options {
 	o := ScaleOptions()
 	o.Population = 1_000_000

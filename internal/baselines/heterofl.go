@@ -18,6 +18,7 @@ import (
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/xrand"
 )
 
 // Config is the shared baseline configuration.
@@ -155,7 +156,7 @@ func (h *HeteroFL) Run() fl.Result {
 			go func(i, c int) {
 				defer wg.Done()
 				l := h.levelFor(h.trace.Devices[c].CapacityMACs)
-				crng := rand.New(rand.NewSource(cfg.Seed + int64(round)*1_000_003 + int64(c)*7919))
+				crng := rand.New(xrand.New(cfg.Seed + int64(round)*1_000_003 + int64(c)*7919))
 				lr := fl.TrainLocal(h.levels[l], &h.ds.Clients[c], cfg.Local, crng)
 				updates[i] = levelUpdate{level: l, weights: lr.Weights}
 			}(i, c)

@@ -19,6 +19,7 @@ import (
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/xrand"
 )
 
 // Config parameterizes clustered training.
@@ -124,7 +125,7 @@ func (rt *Runtime) Signatures(probe *model.Model) [][]float64 {
 	for c := range rt.ds.Clients {
 		acc := make([]float64, cfg.SignatureDim)
 		for r := 0; r < cfg.ProbeRounds; r++ {
-			crng := rand.New(rand.NewSource(cfg.Seed + int64(c)*100_003 + int64(r)))
+			crng := rand.New(xrand.New(cfg.Seed + int64(c)*100_003 + int64(r)))
 			lr := fl.TrainLocal(probe, &rt.ds.Clients[c], cfg.Local, crng)
 			// Delta flattened then projected.
 			off := 0
@@ -293,13 +294,12 @@ func (rt *Runtime) fedAvgRound(m *model.Model, round int, res *Result) {
 }
 
 func (rt *Runtime) clusterRound(m *model.Model, members []int, quota, round int, res *Result) {
-	perm := rt.rng.Perm(len(members))
 	if quota > len(members) {
 		quota = len(members)
 	}
-	selected := make([]int, quota)
-	for i := 0; i < quota; i++ {
-		selected[i] = members[perm[i]]
+	selected := xrand.PermPrefix(rt.rng, len(members), quota)
+	for i, j := range selected {
+		selected[i] = members[j]
 	}
 	rt.trainAndAverage(m, selected, round, res)
 }
@@ -313,7 +313,7 @@ func (rt *Runtime) trainAndAverage(m *model.Model, selected []int, round int, re
 	}
 	wsum := 0.0
 	for _, c := range selected {
-		crng := rand.New(rand.NewSource(cfg.Seed + int64(round)*1_000_003 + int64(c)*7919))
+		crng := rand.New(xrand.New(cfg.Seed + int64(round)*1_000_003 + int64(c)*7919))
 		lr := fl.TrainLocal(m, &rt.ds.Clients[c], cfg.Local, crng)
 		w := float64(lr.Samples)
 		if w <= 0 {

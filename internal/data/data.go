@@ -29,6 +29,7 @@ import (
 	"math/rand"
 
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/xrand"
 )
 
 // Client holds one client's local train/test split.
@@ -246,9 +247,11 @@ func NewGenerator(cfg Config) *Generator {
 // Generate builds for the same Config: both paths run this routine.
 func (g *Generator) Synth(cur *ClientCursor, k int) *Client {
 	if cur.rng == nil {
-		cur.rng = rand.New(rand.NewSource(0))
+		cur.rng = rand.New(xrand.New(0))
 	}
 	crng := cur.rng
+	// An O(1) xrand re-seed: the stream equals a fresh
+	// rand.New(rand.NewSource(seed)) (xrand.TestReseedInPlace).
 	crng.Seed(g.cfg.Seed + int64(k)*7919 + 1)
 	complexity := crng.Intn(g.cfg.MaxComplexity + 1)
 	cur.scales, cur.biases = clientTransformInto(cur.scales, cur.biases, g.geom.featureDim, crng)

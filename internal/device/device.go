@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+
+	"fedtrans/internal/xrand"
 )
 
 // Device describes one simulated client device.
@@ -82,7 +84,10 @@ func deviceSeed(seed int64, i int) int64 {
 	return seed + int64(i)*15485863 + 1
 }
 
-// synthDevice samples device i. rng is reseeded, so any instance works.
+// synthDevice samples device i. rng is reseeded, so any instance works;
+// NewTrace and At pass an xrand-backed one, whose Seed is O(1) and whose
+// stream equals rand.New(rand.NewSource(seed)) (xrand.TestReseedInPlace,
+// TestTraceMatchesMathRandStreams).
 func synthDevice(cfg *TraceConfig, rng *rand.Rand, i int) Device {
 	rng.Seed(deviceSeed(cfg.Seed, i))
 	logMin := math.Log(cfg.MinCapacityMACs)
@@ -115,7 +120,7 @@ func synthDevice(cfg *TraceConfig, rng *rand.Rand, i int) Device {
 func NewTrace(cfg TraceConfig) *Trace {
 	cfg = normalize(cfg)
 	tr := &Trace{Devices: make([]Device, cfg.N), cfg: cfg}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(xrand.New(0))
 	for i := range tr.Devices {
 		tr.Devices[i] = synthDevice(&cfg, rng, i)
 	}
@@ -145,7 +150,7 @@ func (t *Trace) At(i int) Device {
 	}
 	rng, _ := t.rngPool.Get().(*rand.Rand)
 	if rng == nil {
-		rng = rand.New(rand.NewSource(0))
+		rng = rand.New(xrand.New(0))
 	}
 	d := synthDevice(&t.cfg, rng, i)
 	t.rngPool.Put(rng)

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -76,5 +77,37 @@ func TestCapacityBound(t *testing.T) {
 	hand := &Trace{Devices: []Device{{CapacityMACs: 7}, {CapacityMACs: 11}, {CapacityMACs: 3}}}
 	if got := hand.CapacityBound(); got != 11 {
 		t.Errorf("hand-built bound = %v, want 11", got)
+	}
+}
+
+// TestTraceMatchesMathRandStreams pins the streams themselves, not only
+// lazy ≡ materialized (both run on xrand): device i is what math/rand's
+// own source seeded with deviceSeed(i) produces.
+func TestTraceMatchesMathRandStreams(t *testing.T) {
+	cfg := normalize(TraceConfig{N: 300, MinCapacityMACs: 1e4, MaxCapacityMACs: 32e4, Seed: 42})
+	lazy := NewTraceLazy(cfg)
+	std := rand.New(rand.NewSource(0))
+	for i := 0; i < cfg.N; i++ {
+		if got, want := lazy.At(i), synthDevice(&cfg, std, i); got != want {
+			t.Fatalf("device %d: %+v, math/rand stream gives %+v", i, got, want)
+		}
+	}
+}
+
+// TestLazyAtAllocFree pins the steady-state cost the round loop pays
+// three times per committed update: no allocation. AllocsPerRun reports
+// whole allocations per call, so the rare pool miss (a GC emptying the
+// pool; the race detector dropping a Put) does not register.
+func TestLazyAtAllocFree(t *testing.T) {
+	lazy := NewTraceLazy(TraceConfig{N: 100_000, MinCapacityMACs: 1e4, MaxCapacityMACs: 32e4, Seed: 7})
+	i, sum := 0, 0.0
+	if a := testing.AllocsPerRun(1000, func() {
+		i = (i + 7919) % lazy.Len()
+		sum += lazy.At(i).CapacityMACs
+	}); a != 0 {
+		t.Errorf("generative Trace.At: %v allocs per call, want 0", a)
+	}
+	if sum == 0 {
+		t.Error("no device synthesized")
 	}
 }

@@ -311,9 +311,9 @@ func (d *ckptDec) u64() uint64 {
 	return v
 }
 
-func (d *ckptDec) i64() int64    { return int64(d.u64()) }
-func (d *ckptDec) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *ckptDec) int() int      { return int(d.i64()) }
+func (d *ckptDec) i64() int64   { return int64(d.u64()) }
+func (d *ckptDec) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *ckptDec) int() int     { return int(d.i64()) }
 
 func (d *ckptDec) bool() bool {
 	switch d.u8() {

@@ -10,6 +10,7 @@ import (
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/selection"
 	"fedtrans/internal/tensor"
 )
 
@@ -95,13 +96,5 @@ func EvaluateOn(m *model.Model, cl *data.Client) float64 {
 
 // SelectClients samples n distinct client indices from [0, total).
 func SelectClients(total, n int, rng *rand.Rand) []int {
-	if n >= total {
-		out := make([]int, total)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	perm := rng.Perm(total)
-	return perm[:n]
+	return selection.Random{}.Select(0, total, n, rng)
 }

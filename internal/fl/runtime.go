@@ -312,11 +312,11 @@ type Runtime struct {
 	// client indices); nil means every client. Derived purely from the
 	// config, so it needs no checkpoint state.
 	evalPanel []int
-	lossBuf    []float64
-	stdBuf     []float64
-	compatBuf  []*model.Model
-	activeBuf  []int
-	commitBuf  []*roundTask
+	lossBuf   []float64
+	stdBuf    []float64
+	compatBuf []*model.Model
+	activeBuf []int
+	commitBuf []*roundTask
 
 	// Asynchronous-mode state (Config.MaxStaleness ≥ 1): the virtual
 	// wall clock, the global dispatch sequence counter, the staleness

@@ -9,6 +9,7 @@ import (
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/xrand"
 )
 
 // localSession is a reusable client-training harness bound to one suite
@@ -37,14 +38,15 @@ func newLocalSession(src *model.Model) *localSession {
 	return &localSession{
 		m:   src.Clone(),
 		opt: nn.NewSGD(0),
-		rng: rand.New(rand.NewSource(0)),
+		rng: rand.New(xrand.New(0)),
 		bx:  &tensor.Tensor{},
 	}
 }
 
 // run downloads src's current weights into the session clone, reseeds
-// the session RNG (bit-compatible with rand.New(rand.NewSource(seed)),
-// which the buffered loop used per client), trains locally, and copies
+// the session RNG (an O(1) xrand re-seed, bit-compatible with the
+// rand.New(rand.NewSource(seed)) the buffered loop used per client —
+// pinned by xrand.TestReseedInPlace), trains locally, and copies
 // the trained weights into the caller's upload buffers. It returns the
 // mean training loss and the client's sample count. src is only read.
 func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, seed int64, upload []*tensor.Tensor) (loss float64, samples int) {

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"fedtrans/internal/chaos"
@@ -74,13 +76,17 @@ func RunAgents(cfg AgentConfig) error {
 		}
 		return ds
 	}
+	// served is pool-wide: once the coordinator has answered any worker,
+	// a refused dial means the run is over — also for a worker that never
+	// got a connection of its own in, which a short run can end before.
+	var served atomic.Bool
 	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = agentLoop(cfg, getDS)
+			errs[w] = agentLoop(cfg, getDS, &served)
 		}(w)
 	}
 	wg.Wait()
@@ -96,13 +102,12 @@ func RunAgents(cfg AgentConfig) error {
 // coordinator-dropped conn) but the run may still be live: redial.
 var errReconnect = errors.New("netcoord: connection lost, reconnecting")
 
-func agentLoop(cfg AgentConfig, getDS func(RunConfig) *data.Dataset) error {
+func agentLoop(cfg AgentConfig, getDS func(RunConfig) *data.Dataset, served *atomic.Bool) error {
 	winj := chaos.NewWire(cfg.WireChaos)
-	served := false
 	for {
-		c, err := dialRetry(cfg.Addr, cfg.DialTimeout)
+		c, err := dialRetry(cfg.Addr, cfg.DialTimeout, served)
 		if err != nil {
-			if served {
+			if served.Load() {
 				// The coordinator answered earlier and is now gone: the
 				// run is over.
 				return nil
@@ -112,23 +117,28 @@ func agentLoop(cfg AgentConfig, getDS func(RunConfig) *data.Dataset) error {
 		err = serveConn(c, cfg.IOTimeout, getDS, winj)
 		switch {
 		case err == nil:
+			served.Store(true)
 			return nil
 		case errors.Is(err, errReconnect):
-			served = true
+			served.Store(true)
 		default:
 			return err
 		}
 	}
 }
 
-func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
+// dialRetry redials until it connects, the budget runs out, or the
+// pool has been served and the dial is refused: a coordinator that
+// answered and no longer listens is gone, where a dial that merely
+// times out may still reach a busy one.
+func dialRetry(addr string, budget time.Duration, served *atomic.Bool) (net.Conn, error) {
 	deadline := time.Now().Add(budget)
 	for {
 		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
 			return c, nil
 		}
-		if time.Now().After(deadline) {
+		if served.Load() && errors.Is(err, syscall.ECONNREFUSED) || time.Now().After(deadline) {
 			return nil, fmt.Errorf("netcoord: dial %s: %w", addr, err)
 		}
 		time.Sleep(50 * time.Millisecond)

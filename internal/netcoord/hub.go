@@ -35,9 +35,10 @@ type Hub struct {
 	timeout time.Duration
 	idle    chan *agentConn
 
-	mu       sync.Mutex
-	conns    map[*agentConn]struct{}
-	wireErrs []error
+	mu           sync.Mutex
+	conns        map[*agentConn]struct{}
+	wireErrs     []error // the first maxWireErrs faults
+	wireErrCount int     // every fault
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -101,17 +102,34 @@ func (h *Hub) Close() {
 	})
 }
 
-// WireErrors returns the wire faults the hub has absorbed so far (each
-// one cost an attempt retry). For tests and diagnostics.
+// maxWireErrs caps the wire faults a hub retains: a long-lived
+// coordinator facing a flapping agent would otherwise grow the list
+// without bound. Later faults are only counted.
+const maxWireErrs = 64
+
+// WireErrors returns the first maxWireErrs wire faults the hub has
+// absorbed (each one cost an attempt retry); WireErrorCount has the
+// total. For tests and diagnostics.
 func (h *Hub) WireErrors() []error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]error(nil), h.wireErrs...)
 }
 
+// WireErrorCount returns how many wire faults the hub has absorbed,
+// including those WireErrors no longer retains.
+func (h *Hub) WireErrorCount() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.wireErrCount
+}
+
 func (h *Hub) recordErr(err error) {
 	h.mu.Lock()
-	h.wireErrs = append(h.wireErrs, err)
+	h.wireErrCount++
+	if len(h.wireErrs) < maxWireErrs {
+		h.wireErrs = append(h.wireErrs, err)
+	}
 	h.mu.Unlock()
 }
 

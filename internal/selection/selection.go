@@ -11,6 +11,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"fedtrans/internal/xrand"
 )
 
 // Selector chooses the participants of each round and receives feedback
@@ -44,7 +46,8 @@ type Stateful interface {
 	StateRestore(b []byte) error
 }
 
-// Random is uniform sampling without replacement (the default).
+// Random is uniform sampling without replacement (the default): the
+// first n entries of rng.Perm over the population, drawn in O(n) memory.
 type Random struct{}
 
 // Select implements Selector.
@@ -56,7 +59,7 @@ func (Random) Select(round, total, n int, rng *rand.Rand) []int {
 		}
 		return out
 	}
-	return rng.Perm(total)[:n]
+	return xrand.PermPrefix(rng, total, n)
 }
 
 // SelectFrom implements SubsetSelector: uniform sampling without
@@ -65,9 +68,8 @@ func (Random) SelectFrom(round int, candidates []int, n int, rng *rand.Rand) []i
 	if n >= len(candidates) {
 		return append([]int(nil), candidates...)
 	}
-	idx := rng.Perm(len(candidates))[:n]
-	out := make([]int, n)
-	for i, j := range idx {
+	out := xrand.PermPrefix(rng, len(candidates), n)
+	for i, j := range out {
 		out[i] = candidates[j]
 	}
 	return out

@@ -1,0 +1,206 @@
+package xrand
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+)
+
+// testSeeds covers every branch of seed normalization (zero, the
+// replacement constant, negatives, multiples of the modulus, the int64
+// extremes) plus 200 arbitrary values.
+func testSeeds() []int64 {
+	seeds := []int64{
+		0, 1, -1, seedMod, 1 << 31, -seedMod, 89482311, 1 << 40, -(1 << 40),
+		math.MinInt64, math.MaxInt64,
+	}
+	r := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	return seeds
+}
+
+// drawCounts straddles the points where the lazy source changes
+// behaviour: tap reaches derived words after 273 draws, the register is
+// complete after 334, and both indices have wrapped after 607.
+var drawCounts = []int{1, 4, 273, 274, 333, 334, 335, 606, 607, 608, 2000}
+
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range testSeeds() {
+		for _, n := range drawCounts {
+			want := rand.NewSource(seed).(rand.Source64)
+			got := New(seed)
+			for i := 0; i < n; i++ {
+				// Alternate the two entry points: they share one state.
+				if i%2 == 0 {
+					if g, w := got.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("seed %d draw %d of %d: Uint64 %#x, want %#x", seed, i, n, g, w)
+					}
+				} else if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d draw %d of %d: Int63 %#x, want %#x", seed, i, n, g, w)
+				}
+			}
+		}
+	}
+}
+
+// consume draws through every rand.Rand method the repository's
+// per-client streams use and returns what they produced.
+func consume(r *rand.Rand, n int) []float64 {
+	out := make([]float64, 0, 4*n+64)
+	for i := 0; i < n; i++ {
+		out = append(out, r.Float64(), r.NormFloat64(), float64(r.Intn(i+1)), float64(r.Uint64()>>11))
+	}
+	for _, v := range r.Perm(n%50 + 1) {
+		out = append(out, float64(v))
+	}
+	s := make([]float64, n%40+2)
+	for i := range s {
+		s[i] = float64(i)
+	}
+	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	return append(out, s...)
+}
+
+func TestRandMethodsMatchMathRand(t *testing.T) {
+	for _, seed := range testSeeds()[:40] {
+		for _, n := range drawCounts {
+			want := consume(rand.New(rand.NewSource(seed)), n)
+			got := consume(rand.New(New(seed)), n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %d rounds: rand.Rand over xrand.Source diverges from math/rand", seed, n)
+			}
+		}
+	}
+}
+
+// TestReseedInPlace is the property the per-client call sites rely on:
+// rng.Seed(s) on a used xrand-backed *rand.Rand is indistinguishable
+// from rand.New(rand.NewSource(s)), wherever the previous stream stopped.
+func TestReseedInPlace(t *testing.T) {
+	seeds := testSeeds()
+	rng := rand.New(New(99))
+	for k, n := range drawCounts {
+		for j, seed := range seeds[:30] {
+			// Leave the previous stream at a different depth each time,
+			// including mid-way through the lazy phase.
+			for i := 0; i < (k*31+j*7)%700; i++ {
+				rng.Int63()
+			}
+			rng.Seed(seed)
+			if got, want := consume(rng, n), consume(rand.New(rand.NewSource(seed)), n); !slices.Equal(got, want) {
+				t.Fatalf("re-seed to %d after a used stream, %d rounds: diverges from a fresh math/rand source", seed, n)
+			}
+		}
+	}
+}
+
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for _, seed := range testSeeds()[:11] {
+		for _, n := range []uint16{1, 334, 608} {
+			f.Add(seed, n)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		want := rand.NewSource(seed).(rand.Source64)
+		got := New(seed)
+		for i := 0; i < int(n); i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d draw %d: %#x, want %#x", seed, i, g, w)
+			}
+		}
+		// Re-seeding the used source must equal a fresh one.
+		got.Seed(seed + 1)
+		want = rand.NewSource(seed + 1).(rand.Source64)
+		for i := 0; i < int(n%700); i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("re-seed %d draw %d: %#x, want %#x", seed+1, i, g, w)
+			}
+		}
+	})
+}
+
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	for _, c := range []struct{ total, n int }{{0, 0}, {1, 0}, {1, 1}, {5, 5}, {10, 3}, {100_000, 1000}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, want := PermPrefix(a, c.total, c.n), b.Perm(c.total)[:c.n]
+			if !slices.Equal(got, want) {
+				t.Fatalf("PermPrefix(%d, %d) seed %d = %v, want %v", c.total, c.n, seed, got, want)
+			}
+			if g, w := a.Int63(), b.Int63(); g != w {
+				t.Fatalf("PermPrefix(%d, %d) seed %d leaves the stream elsewhere than Perm", c.total, c.n, seed)
+			}
+		}
+	}
+}
+
+func TestAllocs(t *testing.T) {
+	rng := rand.New(New(1))
+	seed := int64(0)
+	if a := testing.AllocsPerRun(100, func() {
+		seed++
+		rng.Seed(seed)
+		sink += rng.Float64() + rng.NormFloat64() + rng.NormFloat64() + rng.NormFloat64()
+	}); a != 0 {
+		t.Errorf("re-seed + 4 draws: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { sink += float64(PermPrefix(rng, 100_000, 1000)[0]) }); a > 1 {
+		t.Errorf("PermPrefix(100000, 1000): %v allocs, want at most the one result slice", a)
+	}
+}
+
+var sink float64
+
+// reseed4 is what Trace.At costs a source: one Seed and four draws.
+func reseed4(b *testing.B, rng *rand.Rand) {
+	for i := 0; i < b.N; i++ {
+		rng.Seed(int64(i))
+		sink += rng.Float64() + rng.NormFloat64() + rng.NormFloat64() + rng.NormFloat64()
+	}
+}
+
+func BenchmarkReseed4Std(b *testing.B)  { reseed4(b, rand.New(rand.NewSource(0))) }
+func BenchmarkReseed4Lazy(b *testing.B) { reseed4(b, rand.New(New(0))) }
+
+func int63Steady(n int, src rand.Source) time.Duration {
+	for i := 0; i < regLen; i++ { // past the lazy phase
+		src.Int63()
+	}
+	var x int64
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		x ^= src.Int63()
+	}
+	d := time.Since(start)
+	sink += float64(x)
+	return d
+}
+
+func BenchmarkInt63SteadyStd(b *testing.B)  { int63Steady(b.N, rand.NewSource(1)) }
+func BenchmarkInt63SteadyLazy(b *testing.B) { int63Steady(b.N, New(1)) }
+
+// TestSteadyStateCost guards the long streams that also run on Source
+// (a local session's batch sampling, data synthesis): once the register
+// is complete a draw may cost at most 1.5× math/rand's. Fastest of
+// several interleaved repetitions on each side, so a disturbed host
+// does not decide the outcome.
+func TestSteadyStateCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	const draws = 2_000_000
+	std, lazy := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for rep := 0; rep < 9; rep++ {
+		std = min(std, int63Steady(draws, rand.NewSource(1)))
+		lazy = min(lazy, int63Steady(draws, New(1)))
+	}
+	t.Logf("steady-state Int63: math/rand %.2f ns, xrand %.2f ns (%.2fx)",
+		float64(std)/draws, float64(lazy)/draws, float64(lazy)/float64(std))
+	if float64(lazy) > 1.5*float64(std) {
+		t.Errorf("steady-state Int63 costs %.2fx math/rand's, want at most 1.5x", float64(lazy)/float64(std))
+	}
+}
