@@ -1,9 +1,9 @@
 // Command serving demonstrates the pooled inference-serving path: it
 // trains a FedTrans suite, deploys the largest model behind an
-// InferenceServer (whose dispatcher coalesces concurrent requests into
-// one strided batch forward), exposes it over TCP, and drives it from
-// several remote clients at once. The same dispatcher also answers
-// in-process Predict/PredictBatch calls.
+// InferenceServer (whose lanes run a lone request inline and coalesce a
+// backlog into one strided batch forward), exposes it over TCP, and
+// drives it from several remote clients at once. The same lanes also
+// answer in-process Predict/PredictBatch calls.
 //
 // Run with:
 //
@@ -86,7 +86,7 @@ func main() {
 	}
 	wg.Wait()
 
-	// The in-process path shares the same dispatcher.
+	// The in-process path shares the same lanes.
 	features := make([]float64, deployed.InputDim())
 	class, err := srv.Predict(features)
 	if err != nil {

@@ -15,6 +15,22 @@ import (
 // inference connection is served by its own goroutine.
 type PredictFunc func(rows [][]float64) ([]int, error)
 
+// RowsFunc answers one PREDICT frame in wire form: feats holds the
+// frame's len(classes)·dim big-endian float32 features, valid only
+// during the call, and the class of row i goes into classes[i].
+type RowsFunc func(feats []byte, classes []int) error
+
+// maxPredictRows bounds the rows of one PREDICT frame: past the
+// handshake an inference connection refuses (and never allocates for) a
+// frame longer than 13 + maxPredictRows·dim·4 bytes. Clients batch 8
+// rows a frame; 1024 leaves room for bulk scoring while keeping the
+// per-connection read buffer at 4·dim KiB.
+const maxPredictRows = 1024
+
+// helloFrame is the length of a HELLO frame (type, CRC, magic,
+// version): the most a peer may announce before it has said who it is.
+const helloFrame = 5 + len(helloMagic) + 2
+
 // ServeInference accepts connections on ln and answers PREDICT frames
 // through predict until the listener closes. dim is the model's flat
 // feature dimension, advertised in the WELCOME frame so clients can
@@ -25,12 +41,39 @@ func ServeInference(ln net.Listener, dim int, predict PredictFunc) error {
 }
 
 // ServeInferenceTimeout is ServeInference with an explicit frame
-// deadline: the handshake, each PREDICT body (once its header arrives),
-// and each PREDICTRES write must complete within timeout, so one
-// stalled client cannot pin its serving goroutine forever. The idle
-// wait between requests on a healthy connection is never bounded.
-// timeout 0 means DefaultIOTimeout; negative disables deadlines.
+// deadline (see ServeInferenceRows, which it adapts to: each
+// connection widens its frames into reusable float64 rows).
 func ServeInferenceTimeout(ln net.Listener, dim int, predict PredictFunc, timeout time.Duration) error {
+	return ServeInferenceRows(ln, dim, func() RowsFunc {
+		var rows [][]float64
+		var vals []float64
+		return func(feats []byte, classes []int) error {
+			vals, rows = vals[:0], rows[:0]
+			for i := 0; i < len(feats); i += 4 {
+				vals = append(vals, float64(math.Float32frombits(binary.BigEndian.Uint32(feats[i:]))))
+			}
+			for i := range classes {
+				rows = append(rows, vals[i*dim:(i+1)*dim])
+			}
+			got, err := predict(rows)
+			if err == nil && len(got) != len(classes) {
+				err = fmt.Errorf("netcoord: predict returned %d classes for %d rows", len(got), len(classes))
+			}
+			copy(classes, got)
+			return err
+		}
+	}, timeout)
+}
+
+// ServeInferenceRows is the serving loop itself: newConn is called once
+// per accepted connection and its RowsFunc answers that connection's
+// frames, so per-connection state needs no locking. The handshake, each
+// PREDICT body (once its header arrives), and each PREDICTRES write
+// must complete within timeout, so one stalled client cannot pin its
+// serving goroutine forever; the idle wait between requests on a
+// healthy connection is never bounded. timeout 0 means
+// DefaultIOTimeout; negative disables deadlines.
+func ServeInferenceRows(ln net.Listener, dim int, newConn func() RowsFunc, timeout time.Duration) error {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -39,13 +82,14 @@ func ServeInferenceTimeout(ln net.Listener, dim int, predict PredictFunc, timeou
 			}
 			return err
 		}
-		go serveInferConn(c, dim, predict, normalizeTimeout(timeout))
+		go serveInferConn(c, dim, newConn(), normalizeTimeout(timeout))
 	}
 }
 
-func serveInferConn(c net.Conn, dim int, predict PredictFunc, timeout time.Duration) {
+func serveInferConn(c net.Conn, dim int, predict RowsFunc, timeout time.Duration) {
 	defer c.Close()
 	fc := newFrameConnTimeout(c, timeout)
+	fc.limit = uint32(helloFrame)
 	t, payload, err := fc.read()
 	if err != nil || t != ftHello || len(payload) != 6 ||
 		string(payload[:4]) != helloMagic ||
@@ -58,8 +102,10 @@ func serveInferConn(c net.Conn, dim int, predict PredictFunc, timeout time.Durat
 	if fc.write(ftWelcome, welcome) != nil {
 		return
 	}
-	var rows [][]float64
-	var feats []float64
+	// A longer frame than maxPredictRows rows drops the connection: its
+	// body is never read, so there is nothing to resynchronise on.
+	fc.limit = uint32(min(13+maxPredictRows*int64(dim)*4, maxFrame))
+	var classes []int
 	var resp []byte
 	for {
 		// Idle read: a quiet client keeps its connection; one that
@@ -75,39 +121,20 @@ func serveInferConn(c net.Conn, dim int, predict PredictFunc, timeout time.Durat
 		d := int(binary.BigEndian.Uint32(payload[4:]))
 		if d != dim || len(payload) != 8+n*d*4 {
 			resp = appendInferErr(resp[:0], fmt.Sprintf("bad PREDICT geometry: %d×%d over %d payload bytes (model dim %d)", n, d, len(payload)-8, dim))
-			if fc.write(ftPredictRes, resp) != nil {
-				return
-			}
-			continue
-		}
-		// Decode rows into reusable buffers.
-		if cap(feats) < n*d {
-			feats = make([]float64, n*d)
-		}
-		feats = feats[:n*d]
-		if cap(rows) < n {
-			rows = make([][]float64, n)
-		}
-		rows = rows[:n]
-		for i := 0; i < n; i++ {
-			row := feats[i*d : (i+1)*d]
-			for j := 0; j < d; j++ {
-				bits := binary.BigEndian.Uint32(payload[8+(i*d+j)*4:])
-				row[j] = float64(math.Float32frombits(bits))
-			}
-			rows[i] = row
-		}
-		classes, err := predict(rows)
-		if err != nil {
-			resp = appendInferErr(resp[:0], err.Error())
 		} else {
-			b := resp[:0]
-			b = append(b, 0)
-			b = binary.BigEndian.AppendUint32(b, uint32(len(classes)))
-			for _, cl := range classes {
-				b = binary.BigEndian.AppendUint32(b, uint32(cl))
+			if cap(classes) < n {
+				classes = make([]int, n)
 			}
-			resp = b
+			classes = classes[:n]
+			if err := predict(payload[8:], classes); err != nil {
+				resp = appendInferErr(resp[:0], err.Error())
+			} else {
+				resp = append(resp[:0], 0)
+				resp = binary.BigEndian.AppendUint32(resp, uint32(n))
+				for _, cl := range classes {
+					resp = binary.BigEndian.AppendUint32(resp, uint32(cl))
+				}
+			}
 		}
 		if fc.write(ftPredictRes, resp) != nil {
 			return
@@ -194,6 +221,9 @@ func (c *InferClient) PredictBatch(rows [][]float64) ([]int, error) {
 }
 
 func (c *InferClient) predict(rows [][]float64) ([]int, error) {
+	if len(rows) > maxPredictRows {
+		return nil, fmt.Errorf("netcoord: %d rows in one PREDICT frame, the server reads at most %d", len(rows), maxPredictRows)
+	}
 	for i, r := range rows {
 		if len(r) != c.dim {
 			return nil, fmt.Errorf("netcoord: row %d feature dim %d, server expects %d", i, len(r), c.dim)

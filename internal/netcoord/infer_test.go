@@ -1,0 +1,135 @@
+package netcoord
+
+import (
+	"encoding/binary"
+	"io"
+	"net"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// argmaxServer serves dim-4 rows over loopback through the PredictFunc
+// adapter: the class of a row is the index of its largest feature.
+func argmaxServer(t *testing.T) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeInference(ln, 4, func(rows [][]float64) ([]int, error) {
+			out := make([]int, len(rows))
+			for i, r := range rows {
+				for j, v := range r {
+					if v > r[out[i]] {
+						out[i] = j
+					}
+				}
+			}
+			return out, nil
+		})
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		if err := <-served; err != nil {
+			t.Errorf("ServeInference: %v", err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestOversizedFrameBeforeHelloAllocatesNothing: a peer that has not
+// said HELLO may announce at most a HELLO-sized frame. A 200 MiB header
+// is refused from the 4 header bytes alone — the connection is dropped
+// and nothing beyond the connection's 64 KiB read buffer is allocated.
+func TestOversizedFrameBeforeHelloAllocatesNothing(t *testing.T) {
+	server, peer := net.Pipe()
+	defer peer.Close()
+	go func() {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], 200<<20)
+		peer.Write(hdr[:])
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serveInferConn(server, 4, func([]byte, []int) error {
+		t.Error("predict reached without a handshake")
+		return nil
+	}, time.Second)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 128<<10 {
+		t.Errorf("a 200 MiB frame header before HELLO allocated %d bytes, want <= 64 KiB buffer + bookkeeping", grew)
+	}
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("peer read after the oversized header: %v, want EOF (connection dropped)", err)
+	}
+}
+
+// TestPredictFrameLimit: past the handshake the bound is
+// maxPredictRows rows. A frame at the bound is answered; one row more
+// is refused by the client up front, and a raw peer that announces it
+// anyway is dropped without its body being read.
+func TestPredictFrameLimit(t *testing.T) {
+	addr := argmaxServer(t)
+	cl, err := DialInference(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rows := make([][]float64, maxPredictRows+1)
+	for i := range rows {
+		rows[i] = make([]float64, 4)
+		rows[i][i%4] = 1
+	}
+	got, err := cl.PredictBatch(rows[:maxPredictRows])
+	if err != nil {
+		t.Fatalf("%d-row frame: %v", maxPredictRows, err)
+	}
+	for i, class := range got {
+		if class != i%4 {
+			t.Fatalf("row %d: class %d, want %d", i, class, i%4)
+		}
+	}
+	if _, err := cl.PredictBatch(rows); err == nil || !strings.Contains(err.Error(), "rows") {
+		t.Fatalf("%d-row frame: err %v, want the client to refuse it", len(rows), err)
+	}
+	if got, err := cl.Predict(rows[2]); err != nil || got != 2 {
+		t.Fatalf("connection unusable after a refused batch: class %d, err %v", got, err)
+	}
+
+	fc := handshakeAsAgent(t, addr) // the inference endpoint opens with the same HELLO/WELCOME
+	defer fc.close()
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(13+(maxPredictRows+1)*4*4))
+	if _, err := fc.c.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	fc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := fc.c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after an over-limit PREDICT header: %v, want EOF (connection dropped)", err)
+	}
+}
+
+// TestPredictFuncClassCountChecked: the adapter turns a PredictFunc
+// that answers with the wrong number of classes into an error frame
+// instead of a malformed PREDICTRES.
+func TestPredictFuncClassCountChecked(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go ServeInference(ln, 4, func(rows [][]float64) ([]int, error) { return make([]int, len(rows)+1), nil })
+	cl, err := DialInference(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Predict(make([]float64, 4)); err == nil || !strings.Contains(err.Error(), "2 classes for 1 rows") {
+		t.Fatalf("miscounting PredictFunc: err %v", err)
+	}
+}

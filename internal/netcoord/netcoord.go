@@ -173,6 +173,10 @@ type frameConn struct {
 	// idle read once its header arrives. 0 leaves the connection
 	// unbounded (tests only; production paths always set one).
 	timeout time.Duration
+	// limit is the longest frame (type + CRC + payload) a peer may
+	// announce; readFrame refuses a longer one before allocating for
+	// it. maxFrame unless the endpoint knows a tighter bound.
+	limit uint32
 	// mangle injects a transport fault into the next write (the agent's
 	// wire-chaos hook); the connection is unusable afterwards.
 	mangle chaos.WireFault
@@ -183,7 +187,7 @@ func newFrameConn(c net.Conn) *frameConn {
 }
 
 func newFrameConnTimeout(c net.Conn, timeout time.Duration) *frameConn {
-	return &frameConn{c: c, r: bufio.NewReaderSize(c, 1<<16), timeout: timeout}
+	return &frameConn{c: c, r: bufio.NewReaderSize(c, 1<<16), timeout: timeout, limit: maxFrame}
 }
 
 // errWireInjected marks a write that deliberately broke the connection.
@@ -269,7 +273,7 @@ func (fc *frameConn) readFrame(bounded bool) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 5 || n > maxFrame {
+	if n < 5 || n > fc.limit {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrFrameSize, n)
 	}
 	if fc.timeout > 0 && !bounded {

@@ -213,9 +213,8 @@ func (c *AttentionCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tensor.AddScaledInto(x1, x2, o, 1)
 	pre1 := c.ws.Ensure(&c.pre1, n2, ff)
 	tensor.MatMulInto(pre1, x1, c.W1)
-	tensor.AddBiasRows(pre1, c.B1)
 	u := c.ws.Ensure(&c.u, n2, ff)
-	tensor.ReluInto(u, pre1)
+	tensor.AddBiasReluRows(u, pre1, c.B1)
 	f2 := c.ws.Ensure(&c.f2, n2, d)
 	tensor.MatMulInto(f2, u, c.W2)
 	tensor.AddBiasRows(f2, c.B2)

@@ -94,28 +94,26 @@ func (c *Conv2DCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	// axpy scalar (zero entries from the ReLU mask are skipped).
 	col := c.ws.Ensure(&c.col, batch, cn, ck)
 	out := c.ws.Ensure(&c.out, batch, outCh, oh, ow)
+	res := out
+	if c.ReLU {
+		res = c.ws.Ensure(&c.act, out.Shape...)
+	}
 	wView := setView(&c.wView, c.W.Data, outCh, ck)
 	for b := 0; b < batch; b++ {
 		colB := setView(&c.colView, col.Data[b*ck*cn:(b+1)*ck*cn], cn, ck)
 		c.im2colT(colB.Data, x.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, oh, ow)
-		outB := setView(&c.outView, out.Data[b*outCh*cn:(b+1)*outCh*cn], outCh, cn)
+		lo, hi := b*outCh*cn, (b+1)*outCh*cn
+		outB := setView(&c.outView, out.Data[lo:hi], outCh, cn)
 		tensor.MatMulTransBInto(outB, wView, colB)
-		for oc := 0; oc < outCh; oc++ {
-			bias := c.B.Data[oc]
-			row := outB.Data[oc*cn : (oc+1)*cn]
-			for i := range row {
-				row[i] += bias
-			}
+		var actB []tensor.Float // nil without ReLU: the epilogue adds the bias only
+		if c.ReLU {
+			actB = res.Data[lo:hi]
 		}
+		tensor.AddChannelBiasRelu(actB, outB.Data, c.B.Data, cn)
 	}
 	c.x = x
 	c.pre = out
-	if !c.ReLU {
-		return out
-	}
-	act := c.ws.Ensure(&c.act, out.Shape...)
-	tensor.ReluInto(act, out)
-	return act
+	return res
 }
 
 // im2colT unrolls one batch item's receptive fields into dst laid out

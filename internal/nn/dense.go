@@ -54,12 +54,12 @@ func (c *DenseCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.x = x
 	pre := c.ws.Ensure(&c.pre, x.Shape[0], c.OutDim())
 	tensor.MatMulInto(pre, x, c.W)
-	tensor.AddBiasRows(pre, c.B)
 	if !c.ReLU {
+		tensor.AddBiasRows(pre, c.B)
 		return pre
 	}
 	act := c.ws.Ensure(&c.act, pre.Shape...)
-	tensor.ReluInto(act, pre)
+	tensor.AddBiasReluRows(act, pre, c.B)
 	return act
 }
 

@@ -76,9 +76,8 @@ func (c *ResidualDenseCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	batch := x.Shape[0]
 	pre1 := c.ws.Ensure(&c.pre1, batch, c.Hidden())
 	tensor.MatMulInto(pre1, x, c.W1)
-	tensor.AddBiasRows(pre1, c.B1)
 	u := c.ws.Ensure(&c.u, pre1.Shape...)
-	tensor.ReluInto(u, pre1)
+	tensor.AddBiasReluRows(u, pre1, c.B1)
 	f := c.ws.Ensure(&c.f, batch, c.Dim())
 	tensor.MatMulInto(f, u, c.W2)
 	tensor.AddBiasRows(f, c.B2)

@@ -711,33 +711,50 @@ func softmaxBackwardRows[E elem](dst, a, g []E, rows, cols int, alpha E) {
 	}
 }
 
+// posMask is all ones when the float32 with bit pattern b compares
+// v > 0 (positive finite or +Inf) and zero otherwise — ±0, every
+// negative value and every NaN. One unsigned range test: b-1 wraps +0
+// to the top of the range, and [1, 0x7F800000] is exactly (0, +Inf].
+// ReLU selects with it instead of branching: on pre-activations the
+// sign is a coin flip, and a mispredicted `if v > 0` costs more than
+// the dozen products that made v.
+func posMask(b uint32) uint32 { return uint32((int64(b-1) - 0x7F800000) >> 63) }
+
+// nanMask is all ones when b is a NaN of either sign (b<<1 drops the
+// sign; NaNs are the patterns above the shifted infinity).
+func nanMask(b uint32) uint32 { return uint32((0xFF000000 - int64(b<<1)) >> 63) }
+
+// relu is v > 0 ? v : 0 for every bit pattern (NaN → 0, −0 → +0).
+func relu(v Float) Float {
+	b := math.Float32bits(v)
+	return math.Float32frombits(b & posMask(b))
+}
+
 // ReluInto computes dst = max(src, 0) element-wise. dst may alias src.
 func ReluInto(dst, src *Tensor) {
 	if len(dst.Data) != len(src.Data) {
 		panic("tensor: ReluInto size mismatch")
 	}
 	dst.EnsureOwned()
-	sd := src.Data[:len(dst.Data)]
-	for i := range dst.Data {
-		if v := sd[i]; v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
+	dd := dst.Data
+	sd := src.Data[:len(dd)]
+	for i := range dd {
+		dd[i] = relu(sd[i])
 	}
 }
 
-// ReluMask zeroes dst[i] wherever pre[i] <= 0 (the ReLU backward mask).
+// ReluMask zeroes dst[i] wherever pre[i] <= 0 (the ReLU backward mask);
+// a NaN pre-activation compares false and keeps its gradient.
 func ReluMask(dst, pre *Tensor) {
 	if len(dst.Data) != len(pre.Data) {
 		panic("tensor: ReluMask size mismatch")
 	}
 	dst.EnsureOwned()
-	pd := pre.Data[:len(dst.Data)]
-	for i := range dst.Data {
-		if pd[i] <= 0 {
-			dst.Data[i] = 0
-		}
+	dd := dst.Data
+	pd := pre.Data[:len(dd)]
+	for i := range dd {
+		b := math.Float32bits(pd[i])
+		dd[i] = math.Float32frombits(math.Float32bits(dd[i]) & (posMask(b) | nanMask(b)))
 	}
 }
 
@@ -749,11 +766,51 @@ func AddBiasRows(dst, bias *Tensor) {
 		panic("tensor: AddBiasRows bias length mismatch")
 	}
 	dst.EnsureOwned()
-	bd := bias.Data
+	bd := bias.Data[:cols]
 	for off := 0; off < len(dst.Data); off += cols {
 		row := dst.Data[off : off+cols]
-		for j := range row {
-			row[j] += bd[j]
+		for j, b := range bd {
+			row[j] += b
+		}
+	}
+}
+
+// AddBiasReluRows is the fused dense epilogue: it adds bias to every
+// row of pre in place (backward masks with the biased pre-activation)
+// and writes max(pre, 0) into act, in one pass over the rows.
+func AddBiasReluRows(act, pre, bias *Tensor) {
+	cols := pre.Shape[pre.Rank()-1]
+	if bias.Len() != cols || len(act.Data) != len(pre.Data) {
+		panic("tensor: AddBiasReluRows shape mismatch")
+	}
+	act.EnsureOwned()
+	pre.EnsureOwned()
+	bd := bias.Data[:cols]
+	for off := 0; off < len(pre.Data); off += cols {
+		prow, arow := pre.Data[off:off+cols], act.Data[off:off+cols]
+		for j, b := range bd {
+			v := prow[j] + b
+			prow[j], arow[j] = v, relu(v)
+		}
+	}
+}
+
+// AddChannelBiasRelu is the same epilogue for channel-major rows (the
+// conv layout): pre holds len(bias) rows of n elements and row c gets
+// the scalar bias[c]. A nil act adds the bias only.
+func AddChannelBiasRelu(act, pre, bias []Float, n int) {
+	for c, b := range bias {
+		prow := pre[c*n : (c+1)*n]
+		if act == nil {
+			for i := range prow {
+				prow[i] += b
+			}
+			continue
+		}
+		arow := act[c*n : (c+1)*n]
+		for i, v := range prow {
+			v += b
+			prow[i], arow[i] = v, relu(v)
 		}
 	}
 }

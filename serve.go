@@ -1,8 +1,10 @@
 package fedtrans
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -16,55 +18,69 @@ import (
 // InferenceServer.
 var ErrInferenceClosed = errors.New("fedtrans: inference server closed")
 
-// DefaultMaxBatch is the dispatcher's batch bound when
+// DefaultMaxBatch bounds the rows of one coalesced forward pass when
 // NewInferenceServer is given maxBatch <= 0.
 const DefaultMaxBatch = 64
 
 // InferenceServer turns a Deployed model into a high-throughput
-// prediction service: concurrent Predict calls are coalesced by a
-// dispatcher into one strided batch forward (up to maxBatch rows per
-// pass), so the per-row cost amortizes the weight-matrix traffic that
-// dominates single-row inference. Requests, result buffers, and the
-// batch input are pooled — a steady-state prediction allocates nothing.
+// prediction service built on caller-runs lanes: GOMAXPROCS pooled
+// inference sessions, fixed at construction. A caller that finds a lane
+// free runs the forward pass itself, so a lone caller pays the direct
+// cost — no goroutine hand-off. A caller that finds every lane busy
+// queues; when a lane frees it goes to the head of the queue, which
+// runs one strided batch forward over its own rows and the requests
+// queued behind it (up to maxBatch rows) and answers them all. Batching
+// therefore emerges exactly when there is a backlog, where amortizing
+// the weight-matrix traffic pays. Requests and lanes are pooled — a
+// steady-state prediction allocates nothing.
 //
-// Serve exposes the same dispatcher over TCP (FTNC PREDICT frames, see
+// Serve exposes the same lanes over TCP (FTNC PREDICT frames, see
 // internal/netcoord); in-process callers just use Predict/PredictBatch.
 type InferenceServer struct {
 	d        *Deployed
 	maxBatch int
-	reqs     chan *inferReq
+	reqPool  sync.Pool
 
-	reqPool sync.Pool
+	mu         sync.Mutex
+	free       []*inferSession // idle lanes; empty whenever the queue is not
+	head, tail *inferReq       // callers waiting for a lane, FIFO
+	active     int             // callers admitted and not yet answered
+	closed     bool
+	done       chan struct{} // closed once closed && active == 0
 
-	mu       sync.RWMutex
-	closed   bool
-	inflight sync.WaitGroup
-	done     chan struct{}
+	passes int // forward passes formed; read by tests only
 }
 
-// inferReq is one queued prediction: rows to classify, the class slot
-// per row, and a reusable ready channel the dispatcher signals.
+// inferReq is one prediction request: its rows in one of two forms, a
+// caller-owned class slot per row, and the channel a queued caller
+// parks on — it receives the freed lane (lead the next pass) or nil
+// (a leader's pass answered this request).
 type inferReq struct {
 	rows  [][]float64
+	wire  []byte // a PREDICT frame's big-endian float32 features
 	class []int
-	err   error
-	ready chan struct{}
+	one   [1]int // Predict's class slot
+	next  *inferReq
+	ready chan *inferSession
 }
 
-// NewInferenceServer starts the batching dispatcher for the model.
-// maxBatch bounds the rows folded into one forward pass (<= 0 uses
-// DefaultMaxBatch). Close releases the dispatcher.
+// NewInferenceServer builds the lanes for the model, each warmed at
+// maxBatch rows so later passes of any size reuse its workspaces.
+// maxBatch bounds the rows coalesced into one forward pass (<= 0 uses
+// DefaultMaxBatch); a single larger request is still served whole.
+// Close releases the lanes.
 func NewInferenceServer(d *Deployed, maxBatch int) *InferenceServer {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	s := &InferenceServer{
-		d:        d,
-		maxBatch: maxBatch,
-		reqs:     make(chan *inferReq, 4*maxBatch),
-		done:     make(chan struct{}),
+	s := &InferenceServer{d: d, maxBatch: maxBatch, done: make(chan struct{})}
+	for range runtime.GOMAXPROCS(0) {
+		lane := d.session()
+		warm := lane.ensureIn(maxBatch, d.dim)
+		warm.Zero()
+		lane.m.Forward(warm)
+		s.free = append(s.free, lane)
 	}
-	go s.dispatch()
 	return s
 }
 
@@ -72,48 +88,31 @@ func (s *InferenceServer) getReq() *inferReq {
 	if r, ok := s.reqPool.Get().(*inferReq); ok {
 		return r
 	}
-	return &inferReq{ready: make(chan struct{}, 1)}
+	return &inferReq{ready: make(chan *inferSession, 1)}
 }
 
-// submit enqueues a request unless the server is closed. The RLock /
-// WaitGroup pair lets Close wait for every enqueue to land before it
-// closes the channel.
-func (s *InferenceServer) submit(r *inferReq) error {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrInferenceClosed
-	}
-	s.inflight.Add(1)
-	s.mu.RUnlock()
-	s.reqs <- r
-	s.inflight.Done()
-	return nil
+func (s *InferenceServer) putReq(r *inferReq) {
+	clear(r.rows)
+	r.class = nil
+	s.reqPool.Put(r)
 }
 
-// Predict classifies one feature vector through the batching
-// dispatcher. Safe for concurrent use; steady-state calls allocate
-// nothing.
+// Predict classifies one feature vector. Safe for concurrent use;
+// steady-state calls allocate nothing.
 func (s *InferenceServer) Predict(features []float64) (int, error) {
 	if len(features) != s.d.dim {
 		return 0, errDim(len(features), s.d.dim)
 	}
 	r := s.getReq()
-	r.rows = append(r.rows[:0], features)
-	r.class = append(r.class[:0], 0)
-	r.err = nil
-	if err := s.submit(r); err != nil {
-		s.reqPool.Put(r)
-		return 0, err
-	}
-	<-r.ready
-	class, err := r.class[0], r.err
-	s.reqPool.Put(r)
+	r.rows, r.class = append(r.rows[:0], features), r.one[:]
+	err := s.serve(r)
+	class := r.one[0]
+	s.putReq(r)
 	return class, err
 }
 
 // PredictBatch classifies a batch of feature vectors as one request
-// (the rows stay contiguous in the dispatcher's forward pass).
+// (the rows stay contiguous in the forward pass).
 func (s *InferenceServer) PredictBatch(features [][]float64) ([]int, error) {
 	if len(features) == 0 {
 		return nil, nil
@@ -139,110 +138,158 @@ func (s *InferenceServer) PredictBatchInto(features [][]float64, out []int) erro
 	if len(out) != len(features) {
 		return fmt.Errorf("fedtrans: class slice len %d, batch len %d", len(out), len(features))
 	}
-	if len(features) == 0 {
-		return nil
-	}
 	r := s.getReq()
-	r.rows = append(r.rows[:0], features...)
-	if cap(r.class) < len(features) {
-		r.class = make([]int, len(features))
-	}
-	r.class = r.class[:len(features)]
-	r.err = nil
-	if err := s.submit(r); err != nil {
-		s.reqPool.Put(r)
-		return err
-	}
-	<-r.ready
-	copy(out, r.class)
-	err := r.err
-	s.reqPool.Put(r)
+	r.rows, r.class = append(r.rows[:0], features...), out
+	err := s.serve(r)
+	s.putReq(r)
 	return err
 }
 
-// dispatch drains the request queue, coalescing waiting requests into
-// one forward pass of at most maxBatch rows. The dispatcher owns one
-// inference session; it is warmed at maxBatch rows so every later pass
-// reuses its workspaces.
-func (s *InferenceServer) dispatch() {
-	sess := s.d.session()
-	// Warm the forward workspaces at the widest batch the dispatcher
-	// will ever run, so steady-state passes of any size reuse them.
-	warm := sess.ensureIn(s.maxBatch, s.d.dim)
-	warm.Zero()
-	sess.m.Forward(warm)
-
-	batch := make([]*inferReq, 0, s.maxBatch)
-	for first := range s.reqs {
-		batch = append(batch[:0], first)
-		rows := len(first.rows)
-		// Yield once before sealing the batch: a send to the blocked
-		// dispatcher schedules it immediately, so without this the
-		// concurrent producers never get to queue behind the first
-		// request and every batch collapses to one row. When nothing
-		// else is runnable the yield is a no-op.
-		runtime.Gosched()
-		// Coalesce whatever else is already waiting, up to maxBatch rows.
-	fill:
-		for rows < s.maxBatch {
-			select {
-			case r := <-s.reqs:
-				batch = append(batch, r)
-				rows += len(r.rows)
-			default:
-				break fill
-			}
-		}
-		x := sess.ensureIn(rows, s.d.dim)
-		i := 0
-		for _, r := range batch {
-			for _, row := range r.rows {
-				dst := x.Data[i*s.d.dim : (i+1)*s.d.dim]
-				for j, v := range row {
-					dst[j] = tensor.Float(v)
-				}
-				i++
-			}
-		}
-		logits := sess.m.Forward(x)
-		i = 0
-		for _, r := range batch {
-			for k := range r.rows {
-				r.class[k] = logits.ArgMaxRow(i)
-				i++
-			}
-			r.ready <- struct{}{}
-		}
+// serve answers r (rows validated by the caller): on a free lane the
+// caller runs the pass itself, otherwise it queues until a leader's
+// pass answers it or a freed lane makes it the next leader.
+func (s *InferenceServer) serve(r *inferReq) error {
+	if len(r.class) == 0 {
+		return nil
 	}
-	s.d.release(sess)
-	close(s.done)
-}
-
-// Close stops the dispatcher after every in-flight request is answered.
-// Subsequent predictions return ErrInferenceClosed. Safe to call more
-// than once.
-func (s *InferenceServer) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		<-s.done
-		return
+		return ErrInferenceClosed
 	}
-	s.closed = true
+	s.active++
+	var lane *inferSession
+	if n := len(s.free); n > 0 {
+		lane, s.free = s.free[n-1], s.free[:n-1]
+		s.passes++
+	} else {
+		if s.tail == nil {
+			s.head = r
+		} else {
+			s.tail.next = r
+		}
+		s.tail = r
+	}
 	s.mu.Unlock()
-	s.inflight.Wait()
-	close(s.reqs)
+	if lane == nil {
+		if lane = <-r.ready; lane == nil {
+			return nil
+		}
+	}
+	s.pass(lane, r)
+	return nil
+}
+
+// pass runs one forward over the chain of requests r heads, answers
+// the followers, and gives the lane up.
+func (s *InferenceServer) pass(lane *inferSession, r *inferReq) {
+	rows := 0
+	for q := r; q != nil; q = q.next {
+		rows += len(q.class)
+	}
+	x := lane.ensureIn(rows, s.d.dim)
+	at := 0
+	for q := r; q != nil; q = q.next {
+		at += q.fill(x.Data[at:])
+	}
+	logits := lane.m.Forward(x)
+	row, n := 0, 0
+	for q := r; q != nil; n++ {
+		for k := range q.class {
+			q.class[k] = logits.ArgMaxRow(row)
+			row++
+		}
+		next := q.next
+		q.next = nil
+		if q != r {
+			q.ready <- nil // q may be reused from here on
+		}
+		q = next
+	}
+	s.release(lane, n)
+}
+
+// fill writes the request's rows into dst as backend floats and
+// returns how many elements it wrote.
+func (r *inferReq) fill(dst []tensor.Float) int {
+	if r.wire != nil {
+		n := len(r.wire) / 4
+		for j := range dst[:n] {
+			dst[j] = math.Float32frombits(binary.BigEndian.Uint32(r.wire[4*j:]))
+		}
+		return n
+	}
+	n := 0
+	for _, row := range r.rows {
+		for _, v := range row {
+			dst[n] = tensor.Float(v)
+			n++
+		}
+	}
+	return n
+}
+
+// release retires the n requests of a finished pass and passes the lane
+// on: to the head of the queue, together with the requests behind it
+// that fit in maxBatch rows, or back to the free list.
+func (s *InferenceServer) release(lane *inferSession, n int) {
+	s.mu.Lock()
+	s.active -= n
+	h := s.head
+	if h == nil {
+		s.free = append(s.free, lane)
+		if s.closed && s.active == 0 {
+			s.shut()
+		}
+	} else {
+		s.passes++
+		last, rows := h, len(h.class)
+		for q := last.next; q != nil && rows+len(q.class) <= s.maxBatch; q = last.next {
+			last, rows = q, rows+len(q.class)
+		}
+		if s.head, last.next = last.next, nil; s.head == nil {
+			s.tail = nil
+		}
+	}
+	s.mu.Unlock()
+	if h != nil {
+		h.ready <- lane
+	}
+}
+
+// shut returns the lanes to the model's session pool and wakes Close.
+// Called with mu held, once, when the server is closed and drained.
+func (s *InferenceServer) shut() {
+	for _, lane := range s.free {
+		s.d.release(lane)
+	}
+	s.free = nil
+	close(s.done)
+}
+
+// Close returns after every admitted request is answered and the lanes
+// are released. Subsequent predictions return ErrInferenceClosed. Safe
+// to call more than once.
+func (s *InferenceServer) Close() {
+	s.mu.Lock()
+	if !s.closed {
+		s.closed = true
+		if s.active == 0 {
+			s.shut()
+		}
+	}
+	s.mu.Unlock()
 	<-s.done
 }
 
-// Serve answers FTNC PREDICT frames on ln through the batching
-// dispatcher until the listener closes: each connection is its own
-// goroutine, so concurrent remote clients coalesce into shared forward
-// passes exactly like concurrent in-process callers. Blocks; run it in
-// a goroutine and close ln (and then the server) to stop. A client that
-// stalls mid-frame is dropped after the default 2-minute frame deadline
-// (see ServeTimeout to pick it), so it cannot pin its goroutine — and
-// the connection's request slot — forever.
+// Serve answers FTNC PREDICT frames on ln through the lanes until the
+// listener closes: each connection is its own goroutine and a caller
+// like any other, so a few connections run their forwards in parallel
+// and many coalesce into shared passes exactly like concurrent
+// in-process callers. Blocks; run it in a goroutine and close ln (and
+// then the server) to stop. A client that stalls mid-frame is dropped
+// after the default 2-minute frame deadline (see ServeTimeout to pick
+// it), so it cannot pin its goroutine forever.
 func (s *InferenceServer) Serve(ln net.Listener) error {
 	return s.ServeTimeout(ln, 0)
 }
@@ -251,10 +298,16 @@ func (s *InferenceServer) Serve(ln net.Listener) error {
 // handshake, each PREDICT body, and each PREDICTRES write must complete
 // within timeout. Idle gaps between requests on a healthy connection
 // are never bounded. timeout 0 uses the netcoord default (2 minutes);
-// negative disables deadlines.
+// negative disables deadlines. A frame's features are decoded from the
+// wire straight into the lane's input and its classes land in the
+// connection's own buffer, so a served frame allocates nothing.
 func (s *InferenceServer) ServeTimeout(ln net.Listener, timeout time.Duration) error {
-	return netcoord.ServeInferenceTimeout(ln, s.d.dim, func(rows [][]float64) ([]int, error) {
-		return s.PredictBatch(rows)
+	return netcoord.ServeInferenceRows(ln, s.d.dim, func() netcoord.RowsFunc {
+		r := &inferReq{ready: make(chan *inferSession, 1)}
+		return func(feats []byte, classes []int) error {
+			r.wire, r.class = feats, classes
+			return s.serve(r)
+		}
 	}, timeout)
 }
 
@@ -293,7 +346,8 @@ func (c *InferenceClient) Predict(features []float64) (int, error) {
 	return c.c.Predict(features)
 }
 
-// PredictBatch classifies a batch remotely in one exchange.
+// PredictBatch classifies a batch remotely in one exchange of at most
+// 1024 rows, the longest PREDICT frame a server reads.
 func (c *InferenceClient) PredictBatch(rows [][]float64) ([]int, error) {
 	return c.c.PredictBatch(rows)
 }

@@ -7,7 +7,7 @@ import (
 // benchDeployed trains one small dense session and deploys its first
 // model for the serving benchmarks. The dense profile is the workload
 // where batching pays: a single-row forward is a BLAS2 product with no
-// row reuse, while the dispatcher's coalesced batch rides the
+// row reuse, while a multi-row frame or coalesced batch rides the
 // register-tiled BLAS3 kernel.
 func benchDeployed(b *testing.B) *Deployed {
 	b.Helper()
@@ -65,11 +65,11 @@ const serveFrameRows = 8
 // BenchmarkPredictServe is the pooled serving path under sustained
 // load: concurrent clients stream small frames (serveFrameRows
 // predictions per request, as the TCP frontend does) through the
-// InferenceServer dispatcher, which coalesces waiting frames into one
-// strided batch forward on the register-tiled kernel. ns/op is per
-// prediction; sustained predictions/sec must beat the per-call Predict
-// baseline by >= 2x at 0 steady-state allocs/op — requests, result
-// slots, and the batch input are all pooled.
+// InferenceServer: 16 clients per lane, so most frames queue and the
+// lane that frees coalesces them into one strided batch forward on the
+// register-tiled kernel. ns/op is per prediction; sustained
+// predictions/sec must beat the per-call Predict baseline by >= 2x at
+// 0 steady-state allocs/op — requests and lanes are pooled.
 func BenchmarkPredictServe(b *testing.B) {
 	d := benchDeployed(b)
 	srv := NewInferenceServer(d, DefaultMaxBatch)
@@ -102,7 +102,7 @@ func BenchmarkPredictServe(b *testing.B) {
 }
 
 // TestPredictServeAllocationRegression pins the zero-allocation steady
-// state of the serving path: after the dispatcher's warmup pass, a
+// state of the serving path: after the lanes' warm-up passes, a
 // prediction reuses its pooled request, the session input buffer, and
 // the forward workspaces end to end.
 func TestPredictServeAllocationRegression(t *testing.T) {

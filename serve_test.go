@@ -2,10 +2,12 @@ package fedtrans
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -46,7 +48,7 @@ func fixtureRows(dim, n int) [][]float64 {
 	return rows
 }
 
-// TestInferenceServerParity pins the batching dispatcher against the
+// TestInferenceServerParity pins the serving lanes against the
 // direct path: every row must classify identically through per-call
 // Predict, PredictBatch, the InferenceServer, and a remote client over
 // TCP loopback (features travel as float32 — the backend element type —
@@ -110,9 +112,10 @@ func TestInferenceServerParity(t *testing.T) {
 	}
 }
 
-// TestInferenceServerConcurrent hammers the dispatcher from many
-// goroutines: coalesced batches must still answer every request with
-// its own row's class.
+// TestInferenceServerConcurrent hammers the lanes from 32 goroutines
+// mixing Predict and PredictBatchInto, with 1, 2 and 4 lanes: whether a
+// request ran inline, led a coalesced pass or rode someone else's, it
+// must be answered with its own rows' classes.
 func TestInferenceServerConcurrent(t *testing.T) {
 	d := deployFixture(t)
 	rows := fixtureRows(d.InputDim(), 64)
@@ -120,33 +123,49 @@ func TestInferenceServerConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewInferenceServer(d, 8)
-	defer srv.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				i := (g*20 + rep) % len(rows)
-				y, err := srv.Predict(rows[i])
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if y != want[i] {
-					errs[g] = errors.New("concurrent prediction diverged")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		srv := NewInferenceServer(d, 8)
+		if len(srv.free) != procs {
+			t.Fatalf("GOMAXPROCS %d: %d lanes", procs, len(srv.free))
 		}
+		// Twice as many Ps as lanes from here on, so that callers do
+		// find every lane busy and the queue and hand-off paths run too.
+		runtime.GOMAXPROCS(2 * procs)
+		var wg sync.WaitGroup
+		errs := make([]error, 32)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				class := make([]int, 3)
+				for rep := 0; rep < 40 && errs[g] == nil; rep++ {
+					i := (g*40 + rep) % (len(rows) - len(class))
+					if (g+rep)%2 == 0 {
+						y, err := srv.Predict(rows[i])
+						if err == nil && y != want[i] {
+							err = fmt.Errorf("Predict row %d: class %d, direct %d", i, y, want[i])
+						}
+						errs[g] = err
+						continue
+					}
+					err := srv.PredictBatchInto(rows[i:i+len(class)], class)
+					if err == nil && !reflect.DeepEqual(class, want[i:i+len(class)]) {
+						err = fmt.Errorf("PredictBatchInto rows %d..: %v, direct %v", i, class, want[i:i+len(class)])
+					}
+					errs[g] = err
+				}
+			}()
+		}
+		wg.Wait()
+		srv.Close()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			}
+		}
+		t.Logf("%d lanes: %d requests in %d passes", procs, 32*40, srv.passes)
 	}
 }
 
