@@ -213,7 +213,7 @@ func (c ChaosOptions) enabled() bool {
 // ScaleOptions returns the massive-round stress profile: thousands of
 // clients per round on a deliberately small task, exercising the
 // streaming sharded aggregation pipeline (selection, assignment, local
-// training, clip/quantize, accumulator folding) rather than the compute
+// training, clipping, accumulator folding) rather than the compute
 // kernels. Peak coordinator memory stays O(StreamWindow × model bytes)
 // even at ClientsPerRound in the thousands. Set Population to detach
 // the population size from resident memory entirely (generative

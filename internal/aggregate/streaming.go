@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"fedtrans/internal/compress"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
 	"fedtrans/internal/tensor"
@@ -40,7 +39,7 @@ var ErrNonFinite = errors.New("aggregate: non-finite value in update")
 // (in parallel when workers are free); within a shard the contributions
 // are applied in Add-call order. As long as the caller Adds updates in a
 // deterministic order — the runtime commits them in client submission
-// order through par.Stream — the float64 sums, and therefore the
+// order through par.StreamErr — the float64 sums, and therefore the
 // finalized weights, are byte-identical regardless of worker scheduling,
 // and identical to the buffered FedAvg over the same batch.
 //
@@ -230,7 +229,7 @@ func (a *modelAcc) forSegments(lo, hi int, seg func(ti, tLo, tHi, flat int)) {
 	}
 }
 
-// Add folds one dense client update for dst into its accumulator. The
+// Add folds one client update for dst into its accumulator. The
 // update's weight tensors are only read — the caller may release or
 // reuse them as soon as Add returns, which is what collapses the round
 // loop's peak memory. Malformed updates (tensor count or length
@@ -245,99 +244,29 @@ func (s *StreamingFedAvg) Add(dst *model.Model, u Update) error {
 	a.weight += w
 	a.lossSum += u.Loss * w
 	a.count++
-	s.fold(a, w, u.Weights, nil)
+	s.fold(a, w, u.Weights)
 	return nil
 }
 
-// fold accumulates one validated update (dense weights or quantized qs,
-// exactly one non-nil) over the owned flat range.
-func (s *StreamingFedAvg) fold(a *modelAcc, w float64, weights []*tensor.Tensor, qs []compress.QuantizedTensor) {
+// fold accumulates one validated update over the owned flat range.
+func (s *StreamingFedAvg) fold(a *modelAcc, w float64, weights []*tensor.Tensor) {
 	if a.hi-a.lo <= s.shardSize {
 		// Small model (or narrow edge slice): fold directly, no closure or
 		// fan-out overhead — this is the per-participant hot path of
 		// massive rounds.
-		if weights != nil {
-			a.foldDense(weights, w, a.lo, a.hi)
-		} else {
-			a.foldQuantized(qs, w, a.lo, a.hi)
-		}
+		a.foldDense(weights, w, a.lo, a.hi)
 		return
 	}
-	s.foldOwned(a, func(lo, hi int) {
-		if weights != nil {
-			a.foldDense(weights, w, lo, hi)
-		} else {
-			a.foldQuantized(qs, w, lo, hi)
-		}
-	})
+	s.foldOwned(a, func(lo, hi int) { a.foldDense(weights, w, lo, hi) })
 }
 
-// foldDense accumulates weight×(dense update) over flat range [lo, hi).
+// foldDense accumulates weight×update over flat range [lo, hi).
 func (a *modelAcc) foldDense(weights []*tensor.Tensor, w float64, lo, hi int) {
 	a.forSegments(lo, hi, func(ti, tLo, tHi, flat int) {
 		src := weights[ti].Data[tLo:tHi]
 		acc := a.sum[flat-a.lo : flat-a.lo+len(src)]
 		for j, v := range src {
 			acc[j] += float64(v) * w
-		}
-	})
-}
-
-// AddQuantized folds one 8-bit quantized client update for dst, decoding
-// codes straight into the accumulator: no dequantized tensor is ever
-// materialized. Each code decodes through float32 first, so the folded
-// values are bit-identical to Dequantize followed by Add. Tensor count
-// and lengths must match dst's parameters, as in Add; staleness
-// discounts the update's weight exactly as Update.Staleness does.
-func (s *StreamingFedAvg) AddQuantized(dst *model.Model, qs []compress.QuantizedTensor, samples int, loss float64, staleness int) error {
-	a := s.acc(dst)
-	if err := a.validateQuantized(qs); err != nil {
-		return err
-	}
-	w := sampleWeight(samples) * StalenessDiscount(staleness)
-	a.weight += w
-	a.lossSum += loss * w
-	a.count++
-	s.fold(a, w, nil, qs)
-	return nil
-}
-
-// validateQuantized checks a quantized update's arity, per-tensor code
-// lengths, and range finiteness, mirroring validate for dense updates.
-func (a *modelAcc) validateQuantized(qs []compress.QuantizedTensor) error {
-	if len(qs) != len(a.params) {
-		return fmt.Errorf("%w: %d tensors, want %d", ErrUpdateShape, len(qs), len(a.params))
-	}
-	for i := range qs {
-		if len(qs[i].Codes) != a.params[i].Len() {
-			return fmt.Errorf("%w: tensor %d length mismatch", ErrUpdateShape, i)
-		}
-		// A quantized tensor's values are Min + code×(Max-Min)/255: the
-		// codes cannot be non-finite, so checking the range endpoints
-		// rejects a NaN/Inf payload (e.g. quantized from NaN gradients)
-		// without touching the codes.
-		if m := qs[i].Min; m-m != 0 {
-			return fmt.Errorf("%w: tensor %d quantization range", ErrNonFinite, i)
-		}
-		if m := qs[i].Max; m-m != 0 {
-			return fmt.Errorf("%w: tensor %d quantization range", ErrNonFinite, i)
-		}
-	}
-	return nil
-}
-
-// foldQuantized decodes codes straight into the accumulator over flat
-// range [lo, hi).
-func (a *modelAcc) foldQuantized(qs []compress.QuantizedTensor, w float64, lo, hi int) {
-	a.forSegments(lo, hi, func(ti, tLo, tHi, flat int) {
-		q := &qs[ti]
-		step := (q.Max - q.Min) / 255.0
-		codes := q.Codes[tLo:tHi]
-		acc := a.sum[flat-a.lo : flat-a.lo+len(codes)]
-		for j, c := range codes {
-			// Round through the wire precision (float32) so streaming
-			// decode matches materialized Dequantize bit-for-bit.
-			acc[j] += float64(tensor.Float(q.Min+float64(c)*step)) * w
 		}
 	})
 }

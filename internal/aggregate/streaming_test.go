@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"fedtrans/internal/compress"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
 )
@@ -71,40 +70,6 @@ func TestStreamingMatchesBufferedFedAvg(t *testing.T) {
 	}
 }
 
-// TestStreamingQuantizedDecodeMatchesMaterialized pins that decoding
-// codes straight into the accumulator equals Dequantize-then-Add
-// bit-for-bit (both round through float32 wire precision).
-func TestStreamingQuantizedDecodeMatchesMaterialized(t *testing.T) {
-	model.ResetIDs()
-	ma := newModel(t, 4)
-	model.ResetIDs()
-	mb := newModel(t, 4)
-	rng := rand.New(rand.NewSource(5))
-	sa, sb := NewStreaming(), NewStreaming()
-	for i := 0; i < 5; i++ {
-		u := randomUpdate(ma, rng, i+1)
-		qs, _ := compress.QuantizeAll(u.Weights)
-		deq := Update{ModelID: ma.ID, Weights: compress.DequantizeAll(qs), Samples: u.Samples, Loss: u.Loss}
-		if err := sa.Add(ma, deq); err != nil {
-			t.Fatal(err)
-		}
-		if err := sb.AddQuantized(mb, qs, u.Samples, u.Loss, u.Staleness); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lossA, nA, _ := sa.Finalize(ma)
-	lossB, nB, _ := sb.Finalize(mb)
-	if lossA != lossB || nA != nB {
-		t.Fatalf("stats differ: (%v,%d) vs (%v,%d)", lossA, nA, lossB, nB)
-	}
-	pa, pb := ma.Params(), mb.Params()
-	for i := range pa {
-		if !tensor.Equal(pa[i], pb[i], 0) {
-			t.Fatalf("tensor %d: streaming quantized decode differs from materialized", i)
-		}
-	}
-}
-
 func TestStreamingRejectsMalformedAtomically(t *testing.T) {
 	model.ResetIDs()
 	m := newModel(t, 3)
@@ -127,9 +92,8 @@ func TestStreamingRejectsMalformedAtomically(t *testing.T) {
 	if err := s.Add(m, Update{ModelID: m.ID, Weights: []*tensor.Tensor{nil, nil, nil, nil}}); !errors.Is(err, ErrUpdateShape) {
 		t.Fatal("nil tensors accepted")
 	}
-	var qs []compress.QuantizedTensor
-	if err := s.AddQuantized(m, qs, 1, 0, 0); !errors.Is(err, ErrUpdateShape) {
-		t.Fatalf("empty quantized batch err = %v, want ErrUpdateShape", err)
+	if err := s.Add(m, Update{ModelID: m.ID, Samples: 1}); !errors.Is(err, ErrUpdateShape) {
+		t.Fatalf("empty update err = %v, want ErrUpdateShape", err)
 	}
 
 	for i, v := range s.accs[m.ID].sum {
@@ -296,37 +260,6 @@ func TestStreamingRejectsNonFiniteAtomically(t *testing.T) {
 	lossB, nB, _ := sref.Finalize(ref)
 	if lossA != lossB || nA != nB {
 		t.Fatalf("finalize after rejects (%v,%d) != clean (%v,%d)", lossA, nA, lossB, nB)
-	}
-}
-
-// TestStreamingRejectsNonFiniteQuantized pins the quantized path: NaN
-// gradients quantize to a NaN Min/Max range, which the accumulator
-// rejects without decoding a single code.
-func TestStreamingRejectsNonFiniteQuantized(t *testing.T) {
-	model.ResetIDs()
-	m := newModel(t, 3)
-	s := NewStreaming()
-	params := m.Params()
-	qs := make([]compress.QuantizedTensor, len(params))
-	for i, p := range params {
-		src := tensor.New(p.Shape...)
-		compress.QuantizeInto(&qs[i], src)
-	}
-	qs[0].Min = math.NaN()
-	qs[0].Max = math.NaN()
-	if err := s.AddQuantized(m, qs, 1, 0.5, 0); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("NaN-range quantized update err = %v, want ErrNonFinite", err)
-	}
-	qs[0].Min, qs[0].Max = 0, math.Inf(1)
-	if err := s.AddQuantized(m, qs, 1, 0.5, 0); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("Inf-range quantized update err = %v, want ErrNonFinite", err)
-	}
-	if got := s.Updates(m.ID); got != 0 {
-		t.Fatalf("Updates = %d after rejected adds, want 0", got)
-	}
-	qs[0].Min, qs[0].Max = 0, 0
-	if err := s.AddQuantized(m, qs, 1, 0.5, 0); err != nil {
-		t.Fatalf("finite-range quantized update rejected: %v", err)
 	}
 }
 

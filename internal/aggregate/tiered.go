@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fedtrans/internal/compress"
 	"fedtrans/internal/model"
 )
 
@@ -15,7 +14,6 @@ import (
 // TieredFedAvg.
 type Aggregator interface {
 	Add(dst *model.Model, u Update) error
-	AddQuantized(dst *model.Model, qs []compress.QuantizedTensor, samples int, loss float64, staleness int) error
 	Updates(modelID int) int
 	Pending() int
 	Finalize(dst *model.Model) (meanLoss float64, samples int, ok bool)
@@ -75,7 +73,7 @@ func NewTieredSharded(shardSize, n int) *TieredFedAvg {
 // Edges reports the edge aggregator count.
 func (t *TieredFedAvg) Edges() int { return len(t.edges) }
 
-// Add validates one dense update (once, on edge 0's accumulator) and
+// Add validates one update (once, on edge 0's accumulator) and
 // folds it into every edge's owned slice. See StreamingFedAvg.Add for
 // the error contract.
 func (t *TieredFedAvg) Add(dst *model.Model, u Update) error {
@@ -88,24 +86,7 @@ func (t *TieredFedAvg) Add(dst *model.Model, u Update) error {
 	a0.lossSum += u.Loss * w
 	a0.count++
 	for _, e := range t.edges {
-		e.fold(e.acc(dst), w, u.Weights, nil)
-	}
-	return nil
-}
-
-// AddQuantized validates one quantized update once and decodes it into
-// every edge's owned slice. See StreamingFedAvg.AddQuantized.
-func (t *TieredFedAvg) AddQuantized(dst *model.Model, qs []compress.QuantizedTensor, samples int, loss float64, staleness int) error {
-	a0 := t.edges[0].acc(dst)
-	if err := a0.validateQuantized(qs); err != nil {
-		return err
-	}
-	w := sampleWeight(samples) * StalenessDiscount(staleness)
-	a0.weight += w
-	a0.lossSum += loss * w
-	a0.count++
-	for _, e := range t.edges {
-		e.fold(e.acc(dst), w, nil, qs)
+		e.fold(e.acc(dst), w, u.Weights)
 	}
 	return nil
 }

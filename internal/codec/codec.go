@@ -234,24 +234,6 @@ func DecodeInto(dst []*tensor.Tensor, blob []byte) error {
 	return nil
 }
 
-// RoundTripLoss returns the maximum absolute error introduced by the
-// wire format for the given tensors. With the float32 compute backend
-// the wire carries exact element bits, so this is always zero; it is
-// kept as the API hook asserting that shipping weights does not perturb
-// training.
-func RoundTripLoss(ts []*tensor.Tensor) float64 {
-	worst := 0.0
-	for _, t := range ts {
-		for _, v := range t.Data {
-			d := math.Abs(float64(v) - float64(float32(v)))
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
 // crcIEEE exposes the checksum for tests that need to re-sign crafted
 // blobs.
 func crcIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }

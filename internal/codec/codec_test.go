@@ -133,13 +133,6 @@ func TestDecodeRejectsHugeShapes(t *testing.T) {
 	}
 }
 
-func TestRoundTripLossSmall(t *testing.T) {
-	ts := randomTensors(5)
-	if loss := RoundTripLoss(ts); loss > 1e-6 {
-		t.Errorf("float32 narrowing loss %.3g too large for unit-scale weights", loss)
-	}
-}
-
 func TestWeightListSurvivesWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ws := []*tensor.Tensor{tensor.New(8, 6), tensor.New(6), tensor.New(6, 4)}

@@ -1,14 +1,11 @@
 package fl
 
 import (
-	"math"
 	"sort"
 
-	"fedtrans/internal/assign"
 	"fedtrans/internal/chaos"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
-	"fedtrans/internal/selection"
 )
 
 // This file is the FedBuff-style staleness-bounded asynchronous round
@@ -173,12 +170,7 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 	if rt.asyncStr == nil {
 		rt.asyncStr = par.NewTaskStream(rt.streamWindow())
 	}
-	// Prime the suite's lazy caches before any background work: stream
-	// tasks clone models on session-pool misses.
-	for _, m := range rt.suite {
-		m.Params()
-		m.ParamCount()
-	}
+	rt.primeSuite()
 
 	// Deterministic churn step, then top-up selection over the online
 	// population excluding clients already in flight — a client trains
@@ -211,35 +203,9 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 
 	roundDropouts := 0
 	if want := rt.asyncConcurrency() - len(rt.inflight); want > 0 && len(cand) > 0 {
-		n := want
-		if n > len(cand) {
-			n = len(cand)
-		}
-		var selected []int
-		if ss, ok := cfg.Selector.(selection.SubsetSelector); ok {
-			selected = ss.SelectFrom(round, cand, n, rt.rng)
-		} else {
-			pos := cfg.Selector.Select(round, len(cand), n, rt.rng)
-			selected = make([]int, len(pos))
-			for i, p := range pos {
-				selected[i] = cand[p]
-			}
-		}
-		for _, c := range selected {
-			rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
-			m := rt.mgr.Sample(c, rt.compatBuf, rt.rng)
-			if m == nil {
-				continue
-			}
-			if cfg.DropoutRate > 0 && rt.rng.Float64() < cfg.DropoutRate {
-				// Downloaded the model, then went dark before training.
-				res.Costs.NetworkBytes += m.Bytes()
-				res.Dropouts++
-				roundDropouts++
-				continue
-			}
+		roundDropouts = rt.assignAll(rt.selectFrom(round, cand, want), res, func(c int, m *model.Model) {
 			rt.dispatch(round, c, m)
-		}
+		})
 	}
 
 	// Commit policy: force-commit every dispatch that would exceed the
@@ -285,31 +251,17 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 		rt.asyncStr.Wait(at.tk)
 		u := &at.slot
 		u.stale = round - at.version
-		elapsed := 0.0
-		ok := rt.commitAttempt(u, &elapsed, res)
-		for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
-			res.Retries++
-			if cfg.RetryBackoff > 0 {
-				elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
-			}
-			rt.trainTask(at.version, attempt, u)
-			ok = rt.commitAttempt(u, &elapsed, res)
-		}
-		rt.releaseUploads(u)
+		_, ok := rt.settle(at.version, u, res)
 		rt.snapPut(u.src)
 		u.src = nil
 		if at.arrival > rt.asyncNow {
 			rt.asyncNow = at.arrival
 		}
 		if ok {
-			u.ok = true
 			folded++
-			cfg.Selector.Feedback(u.client, u.loss, elapsed)
 			rt.staleSum += int64(u.stale)
 			rt.staleCnt++
 			committed = append(committed, u)
-		} else {
-			res.Failures++
 		}
 	}
 	rt.commitBuf = committed
@@ -333,16 +285,10 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 
 	// Quorum over everyone the round settled: the commit set plus this
 	// round's dropout draws.
-	if cfg.Quorum > 0 {
-		need := int(math.Ceil(cfg.Quorum * float64(commitN+roundDropouts)))
-		if need < 1 {
-			need = 1
-		}
-		if folded < need {
-			rt.agg.Abort()
-			res.AbortedRounds++
-			return 0, roundTime, nil, false
-		}
+	if folded < rt.quorumNeed(commitN+roundDropouts) {
+		rt.agg.Abort()
+		res.AbortedRounds++
+		return 0, roundTime, nil, false
 	}
 
 	roundLoss, perModel := rt.applyCommitted(round, committed, res)

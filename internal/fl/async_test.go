@@ -142,7 +142,7 @@ func TestAsyncMitigatesStragglersInWallClock(t *testing.T) {
 // asyncChaosScenario is the asynchronous kitchen-sink configuration:
 // staleness-bounded rounds with chaos faults, retries with backoff,
 // timeouts, quorum, churn, a stateful guided selector, the server
-// optimizer, quantized uploads, clip+noise, and dropout — every
+// optimizer, clip+noise, and dropout — every
 // subsystem the async checkpoint must carry through kill/resume.
 func asyncChaosScenario(t *testing.T, window int) func() *Runtime {
 	return func() *Runtime {

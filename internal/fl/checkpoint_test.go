@@ -16,16 +16,15 @@ import (
 )
 
 // ckptConfig is the kitchen-sink deterministic configuration the
-// checkpoint golden tests run under: transformation, quantized uploads,
-// clip+noise, dropout, and logging all on, so a resumed run must
-// reproduce every stateful subsystem.
+// checkpoint golden tests run under: transformation, clip+noise,
+// dropout, and logging all on, so a resumed run must reproduce every
+// stateful subsystem.
 func ckptConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Rounds = 10
 	cfg.ClientsPerRound = 6
 	cfg.EvalEvery = 3
 	cfg.ConvergePatience = 0
-	cfg.QuantizeUploads = true
 	cfg.ClipNorm = 5
 	cfg.NoiseStd = 0.001
 	cfg.DropoutRate = 0.1

@@ -40,40 +40,35 @@ func TestSelectClients(t *testing.T) {
 
 // TestRunRoundDropoutCostAccounting pins the failure-injection cost
 // model: a dropped participant costs exactly one model download — no
-// upload, no training MACs — and increments the dropout counter, on
-// both the dense and the quantized uplink paths.
+// upload, no training MACs — and increments the dropout counter.
 func TestRunRoundDropoutCostAccounting(t *testing.T) {
-	for _, quantize := range []bool{false, true} {
-		ds, tr, spec := smokeSetup(t, 8)
-		cfg := DefaultConfig()
-		cfg.Rounds = 4
-		cfg.ClientsPerRound = 5
-		cfg.DropoutRate = 1.0
-		cfg.QuantizeUploads = quantize
-		cfg.ConvergePatience = 0
-		rt := New(cfg, ds, tr, spec)
-		res := rt.Run()
-		wantDropouts := cfg.Rounds * cfg.ClientsPerRound
-		if res.Dropouts != wantDropouts {
-			t.Errorf("quantize=%v: dropouts = %d, want %d", quantize, res.Dropouts, wantDropouts)
-		}
-		// Every participant downloaded the (single, untransformed) initial
-		// model and uploaded nothing — even with quantized uplinks enabled.
-		wantNet := int64(wantDropouts) * rt.Suite()[0].Bytes()
-		if res.Costs.NetworkBytes != wantNet {
-			t.Errorf("quantize=%v: network = %d, want %d (downloads only)",
-				quantize, res.Costs.NetworkBytes, wantNet)
-		}
-		if res.Costs.TrainMACs != 0 {
-			t.Errorf("quantize=%v: training MACs %v without any survivor", quantize, res.Costs.TrainMACs)
-		}
-		if len(res.RoundTimes) != cfg.Rounds {
-			t.Fatalf("quantize=%v: %d round times", quantize, len(res.RoundTimes))
-		}
-		for r, rtime := range res.RoundTimes {
-			if rtime != 0 {
-				t.Errorf("quantize=%v: round %d has nonzero completion time with no survivors", quantize, r)
-			}
+	ds, tr, spec := smokeSetup(t, 8)
+	cfg := DefaultConfig()
+	cfg.Rounds = 4
+	cfg.ClientsPerRound = 5
+	cfg.DropoutRate = 1.0
+	cfg.ConvergePatience = 0
+	rt := New(cfg, ds, tr, spec)
+	res := rt.Run()
+	wantDropouts := cfg.Rounds * cfg.ClientsPerRound
+	if res.Dropouts != wantDropouts {
+		t.Errorf("dropouts = %d, want %d", res.Dropouts, wantDropouts)
+	}
+	// Every participant downloaded the (single, untransformed) initial
+	// model and uploaded nothing.
+	wantNet := int64(wantDropouts) * rt.Suite()[0].Bytes()
+	if res.Costs.NetworkBytes != wantNet {
+		t.Errorf("network = %d, want %d (downloads only)", res.Costs.NetworkBytes, wantNet)
+	}
+	if res.Costs.TrainMACs != 0 {
+		t.Errorf("training MACs %v without any survivor", res.Costs.TrainMACs)
+	}
+	if len(res.RoundTimes) != cfg.Rounds {
+		t.Fatalf("%d round times", len(res.RoundTimes))
+	}
+	for r, rtime := range res.RoundTimes {
+		if rtime != 0 {
+			t.Errorf("round %d has nonzero completion time with no survivors", r)
 		}
 	}
 }
@@ -358,28 +353,6 @@ func TestRuntimeWithOortSelector(t *testing.T) {
 	res := rt.Run()
 	if res.MeanAcc < 2.0/float64(ds.Classes) {
 		t.Errorf("Oort-selected training collapsed: %.3f", res.MeanAcc)
-	}
-}
-
-func TestRuntimeQuantizedUploads(t *testing.T) {
-	run := func(quantize bool) Result {
-		ds, tr, spec := smokeSetup(t, 14)
-		cfg := DefaultConfig()
-		cfg.Rounds = 25
-		cfg.ClientsPerRound = 6
-		cfg.QuantizeUploads = quantize
-		cfg.ConvergePatience = 0
-		return New(cfg, ds, tr, spec).Run()
-	}
-	dense := run(false)
-	quant := run(true)
-	if quant.Costs.NetworkBytes >= dense.Costs.NetworkBytes {
-		t.Errorf("quantized network %d not below dense %d",
-			quant.Costs.NetworkBytes, dense.Costs.NetworkBytes)
-	}
-	if quant.MeanAcc < dense.MeanAcc-0.15 {
-		t.Errorf("quantization cost too much accuracy: %.3f vs %.3f",
-			quant.MeanAcc, dense.MeanAcc)
 	}
 }
 

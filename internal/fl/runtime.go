@@ -11,7 +11,6 @@ import (
 	"fedtrans/internal/aggregate"
 	"fedtrans/internal/assign"
 	"fedtrans/internal/chaos"
-	"fedtrans/internal/compress"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/metrics"
@@ -56,10 +55,6 @@ type Config struct {
 	NoiseStd float64
 	// RecordLog collects a RoundLog entry per round into Result.Log.
 	RecordLog bool
-	// QuantizeUploads compresses client updates to 8-bit codes on the
-	// uplink (internal/compress), cutting network volume at a small
-	// accuracy cost.
-	QuantizeUploads bool
 	// DropoutRate is the probability that a selected participant fails
 	// mid-round (device churn): it downloads the model but never returns
 	// an update. 0 disables failure injection.
@@ -300,13 +295,11 @@ type Runtime struct {
 	// Streaming-aggregation state, all recycled across rounds so the
 	// steady-state round loop allocates O(1) regardless of participants:
 	// the per-model sharded accumulators, pooled training sessions and
-	// upload buffers, quantization scratch, and the per-round task /
-	// loss-standardization / compatibility scratch slices.
+	// upload buffers, and the per-round task / loss-standardization /
+	// compatibility scratch slices.
 	agg        aggregate.Aggregator
-	sessions   sessionPool
-	uploads    uploadPool
-	quploads   quploadPool
-	qscratch   map[int][]compress.QuantizedTensor
+	sessions   modelPool[*localSession]
+	uploads    modelPool[[]*tensor.Tensor]
 	roundTasks []roundTask
 	// evalPanel is the lazily drawn EvalSample evaluation panel (sorted
 	// client indices); nil means every client. Derived purely from the
@@ -358,12 +351,8 @@ type roundTask struct {
 	// stale counts the server rounds between dispatch and fold; the
 	// accumulator discounts the update by 1/√(1+stale). Always 0 in
 	// synchronous rounds.
-	stale int
-	up    []*tensor.Tensor
-	// q holds the on-device-quantized upload when a QuantizedTrainer
-	// serves the attempt (up stays nil — the dense weights never exist
-	// server-side); the codes fold directly via AddQuantized.
-	q       []compress.QuantizedTensor
+	stale   int
+	up      []*tensor.Tensor
 	loss    float64
 	samples int
 	fault   chaos.Fault
@@ -581,20 +570,6 @@ func (rt *Runtime) streamWindow() int {
 	return w
 }
 
-// quantScratch returns the model's reusable quantization scratch records
-// (consumer-side only, so no synchronization is needed).
-func (rt *Runtime) quantScratch(m *model.Model) []compress.QuantizedTensor {
-	if rt.qscratch == nil {
-		rt.qscratch = make(map[int][]compress.QuantizedTensor)
-	}
-	qs := rt.qscratch[m.ID]
-	if qs == nil {
-		qs = make([]compress.QuantizedTensor, len(m.Params()))
-		rt.qscratch[m.ID] = qs
-	}
-	return qs
-}
-
 // errQuorumLost aborts the completion stream once the remaining
 // participants can no longer reach the round quorum.
 var errQuorumLost = errors.New("fl: round lost quorum")
@@ -606,14 +581,13 @@ var errQuorumLost = errors.New("fl: round lost quorum")
 //
 // As each parallel local-training task finishes, the completion stream
 // (par.StreamErr) hands it to the consumer in deterministic submission
-// order: the update is clipped/noised, its uplink is (optionally)
-// quantized, and it is folded straight into the per-model sharded
-// accumulator — after which its upload buffers go back to the pool for
-// the next client. The coordinator therefore holds O(StreamWindow)
-// updates at peak instead of all ClientsPerRound of them, and the
-// post-round stages (FedAvg finalize, Yogi, activeness, joint utility,
-// soft aggregation) consume accumulator state plus per-task scalars
-// rather than retained weight tensors.
+// order: the update is clipped/noised and folded straight into the
+// per-model sharded accumulator — after which its upload buffers go back
+// to the pool for the next client. The coordinator therefore holds
+// O(StreamWindow) updates at peak instead of all ClientsPerRound of them,
+// and the post-round stages (FedAvg finalize, Yogi, activeness, joint
+// utility, soft aggregation) consume accumulator state plus per-task
+// scalars rather than retained weight tensors.
 //
 // Fault tolerance: each participant attempt may fail (injected chaos
 // fault, corrupt or non-finite upload rejected at the accumulator
@@ -634,22 +608,7 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	if rt.churn != nil {
 		rt.churn.Step(rt.rng)
 		rt.activeBuf = rt.churn.ActiveInto(rt.activeBuf[:0])
-		active := rt.activeBuf
-		n := cfg.ClientsPerRound
-		if n > len(active) {
-			n = len(active)
-		}
-		if ss, ok := cfg.Selector.(selection.SubsetSelector); ok {
-			selected = ss.SelectFrom(round, active, n, rt.rng)
-		} else {
-			// Selector without subset support: select positions into the
-			// online list so candidate restriction still holds.
-			pos := cfg.Selector.Select(round, len(active), n, rt.rng)
-			selected = make([]int, len(pos))
-			for i, p := range pos {
-				selected[i] = active[p]
-			}
-		}
+		selected = rt.selectFrom(round, rt.activeBuf, cfg.ClientsPerRound)
 	} else {
 		selected = cfg.Selector.Select(round, rt.ds.Len(), cfg.ClientsPerRound, rt.rng)
 	}
@@ -658,79 +617,33 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	// deterministic order); local training runs in parallel with
 	// per-client reseeded RNGs so results are reproducible regardless of
 	// scheduling.
-	tasks := rt.roundTasks[:0]
-	roundDropouts := 0
-	for _, c := range selected {
-		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
-		m := rt.mgr.Sample(c, rt.compatBuf, rt.rng)
-		if m == nil {
-			continue
-		}
-		if cfg.DropoutRate > 0 && rt.rng.Float64() < cfg.DropoutRate {
-			// The client received the model but drops out before
-			// uploading: count the download, skip training.
-			res.Costs.NetworkBytes += m.Bytes()
-			res.Dropouts++
-			roundDropouts++
-			continue
-		}
-		tasks = append(tasks, roundTask{client: c, m: m})
-	}
-	rt.roundTasks = tasks // keep the grown capacity for the next round
+	rt.roundTasks = rt.roundTasks[:0] // capacity kept from earlier rounds
+	roundDropouts := rt.assignAll(selected, res, func(c int, m *model.Model) {
+		rt.roundTasks = append(rt.roundTasks, roundTask{client: c, m: m})
+	})
+	tasks := rt.roundTasks
 
 	if rt.agg == nil {
 		rt.agg = rt.newAgg()
 	}
-	// Prime each model's lazily built Params and ParamCount caches before
-	// the parallel section: stream workers read suite params concurrently
-	// (session downloads, upload-buffer shaping, cost accounting) and
-	// must never race the cache build.
-	for _, m := range rt.suite {
-		m.Params()
-		m.ParamCount()
-	}
+	rt.primeSuite()
 
 	// Quorum is measured against everyone the round tried to reach:
 	// dropped-out clients count toward the denominator, so heavy dropout
 	// alone can abort a quorum-gated round.
-	need := 0
-	if cfg.Quorum > 0 {
-		need = int(math.Ceil(cfg.Quorum * float64(len(tasks)+roundDropouts)))
-		if need < 1 {
-			need = 1
-		}
-	}
+	need := rt.quorumNeed(len(tasks) + roundDropouts)
 	folded := 0
 	roundTime := 0.0
 	streamErr := par.StreamErr(len(tasks), rt.streamWindow(), func(i int) {
 		rt.trainTask(round, 0, &tasks[i])
 	}, func(i int) error {
-		u := &tasks[i]
-		elapsed := 0.0
-		ok := rt.commitAttempt(u, &elapsed, res)
-		for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
-			res.Retries++
-			if cfg.RetryBackoff > 0 {
-				elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
-			}
-			// Retries run synchronously on the (single) consumer
-			// goroutine: determinism needs no extra machinery, and a
-			// retry storm degrades throughput instead of correctness.
-			rt.trainTask(round, attempt, u)
-			ok = rt.commitAttempt(u, &elapsed, res)
-		}
-		rt.releaseUploads(u)
+		elapsed, ok := rt.settle(round, &tasks[i], res)
 		if elapsed > roundTime {
 			roundTime = elapsed
 		}
 		if ok {
-			u.ok = true
 			folded++
-			cfg.Selector.Feedback(u.client, u.loss, elapsed)
-			return nil
-		}
-		res.Failures++
-		if need > 0 && folded+(len(tasks)-(i+1)) < need {
+		} else if need > 0 && folded+(len(tasks)-(i+1)) < need {
 			return errQuorumLost // survivors can no longer reach quorum
 		}
 		return nil
@@ -762,16 +675,108 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	return roundLoss, roundTime, perModel, true
 }
 
-// releaseUploads returns a task's upload buffers — dense weight sets
-// and/or on-device-quantized record sets — to their pools.
+// selectFrom picks up to n participants out of the candidate client
+// list: natively when the selector supports subsets, otherwise by
+// selecting positions into the list so candidate restriction still
+// holds.
+func (rt *Runtime) selectFrom(round int, cand []int, n int) []int {
+	if n > len(cand) {
+		n = len(cand)
+	}
+	if ss, ok := rt.cfg.Selector.(selection.SubsetSelector); ok {
+		return ss.SelectFrom(round, cand, n, rt.rng)
+	}
+	pos := rt.cfg.Selector.Select(round, len(cand), n, rt.rng)
+	selected := make([]int, len(pos))
+	for i, p := range pos {
+		selected[i] = cand[p]
+	}
+	return selected
+}
+
+// assignAll samples a model for each selected client and draws its
+// dropout, in selection order (both consume the round RNG), calling emit
+// for every participant that goes on to train. It returns the number of
+// dropouts drawn.
+func (rt *Runtime) assignAll(selected []int, res *Result, emit func(client int, m *model.Model)) (dropouts int) {
+	for _, c := range selected {
+		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
+		m := rt.mgr.Sample(c, rt.compatBuf, rt.rng)
+		if m == nil {
+			continue
+		}
+		if rt.cfg.DropoutRate > 0 && rt.rng.Float64() < rt.cfg.DropoutRate {
+			// The client received the model but drops out before
+			// uploading: count the download, skip training.
+			res.Costs.NetworkBytes += m.Bytes()
+			res.Dropouts++
+			dropouts++
+			continue
+		}
+		emit(c, m)
+	}
+	return dropouts
+}
+
+// primeSuite builds each model's lazily cached Params and ParamCount
+// before a parallel section: workers read suite params concurrently
+// (session downloads and clones, upload-buffer shaping, cost accounting,
+// the evaluation weight refresh) and must never race the cache build.
+func (rt *Runtime) primeSuite() {
+	for _, m := range rt.suite {
+		m.Params()
+		m.ParamCount()
+	}
+}
+
+// quorumNeed returns how many of the participants a round settled must
+// fold for it to commit; 0 when no quorum is configured.
+func (rt *Runtime) quorumNeed(settled int) int {
+	if rt.cfg.Quorum <= 0 {
+		return 0
+	}
+	need := int(math.Ceil(rt.cfg.Quorum * float64(settled)))
+	if need < 1 {
+		need = 1
+	}
+	return need
+}
+
+// settle commits a trained task: it folds the first attempt, retries a
+// failed one up to RetryBudget times with back-off (version is the round
+// whose seeds and chaos draws the attempts use), returns the upload
+// buffers to the pool, and records the outcome — selector feedback for a
+// folded update, a failure otherwise. It returns the simulated time the
+// attempt chain took and whether the update folded.
+func (rt *Runtime) settle(version int, u *roundTask, res *Result) (elapsed float64, ok bool) {
+	cfg := &rt.cfg
+	ok = rt.commitAttempt(u, &elapsed, res)
+	for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
+		res.Retries++
+		if cfg.RetryBackoff > 0 {
+			elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
+		}
+		// Retries run synchronously on the (single) consumer
+		// goroutine: determinism needs no extra machinery, and a
+		// retry storm degrades throughput instead of correctness.
+		rt.trainTask(version, attempt, u)
+		ok = rt.commitAttempt(u, &elapsed, res)
+	}
+	rt.releaseUploads(u)
+	if ok {
+		u.ok = true
+		cfg.Selector.Feedback(u.client, u.loss, elapsed)
+	} else {
+		res.Failures++
+	}
+	return elapsed, ok
+}
+
+// releaseUploads returns a task's upload buffers to the pool.
 func (rt *Runtime) releaseUploads(u *roundTask) {
 	if u.up != nil {
 		rt.uploads.put(u.m.ID, u.up)
 		u.up = nil
-	}
-	if u.q != nil {
-		rt.quploads.put(u.m.ID, u.q)
-		u.q = nil
 	}
 }
 
@@ -863,9 +868,8 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 	if u.src != nil {
 		src = u.src
 	}
-	quantized := rt.remoteQuantized()
-	if u.up == nil && !quantized {
-		u.up = rt.uploads.get(src)
+	if u.up == nil {
+		u.up = rt.uploads.get(src, newUploadSet)
 	}
 	if u.fault == chaos.Crash {
 		u.loss, u.samples = 0, 0
@@ -874,20 +878,13 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 	seed := cfg.Seed + int64(round)*1_000_003 + int64(u.client)*7919 + int64(attempt)*104729
 	if cfg.Trainer != nil {
 		spec := TrainSpec{Round: round, Attempt: attempt, Client: u.client, Seed: seed}
-		if quantized {
-			if u.q == nil {
-				u.q = rt.quploads.get(src)
-			}
-			u.loss, u.samples, u.err = cfg.Trainer.(QuantizedTrainer).TrainQuantized(src, spec, cfg.Local, u.q)
-		} else {
-			u.loss, u.samples, u.err = cfg.Trainer.Train(src, spec, cfg.Local, u.up)
-		}
+		u.loss, u.samples, u.err = cfg.Trainer.Train(src, spec, cfg.Local, u.up)
 		if u.err != nil {
 			u.loss, u.samples = 0, 0
 			return
 		}
 	} else {
-		sess := rt.sessions.get(src)
+		sess := rt.sessions.get(src, newLocalSession)
 		u.loss, u.samples = sess.run(src, rt.ds.Fetch(&sess.cur, u.client), cfg.Local, seed, u.up)
 		rt.sessions.put(src.ID, sess)
 	}
@@ -895,29 +892,10 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 		// The client's training diverged: poison the upload so the
 		// accumulator's finite check must catch it. (A zero-sample
 		// client produced no upload to poison.)
-		if quantized {
-			u.q[len(u.q)-1].Min = math.NaN()
-		} else {
-			last := u.up[len(u.up)-1]
-			last.EnsureOwned()
-			last.Data[0] = tensor.Float(math.NaN())
-		}
+		last := u.up[len(u.up)-1]
+		last.EnsureOwned()
+		last.Data[0] = tensor.Float(math.NaN())
 	}
-}
-
-// remoteQuantized reports whether attempts ship on-device-quantized
-// uploads: the config wants quantized uplinks, the trainer can produce
-// them, and no server-side clip/noise post-processing needs the dense
-// weights first.
-func (rt *Runtime) remoteQuantized() bool {
-	if rt.cfg.Trainer == nil || !rt.cfg.QuantizeUploads {
-		return false
-	}
-	if rt.cfg.ClipNorm > 0 || rt.cfg.NoiseStd > 0 {
-		return false
-	}
-	_, ok := rt.cfg.Trainer.(QuantizedTrainer)
-	return ok
 }
 
 // commitAttempt folds one attempt's upload into the accumulator,
@@ -957,41 +935,15 @@ func (rt *Runtime) commitAttempt(u *roundTask, elapsed *float64, res *Result) bo
 	if cfg.ClipNorm > 0 || cfg.NoiseStd > 0 {
 		ClipAndNoise(u.up, m.Params(), cfg.ClipNorm, cfg.NoiseStd, rt.rng)
 	}
-	var err error
-	if cfg.QuantizeUploads {
-		var qs []compress.QuantizedTensor
-		upBytes := 0
-		if u.q != nil {
-			// On-device quantization: the codes that traveled are the
-			// codes that fold — never dequantize-requantize, which would
-			// change bits.
-			qs = u.q
-			for i := range qs {
-				upBytes += qs[i].Bytes()
-			}
-		} else {
-			qs = rt.quantScratch(m)
-			for pi, t := range u.up {
-				compress.QuantizeInto(&qs[pi], t)
-				upBytes += qs[pi].Bytes()
-			}
-		}
-		if u.fault == chaos.CorruptUpload && len(qs) > 0 {
-			qs = qs[:len(qs)-1] // truncated in flight
-		}
-		res.Costs.NetworkBytes += m.Bytes() + int64(upBytes)
-		err = rt.agg.AddQuantized(m, qs, u.samples, u.loss, u.stale)
-	} else {
-		ws := u.up
-		if u.fault == chaos.CorruptUpload && len(ws) > 0 {
-			ws = ws[:len(ws)-1] // truncated in flight
-		}
-		res.Costs.AddTransfer(m.Bytes())
-		err = rt.agg.Add(m, aggregate.Update{
-			ModelID: m.ID, Weights: ws, Samples: u.samples, Loss: u.loss,
-			Staleness: u.stale,
-		})
+	ws := u.up
+	if u.fault == chaos.CorruptUpload && len(ws) > 0 {
+		ws = ws[:len(ws)-1] // truncated in flight
 	}
+	res.Costs.AddTransfer(m.Bytes())
+	err := rt.agg.Add(m, aggregate.Update{
+		ModelID: m.ID, Weights: ws, Samples: u.samples, Loss: u.loss,
+		Staleness: u.stale,
+	})
 	if err != nil {
 		if u.fault == chaos.None && !errors.Is(err, aggregate.ErrNonFinite) {
 			panic(err) // uploads are shaped by the model itself: a real bug
@@ -1063,12 +1015,7 @@ func (rt *Runtime) EvaluateAll() (accs, bestMACs []float64) {
 		compatible := assign.Compatible(rt.suite, rt.trace.At(c).CapacityMACs)
 		chosen[i] = rt.mgr.Best(c, compatible)
 	}
-	// Prime the lazily built Params caches before the parallel section:
-	// workers read them concurrently for the weight refresh.
-	for _, m := range rt.suite {
-		m.Params()
-		m.ParamCount()
-	}
+	rt.primeSuite()
 	par.Chunked(k, func(lo, hi int) {
 		local := make(map[int]*localSession)
 		// One synthesis cursor per worker: generative datasets
@@ -1082,7 +1029,7 @@ func (rt *Runtime) EvaluateAll() (accs, bestMACs []float64) {
 			}
 			s := local[m.ID]
 			if s == nil {
-				s = rt.sessions.get(m)
+				s = rt.sessions.get(m, newLocalSession)
 				s.m.SetWeights(m.Params())
 				local[m.ID] = s
 			}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"fedtrans/internal/compress"
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
@@ -104,102 +103,49 @@ func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, s
 	return lossSum / float64(steps), n
 }
 
-// sessionPool hands out localSessions per model ID. Get/put are called
-// from concurrent stream workers; the pool grows to at most the stream
-// window's worth of sessions per model and retains them across rounds.
-type sessionPool struct {
+// modelPool is a free list keyed by model ID, shared by concurrent
+// stream workers. The runtime keeps two: training sessions, and upload
+// weight buffers (one tensor set shaped like a model's parameters), so a
+// round's clones and uplink traffic live in O(stream window) values per
+// model — the consumer folds an upload into the accumulator and
+// immediately returns it for the next client — retained across rounds.
+type modelPool[T any] struct {
 	mu   sync.Mutex
-	free map[int][]*localSession
+	free map[int][]T
 }
 
-func (p *sessionPool) get(src *model.Model) *localSession {
+// get pops a pooled value for src's model ID, or builds one with mk.
+func (p *modelPool[T]) get(src *model.Model, mk func(*model.Model) T) T {
 	p.mu.Lock()
 	list := p.free[src.ID]
 	if n := len(list); n > 0 {
-		s := list[n-1]
+		v := list[n-1]
 		p.free[src.ID] = list[:n-1]
 		p.mu.Unlock()
-		return s
+		return v
 	}
 	p.mu.Unlock()
-	// Clone outside the lock: concurrent clones of the same model are
-	// safe, and the clone's buffers detach from src on first SetWeights.
-	return newLocalSession(src)
+	// Build outside the lock: concurrent clones of the same model are
+	// safe, and a clone's buffers detach from src on first SetWeights.
+	return mk(src)
 }
 
-func (p *sessionPool) put(modelID int, s *localSession) {
+func (p *modelPool[T]) put(modelID int, v T) {
 	p.mu.Lock()
 	if p.free == nil {
-		p.free = make(map[int][]*localSession)
+		p.free = make(map[int][]T)
 	}
-	p.free[modelID] = append(p.free[modelID], s)
+	p.free[modelID] = append(p.free[modelID], v)
 	p.mu.Unlock()
 }
 
-// uploadPool recycles upload weight buffers (one tensor set shaped like
-// a model's parameters) so a round's uplink traffic lives in O(stream
-// window) buffers: the consumer folds a set into the accumulator and
-// immediately returns it for the next client.
-type uploadPool struct {
-	mu   sync.Mutex
-	free map[int][][]*tensor.Tensor
-}
-
-func (p *uploadPool) get(src *model.Model) []*tensor.Tensor {
-	p.mu.Lock()
-	list := p.free[src.ID]
-	if n := len(list); n > 0 {
-		set := list[n-1]
-		p.free[src.ID] = list[:n-1]
-		p.mu.Unlock()
-		return set
-	}
-	p.mu.Unlock()
+// newUploadSet allocates one upload buffer set shaped like src's
+// parameters.
+func newUploadSet(src *model.Model) []*tensor.Tensor {
 	params := src.Params()
 	set := make([]*tensor.Tensor, len(params))
 	for i, t := range params {
 		set[i] = tensor.New(t.Shape...)
 	}
 	return set
-}
-
-func (p *uploadPool) put(modelID int, set []*tensor.Tensor) {
-	p.mu.Lock()
-	if p.free == nil {
-		p.free = make(map[int][][]*tensor.Tensor)
-	}
-	p.free[modelID] = append(p.free[modelID], set)
-	p.mu.Unlock()
-}
-
-// quploadPool recycles quantized-upload record sets (one QuantizedTensor
-// per model parameter) the way uploadPool recycles dense weight sets:
-// remote agents that quantize on-device ship codes the coordinator
-// decodes into these records and folds directly, so the quantized
-// uplink stays allocation-free in steady state.
-type quploadPool struct {
-	mu   sync.Mutex
-	free map[int][][]compress.QuantizedTensor
-}
-
-func (p *quploadPool) get(src *model.Model) []compress.QuantizedTensor {
-	p.mu.Lock()
-	list := p.free[src.ID]
-	if n := len(list); n > 0 {
-		set := list[n-1]
-		p.free[src.ID] = list[:n-1]
-		p.mu.Unlock()
-		return set
-	}
-	p.mu.Unlock()
-	return make([]compress.QuantizedTensor, len(src.Params()))
-}
-
-func (p *quploadPool) put(modelID int, set []compress.QuantizedTensor) {
-	p.mu.Lock()
-	if p.free == nil {
-		p.free = make(map[int][][]compress.QuantizedTensor)
-	}
-	p.free[modelID] = append(p.free[modelID], set)
-	p.mu.Unlock()
 }

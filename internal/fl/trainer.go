@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"fedtrans/internal/compress"
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
@@ -33,19 +32,6 @@ type TrainSpec struct {
 // dispatches up to StreamWindow attempts at once.
 type Trainer interface {
 	Train(m *model.Model, spec TrainSpec, cfg LocalConfig, upload []*tensor.Tensor) (loss float64, samples int, err error)
-}
-
-// QuantizedTrainer is a Trainer whose agents quantize on-device. When
-// the runtime's config has QuantizeUploads set (and no server-side
-// clip/noise post-processing, which must see dense weights), it calls
-// TrainQuantized instead of Train and folds the returned records
-// directly — the codes that traveled are the codes that fold, so the
-// result is bit-identical to quantizing the same trained weights on the
-// server. qs has one record per model parameter; records are recycled,
-// so implementations should decode with compress.UnmarshalQuantizedInto.
-type QuantizedTrainer interface {
-	Trainer
-	TrainQuantized(m *model.Model, spec TrainSpec, cfg LocalConfig, qs []compress.QuantizedTensor) (loss float64, samples int, err error)
 }
 
 // ClientTrainer is the agent-side training harness: a pooled local

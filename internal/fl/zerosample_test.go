@@ -50,28 +50,6 @@ func TestZeroSampleClientPooled(t *testing.T) {
 	}
 }
 
-// TestZeroSampleClientQuantized covers the same guard on the quantized
-// uplink, where a folded weight-0 update would also poison the
-// accumulator's code path.
-func TestZeroSampleClientQuantized(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Rounds = 2
-	cfg.ClientsPerRound = 6
-	cfg.Local.Steps = 2
-	cfg.QuantizeUploads = true
-	cfg.RecordLog = true
-	rt := zeroSampleRuntime(t, cfg, 0, 4)
-	res := rt.Run()
-	if res.Failures != 0 {
-		t.Errorf("zero-sample clients counted as %d failures, want 0", res.Failures)
-	}
-	for _, lg := range res.Log {
-		if lg.Updates != 4 {
-			t.Errorf("round %d folded %d updates, want 4", lg.Round, lg.Updates)
-		}
-	}
-}
-
 // TestZeroSampleAllClients pins the degenerate case: when every
 // participant is empty, no update folds and the suite weights stay
 // exactly as they were.

@@ -353,21 +353,6 @@ func (m *Model) CopyWeights() []*tensor.Tensor {
 	return out
 }
 
-// CellActiveness returns the normalized gradient activeness ‖∇w‖/‖w‖ for
-// each cell (the paper's transformation signal). Cells without parameters
-// report zero.
-func (m *Model) CellActiveness() []float64 {
-	out := make([]float64, len(m.Cells))
-	for i := range m.Cells {
-		wn := nn.WeightNorm(m.Cells[i].Cell)
-		if wn == 0 {
-			continue
-		}
-		out[i] = nn.GradNorm(m.Cells[i].Cell) / wn
-	}
-	return out
-}
-
 // CellDeltaActiveness computes per-cell activeness from a weight delta:
 // given the previous round's weights (aligned with Params order) it treats
 // (prev − current)/scale as the aggregate round gradient and returns

@@ -15,7 +15,6 @@ import (
 
 	"fedtrans/internal/chaos"
 	"fedtrans/internal/codec"
-	"fedtrans/internal/compress"
 	"fedtrans/internal/data"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
@@ -149,9 +148,9 @@ func dialRetry(addr string, budget time.Duration, served *atomic.Bool) (net.Conn
 // training harnesses with their recycled upload buffers, all scoped to
 // a connection-local ID generator so redials start clean.
 type connState struct {
+	ds       *data.Dataset
 	trainers map[uint32]*fl.ClientTrainer
 	uploads  map[uint32][]*tensor.Tensor
-	qsets    map[uint32][]compress.QuantizedTensor
 	resp     []byte
 }
 
@@ -187,9 +186,9 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 
 	gen := model.NewIDGen()
 	st := &connState{
+		ds:       ds,
 		trainers: make(map[uint32]*fl.ClientTrainer),
 		uploads:  make(map[uint32][]*tensor.Tensor),
-		qsets:    make(map[uint32][]compress.QuantizedTensor),
 	}
 	for {
 		// Idle read: the gap until the coordinator's next request is
@@ -204,7 +203,7 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 		}
 		switch t {
 		case ftModel:
-			if err := st.handleModel(payload, ds, gen); err != nil {
+			if err := st.handleModel(payload, gen); err != nil {
 				return err
 			}
 		case ftTrain:
@@ -217,7 +216,7 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 	}
 }
 
-func (st *connState) handleModel(payload []byte, ds *data.Dataset, gen *model.IDGen) error {
+func (st *connState) handleModel(payload []byte, gen *model.IDGen) error {
 	if len(payload) < 4 {
 		return fmt.Errorf("%w: short MODEL frame", ErrProtocol)
 	}
@@ -226,14 +225,13 @@ func (st *connState) handleModel(payload []byte, ds *data.Dataset, gen *model.ID
 	if err != nil {
 		return fmt.Errorf("netcoord: MODEL frame: %w", err)
 	}
-	st.trainers[id] = fl.NewClientTrainer(ds, m)
+	st.trainers[id] = fl.NewClientTrainer(st.ds, m)
 	params := m.Params()
 	up := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		up[i] = tensor.New(p.Shape...)
 	}
 	st.uploads[id] = up
-	st.qsets[id] = make([]compress.QuantizedTensor, len(params))
 	return nil
 }
 
@@ -255,9 +253,25 @@ func (st *connState) handleTrain(fc *frameConn, payload []byte, winj *chaos.Wire
 		LR:        math.Float64frombits(binary.BigEndian.Uint64(payload[25:])),
 		ProxMu:    math.Float64frombits(binary.BigEndian.Uint64(payload[33:])),
 	}
+	// The fields come off the wire: a client outside the population or an
+	// empty batch would index out of range inside training, on a worker
+	// goroutine, and take the whole agent process down.
 	tr := st.trainers[id]
-	if tr == nil {
-		return st.respondErr(fc, winj, seed, fmt.Sprintf("unknown model %d", id))
+	var bad string
+	switch {
+	case tr == nil:
+		bad = fmt.Sprintf("unknown model %d", id)
+	case flags != 0:
+		bad = fmt.Sprintf("unsupported flags 0x%02x (reserved, must be 0)", flags)
+	case client >= st.ds.Len():
+		bad = fmt.Sprintf("client %d outside the population of %d", client, st.ds.Len())
+	case lcfg.Steps < 1 || lcfg.BatchSize < 1:
+		bad = fmt.Sprintf("steps %d, batch %d: both must be at least 1", lcfg.Steps, lcfg.BatchSize)
+	case !finite(lcfg.LR) || !finite(lcfg.ProxMu):
+		bad = fmt.Sprintf("non-finite lr %v or proxMu %v", lcfg.LR, lcfg.ProxMu)
+	}
+	if bad != "" {
+		return st.respondErr(fc, winj, seed, bad)
 	}
 	if err := codec.DecodeInto(tr.Model().Params(), payload[trainHdrLen:]); err != nil {
 		return st.respondErr(fc, winj, seed, fmt.Sprintf("weights: %v", err))
@@ -268,23 +282,13 @@ func (st *connState) handleTrain(fc *frameConn, payload []byte, winj *chaos.Wire
 	b = append(b, 0) // status ok
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(loss))
 	b = binary.BigEndian.AppendUint32(b, uint32(samples))
-	if flags&1 != 0 {
-		b = append(b, 1)
-		qs := st.qsets[id]
-		b = binary.BigEndian.AppendUint32(b, uint32(len(qs)))
-		for i := range qs {
-			compress.QuantizeInto(&qs[i], st.uploads[id][i])
-			qb := qs[i].Marshal()
-			b = binary.BigEndian.AppendUint32(b, uint32(len(qb)))
-			b = append(b, qb...)
-		}
-	} else {
-		b = append(b, 0)
-		b = codec.AppendEncode(b, st.uploads[id])
-	}
+	b = append(b, 0) // kind: dense FTW1
+	b = codec.AppendEncode(b, st.uploads[id])
 	st.resp = b
 	return st.send(fc, winj, seed, b)
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func (st *connState) respondErr(fc *frameConn, winj *chaos.WireInjector, seed int64, msg string) error {
 	b := append(st.resp[:0], 1)

@@ -13,7 +13,6 @@ import (
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
-	"fedtrans/internal/tensor"
 )
 
 // stallTimeout is the frame deadline the stalled-peer tests run at:
@@ -68,10 +67,7 @@ func TestStalledAgentTimesOut(t *testing.T) {
 	model.ResetIDs()
 	ds := data.Generate(loopDataCfg())
 	m := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes).Build(rand.New(rand.NewSource(1)))
-	upload := make([]*tensor.Tensor, 0, len(m.Params()))
-	for _, p := range m.Params() {
-		upload = append(upload, tensor.New(p.Shape...))
-	}
+	upload := uploadLike(m)
 	start := time.Now()
 	_, _, err = hub.Train(m, fl.TrainSpec{Round: 1, Client: 0, Seed: 7}, fl.LocalConfig{Steps: 1, BatchSize: 2, LR: 0.05}, upload)
 	elapsed := time.Since(start)

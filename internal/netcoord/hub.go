@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fedtrans/internal/codec"
-	"fedtrans/internal/compress"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
@@ -44,8 +43,8 @@ type Hub struct {
 	closeOnce sync.Once
 }
 
-// Hub must satisfy the runtime's remote-training hooks.
-var _ fl.QuantizedTrainer = (*Hub)(nil)
+// Hub must satisfy the runtime's remote-training hook.
+var _ fl.Trainer = (*Hub)(nil)
 
 // agentConn is one checked-out-able agent connection, with its
 // per-connection model cache and a reusable request-payload buffer.
@@ -195,23 +194,13 @@ func (h *Hub) drop(ac *agentConn) {
 	ac.fc.close()
 }
 
-// Train implements fl.Trainer: one attempt over the wire, dense reply.
+// Train implements fl.Trainer: one attempt over the wire.
 func (h *Hub) Train(m *model.Model, spec fl.TrainSpec, cfg fl.LocalConfig, upload []*tensor.Tensor) (float64, int, error) {
-	return h.do(m, spec, cfg, upload, nil)
-}
-
-// TrainQuantized implements fl.QuantizedTrainer: the agent quantizes
-// on-device and the returned records are the exact codes that traveled.
-func (h *Hub) TrainQuantized(m *model.Model, spec fl.TrainSpec, cfg fl.LocalConfig, qs []compress.QuantizedTensor) (float64, int, error) {
-	return h.do(m, spec, cfg, nil, qs)
-}
-
-func (h *Hub) do(m *model.Model, spec fl.TrainSpec, cfg fl.LocalConfig, upload []*tensor.Tensor, qs []compress.QuantizedTensor) (float64, int, error) {
 	ac, err := h.checkout()
 	if err != nil {
 		return 0, 0, err
 	}
-	loss, samples, err := h.trainOn(ac, m, spec, cfg, upload, qs)
+	loss, samples, err := h.trainOn(ac, m, spec, cfg, upload)
 	if err != nil {
 		h.recordErr(fmt.Errorf("round %d client %d attempt %d: %w",
 			spec.Round, spec.Client, spec.Attempt, err))
@@ -222,7 +211,7 @@ func (h *Hub) do(m *model.Model, spec fl.TrainSpec, cfg fl.LocalConfig, upload [
 	return loss, samples, nil
 }
 
-func (h *Hub) trainOn(ac *agentConn, m *model.Model, spec fl.TrainSpec, cfg fl.LocalConfig, upload []*tensor.Tensor, qs []compress.QuantizedTensor) (float64, int, error) {
+func (h *Hub) trainOn(ac *agentConn, m *model.Model, spec fl.TrainSpec, cfg fl.LocalConfig, upload []*tensor.Tensor) (float64, int, error) {
 	if !ac.sent[m.ID] {
 		blob, err := m.MarshalBinary()
 		if err != nil {
@@ -242,11 +231,7 @@ func (h *Hub) trainOn(ac *agentConn, m *model.Model, spec fl.TrainSpec, cfg fl.L
 	p = binary.BigEndian.AppendUint32(p, uint32(m.ID))
 	p = binary.BigEndian.AppendUint32(p, uint32(spec.Client))
 	p = binary.BigEndian.AppendUint64(p, uint64(spec.Seed))
-	var flags byte
-	if qs != nil {
-		flags |= 1
-	}
-	p = append(p, flags)
+	p = append(p, 0) // flags: reserved
 	p = binary.BigEndian.AppendUint32(p, uint32(cfg.Steps))
 	p = binary.BigEndian.AppendUint32(p, uint32(cfg.BatchSize))
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(cfg.LR))
@@ -275,52 +260,13 @@ func (h *Hub) trainOn(ac *agentConn, m *model.Model, spec fl.TrainSpec, cfg fl.L
 	}
 	loss := math.Float64frombits(binary.BigEndian.Uint64(payload[1:9]))
 	samples := int(binary.BigEndian.Uint32(payload[9:13]))
-	kind, body := payload[13], payload[14:]
-	switch {
-	case kind == 0 && upload != nil:
-		if err := codec.DecodeInto(upload, body); err != nil {
-			return 0, 0, err
-		}
-	case kind == 1 && qs != nil:
-		if err := decodeQuantized(qs, body); err != nil {
-			return 0, 0, err
-		}
-	default:
-		return 0, 0, fmt.Errorf("%w: TRAINRES kind %d does not match request flags", ErrProtocol, kind)
+	if kind := payload[13]; kind != 0 {
+		return 0, 0, fmt.Errorf("%w: TRAINRES kind %d, want 0 (dense FTW1)", ErrProtocol, kind)
+	}
+	if err := codec.DecodeInto(upload, payload[14:]); err != nil {
+		return 0, 0, err
 	}
 	return loss, samples, nil
-}
-
-// decodeQuantized unpacks a quantized TRAINRES body into the runtime's
-// recycled records: uint32 count, then per record uint32 length +
-// compress.Marshal bytes.
-func decodeQuantized(qs []compress.QuantizedTensor, body []byte) error {
-	if len(body) < 4 {
-		return fmt.Errorf("%w: short quantized body", ErrProtocol)
-	}
-	n := int(binary.BigEndian.Uint32(body))
-	if n != len(qs) {
-		return fmt.Errorf("%w: %d quantized records, want %d", ErrProtocol, n, len(qs))
-	}
-	off := 4
-	for i := 0; i < n; i++ {
-		if len(body)-off < 4 {
-			return fmt.Errorf("%w: quantized record %d header truncated", ErrProtocol, i)
-		}
-		l := int(binary.BigEndian.Uint32(body[off:]))
-		off += 4
-		if l < 0 || len(body)-off < l {
-			return fmt.Errorf("%w: quantized record %d truncated", ErrProtocol, i)
-		}
-		if err := compress.UnmarshalQuantizedInto(&qs[i], body[off:off+l]); err != nil {
-			return fmt.Errorf("%w: quantized record %d: %v", ErrProtocol, i, err)
-		}
-		off += l
-	}
-	if off != len(body) {
-		return fmt.Errorf("%w: %d trailing bytes after quantized records", ErrProtocol, len(body)-off)
-	}
-	return nil
 }
 
 // asWireErr normalizes connection failures: typed frame errors pass

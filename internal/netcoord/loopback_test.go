@@ -79,22 +79,6 @@ func TestLoopbackByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLoopbackQuantizedByteIdentical pins the on-device quantization
-// path: agents quantize their trained weights and the coordinator folds
-// the codes that traveled — never a requantization of dequantized
-// weights, which would not be bit-stable. The networked run must match
-// the in-process quantized run exactly, network accounting included
-// (quantized frame size is value-independent).
-func TestLoopbackQuantizedByteIdentical(t *testing.T) {
-	quant := func(cfg *fl.Config) { cfg.QuantizeUploads = true }
-	want, _ := loopRun(t, quant, false, chaos.WireConfig{})
-	got, _ := loopRun(t, quant, true, chaos.WireConfig{})
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("quantized networked run diverged from in-process run\nin-process: MeanAcc=%v NetworkBytes=%v\nnetworked:  MeanAcc=%v NetworkBytes=%v",
-			want.MeanAcc, want.Costs.NetworkBytes, got.MeanAcc, got.Costs.NetworkBytes)
-	}
-}
-
 // TestLoopbackTrainingChaos pins chaos parity across the wire: injected
 // training faults (crashes, NaN uploads) are drawn server-side from the
 // same (round, client, attempt) hash either way, so a faulted networked

@@ -5,10 +5,10 @@
 // into the runtime as its fl.Trainer; the agent side (RunAgents) is a
 // pool of worker connections that download weights, train through the
 // same pooled session harness the in-process path uses, and upload
-// trained (optionally quantized) updates. Training is a pure function
-// of (weights, architecture, client shard, seed), and the FTW1 weight
-// codec is lossless, so a loopback run commits exactly the bits an
-// in-process run commits.
+// trained updates. Training is a pure function of (weights,
+// architecture, client shard, seed), and the FTW1 weight codec is
+// lossless, so a loopback run commits exactly the bits an in-process
+// run commits.
 //
 // # Connection protocol (FTNC/1)
 //
@@ -42,14 +42,13 @@
 //	                 (model.MarshalBinary: arch JSON + FTW1 weights),
 //	                 sent once per (connection, model)
 //	0x04 TRAIN       coord → agent   uint32 model ID, uint32 client,
-//	                 uint64 seed, uint8 flags (bit 0: reply quantized),
+//	                 uint64 seed, uint8 flags (reserved, must be 0),
 //	                 uint32 steps, uint32 batch, float64 lr,
 //	                 float64 proxMu, FTW1 current weights
 //	0x05 TRAINRES    agent → coord   uint8 status (0 ok; else the rest
 //	                 is an error message), float64 loss, uint32 samples,
-//	                 uint8 kind (0 dense, 1 quantized), then an FTW1
-//	                 blob or uint32 count + per-tensor (uint32 length,
-//	                 compress.Marshal bytes)
+//	                 uint8 kind (0 (dense FTW1); other values rejected),
+//	                 FTW1 trained weights
 //	0x06 PREDICT     client → server uint32 rows, uint32 dim,
 //	                 rows×dim float32 features
 //	0x07 PREDICTRES  server → client uint8 status (0 ok; else message),

@@ -78,15 +78,15 @@ func ForN(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Stream is the bounded producer/consumer pipeline behind the streaming
-// round loop: produce(i) runs for every i in [0, n) across the worker
-// pool (the same process-wide token budget as ForN), while consume(i) is
-// called exactly once per index, in strictly ascending index order, on
-// the calling goroutine, overlapping with production. At most window
-// results are outstanding — claimed for production but not yet consumed
-// — at any moment, so peak memory for per-item results is O(window)
-// instead of O(n): a producer that runs ahead of the consumption
-// frontier blocks until the frontier catches up.
+// StreamErr is the bounded producer/consumer pipeline behind the
+// streaming round loop: produce(i) runs for every i in [0, n) across the
+// worker pool (the same process-wide token budget as ForN), while
+// consume(i) is called exactly once per index, in strictly ascending
+// index order, on the calling goroutine, overlapping with production. At
+// most window results are outstanding — claimed for production but not
+// yet consumed — at any moment, so peak memory for per-item results is
+// O(window) instead of O(n): a producer that runs ahead of the
+// consumption frontier blocks until the frontier catches up.
 //
 // Because consume runs single-threaded in index order, it may use shared
 // state (an RNG, accumulators) without synchronization and the overall
@@ -94,24 +94,17 @@ func ForN(n int, fn func(i int)) {
 //
 //	for i := 0; i < n; i++ { produce(i); consume(i) }
 //
-// which is exactly what Stream degrades to at GOMAXPROCS=1 or when the
-// token budget is exhausted. produce must confine its writes to
+// which is exactly what StreamErr degrades to at GOMAXPROCS=1 or when
+// the token budget is exhausted. produce must confine its writes to
 // index-owned state; consume(i) happens-after produce(i).
-func Stream(n, window int, produce, consume func(i int)) {
-	StreamErr(n, window, produce, func(i int) error {
-		consume(i)
-		return nil
-	})
-}
-
-// StreamErr is Stream with an early-abort path: when consume returns a
-// non-nil error, no further indices are claimed for production or
-// consumed, outstanding producers are drained (every produce already
-// started runs to completion — no goroutine is leaked and no index-owned
-// state is left half-written), and the error is returned. Indices after
-// the failed one may never be produced at all; callers owning per-index
-// resources must tolerate both produced-but-unconsumed and
-// never-produced indices after an abort.
+//
+// When consume returns a non-nil error, no further indices are claimed
+// for production or consumed, outstanding producers are drained (every
+// produce already started runs to completion — no goroutine is leaked
+// and no index-owned state is left half-written), and the error is
+// returned. Indices after the failed one may never be produced at all;
+// callers owning per-index resources must tolerate both
+// produced-but-unconsumed and never-produced indices after an abort.
 func StreamErr(n, window int, produce func(i int), consume func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -244,7 +237,7 @@ type Task struct {
 	state int
 }
 
-// TaskStream generalizes Stream/StreamErr's completion stream to
+// TaskStream generalizes StreamErr's completion stream to
 // dynamically submitted tasks whose consumption order — and epoch — the
 // consumer chooses: where StreamErr claims a fixed index range and
 // consumes it in ascending order within one epoch, a TaskStream lets the

@@ -9,12 +9,24 @@ import (
 	"time"
 )
 
+// stream runs StreamErr with a consumer that never fails.
+func stream(t *testing.T, n, window int, produce, consume func(i int)) {
+	t.Helper()
+	err := StreamErr(n, window, produce, func(i int) error {
+		consume(i)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("StreamErr = %v with a nil-returning consumer", err)
+	}
+}
+
 func TestStreamConsumesInOrderOnce(t *testing.T) {
 	for _, window := range []int{1, 2, 7, 64} {
 		const n = 200
 		produced := make([]int32, n)
 		var order []int
-		Stream(n, window, func(i int) {
+		stream(t, n, window, func(i int) {
 			atomic.AddInt32(&produced[i], 1)
 		}, func(i int) {
 			if atomic.LoadInt32(&produced[i]) != 1 {
@@ -45,7 +57,7 @@ func TestStreamBoundsOutstanding(t *testing.T) {
 	const n, window = 300, 5
 	var mu sync.Mutex
 	outstanding, maxOut := 0, 0
-	Stream(n, window, func(i int) {
+	stream(t, n, window, func(i int) {
 		mu.Lock()
 		outstanding++
 		if outstanding > maxOut {
@@ -73,7 +85,7 @@ func TestStreamMatchesSerial(t *testing.T) {
 	run := func(window int) uint64 {
 		results := make([]uint64, n)
 		var sum uint64 = 1
-		Stream(n, window, func(i int) {
+		stream(t, n, window, func(i int) {
 			results[i] = uint64(i)*2654435761 + 1
 		}, func(i int) {
 			sum = sum*31 + results[i]
@@ -89,9 +101,9 @@ func TestStreamMatchesSerial(t *testing.T) {
 }
 
 func TestStreamEmptyAndSingle(t *testing.T) {
-	Stream(0, 4, func(int) { t.Fatal("produce on n=0") }, func(int) { t.Fatal("consume on n=0") })
+	stream(t, 0, 4, func(int) { t.Fatal("produce on n=0") }, func(int) { t.Fatal("consume on n=0") })
 	ran := false
-	Stream(1, 0, func(i int) {}, func(i int) { ran = true }) // window clamps to 1
+	stream(t, 1, 0, func(i int) {}, func(i int) { ran = true }) // window clamps to 1
 	if !ran {
 		t.Fatal("single-item stream did not consume")
 	}

@@ -83,9 +83,6 @@ func TestMatMulIntoParity(t *testing.T) {
 		if !Equal(got, want, gemmTol) {
 			t.Fatalf("MatMulInto mismatch at %v", sz)
 		}
-		if !Equal(MatMul(a, b), want, gemmTol) {
-			t.Fatalf("MatMul mismatch at %v", sz)
-		}
 		// Acc variant: dst starts non-zero and accumulates.
 		acc := randTensor(rng, m, n)
 		expect := acc.Clone()
@@ -108,9 +105,6 @@ func TestMatMulTransAIntoParity(t *testing.T) {
 		if !Equal(got, want, gemmTol) {
 			t.Fatalf("MatMulTransAInto mismatch at %v", sz)
 		}
-		if !Equal(MatMulTransA(a, b), want, gemmTol) {
-			t.Fatalf("MatMulTransA mismatch at %v", sz)
-		}
 		acc := randTensor(rng, m, n)
 		expect := acc.Clone()
 		expect.AddScaled(want, 1)
@@ -131,9 +125,6 @@ func TestMatMulTransBIntoParity(t *testing.T) {
 		MatMulTransBInto(got, a, b)
 		if !Equal(got, want, gemmTol) {
 			t.Fatalf("MatMulTransBInto mismatch at %v", sz)
-		}
-		if !Equal(MatMulTransB(a, b), want, gemmTol) {
-			t.Fatalf("MatMulTransB mismatch at %v", sz)
 		}
 		acc := randTensor(rng, m, n)
 		expect := acc.Clone()

@@ -179,38 +179,6 @@ func (t *Tensor) RandNormal(rng *rand.Rand, std float64) {
 	}
 }
 
-// MatMul computes C = A @ B for rank-2 tensors A (m×k) and B (k×n).
-// Allocating wrapper over MatMulInto; hot paths should call the *Into
-// variants directly with a workspace-owned destination.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	c := New(a.Shape[0], b.Shape[1])
-	gemmAcc(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1])
-	return c
-}
-
-// MatMulTransA computes C = Aᵀ @ B for A (k×m) and B (k×n).
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	c := New(a.Shape[1], b.Shape[1])
-	gemmTAAcc(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1])
-	return c
-}
-
-// MatMulTransB computes C = A @ Bᵀ for A (m×k) and B (n×k).
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	c := New(a.Shape[0], b.Shape[0])
-	gemmTBAcc(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[0])
-	return c
-}
-
 // Softmax applies a numerically stable row-wise softmax to a rank-2 tensor,
 // returning a new tensor.
 func Softmax(t *Tensor) *Tensor {

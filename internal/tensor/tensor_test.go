@@ -112,7 +112,8 @@ func TestNorm(t *testing.T) {
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]Float{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]Float{5, 6, 7, 8}, 2, 2)
-	c := MatMul(a, b)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	want := []float64{19, 22, 43, 50}
 	for i, w := range want {
 		if math.Abs(float64(c.Data[i])-w) > 1e-12 {
@@ -127,7 +128,7 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulInto(New(2, 3), New(2, 3), New(2, 3))
 }
 
 // randMat builds a random matrix from a seed for property tests.
@@ -137,24 +138,25 @@ func randMat(rng *rand.Rand, r, c int) *Tensor {
 	return m
 }
 
-// TestMatMulTransposeVariantsAgree checks MatMulTransA/B against explicit
-// transposition through MatMul.
+// TestMatMulTransposeVariantsAgree checks MatMulTransAInto/BInto against
+// explicit transposition through MatMulInto.
 func TestMatMulTransposeVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 25; iter++ {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 		a := randMat(rng, k, m) // for TransA
 		b := randMat(rng, k, n)
-		got := MatMulTransA(a, b)
-		at := transpose(a)
-		want := MatMul(at, b)
+		got, want := New(m, n), New(m, n)
+		MatMulTransAInto(got, a, b)
+		MatMulInto(want, transpose(a), b)
 		if !Equal(got, want, 1e-5) {
 			t.Fatalf("MatMulTransA mismatch at iter %d", iter)
 		}
 		a2 := randMat(rng, m, k)
 		b2 := randMat(rng, n, k)
-		got2 := MatMulTransB(a2, b2)
-		want2 := MatMul(a2, transpose(b2))
+		got2, want2 := New(m, n), New(m, n)
+		MatMulTransBInto(got2, a2, b2)
+		MatMulInto(want2, a2, transpose(b2))
 		if !Equal(got2, want2, 1e-5) {
 			t.Fatalf("MatMulTransB mismatch at iter %d", iter)
 		}
@@ -183,9 +185,10 @@ func TestMatMulDistributive(t *testing.T) {
 		c := randMat(rng, k, n)
 		bc := b.Clone()
 		bc.AddScaled(c, 1)
-		left := MatMul(a, bc)
-		ab := MatMul(a, b)
-		ac := MatMul(a, c)
+		left, ab, ac := New(m, n), New(m, n), New(m, n)
+		MatMulInto(left, a, bc)
+		MatMulInto(ab, a, b)
+		MatMulInto(ac, a, c)
 		ab.AddScaled(ac, 1)
 		return Equal(left, ab, 1e-4)
 	}
