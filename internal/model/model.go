@@ -170,12 +170,19 @@ func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward propagates the logits gradient through head and cells,
-// accumulating parameter gradients.
+// accumulating parameter gradients. Nothing reads the gradient with
+// respect to the model input, so the first cell (the head, in a model
+// with no cells) is asked for its parameter gradients only.
 func (m *Model) Backward(gradLogits *tensor.Tensor) {
+	if len(m.Cells) == 0 {
+		nn.BackwardParams(m.Head, gradLogits)
+		return
+	}
 	g := m.Head.Backward(gradLogits)
-	for i := len(m.Cells) - 1; i >= 0; i-- {
+	for i := len(m.Cells) - 1; i > 0; i-- {
 		g = m.Cells[i].Cell.Backward(g)
 	}
+	nn.BackwardParams(m.Cells[0].Cell, g)
 }
 
 // ZeroGrads zeroes every gradient tensor in the model. It works off the

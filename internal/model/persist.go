@@ -164,16 +164,26 @@ func UnmarshalModelScoped(b []byte, gen *IDGen) (*Model, error) {
 			cell = d
 		case "conv2d":
 			ws := take(2)
-			if ws[0].Rank() != 4 {
-				return nil, ErrCorruptModel
-			}
 			stride := cm.Stride
 			if stride == 0 {
 				stride = 1
 			}
-			c := nn.NewConv2DCell(ws[0].Shape[1], ws[0].Shape[0], ws[0].Shape[2], stride, true, rng)
-			c.W, c.B = ws[0], ws[1]
-			c.GW, c.GB = tensor.New(ws[0].Shape...), tensor.New(ws[1].Shape...)
+			// Header and shapes come from outside the process: a stride
+			// the cell does not implement, a kernel K() would misreport
+			// (non-square) or "same" padding cannot centre (even), or a
+			// bias that is not one scalar per output channel is corrupt.
+			w, b := ws[0], ws[1]
+			if (stride != 1 && stride != 2) || w.Rank() != 4 ||
+				w.Shape[2] != w.Shape[3] || w.Shape[2]%2 == 0 ||
+				b.Rank() != 1 || b.Shape[0] != w.Shape[0] {
+				return nil, fmt.Errorf("%w: conv2d stride %d, weights %v, bias %v",
+					ErrCorruptModel, cm.Stride, w.Shape, b.Shape)
+			}
+			c := &nn.Conv2DCell{
+				W: w, B: b,
+				GW: tensor.New(w.Shape...), GB: tensor.New(b.Shape...),
+				Stride: stride, ReLU: true,
+			}
 			if spatialH > 0 {
 				c.SetSpatial(spatialH, spatialW)
 				// "same" padding downsamples by ceil(size/stride) for any

@@ -3,10 +3,12 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"fedtrans/internal/codec"
 	"fedtrans/internal/tensor"
 )
 
@@ -233,4 +235,92 @@ func TestPersistMultiHeadAttention(t *testing.T) {
 	if _, err := UnmarshalModel(bad); !errors.Is(err, ErrCorruptModel) {
 		t.Errorf("non-dividing head count gave %v, want ErrCorruptModel", err)
 	}
+}
+
+// convBlob serializes a conv → gap → head model whose header stride,
+// kernel shape and bias length are written as given, valid or not.
+func convBlob(tb testing.TB, stride int, wShape []int, biasLen int) []byte {
+	tb.Helper()
+	hdr, err := json.Marshal(persistHeader{
+		Version: 1, Input: []int{wShape[1], 6, 6}, Classes: 3,
+		Cells: []cellMeta{{Kind: "conv2d", Stride: stride}, {Kind: "gap"}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(hdr)))
+	out = append(out, hdr...)
+	return append(out, codec.Encode([]*tensor.Tensor{
+		tensor.New(wShape...), tensor.New(biasLen),
+		tensor.New(wShape[0], 3), tensor.New(3),
+	})...)
+}
+
+// tamperedConvBlobs are well-formed blobs (header parses, checksum
+// holds, tensor count matches) describing a conv cell that cannot
+// exist. The first one panicked the loader before it validated.
+var tamperedConvBlobs = []struct {
+	name    string
+	stride  int
+	wShape  []int
+	biasLen int
+}{
+	{"stride 3", 3, []int{4, 2, 3, 3}, 4},
+	{"negative stride", -1, []int{4, 2, 3, 3}, 4},
+	{"non-square kernel", 1, []int{4, 2, 3, 5}, 4},
+	{"even kernel", 1, []int{4, 2, 2, 2}, 4},
+	{"short bias", 1, []int{4, 2, 3, 3}, 3},
+}
+
+func TestPersistRejectsImpossibleConv(t *testing.T) {
+	for _, tc := range tamperedConvBlobs {
+		m, err := UnmarshalModelScoped(convBlob(t, tc.stride, tc.wShape, tc.biasLen), NewIDGen())
+		if !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: loaded %v with error %v, want ErrCorruptModel", tc.name, m, err)
+		}
+	}
+	// The same builder with a possible cell loads and runs.
+	for _, stride := range []int{0, 1, 2} {
+		m, err := UnmarshalModelScoped(convBlob(t, stride, []int{4, 2, 3, 3}, 4), NewIDGen())
+		if err != nil {
+			t.Fatalf("stride %d: %v", stride, err)
+		}
+		if got := m.Forward(tensor.New(2, 2*6*6)); got.Shape[0] != 2 || got.Shape[1] != 3 {
+			t.Errorf("stride %d: logits shape %v", stride, got.Shape)
+		}
+	}
+}
+
+// FuzzUnmarshalModel: the loader never panics, whatever the bytes, and
+// a blob it accepts describes a model that marshals again to a blob it
+// accepts and reproduces.
+func FuzzUnmarshalModel(f *testing.F) {
+	specs := append(cowSpecs(), Spec{Family: "attention", Input: []int{4, 8}, Hidden: []int{8}, Classes: 4, Heads: 4})
+	for _, spec := range specs {
+		blob, err := spec.BuildScoped(rand.New(rand.NewSource(8)), NewIDGen()).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	for _, tc := range tamperedConvBlobs {
+		f.Add(convBlob(f, tc.stride, tc.wShape, tc.biasLen))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := UnmarshalModelScoped(b, NewIDGen())
+		if err != nil {
+			return
+		}
+		again, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatalf("a loaded model does not marshal: %v", err)
+		}
+		m2, err := UnmarshalModelScoped(again, NewIDGen())
+		if err != nil {
+			t.Fatalf("a re-marshalled model does not load: %v", err)
+		}
+		if third, err := m2.MarshalBinary(); err != nil || !bytes.Equal(again, third) {
+			t.Fatalf("marshal is not a fixed point after one load (err %v)", err)
+		}
+	})
 }

@@ -223,12 +223,19 @@ func (c *AttentionCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Cell. Like Forward, the score/attention gradient
-// products run as strided-batch GEMMs over head-major (batch·H, tokens,
-// dim/H) views, and the softmax Jacobian product (with the folded
-// per-head 1/sqrt(dim/H) scale) is one batched kernel call over all
-// score blocks.
-func (c *AttentionCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward implements Cell.
+func (c *AttentionCell) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
+
+// BackwardParams implements ParamBackwarder: Backward without the three
+// dQ/dK/dV·Wᵀ products and the residual add of the input gradient.
+func (c *AttentionCell) BackwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
+
+// backward is the one backward body. Like Forward, the score/attention
+// gradient products run as strided-batch GEMMs over head-major
+// (batch·H, tokens, dim/H) views, and the softmax Jacobian product (with
+// the folded per-head 1/sqrt(dim/H) scale) is one batched kernel call
+// over all score blocks.
+func (c *AttentionCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor {
 	c.ensureGrads()
 	batch, t, d := grad.Shape[0], grad.Shape[1], grad.Shape[2]
 	n2 := batch * t
@@ -290,6 +297,9 @@ func (c *AttentionCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulTransAAccInto(c.GWq, x2, dQ)
 	tensor.MatMulTransAAccInto(c.GWk, x2, dK)
 	tensor.MatMulTransAAccInto(c.GWv, x2, dV)
+	if !needInput {
+		return nil
+	}
 	gin := c.ws.Ensure(&c.gin, batch, t, d)
 	gin2 := c.views.of(gin.Data, n2, d)
 	tensor.MatMulTransBInto(gin2, dQ, c.Wq)

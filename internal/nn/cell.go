@@ -6,6 +6,15 @@
 // A Cell owns its parameters and gradients. Forward must be called before
 // Backward; Backward accumulates parameter gradients (callers zero them
 // between steps) and returns the gradient with respect to the Cell input.
+//
+// The parameter gradients are the contract of Backward: every caller
+// gets them, bit for bit the same. The returned input gradient is work
+// done for whoever sits upstream, and a model's first cell has no one
+// there. A caller in that position asks through BackwardParams, which
+// takes the cell's ParamBackwarder path when it has one (the four
+// parameterized families: same body, input-gradient products and scratch
+// skipped) and otherwise falls back to Backward and drops the result, so
+// a Cell that merely wraps another stays correct without knowing this.
 package nn
 
 import (
@@ -26,6 +35,9 @@ type Cell interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes the gradient w.r.t. the cell output, accumulates
 	// parameter gradients, and returns the gradient w.r.t. the input.
+	// The accumulation must not depend on whether the caller reads the
+	// returned tensor: a caller that will not read it may go through
+	// BackwardParams instead, and only such a caller may skip it.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable parameter tensors (possibly empty).
 	Params() []*tensor.Tensor
@@ -42,6 +54,24 @@ type Cell interface {
 	// MACsPerSample estimates multiply-accumulate operations for one
 	// forward pass of a single sample.
 	MACsPerSample() float64
+}
+
+// ParamBackwarder is implemented by cells that can run Backward without
+// its input-gradient half. BackwardParams must leave every gradient
+// tensor exactly as Backward on the same cached Forward would.
+type ParamBackwarder interface {
+	BackwardParams(grad *tensor.Tensor)
+}
+
+// BackwardParams accumulates c's parameter gradients for the output
+// gradient grad when no one will read the input gradient: through
+// ParamBackwarder if c implements it, through Backward otherwise.
+func BackwardParams(c Cell, grad *tensor.Tensor) {
+	if p, ok := c.(ParamBackwarder); ok {
+		p.BackwardParams(grad)
+		return
+	}
+	c.Backward(grad)
 }
 
 // OutputWidener is implemented by cells whose output feature axis can be

@@ -21,10 +21,17 @@ import (
 // coordinates. The transposed layout makes the forward product
 // contiguous dot products and lets both backward products stream the
 // (ReLU-masked, hence sparse) gradient as the axpy scalar. The column
-// matrix is built once per Forward and reused by Backward. All scratch
-// lives in a pooled workspace, so steady-state training steps allocate
-// nothing. The historical 7-deep loop nest survives as
-// NaiveForward/NaiveBackward — the parity-test and benchmark reference.
+// matrix is built once per Forward and reused by Backward.
+//
+// Both im2col and col2im work on a zero-bordered copy of the item —
+// (inCh, h+2·pad, w+2·pad), pad = k/2 — in which every receptive field
+// lies whole, so an output position at the edge of the image is the same
+// k×k window copy (or scatter-add) as one in the middle and the padding
+// is never tested for. The plane is one workspace slot shared by the two
+// directions. All scratch lives in a pooled workspace, so steady-state
+// training steps allocate nothing. The historical 7-deep loop nest
+// survives as NaiveForward/NaiveBackward — the parity-test and benchmark
+// reference.
 type Conv2DCell struct {
 	W      *tensor.Tensor // (outCh, inCh, k, k)
 	B      *tensor.Tensor // (outCh)
@@ -40,6 +47,7 @@ type Conv2DCell struct {
 	ws               tensor.Workspace
 	col, out, act    *tensor.Tensor // forward scratch
 	gbuf, dcol, gin  *tensor.Tensor // backward scratch
+	plane            *tensor.Tensor // zero-bordered item, both directions
 	wView, gwView    *tensor.Tensor // (outCh, inCh·k·k) views of W/GW
 	outView, colView *tensor.Tensor // per-item matrix views
 	gView            *tensor.Tensor
@@ -99,9 +107,15 @@ func (c *Conv2DCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 		res = c.ws.Ensure(&c.act, out.Shape...)
 	}
 	wView := setView(&c.wView, c.W.Data, outCh, ck)
+	// Pooled buffers come back dirty, so the border is zeroed on every
+	// call; the items then overwrite the interior only.
+	pad := k / 2
+	ph, pw := h+2*pad, w+2*pad
+	plane := c.ws.EnsureZero(&c.plane, inCh, ph, pw)
 	for b := 0; b < batch; b++ {
 		colB := setView(&c.colView, col.Data[b*ck*cn:(b+1)*ck*cn], cn, ck)
-		c.im2colT(colB.Data, x.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, oh, ow)
+		copyInterior(plane.Data, x.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, pad, true)
+		im2col(colB.Data, plane.Data, inCh, ph, pw, k, c.Stride, oh, ow)
 		lo, hi := b*outCh*cn, (b+1)*outCh*cn
 		outB := setView(&c.outView, out.Data[lo:hi], outCh, cn)
 		tensor.MatMulTransBInto(outB, wView, colB)
@@ -116,128 +130,90 @@ func (c *Conv2DCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return res
 }
 
-// im2colT unrolls one batch item's receptive fields into dst laid out
-// transposed — (oh·ow) rows of (inCh·k·k) taps, one row per output
-// position. Out-of-bounds taps are zero. Per-row the source reads and
-// destination writes are contiguous in kx, with the bounds checks
-// hoisted out of the inner copy.
-func (c *Conv2DCell) im2colT(dst, src []tensor.Float, inCh, h, w, oh, ow int) {
-	k, s := c.K(), c.Stride
-	pad := k / 2
-	ck := inCh * k * k
-	j := 0
+// copyInterior moves one item's (inCh, h, w) planes between their plain
+// layout and the interior of the zero-bordered layout (inCh, h+2·pad,
+// w+2·pad): into the padded planes when in is set, out of them
+// otherwise. The border is not touched.
+func copyInterior(padded, plain []tensor.Float, inCh, h, w, pad int, in bool) {
+	ph, pw := h+2*pad, w+2*pad
+	for ic := 0; ic < inCh; ic++ {
+		for y := 0; y < h; y++ {
+			p := padded[(ic*ph+y+pad)*pw+pad:][:w]
+			q := plain[(ic*h+y)*w:][:w]
+			if in {
+				copy(p, q)
+			} else {
+				copy(q, p)
+			}
+		}
+	}
+}
+
+// im2col unrolls one item's receptive fields, read from its
+// zero-bordered planes src (inCh, ph, pw), into dst laid out transposed —
+// (oh·ow) rows of (inCh·k·k) taps, one row per output position. Output
+// position (oy, ox) reads the k×k window whose corner is (oy·s, ox·s) in
+// padded coordinates; the last one ends at (oh−1)·s+k ≤ h+2·pad because
+// oh = ⌈h/s⌉, so no window leaves the plane and none is special.
+func im2col(dst, src []tensor.Float, inCh, ph, pw, k, s, oh, ow int) {
+	kk, pp := k*k, ph*pw
 	for oy := 0; oy < oh; oy++ {
-		iy0 := oy*s - pad
 		for ox := 0; ox < ow; ox++ {
-			ix0 := ox*s - pad
-			kx0, kx1 := 0, k
-			if ix0 < 0 {
-				kx0 = -ix0
-			}
-			if w-ix0 < k {
-				kx1 = w - ix0
-				if kx1 < kx0 {
-					kx1 = kx0
+			drow := dst[(oy*ow+ox)*inCh*kk:][:inCh*kk]
+			win := src[oy*s*pw+ox*s:]
+			if k == 3 {
+				for ic := 0; ic < inCh; ic++ {
+					p := win[ic*pp:]
+					s0, s1, s2 := p[:3], p[pw:pw+3], p[2*pw:2*pw+3]
+					d := drow[ic*9:][:9]
+					d[0], d[1], d[2] = s0[0], s0[1], s0[2]
+					d[3], d[4], d[5] = s1[0], s1[1], s1[2]
+					d[6], d[7], d[8] = s2[0], s2[1], s2[2]
 				}
+				continue
 			}
-			drow := dst[j*ck : (j+1)*ck]
-			j++
-			interior := k == 3 && kx0 == 0 && kx1 == 3 && iy0 >= 0 && iy0+3 <= h
 			for ic := 0; ic < inCh; ic++ {
-				plane := src[ic*h*w : (ic+1)*h*w]
-				base := ic * k * k
-				if interior {
-					d9 := drow[base : base+9]
-					s0 := plane[iy0*w+ix0:]
-					s1 := plane[(iy0+1)*w+ix0:]
-					s2 := plane[(iy0+2)*w+ix0:]
-					d9[0] = s0[0]
-					d9[1] = s0[1]
-					d9[2] = s0[2]
-					d9[3] = s1[0]
-					d9[4] = s1[1]
-					d9[5] = s1[2]
-					d9[6] = s2[0]
-					d9[7] = s2[1]
-					d9[8] = s2[2]
-					continue
-				}
 				for ky := 0; ky < k; ky++ {
-					iy := iy0 + ky
-					seg := drow[base+ky*k : base+(ky+1)*k]
-					if iy < 0 || iy >= h {
-						for i := range seg {
-							seg[i] = 0
-						}
-						continue
-					}
-					for i := 0; i < kx0; i++ {
-						seg[i] = 0
-					}
-					copy(seg[kx0:kx1], plane[iy*w+ix0+kx0:iy*w+ix0+kx1])
-					for i := kx1; i < k; i++ {
-						seg[i] = 0
-					}
+					copy(drow[ic*kk+ky*k:][:k], win[ic*pp+ky*pw:])
 				}
 			}
 		}
 	}
 }
 
-// col2imT scatter-adds a transposed column-gradient matrix (oh·ow ×
-// inCh·k·k) back into one batch item's input-gradient planes — the
-// adjoint of im2colT with the same contiguous inner loops.
-func (c *Conv2DCell) col2imT(dst, src []tensor.Float, inCh, h, w, oh, ow int) {
-	k, s := c.K(), c.Stride
-	pad := k / 2
-	ck := inCh * k * k
-	j := 0
+// col2im scatter-adds a transposed column-gradient matrix (oh·ow ×
+// inCh·k·k) into one item's zero-bordered gradient planes dst, which the
+// caller has zeroed — the adjoint of im2col, window for window. Taps
+// that fell on padding land in the border and are dropped with it; every
+// interior element receives its additions in ascending output-position
+// order.
+func col2im(dst, src []tensor.Float, inCh, ph, pw, k, s, oh, ow int) {
+	kk, pp := k*k, ph*pw
 	for oy := 0; oy < oh; oy++ {
-		iy0 := oy*s - pad
 		for ox := 0; ox < ow; ox++ {
-			ix0 := ox*s - pad
-			kx0, kx1 := 0, k
-			if ix0 < 0 {
-				kx0 = -ix0
-			}
-			if w-ix0 < k {
-				kx1 = w - ix0
-				if kx1 < kx0 {
-					kx1 = kx0
+			srow := src[(oy*ow+ox)*inCh*kk:][:inCh*kk]
+			win := dst[oy*s*pw+ox*s:]
+			if k == 3 {
+				for ic := 0; ic < inCh; ic++ {
+					p := win[ic*pp:]
+					d0, d1, d2 := p[:3], p[pw:pw+3], p[2*pw:2*pw+3]
+					v := srow[ic*9:][:9]
+					d0[0] += v[0]
+					d0[1] += v[1]
+					d0[2] += v[2]
+					d1[0] += v[3]
+					d1[1] += v[4]
+					d1[2] += v[5]
+					d2[0] += v[6]
+					d2[1] += v[7]
+					d2[2] += v[8]
 				}
+				continue
 			}
-			srow := src[j*ck : (j+1)*ck]
-			j++
-			interior := k == 3 && kx0 == 0 && kx1 == 3 && iy0 >= 0 && iy0+3 <= h
 			for ic := 0; ic < inCh; ic++ {
-				plane := dst[ic*h*w : (ic+1)*h*w]
-				base := ic * k * k
-				if interior {
-					// Fast path for the dominant case: a fully
-					// in-bounds 3x3 window.
-					s9 := srow[base : base+9]
-					d0 := plane[iy0*w+ix0:]
-					d1 := plane[(iy0+1)*w+ix0:]
-					d2 := plane[(iy0+2)*w+ix0:]
-					d0[0] += s9[0]
-					d0[1] += s9[1]
-					d0[2] += s9[2]
-					d1[0] += s9[3]
-					d1[1] += s9[4]
-					d1[2] += s9[5]
-					d2[0] += s9[6]
-					d2[1] += s9[7]
-					d2[2] += s9[8]
-					continue
-				}
 				for ky := 0; ky < k; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					seg := srow[base+ky*k+kx0 : base+ky*k+kx1]
-					drow := plane[iy*w+ix0+kx0:]
-					for i, v := range seg {
+					drow := win[ic*pp+ky*pw:][:k]
+					for i, v := range srow[ic*kk+ky*k:][:k] {
 						drow[i] += v
 					}
 				}
@@ -311,27 +287,39 @@ func (c *Conv2DCell) ensureGrads() {
 	}
 }
 
-// Backward implements Cell. It reuses the column matrix built by the
-// matching Forward call: the weight gradient is one GEMM per batch item
-// against the cached columns, and the input gradient is one GEMM into a
+// Backward implements Cell.
+func (c *Conv2DCell) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
+
+// BackwardParams implements ParamBackwarder: Backward without the
+// column-gradient product, its col2im scatter and their scratch.
+func (c *Conv2DCell) BackwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
+
+// backward reuses the column matrix built by the matching Forward call:
+// the weight gradient is one GEMM per batch item against the cached
+// columns, and the input gradient — when asked for — is one GEMM into a
 // column-gradient scratch followed by a col2im scatter. The GW product
 // runs through a view of GW's buffer, which bypasses COW tracking, so
 // grads are materialized (never shared) up front.
-func (c *Conv2DCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2DCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor {
 	c.ensureGrads()
 	g := grad
 	if c.ReLU {
 		g = c.ws.Ensure(&c.gbuf, grad.Shape...)
-		copy(g.Data, grad.Data)
-		tensor.ReluMask(g, c.pre)
+		tensor.ReluMaskInto(g, grad, c.pre)
 	}
 	x := c.x
 	batch, inCh, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outCh, k := c.OutCh(), c.K()
 	oh, ow := g.Shape[2], g.Shape[3]
 	ck, cn := inCh*k*k, oh*ow
-	gin := c.ws.EnsureZero(&c.gin, batch, inCh, h, w)
-	dcol := c.ws.Ensure(&c.dcol, cn, ck)
+	pad := k / 2
+	ph, pw := h+2*pad, w+2*pad
+	var gin, dcol, plane *tensor.Tensor
+	if needInput {
+		gin = c.ws.Ensure(&c.gin, batch, inCh, h, w)
+		dcol = c.ws.Ensure(&c.dcol, cn, ck)
+		plane = c.ws.Ensure(&c.plane, inCh, ph, pw)
+	}
 	wView := setView(&c.wView, c.W.Data, outCh, ck)
 	gwView := setView(&c.gwView, c.GW.Data, outCh, ck)
 	for b := 0; b < batch; b++ {
@@ -348,8 +336,13 @@ func (c *Conv2DCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		// zero gradients cost nothing.
 		colB := setView(&c.colView, c.col.Data[b*ck*cn:(b+1)*ck*cn], cn, ck)
 		tensor.MatMulAccInto(gwView, gB, colB)
+		if !needInput {
+			continue
+		}
 		tensor.MatMulTransAInto(dcol, gB, wView)
-		c.col2imT(gin.Data[b*inCh*h*w:(b+1)*inCh*h*w], dcol.Data, inCh, h, w, oh, ow)
+		plane.Zero()
+		col2im(plane.Data, dcol.Data, inCh, ph, pw, k, c.Stride, oh, ow)
+		copyInterior(plane.Data, gin.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, pad, false)
 	}
 	return gin
 }

@@ -151,6 +151,17 @@ func BenchmarkConvBackward(b *testing.B) {
 			_ = c.Backward(grad)
 		}
 	})
+	// What a model's first conv cell runs: no column gradient, no col2im.
+	b.Run("params-only", func(b *testing.B) {
+		c.Forward(x)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.GW.Zero()
+			c.GB.Zero()
+			c.BackwardParams(grad)
+		}
+	})
 	b.Run("naive", func(b *testing.B) {
 		c.NaiveForward(x)
 		b.ReportAllocs()

@@ -73,16 +73,23 @@ func (c *DenseCell) ensureGrads() {
 }
 
 // Backward implements Cell.
-func (c *DenseCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *DenseCell) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
+
+// BackwardParams implements ParamBackwarder: Backward without g·Wᵀ.
+func (c *DenseCell) BackwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
+
+func (c *DenseCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor {
 	c.ensureGrads()
 	g := grad
 	if c.ReLU {
 		g = c.ws.Ensure(&c.gbuf, grad.Shape...)
-		copy(g.Data, grad.Data)
-		tensor.ReluMask(g, c.pre)
+		tensor.ReluMaskInto(g, grad, c.pre)
 	}
 	tensor.MatMulTransAAccInto(c.GW, c.x, g)
 	tensor.SumRowsAcc(c.GB, g)
+	if !needInput {
+		return nil
+	}
 	gin := c.ws.Ensure(&c.gin, g.Shape[0], c.InDim())
 	tensor.MatMulTransBInto(gin, g, c.W)
 	return gin

@@ -88,6 +88,14 @@ func (c *ResidualDenseCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Cell.
 func (c *ResidualDenseCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, true)
+}
+
+// BackwardParams implements ParamBackwarder: Backward without dU·W1ᵀ
+// and the residual add.
+func (c *ResidualDenseCell) BackwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
+
+func (c *ResidualDenseCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor {
 	c.ensureGrads()
 	// y = x + f(x): dx gets grad directly plus the branch contribution.
 	dU := c.ws.Ensure(&c.dU, grad.Shape[0], c.Hidden())
@@ -97,6 +105,9 @@ func (c *ResidualDenseCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.SumRowsAcc(c.GB2, grad)
 	tensor.SumRowsAcc(c.GB1, dU)
 	tensor.MatMulTransAAccInto(c.GW1, c.x, dU)
+	if !needInput {
+		return nil
+	}
 	gin := c.ws.Ensure(&c.gin, grad.Shape...)
 	tensor.MatMulTransBInto(gin, dU, c.W1)
 	tensor.AddScaledInto(gin, grad, gin, 1)

@@ -59,6 +59,7 @@ func TestLazyCloneAliasesUntilWrite(t *testing.T) {
 		{"SoftmaxInto", func(x *Tensor) { SoftmaxInto(x, randomTensor(rng, 4, 5)) }},
 		{"ReluInto", func(x *Tensor) { ReluInto(x, randomTensor(rng, 4, 5)) }},
 		{"ReluMask", func(x *Tensor) { ReluMask(x, randomTensor(rng, 4, 5)) }},
+		{"ReluMaskIntoDst", func(x *Tensor) { ReluMaskInto(x, randomTensor(rng, 4, 5), randomTensor(rng, 4, 5)) }},
 		{"AddBiasRows", func(x *Tensor) { AddBiasRows(x, randomTensor(rng, 5)) }},
 	}
 	for _, mut := range mutations {

@@ -81,6 +81,13 @@ func checkEpilogues(t *testing.T, pre, grad []uint32, bias []float32) {
 	}
 	ReluMask(g, FromSlice(src, n))
 	wantBits(t, "ReluMask", g.Data, masked)
+	g = FromSlice(fromBits(grad), n)
+	into := FromSlice(fromBits(pre), n) // dirty destination: every element must be written
+	ReluMaskInto(into, g, FromSlice(src, n))
+	wantBits(t, "ReluMaskInto", into.Data, masked)
+	wantBits(t, "ReluMaskInto source", g.Data, fromBits(grad))
+	ReluMaskInto(g, g, FromSlice(src, n))
+	wantBits(t, "ReluMaskInto aliased", g.Data, masked)
 
 	cols := len(bias)
 	if cols == 0 {

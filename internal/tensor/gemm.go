@@ -745,16 +745,23 @@ func ReluInto(dst, src *Tensor) {
 
 // ReluMask zeroes dst[i] wherever pre[i] <= 0 (the ReLU backward mask);
 // a NaN pre-activation compares false and keeps its gradient.
-func ReluMask(dst, pre *Tensor) {
-	if len(dst.Data) != len(pre.Data) {
-		panic("tensor: ReluMask size mismatch")
+func ReluMask(dst, pre *Tensor) { ReluMaskInto(dst, dst, pre) }
+
+// ReluMaskInto is ReluMask out of place: dst[i] = src[i] where
+// pre[i] > 0 or is NaN, +0 elsewhere, in one pass — a backward that must
+// keep the caller's gradient intact masks while it copies. dst may
+// alias src.
+func ReluMaskInto(dst, src, pre *Tensor) {
+	if len(dst.Data) != len(src.Data) || len(dst.Data) != len(pre.Data) {
+		panic("tensor: ReluMaskInto size mismatch")
 	}
 	dst.EnsureOwned()
 	dd := dst.Data
+	sd := src.Data[:len(dd)]
 	pd := pre.Data[:len(dd)]
 	for i := range dd {
 		b := math.Float32bits(pd[i])
-		dd[i] = math.Float32frombits(math.Float32bits(dd[i]) & (posMask(b) | nanMask(b)))
+		dd[i] = math.Float32frombits(math.Float32bits(sd[i]) & (posMask(b) | nanMask(b)))
 	}
 }
 
