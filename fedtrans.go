@@ -38,7 +38,7 @@ type Options struct {
 	// "cifar10", "speech", "openimage", "vit", "scale" (a deliberately
 	// small task geometry for massive-client rounds; see ScaleOptions), or
 	// "async" (the femnist geometry with staleness-bounded asynchronous
-	// rounds enabled by default; see AsyncOptions).
+	// rounds: MaxStaleness defaults to 2 instead of 0).
 	Profile string
 	// Clients is the number of federated clients (default 50).
 	Clients int
@@ -241,17 +241,6 @@ func MassiveOptions() Options {
 	o.Population = 1_000_000
 	o.EdgeAggregators = 4
 	o.Rounds = 5
-	return o
-}
-
-// AsyncOptions returns the staleness-bounded asynchronous profile:
-// femnist task geometry with FedBuff-style rounds (staleness bound 2,
-// twice ClientsPerRound in flight), the configuration behind the
-// asynchronous scheduling comparison in the paper's related work.
-func AsyncOptions() Options {
-	o := DefaultOptions()
-	o.Profile = "async"
-	o.MaxStaleness = 2
 	return o
 }
 

@@ -350,3 +350,15 @@ func TestAttentionHeadsOption(t *testing.T) {
 		t.Error("heads on a non-attention profile must be rejected")
 	}
 }
+
+// TestLoadModelRejectsHostileTensorCount: a 64-byte blob whose weight
+// part claims 2³²−1 tensors under a valid checksum is an error, not the
+// fatal out-of-memory it was when the loader sized its tensor list from
+// the count.
+func TestLoadModelRejectsHostileTensorCount(t *testing.T) {
+	blob := "\x00\x00\x00\x30" + `{"version":1,"input":[4],"classes":2,"cells":[]}` +
+		"FTW1\xff\xff\xff\xff\x0e\x3b\x50\x3d"
+	if d, err := LoadModel([]byte(blob)); err == nil {
+		t.Fatalf("loaded %+v from the hostile blob", d.Info())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
@@ -280,18 +279,6 @@ func (s *StreamingFedAvg) Updates(modelID int) int {
 	return 0
 }
 
-// Pending reports the models with at least one folded update this round,
-// in no particular order (callers iterate the suite and ask per ID).
-func (s *StreamingFedAvg) Pending() int {
-	n := 0
-	for _, a := range s.accs {
-		if a.count > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Finalize divides the model's accumulator by the total sample weight and
 // writes the averaged weights into the destination parameters (detaching
 // COW-shared buffers with EnsureOwnedDiscard, exactly like buffered
@@ -335,11 +322,6 @@ func (a *modelAcc) reset() {
 	a.count = 0
 }
 
-// Drop discards a model's accumulator entirely (used when a model leaves
-// the suite; the runtime's suite only grows, so this mainly serves
-// tests).
-func (s *StreamingFedAvg) Drop(modelID int) { delete(s.accs, modelID) }
-
 // Abort discards every model's in-flight updates — zeroing the
 // accumulators in place, keeping the buffers — without touching model
 // weights. Used when a round fails its quorum: the partial averages
@@ -350,61 +332,6 @@ func (s *StreamingFedAvg) Abort() {
 			a.reset()
 		}
 	}
-}
-
-// AccumSnapshot is one model's in-flight accumulator state, captured by
-// Snapshot for checkpointing mid-stream aggregation.
-type AccumSnapshot struct {
-	ModelID int
-	Sum     []float64
-	Weight  float64
-	LossSum float64
-	Count   int
-}
-
-// Snapshot deep-copies the in-flight accumulator state of every model
-// with at least one folded update this round, in ascending model-ID
-// order. At a round boundary — where the runtime checkpoints — it
-// returns nil, because Finalize resets every accumulator; the non-empty
-// case exists so a future mid-round checkpoint needs no new aggregator
-// surface.
-func (s *StreamingFedAvg) Snapshot() []AccumSnapshot {
-	var ids []int
-	for id, a := range s.accs {
-		if a.count > 0 {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	sort.Ints(ids)
-	out := make([]AccumSnapshot, 0, len(ids))
-	for _, id := range ids {
-		a := s.accs[id]
-		out = append(out, AccumSnapshot{
-			ModelID: id,
-			Sum:     append([]float64(nil), a.sum...),
-			Weight:  a.weight,
-			LossSum: a.lossSum,
-			Count:   a.count,
-		})
-	}
-	return out
-}
-
-// RestoreSnapshot reinstates one model's in-flight accumulator state
-// captured by Snapshot. dst must be the model the snapshot was taken
-// for (same owned flat length); the snapshot's sum is copied.
-func (s *StreamingFedAvg) RestoreSnapshot(dst *model.Model, snap AccumSnapshot) error {
-	a := s.acc(dst)
-	if len(snap.Sum) != a.hi-a.lo {
-		return fmt.Errorf("%w: snapshot length %d, owned flat length %d",
-			ErrUpdateShape, len(snap.Sum), a.hi-a.lo)
-	}
-	copy(a.sum, snap.Sum)
-	a.weight, a.lossSum, a.count = snap.Weight, snap.LossSum, snap.Count
-	return nil
 }
 
 // MergeFrom folds src's accumulated state for dst into s and resets

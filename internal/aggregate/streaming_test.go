@@ -119,8 +119,8 @@ func TestStreamingFinalizeEmpty(t *testing.T) {
 			t.Fatal("empty finalize mutated the model")
 		}
 	}
-	if s.Pending() != 0 {
-		t.Fatal("pending on empty aggregator")
+	if s.Updates(m.ID) != 0 {
+		t.Fatal("updates counted on an empty aggregator")
 	}
 }
 
@@ -260,84 +260,6 @@ func TestStreamingRejectsNonFiniteAtomically(t *testing.T) {
 	lossB, nB, _ := sref.Finalize(ref)
 	if lossA != lossB || nA != nB {
 		t.Fatalf("finalize after rejects (%v,%d) != clean (%v,%d)", lossA, nA, lossB, nB)
-	}
-}
-
-// TestStreamingSnapshotRestore pins the checkpoint contract: restoring a
-// mid-stream snapshot into a fresh aggregator and folding the remaining
-// updates finalizes bit-identically to the uninterrupted aggregation.
-func TestStreamingSnapshotRestore(t *testing.T) {
-	model.ResetIDs()
-	ma := newModel(t, 5, 4)
-	model.ResetIDs()
-	mb := newModel(t, 5, 4)
-	rng := rand.New(rand.NewSource(9))
-	var batch []Update
-	for i := 0; i < 6; i++ {
-		batch = append(batch, randomUpdate(ma, rng, i+1))
-	}
-
-	full := NewStreamingSharded(7)
-	for _, u := range batch {
-		if err := full.Add(ma, u); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	half := NewStreamingSharded(7)
-	for _, u := range batch[:3] {
-		if err := half.Add(mb, u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snaps := half.Snapshot()
-	if len(snaps) != 1 || snaps[0].ModelID != mb.ID || snaps[0].Count != 3 {
-		t.Fatalf("snapshot = %+v, want one entry for model %d with count 3", snaps, mb.ID)
-	}
-	// Mutating the source after Snapshot must not affect the copy.
-	half.Abort()
-
-	resumed := NewStreamingSharded(7)
-	if err := resumed.RestoreSnapshot(mb, snaps[0]); err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range batch[3:] {
-		if err := resumed.Add(mb, u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lossA, nA, okA := full.Finalize(ma)
-	lossB, nB, okB := resumed.Finalize(mb)
-	if lossA != lossB || nA != nB || okA != okB {
-		t.Fatalf("resumed finalize (%v,%d,%v) != full (%v,%d,%v)", lossB, nB, okB, lossA, nA, okA)
-	}
-	pa, pb := ma.Params(), mb.Params()
-	for i := range pa {
-		for j := range pa[i].Data {
-			if pa[i].Data[j] != pb[i].Data[j] {
-				t.Fatalf("weights diverge at tensor %d index %d", i, j)
-			}
-		}
-	}
-
-	short := AccumSnapshot{ModelID: mb.ID, Sum: []float64{1}, Count: 1, Weight: 1}
-	if err := NewStreaming().RestoreSnapshot(mb, short); !errors.Is(err, ErrUpdateShape) {
-		t.Fatalf("short snapshot err = %v, want ErrUpdateShape", err)
-	}
-}
-
-// TestStreamingSnapshotEmptyAtBoundary pins that a round-boundary
-// snapshot (everything finalized) is nil.
-func TestStreamingSnapshotEmptyAtBoundary(t *testing.T) {
-	model.ResetIDs()
-	m := newModel(t, 3)
-	s := NewStreaming()
-	if err := s.Add(m, randomUpdate(m, rand.New(rand.NewSource(1)), 2)); err != nil {
-		t.Fatal(err)
-	}
-	s.Finalize(m)
-	if snaps := s.Snapshot(); snaps != nil {
-		t.Fatalf("snapshot after finalize = %+v, want nil", snaps)
 	}
 }
 

@@ -2,25 +2,19 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
 
 	"fedtrans/internal/model"
 )
 
 // Aggregator is the accumulator surface the round loop drives: fold
-// updates as they arrive, finalize per model at the round boundary, and
-// snapshot/restore in-flight state for mid-round checkpoints. It is
-// implemented by the single-tier StreamingFedAvg and the two-tier
-// TieredFedAvg.
+// updates as they arrive, then finalize per model — or abort — at the
+// round boundary. It is implemented by the single-tier StreamingFedAvg
+// and the two-tier TieredFedAvg.
 type Aggregator interface {
 	Add(dst *model.Model, u Update) error
 	Updates(modelID int) int
-	Pending() int
 	Finalize(dst *model.Model) (meanLoss float64, samples int, ok bool)
 	Abort()
-	Drop(modelID int)
-	Snapshot() []AccumSnapshot
-	RestoreSnapshot(dst *model.Model, snap AccumSnapshot) error
 }
 
 var (
@@ -45,7 +39,7 @@ var (
 // edge 0.
 //
 // Like StreamingFedAvg, a TieredFedAvg is not goroutine-safe and is
-// reusable across rounds. Snapshots are merged to single-tier form, so
+// reusable across rounds. Nothing is in flight at a round boundary, so
 // checkpoints carry no trace of the edge topology and a run may resume
 // under a different edge count and stay byte-identical.
 type TieredFedAvg struct {
@@ -70,9 +64,6 @@ func NewTieredSharded(shardSize, n int) *TieredFedAvg {
 	return t
 }
 
-// Edges reports the edge aggregator count.
-func (t *TieredFedAvg) Edges() int { return len(t.edges) }
-
 // Add validates one update (once, on edge 0's accumulator) and
 // folds it into every edge's owned slice. See StreamingFedAvg.Add for
 // the error contract.
@@ -94,9 +85,6 @@ func (t *TieredFedAvg) Add(dst *model.Model, u Update) error {
 // Updates returns how many updates have been folded for the model this
 // round (tracked on edge 0).
 func (t *TieredFedAvg) Updates(modelID int) int { return t.edges[0].Updates(modelID) }
-
-// Pending reports the models with at least one folded update this round.
-func (t *TieredFedAvg) Pending() int { return t.edges[0].Pending() }
 
 // Finalize merges every edge's owned slice into the root — fixed
 // ascending edge order — then runs the single-tier averaged write and
@@ -126,60 +114,4 @@ func (t *TieredFedAvg) Abort() {
 		}
 	}
 	t.root.Abort()
-}
-
-// Drop discards a model's accumulators on every tier.
-func (t *TieredFedAvg) Drop(modelID int) {
-	for _, e := range t.edges {
-		e.Drop(modelID)
-	}
-	t.root.Drop(modelID)
-}
-
-// Snapshot returns the merged, single-tier-equivalent accumulator state
-// of every model with at least one folded update, in ascending model-ID
-// order: each model's full flat sum is reassembled non-destructively
-// from the edges' owned slices, with scalars from edge 0.
-func (t *TieredFedAvg) Snapshot() []AccumSnapshot {
-	var ids []int
-	for id, a := range t.edges[0].accs {
-		if a.count > 0 {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	sort.Ints(ids)
-	out := make([]AccumSnapshot, 0, len(ids))
-	for _, id := range ids {
-		a0 := t.edges[0].accs[id]
-		sum := make([]float64, a0.total)
-		for _, e := range t.edges {
-			if a := e.accs[id]; a != nil {
-				copy(sum[a.lo:a.hi], a.sum)
-			}
-		}
-		out = append(out, AccumSnapshot{
-			ModelID: id, Sum: sum,
-			Weight: a0.weight, LossSum: a0.lossSum, Count: a0.count,
-		})
-	}
-	return out
-}
-
-// RestoreSnapshot scatters a single-tier-form snapshot back across the
-// edges' owned slices, with scalars to edge 0.
-func (t *TieredFedAvg) RestoreSnapshot(dst *model.Model, snap AccumSnapshot) error {
-	a0 := t.edges[0].acc(dst)
-	if len(snap.Sum) != a0.total {
-		return fmt.Errorf("%w: snapshot length %d, model flat length %d",
-			ErrUpdateShape, len(snap.Sum), a0.total)
-	}
-	for _, e := range t.edges {
-		a := e.acc(dst)
-		copy(a.sum, snap.Sum[a.lo:a.hi])
-	}
-	a0.weight, a0.lossSum, a0.count = snap.Weight, snap.LossSum, snap.Count
-	return nil
 }

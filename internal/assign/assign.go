@@ -32,9 +32,6 @@ func NewManager(n int) *Manager {
 	return &Manager{utilities: make([]map[int]float64, n), Temperature: 1}
 }
 
-// NumClients returns the number of registered clients.
-func (mg *Manager) NumClients() int { return len(mg.utilities) }
-
 // EnsureClients grows the utility table to cover n clients; new entries
 // start at the paper's zero-utility initialization, so clients joining
 // mid-experiment are assigned like never-seen clients. The table never

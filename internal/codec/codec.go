@@ -7,37 +7,31 @@
 // encoding and decoding move raw element bits with no per-element
 // narrowing or widening — the wire format is lossless.
 //
-// Layout (big-endian):
+// Layout (byte order, envelope, error contract and allocation bound
+// are internal/wire's):
 //
-//	magic   uint32  'F','T','W','1'
+//	magic   "FTW1"
 //	count   uint32  number of tensors
 //	per tensor:
-//	  rank  uint32
-//	  dims  rank × uint32
+//	  rank  uint32  1..8
+//	  dims  rank × uint32, each 1..2^24, product ≤ 2^24
 //	  data  prod(dims) × float32
-//	crc32   uint32  IEEE checksum of everything above
+//	crc32   uint32  of everything above
 //
-// The coordinator's resumable checkpoints use a sibling frame in the
-// same style (magic "FTCP", version, big-endian body, trailing CRC-32)
-// that embeds these weight blobs per model; its field-by-field layout
-// is documented on fl.Checkpoint in internal/fl/checkpoint.go. The
-// networked coordinator (internal/netcoord) ships these same FTW1
-// blobs as payloads of its length-prefixed connection protocol (magic
-// "FTNC"); the framing, handshake, and versioning are documented in
-// that package.
+// fl.Checkpoint (FTCP) embeds these blobs per model, and
+// internal/netcoord (FTNC) ships them as frame payloads.
 package codec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
+	"slices"
 
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
-var magic = [4]byte{'F', 'T', 'W', '1'}
+const magic = "FTW1"
 
 // Errors returned by Decode and DecodeInto.
 var (
@@ -49,7 +43,11 @@ var (
 	// shapes do not match the destination buffers — on the wire this
 	// means the sender and receiver disagree about the model.
 	ErrDstMismatch = errors.New("codec: blob does not match destination tensors")
+
+	errMalformed = errors.New("codec: malformed blob")
 )
+
+var wireErrs = wire.Errs{Magic: ErrBadMagic, Checksum: ErrChecksum, Truncated: ErrTruncated, Corrupt: errMalformed}
 
 // maxDim guards against hostile or corrupted size fields.
 const maxDim = 1 << 24
@@ -77,93 +75,24 @@ func Encode(ts []*tensor.Tensor) []byte {
 // (the networked coordinator re-encodes the current weights for every
 // dispatch). The appended bytes are identical to Encode's output.
 func AppendEncode(dst []byte, ts []*tensor.Tensor) []byte {
-	if n := len(dst) + EncodedSize(ts); cap(dst) < n {
-		grown := make([]byte, len(dst), n)
-		copy(grown, dst)
-		dst = grown
-	}
 	start := len(dst)
-	dst = append(dst, magic[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ts)))
+	e := wire.Enc{B: append(slices.Grow(dst, EncodedSize(ts)), magic...)}
+	e.U32(uint32(len(ts)))
 	for _, t := range ts {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Shape)))
+		e.U32(uint32(len(t.Shape)))
 		for _, d := range t.Shape {
-			dst = binary.BigEndian.AppendUint32(dst, uint32(d))
+			e.U32(uint32(d))
 		}
-		for _, v := range t.Data {
-			dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(v))
-		}
+		e.B = wire.AppendF32s(e.B, t.Data)
 	}
-	crc := crc32.ChecksumIEEE(dst[start:])
-	return binary.BigEndian.AppendUint32(dst, crc)
+	return wire.Seal(e.B, start)
 }
 
 // Decode parses a weight blob back into tensors. The magic is verified
 // before the checksum so arbitrary non-FedTrans blobs report ErrBadMagic
 // rather than ErrChecksum.
 func Decode(blob []byte) ([]*tensor.Tensor, error) {
-	if len(blob) < 12 {
-		return nil, ErrTruncated
-	}
-	if blob[0] != magic[0] || blob[1] != magic[1] || blob[2] != magic[2] || blob[3] != magic[3] {
-		return nil, ErrBadMagic
-	}
-	body, crcBytes := blob[:len(blob)-4], blob[len(blob)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
-		return nil, ErrChecksum
-	}
-	off := 4
-	readU32 := func() (uint32, error) {
-		if off+4 > len(body) {
-			return 0, ErrTruncated
-		}
-		v := binary.BigEndian.Uint32(body[off : off+4])
-		off += 4
-		return v, nil
-	}
-	count, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*tensor.Tensor, 0, count)
-	for i := uint32(0); i < count; i++ {
-		rank, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if rank == 0 || rank > 8 {
-			return nil, fmt.Errorf("%w: rank %d", ErrShapeBounds, rank)
-		}
-		shape := make([]int, rank)
-		elems := 1
-		for r := range shape {
-			d, err := readU32()
-			if err != nil {
-				return nil, err
-			}
-			if d == 0 || d > maxDim {
-				return nil, fmt.Errorf("%w: dim %d", ErrShapeBounds, d)
-			}
-			shape[r] = int(d)
-			elems *= int(d)
-			if elems > maxDim {
-				return nil, fmt.Errorf("%w: %d elements", ErrShapeBounds, elems)
-			}
-		}
-		if off+4*elems > len(body) {
-			return nil, ErrTruncated
-		}
-		t := tensor.New(shape...)
-		for j := 0; j < elems; j++ {
-			t.Data[j] = math.Float32frombits(binary.BigEndian.Uint32(body[off:]))
-			off += 4
-		}
-		out = append(out, t)
-	}
-	if off != len(body) {
-		return nil, fmt.Errorf("codec: %d trailing bytes", len(body)-off)
-	}
-	return out, nil
+	return parse(blob, nil, false)
 }
 
 // DecodeInto parses a weight blob into the caller's existing tensors —
@@ -175,65 +104,71 @@ func Decode(blob []byte) ([]*tensor.Tensor, error) {
 // (buffers detach from any COW sharing first, without copying the old
 // contents). On error dst may be partially overwritten.
 func DecodeInto(dst []*tensor.Tensor, blob []byte) error {
-	if len(blob) < 12 {
-		return ErrTruncated
-	}
-	if blob[0] != magic[0] || blob[1] != magic[1] || blob[2] != magic[2] || blob[3] != magic[3] {
-		return ErrBadMagic
-	}
-	body, crcBytes := blob[:len(blob)-4], blob[len(blob)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
-		return ErrChecksum
-	}
-	off := 4
-	readU32 := func() (uint32, error) {
-		if off+4 > len(body) {
-			return 0, ErrTruncated
-		}
-		v := binary.BigEndian.Uint32(body[off : off+4])
-		off += 4
-		return v, nil
-	}
-	count, err := readU32()
-	if err != nil {
-		return err
-	}
-	if int(count) != len(dst) {
-		return fmt.Errorf("%w: %d tensors, want %d", ErrDstMismatch, count, len(dst))
-	}
-	for i, t := range dst {
-		rank, err := readU32()
-		if err != nil {
-			return err
-		}
-		if int(rank) != len(t.Shape) {
-			return fmt.Errorf("%w: tensor %d rank %d, want %d", ErrDstMismatch, i, rank, len(t.Shape))
-		}
-		for r := range t.Shape {
-			d, err := readU32()
-			if err != nil {
-				return err
-			}
-			if int(d) != t.Shape[r] {
-				return fmt.Errorf("%w: tensor %d dim %d is %d, want %d", ErrDstMismatch, i, r, d, t.Shape[r])
-			}
-		}
-		elems := t.Len()
-		if off+4*elems > len(body) {
-			return ErrTruncated
-		}
-		t.EnsureOwnedDiscard()
-		for j := 0; j < elems; j++ {
-			t.Data[j] = math.Float32frombits(binary.BigEndian.Uint32(body[off:]))
-			off += 4
-		}
-	}
-	if off != len(body) {
-		return fmt.Errorf("codec: %d trailing bytes", len(body)-off)
-	}
-	return nil
+	_, err := parse(blob, dst, true)
+	return err
 }
 
-// crcIEEE exposes the checksum for tests that need to re-sign crafted
-// blobs.
-func crcIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+// parse is the one FTW1 reader. It allocates a tensor per entry unless
+// into is set, in which case each entry's shape must equal dst's and
+// its data lands there. Nothing is allocated for a count or a shape
+// until the bytes behind it are known to be present: a tensor takes at
+// least 12 (rank, one dim, one element), and its data is taken before
+// its buffer is made.
+func parse(blob []byte, dst []*tensor.Tensor, into bool) ([]*tensor.Tensor, error) {
+	d, err := wire.Open(blob, magic, &wireErrs)
+	if err != nil {
+		return nil, err
+	}
+	n := d.Count(12)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if !into {
+		dst = make([]*tensor.Tensor, n)
+	} else if n != len(dst) {
+		return nil, fmt.Errorf("%w: %d tensors, want %d", ErrDstMismatch, n, len(dst))
+	}
+	for i := range dst {
+		rank := d.U32()
+		elems := 1
+		var shape []int
+		switch {
+		case d.Err() != nil:
+		case into:
+			if int(rank) != len(dst[i].Shape) {
+				return nil, fmt.Errorf("%w: tensor %d rank %d, want %d", ErrDstMismatch, i, rank, len(dst[i].Shape))
+			}
+			for r, want := range dst[i].Shape {
+				if dim := d.U32(); d.Err() == nil && int(dim) != want {
+					return nil, fmt.Errorf("%w: tensor %d dim %d is %d, want %d", ErrDstMismatch, i, r, dim, want)
+				}
+			}
+			elems = dst[i].Len()
+		case rank == 0 || rank > 8:
+			return nil, fmt.Errorf("%w: rank %d", ErrShapeBounds, rank)
+		default:
+			shape = make([]int, rank)
+			for r := range shape {
+				dim := d.U32()
+				if d.Err() == nil && (dim == 0 || dim > maxDim) {
+					return nil, fmt.Errorf("%w: dim %d", ErrShapeBounds, dim)
+				}
+				shape[r] = int(dim)
+				if elems *= int(dim); elems > maxDim {
+					return nil, fmt.Errorf("%w: %d elements", ErrShapeBounds, elems)
+				}
+			}
+		}
+		data := d.Take(4 * elems)
+		if d.Err() != nil {
+			break
+		}
+		if into {
+			dst[i].EnsureOwnedDiscard()
+		} else {
+			dst[i] = tensor.New(shape...)
+		}
+		wire.F32s(dst[i].Data, data)
+	}
+	return dst, d.Done()
+}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
 func randomTensors(seed int64) []*tensor.Tensor {
@@ -153,7 +154,7 @@ func TestWeightListSurvivesWire(t *testing.T) {
 
 // crc32ChecksumIEEE is a test-local alias to avoid importing hash/crc32 in
 // multiple places.
-func crc32ChecksumIEEE(b []byte) uint32 { return crcIEEE(b) }
+func crc32ChecksumIEEE(b []byte) uint32 { return wire.Checksum(b) }
 
 // TestDecodeRandomBlobReportsBadMagic is the regression test for the
 // magic-before-checksum ordering: an arbitrary non-FedTrans blob that
@@ -166,7 +167,7 @@ func TestDecodeRandomBlobReportsBadMagic(t *testing.T) {
 		body[i] = byte(rng.Intn(256))
 	}
 	body[0] = 'X' // ensure the magic really is wrong
-	crc := crcIEEE(body)
+	crc := wire.Checksum(body)
 	blob := append(body,
 		byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
 	if _, err := Decode(blob); err != ErrBadMagic {

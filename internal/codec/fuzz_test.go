@@ -2,16 +2,31 @@ package codec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
-// FuzzDecode hardens the wire-format parser: no input may panic or
-// over-allocate past the shape bounds, and any blob that decodes must
-// re-encode byte-identically (the format is canonical), pinning the
+// resign returns b with its last four bytes replaced by the checksum of
+// the rest, so a mutated input reaches the parser instead of dying at
+// ErrChecksum.
+func resign(b []byte) []byte {
+	if len(b) < 4 {
+		return b
+	}
+	return wire.Seal(bytes.Clone(b[:len(b)-4]), 0)
+}
+
+// hostileCount is the 12-byte blob that killed the process before
+// counts were bounded: magic, 2³²−1 tensors, a valid checksum.
+var hostileCount = resign([]byte("FTW1\xff\xff\xff\xff----"))
+
+// FuzzDecode hardens the wire-format parser: no input — as given, or
+// re-signed so that it passes the checksum — may panic or over-allocate
+// past the shape bounds, and any blob that decodes must re-encode
+// byte-identically (the format is canonical), pinning the
 // bounds/magic/CRC ordering fixes against regression.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
@@ -38,18 +53,32 @@ func FuzzDecode(f *testing.F) {
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
 	hostile := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint32(hostile[12:], 1<<31) // first dim absurd
-	binary.BigEndian.PutUint32(hostile[len(hostile)-4:], crcIEEE(hostile[:len(hostile)-4]))
-	f.Add(hostile)
+	hostile[12] = 0x80 // first dim absurd
+	f.Add(resign(hostile))
+	f.Add(hostileCount)
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		ts, err := Decode(blob)
-		if err != nil {
-			return
-		}
-		re := Encode(ts)
-		if !bytes.Equal(re, blob) {
-			t.Fatalf("decode/encode not canonical: %d in, %d out", len(blob), len(re))
+		for _, b := range [][]byte{blob, resign(blob)} {
+			ts, err := Decode(b)
+			if err != nil {
+				continue
+			}
+			if re := Encode(ts); !bytes.Equal(re, b) {
+				t.Fatalf("decode/encode not canonical: %d in, %d out", len(b), len(re))
+			}
 		}
 	})
+}
+
+// TestDecodeBoundsTensorCount: a count the blob cannot hold is refused
+// before anything is allocated for it. The 12-byte blob used to ask the
+// runtime for 2³²−1 tensor pointers — a fatal out-of-memory, not an
+// error — from Decode and everything built on it.
+func TestDecodeBoundsTensorCount(t *testing.T) {
+	if _, err := Decode(hostileCount); err != ErrTruncated {
+		t.Errorf("Decode of the hostile count: %v, want ErrTruncated", err)
+	}
+	if err := DecodeInto(nil, hostileCount); err != ErrTruncated {
+		t.Errorf("DecodeInto of the hostile count: %v, want ErrTruncated", err)
+	}
 }

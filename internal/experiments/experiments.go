@@ -136,12 +136,6 @@ func baselineConfig(sc Scale) baselines.Config {
 	return cfg
 }
 
-// RunFedTrans executes FedTrans on a workload with paper defaults.
-func RunFedTrans(w Workload, sc Scale) fl.Result {
-	rt := fl.New(fedTransConfig(sc), w.Dataset, w.Trace, w.Initial)
-	return rt.Run()
-}
-
 // LargestSpec returns the spec of the largest model in a FedTrans result's
 // suite, reconstructed from a fresh FedTrans run's runtime. Baselines
 // receive this as their input model (Appendix A.1).

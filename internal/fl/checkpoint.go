@@ -1,18 +1,15 @@
 package fl
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"sort"
 
-	"fedtrans/internal/aggregate"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
 	"fedtrans/internal/selection"
 	"fedtrans/internal/transform"
+	"fedtrans/internal/wire"
 )
 
 // Checkpoint is a complete, deterministic snapshot of a Runtime between
@@ -23,32 +20,31 @@ import (
 // similarity exactly as before), the ID-scope counters, the exact rng
 // position as a draw count, the Client Manager utilities, the DoC and
 // activeness windows, server-optimizer and selector state, churn
-// membership, any in-flight accumulator shards, the asynchronous-mode
-// scheduler state (virtual clock, staleness tallies, and the in-flight
-// dispatches with their download-time weight snapshots — resume
-// re-submits them and deterministically retrains), and the accumulated
-// Result.
+// membership, the asynchronous-mode scheduler state (virtual clock,
+// staleness tallies, and the in-flight dispatches with their
+// download-time weight snapshots — resume re-submits them and
+// deterministically retrains), and the accumulated Result. Aggregator
+// state is not part of it: a checkpoint is taken at a round boundary,
+// where every accumulator has been finalized or aborted.
 //
 // # Wire format (FTCP v2)
 //
-// The encoding is a canonical big-endian binary layout (companion to
-// the internal/codec weight format, which carries the per-model Blob
-// payloads):
+//	"FTCP" | u32 version=2 | body | u32 CRC-32 of magic..body
 //
-//	"FTCP" | u32 version=2 | body | u32 CRC-32 (IEEE) of magic..body
+// The body is this struct's fields in the order (*Checkpoint).walk
+// lists them — the one statement of the layout, run by the encoder and
+// the decoder alike — with Res last and one reserved zero word (an
+// accumulator count no writer ever filled) before it. The per-model
+// Blob payloads are internal/codec weight blobs behind a JSON header.
+// Byte order, the slice and map encodings, the envelope and the
+// decoder's error and allocation contract are internal/wire's; the
+// lists keyed by an ID (Act, Yogi, Inflight) must ascend. Together
+// these make the encoding canonical: any blob that decodes re-encodes
+// to the identical bytes (the FuzzCheckpointDecode invariant).
 //
 // v2 extends v1 with the dataset geometry (client count, feature
 // dimension, class count — validated on restore) and the asynchronous
 // scheduler block; v1 blobs are rejected with ErrCkptVersion.
-//
-// All integers are fixed-width big-endian; signed values are two's-
-// complement u64; float64s are IEEE bits (NaN payloads survive).
-// Slices encode as u32 length + elements, and a zero length decodes to
-// nil. Maps encode as a presence byte (0 = nil, 1 = present), a u32
-// count, and key-sorted entries; decode enforces strictly ascending
-// keys. Together these rules make the encoding canonical: any blob
-// that decodes successfully re-encodes to the identical bytes (the
-// FuzzCheckpointDecode invariant).
 type Checkpoint struct {
 	// Round is the number of fully completed rounds; resume continues
 	// at this round index.
@@ -103,11 +99,6 @@ type Checkpoint struct {
 	// (sequence) order; nil for synchronous runs and whenever no client
 	// is mid-training at the checkpoint boundary.
 	Inflight []CkptInflight
-	// Accums is any in-flight streaming-aggregation state, ascending by
-	// model ID. Runtime checkpoints fire at round boundaries where this
-	// is nil (Finalize resets the shards); the field exists so a
-	// mid-round checkpoint needs no format change.
-	Accums []aggregate.AccumSnapshot
 	// Res is the Result accumulated so far.
 	Res Result
 }
@@ -172,649 +163,164 @@ var (
 // incompatible with the dataset the resuming runtime was built on.
 var ErrGeometryMismatch = errors.New("fl: checkpoint dataset geometry mismatch")
 
-var ckptMagic = [4]byte{'F', 'T', 'C', 'P'}
+const (
+	ckptMagic   = "FTCP"
+	ckptVersion = 2
+)
 
-const ckptVersion = 2
+var ckptErrs = wire.Errs{Magic: ErrCkptMagic, Checksum: ErrCkptChecksum, Truncated: ErrCkptTruncated, Corrupt: ErrCkptCorrupt}
 
-// ckptEnc builds the canonical encoding.
-type ckptEnc struct{ b []byte }
+// walk is the FTCP v2 body after the version word: the one statement of
+// the field order, run by EncodeCheckpoint and DecodeCheckpoint alike.
+// The number beside each slice is the least one element occupies on the
+// wire (what bounds a decode's allocations).
+func (ck *Checkpoint) walk(c wire.Coder) {
+	c.Int(&ck.Round)
+	c.U64(&ck.RNGCount)
+	c.F64(&ck.BestAcc)
+	c.Int(&ck.Stall)
+	c.I64(&ck.ModelCtr)
+	c.I64(&ck.CellCtr)
+	c.Int(&ck.Clients)
+	c.Int(&ck.FeatureDim)
+	c.Int(&ck.Classes)
 
-func (e *ckptEnc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *ckptEnc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *ckptEnc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *ckptEnc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *ckptEnc) f64(v float64) {
-	e.u64(math.Float64bits(v))
+	wire.Slice(c, &ck.Models, 32, func(m *CkptModel) {
+		c.Bytes(&m.Blob)
+		c.Int(&m.ID)
+		c.Int(&m.ParentID)
+		c.Int(&m.BornRound)
+		wire.Slice(c, &m.Cells, 25, func(cell *CkptCell) {
+			c.I64(&cell.ID)
+			c.I64(&cell.AncestorID)
+			c.F64(&cell.InheritedFrac)
+			c.Bool(&cell.WidenedLast)
+		})
+	})
+
+	f64 := c.F64 // bound once: a method value made per map is an allocation per client
+	wire.Slice(c, &ck.Utilities, 1, func(u *map[int]float64) { wire.Map(c, u, 8, f64) })
+	c.F64s(&ck.DoCLosses)
+
+	wire.Slice(c, &ck.Act, 12, func(a *CkptAct) {
+		c.Int(&a.ModelID)
+		wire.SortedMap(c, &a.Hist, 4, c.F64s)
+	})
+	ascending(c, ck.Act, "activeness model IDs", func(a *CkptAct) int { return a.ModelID })
+
+	wire.Slice(c, &ck.Yogi, 16, func(y *CkptYogi) {
+		c.Int(&y.Slot)
+		c.F64s(&y.M)
+		c.F64s(&y.V)
+	})
+	ascending(c, ck.Yogi, "yogi slots", func(y *CkptYogi) int { return y.Slot })
+
+	c.Bytes(&ck.Selector)
+	wire.Slice(c, &ck.ChurnOnline, 1, c.Bool)
+
+	c.F64(&ck.AsyncNow)
+	c.I64(&ck.StaleSum)
+	c.I64(&ck.StaleCnt)
+	c.Int(&ck.AsyncSeq)
+	wire.Slice(c, &ck.Inflight, 44, func(f *CkptInflight) {
+		c.Int(&f.Client)
+		c.Int(&f.ModelID)
+		c.Int(&f.Version)
+		c.Int(&f.Seq)
+		c.F64(&f.DispatchAt)
+		c.Bytes(&f.SrcBlob)
+	})
+	ascending(c, ck.Inflight, "in-flight sequence numbers", func(f *CkptInflight) int { return f.Seq })
+
+	// v2 reserves a block here for accumulators caught mid-round. No
+	// writer ever filled it — both round loops end in Finalize or Abort,
+	// so there is nothing in flight at any boundary a checkpoint is taken
+	// — and its count stays on the wire as a zero.
+	var accums uint32
+	if c.U32(&accums); accums != 0 {
+		c.Corruptf("%d mid-round accumulators, which no version of this program wrote", accums)
+	}
+
+	r := &ck.Res
+	c.F64s(&r.ClientAcc)
+	c.F64(&r.MeanAcc)
+	c.F64(&r.Box.Min)
+	c.F64(&r.Box.Q1)
+	c.F64(&r.Box.Median)
+	c.F64(&r.Box.Q3)
+	c.F64(&r.Box.Max)
+	c.F64(&r.Box.Mean)
+	c.F64(&r.Costs.TrainMACs)
+	c.I64(&r.Costs.NetworkBytes)
+	c.I64(&r.Costs.StorageBytes)
+	c.Str(&r.CostCurve.Name)
+	c.F64s(&r.CostCurve.X)
+	c.F64s(&r.CostCurve.Y)
+	c.F64s(&r.RoundTimes)
+	wire.Slice(c, &r.SuiteArch, 4, c.Str)
+	c.F64s(&r.SuiteMACs)
+	c.Int(&r.RoundsRun)
+	c.I64(&r.Overhead.UtilityUpdates)
+	c.I64(&r.Overhead.DoCUpdates)
+	c.I64(&r.Overhead.Transforms)
+	c.F64s(&r.BestModelMACs)
+	c.Int(&r.Dropouts)
+	c.Int(&r.Failures)
+	c.Int(&r.Retries)
+	c.Int(&r.AbortedRounds)
+	c.F64(&r.MeanStaleness)
+	wire.Slice(c, &r.Log, 67, func(l *RoundLog) {
+		c.Int(&l.Round)
+		c.Int(&l.Updates)
+		c.Int(&l.Dropouts)
+		c.F64(&l.MeanLoss)
+		c.F64(&l.RoundTime)
+		wire.Map(c, &l.UpdatesPerModel, 8, c.Int)
+		c.Bool(&l.Transformed)
+		c.Int(&l.SuiteSize)
+		c.Int(&l.Failures)
+		c.Int(&l.Retries)
+		c.Bool(&l.Committed)
+	})
 }
 
-func (e *ckptEnc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *ckptEnc) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.b = append(e.b, b...)
-}
-
-func (e *ckptEnc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-func (e *ckptEnc) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-
-func (e *ckptEnc) bools(v []bool) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.bool(x)
-	}
-}
-
-// intFloatMap encodes a map[int]float64 with a presence byte and
-// key-sorted entries.
-func (e *ckptEnc) intFloatMap(m map[int]float64) {
-	if m == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	e.u32(uint32(len(keys)))
-	for _, k := range keys {
-		e.i64(int64(k))
-		e.f64(m[k])
-	}
-}
-
-// intIntMap encodes a map[int]int with a presence byte and key-sorted
-// entries.
-func (e *ckptEnc) intIntMap(m map[int]int) {
-	if m == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	e.u32(uint32(len(keys)))
-	for _, k := range keys {
-		e.i64(int64(k))
-		e.i64(int64(m[k]))
-	}
-}
-
-// ckptDec is the strict decoder: every read is bounds-checked and the
-// first failure sticks.
-type ckptDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *ckptDec) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *ckptDec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if n < 0 || len(d.b)-d.off < n {
-		d.fail(ErrCkptTruncated)
-		return false
-	}
-	return true
-}
-
-func (d *ckptDec) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *ckptDec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *ckptDec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *ckptDec) i64() int64   { return int64(d.u64()) }
-func (d *ckptDec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *ckptDec) int() int     { return int(d.i64()) }
-
-func (d *ckptDec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail(fmt.Errorf("%w: bad bool byte", ErrCkptCorrupt))
-		return false
-	}
-}
-
-// count reads a u32 length and validates that elemSize bytes per
-// element still fit in the remaining input, bounding allocations.
-func (d *ckptDec) count(elemSize int) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if elemSize > 0 && n > (len(d.b)-d.off)/elemSize {
-		d.fail(ErrCkptTruncated)
-		return 0
-	}
-	return n
-}
-
-func (d *ckptDec) bytes() []byte {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:])
-	d.off += n
-	return out
-}
-
-func (d *ckptDec) str() string {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *ckptDec) f64s() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *ckptDec) bools() []bool {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.bool()
-	}
-	return out
-}
-
-func (d *ckptDec) intFloatMap() map[int]float64 {
-	switch d.u8() {
-	case 0:
-		return nil
-	case 1:
-	default:
-		d.fail(fmt.Errorf("%w: bad map presence byte", ErrCkptCorrupt))
-		return nil
-	}
-	n := d.count(16)
-	if d.err != nil {
-		return nil
-	}
-	out := make(map[int]float64, n)
-	prev := int64(math.MinInt64)
-	for i := 0; i < n; i++ {
-		k := d.i64()
-		v := d.f64()
-		if d.err != nil {
-			return nil
-		}
-		if i > 0 && k <= prev {
-			d.fail(fmt.Errorf("%w: map keys not strictly ascending", ErrCkptCorrupt))
-			return nil
-		}
-		prev = k
-		out[int(k)] = v
-	}
-	return out
-}
-
-func (d *ckptDec) intIntMap() map[int]int {
-	switch d.u8() {
-	case 0:
-		return nil
-	case 1:
-	default:
-		d.fail(fmt.Errorf("%w: bad map presence byte", ErrCkptCorrupt))
-		return nil
-	}
-	n := d.count(16)
-	if d.err != nil {
-		return nil
-	}
-	out := make(map[int]int, n)
-	prev := int64(math.MinInt64)
-	for i := 0; i < n; i++ {
-		k := d.i64()
-		v := d.i64()
-		if d.err != nil {
-			return nil
-		}
-		if i > 0 && k <= prev {
-			d.fail(fmt.Errorf("%w: map keys not strictly ascending", ErrCkptCorrupt))
-			return nil
-		}
-		prev = k
-		out[int(k)] = int(v)
-	}
-	return out
-}
-
-func encodeResult(e *ckptEnc, r *Result) {
-	e.f64s(r.ClientAcc)
-	e.f64(r.MeanAcc)
-	e.f64(r.Box.Min)
-	e.f64(r.Box.Q1)
-	e.f64(r.Box.Median)
-	e.f64(r.Box.Q3)
-	e.f64(r.Box.Max)
-	e.f64(r.Box.Mean)
-	e.f64(r.Costs.TrainMACs)
-	e.i64(r.Costs.NetworkBytes)
-	e.i64(r.Costs.StorageBytes)
-	e.str(r.CostCurve.Name)
-	e.f64s(r.CostCurve.X)
-	e.f64s(r.CostCurve.Y)
-	e.f64s(r.RoundTimes)
-	e.u32(uint32(len(r.SuiteArch)))
-	for _, s := range r.SuiteArch {
-		e.str(s)
-	}
-	e.f64s(r.SuiteMACs)
-	e.i64(int64(r.RoundsRun))
-	e.i64(r.Overhead.UtilityUpdates)
-	e.i64(r.Overhead.DoCUpdates)
-	e.i64(r.Overhead.Transforms)
-	e.f64s(r.BestModelMACs)
-	e.i64(int64(r.Dropouts))
-	e.i64(int64(r.Failures))
-	e.i64(int64(r.Retries))
-	e.i64(int64(r.AbortedRounds))
-	e.f64(r.MeanStaleness)
-	e.u32(uint32(len(r.Log)))
-	for i := range r.Log {
-		l := &r.Log[i]
-		e.i64(int64(l.Round))
-		e.i64(int64(l.Updates))
-		e.i64(int64(l.Dropouts))
-		e.f64(l.MeanLoss)
-		e.f64(l.RoundTime)
-		e.intIntMap(l.UpdatesPerModel)
-		e.bool(l.Transformed)
-		e.i64(int64(l.SuiteSize))
-		e.i64(int64(l.Failures))
-		e.i64(int64(l.Retries))
-		e.bool(l.Committed)
-	}
-}
-
-func decodeResult(d *ckptDec) Result {
-	var r Result
-	r.ClientAcc = d.f64s()
-	r.MeanAcc = d.f64()
-	r.Box.Min = d.f64()
-	r.Box.Q1 = d.f64()
-	r.Box.Median = d.f64()
-	r.Box.Q3 = d.f64()
-	r.Box.Max = d.f64()
-	r.Box.Mean = d.f64()
-	r.Costs.TrainMACs = d.f64()
-	r.Costs.NetworkBytes = d.i64()
-	r.Costs.StorageBytes = d.i64()
-	r.CostCurve.Name = d.str()
-	r.CostCurve.X = d.f64s()
-	r.CostCurve.Y = d.f64s()
-	r.RoundTimes = d.f64s()
-	if n := d.count(4); n > 0 {
-		r.SuiteArch = make([]string, n)
-		for i := range r.SuiteArch {
-			r.SuiteArch[i] = d.str()
+// ascending fails a decode whose list is not in strictly ascending key
+// order — the order every writer emits, and what makes the encoding of
+// a given state unique.
+func ascending[T any](c wire.Coder, xs []T, what string, key func(*T) int) {
+	for i := 1; i < len(xs); i++ {
+		if key(&xs[i]) <= key(&xs[i-1]) {
+			c.Corruptf("%s not ascending", what)
 		}
 	}
-	r.SuiteMACs = d.f64s()
-	r.RoundsRun = d.int()
-	r.Overhead.UtilityUpdates = d.i64()
-	r.Overhead.DoCUpdates = d.i64()
-	r.Overhead.Transforms = d.i64()
-	r.BestModelMACs = d.f64s()
-	r.Dropouts = d.int()
-	r.Failures = d.int()
-	r.Retries = d.int()
-	r.AbortedRounds = d.int()
-	r.MeanStaleness = d.f64()
-	if n := d.count(43); n > 0 { // fixed RoundLog footprint: 8×i64/f64 + map byte + 2 bools
-		r.Log = make([]RoundLog, n)
-		for i := range r.Log {
-			l := &r.Log[i]
-			l.Round = d.int()
-			l.Updates = d.int()
-			l.Dropouts = d.int()
-			l.MeanLoss = d.f64()
-			l.RoundTime = d.f64()
-			l.UpdatesPerModel = d.intIntMap()
-			l.Transformed = d.bool()
-			l.SuiteSize = d.int()
-			l.Failures = d.int()
-			l.Retries = d.int()
-			l.Committed = d.bool()
-		}
-	}
-	return r
 }
 
 // EncodeCheckpoint serializes a checkpoint into the canonical FTCP v2
 // byte layout described on Checkpoint.
 func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
-	e := &ckptEnc{b: make([]byte, 0, 1024)}
-	e.b = append(e.b, ckptMagic[:]...)
-	e.u32(ckptVersion)
-	e.i64(int64(ck.Round))
-	e.u64(ck.RNGCount)
-	e.f64(ck.BestAcc)
-	e.i64(int64(ck.Stall))
-	e.i64(ck.ModelCtr)
-	e.i64(ck.CellCtr)
-	e.i64(int64(ck.Clients))
-	e.i64(int64(ck.FeatureDim))
-	e.i64(int64(ck.Classes))
-
-	e.u32(uint32(len(ck.Models)))
-	for i := range ck.Models {
-		m := &ck.Models[i]
-		e.bytes(m.Blob)
-		e.i64(int64(m.ID))
-		e.i64(int64(m.ParentID))
-		e.i64(int64(m.BornRound))
-		e.u32(uint32(len(m.Cells)))
-		for _, c := range m.Cells {
-			e.i64(c.ID)
-			e.i64(c.AncestorID)
-			e.f64(c.InheritedFrac)
-			e.bool(c.WidenedLast)
-		}
-	}
-
-	e.u32(uint32(len(ck.Utilities)))
-	for _, u := range ck.Utilities {
-		e.intFloatMap(u)
-	}
-	e.f64s(ck.DoCLosses)
-
-	e.u32(uint32(len(ck.Act)))
-	for i := range ck.Act {
-		a := &ck.Act[i]
-		e.i64(int64(a.ModelID))
-		ids := make([]int64, 0, len(a.Hist))
-		for id := range a.Hist {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(x, y int) bool { return ids[x] < ids[y] })
-		e.u32(uint32(len(ids)))
-		for _, id := range ids {
-			e.i64(id)
-			e.f64s(a.Hist[id])
-		}
-	}
-
-	e.u32(uint32(len(ck.Yogi)))
-	for i := range ck.Yogi {
-		y := &ck.Yogi[i]
-		e.i64(int64(y.Slot))
-		e.f64s(y.M)
-		e.f64s(y.V)
-	}
-
-	e.bytes(ck.Selector)
-	e.bools(ck.ChurnOnline)
-
-	e.f64(ck.AsyncNow)
-	e.i64(ck.StaleSum)
-	e.i64(ck.StaleCnt)
-	e.i64(int64(ck.AsyncSeq))
-	e.u32(uint32(len(ck.Inflight)))
-	for i := range ck.Inflight {
-		f := &ck.Inflight[i]
-		e.i64(int64(f.Client))
-		e.i64(int64(f.ModelID))
-		e.i64(int64(f.Version))
-		e.i64(int64(f.Seq))
-		e.f64(f.DispatchAt)
-		e.bytes(f.SrcBlob)
-	}
-
-	e.u32(uint32(len(ck.Accums)))
-	for i := range ck.Accums {
-		a := &ck.Accums[i]
-		e.i64(int64(a.ModelID))
-		e.f64s(a.Sum)
-		e.f64(a.Weight)
-		e.f64(a.LossSum)
-		e.i64(int64(a.Count))
-	}
-
-	encodeResult(e, &ck.Res)
-
-	e.u32(crc32.ChecksumIEEE(e.b))
-	return e.b, nil
+	e := wire.Enc{B: append(make([]byte, 0, 1024), ckptMagic...)}
+	e.U32(ckptVersion)
+	ck.walk(wire.Encoding(&e))
+	return wire.Seal(e.B, 0), nil
 }
 
 // DecodeCheckpoint parses and validates an FTCP v2 checkpoint. The
 // decoder is strict: checksum, bounds, canonical key order, and exact
-// length are all enforced, so any successfully decoded checkpoint
+// length are all enforced, and it reads the fields through the same
+// walk that wrote them, so any successfully decoded checkpoint
 // re-encodes to identical bytes.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
-	if len(b) < 12 {
-		return nil, ErrCkptTruncated
+	d, err := wire.Open(b, ckptMagic, &ckptErrs)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(b[:4]) != ckptMagic {
-		return nil, ErrCkptMagic
-	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, ErrCkptChecksum
-	}
-	d := &ckptDec{b: body, off: 4}
-	if v := d.u32(); d.err == nil && v != ckptVersion {
+	if v := d.U32(); v != ckptVersion {
 		return nil, fmt.Errorf("%w: %d", ErrCkptVersion, v)
 	}
-
 	ck := &Checkpoint{}
-	ck.Round = d.int()
-	ck.RNGCount = d.u64()
-	ck.BestAcc = d.f64()
-	ck.Stall = d.int()
-	ck.ModelCtr = d.i64()
-	ck.CellCtr = d.i64()
-	ck.Clients = d.int()
-	ck.FeatureDim = d.int()
-	ck.Classes = d.int()
-
-	if n := d.count(16); n > 0 {
-		ck.Models = make([]CkptModel, n)
-		for i := range ck.Models {
-			m := &ck.Models[i]
-			m.Blob = d.bytes()
-			m.ID = d.int()
-			m.ParentID = d.int()
-			m.BornRound = d.int()
-			if cn := d.count(25); cn > 0 {
-				m.Cells = make([]CkptCell, cn)
-				for j := range m.Cells {
-					c := &m.Cells[j]
-					c.ID = d.i64()
-					c.AncestorID = d.i64()
-					c.InheritedFrac = d.f64()
-					c.WidenedLast = d.bool()
-				}
-			}
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
-	}
-
-	if n := d.count(1); n > 0 {
-		ck.Utilities = make([]map[int]float64, n)
-		for i := range ck.Utilities {
-			ck.Utilities[i] = d.intFloatMap()
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
-	}
-	ck.DoCLosses = d.f64s()
-
-	if n := d.count(12); n > 0 {
-		ck.Act = make([]CkptAct, n)
-		prevID := int64(math.MinInt64)
-		for i := range ck.Act {
-			a := &ck.Act[i]
-			a.ModelID = d.int()
-			if d.err == nil && int64(a.ModelID) <= prevID {
-				return nil, fmt.Errorf("%w: activeness model IDs not ascending", ErrCkptCorrupt)
-			}
-			prevID = int64(a.ModelID)
-			hn := d.count(12)
-			if d.err != nil {
-				return nil, d.err
-			}
-			a.Hist = make(map[int64][]float64, hn)
-			prevCell := int64(math.MinInt64)
-			for j := 0; j < hn; j++ {
-				id := d.i64()
-				vals := d.f64s()
-				if d.err != nil {
-					return nil, d.err
-				}
-				if j > 0 && id <= prevCell {
-					return nil, fmt.Errorf("%w: activeness cell IDs not ascending", ErrCkptCorrupt)
-				}
-				prevCell = id
-				a.Hist[id] = vals
-			}
-		}
-	}
-
-	if n := d.count(16); n > 0 {
-		ck.Yogi = make([]CkptYogi, n)
-		prev := int64(math.MinInt64)
-		for i := range ck.Yogi {
-			y := &ck.Yogi[i]
-			y.Slot = d.int()
-			if d.err == nil && int64(y.Slot) <= prev {
-				return nil, fmt.Errorf("%w: yogi slots not ascending", ErrCkptCorrupt)
-			}
-			prev = int64(y.Slot)
-			y.M = d.f64s()
-			y.V = d.f64s()
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
-	}
-
-	ck.Selector = d.bytes()
-	ck.ChurnOnline = d.bools()
-
-	ck.AsyncNow = d.f64()
-	ck.StaleSum = d.i64()
-	ck.StaleCnt = d.i64()
-	ck.AsyncSeq = d.int()
-	if n := d.count(44); n > 0 { // 4×i64 + f64 + blob length
-		ck.Inflight = make([]CkptInflight, n)
-		prevSeq := int64(math.MinInt64)
-		for i := range ck.Inflight {
-			f := &ck.Inflight[i]
-			f.Client = d.int()
-			f.ModelID = d.int()
-			f.Version = d.int()
-			f.Seq = d.int()
-			if d.err == nil && (i > 0 && int64(f.Seq) <= prevSeq) {
-				return nil, fmt.Errorf("%w: in-flight sequence numbers not ascending", ErrCkptCorrupt)
-			}
-			prevSeq = int64(f.Seq)
-			f.DispatchAt = d.f64()
-			f.SrcBlob = d.bytes()
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
-	}
-
-	if n := d.count(36); n > 0 {
-		ck.Accums = make([]aggregate.AccumSnapshot, n)
-		prev := int64(math.MinInt64)
-		for i := range ck.Accums {
-			a := &ck.Accums[i]
-			a.ModelID = d.int()
-			if d.err == nil && int64(a.ModelID) <= prev {
-				return nil, fmt.Errorf("%w: accumulator model IDs not ascending", ErrCkptCorrupt)
-			}
-			prev = int64(a.ModelID)
-			a.Sum = d.f64s()
-			a.Weight = d.f64()
-			a.LossSum = d.f64()
-			a.Count = d.int()
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
-	}
-
-	ck.Res = decodeResult(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCkptCorrupt, len(body)-d.off)
+	ck.walk(wire.Decoding(&d))
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }
@@ -891,9 +397,6 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 			Version: at.version, Seq: at.seq, DispatchAt: at.dispatchAt,
 		})
 		s.srcs = append(s.srcs, at.slot.src.Clone())
-	}
-	if rt.agg != nil {
-		ck.Accums = rt.agg.Snapshot()
 	}
 	ck.Res = cloneResult(&rt.res)
 	return s
@@ -1081,26 +584,6 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 		// online, mirroring NewChurn's initialization.
 		rt.churn.RestoreResized(ck.ChurnOnline, rt.ds.Len())
 	}
-	if len(ck.Accums) > 0 {
-		if rt.agg == nil {
-			rt.agg = rt.newAgg()
-		}
-		byID := make(map[int]*model.Model, len(rt.suite))
-		for _, m := range rt.suite {
-			byID[m.ID] = m
-		}
-		for i := range ck.Accums {
-			m := byID[ck.Accums[i].ModelID]
-			if m == nil {
-				return fmt.Errorf("%w: accumulator for unknown model %d",
-					ErrCkptCorrupt, ck.Accums[i].ModelID)
-			}
-			if err := rt.agg.RestoreSnapshot(m, ck.Accums[i]); err != nil {
-				return err
-			}
-		}
-	}
-
 	rt.asyncNow = ck.AsyncNow
 	rt.staleSum = ck.StaleSum
 	rt.staleCnt = ck.StaleCnt

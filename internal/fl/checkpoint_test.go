@@ -13,6 +13,7 @@ import (
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
 	"fedtrans/internal/selection"
+	"fedtrans/internal/wire"
 )
 
 // ckptConfig is the kitchen-sink deterministic configuration the
@@ -313,8 +314,19 @@ func TestRestoreRejectsMismatchedRuntime(t *testing.T) {
 	}
 }
 
+// resign returns b with its last four bytes replaced by the checksum of
+// the rest, so a mutated input reaches the parser instead of dying at
+// ErrCkptChecksum.
+func resign(b []byte) []byte {
+	if len(b) < 4 {
+		return b
+	}
+	return wire.Seal(bytes.Clone(b[:len(b)-4]), 0)
+}
+
 // FuzzCheckpointDecode: DecodeCheckpoint must never panic, and any blob
-// it accepts must re-encode to the identical bytes (canonical form).
+// it accepts — as given, or re-signed so that it passes the checksum —
+// must re-encode to the identical bytes (canonical form).
 func FuzzCheckpointDecode(f *testing.F) {
 	ds, tr, spec := smokeSetup(f, 8)
 	cfg := ckptConfig()
@@ -328,17 +340,25 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(blob)
 	f.Add([]byte("FTCP"))
 	f.Add(blob[:len(blob)/2])
-	f.Fuzz(func(t *testing.T, b []byte) {
-		ck, err := DecodeCheckpoint(b)
-		if err != nil {
-			return
-		}
-		re, err := EncodeCheckpoint(ck)
-		if err != nil {
-			t.Fatalf("decoded checkpoint failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(b, re) {
-			t.Fatalf("decode accepted a non-canonical blob: %d bytes in, %d bytes out", len(b), len(re))
+	golden, _ := EncodeCheckpoint(goldenCheckpoint())
+	f.Add(golden)
+	// A model count the blob cannot hold, under a valid checksum.
+	hostile := bytes.Clone(golden)
+	copy(hostile[ckptModelsAt:], "\xff\xff\xff\xff")
+	f.Add(resign(hostile))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, b := range [][]byte{in, resign(in)} {
+			ck, err := DecodeCheckpoint(b)
+			if err != nil {
+				continue
+			}
+			re, err := EncodeCheckpoint(ck)
+			if err != nil {
+				t.Fatalf("decoded checkpoint failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(b, re) {
+				t.Fatalf("decode accepted a non-canonical blob: %d bytes in, %d bytes out", len(b), len(re))
+			}
 		}
 	})
 }

@@ -120,8 +120,8 @@ func TestRuntimeTieredMatchesSingleTierRun(t *testing.T) {
 // golden test on a generative population: checkpoints written mid-run
 // restore into a fresh generative runtime — including one with a larger
 // same-shape population (late joiners at zero utility) and one running
-// two-tier aggregation, since tiered snapshots are topology-agnostic —
-// and reproduce the uninterrupted run bit for bit. A smaller population
+// two-tier aggregation, since no accumulator state crosses a round
+// boundary — and reproduce the uninterrupted run bit for bit. A smaller population
 // than the checkpoint covers is rejected with ErrGeometryMismatch.
 func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 	mk := func(clients, edges int) *Runtime {

@@ -1,0 +1,144 @@
+package fl
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"math"
+	"os"
+	"strings"
+	"testing"
+
+	"fedtrans/internal/metrics"
+)
+
+// goldenCheckpoint fills every FTCP field from literals — no training,
+// no rng — so the bytes are the same on every architecture: negative
+// and 64-bit integers, a NaN payload, nil next to empty maps and
+// slices, the async in-flight list, Yogi moments, activeness windows,
+// churn bitmap, selector state and a RoundLog with and without its map.
+func goldenCheckpoint() *Checkpoint {
+	return &Checkpoint{
+		Round: 7, RNGCount: 0x0123456789abcdef, BestAcc: 0.8125, Stall: 2,
+		ModelCtr: 5, CellCtr: 19,
+		Clients: 12, FeatureDim: 16, Classes: 4,
+		Models: []CkptModel{
+			{Blob: []byte("model-blob-one"), ID: 1, ParentID: -1, BornRound: 0, Cells: []CkptCell{
+				{ID: 1, AncestorID: 1, InheritedFrac: 1},
+				{ID: 2, AncestorID: 2, InheritedFrac: 0.25, WidenedLast: true},
+			}},
+			{Blob: []byte{0x00, 0xff, 0x80}, ID: 3, ParentID: 1, BornRound: 4, Cells: []CkptCell{
+				{ID: 17, AncestorID: 2, InheritedFrac: 0.5},
+			}},
+			{ID: 4, ParentID: 3, BornRound: 6},
+		},
+		Utilities: []map[int]float64{{0: 0.5, 3: -1.25, 11: 2}, nil, {}},
+		DoCLosses: []float64{2.5, 2.25, math.Float64frombits(0x7ff8000000000abc)},
+		Act: []CkptAct{
+			{ModelID: 1, Hist: map[int64][]float64{1: {0.125, 0.25}, 2: nil, 1 << 40: {1}}},
+			{ModelID: 3, Hist: map[int64][]float64{}},
+		},
+		Yogi: []CkptYogi{
+			{Slot: 0, M: []float64{0.5, -0.5}, V: []float64{1e-6, 2e-6}},
+			{Slot: 2},
+		},
+		Selector:    []byte{0, 0, 0, 1, 0, 0, 0, 9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0x40, 0x14, 0, 0, 0, 0, 0, 0},
+		ChurnOnline: []bool{true, false, true, true},
+		AsyncNow:    12.5, StaleSum: 9, StaleCnt: 4, AsyncSeq: 31,
+		Inflight: []CkptInflight{
+			{Client: 3, ModelID: 1, Version: 6, Seq: 29, DispatchAt: 11.75, SrcBlob: []byte("src-a")},
+			{Client: 8, ModelID: 3, Version: 7, Seq: 30, DispatchAt: 12.25},
+		},
+		Res: Result{
+			ClientAcc:  []float64{0.5, 0.75, 1},
+			MeanAcc:    0.75,
+			Box:        metrics.BoxStats{Min: 0.5, Q1: 0.625, Median: 0.75, Q3: 0.875, Max: 1, Mean: 0.75},
+			Costs:      metrics.Costs{TrainMACs: 1.5e9, NetworkBytes: 1 << 33, StorageBytes: 4096},
+			CostCurve:  metrics.Series{Name: "fedtrans", X: []float64{0, 1e6}, Y: []float64{0.25, 0.5}},
+			RoundTimes: []float64{3.5, 4.25}, SuiteArch: []string{"d8-d8", "", "d16-d8"},
+			SuiteMACs: []float64{128, 256, 384}, RoundsRun: 7,
+			Overhead:      Overhead{UtilityUpdates: 42, DoCUpdates: 7, Transforms: 2},
+			BestModelMACs: []float64{128, 384, 128},
+			Dropouts:      3, Failures: 1, Retries: 5, AbortedRounds: 1, MeanStaleness: 0.75,
+			Log: []RoundLog{
+				{Round: 0, Updates: 4, Dropouts: 1, MeanLoss: 2.5, RoundTime: 3.5,
+					UpdatesPerModel: map[int]int{1: 3, 3: 1}, Transformed: true, SuiteSize: 2,
+					Failures: 1, Retries: 2, Committed: true},
+				{Round: 1, MeanLoss: math.Inf(1), RoundTime: 4.25, SuiteSize: 2},
+				{Round: 2, UpdatesPerModel: map[int]int{}, Committed: true},
+			},
+		},
+	}
+}
+
+// TestCheckpointGoldenBytes pins FTCP v2 absolutely: the literal
+// checkpoint encodes to the committed bytes, and the committed bytes
+// decode and re-encode to themselves.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	const path = "testdata/checkpoint_v2.hex"
+	got, err := EncodeCheckpoint(goldenCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("FTCP encoding moved: %d bytes, golden %d\n got %x", len(got), len(want), got)
+	}
+	ck, err := DecodeCheckpoint(want)
+	if err != nil {
+		t.Fatalf("golden blob does not decode: %v", err)
+	}
+	if re, err := EncodeCheckpoint(ck); err != nil || !bytes.Equal(re, want) {
+		t.Fatalf("decode → encode of the golden blob is not the identity (err %v)", err)
+	}
+	if ck.Inflight[0].Seq != 29 || ck.Res.Log[0].UpdatesPerModel[3] != 1 || !ck.ChurnOnline[2] ||
+		math.Float64bits(ck.DoCLosses[2]) != 0x7ff8000000000abc || ck.Models[0].ParentID != -1 {
+		t.Fatalf("golden blob decoded to the wrong values: %+v", ck)
+	}
+}
+
+// Offsets into any FTCP v2 blob, and into the encoding of an empty
+// Checkpoint: magic, version and nine 8-byte scalars precede the model
+// count; with every list empty, seven 4-byte counts and the four async
+// scalars more precede the in-flight count, and the reserved
+// accumulator count follows it.
+const (
+	ckptModelsAt      = 4 + 4 + 9*8
+	ckptEmptyAccumsAt = ckptModelsAt + 7*4 + 4*8 + 4
+)
+
+// TestCheckpointRejectsHostileCounts: a count the remaining bytes
+// cannot hold is truncation, found before anything is allocated for it,
+// and the accumulator block — which no writer ever filled — must stay
+// empty.
+func TestCheckpointRejectsHostileCounts(t *testing.T) {
+	empty, err := EncodeCheckpoint(&Checkpoint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(empty); err != nil {
+		t.Fatalf("empty checkpoint: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		word string
+		want error
+	}{
+		{"2³²−1 models", ckptModelsAt, "\xff\xff\xff\xff", ErrCkptTruncated},
+		{"one accumulator", ckptEmptyAccumsAt, "\x00\x00\x00\x01", ErrCkptCorrupt},
+	} {
+		bad := bytes.Clone(empty)
+		copy(bad[tc.at:], tc.word)
+		if _, err := DecodeCheckpoint(resign(bad)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"fedtrans/internal/codec"
 	"fedtrans/internal/nn"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
 // persistHeader is the JSON architecture header that precedes the weight
@@ -45,6 +45,8 @@ var paramsPerKind = map[string]int{
 // ErrCorruptModel reports an unreadable serialized model.
 var ErrCorruptModel = errors.New("model: corrupt serialized model")
 
+var persistErrs = wire.Errs{Truncated: ErrCorruptModel, Corrupt: ErrCorruptModel}
+
 // MarshalBinary serializes the model: a length-prefixed JSON architecture
 // header followed by the codec weight blob (cells in order, then head).
 func (m *Model) MarshalBinary() ([]byte, error) {
@@ -75,11 +77,11 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob := codec.Encode(m.Params())
-	out := make([]byte, 0, 4+len(hdr)+len(blob))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(hdr)))
-	out = append(out, hdr...)
-	return append(out, blob...), nil
+	params := m.Params()
+	e := wire.Enc{B: make([]byte, 0, 4+len(hdr)+codec.EncodedSize(params))}
+	e.U32(uint32(len(hdr)))
+	e.Raw(hdr)
+	return codec.AppendEncode(e.B, params), nil
 }
 
 // UnmarshalModel reconstructs a model serialized by MarshalBinary,
@@ -100,21 +102,19 @@ func UnmarshalModel(b []byte) (*Model, error) {
 // given per-run IDGen scope, so loading a model inside one run cannot
 // perturb the ID sequences of concurrent runs.
 func UnmarshalModelScoped(b []byte, gen *IDGen) (*Model, error) {
-	if len(b) < 4 {
-		return nil, ErrCorruptModel
-	}
-	hlen := int(binary.BigEndian.Uint32(b))
-	if hlen <= 0 || 4+hlen > len(b) {
+	d := wire.NewDec(b, &persistErrs)
+	hdr := d.Take(d.Count(1))
+	if len(hdr) == 0 {
 		return nil, ErrCorruptModel
 	}
 	var h persistHeader
-	if err := json.Unmarshal(b[4:4+hlen], &h); err != nil {
+	if err := json.Unmarshal(hdr, &h); err != nil {
 		return nil, fmt.Errorf("model: bad header: %w", err)
 	}
 	if h.Version != 1 {
 		return nil, fmt.Errorf("model: unsupported version %d", h.Version)
 	}
-	weights, err := codec.Decode(b[4+hlen:])
+	weights, err := codec.Decode(d.Rest())
 	if err != nil {
 		return nil, fmt.Errorf("model: bad weights: %w", err)
 	}
@@ -194,7 +194,10 @@ func UnmarshalModelScoped(b []byte, gen *IDGen) (*Model, error) {
 			cell = c
 		case "attention":
 			ws := take(8)
-			if ws[0].Rank() != 2 || ws[4].Rank() != 2 {
+			// The fresh cell below is sized dim×dim and dim×ff from Wq's
+			// rows and W1's columns: hold both to what the blob carries.
+			if ws[0].Rank() != 2 || ws[4].Rank() != 2 ||
+				ws[0].Shape[1] != ws[0].Shape[0] || ws[4].Shape[0] != ws[0].Shape[0] {
 				return nil, ErrCorruptModel
 			}
 			tokens := h.Tokens

@@ -10,6 +10,7 @@ import (
 
 	"fedtrans/internal/codec"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
 func roundTrip(t *testing.T, spec Spec, features int) {
@@ -291,9 +292,69 @@ func TestPersistRejectsImpossibleConv(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalModel: the loader never panics, whatever the bytes, and
-// a blob it accepts describes a model that marshals again to a blob it
-// accepts and reproduces.
+// hostileCountBlob is a well-formed 64-byte model blob — a dense model
+// with no cells — whose FTW1 part claims 2³²−1 tensors under a valid
+// checksum. Sizing the tensor list from that count was a fatal
+// out-of-memory in every process that loads models.
+const hostileCountBlob = "\x00\x00\x00\x30" + `{"version":1,"input":[4],"classes":2,"cells":[]}` +
+	"FTW1\xff\xff\xff\xff\x0e\x3b\x50\x3d"
+
+func TestPersistRejectsHostileTensorCount(t *testing.T) {
+	if len(hostileCountBlob) != 64 {
+		t.Fatalf("test setup: blob is %d bytes", len(hostileCountBlob))
+	}
+	m, err := UnmarshalModelScoped([]byte(hostileCountBlob), NewIDGen())
+	if !errors.Is(err, codec.ErrTruncated) {
+		t.Errorf("loaded %v with error %v, want codec.ErrTruncated", m, err)
+	}
+}
+
+// TestPersistBoundsAttentionByItsWeights: the attention loader sizes a
+// fresh cell from Wq's rows and W1's columns, so a Wq that is not
+// square (or a W1 that does not start from the model dim) would make it
+// allocate the square of what the blob carries.
+func TestPersistBoundsAttentionByItsWeights(t *testing.T) {
+	hdr, err := json.Marshal(persistHeader{
+		Version: 1, Input: []int{2, 4}, Classes: 2,
+		Cells: []cellMeta{{Kind: "attention"}, {Kind: "meantokens"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		wq, w1 []int
+	}{
+		{"tall Wq", []int{64, 1}, []int{64, 4}},
+		{"W1 from another dim", []int{4, 4}, []int{1, 64}},
+	} {
+		ws := []*tensor.Tensor{tensor.New(tc.wq...), tensor.New(4, 4), tensor.New(4, 4), tensor.New(4, 4),
+			tensor.New(tc.w1...), tensor.New(4), tensor.New(4, 4), tensor.New(4), tensor.New(4, 2), tensor.New(2)}
+		blob := append(append([]byte{0, 0, 0, byte(len(hdr))}, hdr...), codec.Encode(ws)...)
+		if m, err := UnmarshalModelScoped(blob, NewIDGen()); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: loaded %v with error %v, want ErrCorruptModel", tc.name, m, err)
+		}
+	}
+}
+
+// resignWeights returns b with the checksum of its FTW1 part recomputed,
+// so a mutated blob reaches the weight parser and the cell loaders
+// instead of dying at codec.ErrChecksum.
+func resignWeights(b []byte) []byte {
+	if len(b) < 8 {
+		return b
+	}
+	at := 4 + int(uint32(b[0])<<24|uint32(b[1])<<16|uint32(b[2])<<8|uint32(b[3]))
+	if at < 4 || at > len(b)-4 {
+		return b
+	}
+	return wire.Seal(bytes.Clone(b[:len(b)-4]), at)
+}
+
+// FuzzUnmarshalModel: the loader never panics, whatever the bytes — as
+// given, or with the weights re-signed so that they pass the checksum —
+// and a blob it accepts describes a model that marshals again to a blob
+// it accepts and reproduces.
 func FuzzUnmarshalModel(f *testing.F) {
 	specs := append(cowSpecs(), Spec{Family: "attention", Input: []int{4, 8}, Hidden: []int{8}, Classes: 4, Heads: 4})
 	for _, spec := range specs {
@@ -306,21 +367,24 @@ func FuzzUnmarshalModel(f *testing.F) {
 	for _, tc := range tamperedConvBlobs {
 		f.Add(convBlob(f, tc.stride, tc.wShape, tc.biasLen))
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := UnmarshalModelScoped(b, NewIDGen())
-		if err != nil {
-			return
-		}
-		again, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatalf("a loaded model does not marshal: %v", err)
-		}
-		m2, err := UnmarshalModelScoped(again, NewIDGen())
-		if err != nil {
-			t.Fatalf("a re-marshalled model does not load: %v", err)
-		}
-		if third, err := m2.MarshalBinary(); err != nil || !bytes.Equal(again, third) {
-			t.Fatalf("marshal is not a fixed point after one load (err %v)", err)
+	f.Add([]byte(hostileCountBlob))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, b := range [][]byte{in, resignWeights(in)} {
+			m, err := UnmarshalModelScoped(b, NewIDGen())
+			if err != nil {
+				continue
+			}
+			again, err := m.MarshalBinary()
+			if err != nil {
+				t.Fatalf("a loaded model does not marshal: %v", err)
+			}
+			m2, err := UnmarshalModelScoped(again, NewIDGen())
+			if err != nil {
+				t.Fatalf("a re-marshalled model does not load: %v", err)
+			}
+			if third, err := m2.MarshalBinary(); err != nil || !bytes.Equal(again, third) {
+				t.Fatalf("marshal is not a fixed point after one load (err %v)", err)
+			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package netcoord
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
 // AgentConfig describes a client-agent pool.
@@ -158,24 +158,25 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 	defer c.Close()
 	fc := newFrameConnTimeout(c, normalizeTimeout(ioTimeout))
 
-	hello := make([]byte, 0, 6)
-	hello = append(hello, helloMagic...)
-	hello = binary.BigEndian.AppendUint16(hello, ProtoVersion)
-	if err := fc.write(ftHello, hello); err != nil {
+	if err := fc.sendHello(); err != nil {
 		return errReconnect
 	}
 	t, payload, err := fc.read()
 	if err != nil {
 		return errReconnect
 	}
-	if t != ftWelcome || len(payload) < 2 {
+	var wh welcomeHdr
+	d := wire.NewDec(payload, &ftncErrs)
+	wh.walk(wire.Decoding(&d))
+	js := d.Rest()
+	if t != ftWelcome || d.Err() != nil {
 		return fmt.Errorf("%w: expected WELCOME, got frame 0x%02x", ErrBadHandshake, t)
 	}
-	if v := binary.BigEndian.Uint16(payload); v != ProtoVersion {
-		return fmt.Errorf("%w: coordinator speaks FTNC/%d, this agent FTNC/%d", ErrBadHandshake, v, ProtoVersion)
+	if wh.version != ProtoVersion {
+		return fmt.Errorf("%w: coordinator speaks FTNC/%d, this agent FTNC/%d", ErrBadHandshake, wh.version, ProtoVersion)
 	}
 	var rc RunConfig
-	if err := json.Unmarshal(payload[2:], &rc); err != nil {
+	if err := json.Unmarshal(js, &rc); err != nil {
 		return fmt.Errorf("%w: WELCOME config: %v", ErrBadHandshake, err)
 	}
 	if ioTimeout == 0 && rc.IOTimeout != 0 {
@@ -217,42 +218,36 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 }
 
 func (st *connState) handleModel(payload []byte, gen *model.IDGen) error {
-	if len(payload) < 4 {
-		return fmt.Errorf("%w: short MODEL frame", ErrProtocol)
+	var mh modelHdr
+	d := wire.NewDec(payload, &ftncErrs)
+	mh.walk(wire.Decoding(&d))
+	if d.Err() != nil {
+		return fmt.Errorf("%w: short MODEL frame", d.Err())
 	}
-	id := binary.BigEndian.Uint32(payload)
-	m, err := model.UnmarshalModelScoped(payload[4:], gen)
+	m, err := model.UnmarshalModelScoped(d.Rest(), gen)
 	if err != nil {
 		return fmt.Errorf("netcoord: MODEL frame: %w", err)
 	}
-	st.trainers[id] = fl.NewClientTrainer(st.ds, m)
+	st.trainers[mh.model] = fl.NewClientTrainer(st.ds, m)
 	params := m.Params()
 	up := make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		up[i] = tensor.New(p.Shape...)
 	}
-	st.uploads[id] = up
+	st.uploads[mh.model] = up
 	return nil
 }
 
-// trainHdrLen is the fixed TRAIN prefix: model ID, client, seed, flags,
-// steps, batch, lr, proxMu.
-const trainHdrLen = 4 + 4 + 8 + 1 + 4 + 4 + 8 + 8
-
 func (st *connState) handleTrain(fc *frameConn, payload []byte, winj *chaos.WireInjector) error {
-	if len(payload) < trainHdrLen {
-		return fmt.Errorf("%w: short TRAIN frame", ErrProtocol)
+	var th trainHdr
+	d := wire.NewDec(payload, &ftncErrs)
+	th.walk(wire.Decoding(&d))
+	weights := d.Rest()
+	if d.Err() != nil {
+		return fmt.Errorf("%w: short TRAIN frame", d.Err())
 	}
-	id := binary.BigEndian.Uint32(payload)
-	client := int(binary.BigEndian.Uint32(payload[4:]))
-	seed := int64(binary.BigEndian.Uint64(payload[8:]))
-	flags := payload[16]
-	lcfg := fl.LocalConfig{
-		Steps:     int(binary.BigEndian.Uint32(payload[17:])),
-		BatchSize: int(binary.BigEndian.Uint32(payload[21:])),
-		LR:        math.Float64frombits(binary.BigEndian.Uint64(payload[25:])),
-		ProxMu:    math.Float64frombits(binary.BigEndian.Uint64(payload[33:])),
-	}
+	id, client, seed, flags := th.model, int(th.client), int64(th.seed), th.flags
+	lcfg := fl.LocalConfig{Steps: int(th.steps), BatchSize: int(th.batch), LR: th.lr, ProxMu: th.proxMu}
 	// The fields come off the wire: a client outside the population or an
 	// empty batch would index out of range inside training, on a worker
 	// goroutine, and take the whole agent process down.
@@ -273,28 +268,23 @@ func (st *connState) handleTrain(fc *frameConn, payload []byte, winj *chaos.Wire
 	if bad != "" {
 		return st.respondErr(fc, winj, seed, bad)
 	}
-	if err := codec.DecodeInto(tr.Model().Params(), payload[trainHdrLen:]); err != nil {
+	if err := codec.DecodeInto(tr.Model().Params(), weights); err != nil {
 		return st.respondErr(fc, winj, seed, fmt.Sprintf("weights: %v", err))
 	}
 	loss, samples := tr.Train(client, lcfg, seed, st.uploads[id])
 
-	b := st.resp[:0]
-	b = append(b, 0) // status ok
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(loss))
-	b = binary.BigEndian.AppendUint32(b, uint32(samples))
-	b = append(b, 0) // kind: dense FTW1
-	b = codec.AppendEncode(b, st.uploads[id])
-	st.resp = b
-	return st.send(fc, winj, seed, b)
+	res := trainResHdr{loss: loss, samples: uint32(samples)}
+	e := wire.Enc{B: st.resp[:0]}
+	res.walk(wire.Encoding(&e))
+	st.resp = codec.AppendEncode(e.B, st.uploads[id])
+	return st.send(fc, winj, seed, st.resp)
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func (st *connState) respondErr(fc *frameConn, winj *chaos.WireInjector, seed int64, msg string) error {
-	b := append(st.resp[:0], 1)
-	b = append(b, msg...)
-	st.resp = b
-	return st.send(fc, winj, seed, b)
+	st.resp = errPayload(st.resp[:0], msg)
+	return st.send(fc, winj, seed, st.resp)
 }
 
 // send writes the TRAINRES frame, applying any wire fault drawn for

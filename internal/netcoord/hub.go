@@ -1,12 +1,10 @@
 package netcoord
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -15,6 +13,7 @@ import (
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
 // Hub is the coordinator's side of the wire: it accepts agent
@@ -68,12 +67,12 @@ func NewHub(addr string, cfg RunConfig) (*Hub, error) {
 		ln.Close()
 		return nil, fmt.Errorf("netcoord: marshal run config: %w", err)
 	}
-	welcome := make([]byte, 0, 2+len(js))
-	welcome = binary.BigEndian.AppendUint16(welcome, ProtoVersion)
-	welcome = append(welcome, js...)
+	wh := welcomeHdr{version: ProtoVersion}
+	var welcome wire.Enc
+	wh.walk(wire.Encoding(&welcome))
 	h := &Hub{
 		ln:      ln,
-		welcome: welcome,
+		welcome: append(welcome.B, js...),
 		timeout: normalizeTimeout(cfg.IOTimeout),
 		idle:    make(chan *agentConn, 1024),
 		conns:   make(map[*agentConn]struct{}),
@@ -145,10 +144,7 @@ func (h *Hub) acceptLoop() {
 // admit runs the handshake and parks the connection in the idle pool.
 func (h *Hub) admit(c net.Conn) {
 	ac := &agentConn{fc: newFrameConnTimeout(c, h.timeout), sent: make(map[int]bool)}
-	t, payload, err := ac.fc.read()
-	if err != nil || t != ftHello || len(payload) != 6 ||
-		string(payload[:4]) != helloMagic ||
-		binary.BigEndian.Uint16(payload[4:]) != ProtoVersion {
+	if err := ac.fc.readHello(); err != nil {
 		h.recordErr(fmt.Errorf("%w from %s", ErrBadHandshake, c.RemoteAddr()))
 		c.Close()
 		return
@@ -217,31 +213,30 @@ func (h *Hub) trainOn(ac *agentConn, m *model.Model, spec fl.TrainSpec, cfg fl.L
 		if err != nil {
 			return 0, 0, fmt.Errorf("marshal model %d: %w", m.ID, err)
 		}
-		p := ac.reqBuf[:0]
-		p = binary.BigEndian.AppendUint32(p, uint32(m.ID))
-		p = append(p, blob...)
-		ac.reqBuf = p
-		if err := ac.fc.write(ftModel, p); err != nil {
+		mh := modelHdr{model: uint32(m.ID)}
+		e := wire.Enc{B: ac.reqBuf[:0]}
+		mh.walk(wire.Encoding(&e))
+		ac.reqBuf = append(e.B, blob...)
+		if err := ac.fc.write(ftModel, ac.reqBuf); err != nil {
 			return 0, 0, asWireErr(err)
 		}
 		ac.sent[m.ID] = true
 	}
 
-	p := ac.reqBuf[:0]
-	p = binary.BigEndian.AppendUint32(p, uint32(m.ID))
-	p = binary.BigEndian.AppendUint32(p, uint32(spec.Client))
-	p = binary.BigEndian.AppendUint64(p, uint64(spec.Seed))
-	p = append(p, 0) // flags: reserved
-	p = binary.BigEndian.AppendUint32(p, uint32(cfg.Steps))
-	p = binary.BigEndian.AppendUint32(p, uint32(cfg.BatchSize))
-	p = binary.BigEndian.AppendUint64(p, math.Float64bits(cfg.LR))
-	p = binary.BigEndian.AppendUint64(p, math.Float64bits(cfg.ProxMu))
-	p = codec.AppendEncode(p, m.Params())
-	ac.reqBuf = p
-	if err := ac.fc.write(ftTrain, p); err != nil {
+	th := trainHdr{
+		model: uint32(m.ID), client: uint32(spec.Client), seed: uint64(spec.Seed),
+		steps: uint32(cfg.Steps), batch: uint32(cfg.BatchSize), lr: cfg.LR, proxMu: cfg.ProxMu,
+	}
+	e := wire.Enc{B: ac.reqBuf[:0]}
+	th.walk(wire.Encoding(&e))
+	ac.reqBuf = codec.AppendEncode(e.B, m.Params())
+	if err := ac.fc.write(ftTrain, ac.reqBuf); err != nil {
 		return 0, 0, asWireErr(err)
 	}
 
+	// The reply owed is a TRAINRES carrying this upload and nothing
+	// longer; an error message fits in the floor.
+	ac.fc.limit = uint32(min(max(5+trainResHdrLen+codec.EncodedSize(upload), 4<<10), maxFrame))
 	t, payload, err := ac.fc.read()
 	if err != nil {
 		return 0, 0, asWireErr(err)
@@ -249,24 +244,22 @@ func (h *Hub) trainOn(ac *agentConn, m *model.Model, spec fl.TrainSpec, cfg fl.L
 	if t != ftTrainRes {
 		return 0, 0, fmt.Errorf("%w: frame 0x%02x where TRAINRES was due", ErrProtocol, t)
 	}
-	if len(payload) < 1 {
-		return 0, 0, fmt.Errorf("%w: empty TRAINRES", ErrProtocol)
+	var res trainResHdr
+	d := wire.NewDec(payload, &ftncErrs)
+	res.walk(wire.Decoding(&d))
+	weights := d.Rest()
+	switch {
+	case d.Err() != nil:
+		return 0, 0, fmt.Errorf("%w: short TRAINRES (%d bytes)", d.Err(), len(payload))
+	case res.status != 0:
+		return 0, 0, fmt.Errorf("%w: agent error: %s", ErrProtocol, weights)
+	case res.kind != 0:
+		return 0, 0, fmt.Errorf("%w: TRAINRES kind %d, want 0 (dense FTW1)", ErrProtocol, res.kind)
 	}
-	if payload[0] != 0 {
-		return 0, 0, fmt.Errorf("%w: agent error: %s", ErrProtocol, payload[1:])
-	}
-	if len(payload) < 14 {
-		return 0, 0, fmt.Errorf("%w: short TRAINRES (%d bytes)", ErrProtocol, len(payload))
-	}
-	loss := math.Float64frombits(binary.BigEndian.Uint64(payload[1:9]))
-	samples := int(binary.BigEndian.Uint32(payload[9:13]))
-	if kind := payload[13]; kind != 0 {
-		return 0, 0, fmt.Errorf("%w: TRAINRES kind %d, want 0 (dense FTW1)", ErrProtocol, kind)
-	}
-	if err := codec.DecodeInto(upload, payload[14:]); err != nil {
+	if err := codec.DecodeInto(upload, weights); err != nil {
 		return 0, 0, err
 	}
-	return loss, samples, nil
+	return res.loss, int(res.samples), nil
 }
 
 // asWireErr normalizes connection failures: typed frame errors pass

@@ -3,8 +3,18 @@ package netcoord
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"fedtrans/internal/codec"
+	"fedtrans/internal/data"
+	"fedtrans/internal/fl"
+	"fedtrans/internal/model"
 )
 
 // TestWireErrorsBounded: a flapping agent must not grow the hub's fault
@@ -34,5 +44,90 @@ func TestWireErrorsBounded(t *testing.T) {
 	}
 	if got := h.WireErrorCount(); got != faults {
 		t.Errorf("counted %d faults, want %d", got, faults)
+	}
+}
+
+// TestHubOversizedFrameBeforeHelloAllocatesNothing is the hub's twin of
+// TestOversizedFrameBeforeHelloAllocatesNothing: a stranger that opens
+// with a 256 MiB length header is refused from the 4 header bytes alone
+// — one bad handshake on the books, the connection dropped, and nothing
+// beyond the connection's 64 KiB read buffer allocated.
+func TestHubOversizedFrameBeforeHelloAllocatesNothing(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", RunConfig{Data: loopDataCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	peer, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peer.Write([]byte{0x10, 0, 0, 0}) // maxFrame: what the hub read up to before it knew its peer
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("peer read after the oversized header: %v, want EOF (connection dropped)", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10 {
+		t.Errorf("a 256 MiB frame header before HELLO allocated %d bytes, want the 64 KiB buffer + bookkeeping", grew)
+	}
+	if errs := hub.WireErrors(); len(errs) != 1 || !errors.Is(errs[0], ErrBadHandshake) {
+		t.Errorf("hub recorded %v, want one ErrBadHandshake", errs)
+	}
+}
+
+// TestHubBoundsTrainRes: once a TRAIN is out, the hub is owed a
+// TRAINRES no longer than the upload it asked for (or 4 KiB, room for an
+// error message). An agent announcing one byte more costs the hub one
+// ErrFrameSize, refused on the header, and its connection; the retried
+// attempt is served by another agent.
+func TestHubBoundsTrainRes(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", RunConfig{Data: loopDataCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	ds := data.Generate(loopDataCfg())
+	m := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes).Build(rand.New(rand.NewSource(1)))
+	upload := uploadLike(m)
+
+	fake := handshakeAsAgent(t, hub.Addr())
+	defer fake.close()
+	fakeDone := make(chan struct{})
+	go func() {
+		defer close(fakeDone)
+		for {
+			ft, _, err := fake.readIdle()
+			if err != nil {
+				return // dropped by the hub
+			}
+			if ft == ftTrain {
+				owed := max(5+trainResHdrLen+codec.EncodedSize(upload), 4<<10)
+				fake.write(ftTrainRes, make([]byte, owed-5+1))
+			}
+		}
+	}()
+
+	spec, local := fl.TrainSpec{Round: 1, Client: 0, Seed: 7}, fl.LocalConfig{Steps: 1, BatchSize: 2, LR: 0.05}
+	if _, _, err := hub.Train(m, spec, local, upload); !errors.Is(err, ErrFrameSize) {
+		t.Fatalf("over-long TRAINRES surfaced %v, want ErrFrameSize", err)
+	}
+	if n := hub.WireErrorCount(); n != 1 {
+		t.Errorf("hub counted %d wire faults, want 1", n)
+	}
+	<-fakeDone
+
+	agents := make(chan error, 1)
+	go func() { agents <- RunAgents(AgentConfig{Addr: hub.Addr()}) }()
+	spec.Attempt = 1
+	if _, samples, err := hub.Train(m, spec, local, upload); err != nil || samples == 0 {
+		t.Fatalf("retry through a real agent: samples %d, err %v", samples, err)
+	}
+	hub.Close()
+	if err := <-agents; err != nil {
+		t.Errorf("agents exited with: %v", err)
 	}
 }

@@ -1,13 +1,14 @@
 package netcoord
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
+	"slices"
 	"time"
+
+	"fedtrans/internal/wire"
 )
 
 // PredictFunc answers one batch of flat feature rows with one class per
@@ -27,10 +28,6 @@ type RowsFunc func(feats []byte, classes []int) error
 // per-connection read buffer at 4·dim KiB.
 const maxPredictRows = 1024
 
-// helloFrame is the length of a HELLO frame (type, CRC, magic,
-// version): the most a peer may announce before it has said who it is.
-const helloFrame = 5 + len(helloMagic) + 2
-
 // ServeInference accepts connections on ln and answers PREDICT frames
 // through predict until the listener closes. dim is the model's flat
 // feature dimension, advertised in the WELCOME frame so clients can
@@ -47,10 +44,13 @@ func ServeInferenceTimeout(ln net.Listener, dim int, predict PredictFunc, timeou
 	return ServeInferenceRows(ln, dim, func() RowsFunc {
 		var rows [][]float64
 		var vals []float64
+		var f32 []float32
 		return func(feats []byte, classes []int) error {
+			f32 = slices.Grow(f32[:0], len(feats)/4)[:len(feats)/4]
+			wire.F32s(f32, feats)
 			vals, rows = vals[:0], rows[:0]
-			for i := 0; i < len(feats); i += 4 {
-				vals = append(vals, float64(math.Float32frombits(binary.BigEndian.Uint32(feats[i:]))))
+			for _, v := range f32 {
+				vals = append(vals, float64(v))
 			}
 			for i := range classes {
 				rows = append(rows, vals[i*dim:(i+1)*dim])
@@ -89,62 +89,52 @@ func ServeInferenceRows(ln net.Listener, dim int, newConn func() RowsFunc, timeo
 func serveInferConn(c net.Conn, dim int, predict RowsFunc, timeout time.Duration) {
 	defer c.Close()
 	fc := newFrameConnTimeout(c, timeout)
-	fc.limit = uint32(helloFrame)
-	t, payload, err := fc.read()
-	if err != nil || t != ftHello || len(payload) != 6 ||
-		string(payload[:4]) != helloMagic ||
-		binary.BigEndian.Uint16(payload[4:]) != ProtoVersion {
+	if fc.readHello() != nil {
 		return
 	}
-	welcome := make([]byte, 0, 6)
-	welcome = binary.BigEndian.AppendUint16(welcome, ProtoVersion)
-	welcome = binary.BigEndian.AppendUint32(welcome, uint32(dim))
-	if fc.write(ftWelcome, welcome) != nil {
+	wh := welcomeHdr{version: ProtoVersion, dim: uint32(dim)}
+	var e wire.Enc // the response buffer, reused across frames
+	wh.walkInfer(wire.Encoding(&e))
+	if fc.write(ftWelcome, e.B) != nil {
 		return
 	}
 	// A longer frame than maxPredictRows rows drops the connection: its
 	// body is never read, so there is nothing to resynchronise on.
 	fc.limit = uint32(min(13+maxPredictRows*int64(dim)*4, maxFrame))
-	var classes []int
-	var resp []byte
+	var res predictRes
 	for {
 		// Idle read: a quiet client keeps its connection; one that
 		// starts a frame must finish it within the deadline.
 		t, payload, err := fc.readIdle()
-		if err != nil {
+		if err != nil || t != ftPredict {
 			return
 		}
-		if t != ftPredict || len(payload) < 8 {
+		var ph predictHdr
+		dec := wire.NewDec(payload, &ftncErrs)
+		ph.walk(wire.Decoding(&dec))
+		feats := dec.Rest()
+		if dec.Err() != nil {
 			return
 		}
-		n := int(binary.BigEndian.Uint32(payload))
-		d := int(binary.BigEndian.Uint32(payload[4:]))
-		if d != dim || len(payload) != 8+n*d*4 {
-			resp = appendInferErr(resp[:0], fmt.Sprintf("bad PREDICT geometry: %d×%d over %d payload bytes (model dim %d)", n, d, len(payload)-8, dim))
+		// The frame limit bounds the rows only while a row has bytes: hold
+		// a dim-0 model's frames to maxPredictRows too, before sizing the
+		// class list from the header.
+		n, d := int(ph.rows), int(ph.dim)
+		if d != dim || n > maxPredictRows || len(feats) != n*d*4 {
+			e.B = errPayload(e.B[:0], fmt.Sprintf("bad PREDICT geometry: %d×%d over %d payload bytes (model dim %d)", n, d, len(feats), dim))
 		} else {
-			if cap(classes) < n {
-				classes = make([]int, n)
-			}
-			classes = classes[:n]
-			if err := predict(payload[8:], classes); err != nil {
-				resp = appendInferErr(resp[:0], err.Error())
+			res.classes = slices.Grow(res.classes[:0], n)[:n]
+			if err := predict(feats, res.classes); err != nil {
+				e.B = errPayload(e.B[:0], err.Error())
 			} else {
-				resp = append(resp[:0], 0)
-				resp = binary.BigEndian.AppendUint32(resp, uint32(n))
-				for _, cl := range classes {
-					resp = binary.BigEndian.AppendUint32(resp, uint32(cl))
-				}
+				e.B = e.B[:0]
+				res.walk(wire.Encoding(&e))
 			}
 		}
-		if fc.write(ftPredictRes, resp) != nil {
+		if fc.write(ftPredictRes, e.B) != nil {
 			return
 		}
 	}
-}
-
-func appendInferErr(b []byte, msg string) []byte {
-	b = append(b, 1)
-	return append(b, msg...)
 }
 
 // InferClient is a remote-inference connection: lock-stepped PREDICT /
@@ -154,6 +144,7 @@ type InferClient struct {
 	fc  *frameConn
 	dim int
 	req []byte
+	f32 []float32 // one row narrowed to the wire's element type
 }
 
 // DialInference connects to a ServeInference endpoint and completes the
@@ -174,10 +165,7 @@ func DialInferenceTimeout(addr string, timeout time.Duration) (*InferClient, err
 		return nil, fmt.Errorf("netcoord: dial inference %s: %w", addr, err)
 	}
 	fc := newFrameConnTimeout(c, normalizeTimeout(timeout))
-	hello := make([]byte, 0, 6)
-	hello = append(hello, helloMagic...)
-	hello = binary.BigEndian.AppendUint16(hello, ProtoVersion)
-	if err := fc.write(ftHello, hello); err != nil {
+	if err := fc.sendHello(); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("netcoord: inference handshake: %w", err)
 	}
@@ -186,15 +174,17 @@ func DialInferenceTimeout(addr string, timeout time.Duration) (*InferClient, err
 		c.Close()
 		return nil, fmt.Errorf("netcoord: inference handshake: %w", err)
 	}
-	if t != ftWelcome || len(payload) != 6 {
+	var wh welcomeHdr
+	d := wire.NewDec(payload, &ftncErrs)
+	if wh.walkInfer(wire.Decoding(&d)); t != ftWelcome || d.Done() != nil {
 		c.Close()
 		return nil, fmt.Errorf("%w: expected inference WELCOME", ErrBadHandshake)
 	}
-	if v := binary.BigEndian.Uint16(payload); v != ProtoVersion {
+	if wh.version != ProtoVersion {
 		c.Close()
-		return nil, fmt.Errorf("%w: server speaks FTNC/%d, client FTNC/%d", ErrBadHandshake, v, ProtoVersion)
+		return nil, fmt.Errorf("%w: server speaks FTNC/%d, client FTNC/%d", ErrBadHandshake, wh.version, ProtoVersion)
 	}
-	return &InferClient{fc: fc, dim: int(binary.BigEndian.Uint32(payload[2:]))}, nil
+	return &InferClient{fc: fc, dim: int(wh.dim)}, nil
 }
 
 // Dim is the feature dimension the server's model expects.
@@ -229,16 +219,18 @@ func (c *InferClient) predict(rows [][]float64) ([]int, error) {
 			return nil, fmt.Errorf("netcoord: row %d feature dim %d, server expects %d", i, len(r), c.dim)
 		}
 	}
-	b := c.req[:0]
-	b = binary.BigEndian.AppendUint32(b, uint32(len(rows)))
-	b = binary.BigEndian.AppendUint32(b, uint32(c.dim))
+	ph := predictHdr{rows: uint32(len(rows)), dim: uint32(c.dim)}
+	e := wire.Enc{B: c.req[:0]}
+	ph.walk(wire.Encoding(&e))
 	for _, r := range rows {
+		c.f32 = c.f32[:0]
 		for _, v := range r {
-			b = binary.BigEndian.AppendUint32(b, math.Float32bits(float32(v)))
+			c.f32 = append(c.f32, float32(v))
 		}
+		e.B = wire.AppendF32s(e.B, c.f32)
 	}
-	c.req = b
-	if err := c.fc.write(ftPredict, b); err != nil {
+	c.req = e.B
+	if err := c.fc.write(ftPredict, c.req); err != nil {
 		return nil, fmt.Errorf("netcoord: predict: %w", err)
 	}
 	t, payload, err := c.fc.read()
@@ -248,22 +240,17 @@ func (c *InferClient) predict(rows [][]float64) ([]int, error) {
 		}
 		return nil, err
 	}
-	if t != ftPredictRes || len(payload) < 1 {
+	var res predictRes
+	d := wire.NewDec(payload, &ftncErrs)
+	res.walk(wire.Decoding(&d))
+	msg := d.Rest()
+	switch {
+	case t != ftPredictRes || d.Err() != nil:
 		return nil, fmt.Errorf("%w: expected PREDICTRES", ErrProtocol)
+	case res.status != 0:
+		return nil, fmt.Errorf("netcoord: inference server: %s", msg)
+	case len(res.classes) != len(rows) || len(msg) != 0:
+		return nil, fmt.Errorf("%w: PREDICTRES carries %d classes for %d rows", ErrProtocol, len(res.classes), len(rows))
 	}
-	if payload[0] != 0 {
-		return nil, fmt.Errorf("netcoord: inference server: %s", payload[1:])
-	}
-	if len(payload) < 5 {
-		return nil, fmt.Errorf("%w: short PREDICTRES", ErrProtocol)
-	}
-	n := int(binary.BigEndian.Uint32(payload[1:]))
-	if n != len(rows) || len(payload) != 5+4*n {
-		return nil, fmt.Errorf("%w: PREDICTRES carries %d classes for %d rows", ErrProtocol, n, len(rows))
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(binary.BigEndian.Uint32(payload[5+4*i:]))
-	}
-	return out, nil
+	return res.classes, nil
 }

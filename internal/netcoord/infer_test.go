@@ -133,3 +133,29 @@ func TestPredictFuncClassCountChecked(t *testing.T) {
 		t.Fatalf("miscounting PredictFunc: err %v", err)
 	}
 }
+
+// TestPredictRowsBoundedAtDimZero: a model with a zero-width input gives
+// every row zero bytes, so the frame limit alone would let a 13-byte
+// PREDICT claim 2³²−1 rows and size the class list from that. The row
+// bound holds regardless: the frame is answered with an error.
+func TestPredictRowsBoundedAtDimZero(t *testing.T) {
+	server, peer := net.Pipe()
+	defer peer.Close()
+	go serveInferConn(server, 0, func([]byte, []int) error {
+		t.Error("predict reached with an impossible row count")
+		return nil
+	}, 5*time.Second)
+	fc := newFrameConnTimeout(peer, 5*time.Second)
+	if err := fc.sendHello(); err != nil {
+		t.Fatal(err)
+	}
+	if ft, _, err := fc.read(); err != nil || ft != ftWelcome {
+		t.Fatalf("WELCOME: frame 0x%02x, err %v", ft, err)
+	}
+	if err := fc.write(ftPredict, []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if ft, p, err := fc.read(); err != nil || ft != ftPredictRes || len(p) < 2 || p[0] != 1 {
+		t.Fatalf("PREDICTRES: frame 0x%02x % x, err %v; want status 1 and a message", ft, p, err)
+	}
+}

@@ -12,8 +12,9 @@
 //
 // # Connection protocol (FTNC/1)
 //
-// Every connection carries a stream of length-prefixed frames
-// (big-endian, like the FTW1/FTCP formats in internal/codec):
+// Every connection carries a stream of length-prefixed frames (byte
+// order, checksum and the decoders' error contract are internal/wire's,
+// shared with the FTW1 and FTCP formats):
 //
 //	length  uint32  bytes that follow (type + crc + payload)
 //	type    uint8   frame type (below)
@@ -32,7 +33,10 @@
 // side noticed — the version is a hard gate, not a negotiation, because
 // both ends must agree bit-for-bit about every payload layout.
 //
-// Frame types:
+// Frame types (each fixed-width prefix below is one struct and one walk
+// in headers.go, run by both ends; before the HELLO a peer may announce
+// no frame longer than a HELLO, and the coordinator then reads no
+// TRAINRES longer than the upload it asked for):
 //
 //	0x01 HELLO       agent → coord   "FTNC", uint16 version
 //	0x02 WELCOME     coord → agent   uint16 version, RunConfig JSON
@@ -61,10 +65,8 @@ package netcoord
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -73,6 +75,7 @@ import (
 	"fedtrans/internal/chaos"
 	"fedtrans/internal/data"
 	"fedtrans/internal/fl"
+	"fedtrans/internal/wire"
 )
 
 // ProtoVersion is the FTNC connection-protocol version. Both ends must
@@ -200,11 +203,12 @@ func (fc *frameConn) write(t byte, payload []byte) error {
 	if cap(fc.wbuf) < 4+n {
 		fc.wbuf = make([]byte, 0, 4+n)
 	}
-	b := fc.wbuf[:0]
-	b = binary.BigEndian.AppendUint32(b, uint32(n))
-	b = append(b, t)
-	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	b = append(b, payload...)
+	e := wire.Enc{B: fc.wbuf[:0]}
+	e.U32(uint32(n))
+	e.U8(t)
+	e.U32(wire.Checksum(payload))
+	e.Raw(payload)
+	b := e.B
 	fc.wbuf = b
 	switch fc.mangle {
 	case chaos.WireTruncate:
@@ -271,7 +275,8 @@ func (fc *frameConn) readFrame(bounded bool) (byte, []byte, error) {
 		}
 		return 0, nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	d := wire.NewDec(hdr[:], &ftncErrs)
+	n := d.U32()
 	if n < 5 || n > fc.limit {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrFrameSize, n)
 	}
@@ -288,8 +293,9 @@ func (fc *frameConn) readFrame(bounded bool) (byte, []byte, error) {
 		}
 		return 0, nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
-	t, crc, payload := buf[0], binary.BigEndian.Uint32(buf[1:5]), buf[5:]
-	if crc32.ChecksumIEEE(payload) != crc {
+	d = wire.NewDec(buf, &ftncErrs)
+	t, crc, payload := d.U8(), d.U32(), d.Rest()
+	if wire.Checksum(payload) != crc {
 		return 0, nil, fmt.Errorf("%w: frame type 0x%02x, %d bytes", ErrFrameCRC, t, len(payload))
 	}
 	return t, payload, nil

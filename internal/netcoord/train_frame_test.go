@@ -154,6 +154,35 @@ func TestTrainFrames(t *testing.T) {
 	}
 }
 
+// TestAgentSurvivesHostileModelFrame: a MODEL frame carrying the 64-byte
+// blob whose weight part claims 2³²−1 tensors ends the connection with
+// an error. It used to end the agent process with a fatal out-of-memory.
+func TestAgentSurvivesHostileModelFrame(t *testing.T) {
+	ds := data.Generate(loopDataCfg())
+	coord, agent := net.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		served <- serveConn(agent, 5*time.Second, func(RunConfig) *data.Dataset { return ds }, chaos.NewWire(chaos.WireConfig{}))
+	}()
+	fc := newFrameConnTimeout(coord, 5*time.Second)
+	if ft, _, err := fc.read(); err != nil || ft != ftHello {
+		t.Fatalf("HELLO: frame 0x%02x, err %v", ft, err)
+	}
+	rc, _ := json.Marshal(RunConfig{Data: loopDataCfg()})
+	if err := fc.write(ftWelcome, append([]byte{0, ProtoVersion}, rc...)); err != nil {
+		t.Fatal(err)
+	}
+	blob := "\x00\x00\x00\x30" + `{"version":1,"input":[4],"classes":2,"cells":[]}` +
+		"FTW1\xff\xff\xff\xff\x0e\x3b\x50\x3d"
+	if err := fc.write(ftModel, append([]byte{0, 0, 0, 7}, blob...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; !errors.Is(err, codec.ErrTruncated) {
+		t.Errorf("agent connection ended with %v, want codec.ErrTruncated", err)
+	}
+	coord.Close()
+}
+
 // TestHubRejectsUnknownKind: an agent answering with TRAINRES kind 1
 // (the removed 8-bit payload) costs the hub one ErrProtocol and its
 // connection; the retried attempt is served by another agent.

@@ -18,7 +18,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"fedtrans/internal/tensor"
@@ -133,33 +132,6 @@ func ZeroGrads(c Cell) {
 	for _, g := range c.Grads() {
 		g.Zero()
 	}
-}
-
-// GradNorm returns the L2 norm over all gradient tensors of a cell.
-func GradNorm(c Cell) float64 {
-	s := 0.0
-	for _, g := range c.Grads() {
-		n := g.Norm()
-		s += n * n
-	}
-	return sqrt(s)
-}
-
-// WeightNorm returns the L2 norm over all parameter tensors of a cell.
-func WeightNorm(c Cell) float64 {
-	s := 0.0
-	for _, p := range c.Params() {
-		n := p.Norm()
-		s += n * n
-	}
-	return sqrt(s)
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }
 
 // WidenMapping builds a Net2Wider duplication mapping from oldN units to

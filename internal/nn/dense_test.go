@@ -256,25 +256,3 @@ func TestWidenMappingPanicsOnShrink(t *testing.T) {
 	}()
 	WidenMapping(5, 3, rand.New(rand.NewSource(1)))
 }
-
-func TestGradAndWeightNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := NewDenseCell(2, 2, false, rng)
-	if GradNorm(c) != 0 {
-		t.Error("fresh cell should have zero grad norm")
-	}
-	if WeightNorm(c) <= 0 {
-		t.Error("weight norm should be positive")
-	}
-	x := tensor.New(1, 2)
-	x.RandNormal(rng, 1)
-	out := c.Forward(x)
-	c.Backward(lossGrad(out))
-	if GradNorm(c) <= 0 {
-		t.Error("grad norm should be positive after backward")
-	}
-	ZeroGrads(c)
-	if GradNorm(c) != 0 {
-		t.Error("ZeroGrads failed")
-	}
-}

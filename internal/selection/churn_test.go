@@ -1,6 +1,8 @@
 package selection
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -245,5 +247,33 @@ func TestChurnRejoinLiftsOffFloor(t *testing.T) {
 	c.Step(rng)
 	if c.NumOnline() != 6 {
 		t.Fatalf("full rejoin brought %d online, want 6", c.NumOnline())
+	}
+}
+
+// TestOortStateGoldenBytes pins the selector-state blob absolutely: a
+// u32 count, then per client in ascending order u32 client | f64
+// utility | f64 duration. The feedback values (and the one EMA step,
+// 0.5·1.5 + 0.5·2.5) are exact in binary, so the bytes hold on every
+// architecture; the committed bytes restore and snapshot to themselves.
+func TestOortStateGoldenBytes(t *testing.T) {
+	const golden = "00000003" +
+		"00000002" + "4000000000000000" + "4010000000000000" + // 2: 1.5↔2.5 → 2, 3↔5 → 4
+		"00000007" + "3fe0000000000000" + "4021000000000000" + // 7: 0.5, 8.5
+		"00010000" + "c004000000000000" + "3fd0000000000000" //  65536: -2.5, 0.25
+	o := NewOort()
+	o.Feedback(65536, -2.5, 0.25)
+	o.Feedback(2, 1.5, 3)
+	o.Feedback(7, 0.5, 8.5)
+	o.Feedback(2, 2.5, 5)
+	if got := hex.EncodeToString(o.StateSnapshot()); got != golden {
+		t.Fatalf("Oort state encoding moved:\n got %s\nwant %s", got, golden)
+	}
+	want, _ := hex.DecodeString(golden)
+	back := NewOort()
+	if err := back.StateRestore(want); err != nil {
+		t.Fatalf("golden state does not restore: %v", err)
+	}
+	if got := back.StateSnapshot(); !bytes.Equal(got, want) {
+		t.Fatalf("restore → snapshot of the golden state is not the identity: %x", got)
 	}
 }

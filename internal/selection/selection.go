@@ -6,12 +6,14 @@
 package selection
 
 import (
-	"encoding/binary"
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
+	"fedtrans/internal/wire"
 	"fedtrans/internal/xrand"
 )
 
@@ -205,41 +207,52 @@ func (o *Oort) SelectFrom(round int, candidates []int, n int, rng *rand.Rand) []
 	return out
 }
 
+// oortEntry is one client's row of the selector-state blob.
+type oortEntry struct {
+	client         uint32
+	util, duration float64
+}
+
+var oortErrs = wire.Errs{
+	Truncated: errors.New("selection: truncated Oort state"),
+	Corrupt:   errors.New("selection: corrupt Oort state"),
+}
+
+// oortState is the blob's layout: a u32 count, then per client u32
+// client | f64 utility | f64 duration (conventions: internal/wire).
+func oortState(c wire.Coder, es *[]oortEntry) {
+	wire.Slice(c, es, 20, func(e *oortEntry) {
+		c.U32(&e.client)
+		c.F64(&e.util)
+		c.F64(&e.duration)
+	})
+}
+
 // StateSnapshot implements Stateful: the EMA utility/duration tables in
 // ascending client order (deterministic bytes for identical state).
 func (o *Oort) StateSnapshot() []byte {
-	clients := make([]int, 0, len(o.util))
-	for c := range o.util {
-		clients = append(clients, c)
+	es := make([]oortEntry, 0, len(o.util))
+	for c, u := range o.util {
+		es = append(es, oortEntry{uint32(c), u, o.duration[c]})
 	}
-	sort.Ints(clients)
-	b := make([]byte, 0, 4+20*len(clients))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(clients)))
-	for _, c := range clients {
-		b = binary.BigEndian.AppendUint32(b, uint32(c))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(o.util[c]))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(o.duration[c]))
-	}
-	return b
+	slices.SortFunc(es, func(a, b oortEntry) int { return cmp.Compare(a.client, b.client) })
+	e := wire.Enc{B: make([]byte, 0, 4+20*len(es))}
+	oortState(wire.Encoding(&e), &es)
+	return e.B
 }
 
 // StateRestore implements Stateful.
 func (o *Oort) StateRestore(b []byte) error {
-	if len(b) < 4 {
-		return errors.New("selection: truncated Oort state")
+	var es []oortEntry
+	d := wire.NewDec(b, &oortErrs)
+	oortState(wire.Decoding(&d), &es)
+	if err := d.Done(); err != nil {
+		return err
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != 20*n {
-		return errors.New("selection: corrupt Oort state")
-	}
-	o.util = make(map[int]float64, n)
-	o.duration = make(map[int]float64, n)
-	for i := 0; i < n; i++ {
-		c := int(binary.BigEndian.Uint32(b))
-		o.util[c] = math.Float64frombits(binary.BigEndian.Uint64(b[4:]))
-		o.duration[c] = math.Float64frombits(binary.BigEndian.Uint64(b[12:]))
-		b = b[20:]
+	o.util = make(map[int]float64, len(es))
+	o.duration = make(map[int]float64, len(es))
+	for _, e := range es {
+		o.util[int(e.client)], o.duration[int(e.client)] = e.util, e.duration
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package fedtrans
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -12,6 +10,7 @@ import (
 
 	"fedtrans/internal/netcoord"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/wire"
 )
 
 // ErrInferenceClosed reports a prediction submitted to a closed
@@ -214,9 +213,7 @@ func (s *InferenceServer) pass(lane *inferSession, r *inferReq) {
 func (r *inferReq) fill(dst []tensor.Float) int {
 	if r.wire != nil {
 		n := len(r.wire) / 4
-		for j := range dst[:n] {
-			dst[j] = math.Float32frombits(binary.BigEndian.Uint32(r.wire[4*j:]))
-		}
+		wire.F32s(dst[:n], r.wire)
 		return n
 	}
 	n := 0
@@ -309,15 +306,6 @@ func (s *InferenceServer) ServeTimeout(ln net.Listener, timeout time.Duration) e
 			return s.serve(r)
 		}
 	}, timeout)
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (s *InferenceServer) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // InferenceClient is a connection to an InferenceServer.Serve endpoint.
