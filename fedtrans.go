@@ -429,7 +429,7 @@ func NewSession(opts Options) (*Session, error) {
 	} else {
 		ds = data.Generate(dcfg)
 	}
-	spec := initialSpec(opts.Profile, ds)
+	spec := model.InitialSpec(opts.Profile, ds.InputShape, ds.FeatureDim, ds.Classes)
 	if opts.AttentionHeads < 0 {
 		return nil, fmt.Errorf("fedtrans: negative AttentionHeads %d", opts.AttentionHeads)
 	}

@@ -1,11 +1,16 @@
 package fedtrans
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fedtrans/internal/codec"
+	"fedtrans/internal/model"
 )
 
 func TestDefaultOptionsMatchPaper(t *testing.T) {
@@ -360,5 +365,39 @@ func TestLoadModelRejectsHostileTensorCount(t *testing.T) {
 		"FTW1\xff\xff\xff\xff\x0e\x3b\x50\x3d"
 	if d, err := LoadModel([]byte(blob)); err == nil {
 		t.Fatalf("loaded %+v from the hostile blob", d.Info())
+	}
+}
+
+// brokenChainSpecs pairs, per cell family, a two-cell model with a wider
+// one. The first's header over the first's first cell and the second's
+// remaining tensors is a blob in which every tensor is possible on its
+// own and the second cell does not take what the first emits.
+var brokenChainSpecs = [][2]model.Spec{
+	{{Family: "dense", Input: []int{4}, Hidden: []int{3, 3}, Classes: 2}, {Family: "dense", Input: []int{4}, Hidden: []int{5, 5}, Classes: 2}},
+	{{Family: "conv", Input: []int{2, 6, 6}, Hidden: []int{3, 3}, Classes: 2}, {Family: "conv", Input: []int{2, 6, 6}, Hidden: []int{5, 5}, Classes: 2}},
+	{{Family: "attention", Input: []int{2, 4}, Hidden: []int{4, 4}, Classes: 2}, {Family: "attention", Input: []int{2, 6}, Hidden: []int{4, 4}, Classes: 2}},
+	{{Family: "residual", Input: []int{4}, Hidden: []int{3, 3}, Classes: 2}, {Family: "residual", Input: []int{6}, Hidden: []int{3, 3}, Classes: 2}},
+}
+
+// TestLoadModelRejectsBrokenChain: a blob whose cells do not chain is
+// model.ErrCorruptModel at load. It used to load, and panic inside the
+// first Predict.
+func TestLoadModelRejectsBrokenChain(t *testing.T) {
+	for _, pair := range brokenChainSpecs {
+		a := pair[0].BuildScoped(randFor(1), model.NewIDGen())
+		b := pair[1].BuildScoped(randFor(1), model.NewIDGen())
+		blob, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(blob); err != nil {
+			t.Fatalf("%s: the unmixed blob: %v", pair[0].Family, err)
+		}
+		hdr := 4 + int(binary.BigEndian.Uint32(blob))
+		first := len(a.Cells[0].Cell.Params())
+		mixed := codec.AppendEncode(blob[:hdr:hdr], append(a.Params()[:first:first], b.Params()[first:]...))
+		if d, err := LoadModel(mixed); !errors.Is(err, model.ErrCorruptModel) {
+			t.Errorf("%s: loaded %v with error %v, want model.ErrCorruptModel", pair[0].Family, d, err)
+		}
 	}
 }

@@ -31,27 +31,6 @@ type Update struct {
 	Staleness int
 }
 
-// FedAvg replaces dst's weights with the sample-weighted average of the
-// updates (all shaped exactly like dst). It returns the weighted mean
-// training loss and the total sample count; with no updates it leaves dst
-// unchanged and returns ok=false. It is the buffered-batch convenience
-// form of StreamingFedAvg — the updates are folded in slice order, so the
-// result is bit-identical to streaming the same batch — and panics on a
-// malformed update, preserving the historical "shaped exactly like dst"
-// contract for the baselines that still gather whole batches.
-func FedAvg(dst *model.Model, updates []Update) (meanLoss float64, samples int, ok bool) {
-	if len(updates) == 0 {
-		return 0, 0, false
-	}
-	s := NewStreaming()
-	for _, u := range updates {
-		if err := s.Add(dst, u); err != nil {
-			panic(err)
-		}
-	}
-	return s.Finalize(dst)
-}
-
 // SoftConfig parameterizes inter-model soft aggregation.
 type SoftConfig struct {
 	// Eta is the per-round decay base of Eq. 5 (default 0.98, Table 7's
@@ -217,51 +196,24 @@ func sameShape(a, b *tensor.Tensor) bool {
 
 // cropAdd adds weight*src into acc over the overlapping region of src and
 // dst shapes; outside the overlap the destination keeps its own value.
+// The overlap's runs arrive in ascending destination order, so the
+// entries outside it are the gaps between runs: every entry of acc
+// receives exactly one addition.
 func cropAdd(acc []float64, src, dst *tensor.Tensor, weight float64) {
-	overlap := make([]int, dst.Rank())
-	for i := range overlap {
-		overlap[i] = dst.Shape[i]
-		if src.Shape[i] < overlap[i] {
-			overlap[i] = src.Shape[i]
+	next := 0 // first destination entry not yet added to
+	own := func(upto int) {
+		for ; next < upto; next++ {
+			acc[next] += float64(dst.Data[next]) * weight
 		}
 	}
-	idx := make([]int, dst.Rank())
-	var walk func(axis int)
-	walk = func(axis int) {
-		if axis == len(idx) {
-			so, do := 0, 0
-			for i, v := range idx {
-				so = so*src.Shape[i] + v
-				do = do*dst.Shape[i] + v
-			}
-			acc[do] += float64(src.Data[so]) * weight
-			return
+	tensor.ForOverlap(dst, src, func(di, si, n int) {
+		own(di)
+		for j, v := range src.Data[si : si+n] {
+			acc[di+j] += float64(v) * weight
 		}
-		for v := 0; v < overlap[axis]; v++ {
-			idx[axis] = v
-			walk(axis + 1)
-		}
-	}
-	walk(0)
-	// Non-overlapping destination entries keep their own value.
-	var walkDst func(axis int, inOverlap bool)
-	walkDst = func(axis int, inOverlap bool) {
-		if axis == len(idx) {
-			if !inOverlap {
-				do := 0
-				for i, v := range idx {
-					do = do*dst.Shape[i] + v
-				}
-				acc[do] += float64(dst.Data[do]) * weight
-			}
-			return
-		}
-		for v := 0; v < dst.Shape[axis]; v++ {
-			idx[axis] = v
-			walkDst(axis+1, inOverlap && v < overlap[axis])
-		}
-	}
-	walkDst(0, true)
+		next = di + n
+	})
+	own(len(acc))
 }
 
 func pow(base float64, exp int) float64 {

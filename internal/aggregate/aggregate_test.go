@@ -23,6 +23,23 @@ func constantWeights(m *model.Model, v tensor.Float) []*tensor.Tensor {
 	return w
 }
 
+// FedAvg is the buffered reference the streaming accumulators are
+// tested against: dst's weights become the sample-weighted average of a
+// whole batch of updates, folded in slice order. With no updates it
+// leaves dst unchanged and returns ok=false; a malformed update panics.
+func FedAvg(dst *model.Model, updates []Update) (meanLoss float64, samples int, ok bool) {
+	if len(updates) == 0 {
+		return 0, 0, false
+	}
+	s := NewStreaming()
+	for _, u := range updates {
+		if err := s.Add(dst, u); err != nil {
+			panic(err)
+		}
+	}
+	return s.Finalize(dst)
+}
+
 func TestFedAvgWeightsBySamples(t *testing.T) {
 	model.ResetIDs()
 	m := newModel(t, 3)
@@ -213,6 +230,38 @@ func TestCropAddOverlap(t *testing.T) {
 	for i := range want {
 		if math.Abs(acc[i]-want[i]) > 1e-12 {
 			t.Fatalf("acc = %v, want %v", acc, want)
+		}
+	}
+}
+
+// TestCropAddRank4WidenBitExact pins cropAdd on the shape a conv widen
+// produces — a 3×3 kernel whose source is smaller on the two channel
+// axes — to the last bit: acc += float64(v)·weight, the source over the
+// overlap and the destination's own value outside it.
+func TestCropAddRank4WidenBitExact(t *testing.T) {
+	src, dst := tensor.New(2, 1, 3, 3), tensor.New(3, 2, 3, 3)
+	for i := range src.Data {
+		src.Data[i] = tensor.Float(i+1) / 7
+	}
+	for i := range dst.Data {
+		dst.Data[i] = -tensor.Float(i+1) / 11
+	}
+	acc := make([]float64, dst.Len())
+	for i := range acc {
+		acc[i] = 1.0 / 3
+	}
+	cropAdd(acc, src, dst, 0.3)
+	want := []float64{
+		0.37619047810633977, 0.41904762287934616, 0.46190476318200424, 0.5047619124253591, 0.5476190527280171, 0.5904761930306752, 0.6333333333333333, 0.6761904915173849, 0.7190476139386495,
+		0.06060605247815448, 0.033333333333333326, 0.0060605963071187485, -0.021212104956308986, -0.04848484198252362, -0.0757575790087382, -0.10303031603495283, -0.1303030172983805, -0.15757575432459514,
+		0.761904772122701, 0.8047618945439656, 0.8476190527280172, 0.8904761751492818, 0.9333333333333333, 0.976190455754598, 1.0190476497014362, 1.061904772122701, 1.1047618945439657,
+		-0.43030301729838055, -0.457575790087382, -0.4848484913508097, -0.5121211926142375, -0.5393939654032389, -0.5666666666666667, -0.5939393679300944, -0.6212121407190958, -0.6484848419825235,
+		-0.6757575432459513, -0.7030303160349529, -0.7303030172983807, -0.7575757900873821, -0.7848484913508098, -0.8121211926142375, -0.839393965403239, -0.8666666666666667, -0.8939393679300944,
+		-0.9212120691935222, -0.9484849135080973, -0.975757614771525, -1.0030303160349527, -1.0303030172983805, -1.0575757185618082, -1.084848419825236, -1.1121212641398113, -1.139393965403239,
+	}
+	for i := range want {
+		if acc[i] != want[i] {
+			t.Fatalf("acc[%d] = %v, want %v", i, acc[i], want[i])
 		}
 	}
 }

@@ -174,7 +174,7 @@ func (mg *Manager) SetUtility(c, modelID int, v float64) {
 //
 // so similar models borrow utility information while a high loss lowers
 // utility. The standardized loss should be z-scored across the round (see
-// StandardizeLosses).
+// StandardizeLossesInto).
 func (mg *Manager) UpdateJoint(c int, trained *model.Model, stdLoss float64, compatible []*model.Model) {
 	u := mg.utilities[c]
 	if u == nil {
@@ -201,14 +201,9 @@ func (mg *Manager) InheritUtilities(parentID, childID int) {
 	}
 }
 
-// StandardizeLosses z-scores raw per-update losses across a round; with a
-// single update (or zero variance) it returns zeros so utilities move only
-// on relative evidence.
-func StandardizeLosses(losses []float64) []float64 {
-	return StandardizeLossesInto(nil, losses)
-}
-
-// StandardizeLossesInto is StandardizeLosses writing into a caller-owned
+// StandardizeLossesInto z-scores raw per-update losses across a round;
+// with a single update (or zero variance) it returns zeros so utilities
+// move only on relative evidence. It writes into a caller-owned
 // buffer (reused when its capacity suffices, reallocated otherwise) —
 // the streaming round loop standardizes per round without allocating.
 func StandardizeLossesInto(buf, losses []float64) []float64 {

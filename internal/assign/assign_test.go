@@ -132,7 +132,7 @@ func TestInheritUtilities(t *testing.T) {
 }
 
 func TestStandardizeLosses(t *testing.T) {
-	std := StandardizeLosses([]float64{1, 2, 3, 4})
+	std := StandardizeLossesInto(nil, []float64{1, 2, 3, 4})
 	mean := 0.0
 	for _, v := range std {
 		mean += v
@@ -145,7 +145,7 @@ func TestStandardizeLosses(t *testing.T) {
 	}
 	// Degenerate cases return zeros.
 	for _, in := range [][]float64{nil, {5}, {2, 2, 2}} {
-		for _, v := range StandardizeLosses(in) {
+		for _, v := range StandardizeLossesInto(nil, in) {
 			if v != 0 {
 				t.Errorf("degenerate input %v gave nonzero %v", in, v)
 			}
@@ -157,7 +157,7 @@ func TestStandardizeLossesIntoReusesBuffer(t *testing.T) {
 	buf := make([]float64, 0, 8)
 	losses := []float64{1, 2, 3, 4}
 	got := StandardizeLossesInto(buf, losses)
-	want := StandardizeLosses(losses)
+	want := StandardizeLossesInto(nil, losses)
 	if len(got) != len(want) {
 		t.Fatalf("len %d != %d", len(got), len(want))
 	}

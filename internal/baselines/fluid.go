@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"sort"
 
+	"fedtrans/internal/aggregate"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
-	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
 	"fedtrans/internal/tensor"
@@ -47,9 +47,6 @@ func NewFLuID(cfg Config, ds *data.Dataset, trace *device.Trace, largest model.S
 	}
 	return f
 }
-
-// Global exposes the global model.
-func (f *FLuID) Global() *model.Model { return f.global }
 
 // keepFractionFor converts capacity into the fraction of hidden units a
 // straggler keeps (1 when the full model fits).
@@ -224,97 +221,48 @@ func identitySet(n int) []int {
 	return s
 }
 
-// Run executes FLuID training. Aggregation follows the paper: the global
-// model averages full-model updates; straggler submodels merge back into
-// their kept coordinates. For simplicity each round applies updates
-// sequentially in selection order (equivalent to small-client FedAvg with
-// immediate merging, which preserves the comparison's cost and accuracy
-// structure).
-func (f *FLuID) Run() fl.Result {
-	cfg := f.cfg
-	res := fl.Result{CostCurve: metrics.Series{Name: "fluid"}}
-	res.Costs.ObserveStorage(f.global.Bytes())
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 5
+// Run executes FLuID training.
+func (f *FLuID) Run() fl.Result { return run("fluid", f.cfg, f.ds, f.trace, f.rng, f) }
+
+func (f *FLuID) suite() []*model.Model { return []*model.Model{f.global} }
+
+// round follows the paper's aggregation: straggler submodels merge back
+// into their kept coordinates as they finish, in selection order
+// (equivalent to small-client FedAvg with immediate merging, which
+// preserves the comparison's cost and accuracy structure), and the
+// global model then averages the full-model updates by sample count,
+// with the current global as a weight-1 voter so the straggler merges
+// are not erased. Everything trains serially on the shared rng.
+func (f *FLuID) round(_ int, selected []int, charge func(client int, trained ...*model.Model)) {
+	var full []fl.LocalResult
+	for _, c := range selected {
+		frac := f.keepFractionFor(f.trace.Devices[c].CapacityMACs)
+		if frac >= 1 {
+			full = append(full, fl.TrainLocal(f.global, &f.ds.Clients[c], f.cfg.Local, f.rng))
+			charge(c, f.global)
+			continue
+		}
+		sets := f.keepSets(frac)
+		sub := f.subModel(sets)
+		sub.SetWeights(fl.TrainLocal(sub, &f.ds.Clients[c], f.cfg.Local, f.rng).Weights)
+		f.mergeBack(sub, sets)
+		charge(c, sub)
+		sub.Release()
 	}
-	for round := 0; round < cfg.Rounds; round++ {
-		selected := fl.SelectClients(len(f.ds.Clients), cfg.ClientsPerRound, f.rng)
-		roundTime := 0.0
-		type fullUpd struct {
-			weights []*tensor.Tensor
-			samples int
-		}
-		var fullUpdates []fullUpd
-		for _, c := range selected {
-			frac := f.keepFractionFor(f.trace.Devices[c].CapacityMACs)
-			if frac >= 1 {
-				lr := fl.TrainLocal(f.global, &f.ds.Clients[c], cfg.Local, f.rng)
-				fullUpdates = append(fullUpdates, fullUpd{weights: lr.Weights, samples: lr.Samples})
-				res.Costs.AddTraining(f.global.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
-				res.Costs.AddTransfer(f.global.Bytes())
-				if t := f.trace.TrainingTime(c, f.global.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, f.global.Bytes()); t > roundTime {
-					roundTime = t
-				}
-				continue
-			}
-			sets := f.keepSets(frac)
-			sub := f.subModel(sets)
-			lr := fl.TrainLocal(sub, &f.ds.Clients[c], cfg.Local, f.rng)
-			sub.SetWeights(lr.Weights)
-			f.mergeBack(sub, sets)
-			res.Costs.AddTraining(sub.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
-			res.Costs.AddTransfer(sub.Bytes())
-			if t := f.trace.TrainingTime(c, sub.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, sub.Bytes()); t > roundTime {
-				roundTime = t
-			}
-			sub.Release()
-		}
-		// Average full-model updates (with current global as one voter so
-		// straggler merges are not erased).
-		if len(fullUpdates) > 0 {
-			params := f.global.Params()
-			acc := make([][]float64, len(params))
-			for i, p := range params {
-				acc[i] = make([]float64, p.Len())
-				for j, v := range p.Data {
-					acc[i][j] = float64(v)
-				}
-			}
-			total := 1.0
-			for _, u := range fullUpdates {
-				w := float64(u.samples)
-				if w <= 0 {
-					w = 1
-				}
-				total += w
-				for i := range params {
-					for j, v := range u.weights[i].Data {
-						acc[i][j] += float64(v) * w
-					}
-				}
-			}
-			for i, p := range params {
-				p.EnsureOwnedDiscard() // every element overwritten below
-				for j := range p.Data {
-					p.Data[j] = tensor.Float(acc[i][j] / total)
-				}
-			}
-		}
-		res.RoundTimes = append(res.RoundTimes, roundTime)
-		res.RoundsRun = round + 1
-		if (round+1)%evalEvery == 0 || round == cfg.Rounds-1 {
-			accs := f.evaluate()
-			res.CostCurve.Append(res.Costs.TrainMACs, metrics.Mean(accs))
-		}
+	if len(full) == 0 {
+		return
 	}
-	accs := f.evaluate()
-	res.ClientAcc = accs
-	res.MeanAcc = metrics.Mean(accs)
-	res.Box = metrics.Box(accs)
-	res.SuiteArch = []string{f.global.ArchString()}
-	res.SuiteMACs = []float64{f.global.MACsPerSample()}
-	return res
+	params := f.global.Params()
+	mean := aggregate.NewMaskedMean(params)
+	mean.Add(params, 1)
+	for _, u := range full {
+		w := float64(u.Samples)
+		if w <= 0 {
+			w = 1
+		}
+		mean.Add(u.Weights, w)
+	}
+	mean.Write()
 }
 
 // evaluate gives each client the submodel its capacity affords.

@@ -7,7 +7,6 @@ import (
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
-	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
 	"fedtrans/internal/tensor"
@@ -24,7 +23,8 @@ type SplitMix struct {
 	trace *device.Trace
 	bases []*model.Model
 	rng   *rand.Rand
-	next  int // rotation cursor for balanced base training
+	next  int                        // rotation cursor for balanced base training
+	avg   *aggregate.StreamingFedAvg // per-base sample-weighted FedAvg, finalized every round
 }
 
 // NewSplitMix builds numBase width-1/numBase base models from the largest
@@ -34,7 +34,7 @@ func NewSplitMix(cfg Config, ds *data.Dataset, trace *device.Trace, largest mode
 		numBase = 4
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := &SplitMix{cfg: cfg, ds: ds, trace: trace, rng: rng}
+	s := &SplitMix{cfg: cfg, ds: ds, trace: trace, rng: rng, avg: aggregate.NewStreaming()}
 	atom := largest.Scaled(1 / float64(numBase))
 	ids := model.NewIDGen()
 	for i := 0; i < numBase; i++ {
@@ -42,9 +42,6 @@ func NewSplitMix(cfg Config, ds *data.Dataset, trace *device.Trace, largest mode
 	}
 	return s
 }
-
-// Bases exposes the base-model pool.
-func (s *SplitMix) Bases() []*model.Model { return s.bases }
 
 // budgetFor returns how many base models the capacity affords (≥ 1).
 func (s *SplitMix) budgetFor(capacity float64) int {
@@ -60,60 +57,33 @@ func (s *SplitMix) budgetFor(capacity float64) int {
 }
 
 // Run executes SplitMix training.
-func (s *SplitMix) Run() fl.Result {
-	cfg := s.cfg
-	res := fl.Result{CostCurve: metrics.Series{Name: "splitmix"}}
-	var storage int64
-	for _, b := range s.bases {
-		storage += b.Bytes()
-	}
-	res.Costs.ObserveStorage(storage)
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 5
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		selected := fl.SelectClients(len(s.ds.Clients), cfg.ClientsPerRound, s.rng)
-		updates := make([][]aggregate.Update, len(s.bases))
-		roundTime := 0.0
-		for _, c := range selected {
-			budget := s.budgetFor(s.trace.Devices[c].CapacityMACs)
-			clientTime := 0.0
-			for k := 0; k < budget; k++ {
-				bi := s.next % len(s.bases)
-				s.next++
-				b := s.bases[bi]
-				lr := fl.TrainLocal(b, &s.ds.Clients[c], cfg.Local, s.rng)
-				updates[bi] = append(updates[bi], aggregate.Update{
-					ModelID: b.ID, Weights: lr.Weights, Samples: lr.Samples, Loss: lr.Loss,
-				})
-				res.Costs.AddTraining(b.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
-				res.Costs.AddTransfer(b.Bytes())
-				clientTime += s.trace.TrainingTime(c, b.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, b.Bytes())
+func (s *SplitMix) Run() fl.Result { return run("splitmix", s.cfg, s.ds, s.trace, s.rng, s) }
+
+func (s *SplitMix) suite() []*model.Model { return s.bases }
+
+// round trains, per selected client, the next budget-many bases of the
+// rotation, serially on the shared rng, and streams each update into
+// the base's FedAvg accumulator; the bases take their averages at the
+// round boundary, so every client of a round trains the round's
+// starting weights.
+func (s *SplitMix) round(_ int, selected []int, charge func(client int, trained ...*model.Model)) {
+	for _, c := range selected {
+		trained := make([]*model.Model, s.budgetFor(s.trace.Devices[c].CapacityMACs))
+		for k := range trained {
+			b := s.bases[s.next%len(s.bases)]
+			s.next++
+			lr := fl.TrainLocal(b, &s.ds.Clients[c], s.cfg.Local, s.rng)
+			u := aggregate.Update{ModelID: b.ID, Weights: lr.Weights, Samples: lr.Samples, Loss: lr.Loss}
+			if err := s.avg.Add(b, u); err != nil {
+				panic(err) // a base's own clone cannot change shape
 			}
-			if clientTime > roundTime {
-				roundTime = clientTime
-			}
+			trained[k] = b
 		}
-		res.RoundTimes = append(res.RoundTimes, roundTime)
-		for bi, us := range updates {
-			aggregate.FedAvg(s.bases[bi], us)
-		}
-		res.RoundsRun = round + 1
-		if (round+1)%evalEvery == 0 || round == cfg.Rounds-1 {
-			accs := s.evaluate()
-			res.CostCurve.Append(res.Costs.TrainMACs, metrics.Mean(accs))
-		}
+		charge(c, trained...)
 	}
-	accs := s.evaluate()
-	res.ClientAcc = accs
-	res.MeanAcc = metrics.Mean(accs)
-	res.Box = metrics.Box(accs)
 	for _, b := range s.bases {
-		res.SuiteArch = append(res.SuiteArch, b.ArchString())
-		res.SuiteMACs = append(res.SuiteMACs, b.MACsPerSample())
+		s.avg.Finalize(b)
 	}
-	return res
 }
 
 // evaluate ensembles each client's affordable bases by averaging softmax

@@ -13,12 +13,12 @@ import (
 	"math"
 	"math/rand"
 
+	"fedtrans/internal/aggregate"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
-	"fedtrans/internal/tensor"
 	"fedtrans/internal/xrand"
 )
 
@@ -304,14 +304,12 @@ func (rt *Runtime) clusterRound(m *model.Model, members []int, quota, round int,
 	rt.trainAndAverage(m, selected, round, res)
 }
 
+// trainAndAverage trains the selected clients on m, each on a private
+// stream seeded by (round, client), and replaces m's weights with the
+// sample-weighted mean of their updates.
 func (rt *Runtime) trainAndAverage(m *model.Model, selected []int, round int, res *Result) {
 	cfg := rt.cfg
-	params := m.Params()
-	acc := make([][]float64, len(params))
-	for i, p := range params {
-		acc[i] = make([]float64, p.Len())
-	}
-	wsum := 0.0
+	mean := aggregate.NewMaskedMean(m.Params())
 	for _, c := range selected {
 		crng := rand.New(xrand.New(cfg.Seed + int64(round)*1_000_003 + int64(c)*7919))
 		lr := fl.TrainLocal(m, &rt.ds.Clients[c], cfg.Local, crng)
@@ -319,24 +317,9 @@ func (rt *Runtime) trainAndAverage(m *model.Model, selected []int, round int, re
 		if w <= 0 {
 			w = 1
 		}
-		wsum += w
-		for i, t := range lr.Weights {
-			for j, v := range t.Data {
-				acc[i][j] += float64(v) * w
-			}
-		}
+		mean.Add(lr.Weights, w)
 		res.Costs.AddTraining(m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
 		res.Costs.AddTransfer(m.Bytes())
 	}
-	if wsum == 0 {
-		return
-	}
-	for i, p := range params {
-		// Detach COW-shared params (contents discarded — every element is
-		// overwritten) before the in-place write.
-		p.EnsureOwnedDiscard()
-		for j := range p.Data {
-			p.Data[j] = tensor.Float(acc[i][j] / wsum)
-		}
-	}
+	mean.Write()
 }

@@ -14,7 +14,6 @@ package device
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"fedtrans/internal/xrand"
@@ -209,15 +208,4 @@ func (t *Trace) TrainingTime(i int, macsPerSample float64, steps, batch int, mod
 // milliseconds for device i and a model of the given forward MACs.
 func (t *Trace) InferenceLatency(i int, macsPerSample float64) float64 {
 	return macsPerSample / t.At(i).ComputeMACsPerSec * 1000
-}
-
-// CapacityQuantile returns the q-quantile (0..1) of device capacities.
-func (t *Trace) CapacityQuantile(q float64) float64 {
-	caps := make([]float64, t.Len())
-	for i := range caps {
-		caps[i] = t.At(i).CapacityMACs
-	}
-	sort.Float64s(caps)
-	idx := int(q * float64(len(caps)-1))
-	return caps[idx]
 }

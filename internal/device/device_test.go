@@ -87,16 +87,6 @@ func TestInferenceLatencyScales(t *testing.T) {
 	}
 }
 
-func TestCapacityQuantileMonotone(t *testing.T) {
-	tr := defaultTrace(200, 5)
-	q25 := tr.CapacityQuantile(0.25)
-	q50 := tr.CapacityQuantile(0.5)
-	q75 := tr.CapacityQuantile(0.75)
-	if !(q25 <= q50 && q50 <= q75) {
-		t.Errorf("quantiles not monotone: %v %v %v", q25, q50, q75)
-	}
-}
-
 func TestTraceDefaultsApplied(t *testing.T) {
 	tr := NewTrace(TraceConfig{N: 10})
 	if len(tr.Devices) != 10 {

@@ -49,20 +49,6 @@ type Workload struct {
 	Initial model.Spec
 }
 
-// initialSpecFor mirrors Appendix A.1's initial-model choices per dataset.
-func initialSpecFor(profile string, ds *data.Dataset) model.Spec {
-	switch profile {
-	case "cifar10":
-		return model.MobileNetLikeSpec(ds.InputShape[0], ds.InputShape[1], ds.InputShape[2], ds.Classes)
-	case "speech", "openimage":
-		return model.ResNetLikeSpec(ds.InputShape[0], ds.InputShape[1], ds.InputShape[2], ds.Classes)
-	case "vit":
-		return model.ViTLikeSpec(ds.InputShape[0], ds.InputShape[1], 8, ds.Classes)
-	default: // femnist
-		return model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
-	}
-}
-
 // NewWorkload generates the dataset, trace, and initial spec for a
 // profile. The trace capacity range spans from the initial model's MACs
 // (least capable client) to ~32x that (most capable), mirroring §5.1's
@@ -77,7 +63,7 @@ func NewWorkload(profile string, sc Scale, heterogeneity float64) Workload {
 		Heterogeneity: heterogeneity,
 		Seed:          sc.Seed,
 	})
-	spec := initialSpecFor(profile, ds)
+	spec := model.InitialSpec(profile, ds.InputShape, ds.FeatureDim, ds.Classes)
 	base := specMACs(spec)
 	tr := device.NewTrace(device.TraceConfig{
 		N:               sc.Clients,

@@ -144,96 +144,105 @@ func UnmarshalModelScoped(b []byte, gen *IDGen) (*Model, error) {
 		idx += n
 		return out
 	}
-	// Track spatial size through conv stacks so MACs accounting is exact
-	// immediately after load.
-	spatialH, spatialW := 0, 0
-	if len(h.Input) == 3 {
-		spatialH, spatialW = h.Input[1], h.Input[2]
+	// Header and weights come from outside the process, and Forward
+	// indexes by them unchecked: every cell must take the per-sample
+	// activation shape cur that the cell before it emits — the input
+	// shape for the first cell — and the head must map the last width to
+	// Classes logits, or the blob that decodes here panics at its first
+	// Forward.
+	cur := h.Input
+	if len(cur) == 0 || h.Classes < 1 {
+		return nil, fmt.Errorf("%w: input %v, %d classes", ErrCorruptModel, h.Input, h.Classes)
 	}
-	for _, cm := range h.Cells {
-		var cell nn.Cell
+	for _, n := range cur {
+		if n < 1 {
+			return nil, fmt.Errorf("%w: input %v", ErrCorruptModel, h.Input)
+		}
+	}
+	mat := func(t *tensor.Tensor, rows, cols int) bool {
+		return t.Rank() == 2 && t.Shape[0] == rows && t.Shape[1] == cols
+	}
+	vec := func(t *tensor.Tensor, n int) bool { return t.Rank() == 1 && t.Shape[0] == n }
+	for ci, cm := range h.Cells {
+		var cell nn.Cell // stays nil when the cell does not take cur
 		switch cm.Kind {
 		case "dense":
 			ws := take(2)
-			if ws[0].Rank() != 2 {
-				return nil, ErrCorruptModel
+			w, b := ws[0], ws[1]
+			if len(cur) == 1 && w.Rank() == 2 && w.Shape[0] == cur[0] && vec(b, w.Shape[1]) {
+				d := nn.NewDenseCell(w.Shape[0], w.Shape[1], true, rng)
+				d.W, d.B = w, b
+				d.GW, d.GB = tensor.New(w.Shape...), tensor.New(b.Shape...)
+				cell, cur = d, []int{w.Shape[1]}
 			}
-			d := nn.NewDenseCell(ws[0].Shape[0], ws[0].Shape[1], true, rng)
-			d.W, d.B = ws[0], ws[1]
-			d.GW, d.GB = tensor.New(ws[0].Shape...), tensor.New(ws[1].Shape...)
-			cell = d
 		case "conv2d":
 			ws := take(2)
+			w, b := ws[0], ws[1]
 			stride := cm.Stride
 			if stride == 0 {
 				stride = 1
 			}
-			// Header and shapes come from outside the process: a stride
-			// the cell does not implement, a kernel K() would misreport
-			// (non-square) or "same" padding cannot centre (even), or a
-			// bias that is not one scalar per output channel is corrupt.
-			w, b := ws[0], ws[1]
-			if (stride != 1 && stride != 2) || w.Rank() != 4 ||
-				w.Shape[2] != w.Shape[3] || w.Shape[2]%2 == 0 ||
-				b.Rank() != 1 || b.Shape[0] != w.Shape[0] {
-				return nil, fmt.Errorf("%w: conv2d stride %d, weights %v, bias %v",
-					ErrCorruptModel, cm.Stride, w.Shape, b.Shape)
-			}
-			c := &nn.Conv2DCell{
-				W: w, B: b,
-				GW: tensor.New(w.Shape...), GB: tensor.New(b.Shape...),
-				Stride: stride, ReLU: true,
-			}
-			if spatialH > 0 {
-				c.SetSpatial(spatialH, spatialW)
+			// Besides chaining on the channel count: a stride the cell does
+			// not implement, a kernel K() would misreport (non-square) or
+			// "same" padding cannot centre (even), or a bias that is not
+			// one scalar per output channel is corrupt.
+			if len(cur) == 3 && w.Rank() == 4 && w.Shape[1] == cur[0] && (stride == 1 || stride == 2) &&
+				w.Shape[2] == w.Shape[3] && w.Shape[2]%2 == 1 && vec(b, w.Shape[0]) {
+				c := &nn.Conv2DCell{
+					W: w, B: b,
+					GW: tensor.New(w.Shape...), GB: tensor.New(b.Shape...),
+					Stride: stride, ReLU: true,
+				}
 				// "same" padding downsamples by ceil(size/stride) for any
-				// stride, so MACs accounting stays exact after load.
-				spatialH = (spatialH + stride - 1) / stride
-				spatialW = (spatialW + stride - 1) / stride
+				// stride, so MACs accounting is exact right after load.
+				c.SetSpatial(cur[1], cur[2])
+				cell, cur = c, []int{w.Shape[0], (cur[1] + stride - 1) / stride, (cur[2] + stride - 1) / stride}
 			}
-			cell = c
 		case "attention":
 			ws := take(8)
-			// The fresh cell below is sized dim×dim and dim×ff from Wq's
-			// rows and W1's columns: hold both to what the blob carries.
-			if ws[0].Rank() != 2 || ws[4].Rank() != 2 ||
-				ws[0].Shape[1] != ws[0].Shape[0] || ws[4].Shape[0] != ws[0].Shape[0] {
-				return nil, ErrCorruptModel
-			}
-			tokens := h.Tokens
-			if tokens == 0 && len(h.Input) == 2 {
-				tokens = h.Input[0]
-			}
 			heads := cm.Heads
 			if heads < 1 {
 				heads = 1 // pre-multi-head blobs carry no heads field
 			}
-			if ws[0].Shape[0]%heads != 0 {
-				return nil, fmt.Errorf("%w: %d heads do not divide model dim %d",
-					ErrCorruptModel, heads, ws[0].Shape[0])
+			// The fresh cell below is sized from the token width and W1's
+			// columns: hold all eight tensors to those two numbers.
+			if len(cur) == 2 && ws[4].Rank() == 2 {
+				dim, ff := cur[1], ws[4].Shape[1]
+				if dim%heads == 0 && mat(ws[0], dim, dim) && mat(ws[1], dim, dim) && mat(ws[2], dim, dim) && mat(ws[3], dim, dim) &&
+					mat(ws[4], dim, ff) && vec(ws[5], ff) && mat(ws[6], ff, dim) && vec(ws[7], dim) {
+					a := nn.NewAttentionCellHeads(dim, ff, cur[0], heads, rng)
+					a.Wq, a.Wk, a.Wv, a.Wo = ws[0], ws[1], ws[2], ws[3]
+					a.W1, a.B1, a.W2, a.B2 = ws[4], ws[5], ws[6], ws[7]
+					cell = a.Clone() // Clone re-allocates gradient buffers
+				}
 			}
-			a := nn.NewAttentionCellHeads(ws[0].Shape[0], ws[4].Shape[1], tokens, heads, rng)
-			a.Wq, a.Wk, a.Wv, a.Wo = ws[0], ws[1], ws[2], ws[3]
-			a.W1, a.B1, a.W2, a.B2 = ws[4], ws[5], ws[6], ws[7]
-			cell = a.Clone() // Clone re-allocates gradient buffers
 		case "residual":
 			ws := take(4)
-			if ws[0].Rank() != 2 {
-				return nil, ErrCorruptModel
+			if len(cur) == 1 && ws[0].Rank() == 2 {
+				dim, hidden := cur[0], ws[0].Shape[1]
+				if mat(ws[0], dim, hidden) && vec(ws[1], hidden) && mat(ws[2], hidden, dim) && vec(ws[3], dim) {
+					r := nn.NewResidualDenseCell(dim, hidden, rng)
+					r.W1, r.B1, r.W2, r.B2 = ws[0], ws[1], ws[2], ws[3]
+					cell = r.Clone()
+				}
 			}
-			r := nn.NewResidualDenseCell(ws[0].Shape[0], ws[0].Shape[1], rng)
-			r.W1, r.B1, r.W2, r.B2 = ws[0], ws[1], ws[2], ws[3]
-			cell = r.Clone()
 		case "gap":
-			cell = nn.NewGlobalAvgPoolCell()
+			if len(cur) == 3 {
+				cell, cur = nn.NewGlobalAvgPoolCell(), cur[:1]
+			}
 		case "meantokens":
-			cell = nn.NewMeanTokensCell()
+			if len(cur) == 2 {
+				cell, cur = nn.NewMeanTokensCell(), cur[1:]
+			}
+		}
+		if cell == nil {
+			return nil, fmt.Errorf("%w: %s cell %d is malformed or does not take a %v activation", ErrCorruptModel, cm.Kind, ci, cur)
 		}
 		m.appendCell(cell)
 	}
 	hw := take(2)
-	if hw[0].Rank() != 2 {
-		return nil, ErrCorruptModel
+	if len(cur) != 1 || !mat(hw[0], cur[0], h.Classes) || !vec(hw[1], h.Classes) {
+		return nil, fmt.Errorf("%w: head %v does not map a %v activation to %d classes", ErrCorruptModel, hw[0].Shape, cur, h.Classes)
 	}
 	head := nn.NewDenseCell(hw[0].Shape[0], hw[0].Shape[1], false, rng)
 	head.W, head.B = hw[0], hw[1]

@@ -310,9 +310,9 @@ func TestPersistRejectsHostileTensorCount(t *testing.T) {
 }
 
 // TestPersistBoundsAttentionByItsWeights: the attention loader sizes a
-// fresh cell from Wq's rows and W1's columns, so a Wq that is not
-// square (or a W1 that does not start from the model dim) would make it
-// allocate the square of what the blob carries.
+// fresh cell dim×dim and dim×ff, so a Wq that is not square (or a W1
+// that does not start from the model dim) would make it allocate the
+// square of what the blob carries.
 func TestPersistBoundsAttentionByItsWeights(t *testing.T) {
 	hdr, err := json.Marshal(persistHeader{
 		Version: 1, Input: []int{2, 4}, Classes: 2,
@@ -337,6 +337,93 @@ func TestPersistBoundsAttentionByItsWeights(t *testing.T) {
 	}
 }
 
+// brokenChainBlobs are well-formed blobs (header parses, checksum holds,
+// tensor count matches, every cell is possible on its own) in which a
+// cell does not take what the one before it emits. Each loaded before
+// the loader walked the chain, and panicked at its first Forward.
+var brokenChainBlobs = []struct {
+	name   string
+	header string
+	shapes [][]int
+}{
+	{"dense: second cell takes 5, first emits 3",
+		`{"version":1,"input":[4],"classes":2,"cells":[{"kind":"dense"},{"kind":"dense"}]}`,
+		[][]int{{4, 3}, {3}, {5, 2}, {2}, {2, 2}, {2}}},
+	{"conv: second cell takes 3 channels, first emits 4",
+		`{"version":1,"input":[2,6,6],"classes":3,"cells":[{"kind":"conv2d"},{"kind":"conv2d"},{"kind":"gap"}]}`,
+		[][]int{{4, 2, 3, 3}, {4}, {5, 3, 3, 3}, {5}, {5, 3}, {3}}},
+	{"attention: second cell is dim 6 on 4-wide tokens",
+		`{"version":1,"input":[2,4],"classes":2,"tokens":2,"cells":[{"kind":"attention"},{"kind":"attention"},{"kind":"meantokens"}]}`,
+		[][]int{{4, 4}, {4, 4}, {4, 4}, {4, 4}, {4, 8}, {8}, {8, 4}, {4},
+			{6, 6}, {6, 6}, {6, 6}, {6, 6}, {6, 8}, {8}, {8, 6}, {6}, {4, 2}, {2}}},
+	{"residual: second cell is dim 6 on a 4-wide stream",
+		`{"version":1,"input":[4],"classes":2,"cells":[{"kind":"residual"},{"kind":"residual"}]}`,
+		[][]int{{4, 3}, {3}, {3, 4}, {4}, {6, 3}, {3}, {3, 6}, {6}, {4, 2}, {2}}},
+	{"first cell against the input",
+		`{"version":1,"input":[7],"classes":2,"cells":[{"kind":"dense"}]}`,
+		[][]int{{4, 3}, {3}, {3, 2}, {2}}},
+	{"head against the last width",
+		`{"version":1,"input":[4],"classes":2,"cells":[{"kind":"dense"}]}`,
+		[][]int{{4, 3}, {3}, {5, 2}, {2}}},
+	{"head against the class count",
+		`{"version":1,"input":[4],"classes":9,"cells":[{"kind":"dense"}]}`,
+		[][]int{{4, 3}, {3}, {3, 2}, {2}}},
+	{"dense bias length",
+		`{"version":1,"input":[4],"classes":2,"cells":[{"kind":"dense"}]}`,
+		[][]int{{4, 3}, {2}, {3, 2}, {2}}},
+	{"residual inner bias length",
+		`{"version":1,"input":[4],"classes":2,"cells":[{"kind":"residual"}]}`,
+		[][]int{{4, 3}, {2}, {3, 4}, {4}, {4, 2}, {2}}},
+	{"attention feed-forward bias length",
+		`{"version":1,"input":[2,4],"classes":2,"cells":[{"kind":"attention"},{"kind":"meantokens"}]}`,
+		[][]int{{4, 4}, {4, 4}, {4, 4}, {4, 4}, {4, 8}, {5}, {8, 4}, {4}, {4, 2}, {2}}},
+	{"head bias length",
+		`{"version":1,"input":[4],"classes":2,"cells":[]}`,
+		[][]int{{4, 2}, {3}}},
+	{"dense stack on an image input",
+		`{"version":1,"input":[1,2,2],"classes":2,"cells":[{"kind":"dense"}]}`,
+		[][]int{{4, 3}, {3}, {3, 2}, {2}}},
+	{"no input shape",
+		`{"version":1,"input":[],"classes":2,"cells":[]}`,
+		[][]int{{4, 2}, {2}}},
+	{"zero-sized input",
+		`{"version":1,"input":[2,0,6],"classes":3,"cells":[{"kind":"conv2d"},{"kind":"gap"}]}`,
+		[][]int{{4, 2, 3, 3}, {4}, {4, 3}, {3}}},
+}
+
+// brokenChainBlob serializes entry i of brokenChainBlobs with zero
+// weights.
+func brokenChainBlob(i int) []byte {
+	tc := brokenChainBlobs[i]
+	ws := make([]*tensor.Tensor, len(tc.shapes))
+	for k, shape := range tc.shapes {
+		ws[k] = tensor.New(shape...)
+	}
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(tc.header)))
+	return append(append(out, tc.header...), codec.Encode(ws)...)
+}
+
+func TestPersistRejectsBrokenChains(t *testing.T) {
+	for i, tc := range brokenChainBlobs {
+		if m, err := UnmarshalModelScoped(brokenChainBlob(i), NewIDGen()); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: loaded %v with error %v, want ErrCorruptModel", tc.name, m, err)
+		}
+	}
+}
+
+// forwardOneRow runs one zero sample through a loaded model — skipped
+// when the input shape the header claims is too large for a fuzz
+// iteration — and reports the logits' shape.
+func forwardOneRow(m *Model) (shape []int, ran bool) {
+	features := 1
+	for _, n := range m.InputShape {
+		if features *= n; features > 1<<12 {
+			return nil, false
+		}
+	}
+	return m.Forward(tensor.New(1, features)).Shape, true
+}
+
 // resignWeights returns b with the checksum of its FTW1 part recomputed,
 // so a mutated blob reaches the weight parser and the cell loaders
 // instead of dying at codec.ErrChecksum.
@@ -353,8 +440,9 @@ func resignWeights(b []byte) []byte {
 
 // FuzzUnmarshalModel: the loader never panics, whatever the bytes — as
 // given, or with the weights re-signed so that they pass the checksum —
-// and a blob it accepts describes a model that marshals again to a blob
-// it accepts and reproduces.
+// and a blob it accepts describes a model that maps one sample to
+// Classes logits without panicking, and marshals again to a blob the
+// loader accepts and reproduces.
 func FuzzUnmarshalModel(f *testing.F) {
 	specs := append(cowSpecs(), Spec{Family: "attention", Input: []int{4, 8}, Hidden: []int{8}, Classes: 4, Heads: 4})
 	for _, spec := range specs {
@@ -368,11 +456,17 @@ func FuzzUnmarshalModel(f *testing.F) {
 		f.Add(convBlob(f, tc.stride, tc.wShape, tc.biasLen))
 	}
 	f.Add([]byte(hostileCountBlob))
+	for i := range brokenChainBlobs {
+		f.Add(brokenChainBlob(i))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range [][]byte{in, resignWeights(in)} {
 			m, err := UnmarshalModelScoped(b, NewIDGen())
 			if err != nil {
 				continue
+			}
+			if shape, ran := forwardOneRow(m); ran && (len(shape) != 2 || shape[0] != 1 || shape[1] != m.Classes) {
+				t.Fatalf("one sample through a loaded model gave logits %v, want [1 %d]", shape, m.Classes)
 			}
 			again, err := m.MarshalBinary()
 			if err != nil {

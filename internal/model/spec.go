@@ -140,6 +140,26 @@ func ViTLikeSpec(tokens, dim, ff, classes int) Spec {
 	return Spec{Family: "attention", Input: []int{tokens, dim}, Hidden: []int{ff}, Classes: classes}
 }
 
+// InitialSpec mirrors Appendix A.1's per-dataset initial models at
+// reproduction scale: MobileNet-like for cifar10, ResNet-like for speech
+// and openimage, ViT-like for vit, and the small dense NASBench analogue
+// for everything else — femnist, and the scale and async profiles, whose
+// tiny dense task keeps massive rounds on the coordinator, not the
+// kernels. inputShape is the per-sample shape of the image and token
+// profiles, featureDim the flat width the dense one takes.
+func InitialSpec(profile string, inputShape []int, featureDim, classes int) Spec {
+	switch profile {
+	case "cifar10":
+		return MobileNetLikeSpec(inputShape[0], inputShape[1], inputShape[2], classes)
+	case "speech", "openimage":
+		return ResNetLikeSpec(inputShape[0], inputShape[1], inputShape[2], classes)
+	case "vit":
+		return ViTLikeSpec(inputShape[0], inputShape[1], 8, classes)
+	default:
+		return NASBenchLikeSpec(featureDim, classes)
+	}
+}
+
 // SpecLike reconstructs the Spec of this model's current architecture
 // (hidden widths per parameterized cell). Baselines use it to adopt "the
 // largest model transformed by FedTrans" as their input model (§A.1).

@@ -154,33 +154,66 @@ func TestTrainFrames(t *testing.T) {
 	}
 }
 
-// TestAgentSurvivesHostileModelFrame: a MODEL frame carrying the 64-byte
-// blob whose weight part claims 2³²−1 tensors ends the connection with
-// an error. It used to end the agent process with a fatal out-of-memory.
+// TestAgentSurvivesHostileModelFrame: a MODEL frame the loader must
+// refuse ends the connection with the loader's error. The 64-byte blob
+// whose weight part claims 2³²−1 tensors used to end the agent process
+// with a fatal out-of-memory; the blobs whose second cell does not take
+// what the first emits (one per cell family: a narrow model's header and
+// first cell over a wider model's remaining tensors) used to load, and
+// panic a worker at the first TRAIN.
 func TestAgentSurvivesHostileModelFrame(t *testing.T) {
+	type hostile struct {
+		name string
+		blob []byte
+		want error
+	}
+	cases := []hostile{{"2³²−1 tensors", []byte("\x00\x00\x00\x30" + `{"version":1,"input":[4],"classes":2,"cells":[]}` +
+		"FTW1\xff\xff\xff\xff\x0e\x3b\x50\x3d"), codec.ErrTruncated}}
+	for _, pair := range [][2]model.Spec{
+		{{Family: "dense", Input: []int{4}, Hidden: []int{3, 3}, Classes: 2}, {Family: "dense", Input: []int{4}, Hidden: []int{5, 5}, Classes: 2}},
+		{{Family: "conv", Input: []int{2, 6, 6}, Hidden: []int{3, 3}, Classes: 2}, {Family: "conv", Input: []int{2, 6, 6}, Hidden: []int{5, 5}, Classes: 2}},
+		{{Family: "attention", Input: []int{2, 4}, Hidden: []int{4, 4}, Classes: 2}, {Family: "attention", Input: []int{2, 6}, Hidden: []int{4, 4}, Classes: 2}},
+		{{Family: "residual", Input: []int{4}, Hidden: []int{3, 3}, Classes: 2}, {Family: "residual", Input: []int{6}, Hidden: []int{3, 3}, Classes: 2}},
+	} {
+		a := pair[0].BuildScoped(rand.New(rand.NewSource(1)), model.NewIDGen())
+		b := pair[1].BuildScoped(rand.New(rand.NewSource(1)), model.NewIDGen())
+		blob, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := 4 + int(binary.BigEndian.Uint32(blob))
+		first := len(a.Cells[0].Cell.Params())
+		mixed := codec.AppendEncode(blob[:hdr:hdr], append(a.Params()[:first:first], b.Params()[first:]...))
+		cases = append(cases, hostile{pair[0].Family + " cells that do not chain", mixed, model.ErrCorruptModel})
+	}
 	ds := data.Generate(loopDataCfg())
-	coord, agent := net.Pipe()
-	served := make(chan error, 1)
-	go func() {
-		served <- serveConn(agent, 5*time.Second, func(RunConfig) *data.Dataset { return ds }, chaos.NewWire(chaos.WireConfig{}))
-	}()
-	fc := newFrameConnTimeout(coord, 5*time.Second)
-	if ft, _, err := fc.read(); err != nil || ft != ftHello {
-		t.Fatalf("HELLO: frame 0x%02x, err %v", ft, err)
-	}
 	rc, _ := json.Marshal(RunConfig{Data: loopDataCfg()})
-	if err := fc.write(ftWelcome, append([]byte{0, ProtoVersion}, rc...)); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		coord, agent := net.Pipe()
+		served := make(chan error, 1)
+		go func() {
+			served <- serveConn(agent, 5*time.Second, func(RunConfig) *data.Dataset { return ds }, chaos.NewWire(chaos.WireConfig{}))
+		}()
+		fc := newFrameConnTimeout(coord, 5*time.Second)
+		if ft, _, err := fc.read(); err != nil || ft != ftHello {
+			t.Fatalf("HELLO: frame 0x%02x, err %v", ft, err)
+		}
+		if err := fc.write(ftWelcome, append([]byte{0, ProtoVersion}, rc...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.write(ftModel, append([]byte{0, 0, 0, 7}, tc.blob...)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-served:
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s: agent connection ended with %v, want %v", tc.name, err, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: the agent accepted the MODEL frame", tc.name)
+		}
+		coord.Close()
 	}
-	blob := "\x00\x00\x00\x30" + `{"version":1,"input":[4],"classes":2,"cells":[]}` +
-		"FTW1\xff\xff\xff\xff\x0e\x3b\x50\x3d"
-	if err := fc.write(ftModel, append([]byte{0, 0, 0, 7}, blob...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served; !errors.Is(err, codec.ErrTruncated) {
-		t.Errorf("agent connection ended with %v, want codec.ErrTruncated", err)
-	}
-	coord.Close()
 }
 
 // TestHubRejectsUnknownKind: an agent answering with TRAINRES kind 1

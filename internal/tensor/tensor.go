@@ -96,6 +96,51 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
+// ForOverlap walks the region two tensors of equal rank share — indices
+// below min(dst.Shape[a], src.Shape[a]) on every axis a, the top-left
+// crop of a HeteroFL submodel or of soft aggregation across a widen —
+// and calls fn once per run of n elements contiguous in both, with the
+// run's flat offsets di into dst.Data and si into src.Data. Trailing
+// axes on which the shapes agree are folded into the run, so two
+// tensors of one shape are a single run.
+//
+// Runs arrive in ascending di, which is row-major order. A caller that
+// handles element j of a run from src.Data[si+j] at dst position di+j,
+// j ascending, therefore visits every shared element exactly once and
+// in the order an element-by-element row-major walk would: an
+// accumulation moved onto ForOverlap keeps every bit.
+func ForOverlap(dst, src *Tensor, fn func(di, si, n int)) {
+	if len(dst.Shape) != len(src.Shape) {
+		panic(fmt.Sprintf("tensor: overlap of shapes %v and %v", dst.Shape, src.Shape))
+	}
+	// axis is the outermost one a run spans; inner counts the elements
+	// of the agreeing axes after it.
+	axis, inner := len(dst.Shape)-1, 1
+	for axis > 0 && dst.Shape[axis] == src.Shape[axis] {
+		inner *= dst.Shape[axis]
+		axis--
+	}
+	n := min(dst.Shape[axis], src.Shape[axis]) * inner
+	runs := 1
+	for a := 0; a < axis; a++ {
+		runs *= min(dst.Shape[a], src.Shape[a])
+	}
+	for r := 0; r < runs; r++ {
+		// Decompose r into the outer index, last outer axis first.
+		di, si, rest := 0, 0, r
+		dStride, sStride := dst.Shape[axis]*inner, src.Shape[axis]*inner
+		for a := axis - 1; a >= 0; a-- {
+			lim := min(dst.Shape[a], src.Shape[a])
+			di += rest % lim * dStride
+			si += rest % lim * sStride
+			rest /= lim
+			dStride *= dst.Shape[a]
+			sStride *= src.Shape[a]
+		}
+		fn(di, si, n)
+	}
+}
+
 // At returns the element at a 2-D index of a rank-2 tensor.
 func (t *Tensor) At(i, j int) Float { return t.Data[i*t.Shape[1]+j] }
 

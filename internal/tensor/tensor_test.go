@@ -290,3 +290,73 @@ func TestRandNormalStd(t *testing.T) {
 		t.Errorf("sample std = %.3f, want ~2", std)
 	}
 }
+
+// overlapPairs lists the (dst, src) flat index pairs of the shared
+// region by the walk ForOverlap replaced: recurse over the axes, build
+// both row-major offsets from the full index at every leaf.
+func overlapPairs(dst, src *Tensor) [][2]int {
+	var pairs [][2]int
+	idx := make([]int, dst.Rank())
+	var walk func(axis int)
+	walk = func(axis int) {
+		if axis == len(idx) {
+			do, so := 0, 0
+			for a, v := range idx {
+				do = do*dst.Shape[a] + v
+				so = so*src.Shape[a] + v
+			}
+			pairs = append(pairs, [2]int{do, so})
+			return
+		}
+		for v := 0; v < min(dst.Shape[axis], src.Shape[axis]); v++ {
+			idx[axis] = v
+			walk(axis + 1)
+		}
+	}
+	walk(0)
+	return pairs
+}
+
+// TestForOverlapMatchesRecursiveWalk: the runs, expanded element by
+// element, are the recursive walk's pairs in the recursive walk's
+// order, for ranks 1 to 4 with either side larger on any axis.
+func TestForOverlapMatchesRecursiveWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 300; trial++ {
+		rank := 1 + rng.Intn(4)
+		ds, ss := make([]int, rank), make([]int, rank)
+		for a := range ds {
+			ds[a] = 1 + rng.Intn(4)
+			ss[a] = ds[a]
+			if rng.Intn(2) == 0 {
+				ss[a] = 1 + rng.Intn(4)
+			}
+		}
+		dst, src := New(ds...), New(ss...)
+		var got [][2]int
+		ForOverlap(dst, src, func(di, si, n int) {
+			for j := 0; j < n; j++ {
+				got = append(got, [2]int{di + j, si + j})
+			}
+		})
+		want := overlapPairs(dst, src)
+		if len(got) != len(want) {
+			t.Fatalf("%v over %v: %d elements, want %d", ds, ss, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v over %v: element %d is %v, want %v", ds, ss, i, got[i], want[i])
+			}
+		}
+	}
+	runs := 0
+	ForOverlap(New(3, 2, 3, 3), New(3, 2, 3, 3), func(di, si, n int) {
+		runs++
+		if di != 0 || si != 0 || n != 54 {
+			t.Errorf("equal shapes: run (%d, %d, %d), want (0, 0, 54)", di, si, n)
+		}
+	})
+	if runs != 1 {
+		t.Errorf("equal shapes: %d runs, want 1", runs)
+	}
+}
