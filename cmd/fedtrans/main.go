@@ -15,53 +15,31 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 
 	"fedtrans"
 )
 
-// validateFlags rejects numeric flag values that the runtime would
-// otherwise accept unchecked (a zero-worker agent pool spins uselessly;
-// negative counts corrupt derived sizes downstream). Violations exit
-// with code 2, the same code the flag package uses for unparseable
-// values.
-func validateFlags(opts fedtrans.Options, agentWorkers int) error {
-	checks := []struct {
-		bad bool
-		msg string
-	}{
-		{opts.Clients < 1, fmt.Sprintf("-clients must be >= 1 (got %d)", opts.Clients)},
-		{opts.Population < 0, fmt.Sprintf("-population must be >= 0 (got %d)", opts.Population)},
-		{opts.EdgeAggregators < 0, fmt.Sprintf("-edge-aggregators must be >= 0 (got %d)", opts.EdgeAggregators)},
-		{opts.Rounds < 0, fmt.Sprintf("-rounds must be >= 0 (got %d)", opts.Rounds)},
-		{opts.ClientsPerRound < 1, fmt.Sprintf("-participants must be >= 1 (got %d)", opts.ClientsPerRound)},
-		{opts.Heterogeneity <= 0, fmt.Sprintf("-h must be > 0 (got %g)", opts.Heterogeneity)},
-		{opts.Gamma < 1, fmt.Sprintf("-gamma must be >= 1 (got %d)", opts.Gamma)},
-		{opts.Delta < 1, fmt.Sprintf("-delta must be >= 1 (got %d)", opts.Delta)},
-		{opts.DeepenCells < 0, fmt.Sprintf("-deepen must be >= 0 (got %d)", opts.DeepenCells)},
-		{opts.CapacitySpread < 1, fmt.Sprintf("-spread must be >= 1 (got %g)", opts.CapacitySpread)},
-		{opts.MaxStaleness < 0, fmt.Sprintf("-max-staleness must be >= 0 (got %d)", opts.MaxStaleness)},
-		{opts.AsyncConcurrency < 0, fmt.Sprintf("-async-concurrency must be >= 0 (got %d)", opts.AsyncConcurrency)},
-		{opts.CheckpointEvery < 0, fmt.Sprintf("-checkpoint-every must be >= 0 (got %d)", opts.CheckpointEvery)},
-		{opts.EvalSample < 0, fmt.Sprintf("-eval-sample must be >= 0 (got %d)", opts.EvalSample)},
-		{opts.AttentionHeads < 0, fmt.Sprintf("-heads must be >= 0 (got %d)", opts.AttentionHeads)},
-		{agentWorkers < 1, fmt.Sprintf("-agent-workers must be >= 1 (got %d)", agentWorkers)},
+// check exits on err: with code 2, the flag package's bad-usage code,
+// when an option is out of range, and 1 otherwise.
+func check(err error) {
+	if err == nil {
+		return
 	}
-	for _, c := range checks {
-		if c.bad {
-			return fmt.Errorf("invalid flag: %s", c.msg)
-		}
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, fedtrans.ErrInvalidOptions) {
+		os.Exit(2)
 	}
-	return nil
+	os.Exit(1)
 }
 
 func main() {
 	opts := fedtrans.DefaultOptions()
 	flag.StringVar(&opts.Profile, "profile", opts.Profile,
-		"dataset profile: femnist|cifar10|speech|openimage|vit|scale|async")
+		"dataset profile: femnist|cifar10|speech|openimage|vit|scale")
 	flag.IntVar(&opts.Clients, "clients", opts.Clients, "number of federated clients")
 	flag.IntVar(&opts.Population, "population", opts.Population,
 		"generative population size: overrides -clients and synthesizes client state on demand, O(active) server state")
@@ -87,7 +65,7 @@ func main() {
 	flag.StringVar(&opts.CheckpointPath, "checkpoint", opts.CheckpointPath,
 		"write a resumable checkpoint to this file every -checkpoint-every rounds")
 	flag.IntVar(&opts.CheckpointEvery, "checkpoint-every", opts.CheckpointEvery,
-		"checkpoint cadence in rounds (default 10 when -checkpoint is set)")
+		"checkpoint cadence in rounds")
 	flag.IntVar(&opts.EvalSample, "eval-sample", opts.EvalSample,
 		"evaluate on a fixed deterministic panel of this many clients instead of the full population (0 = everyone)")
 	flag.IntVar(&opts.AttentionHeads, "heads", opts.AttentionHeads,
@@ -102,23 +80,14 @@ func main() {
 	exportPath := flag.String("export", "", "write the largest trained model to this file")
 	flag.Parse()
 
-	if err := validateFlags(opts, *agentWorkers); err != nil {
-		fmt.Fprintf(os.Stderr, "fedtrans: %v\n", err)
-		os.Exit(2) // match the flag package's bad-usage exit code
-	}
-
 	if *agentAddr != "" {
 		fmt.Fprintf(os.Stderr, "agent: serving coordinator %s with %d worker(s)\n", *agentAddr, *agentWorkers)
-		if err := fedtrans.RunAgent(*agentAddr, *agentWorkers); err != nil {
-			log.Fatal(err)
-		}
+		check(fedtrans.RunAgent(*agentAddr, *agentWorkers))
 		return
 	}
 
 	session, err := fedtrans.NewSession(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	if opts.ServeAddr != "" {
 		// Notice goes to stderr so stdout stays byte-comparable with the
 		// in-process run.
@@ -133,22 +102,16 @@ func main() {
 	var summary fedtrans.Summary
 	if *resumePath != "" {
 		blob, err := os.ReadFile(*resumePath)
-		if err != nil {
-			log.Fatal(err)
-		}
+		check(err)
 		// Notice goes to stderr so stdout stays byte-comparable with the
 		// uninterrupted run.
 		fmt.Fprintf(os.Stderr, "resuming from %s (%d bytes)\n", *resumePath, len(blob))
 		summary, err = session.Resume(blob)
-		if err != nil {
-			log.Fatal(err)
-		}
+		check(err)
 	} else {
 		summary = session.Run()
 	}
-	if err := session.CheckpointError(); err != nil {
-		log.Fatal(err)
-	}
+	check(session.CheckpointError())
 	fmt.Printf("\nmean accuracy : %.2f%%\n", summary.MeanAccuracy*100)
 	fmt.Printf("accuracy IQR  : %.2f%%\n", summary.AccuracyIQR*100)
 	fmt.Printf("train cost    : %.4g MACs\n", summary.TrainMACs)
@@ -166,12 +129,8 @@ func main() {
 
 	if *exportPath != "" {
 		blob, err := session.ExportModel(len(summary.Models) - 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*exportPath, blob, 0o644); err != nil {
-			log.Fatal(err)
-		}
+		check(err)
+		check(os.WriteFile(*exportPath, blob, 0o644))
 		fmt.Printf("\nexported largest model to %s (%d bytes)\n", *exportPath, len(blob))
 	}
 }

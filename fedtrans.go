@@ -16,6 +16,7 @@
 package fedtrans
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -31,14 +32,14 @@ import (
 	"fedtrans/internal/selection"
 )
 
-// Options configures a FedTrans training run. Zero values fall back to the
-// paper defaults (Table 7) at reproduction scale.
+// Options configures a FedTrans training run. Start from DefaultOptions()
+// — the paper defaults (Table 7) at reproduction scale — or ScaleOptions()
+// and change what the run needs: NewSession rejects a value outside its
+// field's range with ErrInvalidOptions, and never replaces one.
 type Options struct {
 	// Profile selects the synthetic dataset profile: "femnist" (default),
-	// "cifar10", "speech", "openimage", "vit", "scale" (a deliberately
-	// small task geometry for massive-client rounds; see ScaleOptions), or
-	// "async" (the femnist geometry with staleness-bounded asynchronous
-	// rounds: MaxStaleness defaults to 2 instead of 0).
+	// "cifar10", "speech", "openimage", "vit", or "scale" (a deliberately
+	// small task geometry for massive-client rounds; see ScaleOptions).
 	Profile string
 	// Clients is the number of federated clients (default 50).
 	Clients int
@@ -56,7 +57,7 @@ type Options struct {
 	// many edge aggregators each own a disjoint slice of every model's
 	// flat parameter space and merge into a root in fixed edge order at
 	// the round boundary. Bit-identical to single-tier aggregation for
-	// every StreamWindow and MaxStaleness setting; only the peak
+	// every MaxStaleness setting; only the peak
 	// per-aggregator accumulator memory changes (1/E of the flat space
 	// per edge).
 	EdgeAggregators int
@@ -85,7 +86,8 @@ type Options struct {
 	WidenFactor float64
 	DeepenCells int
 	// CapacitySpread is the max/min device capacity ratio of the simulated
-	// trace (default 32, matching the paper's ≥29x disparity).
+	// trace (default 32, matching the paper's ≥29x disparity; 1 gives every
+	// device the same capacity).
 	CapacitySpread float64
 	// AllowL2S enables large-to-small weight sharing (off by default; see
 	// Table 1).
@@ -97,12 +99,6 @@ type Options struct {
 	// Oort-style guided selector (high statistical utility, acceptable
 	// system speed).
 	GuidedSelection bool
-	// StreamWindow bounds the number of in-flight client updates in the
-	// streaming aggregation pipeline; the coordinator's peak update
-	// memory is O(StreamWindow × model bytes) regardless of
-	// ClientsPerRound. 0 uses 2×GOMAXPROCS. Results are identical for
-	// every window size.
-	StreamWindow int
 	// MaxStaleness ≥ 1 switches the coordinator to FedBuff-style
 	// staleness-bounded asynchronous rounds: clients train against the
 	// model version current at dispatch, rounds commit the earliest
@@ -115,7 +111,8 @@ type Options struct {
 	// once in asynchronous mode (default 2×ClientsPerRound, never below
 	// ClientsPerRound). Ignored when MaxStaleness is 0.
 	AsyncConcurrency int
-	// Seed drives all randomness (default 1).
+	// Seed drives all randomness (default 1). Every value, 0 included, is
+	// a seed.
 	Seed int64
 	// Quorum enables elastic rounds: a round commits when at least
 	// ceil(Quorum × selected) client updates fold successfully, and is
@@ -152,8 +149,7 @@ type Options struct {
 	// run from such a blob and reproduces the uninterrupted run
 	// bit-for-bit.
 	CheckpointPath string
-	// CheckpointEvery is the checkpoint cadence in rounds (default 10
-	// when CheckpointPath is set).
+	// CheckpointEvery is the checkpoint cadence in rounds (default 10).
 	CheckpointEvery int
 	// EvalSample, when > 0 and smaller than the client count, restricts
 	// every full-population evaluation pass (the periodic EvaluateAll,
@@ -183,39 +179,19 @@ type Options struct {
 	ServeAddr string
 }
 
-// ChaosOptions configures seeded fault injection for robustness testing.
-// Faults are drawn from a dedicated RNG stream, so a given (Seed, rates)
-// pair yields the same fault schedule on every run.
-type ChaosOptions struct {
-	// Seed drives the fault stream. 0 derives one from Options.Seed.
-	Seed int64
-	// CrashRate is the per-attempt probability that a client crashes
-	// mid-round: it downloads the model but never trains or uploads.
-	CrashRate float64
-	// CorruptUploadRate is the per-attempt probability that a client's
-	// upload arrives structurally corrupted and is rejected by the
-	// aggregator.
-	CorruptUploadRate float64
-	// NonFiniteRate is the per-attempt probability that a client's update
-	// contains NaN/Inf values, rejected at the aggregation boundary.
-	NonFiniteRate float64
-	// StragglerRate is the per-attempt probability that a client is
-	// delayed by StragglerDelay simulated seconds (interacting with
-	// ClientTimeout, if set).
-	StragglerRate  float64
-	StragglerDelay float64
-}
-
-func (c ChaosOptions) enabled() bool {
-	return c.CrashRate > 0 || c.CorruptUploadRate > 0 || c.NonFiniteRate > 0 || c.StragglerRate > 0
-}
+// ChaosOptions configures seeded fault injection for robustness testing:
+// per-attempt crash, corrupt-upload, non-finite-upload and straggler
+// rates, and the straggler delay. Faults are a pure function of (Seed,
+// round, client, attempt), so a given profile yields the same fault
+// schedule on every run. Seed 0 derives one from Options.Seed.
+type ChaosOptions = chaos.Config
 
 // ScaleOptions returns the massive-round stress profile: thousands of
 // clients per round on a deliberately small task, exercising the
 // streaming sharded aggregation pipeline (selection, assignment, local
-// training, clipping, accumulator folding) rather than the compute
-// kernels. Peak coordinator memory stays O(StreamWindow × model bytes)
-// even at ClientsPerRound in the thousands. Set Population to detach
+// training, accumulator folding) rather than the compute kernels. Peak
+// coordinator memory stays O(stream window × model bytes) even at
+// ClientsPerRound in the thousands. Set Population to detach
 // the population size from resident memory entirely (generative
 // clients), and EdgeAggregators to shard the round accumulator; both
 // leave results bit-identical.
@@ -263,65 +239,8 @@ func DefaultOptions() Options {
 		DeepenCells:     1,
 		CapacitySpread:  32,
 		Seed:            1,
+		CheckpointEvery: 10,
 	}
-}
-
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.Profile == "" {
-		o.Profile = d.Profile
-	}
-	if o.Clients <= 0 {
-		o.Clients = d.Clients
-	}
-	if o.Heterogeneity <= 0 {
-		o.Heterogeneity = d.Heterogeneity
-	}
-	if o.Rounds <= 0 {
-		o.Rounds = d.Rounds
-	}
-	if o.ClientsPerRound <= 0 {
-		o.ClientsPerRound = d.ClientsPerRound
-	}
-	if o.LocalSteps <= 0 {
-		o.LocalSteps = d.LocalSteps
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = d.BatchSize
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = d.LearningRate
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = d.Alpha
-	}
-	if o.Beta <= 0 {
-		o.Beta = d.Beta
-	}
-	if o.Gamma <= 0 {
-		o.Gamma = d.Gamma
-	}
-	if o.Delta <= 0 {
-		o.Delta = d.Delta
-	}
-	if o.WidenFactor <= 1 {
-		o.WidenFactor = d.WidenFactor
-	}
-	if o.DeepenCells <= 0 {
-		o.DeepenCells = d.DeepenCells
-	}
-	if o.CapacitySpread <= 1 {
-		o.CapacitySpread = d.CapacitySpread
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	if o.Population > 0 {
-		// A generative population is the client count; Clients only
-		// matters for materialized sessions.
-		o.Clients = o.Population
-	}
-	return o
 }
 
 // ModelInfo describes one model of the trained suite.
@@ -387,63 +306,110 @@ type Session struct {
 	sinkErr error
 }
 
-// NewSession validates options and materializes the dataset, device trace,
-// and coordinator.
-func NewSession(opts Options) (*Session, error) {
-	opts = opts.withDefaults()
-	switch opts.Profile {
-	case "femnist", "cifar10", "speech", "openimage", "vit", "scale", "async":
-	default:
-		return nil, fmt.Errorf("fedtrans: unknown profile %q", opts.Profile)
-	}
-	if opts.ClientsPerRound > opts.Clients {
-		return nil, fmt.Errorf("fedtrans: ClientsPerRound (%d) exceeds Clients (%d)",
-			opts.ClientsPerRound, opts.Clients)
-	}
-	if opts.MaxStaleness < 0 {
-		return nil, fmt.Errorf("fedtrans: negative MaxStaleness %d", opts.MaxStaleness)
-	}
-	if opts.Profile == "async" && opts.MaxStaleness == 0 {
-		opts.MaxStaleness = 2
-	}
-	model.ResetIDs()
-	dcfg := data.Config{
-		Profile:       opts.Profile,
-		Clients:       opts.Clients,
-		Heterogeneity: opts.Heterogeneity,
-		Seed:          opts.Seed,
-	}
-	if opts.Profile == "async" {
-		// The async profile is the femnist task geometry; the asynchrony
-		// lives in the round loop, not the data.
-		dcfg.Profile = "femnist"
-	}
-	if opts.Profile == "scale" {
+// ErrInvalidOptions reports an Options field outside its range; the
+// error NewSession returns names the field and wraps it.
+var ErrInvalidOptions = errors.New("fedtrans: invalid options")
+
+// dataConfig is the synthetic dataset the session's profile describes.
+func (o Options) dataConfig() data.Config {
+	c := data.Config{Profile: o.Profile, Clients: o.Clients, Heterogeneity: o.Heterogeneity, Seed: o.Seed}
+	if o.Profile == "scale" {
 		// Small per-client shards: the point is round volume, not local
 		// compute.
-		dcfg.MinSamples, dcfg.MaxSamples, dcfg.TestSamples = 8, 16, 8
+		c.MinSamples, c.MaxSamples, c.TestSamples = 8, 16, 8
 	}
+	return c
+}
+
+// initialSpec is the session's first model, with AttentionHeads applied.
+func (o Options) initialSpec(ds *data.Dataset) model.Spec {
+	spec := model.InitialSpec(o.Profile, ds.InputShape, ds.FeatureDim, ds.Classes)
+	if o.AttentionHeads > 1 {
+		spec.Heads = o.AttentionHeads
+	}
+	return spec
+}
+
+// validate holds every bounded field to its one range rule. The dataset
+// check comes first: it vets the profile and the dataset's size, and
+// yields the geometry the AttentionHeads rule sizes the initial model by.
+func (o Options) validate() error {
+	geom, err := o.dataConfig().Check(o.Population > 0)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+	}
+	spec := o.initialSpec(geom)
+	rate := func(v float64) bool { return v >= 0 && v <= 1 }
+	for _, r := range []struct {
+		field string
+		value any
+		ok    bool
+		want  string
+	}{
+		{"Clients", o.Clients, o.Clients >= 1, ">= 1"},
+		{"Population", o.Population, o.Population >= 0, ">= 0"},
+		{"EdgeAggregators", o.EdgeAggregators, o.EdgeAggregators >= 0, ">= 0"},
+		{"Heterogeneity", o.Heterogeneity, o.Heterogeneity > 0, "> 0"},
+		{"Rounds", o.Rounds, o.Rounds >= 0, ">= 0"},
+		{"ClientsPerRound", o.ClientsPerRound, o.ClientsPerRound >= 1 && o.ClientsPerRound <= o.Clients, "in [1, Clients]"},
+		{"LocalSteps", o.LocalSteps, o.LocalSteps >= 1, ">= 1"},
+		{"BatchSize", o.BatchSize, o.BatchSize >= 1, ">= 1"},
+		{"LearningRate", o.LearningRate, o.LearningRate > 0, "> 0"},
+		{"Alpha", o.Alpha, o.Alpha > 0 && o.Alpha <= 1, "in (0, 1]"},
+		{"Beta", o.Beta, o.Beta > 0, "> 0"},
+		{"Gamma", o.Gamma, o.Gamma >= 1, ">= 1"},
+		{"Delta", o.Delta, o.Delta >= 1, ">= 1"},
+		{"WidenFactor", o.WidenFactor, o.WidenFactor > 1, "> 1"},
+		{"DeepenCells", o.DeepenCells, o.DeepenCells >= 1, ">= 1"},
+		{"CapacitySpread", o.CapacitySpread, o.CapacitySpread >= 1, ">= 1"},
+		{"DropoutRate", o.DropoutRate, rate(o.DropoutRate), "in [0, 1]"},
+		{"MaxStaleness", o.MaxStaleness, o.MaxStaleness >= 0, ">= 0"},
+		{"AsyncConcurrency", o.AsyncConcurrency, o.AsyncConcurrency >= 0, ">= 0"},
+		{"Quorum", o.Quorum, rate(o.Quorum), "in [0, 1]"},
+		{"RetryBudget", o.RetryBudget, o.RetryBudget >= 0, ">= 0"},
+		{"RetryBackoff", o.RetryBackoff, o.RetryBackoff >= 0, ">= 0"},
+		{"ClientTimeout", o.ClientTimeout, o.ClientTimeout >= 0, ">= 0"},
+		{"Chaos.CrashRate", o.Chaos.CrashRate, rate(o.Chaos.CrashRate), "in [0, 1]"},
+		{"Chaos.CorruptRate", o.Chaos.CorruptRate, rate(o.Chaos.CorruptRate), "in [0, 1]"},
+		{"Chaos.NonFiniteRate", o.Chaos.NonFiniteRate, rate(o.Chaos.NonFiniteRate), "in [0, 1]"},
+		{"Chaos.StragglerRate", o.Chaos.StragglerRate, rate(o.Chaos.StragglerRate), "in [0, 1]"},
+		{"Chaos.StragglerDelay", o.Chaos.StragglerDelay, o.Chaos.StragglerDelay >= 0, ">= 0"},
+		{"ChurnJoinRate", o.ChurnJoinRate, rate(o.ChurnJoinRate), "in [0, 1]"},
+		{"ChurnLeaveRate", o.ChurnLeaveRate, rate(o.ChurnLeaveRate), "in [0, 1]"},
+		{"CheckpointEvery", o.CheckpointEvery, o.CheckpointEvery >= 1, ">= 1"},
+		{"EvalSample", o.EvalSample, o.EvalSample >= 0, ">= 0"},
+		{"AttentionHeads", o.AttentionHeads, o.AttentionHeads >= 0 &&
+			(o.AttentionHeads <= 1 || spec.Family == "attention" && spec.Input[1]%o.AttentionHeads == 0),
+			"0, 1, or a divisor of the vit profile's model dimension"},
+	} {
+		if !r.ok {
+			return fmt.Errorf("%w: %s = %v, want %s", ErrInvalidOptions, r.field, r.value, r.want)
+		}
+	}
+	return nil
+}
+
+// NewSession validates options and materializes the dataset, device trace,
+// and coordinator. An option out of range is an error wrapping
+// ErrInvalidOptions.
+func NewSession(opts Options) (*Session, error) {
+	if opts.Population > 0 {
+		// A generative population is the client count; Clients only
+		// matters for materialized sessions.
+		opts.Clients = opts.Population
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	model.ResetIDs()
+	dcfg := opts.dataConfig()
 	var ds *data.Dataset
 	if opts.Population > 0 {
 		ds = data.GenerateLazy(dcfg)
 	} else {
 		ds = data.Generate(dcfg)
 	}
-	spec := model.InitialSpec(opts.Profile, ds.InputShape, ds.FeatureDim, ds.Classes)
-	if opts.AttentionHeads < 0 {
-		return nil, fmt.Errorf("fedtrans: negative AttentionHeads %d", opts.AttentionHeads)
-	}
-	if opts.AttentionHeads > 1 {
-		if spec.Family != "attention" {
-			return nil, fmt.Errorf("fedtrans: AttentionHeads requires the vit profile (profile %q builds %s cells)",
-				opts.Profile, spec.Family)
-		}
-		if d := spec.Input[1]; d%opts.AttentionHeads != 0 {
-			return nil, fmt.Errorf("fedtrans: AttentionHeads %d does not divide the model dimension %d",
-				opts.AttentionHeads, d)
-		}
-		spec.Heads = opts.AttentionHeads
-	}
+	spec := opts.initialSpec(ds)
 	base := spec.Build(randFor(opts.Seed)).MACsPerSample()
 	tcfg := device.TraceConfig{
 		N:               opts.Clients,
@@ -472,7 +438,6 @@ func NewSession(opts Options) (*Session, error) {
 	if opts.GuidedSelection {
 		cfg.Selector = selection.NewOort()
 	}
-	cfg.StreamWindow = opts.StreamWindow
 	cfg.MaxStaleness = opts.MaxStaleness
 	cfg.AsyncConcurrency = opts.AsyncConcurrency
 	cfg.EdgeAggregators = opts.EdgeAggregators
@@ -481,27 +446,11 @@ func NewSession(opts Options) (*Session, error) {
 	cfg.RetryBudget = opts.RetryBudget
 	cfg.RetryBackoff = opts.RetryBackoff
 	cfg.ClientTimeout = opts.ClientTimeout
-	if opts.Chaos.enabled() {
-		seed := opts.Chaos.Seed
-		if seed == 0 {
-			seed = opts.Seed + 10_007
-		}
-		cfg.Chaos = chaos.Config{
-			Seed:           seed,
-			CrashRate:      opts.Chaos.CrashRate,
-			CorruptRate:    opts.Chaos.CorruptUploadRate,
-			NonFiniteRate:  opts.Chaos.NonFiniteRate,
-			StragglerRate:  opts.Chaos.StragglerRate,
-			StragglerDelay: opts.Chaos.StragglerDelay,
-		}
+	cfg.Chaos = opts.Chaos
+	if cfg.Chaos.Seed == 0 {
+		cfg.Chaos.Seed = opts.Seed + 10_007
 	}
-	if opts.ChurnJoinRate > 0 || opts.ChurnLeaveRate > 0 {
-		cfg.Churn = selection.ChurnConfig{
-			JoinRate:  opts.ChurnJoinRate,
-			LeaveRate: opts.ChurnLeaveRate,
-			MinOnline: opts.ClientsPerRound,
-		}
-	}
+	cfg.Churn = selection.ChurnConfig{JoinRate: opts.ChurnJoinRate, LeaveRate: opts.ChurnLeaveRate}
 	cfg.EvalSample = opts.EvalSample
 	s := &Session{opts: opts, dataset: ds, trace: trace}
 	if opts.ServeAddr != "" {
@@ -518,9 +467,6 @@ func NewSession(opts Options) (*Session, error) {
 		s.hub = hub
 	}
 	if opts.CheckpointPath != "" {
-		if opts.CheckpointEvery <= 0 {
-			opts.CheckpointEvery = 10
-		}
 		cfg.CheckpointEvery = opts.CheckpointEvery
 		cfg.CheckpointSink = func(round int, blob []byte) {
 			if err := writeFileAtomic(opts.CheckpointPath, blob); err != nil {
@@ -579,8 +525,12 @@ func (s *Session) Close() {
 // Options.ServeAddr, or `fedtrans -serve`) as a pool of workers client
 // agents: each worker downloads models and trains clients over the FTNC
 // protocol until the coordinator finishes. Blocks for the lifetime of
-// the coordinator; returns nil on clean shutdown.
+// the coordinator; returns nil on clean shutdown. workers < 1 is an error
+// wrapping ErrInvalidOptions.
 func RunAgent(addr string, workers int) error {
+	if workers < 1 {
+		return fmt.Errorf("%w: workers = %d, want >= 1", ErrInvalidOptions, workers)
+	}
 	return netcoord.RunAgents(netcoord.AgentConfig{Addr: addr, Workers: workers})
 }
 

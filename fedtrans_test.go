@@ -11,6 +11,7 @@ import (
 
 	"fedtrans/internal/codec"
 	"fedtrans/internal/model"
+	"fedtrans/internal/tensor"
 )
 
 func TestDefaultOptionsMatchPaper(t *testing.T) {
@@ -40,13 +41,79 @@ func TestNewSessionValidation(t *testing.T) {
 	}
 }
 
-func TestZeroOptionsFilled(t *testing.T) {
-	s, err := NewSession(Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestZeroOptionsRejected: Options{} is not a request for the defaults.
+// It is out of range, and the first field it fails is the profile.
+func TestZeroOptionsRejected(t *testing.T) {
+	_, err := NewSession(Options{})
+	if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "Profile") {
+		t.Fatalf("NewSession(Options{}) = %v, want ErrInvalidOptions naming Profile", err)
 	}
-	if s.opts.Profile != "femnist" || s.opts.Rounds != 120 {
-		t.Errorf("defaults not applied: %+v", s.opts)
+}
+
+// smallOptions is a seconds-sized femnist session.
+func smallOptions() Options {
+	o := DefaultOptions()
+	o.Clients, o.ClientsPerRound, o.Rounds = 12, 4, 2
+	return o
+}
+
+// TestOptionsEdgeValuesRejected: a value outside its field's range is
+// ErrInvalidOptions naming the field. Each used to be replaced by the
+// default.
+func TestOptionsEdgeValuesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"DeepenCells", func(o *Options) { o.DeepenCells = 0 }},
+		{"WidenFactor", func(o *Options) { o.WidenFactor = 1 }},
+		{"Alpha", func(o *Options) { o.Alpha = 0 }},
+		{"Beta", func(o *Options) { o.Beta = 0 }},
+		{"LearningRate", func(o *Options) { o.LearningRate = 0 }},
+		{"Quorum", func(o *Options) { o.Quorum = 1.5 }},
+		{"CrashRate", func(o *Options) { o.Chaos.CrashRate = -0.1 }},
+	} {
+		o := smallOptions()
+		tc.set(&o)
+		_, err := NewSession(o)
+		if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: NewSession = %v, want ErrInvalidOptions naming the field", tc.field, err)
+		}
+	}
+}
+
+// TestOptionsEdgeValuesHonoured: a value at the edge of its range is run
+// as given — a spread of 1 is a trace without disparity, 0 rounds trains
+// nothing, seed 0 is a seed — where each used to become the default.
+func TestOptionsEdgeValuesHonoured(t *testing.T) {
+	disparity := func(spread float64) float64 {
+		o := smallOptions()
+		o.CapacitySpread = spread
+		s, err := NewSession(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		return s.DeviceDisparity()
+	}
+	if one, wide := disparity(1), disparity(32); one >= wide {
+		t.Errorf("disparity at spread 1 = %v, at spread 32 = %v", one, wide)
+	}
+
+	run := func(set func(*Options)) Summary {
+		o := smallOptions()
+		set(&o)
+		sum, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	if sum := run(func(o *Options) { o.Rounds = 0 }); sum.Rounds != 0 {
+		t.Errorf("Rounds 0 ran %d rounds", sum.Rounds)
+	}
+	if reflect.DeepEqual(run(func(o *Options) { o.Seed = 0 }), run(func(o *Options) { o.Seed = 1 })) {
+		t.Error("seed 0 trained exactly what seed 1 trains")
 	}
 }
 
@@ -121,16 +188,14 @@ func TestRunDeterminismAcrossProfiles(t *testing.T) {
 // TestScaleProfileMassiveRound exercises the streaming aggregation
 // pipeline through the public API at a (CI-sized) massive round: many
 // more participants per round than the stream window, on the scale
-// profile's deliberately small task. The result must be byte-identical
-// across window sizes — the window is a memory knob, not a semantics
-// knob.
+// profile's deliberately small task. That the result is the same for
+// every window is fl's TestRunDeterminismSerialParallelCOW.
 func TestScaleProfileMassiveRound(t *testing.T) {
 	opts := ScaleOptions()
 	opts.Clients = 240
 	opts.ClientsPerRound = 200
 	opts.Rounds = 3
 	opts.LocalSteps = 2
-	opts.StreamWindow = 4
 	a, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -140,15 +205,6 @@ func TestScaleProfileMassiveRound(t *testing.T) {
 	}
 	if a.MeanAccuracy <= 0 || a.NetworkBytes <= 0 || a.TrainMACs <= 0 {
 		t.Fatalf("degenerate scale summary: %+v", a)
-	}
-	opts.StreamWindow = 64
-	b, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MeanAccuracy != b.MeanAccuracy || a.NetworkBytes != b.NetworkBytes {
-		t.Errorf("stream window changed results: %v/%d vs %v/%d",
-			a.MeanAccuracy, a.NetworkBytes, b.MeanAccuracy, b.NetworkBytes)
 	}
 }
 
@@ -365,6 +421,30 @@ func TestLoadModelRejectsHostileTensorCount(t *testing.T) {
 		"FTW1\xff\xff\xff\xff\x0e\x3b\x50\x3d"
 	if d, err := LoadModel([]byte(blob)); err == nil {
 		t.Fatalf("loaded %+v from the hostile blob", d.Info())
+	}
+}
+
+// TestLoadModelBoundsInputExtents: a blob whose header claims an input
+// no weight bounds — a conv model 2³¹ pixels on a side, an attention
+// model of 2⁴⁰ tokens — is model.ErrCorruptModel. Both used to load with
+// an InputDim that overflowed.
+func TestLoadModelBoundsInputExtents(t *testing.T) {
+	blob := func(header string, shapes ...[]int) []byte {
+		ws := make([]*tensor.Tensor, len(shapes))
+		for i, s := range shapes {
+			ws[i] = tensor.New(s...)
+		}
+		return codec.AppendEncode(append(binary.BigEndian.AppendUint32(nil, uint32(len(header))), header...), ws)
+	}
+	for name, b := range map[string][]byte{
+		"conv": blob(`{"version":1,"input":[2,2147483648,2147483648],"classes":3,"cells":[{"kind":"conv2d"},{"kind":"gap"}]}`,
+			[]int{4, 2, 3, 3}, []int{4}, []int{4, 3}, []int{3}),
+		"attention": blob(`{"version":1,"input":[1099511627776,4],"classes":2,"cells":[{"kind":"attention"},{"kind":"meantokens"}]}`,
+			[]int{4, 4}, []int{4, 4}, []int{4, 4}, []int{4, 4}, []int{4, 8}, []int{8}, []int{8, 4}, []int{4}, []int{4, 2}, []int{2}),
+	} {
+		if d, err := LoadModel(b); !errors.Is(err, model.ErrCorruptModel) {
+			t.Errorf("%s: loaded %v with error %v, want model.ErrCorruptModel", name, d, err)
+		}
 	}
 }
 

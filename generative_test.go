@@ -14,7 +14,6 @@ func TestPopulationMatchesMaterialized(t *testing.T) {
 	base.Clients = 120
 	base.ClientsPerRound = 40
 	base.Rounds = 3
-	base.StreamWindow = 4
 
 	mat, err := Run(base)
 	if err != nil {

@@ -33,10 +33,6 @@ type Update struct {
 
 // SoftConfig parameterizes inter-model soft aggregation.
 type SoftConfig struct {
-	// Eta is the per-round decay base of Eq. 5 (default 0.98, Table 7's
-	// decay factor). The cross-model contribution of model i to model j
-	// is weighted by eta^t * sim(Mi, Mj), shrinking as training matures.
-	Eta float64
 	// AllowL2S permits weight flow from larger/newer models to smaller
 	// ones. The paper disables this (Table 1: enabling it costs 15-23
 	// accuracy points).
@@ -45,8 +41,14 @@ type SoftConfig struct {
 	DisableDecay bool
 }
 
-// DefaultSoftConfig returns the paper defaults.
-func DefaultSoftConfig() SoftConfig { return SoftConfig{Eta: 0.98} }
+// eta is the per-round decay base of Eq. 5 (Table 7's decay factor): the
+// cross-model contribution of model i to model j is weighted by
+// eta^t * sim(Mi, Mj), shrinking as training matures.
+const eta = 0.98
+
+// DefaultSoftConfig returns the paper defaults: no large-to-small
+// sharing, decay on.
+func DefaultSoftConfig() SoftConfig { return SoftConfig{} }
 
 // snapshot captures one model's weights keyed by cell ancestry so
 // contributions can be aligned across architecturally different suite
@@ -90,12 +92,9 @@ func SoftAggregate(suite []*model.Model, round int, cfg SoftConfig) {
 	if len(suite) < 2 {
 		return
 	}
-	if cfg.Eta <= 0 {
-		cfg.Eta = 0.98
-	}
 	decay := 1.0
 	if !cfg.DisableDecay {
-		decay = pow(cfg.Eta, round)
+		decay = pow(eta, round)
 	}
 	snaps := make([]snapshot, len(suite))
 	for i, m := range suite {

@@ -74,7 +74,7 @@ func TestSingleModelBaselines(t *testing.T) {
 	cfg.Rounds = 30
 	avg := RunFedAvg(cfg, ds, trace, spec)
 	prox := RunFedProx(cfg, ds, trace, spec, 0.1)
-	yogi := RunFedYogi(cfg, ds, trace, spec, 0.02)
+	yogi := RunFedYogi(cfg, ds, trace, spec)
 	t.Logf("fedavg=%.3f fedprox=%.3f fedyogi=%.3f", avg.MeanAcc, prox.MeanAcc, yogi.MeanAcc)
 	chance := 1.0 / float64(ds.Classes)
 	for name, r := range map[string]float64{"fedavg": avg.MeanAcc, "fedprox": prox.MeanAcc, "fedyogi": yogi.MeanAcc} {

@@ -51,10 +51,9 @@ func RunFedProx(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Sp
 
 // RunFedYogi trains a single global model with the FedYogi server
 // optimizer.
-func RunFedYogi(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Spec, serverLR float64) fl.Result {
+func RunFedYogi(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Spec) fl.Result {
 	fc := singleModelConfig(cfg)
 	fc.ServerYogi = true
-	fc.YogiLR = serverLR
 	rt := fl.New(fc, ds, trace, spec)
 	res := rt.Run()
 	res.CostCurve.Name = "fedyogi"

@@ -33,15 +33,19 @@ type Config struct {
 	Rounds int
 	// ClientsPerRound is sampled per cluster-round across all clusters.
 	ClientsPerRound int
-	// SignatureDim is the random-projection dimensionality (default 32).
-	SignatureDim int
-	// KMeansIters bounds Lloyd iterations (default 20).
-	KMeansIters int
 	// Local configures client training.
 	Local fl.LocalConfig
 	// Seed drives everything.
 	Seed int64
 }
+
+const (
+	// signatureDim is the random-projection dimensionality of an update
+	// signature.
+	signatureDim = 32
+	// kmeansIters bounds Lloyd iterations.
+	kmeansIters = 20
+)
 
 // DefaultConfig returns reproduction-scale defaults.
 func DefaultConfig() Config {
@@ -50,8 +54,6 @@ func DefaultConfig() Config {
 		ProbeRounds:     5,
 		Rounds:          40,
 		ClientsPerRound: 10,
-		SignatureDim:    32,
-		KMeansIters:     20,
 		Local:           fl.DefaultLocalConfig(),
 		Seed:            1,
 	}
@@ -75,29 +77,9 @@ type Runtime struct {
 	rng   *rand.Rand
 }
 
-// New builds a clustered runtime.
+// New builds a clustered runtime. Start cfg from DefaultConfig: every
+// field is used as given.
 func New(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Spec) *Runtime {
-	if cfg.K <= 0 {
-		cfg.K = 3
-	}
-	if cfg.ProbeRounds <= 0 {
-		cfg.ProbeRounds = 5
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 40
-	}
-	if cfg.ClientsPerRound <= 0 {
-		cfg.ClientsPerRound = 10
-	}
-	if cfg.SignatureDim <= 0 {
-		cfg.SignatureDim = 32
-	}
-	if cfg.KMeansIters <= 0 {
-		cfg.KMeansIters = 20
-	}
-	if cfg.Local.Steps == 0 {
-		cfg.Local = fl.DefaultLocalConfig()
-	}
 	return &Runtime{cfg: cfg, ds: ds, trace: trace, spec: spec,
 		rng: rand.New(rand.NewSource(cfg.Seed))}
 }
@@ -111,19 +93,19 @@ func (rt *Runtime) Signatures(probe *model.Model) [][]float64 {
 	for _, t := range base {
 		total += t.Len()
 	}
-	// Fixed random projection: total -> SignatureDim.
+	// Fixed random projection: total -> signatureDim.
 	prng := rand.New(rand.NewSource(cfg.Seed + 999))
-	proj := make([][]float64, cfg.SignatureDim)
+	proj := make([][]float64, signatureDim)
 	for i := range proj {
 		row := make([]float64, total)
 		for j := range row {
-			row[j] = prng.NormFloat64() / math.Sqrt(float64(cfg.SignatureDim))
+			row[j] = prng.NormFloat64() / math.Sqrt(float64(signatureDim))
 		}
 		proj[i] = row
 	}
 	sigs := make([][]float64, len(rt.ds.Clients))
 	for c := range rt.ds.Clients {
-		acc := make([]float64, cfg.SignatureDim)
+		acc := make([]float64, signatureDim)
 		for r := 0; r < cfg.ProbeRounds; r++ {
 			crng := rand.New(xrand.New(cfg.Seed + int64(c)*100_003 + int64(r)))
 			lr := fl.TrainLocal(probe, &rt.ds.Clients[c], cfg.Local, crng)
@@ -132,7 +114,7 @@ func (rt *Runtime) Signatures(probe *model.Model) [][]float64 {
 			for ti, t := range lr.Weights {
 				for j := range t.Data {
 					d := float64(t.Data[j] - base[ti].Data[j])
-					for k := 0; k < cfg.SignatureDim; k++ {
+					for k := 0; k < signatureDim; k++ {
 						acc[k] += proj[k][off+j] * d
 					}
 				}
@@ -250,7 +232,7 @@ func (rt *Runtime) Run() Result {
 		rt.fedAvgRound(probe, r, &res)
 	}
 	sigs := rt.Signatures(probe)
-	res.Assignment = KMeans(sigs, cfg.K, cfg.KMeansIters, rt.rng)
+	res.Assignment = KMeans(sigs, cfg.K, kmeansIters, rt.rng)
 	res.Sizes = make([]int, cfg.K)
 	for _, a := range res.Assignment {
 		res.Sizes[a]++

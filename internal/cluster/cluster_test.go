@@ -105,7 +105,7 @@ func TestSignaturesAreUnitNorm(t *testing.T) {
 	probe := spec.Build(rand.New(rand.NewSource(1)))
 	sigs := rt.Signatures(probe)
 	for i, s := range sigs {
-		if len(s) != cfg.SignatureDim {
+		if len(s) != signatureDim {
 			t.Fatalf("signature %d dim %d", i, len(s))
 		}
 		n := 0.0

@@ -84,13 +84,11 @@ func (d *Dataset) Fetch(cur *ClientCursor, k int) *Client {
 // Config parameterizes synthetic dataset generation.
 type Config struct {
 	// Profile selects task geometry: "femnist", "cifar10", "speech",
-	// "openimage", or "vit". Empty defaults to "femnist".
+	// "openimage", "vit" or "scale".
 	Profile string
 	// Clients is the number of clients (scaled down from the paper's
 	// 100–14477 for CPU execution).
 	Clients int
-	// Classes overrides the profile's class count when > 0.
-	Classes int
 	// Heterogeneity is the Dirichlet concentration h; lower values give
 	// more heterogeneous label distributions (paper Figure 13). Default 1.
 	Heterogeneity float64
@@ -99,14 +97,23 @@ type Config struct {
 	MinSamples, MaxSamples int
 	// TestSamples is the per-client test set size. Default 24.
 	TestSamples int
-	// MaxComplexity is the maximum per-client complexity level (extra
-	// modes per class). Default 3.
-	MaxComplexity int
-	// NoiseStd is the within-cluster noise. Default 0.45.
-	NoiseStd float64
 	// Seed drives all sampling.
 	Seed int64
 }
+
+const (
+	// maxComplexity is the largest per-client complexity level: a client
+	// spreads its classes over at most 1+maxComplexity modes.
+	maxComplexity = 3
+	// noiseStd is the within-cluster noise.
+	noiseStd = 0.45
+
+	// maxSamples bounds MinSamples, MaxSamples and TestSamples, and
+	// maxValues the feature values of a materialized dataset (2²⁸
+	// float32, 1 GiB): the ceilings Check holds a Config to.
+	maxSamples = 1 << 12
+	maxValues  = 1 << 28
+)
 
 type profileGeom struct {
 	classes    int
@@ -114,31 +121,72 @@ type profileGeom struct {
 	inputShape []int
 }
 
-func geometry(profile string, classes int) profileGeom {
-	var g profileGeom
+func geometry(profile string) (profileGeom, error) {
 	switch profile {
-	case "", "femnist":
-		g = profileGeom{classes: 16, featureDim: 64, inputShape: []int{64}}
+	case "femnist":
+		return profileGeom{classes: 16, featureDim: 64, inputShape: []int{64}}, nil
 	case "cifar10":
-		g = profileGeom{classes: 10, featureDim: 3 * 8 * 8, inputShape: []int{3, 8, 8}}
+		return profileGeom{classes: 10, featureDim: 3 * 8 * 8, inputShape: []int{3, 8, 8}}, nil
 	case "speech":
-		g = profileGeom{classes: 12, featureDim: 1 * 12 * 12, inputShape: []int{1, 12, 12}}
+		return profileGeom{classes: 12, featureDim: 1 * 12 * 12, inputShape: []int{1, 12, 12}}, nil
 	case "openimage":
-		g = profileGeom{classes: 20, featureDim: 3 * 8 * 8, inputShape: []int{3, 8, 8}}
+		return profileGeom{classes: 20, featureDim: 3 * 8 * 8, inputShape: []int{3, 8, 8}}, nil
 	case "vit":
-		g = profileGeom{classes: 16, featureDim: 64, inputShape: []int{8, 8}}
+		return profileGeom{classes: 16, featureDim: 64, inputShape: []int{8, 8}}, nil
 	case "scale":
 		// Massive-round stress geometry: a deliberately small task so
 		// thousands of clients per round exercise the coordinator's
 		// aggregation pipeline instead of the compute kernels.
-		g = profileGeom{classes: 8, featureDim: 32, inputShape: []int{32}}
-	default:
-		panic(fmt.Sprintf("data: unknown profile %q", profile))
+		return profileGeom{classes: 8, featureDim: 32, inputShape: []int{32}}, nil
 	}
-	if classes > 0 {
-		g.classes = classes
+	return profileGeom{}, fmt.Errorf("data: Profile %q is not one of femnist, cifar10, speech, openimage, vit, scale", profile)
+}
+
+// normalized fills the Config's zero fields with their defaults.
+func (cfg Config) normalized() Config {
+	if cfg.Clients <= 0 {
+		cfg.Clients = 50
 	}
-	return g
+	if cfg.Heterogeneity <= 0 {
+		cfg.Heterogeneity = 1
+	}
+	if cfg.MinSamples <= 0 {
+		cfg.MinSamples = 24
+	}
+	if cfg.MaxSamples < cfg.MinSamples {
+		cfg.MaxSamples = cfg.MinSamples * 4
+	}
+	if cfg.TestSamples <= 0 {
+		cfg.TestSamples = 24
+	}
+	return cfg
+}
+
+// Check reports whether Generate (lazy false) or GenerateLazy (lazy true)
+// builds cfg within bounded memory: a known profile, Clients and
+// Heterogeneity not negative, each sample count in [0, maxSamples], and —
+// for a materialized dataset — at most maxValues feature values in all.
+// A Config that arrives from outside the process must pass it first:
+// Generate panics on an unknown profile. Check builds nothing: it
+// returns the geometry the datasets of cfg share (Classes, FeatureDim,
+// InputShape, Profile) as a Dataset without clients.
+func (cfg Config) Check(lazy bool) (*Dataset, error) {
+	g, err := geometry(cfg.Profile)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case cfg.Clients < 0 || !(cfg.Heterogeneity >= 0):
+		return nil, fmt.Errorf("data: Clients %d or Heterogeneity %v is negative", cfg.Clients, cfg.Heterogeneity)
+	case min(cfg.MinSamples, cfg.MaxSamples, cfg.TestSamples) < 0 || max(cfg.MinSamples, cfg.MaxSamples, cfg.TestSamples) > maxSamples:
+		return nil, fmt.Errorf("data: MinSamples, MaxSamples, TestSamples %d, %d, %d not all in [0, %d]",
+			cfg.MinSamples, cfg.MaxSamples, cfg.TestSamples, maxSamples)
+	}
+	n := cfg.normalized()
+	if perClient := (n.MaxSamples + n.TestSamples) * g.featureDim; !lazy && n.Clients > maxValues/perClient {
+		return nil, fmt.Errorf("data: %d materialized Clients of up to %d feature values each exceed %d in all", n.Clients, perClient, maxValues)
+	}
+	return g.metadata(cfg.Profile), nil
 }
 
 // Generator holds the shared, population-independent synthesis state:
@@ -164,31 +212,13 @@ type ClientCursor struct {
 
 // NewGenerator normalizes cfg and builds the shared prototype bank.
 // Setup cost depends only on the task geometry, never on cfg.Clients.
+// It panics on an unknown profile (see Config.Check).
 func NewGenerator(cfg Config) *Generator {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 50
+	cfg = cfg.normalized()
+	g, err := geometry(cfg.Profile)
+	if err != nil {
+		panic(err)
 	}
-	if cfg.Heterogeneity <= 0 {
-		cfg.Heterogeneity = 1
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 24
-	}
-	if cfg.MaxSamples < cfg.MinSamples {
-		cfg.MaxSamples = cfg.MinSamples * 4
-	}
-	if cfg.TestSamples <= 0 {
-		cfg.TestSamples = 24
-	}
-	if cfg.MaxComplexity < 0 {
-		cfg.MaxComplexity = 0
-	} else if cfg.MaxComplexity == 0 {
-		cfg.MaxComplexity = 3
-	}
-	if cfg.NoiseStd <= 0 {
-		cfg.NoiseStd = 0.45
-	}
-	g := geometry(cfg.Profile, cfg.Classes)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Global mode bank: prototypes for every (class, mode) pair, shared
@@ -199,10 +229,10 @@ func NewGenerator(cfg Config) *Generator {
 	// convolution filters + global pooling genuinely carry the class
 	// signal (and per-sample phase shifts reward translation-invariant
 	// models). Flat profiles get unit-norm Gaussian cluster prototypes.
-	maxModes := cfg.MaxComplexity + 1
+	maxModes := maxComplexity + 1
 	protos := make([][]float64, g.classes*maxModes)
 	// Prototype norm scales with sqrt(D) so per-dimension separation vs.
-	// NoiseStd stays constant across profiles.
+	// the within-cluster noise stays constant across profiles.
 	targetNorm := 0.4 * math.Sqrt(float64(g.featureDim))
 	imageShaped := len(g.inputShape) == 3
 	for i := range protos {
@@ -253,14 +283,14 @@ func (g *Generator) Synth(cur *ClientCursor, k int) *Client {
 	// An O(1) xrand re-seed: the stream equals a fresh
 	// rand.New(rand.NewSource(seed)) (xrand.TestReseedInPlace).
 	crng.Seed(g.cfg.Seed + int64(k)*7919 + 1)
-	complexity := crng.Intn(g.cfg.MaxComplexity + 1)
+	complexity := crng.Intn(maxComplexity + 1)
 	cur.scales, cur.biases = clientTransformInto(cur.scales, cur.biases, g.geom.featureDim, crng)
 	cur.labelDist = dirichletInto(cur.labelDist, g.geom.classes, g.cfg.Heterogeneity, crng)
 	nTrain := logUniformInt(g.cfg.MinSamples, g.cfg.MaxSamples, crng)
 	sp := sampleParams{
 		geom: g.geom, protos: g.protos, maxModes: g.maxModes, complexity: complexity,
 		labelDist: cur.labelDist, scales: cur.scales, biases: cur.biases,
-		noise: g.cfg.NoiseStd, imageShaped: g.imageShaped,
+		noise: noiseStd, imageShaped: g.imageShaped,
 	}
 	cl := &cur.Client
 	if cl.TrainX == nil {
@@ -283,7 +313,7 @@ func (g *Generator) Clients() int { return g.cfg.Clients }
 // materialized.
 func Generate(cfg Config) *Dataset {
 	gen := NewGenerator(cfg)
-	ds := gen.metadata()
+	ds := gen.geom.metadata(gen.cfg.Profile)
 	ds.Clients = make([]Client, gen.cfg.Clients)
 	for k := range ds.Clients {
 		// A fresh cursor per client so each one owns its buffers.
@@ -298,19 +328,15 @@ func Generate(cfg Config) *Dataset {
 // Fetch and are bit-identical to the ones Generate would build.
 func GenerateLazy(cfg Config) *Dataset {
 	gen := NewGenerator(cfg)
-	ds := gen.metadata()
+	ds := gen.geom.metadata(gen.cfg.Profile)
 	ds.Gen = gen
 	ds.Population = gen.cfg.Clients
 	return ds
 }
 
-func (g *Generator) metadata() *Dataset {
-	return &Dataset{
-		Classes:    g.geom.classes,
-		FeatureDim: g.geom.featureDim,
-		InputShape: g.geom.inputShape,
-		Profile:    g.cfg.Profile,
-	}
+// metadata is a Dataset of the geometry with no clients.
+func (g profileGeom) metadata(profile string) *Dataset {
+	return &Dataset{Classes: g.classes, FeatureDim: g.featureDim, InputShape: g.inputShape, Profile: profile}
 }
 
 // sampleParams bundles per-client sampling state.
@@ -477,13 +503,6 @@ func logUniformInt(lo, hi int, rng *rand.Rand) int {
 		n = hi
 	}
 	return n
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Centralized pools every client's training data into one shuffled set —

@@ -69,7 +69,7 @@ func TestSampleCountsWithinBounds(t *testing.T) {
 }
 
 func TestComplexityLevelsSpread(t *testing.T) {
-	ds := Generate(Config{Profile: "femnist", Clients: 60, MaxComplexity: 3, Seed: 3})
+	ds := Generate(Config{Profile: "femnist", Clients: 60, Seed: 3})
 	seen := map[int]bool{}
 	for _, c := range ds.Clients {
 		if c.Complexity < 0 || c.Complexity > 3 {
@@ -219,9 +219,30 @@ func TestBatchIntoReusesAndResizes(t *testing.T) {
 	}
 }
 
-func TestClassesOverride(t *testing.T) {
-	ds := Generate(Config{Profile: "femnist", Clients: 3, Classes: 5, Seed: 8})
-	if ds.Classes != 5 {
-		t.Errorf("Classes = %d, want 5", ds.Classes)
+// TestCheckBoundsConfig: Check refuses what Generate would panic on or
+// could not hold in memory, and passes every profile at its defaults.
+func TestCheckBoundsConfig(t *testing.T) {
+	for _, p := range []string{"femnist", "cifar10", "speech", "openimage", "vit", "scale"} {
+		if _, err := (Config{Profile: p}).Check(false); err != nil {
+			t.Errorf("%q at its defaults: %v", p, err)
+		}
+	}
+	huge := Config{Profile: "cifar10", Clients: 1_000_000}
+	if _, err := huge.Check(true); err != nil {
+		t.Errorf("a generative million-client population: %v", err)
+	}
+	for name, cfg := range map[string]Config{
+		"no profile":              {},
+		"unknown profile":         {Profile: "imagenet"},
+		"negative clients":        {Profile: "femnist", Clients: -1},
+		"negative heterogeneity":  {Profile: "femnist", Heterogeneity: -1},
+		"negative test samples":   {Profile: "femnist", TestSamples: -1},
+		"oversized train set":     {Profile: "femnist", MaxSamples: maxSamples + 1},
+		"oversized minimum":       {Profile: "femnist", MinSamples: 1 << 62},
+		"materialized population": huge,
+	} {
+		if _, err := cfg.Check(false); err == nil {
+			t.Errorf("%s: Check accepted %+v", name, cfg)
+		}
 	}
 }

@@ -40,12 +40,13 @@ type TraceConfig struct {
 	// trace spans the whole model suite (§5.1).
 	MinCapacityMACs float64
 	MaxCapacityMACs float64
-	// Sigma is the log-normal shape parameter (default 0.8, giving a
-	// heavy-tailed spread ≥29× between extremes for N in the hundreds).
-	Sigma float64
 	// Seed drives the trace RNG.
 	Seed int64
 }
+
+// shape is the log-normal shape parameter of the device draws: a
+// heavy-tailed spread ≥29× between extremes for N in the hundreds.
+const shape = 0.8
 
 // Trace is a reproducible set of simulated devices. Hand-built traces
 // (populating Devices directly) remain valid; traces from NewTrace or
@@ -62,14 +63,14 @@ type Trace struct {
 	rngPool sync.Pool
 }
 
+// normalize fills an unset capacity range. A range of one point
+// (MaxCapacityMACs == MinCapacityMACs) is kept: every device then has the
+// same capacity.
 func normalize(cfg TraceConfig) TraceConfig {
-	if cfg.Sigma <= 0 {
-		cfg.Sigma = 0.8
-	}
 	if cfg.MinCapacityMACs <= 0 {
 		cfg.MinCapacityMACs = 1e3
 	}
-	if cfg.MaxCapacityMACs <= cfg.MinCapacityMACs {
+	if cfg.MaxCapacityMACs < cfg.MinCapacityMACs {
 		cfg.MaxCapacityMACs = cfg.MinCapacityMACs * 32
 	}
 	return cfg
@@ -95,7 +96,7 @@ func synthDevice(cfg *TraceConfig, rng *rand.Rand, i int) Device {
 	// the configured range so every device can run at least the
 	// initial model.
 	u := rng.Float64()
-	logCap := logMin + u*(logMax-logMin) + rng.NormFloat64()*cfg.Sigma*0.25
+	logCap := logMin + u*(logMax-logMin) + rng.NormFloat64()*shape*0.25
 	if logCap < logMin {
 		logCap = logMin
 	}
@@ -105,8 +106,8 @@ func synthDevice(cfg *TraceConfig, rng *rand.Rand, i int) Device {
 	capMACs := math.Exp(logCap)
 	// Compute speed correlates with capacity (big phones are fast);
 	// 1 MFLOP-class spread around capacity/10ms.
-	speed := capMACs / 0.01 * math.Exp(rng.NormFloat64()*cfg.Sigma*0.5)
-	bw := 1e5 * math.Exp(rng.NormFloat64()*cfg.Sigma) // ~100 KB/s median
+	speed := capMACs / 0.01 * math.Exp(rng.NormFloat64()*shape*0.5)
+	bw := 1e5 * math.Exp(rng.NormFloat64()*shape) // ~100 KB/s median
 	return Device{
 		ComputeMACsPerSec:    speed,
 		BandwidthBytesPerSec: bw,

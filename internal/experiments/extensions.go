@@ -54,7 +54,7 @@ func RunFigure8(sc Scale) Figure8Result {
 	midSpec2 := middleSpec(rtYogi.Suite())
 
 	// FedYogi solo.
-	add("FedYogi", baselines.RunFedYogi(bcfg, w2.Dataset, w2.Trace, midSpec2, 0.02))
+	add("FedYogi", baselines.RunFedYogi(bcfg, w2.Dataset, w2.Trace, midSpec2))
 	return out
 }
 

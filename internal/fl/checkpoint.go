@@ -549,13 +549,13 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	rt.doc.Restore(ck.DoCLosses)
 	rt.act = make(map[int]*transform.ActivenessTracker, len(ck.Act))
 	for i := range ck.Act {
-		tr := transform.NewActivenessTracker(cfg.Transform.ActWindow)
+		tr := transform.NewActivenessTracker(activenessWindow)
 		tr.Restore(ck.Act[i].Hist)
 		rt.act[ck.Act[i].ModelID] = tr
 	}
 	if len(ck.Yogi) > 0 {
 		if rt.serverOpt == nil {
-			rt.serverOpt = newYogiOpt(rt.yogiLR())
+			rt.serverOpt = newYogiOpt()
 		}
 		for i := range ck.Yogi {
 			y := &ck.Yogi[i]

@@ -17,8 +17,8 @@ import (
 )
 
 // ckptConfig is the kitchen-sink deterministic configuration the
-// checkpoint golden tests run under: transformation, clip+noise,
-// dropout, and logging all on, so a resumed run must reproduce every
+// checkpoint golden tests run under: transformation, dropout, and
+// logging all on, so a resumed run must reproduce every
 // stateful subsystem.
 func ckptConfig() Config {
 	cfg := DefaultConfig()
@@ -26,8 +26,6 @@ func ckptConfig() Config {
 	cfg.ClientsPerRound = 6
 	cfg.EvalEvery = 3
 	cfg.ConvergePatience = 0
-	cfg.ClipNorm = 5
-	cfg.NoiseStd = 0.001
 	cfg.DropoutRate = 0.1
 	cfg.RecordLog = true
 	cfg.Transform.Gamma = 3

@@ -182,23 +182,6 @@ func TestRuntimeDisableTransformKeepsSingleModel(t *testing.T) {
 	}
 }
 
-func TestRuntimeRespectsMaxModels(t *testing.T) {
-	ds, tr, spec := smokeSetup(t, 12)
-	cfg := DefaultConfig()
-	cfg.Rounds = 60
-	cfg.ClientsPerRound = 6
-	cfg.Transform.Gamma = 2
-	cfg.Transform.Delta = 2
-	cfg.Transform.Beta = 0.2 // transform eagerly
-	cfg.Transform.MaxModels = 3
-	cfg.ConvergePatience = 0
-	rt := New(cfg, ds, tr, spec)
-	res := rt.Run()
-	if len(res.SuiteArch) > 3 {
-		t.Errorf("suite size %d exceeds MaxModels=3", len(res.SuiteArch))
-	}
-}
-
 func TestRuntimeCapacityBoundsSuite(t *testing.T) {
 	ds, _, spec := smokeSetup(t, 10)
 	// Trace where max capacity is barely above the initial model: no room
@@ -229,8 +212,7 @@ func TestRuntimeConvergenceStopsEarly(t *testing.T) {
 	cfg.Rounds = 200
 	cfg.ClientsPerRound = 5
 	cfg.EvalEvery = 2
-	cfg.ConvergePatience = 3
-	cfg.ConvergeDelta = 0.5 // absurdly strict improvement requirement
+	cfg.ConvergePatience = 3 // three evaluations without a one-point gain
 	rt := New(cfg, ds, tr, spec)
 	res := rt.Run()
 	if res.RoundsRun >= 200 {
@@ -436,67 +418,5 @@ func TestPersonalizeDoesNotMutateServer(t *testing.T) {
 		if !tensor.Equal(before[i], p, 0) {
 			t.Fatal("Personalize mutated the server model")
 		}
-	}
-}
-
-func TestClipAndNoiseClipsNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	anchor := []*tensor.Tensor{tensor.New(4)}
-	weights := []*tensor.Tensor{tensor.FromSlice([]tensor.Float{3, 0, 4, 0}, 4)} // delta norm 5
-	got := ClipAndNoise(weights, anchor, 1, 0, rng)
-	if got != 5 {
-		t.Errorf("pre-clip norm = %v, want 5", got)
-	}
-	// Post-clip delta norm must be 1.
-	sq := 0.0
-	for _, v := range weights[0].Data {
-		sq += float64(v) * float64(v)
-	}
-	if diff := sq - 1; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("post-clip norm^2 = %v, want 1", sq)
-	}
-}
-
-func TestClipAndNoiseAddsNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	anchor := []*tensor.Tensor{tensor.New(100)}
-	weights := []*tensor.Tensor{tensor.New(100)}
-	ClipAndNoise(weights, anchor, 0, 0.5, rng)
-	nonzero := 0
-	for _, v := range weights[0].Data {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if nonzero < 90 {
-		t.Errorf("noise applied to only %d/100 entries", nonzero)
-	}
-}
-
-func TestClipAndNoiseNoopWhenDisabled(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	anchor := []*tensor.Tensor{tensor.New(3)}
-	weights := []*tensor.Tensor{tensor.FromSlice([]tensor.Float{1, 2, 3}, 3)}
-	before := weights[0].Clone()
-	ClipAndNoise(weights, anchor, 0, 0, rng)
-	if !tensor.Equal(before, weights[0], 0) {
-		t.Error("disabled clip+noise must be a no-op")
-	}
-}
-
-func TestRuntimeWithDPPostProcessing(t *testing.T) {
-	ds, tr, spec := smokeSetup(t, 12)
-	cfg := DefaultConfig()
-	cfg.Rounds = 25
-	cfg.ClientsPerRound = 6
-	cfg.ClipNorm = 2
-	cfg.NoiseStd = 0.005
-	cfg.DisableTransform = true
-	cfg.ConvergePatience = 0
-	rt := New(cfg, ds, tr, spec)
-	res := rt.Run()
-	// Clipped + lightly noised training must still learn.
-	if res.MeanAcc < 2.0/float64(ds.Classes) {
-		t.Errorf("DP-processed training collapsed: %.3f", res.MeanAcc)
 	}
 }

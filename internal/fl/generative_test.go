@@ -34,7 +34,7 @@ func genSetup(t testing.TB, clients int, lazy bool) (*data.Dataset, *device.Trac
 }
 
 // genChaosConfig is the kitchen-sink scenario the generative-equality
-// golden runs under: churn + chaos + clipping + retries + quorum, so
+// golden runs under: churn + chaos + retries + quorum, so
 // every stateful subsystem exercises the on-demand client path.
 func genChaosConfig() Config {
 	cfg := DefaultConfig()
@@ -42,7 +42,6 @@ func genChaosConfig() Config {
 	cfg.ClientsPerRound = 6
 	cfg.EvalEvery = 3
 	cfg.ConvergePatience = 0
-	cfg.ClipNorm = 5
 	cfg.RecordLog = true
 	cfg.Quorum = 0.5
 	cfg.RetryBudget = 2
@@ -56,8 +55,8 @@ func genChaosConfig() Config {
 
 // TestRuntimeGenerativeMatchesMaterialized is the tentpole golden test
 // at the runtime level: a full run over a generative population —
-// synchronous and staleness-bounded asynchronous, under churn + chaos +
-// clipping — must be bit-identical (reflect.DeepEqual on the full
+// synchronous and staleness-bounded asynchronous, under churn and chaos
+// — must be bit-identical (reflect.DeepEqual on the full
 // Result, including per-client accuracies and RNG-driven logs) to the
 // same run over the materialized dataset and trace.
 func TestRuntimeGenerativeMatchesMaterialized(t *testing.T) {

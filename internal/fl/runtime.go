@@ -41,18 +41,10 @@ type Config struct {
 	DisableTransform bool
 	// EvalEvery evaluates all clients every this many rounds (default 5).
 	EvalEvery int
-	// ConvergePatience/ConvergeDelta implement the appendix stopping rule:
-	// training completes when accuracy has not improved by more than
-	// ConvergeDelta over ConvergePatience consecutive evaluations.
+	// ConvergePatience implements the appendix stopping rule: training
+	// completes when accuracy has not improved by more than convergeDelta
+	// over ConvergePatience consecutive evaluations.
 	ConvergePatience int
-	ConvergeDelta    float64
-	// ClipNorm, when positive, L2-clips each client's update delta before
-	// aggregation; NoiseStd adds Gaussian noise to the clipped delta
-	// (DP-SGD-style central privacy post-processing).
-	ClipNorm float64
-	// NoiseStd is the Gaussian noise standard deviation added to clipped
-	// client deltas.
-	NoiseStd float64
 	// RecordLog collects a RoundLog entry per round into Result.Log.
 	RecordLog bool
 	// DropoutRate is the probability that a selected participant fails
@@ -62,8 +54,6 @@ type Config struct {
 	// ServerYogi applies the FedYogi server optimizer to per-model
 	// aggregates (used in the Figure 8 experiment).
 	ServerYogi bool
-	// YogiLR is the server Yogi learning rate (default 0.02).
-	YogiLR float64
 	// StreamWindow bounds how many trained-but-not-yet-aggregated client
 	// updates the streaming round loop keeps in flight: the coordinator's
 	// peak update memory is O(StreamWindow × model bytes) regardless of
@@ -171,11 +161,18 @@ func DefaultConfig() Config {
 		Soft:             aggregate.DefaultSoftConfig(),
 		EvalEvery:        5,
 		ConvergePatience: 10,
-		ConvergeDelta:    0.01,
-		YogiLR:           0.02,
 		Seed:             1,
 	}
 }
+
+const (
+	// convergeDelta is the accuracy gain an evaluation must show to
+	// count as progress under the stopping rule.
+	convergeDelta = 0.01
+	// activenessWindow is the number of consecutive rounds over which
+	// cell activeness is averaged (Table 7's T).
+	activenessWindow = 5
+)
 
 // RoundLog is one round's structured trace record, collected when
 // Config.RecordLog is set — the observability hook for debugging
@@ -409,7 +406,7 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		suite:  []*model.Model{m0},
 		mgr:    assign.NewManager(ds.Len()),
 		doc:    transform.NewDoCTracker(cfg.Transform.Gamma, cfg.Transform.Delta),
-		act:    map[int]*transform.ActivenessTracker{m0.ID: transform.NewActivenessTracker(cfg.Transform.ActWindow)},
+		act:    map[int]*transform.ActivenessTracker{m0.ID: transform.NewActivenessTracker(activenessWindow)},
 		rng:    rng,
 		rngSrc: src,
 		chaos:  chaos.New(cfg.Chaos),
@@ -513,7 +510,7 @@ loop:
 			mean := metrics.Mean(accs)
 			res.CostCurve.Append(res.Costs.TrainMACs, mean)
 			if cfg.ConvergePatience > 0 {
-				if mean > rt.bestAcc+cfg.ConvergeDelta {
+				if mean > rt.bestAcc+convergeDelta {
 					rt.bestAcc = mean
 					rt.stall = 0
 				} else {
@@ -805,7 +802,7 @@ func (rt *Runtime) applyCommitted(round int, committed []*roundTask, res *Result
 		meanLoss, n, _ := rt.agg.Finalize(m)
 		if cfg.ServerYogi {
 			if rt.serverOpt == nil {
-				rt.serverOpt = newYogiOpt(rt.yogiLR())
+				rt.serverOpt = newYogiOpt()
 			}
 			rt.serverOpt.apply(m, prev)
 		}
@@ -813,7 +810,7 @@ func (rt *Runtime) applyCommitted(round int, committed []*roundTask, res *Result
 		lossWeight += float64(n)
 		tracker := rt.act[m.ID]
 		if tracker == nil {
-			tracker = transform.NewActivenessTracker(cfg.Transform.ActWindow)
+			tracker = transform.NewActivenessTracker(activenessWindow)
 			rt.act[m.ID] = tracker
 		}
 		scale := cfg.Local.LR * float64(cfg.Local.Steps)
@@ -932,9 +929,6 @@ func (rt *Runtime) commitAttempt(u *roundTask, elapsed *float64, res *Result) bo
 		return false
 	}
 	*elapsed += t
-	if cfg.ClipNorm > 0 || cfg.NoiseStd > 0 {
-		ClipAndNoise(u.up, m.Params(), cfg.ClipNorm, cfg.NoiseStd, rt.rng)
-	}
 	ws := u.up
 	if u.fault == chaos.CorruptUpload && len(ws) > 0 {
 		ws = ws[:len(ws)-1] // truncated in flight
@@ -954,13 +948,10 @@ func (rt *Runtime) commitAttempt(u *roundTask, elapsed *float64, res *Result) bo
 }
 
 // tryTransform derives a new model from the current largest model,
-// respecting the trace's maximum capacity and the MaxModels cap. Returns
-// whether a model was added.
+// respecting the trace's maximum capacity. Returns whether a model was
+// added.
 func (rt *Runtime) tryTransform(round int) bool {
 	cfg := rt.cfg
-	if cfg.Transform.MaxModels > 0 && len(rt.suite) >= cfg.Transform.MaxModels {
-		return false
-	}
 	parent := rt.suite[len(rt.suite)-1]
 	if parent.MACsPerSample() >= rt.maxCapacity {
 		return false
@@ -980,7 +971,7 @@ func (rt *Runtime) tryTransform(round int) bool {
 	}
 	rt.suite = append(rt.suite, child)
 	rt.mgr.InheritUtilities(parent.ID, child.ID)
-	rt.act[child.ID] = transform.NewActivenessTracker(cfg.Transform.ActWindow)
+	rt.act[child.ID] = transform.NewActivenessTracker(activenessWindow)
 	rt.doc.Reset()
 	return true
 }
@@ -1065,11 +1056,4 @@ func (rt *Runtime) EvalClients() []int {
 		rt.evalPanel = panel
 	}
 	return rt.evalPanel
-}
-
-func (rt *Runtime) yogiLR() float64 {
-	if rt.cfg.YogiLR <= 0 {
-		return 0.02
-	}
-	return rt.cfg.YogiLR
 }

@@ -49,8 +49,8 @@ func TestRuntimeLearnsAndTransforms(t *testing.T) {
 
 // TestRunDeterminismSerialParallelCOW is the determinism golden test for
 // the streaming aggregation pipeline over copy-on-write clones: a full
-// training run — transformation, soft aggregation, clipping+noise, and
-// dropouts all enabled, so every COW
+// training run — transformation, soft aggregation and dropouts all
+// enabled, so every COW
 // clone/unshare/snapshot path, the ordered completion stream, and the
 // sharded accumulator folds are all exercised — must produce a
 // byte-identical result whether local training runs serially
@@ -67,8 +67,6 @@ func TestRunDeterminismSerialParallelCOW(t *testing.T) {
 		cfg.ClientsPerRound = 6
 		cfg.EvalEvery = 3
 		cfg.ConvergePatience = 0
-		cfg.ClipNorm = 5
-		cfg.NoiseStd = 0.001
 		cfg.DropoutRate = 0.1
 		cfg.RecordLog = true
 		cfg.StreamWindow = window

@@ -9,12 +9,12 @@ import (
 // yogiOpt adapts the nn.Yogi server optimizer to whole models: after
 // FedAvg has overwritten the model with the aggregated client weights, the
 // pseudo-gradient prev − aggregated is fed to Yogi and the server weights
-// are updated adaptively from prev.
+// are updated adaptively from prev, at server learning rate 0.02.
 type yogiOpt struct {
 	y *nn.Yogi
 }
 
-func newYogiOpt(lr float64) *yogiOpt { return &yogiOpt{y: nn.NewYogi(lr)} }
+func newYogiOpt() *yogiOpt { return &yogiOpt{y: nn.NewYogi(0.02)} }
 
 func (o *yogiOpt) apply(m *model.Model, prev []*tensor.Tensor) {
 	params := m.Params()

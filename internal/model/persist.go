@@ -45,6 +45,11 @@ var paramsPerKind = map[string]int{
 // ErrCorruptModel reports an unreadable serialized model.
 var ErrCorruptModel = errors.New("model: corrupt serialized model")
 
+// maxInputValues is the most input values a loadable model takes per
+// sample: 21× the largest profile's 3×8×8, and small enough that one
+// sample's attention scores (tokens²) stay within 64 MiB.
+const maxInputValues = 1 << 12
+
 var persistErrs = wire.Errs{Truncated: ErrCorruptModel, Corrupt: ErrCorruptModel}
 
 // MarshalBinary serializes the model: a length-prefixed JSON architecture
@@ -154,10 +159,15 @@ func UnmarshalModelScoped(b []byte, gen *IDGen) (*Model, error) {
 	if len(cur) == 0 || h.Classes < 1 {
 		return nil, fmt.Errorf("%w: input %v, %d classes", ErrCorruptModel, h.Input, h.Classes)
 	}
+	// No weight bounds a conv stack's H×W or an attention stack's token
+	// count, so the input's product is held to maxInputValues, checked
+	// factor by factor so that it cannot overflow.
+	values := 1
 	for _, n := range cur {
-		if n < 1 {
-			return nil, fmt.Errorf("%w: input %v", ErrCorruptModel, h.Input)
+		if n < 1 || n > maxInputValues/values {
+			return nil, fmt.Errorf("%w: input %v is not 1 to %d values a sample", ErrCorruptModel, h.Input, maxInputValues)
 		}
+		values *= n
 	}
 	mat := func(t *tensor.Tensor, rows, cols int) bool {
 		return t.Rank() == 2 && t.Shape[0] == rows && t.Shape[1] == cols

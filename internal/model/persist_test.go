@@ -391,37 +391,52 @@ var brokenChainBlobs = []struct {
 		[][]int{{4, 2, 3, 3}, {4}, {4, 3}, {3}}},
 }
 
-// brokenChainBlob serializes entry i of brokenChainBlobs with zero
-// weights.
-func brokenChainBlob(i int) []byte {
-	tc := brokenChainBlobs[i]
-	ws := make([]*tensor.Tensor, len(tc.shapes))
-	for k, shape := range tc.shapes {
+// hugeInputBlobs are well-formed blobs in which every tensor fits and
+// the header claims an input no weight bounds: a conv stack's H×W, an
+// attention stack's token count. Each loaded, and the product of its
+// input shape overflowed LoadModel's feature count.
+var hugeInputBlobs = []struct {
+	name   string
+	header string
+	shapes [][]int
+}{
+	{"conv: 2³¹×2³¹ pixels",
+		`{"version":1,"input":[2,2147483648,2147483648],"classes":3,"cells":[{"kind":"conv2d"},{"kind":"gap"}]}`,
+		[][]int{{4, 2, 3, 3}, {4}, {4, 3}, {3}}},
+	{"attention: 2⁴⁰ tokens",
+		`{"version":1,"input":[1099511627776,4],"classes":2,"cells":[{"kind":"attention"},{"kind":"meantokens"}]}`,
+		[][]int{{4, 4}, {4, 4}, {4, 4}, {4, 4}, {4, 8}, {8}, {8, 4}, {4}, {4, 2}, {2}}},
+}
+
+// headerBlob serializes header over zero weights of the given shapes.
+func headerBlob(header string, shapes [][]int) []byte {
+	ws := make([]*tensor.Tensor, len(shapes))
+	for k, shape := range shapes {
 		ws[k] = tensor.New(shape...)
 	}
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(tc.header)))
-	return append(append(out, tc.header...), codec.Encode(ws)...)
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(header)))
+	return append(append(out, header...), codec.Encode(ws)...)
 }
 
 func TestPersistRejectsBrokenChains(t *testing.T) {
-	for i, tc := range brokenChainBlobs {
-		if m, err := UnmarshalModelScoped(brokenChainBlob(i), NewIDGen()); !errors.Is(err, ErrCorruptModel) {
+	for _, tc := range brokenChainBlobs {
+		if m, err := UnmarshalModelScoped(headerBlob(tc.header, tc.shapes), NewIDGen()); !errors.Is(err, ErrCorruptModel) {
 			t.Errorf("%s: loaded %v with error %v, want ErrCorruptModel", tc.name, m, err)
 		}
 	}
 }
 
-// forwardOneRow runs one zero sample through a loaded model — skipped
-// when the input shape the header claims is too large for a fuzz
-// iteration — and reports the logits' shape.
-func forwardOneRow(m *Model) (shape []int, ran bool) {
-	features := 1
-	for _, n := range m.InputShape {
-		if features *= n; features > 1<<12 {
-			return nil, false
+func TestPersistBoundsInputExtents(t *testing.T) {
+	for _, tc := range hugeInputBlobs {
+		if m, err := UnmarshalModelScoped(headerBlob(tc.header, tc.shapes), NewIDGen()); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: loaded %v with error %v, want ErrCorruptModel", tc.name, m, err)
 		}
 	}
-	return m.Forward(tensor.New(1, features)).Shape, true
+	// The largest input the bound admits still loads.
+	edge := `{"version":1,"input":[1,64,64],"classes":3,"cells":[{"kind":"conv2d"},{"kind":"gap"}]}`
+	if _, err := UnmarshalModelScoped(headerBlob(edge, [][]int{{4, 1, 3, 3}, {4}, {4, 3}, {3}}), NewIDGen()); err != nil {
+		t.Errorf("a 64×64 conv input: %v", err)
+	}
 }
 
 // resignWeights returns b with the checksum of its FTW1 part recomputed,
@@ -456,8 +471,8 @@ func FuzzUnmarshalModel(f *testing.F) {
 		f.Add(convBlob(f, tc.stride, tc.wShape, tc.biasLen))
 	}
 	f.Add([]byte(hostileCountBlob))
-	for i := range brokenChainBlobs {
-		f.Add(brokenChainBlob(i))
+	for _, tc := range append(brokenChainBlobs, hugeInputBlobs...) {
+		f.Add(headerBlob(tc.header, tc.shapes))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range [][]byte{in, resignWeights(in)} {
@@ -465,7 +480,11 @@ func FuzzUnmarshalModel(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if shape, ran := forwardOneRow(m); ran && (len(shape) != 2 || shape[0] != 1 || shape[1] != m.Classes) {
+			features := 1
+			for _, n := range m.InputShape {
+				features *= n
+			}
+			if shape := m.Forward(tensor.New(1, features)).Shape; len(shape) != 2 || shape[0] != 1 || shape[1] != m.Classes {
 				t.Fatalf("one sample through a loaded model gave logits %v, want [1 %d]", shape, m.Classes)
 			}
 			again, err := m.MarshalBinary()

@@ -143,9 +143,8 @@ func ViTLikeSpec(tokens, dim, ff, classes int) Spec {
 // InitialSpec mirrors Appendix A.1's per-dataset initial models at
 // reproduction scale: MobileNet-like for cifar10, ResNet-like for speech
 // and openimage, ViT-like for vit, and the small dense NASBench analogue
-// for everything else — femnist, and the scale and async profiles, whose
-// tiny dense task keeps massive rounds on the coordinator, not the
-// kernels. inputShape is the per-sample shape of the image and token
+// for everything else — femnist, and the scale profile, whose tiny dense
+// task keeps massive rounds on the coordinator, not the kernels. inputShape is the per-sample shape of the image and token
 // profiles, featureDim the flat width the dense one takes.
 func InitialSpec(profile string, inputShape []int, featureDim, classes int) Spec {
 	switch profile {

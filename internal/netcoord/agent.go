@@ -179,6 +179,11 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 	if err := json.Unmarshal(js, &rc); err != nil {
 		return fmt.Errorf("%w: WELCOME config: %v", ErrBadHandshake, err)
 	}
+	// The dataset the config describes is built on a worker goroutine:
+	// one data.Generate would panic on, or could not hold, ends here.
+	if _, err := rc.Data.Check(rc.Generative); err != nil {
+		return fmt.Errorf("%w: WELCOME config: %v", ErrBadHandshake, err)
+	}
 	if ioTimeout == 0 && rc.IOTimeout != 0 {
 		// No local override: adopt the coordinator's frame deadline.
 		fc.timeout = normalizeTimeout(rc.IOTimeout)

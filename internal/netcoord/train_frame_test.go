@@ -160,7 +160,8 @@ func TestTrainFrames(t *testing.T) {
 // with a fatal out-of-memory; the blobs whose second cell does not take
 // what the first emits (one per cell family: a narrow model's header and
 // first cell over a wider model's remaining tensors) used to load, and
-// panic a worker at the first TRAIN.
+// panic a worker at the first TRAIN; the blobs whose input no weight
+// bounds used to load too.
 func TestAgentSurvivesHostileModelFrame(t *testing.T) {
 	type hostile struct {
 		name string
@@ -185,6 +186,22 @@ func TestAgentSurvivesHostileModelFrame(t *testing.T) {
 		first := len(a.Cells[0].Cell.Params())
 		mixed := codec.AppendEncode(blob[:hdr:hdr], append(a.Params()[:first:first], b.Params()[first:]...))
 		cases = append(cases, hostile{pair[0].Family + " cells that do not chain", mixed, model.ErrCorruptModel})
+	}
+	for _, tc := range []struct {
+		name, header string
+		shapes       [][]int
+	}{
+		{"conv input of 2⁶² pixels", `{"version":1,"input":[2,2147483648,2147483648],"classes":3,"cells":[{"kind":"conv2d"},{"kind":"gap"}]}`,
+			[][]int{{4, 2, 3, 3}, {4}, {4, 3}, {3}}},
+		{"attention input of 2⁴⁰ tokens", `{"version":1,"input":[1099511627776,4],"classes":2,"cells":[{"kind":"attention"},{"kind":"meantokens"}]}`,
+			[][]int{{4, 4}, {4, 4}, {4, 4}, {4, 4}, {4, 8}, {8}, {8, 4}, {4}, {4, 2}, {2}}},
+	} {
+		ws := make([]*tensor.Tensor, len(tc.shapes))
+		for i, s := range tc.shapes {
+			ws[i] = tensor.New(s...)
+		}
+		blob := codec.AppendEncode(append(binary.BigEndian.AppendUint32(nil, uint32(len(tc.header))), tc.header...), ws)
+		cases = append(cases, hostile{tc.name, blob, model.ErrCorruptModel})
 	}
 	ds := data.Generate(loopDataCfg())
 	rc, _ := json.Marshal(RunConfig{Data: loopDataCfg()})

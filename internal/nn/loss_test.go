@@ -105,17 +105,6 @@ func TestSGDStep(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumAccumulates(t *testing.T) {
-	o := &SGD{LR: 1, Momentum: 0.5}
-	p := tensor.FromSlice([]tensor.Float{0}, 1)
-	g := tensor.FromSlice([]tensor.Float{1}, 1)
-	o.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}) // v=1, p=-1
-	o.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}) // v=1.5, p=-2.5
-	if math.Abs(float64(p.Data[0])+2.5) > 1e-12 {
-		t.Errorf("momentum p = %v, want -2.5", p.Data[0])
-	}
-}
-
 func TestSGDProxPullsTowardAnchor(t *testing.T) {
 	o := &SGD{LR: 0.1, ProxMu: 1}
 	p := tensor.FromSlice([]tensor.Float{2}, 1)

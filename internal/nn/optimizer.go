@@ -7,18 +7,14 @@ import (
 	"fedtrans/internal/tensor"
 )
 
-// SGD is plain stochastic gradient descent with optional momentum and an
-// optional FedProx proximal term. Velocity buffers are keyed by parameter
-// tensor identity and survive across steps; they are dropped if the
-// parameter set changes (e.g. after a model transformation).
+// SGD is plain stochastic gradient descent with an optional FedProx
+// proximal term.
 type SGD struct {
-	LR       float64
-	Momentum float64
+	LR float64
 	// ProxMu, when positive, adds the FedProx proximal gradient
 	// mu*(w - w_anchor) using the anchors registered via SetProxAnchor.
 	ProxMu float64
 
-	vel     map[*tensor.Tensor][]tensor.Float
 	anchors map[*tensor.Tensor][]tensor.Float
 }
 
@@ -41,7 +37,6 @@ func (o *SGD) SetProxAnchor(p *tensor.Tensor, anchor []tensor.Float) {
 // inner loops run entirely in backend precision.
 func (o *SGD) Step(params, grads []*tensor.Tensor) {
 	lr := tensor.Float(o.LR)
-	mom := tensor.Float(o.Momentum)
 	mu := tensor.Float(o.ProxMu)
 	for i, p := range params {
 		g := grads[i]
@@ -55,23 +50,8 @@ func (o *SGD) Step(params, grads []*tensor.Tensor) {
 				}
 			}
 		}
-		if mom > 0 {
-			if o.vel == nil {
-				o.vel = make(map[*tensor.Tensor][]tensor.Float)
-			}
-			v, ok := o.vel[p]
-			if !ok || len(v) != len(p.Data) {
-				v = make([]tensor.Float, len(p.Data))
-				o.vel[p] = v
-			}
-			for j := range p.Data {
-				v[j] = mom*v[j] + g.Data[j]
-				p.Data[j] -= lr * v[j]
-			}
-		} else {
-			for j := range p.Data {
-				p.Data[j] -= lr * g.Data[j]
-			}
+		for j := range p.Data {
+			p.Data[j] -= lr * g.Data[j]
 		}
 	}
 }

@@ -27,17 +27,12 @@ type Config struct {
 	WidenFactor float64
 	// DeepenCells is the number of cells inserted per deepen (default 1).
 	DeepenCells int
-	// ActWindow is the number of consecutive rounds over which cell
-	// activeness is averaged (Table 7's T, default 5).
-	ActWindow int
 	// RandomCellSelection replaces gradient-based selection with uniform
 	// random selection (the Table 3 "-l" ablation).
 	RandomCellSelection bool
 	// DisableWarmup re-initializes transformed model weights instead of
 	// inheriting them (the Table 3 "-w" ablation).
 	DisableWarmup bool
-	// MaxModels caps the size of the model suite (0 = unlimited).
-	MaxModels int
 }
 
 // DefaultConfig returns the paper's default transformer parameters.
@@ -49,7 +44,6 @@ func DefaultConfig() Config {
 		Delta:       20,
 		WidenFactor: 2,
 		DeepenCells: 1,
-		ActWindow:   5,
 	}
 }
 
@@ -119,11 +113,8 @@ type ActivenessTracker struct {
 }
 
 // NewActivenessTracker returns a tracker averaging over the given number
-// of rounds.
+// of rounds (at least 1).
 func NewActivenessTracker(window int) *ActivenessTracker {
-	if window < 1 {
-		window = 1
-	}
 	return &ActivenessTracker{window: window, hist: make(map[int64][]float64)}
 }
 
@@ -239,7 +230,7 @@ func Apply(parent *model.Model, selected []int, cfg Config, round int, rng *rand
 		}
 		deepened := false
 		if canDeepen(child, i) {
-			for d := 0; d < max1(cfg.DeepenCells); d++ {
+			for d := 0; d < cfg.DeepenCells; d++ {
 				child.DeepenCell(i)
 			}
 			deepened = true
@@ -252,13 +243,6 @@ func Apply(parent *model.Model, selected []int, cfg Config, round int, rng *rand
 		reinitialize(child, rng)
 	}
 	return child
-}
-
-func max1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
 }
 
 func reinitialize(m *model.Model, rng *rand.Rand) {

@@ -22,9 +22,6 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if c.WidenFactor != 2 || c.DeepenCells != 1 {
 		t.Errorf("degrees = %v/%v, want 2/1 (§4.1)", c.WidenFactor, c.DeepenCells)
 	}
-	if c.ActWindow != 5 {
-		t.Errorf("T = %v, want 5 (Table 7)", c.ActWindow)
-	}
 }
 
 func TestDoCNeedsHistory(t *testing.T) {
