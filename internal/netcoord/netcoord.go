@@ -171,6 +171,7 @@ type frameConn struct {
 	r    *bufio.Reader
 	wbuf []byte
 	rbuf []byte
+	hdr  [4]byte // the length field being read; a local would escape per frame
 	// timeout bounds every write, every awaited read, and the body of an
 	// idle read once its header arrives. 0 leaves the connection
 	// unbounded (tests only; production paths always set one).
@@ -265,8 +266,7 @@ func (fc *frameConn) readFrame(bounded bool) (byte, []byte, error) {
 			fc.c.SetReadDeadline(time.Time{})
 		}
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(fc.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fc.r, fc.hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
@@ -275,7 +275,7 @@ func (fc *frameConn) readFrame(bounded bool) (byte, []byte, error) {
 		}
 		return 0, nil, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
-	d := wire.NewDec(hdr[:], &ftncErrs)
+	d := wire.NewDec(fc.hdr[:], &ftncErrs)
 	n := d.U32()
 	if n < 5 || n > fc.limit {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrFrameSize, n)
@@ -283,11 +283,8 @@ func (fc *frameConn) readFrame(bounded bool) (byte, []byte, error) {
 	if fc.timeout > 0 && !bounded {
 		fc.c.SetReadDeadline(time.Now().Add(fc.timeout))
 	}
-	if cap(fc.rbuf) < int(n) {
-		fc.rbuf = make([]byte, n)
-	}
-	buf := fc.rbuf[:n]
-	if _, err := io.ReadFull(fc.r, buf); err != nil {
+	buf, err := fc.readBody(int(n))
+	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			return 0, nil, fmt.Errorf("%w: %d-byte frame body stalled past %v", ErrIOTimeout, n, fc.timeout)
 		}
@@ -299,6 +296,34 @@ func (fc *frameConn) readFrame(bounded bool) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: frame type 0x%02x, %d bytes", ErrFrameCRC, t, len(payload))
 	}
 	return t, payload, nil
+}
+
+// readStep is the most readBody allocates ahead of the bytes that have
+// arrived.
+const readStep = 64 << 10
+
+// readBody reads an n-byte frame body into the reusable read buffer. A
+// buffer already large enough is filled in one read; otherwise it grows
+// as the body arrives, by at most max(readStep, bytes read so far) at a
+// time, so a peer that announces a long frame and sends nothing costs
+// readStep, not the announced length, and an honest one about twice its
+// body once.
+func (fc *frameConn) readBody(n int) ([]byte, error) {
+	buf := fc.rbuf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, len(buf)+max(len(buf), readStep)))
+			copy(grown, buf)
+			buf = grown
+			fc.rbuf = grown
+		}
+		got, err := io.ReadFull(fc.r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func (fc *frameConn) close() error { return fc.c.Close() }

@@ -20,12 +20,11 @@ import (
 // dimension is fixed; widening is internal (feed-forward hidden width),
 // and deepening inserts an identity block whose projections are zero so
 // the residuals pass the input through unchanged. With H heads the
-// projected Q/K/V activations are transposed into head-major
-// (batch·H, tokens, dim/H) buffers so the score/attention products run
-// on the same strided-batch kernels with a leading extent of batch·H
-// and a per-head 1/sqrt(dim/H) score scale; at H = 1 the transposes
-// vanish into pure views and the cell computes bit-identically to the
-// historical single-head block.
+// projected Q/K/V activations stay head-interleaved — head h of token
+// row (b, s) is columns [h·dim/H, (h+1)·dim/H) of the (batch·tokens, dim)
+// projection — and one fused kernel (tensor.AttentionInto) runs every
+// (item, head) block's scores → softmax → ·V on them in place, with a
+// per-head 1/sqrt(dim/H) score scale.
 type AttentionCell struct {
 	Wq, Wk, Wv, Wo *tensor.Tensor // (D, D)
 	W1             *tensor.Tensor // (D, F)
@@ -40,19 +39,14 @@ type AttentionCell struct {
 	heads  int // head count H (0 behaves as 1 for zero-value compat)
 
 	// Batched forward caches: activations for the whole batch are kept
-	// as single (batch·tokens, dim)-shaped workspace tensors, the
-	// block-diagonal score/attention matrices as (batch·H, tokens,
-	// tokens) tensors consumed by the strided-batch GEMM kernels (dS
-	// holds the batched score gradient in Backward), and — only when
-	// H > 1 — the head-major (batch·H, tokens, dim/H) transposes of the
-	// Q/K/V/context activations and their gradients.
+	// as single (batch·tokens, dim)-shaped workspace tensors and the
+	// attention probabilities as one (batch·H, tokens, tokens) tensor;
+	// dS is the backward's one (tokens, tokens) score-gradient scratch.
 	x                                *tensor.Tensor
 	q, k, v, attn, h, x1             *tensor.Tensor
-	qh, kh, vh, hh                   *tensor.Tensor
 	pre1, u                          *tensor.Tensor
 	o, f2, out                       *tensor.Tensor
 	dU, dx1, dH, dS, dQ, dK, dV, gin *tensor.Tensor
-	dQh, dKh, dVh, dHh               *tensor.Tensor
 
 	ws    tensor.Workspace
 	views viewSet
@@ -127,47 +121,12 @@ func (c *AttentionCell) Heads() int {
 	return c.heads
 }
 
-// splitHeads transposes a head-interleaved (batch·t, H·dh) activation
-// into the head-major (batch·H, t, dh) layout the strided-batch kernels
-// consume: token row (b, s) contributes its h-th dh-wide slice to batch
-// item b·H+h.
-func splitHeads(dst, src []tensor.Float, batch, t, heads, dh int) {
-	d := heads * dh
-	for b := 0; b < batch; b++ {
-		for h := 0; h < heads; h++ {
-			for s := 0; s < t; s++ {
-				so := (b*t+s)*d + h*dh
-				do := ((b*heads+h)*t + s) * dh
-				copy(dst[do:do+dh], src[so:so+dh])
-			}
-		}
-	}
-}
-
-// mergeHeads is the inverse transpose of splitHeads: head-major
-// (batch·H, t, dh) back to head-interleaved (batch·t, H·dh).
-func mergeHeads(dst, src []tensor.Float, batch, t, heads, dh int) {
-	d := heads * dh
-	for b := 0; b < batch; b++ {
-		for h := 0; h < heads; h++ {
-			for s := 0; s < t; s++ {
-				so := ((b*heads+h)*t + s) * dh
-				do := (b*t+s)*d + h*dh
-				copy(dst[do:do+dh], src[so:so+dh])
-			}
-		}
-	}
-}
-
 // Forward implements Cell for input (batch, tokens, dim). The token
 // projections (Q, K, V, output, and both feed-forward layers) are
 // batched into single GEMMs over a (batch·tokens, dim) view of the
-// input, and the block-diagonal score/attention products run as single
-// strided-batch GEMMs over (batch·H, tokens, dim/H) head-major views —
-// no per-item loop remains. The per-head 1/sqrt(dim/H) score scale is
-// folded into the batched softmax pass. All scratch is pooled workspace
-// memory; at H = 1 the head transposes collapse to views and the pass
-// is bit-identical to the historical single-head cell.
+// input, and the attention itself is one fused call over the
+// head-interleaved projections — no per-item or per-head loop remains
+// here. All scratch is pooled workspace memory.
 func (c *AttentionCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	batch, t, d := x.Shape[0], x.Shape[1], x.Shape[2]
 	c.tokens = t
@@ -175,7 +134,6 @@ func (c *AttentionCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n2 := batch * t
 	ff := c.FF()
 	heads := c.Heads()
-	dh := d / heads
 	c.views.reset()
 	x2 := c.views.of(x.Data, n2, d)
 	q := c.ws.Ensure(&c.q, n2, d)
@@ -186,27 +144,7 @@ func (c *AttentionCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulInto(v, x2, c.Wv)
 	attn := c.ws.Ensure(&c.attn, batch*heads, t, t)
 	h := c.ws.Ensure(&c.h, n2, d)
-	var q3, k3, v3, h3 *tensor.Tensor
-	if heads == 1 {
-		q3 = c.views.of(q.Data, batch, t, d)
-		k3 = c.views.of(k.Data, batch, t, d)
-		v3 = c.views.of(v.Data, batch, t, d)
-		h3 = c.views.of(h.Data, batch, t, d)
-	} else {
-		q3 = c.ws.Ensure(&c.qh, batch*heads, t, dh)
-		k3 = c.ws.Ensure(&c.kh, batch*heads, t, dh)
-		v3 = c.ws.Ensure(&c.vh, batch*heads, t, dh)
-		h3 = c.ws.Ensure(&c.hh, batch*heads, t, dh)
-		splitHeads(q3.Data, q.Data, batch, t, heads, dh)
-		splitHeads(k3.Data, k.Data, batch, t, heads, dh)
-		splitHeads(v3.Data, v.Data, batch, t, heads, dh)
-	}
-	tensor.BatchedMatMulTransBInto(attn, q3, k3)
-	tensor.BatchedSoftmaxInto(attn, attn, 1.0/math.Sqrt(float64(dh)))
-	tensor.BatchedMatMulInto(h3, attn, v3)
-	if heads > 1 {
-		mergeHeads(h.Data, h3.Data, batch, t, heads, dh)
-	}
+	tensor.AttentionInto(h, attn, q, k, v, heads)
 	o := c.ws.Ensure(&c.o, n2, d)
 	tensor.MatMulInto(o, h, c.Wo)
 	x1 := c.ws.Ensure(&c.x1, n2, d)
@@ -230,19 +168,15 @@ func (c *AttentionCell) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.
 // dQ/dK/dV·Wᵀ products and the residual add of the input gradient.
 func (c *AttentionCell) BackwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
 
-// backward is the one backward body. Like Forward, the score/attention
-// gradient products run as strided-batch GEMMs over head-major
-// (batch·H, tokens, dim/H) views, and the softmax Jacobian product (with
-// the folded per-head 1/sqrt(dim/H) scale) is one batched kernel call
-// over all score blocks.
+// backward is the one backward body. Like Forward, the attention part
+// is one fused call: it writes dQ/dK/dV straight into their
+// head-interleaved (batch·tokens, dim) buffers from the cached
+// probabilities.
 func (c *AttentionCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Tensor {
 	c.ensureGrads()
 	batch, t, d := grad.Shape[0], grad.Shape[1], grad.Shape[2]
 	n2 := batch * t
 	ff := c.FF()
-	heads := c.Heads()
-	dh := d / heads
-	invSqrt := 1.0 / math.Sqrt(float64(dh))
 	c.views.reset()
 	dy := c.views.of(grad.Data, n2, d)
 	// FFN backward: y = x1 + (relu(x1 W1 + b1)) W2 + b2.
@@ -263,36 +197,8 @@ func (c *AttentionCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Te
 	dQ := c.ws.Ensure(&c.dQ, n2, d)
 	dK := c.ws.Ensure(&c.dK, n2, d)
 	dV := c.ws.Ensure(&c.dV, n2, d)
-	dA := c.ws.Ensure(&c.dS, batch*heads, t, t)
-	var q3, k3, v3, dH3, dQ3, dK3, dV3 *tensor.Tensor
-	if heads == 1 {
-		q3 = c.views.of(c.q.Data, batch, t, d)
-		k3 = c.views.of(c.k.Data, batch, t, d)
-		v3 = c.views.of(c.v.Data, batch, t, d)
-		dH3 = c.views.of(dH.Data, batch, t, d)
-		dQ3 = c.views.of(dQ.Data, batch, t, d)
-		dK3 = c.views.of(dK.Data, batch, t, d)
-		dV3 = c.views.of(dV.Data, batch, t, d)
-	} else {
-		// Forward cached the head-major Q/K/V transposes; only the
-		// incoming context gradient needs a fresh split.
-		q3, k3, v3 = c.qh, c.kh, c.vh
-		dH3 = c.ws.Ensure(&c.dHh, batch*heads, t, dh)
-		dQ3 = c.ws.Ensure(&c.dQh, batch*heads, t, dh)
-		dK3 = c.ws.Ensure(&c.dKh, batch*heads, t, dh)
-		dV3 = c.ws.Ensure(&c.dVh, batch*heads, t, dh)
-		splitHeads(dH3.Data, dH.Data, batch, t, heads, dh)
-	}
-	tensor.BatchedMatMulTransBInto(dA, dH3, v3)
-	tensor.BatchedMatMulTransAInto(dV3, c.attn, dH3)
-	tensor.BatchedSoftmaxBackwardInto(dA, c.attn, dA, invSqrt)
-	tensor.BatchedMatMulInto(dQ3, dA, k3)
-	tensor.BatchedMatMulTransAInto(dK3, dA, q3)
-	if heads > 1 {
-		mergeHeads(dQ.Data, dQ3.Data, batch, t, heads, dh)
-		mergeHeads(dK.Data, dK3.Data, batch, t, heads, dh)
-		mergeHeads(dV.Data, dV3.Data, batch, t, heads, dh)
-	}
+	dS := c.ws.Ensure(&c.dS, t, t)
+	tensor.AttentionBackwardInto(dQ, dK, dV, dS, c.attn, c.q, c.k, c.v, dH, c.Heads())
 	x2 := c.views.of(c.x.Data, n2, d)
 	tensor.MatMulTransAAccInto(c.GWq, x2, dQ)
 	tensor.MatMulTransAAccInto(c.GWk, x2, dK)

@@ -81,7 +81,10 @@ func (r *ref64Attention) loss(x64 []float64, batch int) float64 {
 				hh[i] = 0
 			}
 			tensor.Ref64GemmTransB(s, qh, kh, t, dh, t)
-			tensor.Ref64BatchedSoftmax(a, s, t, t, invSqrt)
+			for i := range s {
+				s[i] *= invSqrt
+			}
+			tensor.Ref64Softmax(a, s, t, t)
 			tensor.Ref64Gemm(hh, a, vh, t, t, dh)
 			for i := 0; i < t; i++ {
 				copy(h[i*d+hd*dh:i*d+(hd+1)*dh], hh[i*dh:(i+1)*dh])

@@ -10,9 +10,9 @@ import (
 )
 
 // TestAttentionHeadsOneBitIdentical pins the compatibility contract the
-// golden determinism suite rests on: a heads=1 cell takes the pure-view
-// short-circuit and computes forward and backward byte-identically to
-// the historical single-head NewAttentionCell — not merely close.
+// golden determinism suite rests on: a heads=1 cell computes forward and
+// backward byte-identically to the single-head NewAttentionCell — not
+// merely close.
 func TestAttentionHeadsOneBitIdentical(t *testing.T) {
 	const batch, tokens, d, ff = 3, 5, 6, 12
 	single := NewAttentionCell(d, ff, tokens, rand.New(rand.NewSource(41)))

@@ -4,13 +4,15 @@ import "fmt"
 
 // Strided-batch GEMM and softmax kernels over rank-3 tensors.
 //
-// Attention's score/attention products are block-diagonal in the batch:
-// every item multiplies its own (tokens×dim) panels. The kernels here
-// run all blocks of such a product as one call over contiguous
-// (batch, m, n) buffers — the per-item view bookkeeping, destination
-// validation, COW unsharing, and zero pass happen once per product
-// instead of once per item, and the inner loops land directly on the
-// chunked axpy4/dot4 micro-kernels in gemm.go.
+// A block-diagonal product — every item multiplying its own panels —
+// runs here as one call over contiguous (batch, m, n) buffers: the
+// per-item view bookkeeping, destination validation, COW unsharing and
+// zero pass happen once per product instead of once per item, and the
+// inner loops land directly on the chunked axpy4/dot4 micro-kernels in
+// gemm.go. The attention cell no longer calls them (its head-interleaved
+// products are the fused kernels of attention.go); they stay as the
+// benchmark's layer probes and as the reference composition those
+// fused kernels are tested against.
 //
 // Like the rank-2 kernels, every batched kernel is generic over
 // float32|float64; the float64 instantiations are exported as
@@ -47,12 +49,6 @@ func batchedGemmAcc[E elem](c, a, b []E, batch, m, k, n int) {
 	}
 }
 
-func batchedGemmTAAcc[E elem](c, a, b []E, batch, k, m, n int) {
-	for bi := 0; bi < batch; bi++ {
-		gemmTAAcc(c[bi*m*n:(bi+1)*m*n], a[bi*k*m:(bi+1)*k*m], b[bi*k*n:(bi+1)*k*n], k, m, n)
-	}
-}
-
 func batchedGemmTBAcc[E elem](c, a, b []E, batch, m, k, n int) {
 	for bi := 0; bi < batch; bi++ {
 		gemmTBAcc(c[bi*m*n:(bi+1)*m*n], a[bi*m*k:(bi+1)*m*k], b[bi*n*k:(bi+1)*n*k], m, k, n)
@@ -69,17 +65,6 @@ func BatchedMatMulInto(dst, a, b *Tensor) {
 	batch, m, k, n := a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[2]
 	checkBatchedDst(dst, a, b, batch, m, n, "BatchedMatMulInto")
 	batchedGemmAcc(dst.Data, a.Data, b.Data, batch, m, k, n)
-}
-
-// BatchedMatMulTransAInto computes dst[b] = A[b]ᵀ @ B[b] for every batch
-// item: A (batch, k, m), B (batch, k, n), dst (batch, m, n).
-func BatchedMatMulTransAInto(dst, a, b *Tensor) {
-	if a.Rank() != 3 || b.Rank() != 3 || a.Shape[0] != b.Shape[0] || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: batched matmulTransA shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	batch, k, m, n := a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[2]
-	checkBatchedDst(dst, a, b, batch, m, n, "BatchedMatMulTransAInto")
-	batchedGemmTAAcc(dst.Data, a.Data, b.Data, batch, k, m, n)
 }
 
 // BatchedMatMulTransBInto computes dst[b] = A[b] @ B[b]ᵀ for every batch
@@ -107,35 +92,10 @@ func BatchedSoftmaxInto(dst, src *Tensor, alpha float64) {
 	softmaxRowsScaled(dst.Data, src.Data, src.Shape[0]*src.Shape[1], src.Shape[2], alpha)
 }
 
-// BatchedSoftmaxBackwardInto computes, for every row of the
-// (batch, rows, cols) blocks,
-//
-//	dst = attn ⊙ (dout − ⟨attn_row, dout_row⟩) · alpha
-//
-// — the softmax Jacobian-vector product of the attention backward with
-// the 1/sqrt(d) score scale folded in. dst may alias attn or dout (the
-// attention backward overwrites dout in place).
-func BatchedSoftmaxBackwardInto(dst, attn, dout *Tensor, alpha float64) {
-	if attn.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: BatchedSoftmaxBackwardInto attn shape %v, want rank 3", attn.Shape))
-	}
-	batch, rows, cols := attn.Shape[0], attn.Shape[1], attn.Shape[2]
-	checkBatched3(dout, batch, rows, cols, "BatchedSoftmaxBackwardInto", "dout")
-	checkBatched3(dst, batch, rows, cols, "BatchedSoftmaxBackwardInto", "dst")
-	dst.EnsureOwned()
-	softmaxBackwardRows(dst.Data, attn.Data, dout.Data, batch*rows, cols, Float(alpha))
-}
-
 // Ref64BatchedGemm computes C[b] += A[b]@B[b] on float64 buffers — the
 // reference instantiation of the strided-batch GEMM.
 func Ref64BatchedGemm(c, a, b []float64, batch, m, k, n int) {
 	batchedGemmAcc(c, a, b, batch, m, k, n)
-}
-
-// Ref64BatchedGemmTransA computes C[b] += A[b]ᵀ@B[b] for A (batch, k, m),
-// B (batch, k, n) on float64 buffers (reference instantiation).
-func Ref64BatchedGemmTransA(c, a, b []float64, batch, k, m, n int) {
-	batchedGemmTAAcc(c, a, b, batch, k, m, n)
 }
 
 // Ref64BatchedGemmTransB computes C[b] += A[b]@B[b]ᵀ for A (batch, m, k),
@@ -148,10 +108,4 @@ func Ref64BatchedGemmTransB(c, a, b []float64, batch, m, k, n int) {
 // buffers (reference instantiation).
 func Ref64BatchedSoftmax(dst, src []float64, rows, cols int, alpha float64) {
 	softmaxRowsScaled(dst, src, rows, cols, alpha)
-}
-
-// Ref64BatchedSoftmaxBackward computes the scaled softmax
-// Jacobian-vector product on float64 buffers (reference instantiation).
-func Ref64BatchedSoftmaxBackward(dst, attn, dout []float64, rows, cols int, alpha float64) {
-	softmaxBackwardRows(dst, attn, dout, rows, cols, alpha)
 }

@@ -15,7 +15,7 @@ import (
 func randT(rng *rand.Rand, shape ...int) *tensor.Tensor { return paritytest.Rand(rng, shape...) }
 
 // batchedOps enumerates the batched GEMM variants with their operand
-// shape constructors, so every property below covers all three.
+// shape constructors, so every property below covers both.
 var batchedOps = []struct {
 	name string
 	// make returns operands for one product of the given block shape.
@@ -31,14 +31,6 @@ var batchedOps = []struct {
 		},
 		run:  tensor.BatchedMatMulInto,
 		flat: tensor.MatMulInto,
-	},
-	{
-		name: "MatMulTransA",
-		make: func(rng *rand.Rand, batch, m, k, n int) (*tensor.Tensor, *tensor.Tensor) {
-			return randT(rng, batch, k, m), randT(rng, batch, k, n)
-		},
-		run:  tensor.BatchedMatMulTransAInto,
-		flat: tensor.MatMulTransAInto,
 	},
 	{
 		name: "MatMulTransB",
@@ -108,16 +100,12 @@ func TestBatchedEmptyBatch(t *testing.T) {
 	dst := tensor.FromSlice(nil, 0, 3, 5)
 	tensor.BatchedMatMulInto(dst, a, b)
 
-	at := tensor.FromSlice(nil, 0, 4, 3)
-	tensor.BatchedMatMulTransAInto(dst, at, b)
-
 	bt := tensor.FromSlice(nil, 0, 5, 4)
 	tensor.BatchedMatMulTransBInto(dst, a, bt)
 
 	s := tensor.FromSlice(nil, 0, 3, 4)
 	sd := tensor.FromSlice(nil, 0, 3, 4)
 	tensor.BatchedSoftmaxInto(sd, s, 0.5)
-	tensor.BatchedSoftmaxBackwardInto(sd, s, s, 0.5)
 }
 
 // TestBatchedSingleToken: tokens=1 collapses the score blocks to 1×1

@@ -662,30 +662,42 @@ func softmaxRows[E elem](dst, src []E, rows, cols int) {
 // alpha must be positive (the pre-scale is folded into the stabilized
 // exponent, alpha*(v-max), which requires the max of alpha*v to be
 // alpha*max). Attention uses alpha = 1/sqrt(d) to fuse the score scale
-// into the softmax pass.
+// into the softmax pass. At the avx512 level float32 rows run on the
+// ZMM kernel, which computes every row it accepts bit for bit as the
+// scalar loop below does and hands back the rest.
 func softmaxRowsScaled[E elem](dst, src []E, rows, cols int, alpha float64) {
 	if alpha <= 0 {
 		panic("tensor: softmax scale must be positive")
 	}
 	for i := 0; i < rows; i++ {
-		row := src[i*cols : (i+1)*cols]
-		orow := dst[i*cols : (i+1)*cols]
-		max := row[0]
-		for _, v := range row[1:] {
-			if v > max {
-				max = v
+		if isF32[E]() && simd512 && cols > 0 {
+			d, s := f32s(dst[i*cols:rows*cols]), f32s(src[i*cols:rows*cols])
+			if i += softmaxRowsAsm512(&d[0], &s[0], rows-i, cols, alpha); i == rows {
+				return
 			}
 		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(alpha * float64(v-max))
-			orow[j] = E(e)
-			sum += e
+		softmaxRow(dst[i*cols:(i+1)*cols], src[i*cols:(i+1)*cols], alpha)
+	}
+}
+
+// softmaxRow is one row of softmaxRowsScaled: the exponentials and
+// their ascending-j sum in float64, the probabilities narrowed to E.
+func softmaxRow[E elem](orow, row []E, alpha float64) {
+	max := row[0]
+	for _, v := range row[1:] {
+		if v > max {
+			max = v
 		}
-		inv := E(1.0 / sum)
-		for j := range orow {
-			orow[j] *= inv
-		}
+	}
+	sum := 0.0
+	for j, v := range row {
+		e := math.Exp(alpha * float64(v-max))
+		orow[j] = E(e)
+		sum += e
+	}
+	inv := E(1.0 / sum)
+	for j := range orow {
+		orow[j] *= inv
 	}
 }
 

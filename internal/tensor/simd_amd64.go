@@ -83,3 +83,16 @@ func dot4Asm512(a, b0, b1, b2, b3 *float32, n int) (r0, r1, r2, r3 float32)
 
 //go:noescape
 func gemm4Rows512Asm(c *float32, cs int, a *float32, as int, b *float32, bs int, kq, w16 int)
+
+// softmaxRowsAsm512 writes the scaled softmax of up to rows rows of cols
+// ≥ 1 columns and returns how many it wrote: it stops, unwritten, at the
+// first row the scalar code must take (softmax_amd64.s).
+//
+//go:noescape
+func softmaxRowsAsm512(dst, src *float32, rows, cols int, alpha float64) int
+
+// expAsm512 replaces each of the eight values with the softmax kernel's
+// lane exponent (softmax_amd64.s); the tests hold it to math.Exp.
+//
+//go:noescape
+func expAsm512(x *[8]float64)
