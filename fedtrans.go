@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"fedtrans/internal/chaos"
 	"fedtrans/internal/data"
@@ -126,12 +125,10 @@ type Options struct {
 	// retry; each subsequent attempt doubles it.
 	RetryBackoff float64
 	// ClientTimeout drops any client whose simulated round time exceeds
-	// this many seconds (0 = no timeout). Timed-out clients still charge
-	// their training compute and download bytes. In a networked session
-	// (ServeAddr) the same figure also bounds each wire frame exchange
-	// in wall-clock seconds, so a stalled agent surfaces a typed timeout
-	// instead of hanging the coordinator; when 0, the wire falls back to
-	// a 2-minute frame deadline.
+	// this many simulated seconds (0 = no timeout). Timed-out clients
+	// still charge their training compute and download bytes. It is not
+	// a wall-clock bound: a networked session's wire frames run under
+	// netcoord.DefaultIOTimeout whatever it is.
 	ClientTimeout float64
 	// Chaos configures the deterministic fault-injection harness. All
 	// rates zero (the default) leaves the run fault-free.
@@ -458,7 +455,6 @@ func NewSession(opts Options) (*Session, error) {
 			Data:       dcfg,
 			Generative: opts.Population > 0,
 			Local:      cfg.Local,
-			IOTimeout:  time.Duration(opts.ClientTimeout * float64(time.Second)),
 		})
 		if err != nil {
 			return nil, err

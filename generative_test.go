@@ -1,40 +1,6 @@
 package fedtrans
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestPopulationMatchesMaterialized pins the public-API tentpole
-// contract: Options.Population runs a generative session bit-identical
-// to a materialized session with Clients set to the same count, with and
-// without two-tier aggregation.
-func TestPopulationMatchesMaterialized(t *testing.T) {
-	base := ScaleOptions()
-	base.Clients = 120
-	base.ClientsPerRound = 40
-	base.Rounds = 3
-
-	mat, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gen := base
-	gen.Clients = 0
-	gen.Population = 120
-	for _, edges := range []int{0, 3} {
-		gen.EdgeAggregators = edges
-		got, err := Run(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(mat, got) {
-			t.Fatalf("edges=%d: generative session diverged from materialized:\nmat: %+v\ngen: %+v",
-				edges, mat, got)
-		}
-	}
-}
+import "testing"
 
 // TestPopulationValidates pins option plumbing: Population overrides
 // Clients (so ClientsPerRound validates against it), and MassiveOptions

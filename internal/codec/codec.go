@@ -52,7 +52,7 @@ var wireErrs = wire.Errs{Magic: ErrBadMagic, Checksum: ErrChecksum, Truncated: E
 // maxDim guards against hostile or corrupted size fields.
 const maxDim = 1 << 24
 
-// EncodedSize returns the exact byte size Encode will produce for the
+// EncodedSize returns the exact byte size AppendEncode appends for the
 // given tensors.
 func EncodedSize(ts []*tensor.Tensor) int {
 	n := 4 + 4 // magic + count
@@ -62,18 +62,11 @@ func EncodedSize(ts []*tensor.Tensor) int {
 	return n + 4 // crc
 }
 
-// Encode serializes the tensors. The backend element type is already
-// float32, so the data section is a straight bit copy of each tensor's
-// buffer (big-endian framed).
-func Encode(ts []*tensor.Tensor) []byte {
-	return AppendEncode(make([]byte, 0, EncodedSize(ts)), ts)
-}
-
-// AppendEncode appends the encoded form of the tensors to dst and
-// returns the extended slice — the amortized-zero-allocation form of
-// Encode for hot paths that ship many blobs through one reused buffer
-// (the networked coordinator re-encodes the current weights for every
-// dispatch). The appended bytes are identical to Encode's output.
+// AppendEncode appends the encoded tensors to dst and returns the
+// extended slice; hot paths pass one reused buffer (the networked
+// coordinator re-encodes the current weights for every dispatch). The
+// backend element type is already float32, so the data section is a
+// straight bit copy of each tensor's buffer (big-endian framed).
 func AppendEncode(dst []byte, ts []*tensor.Tensor) []byte {
 	start := len(dst)
 	e := wire.Enc{B: append(slices.Grow(dst, EncodedSize(ts)), magic...)}

@@ -29,7 +29,7 @@ func randomTensors(seed int64) []*tensor.Tensor {
 func TestRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		ts := randomTensors(seed)
-		blob := Encode(ts)
+		blob := AppendEncode(nil, ts)
 		back, err := Decode(blob)
 		if err != nil {
 			return false
@@ -53,7 +53,7 @@ func TestRoundTrip(t *testing.T) {
 func TestEncodedSizeExact(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		ts := randomTensors(seed)
-		if got, want := len(Encode(ts)), EncodedSize(ts); got != want {
+		if got, want := len(AppendEncode(nil, ts)), EncodedSize(ts); got != want {
 			t.Fatalf("seed %d: encoded %d bytes, EncodedSize says %d", seed, got, want)
 		}
 	}
@@ -83,7 +83,7 @@ func TestEncodedSizeMatchesPayload(t *testing.T) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	ts := randomTensors(3)
-	blob := Encode(ts)
+	blob := AppendEncode(nil, ts)
 
 	flip := append([]byte(nil), blob...)
 	flip[10] ^= 0xFF
@@ -102,7 +102,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 func TestDecodeRejectsBadMagic(t *testing.T) {
 	ts := randomTensors(4)
-	blob := Encode(ts)
+	blob := AppendEncode(nil, ts)
 	blob[0] = 'X'
 	// Fix the checksum so magic is the failing check.
 	body := blob[:len(blob)-4]
@@ -120,7 +120,7 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 func TestDecodeRejectsHugeShapes(t *testing.T) {
 	// Handcraft a blob with an absurd dim to check the bounds guard.
 	huge := tensor.New(1)
-	blob := Encode([]*tensor.Tensor{huge})
+	blob := AppendEncode(nil, []*tensor.Tensor{huge})
 	// dims live at offset 4(magic)+4(count)+4(rank) = 12.
 	blob[12], blob[13], blob[14], blob[15] = 0xFF, 0xFF, 0xFF, 0xFF
 	body := blob[:len(blob)-4]
@@ -140,7 +140,7 @@ func TestWeightListSurvivesWire(t *testing.T) {
 	for _, w := range ws {
 		w.RandNormal(rng, 1)
 	}
-	blob := Encode(ws)
+	blob := AppendEncode(nil, ws)
 	back, err := Decode(blob)
 	if err != nil {
 		t.Fatal(err)

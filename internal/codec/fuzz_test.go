@@ -40,11 +40,11 @@ func FuzzDecode(f *testing.F) {
 		for _, t := range ts {
 			t.RandNormal(rng, 1)
 		}
-		f.Add(Encode(ts))
+		f.Add(AppendEncode(nil, ts))
 	}
 	// ...plus targeted corruptions: truncation, bad magic, bad CRC, and a
 	// hostile dim re-signed with a valid checksum.
-	valid := Encode(seeds[1])
+	valid := AppendEncode(nil, seeds[1])
 	f.Add(valid[:7])
 	bad := append([]byte(nil), valid...)
 	bad[0] = 'X'
@@ -63,7 +63,7 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if re := Encode(ts); !bytes.Equal(re, b) {
+			if re := AppendEncode(nil, ts); !bytes.Equal(re, b) {
 				t.Fatalf("decode/encode not canonical: %d in, %d out", len(b), len(re))
 			}
 		}

@@ -39,7 +39,7 @@ func TestGoldenFTW1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Encode(goldenTensors()); !bytes.Equal(got, want) {
+	if got := AppendEncode(nil, goldenTensors()); !bytes.Equal(got, want) {
 		t.Fatalf("FTW1 encoding moved:\n got %x\nwant %x", got, want)
 	}
 	ts, err := Decode(want)
@@ -56,7 +56,7 @@ func TestGoldenFTW1(t *testing.T) {
 	if err := DecodeInto(into, want); err != nil {
 		t.Fatalf("golden blob does not decode in place: %v", err)
 	}
-	if re := Encode(into); !bytes.Equal(re, want) {
+	if re := AppendEncode(nil, into); !bytes.Equal(re, want) {
 		t.Fatalf("DecodeInto → encode of the golden blob is not the identity: %x", re)
 	}
 }

@@ -168,7 +168,7 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 		rt.agg = rt.newAgg()
 	}
 	if rt.asyncStr == nil {
-		rt.asyncStr = par.NewTaskStream(rt.streamWindow())
+		rt.asyncStr = par.NewTaskStream(streamWindow())
 	}
 	rt.primeSuite()
 

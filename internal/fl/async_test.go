@@ -99,7 +99,6 @@ func TestAsyncMitigatesStragglersInWallClock(t *testing.T) {
 		cfg.ClientsPerRound = 8
 		cfg.EvalEvery = 8
 		cfg.ConvergePatience = 0
-		cfg.RecordLog = true
 		cfg.Chaos = chaos.Config{Seed: 42, StragglerRate: 0.3, StragglerDelay: 150}
 		return cfg
 	}
@@ -144,12 +143,11 @@ func TestAsyncMitigatesStragglersInWallClock(t *testing.T) {
 // timeouts, quorum, churn, a stateful guided selector, the server
 // optimizer, clip+noise, and dropout — every
 // subsystem the async checkpoint must carry through kill/resume.
-func asyncChaosScenario(t *testing.T, window int) func() *Runtime {
+func asyncChaosScenario(t *testing.T) func() *Runtime {
 	return func() *Runtime {
 		ds, tr, spec := smokeSetup(t, 20)
 		cfg := ckptConfig()
 		cfg.Rounds = 12
-		cfg.StreamWindow = window
 		cfg.MaxStaleness = 2
 		cfg.ServerYogi = true
 		cfg.Selector = selection.NewOort()
@@ -174,7 +172,7 @@ func asyncChaosScenario(t *testing.T, window int) func() *Runtime {
 // profile, rounds must keep committing (the staleness bound retires
 // stragglers instead of waiting on them), deterministically.
 func TestAsyncChaosStragglersDoNotBlockCommit(t *testing.T) {
-	mk := asyncChaosScenario(t, 2)
+	mk := asyncChaosScenario(t)
 	res := mk().Run()
 	committed := 0
 	for _, l := range res.Log {
@@ -201,17 +199,11 @@ func TestAsyncChaosStragglersDoNotBlockCommit(t *testing.T) {
 // them deterministically — so a run resumed at any boundary must equal
 // the uninterrupted run bit for bit, serial and parallel.
 func TestAsyncCheckpointResumeGolden(t *testing.T) {
-	for _, mode := range []struct {
-		name          string
-		procs, window int
-	}{
-		{"serial-window1", 1, 1},
-		{"parallel-window64", 4, 64},
-	} {
+	for _, mode := range windowModes {
 		t.Run(mode.name, func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(mode.procs)
 			defer runtime.GOMAXPROCS(prev)
-			mk := asyncChaosScenario(t, mode.window)
+			mk := asyncChaosScenario(t)
 			expected := mk().Run()
 
 			withCkpt, blobs := runWithCheckpoints(t, mk, 1)

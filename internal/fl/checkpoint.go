@@ -593,7 +593,7 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			rt.agg = rt.newAgg()
 		}
 		if rt.asyncStr == nil {
-			rt.asyncStr = par.NewTaskStream(rt.streamWindow())
+			rt.asyncStr = par.NewTaskStream(streamWindow())
 		}
 		byID := make(map[int]*model.Model, len(rt.suite))
 		for _, m := range rt.suite {
@@ -655,9 +655,10 @@ func (rt *Runtime) Resume(b []byte) (Result, error) {
 	return rt.Run(), nil
 }
 
-// cloneResult deep-copies a Result, preserving nil-ness of every slice
-// and map so a restored Result compares reflect.DeepEqual to the live
-// one it was captured from.
+// cloneResult copies a Result's slices, preserving nil-ness so a
+// restored Result compares reflect.DeepEqual to the live one it was
+// captured from. A logged round's UpdatesPerModel is never written
+// again, so the copy shares it.
 func cloneResult(r *Result) Result {
 	out := *r
 	out.ClientAcc = append([]float64(nil), r.ClientAcc...)
@@ -667,18 +668,6 @@ func cloneResult(r *Result) Result {
 	out.SuiteArch = append([]string(nil), r.SuiteArch...)
 	out.SuiteMACs = append([]float64(nil), r.SuiteMACs...)
 	out.BestModelMACs = append([]float64(nil), r.BestModelMACs...)
-	if r.Log != nil {
-		out.Log = make([]RoundLog, len(r.Log))
-		copy(out.Log, r.Log)
-		for i := range out.Log {
-			if src := r.Log[i].UpdatesPerModel; src != nil {
-				cp := make(map[int]int, len(src))
-				for k, v := range src {
-					cp[k] = v
-				}
-				out.Log[i].UpdatesPerModel = cp
-			}
-		}
-	}
+	out.Log = append([]RoundLog(nil), r.Log...)
 	return out
 }

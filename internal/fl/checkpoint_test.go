@@ -17,9 +17,8 @@ import (
 )
 
 // ckptConfig is the kitchen-sink deterministic configuration the
-// checkpoint golden tests run under: transformation, dropout, and
-// logging all on, so a resumed run must reproduce every
-// stateful subsystem.
+// checkpoint golden tests run under: transformation and dropout on, so a
+// resumed run must reproduce every stateful subsystem.
 func ckptConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Rounds = 10
@@ -27,11 +26,21 @@ func ckptConfig() Config {
 	cfg.EvalEvery = 3
 	cfg.ConvergePatience = 0
 	cfg.DropoutRate = 0.1
-	cfg.RecordLog = true
 	cfg.Transform.Gamma = 3
 	cfg.Transform.Delta = 3
 	cfg.Transform.Beta = 0.05
 	return cfg
+}
+
+// windowModes are the GOMAXPROCS settings the golden tests run at. The
+// stream window is max(4, 2·GOMAXPROCS): the smallest window, serial,
+// and a window far wider than a round, on more workers than clients.
+var windowModes = []struct {
+	name  string
+	procs int
+}{
+	{"serial-window4", 1},
+	{"parallel-window64", 32},
 }
 
 // runWithCheckpoints executes cfg once, collecting every checkpoint
@@ -61,21 +70,13 @@ func runWithCheckpoints(t *testing.T, mk func() *Runtime, every int) (Result, ma
 // costs, rng-driven logs, everything) to the uninterrupted run — under
 // both serial execution and the parallel streaming pipeline.
 func TestCheckpointResumeGoldenEveryBoundary(t *testing.T) {
-	for _, mode := range []struct {
-		name          string
-		procs, window int
-	}{
-		{"serial-window1", 1, 1},
-		{"parallel-window64", 4, 64},
-	} {
+	for _, mode := range windowModes {
 		t.Run(mode.name, func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(mode.procs)
 			defer runtime.GOMAXPROCS(prev)
 			mk := func() *Runtime {
 				ds, tr, spec := smokeSetup(t, 16)
-				cfg := ckptConfig()
-				cfg.StreamWindow = mode.window
-				return New(cfg, ds, tr, spec)
+				return New(ckptConfig(), ds, tr, spec)
 			}
 			expected := mk().Run()
 
@@ -108,7 +109,6 @@ func chaosScenario(t *testing.T) func() *Runtime {
 		ds, tr, spec := smokeSetup(t, 20)
 		cfg := ckptConfig()
 		cfg.Rounds = 12
-		cfg.StreamWindow = 2
 		cfg.ServerYogi = true
 		cfg.Selector = selection.NewOort()
 		cfg.Quorum = 0.5

@@ -343,7 +343,6 @@ func TestRoundLogConsistency(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 20
 	cfg.ClientsPerRound = 5
-	cfg.RecordLog = true
 	cfg.Transform.Gamma = 3
 	cfg.Transform.Delta = 3
 	cfg.Transform.Beta = 0.05

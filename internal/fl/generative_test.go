@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fedtrans/internal/chaos"
@@ -42,7 +43,6 @@ func genChaosConfig() Config {
 	cfg.ClientsPerRound = 6
 	cfg.EvalEvery = 3
 	cfg.ConvergePatience = 0
-	cfg.RecordLog = true
 	cfg.Quorum = 0.5
 	cfg.RetryBudget = 2
 	cfg.RetryBackoff = 2
@@ -88,19 +88,19 @@ func TestRuntimeGenerativeMatchesMaterialized(t *testing.T) {
 // full Result must reflect.DeepEqual the single-tier run.
 func TestRuntimeTieredMatchesSingleTierRun(t *testing.T) {
 	for _, mode := range []struct {
-		name      string
-		window    int
-		staleness int
+		name             string
+		procs, staleness int
 	}{
-		{"serial-window1", 1, 0},
-		{"parallel-window64", 64, 0},
-		{"async-staleness2", 0, 2},
+		{windowModes[0].name, windowModes[0].procs, 0},
+		{windowModes[1].name, windowModes[1].procs, 0},
+		{"async-staleness2", runtime.GOMAXPROCS(0), 2},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(mode.procs)
+			defer runtime.GOMAXPROCS(prev)
 			run := func(edges int) Result {
 				ds, tr, spec := genSetup(t, 20, true)
 				cfg := genChaosConfig()
-				cfg.StreamWindow = mode.window
 				cfg.MaxStaleness = mode.staleness
 				cfg.EdgeAggregators = edges
 				return New(cfg, ds, tr, spec).Run()

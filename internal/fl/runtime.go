@@ -45,8 +45,6 @@ type Config struct {
 	// completes when accuracy has not improved by more than convergeDelta
 	// over ConvergePatience consecutive evaluations.
 	ConvergePatience int
-	// RecordLog collects a RoundLog entry per round into Result.Log.
-	RecordLog bool
 	// DropoutRate is the probability that a selected participant fails
 	// mid-round (device churn): it downloads the model but never returns
 	// an update. 0 disables failure injection.
@@ -54,13 +52,6 @@ type Config struct {
 	// ServerYogi applies the FedYogi server optimizer to per-model
 	// aggregates (used in the Figure 8 experiment).
 	ServerYogi bool
-	// StreamWindow bounds how many trained-but-not-yet-aggregated client
-	// updates the streaming round loop keeps in flight: the coordinator's
-	// peak update memory is O(StreamWindow × model bytes) regardless of
-	// ClientsPerRound. 0 uses 2×GOMAXPROCS (minimum 4). The round result
-	// is byte-identical for every window size — the window trades only
-	// pipeline overlap against memory.
-	StreamWindow int
 	// MaxStaleness, when ≥ 1, runs FedBuff-style staleness-bounded
 	// asynchronous rounds: round r+1 begins while round-r stragglers are
 	// still training, an update may fold up to MaxStaleness rounds after
@@ -174,9 +165,9 @@ const (
 	activenessWindow = 5
 )
 
-// RoundLog is one round's structured trace record, collected when
-// Config.RecordLog is set — the observability hook for debugging
-// transformation timing and assignment balance.
+// RoundLog is one round's structured trace record — the observability
+// hook for debugging transformation timing and assignment balance. Every
+// run keeps one per round, so checkpoints carry them too.
 type RoundLog struct {
 	Round     int
 	Updates   int
@@ -250,7 +241,7 @@ type Result struct {
 	// dispatch and update fold) over all committed updates. Always 0 for
 	// synchronous runs.
 	MeanStaleness float64
-	// Log holds per-round trace records when Config.RecordLog is set.
+	// Log holds one trace record per round run.
 	Log []RoundLog
 }
 
@@ -486,23 +477,21 @@ loop:
 				}
 			}
 		}
-		if cfg.RecordLog {
-			updates := 0
-			for _, n := range perModel {
-				updates += n
-			}
-			res.Log = append(res.Log, RoundLog{
-				Round: round, Updates: updates,
-				Dropouts: res.Dropouts - dropoutsBefore,
-				MeanLoss: roundLoss, RoundTime: roundTime,
-				UpdatesPerModel: perModel,
-				Transformed:     transformed,
-				SuiteSize:       len(rt.suite),
-				Failures:        res.Failures - failuresBefore,
-				Retries:         res.Retries - retriesBefore,
-				Committed:       committed,
-			})
+		updates := 0
+		for _, n := range perModel {
+			updates += n
 		}
+		res.Log = append(res.Log, RoundLog{
+			Round: round, Updates: updates,
+			Dropouts: res.Dropouts - dropoutsBefore,
+			MeanLoss: roundLoss, RoundTime: roundTime,
+			UpdatesPerModel: perModel,
+			Transformed:     transformed,
+			SuiteSize:       len(rt.suite),
+			Failures:        res.Failures - failuresBefore,
+			Retries:         res.Retries - retriesBefore,
+			Committed:       committed,
+		})
 
 		// Periodic evaluation and the appendix convergence rule.
 		if (round+1)%cfg.EvalEvery == 0 || round == cfg.Rounds-1 {
@@ -555,17 +544,12 @@ func (rt *Runtime) CheckpointErr() error {
 	return rt.ckptErr
 }
 
-// streamWindow returns the bounded number of in-flight client updates.
-func (rt *Runtime) streamWindow() int {
-	if rt.cfg.StreamWindow > 0 {
-		return rt.cfg.StreamWindow
-	}
-	w := 2 * stdruntime.GOMAXPROCS(0)
-	if w < 4 {
-		w = 4
-	}
-	return w
-}
+// streamWindow bounds how many trained-but-not-yet-folded client updates
+// a round keeps in flight, max(4, 2·GOMAXPROCS): the coordinator's peak
+// update memory is O(window × model bytes) regardless of
+// ClientsPerRound. The result is byte-identical for every window; it
+// trades only pipeline overlap against memory.
+func streamWindow() int { return max(4, 2*stdruntime.GOMAXPROCS(0)) }
 
 // errQuorumLost aborts the completion stream once the remaining
 // participants can no longer reach the round quorum.
@@ -581,7 +565,7 @@ var errQuorumLost = errors.New("fl: round lost quorum")
 // order: the update is clipped/noised and folded straight into the
 // per-model sharded accumulator — after which its upload buffers go back
 // to the pool for the next client. The coordinator therefore holds
-// O(StreamWindow) updates at peak instead of all ClientsPerRound of them,
+// O(stream window) updates at peak instead of all ClientsPerRound of them,
 // and the post-round stages (FedAvg finalize, Yogi, activeness, joint
 // utility, soft aggregation) consume accumulator state plus per-task
 // scalars rather than retained weight tensors.
@@ -631,7 +615,7 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	need := rt.quorumNeed(len(tasks) + roundDropouts)
 	folded := 0
 	roundTime := 0.0
-	streamErr := par.StreamErr(len(tasks), rt.streamWindow(), func(i int) {
+	streamErr := par.StreamErr(len(tasks), streamWindow(), func(i int) {
 		rt.trainTask(round, 0, &tasks[i])
 	}, func(i int) error {
 		elapsed, ok := rt.settle(round, &tasks[i], res)

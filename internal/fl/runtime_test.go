@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 
 	"fedtrans/internal/data"
@@ -44,53 +42,5 @@ func TestRuntimeLearnsAndTransforms(t *testing.T) {
 	}
 	if res.Costs.TrainMACs <= 0 || res.Costs.NetworkBytes <= 0 || res.Costs.StorageBytes <= 0 {
 		t.Errorf("cost accounting incomplete: %+v", res.Costs)
-	}
-}
-
-// TestRunDeterminismSerialParallelCOW is the determinism golden test for
-// the streaming aggregation pipeline over copy-on-write clones: a full
-// training run — transformation, soft aggregation and dropouts all
-// enabled, so every COW
-// clone/unshare/snapshot path, the ordered completion stream, and the
-// sharded accumulator folds are all exercised — must produce a
-// byte-identical result whether local training runs serially
-// (GOMAXPROCS=1, where the stream degrades to produce-then-consume) or
-// across the worker pool, and regardless of the stream window size
-// (full backpressure at window 1 through effectively-unbounded). This
-// extends the PR 1 serial-equals-parallel guarantee through the PR 3
-// COW layer to the PR 5 streaming round loop.
-func TestRunDeterminismSerialParallelCOW(t *testing.T) {
-	run := func(window, maxStaleness int) Result {
-		ds, tr, spec := smokeSetup(t, 16)
-		cfg := DefaultConfig()
-		cfg.Rounds = 12
-		cfg.ClientsPerRound = 6
-		cfg.EvalEvery = 3
-		cfg.ConvergePatience = 0
-		cfg.DropoutRate = 0.1
-		cfg.RecordLog = true
-		cfg.StreamWindow = window
-		cfg.MaxStaleness = maxStaleness
-		cfg.Transform.Gamma = 3
-		cfg.Transform.Delta = 3
-		cfg.Transform.Beta = 0.05
-		rt := New(cfg, ds, tr, spec)
-		return rt.Run()
-	}
-	// MaxStaleness 0 is the synchronous path; 2 runs the same workload
-	// through the FedBuff async loop. Both must be bit-identical between
-	// fully serial execution and any parallel stream window.
-	for _, ms := range []int{0, 2} {
-		prev := runtime.GOMAXPROCS(1)
-		serial := run(0, ms)
-		runtime.GOMAXPROCS(4)
-		for _, window := range []int{0, 1, 2, 64} {
-			parallel := run(window, ms)
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Fatalf("streaming run (window %d, staleness %d) differs from serial execution:\nserial:   %+v\nparallel: %+v",
-					window, ms, serial, parallel)
-			}
-		}
-		runtime.GOMAXPROCS(prev)
 	}
 }

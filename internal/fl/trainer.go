@@ -29,7 +29,8 @@ type TrainSpec struct {
 // fault. m is only read.
 //
 // A Trainer must be safe for concurrent calls: the streaming round loop
-// dispatches up to StreamWindow attempts at once.
+// dispatches up to its stream window, max(4, 2·GOMAXPROCS), of attempts
+// at once.
 type Trainer interface {
 	Train(m *model.Model, spec TrainSpec, cfg LocalConfig, upload []*tensor.Tensor) (loss float64, samples int, err error)
 }

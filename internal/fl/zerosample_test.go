@@ -37,7 +37,6 @@ func TestZeroSampleClientPooled(t *testing.T) {
 	cfg.Rounds = 2
 	cfg.ClientsPerRound = 6 // select everyone: the empty client always participates
 	cfg.Local.Steps = 2
-	cfg.RecordLog = true
 	rt := zeroSampleRuntime(t, cfg, 2)
 	res := rt.Run()
 	if res.Failures != 0 {

@@ -89,23 +89,12 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 	return codec.AppendEncode(e.B, params), nil
 }
 
-// UnmarshalModel reconstructs a model serialized by MarshalBinary,
-// minting its ID from the shared process-wide scope. The loaded model
-// computes exactly the same function (the float32 wire format carries
-// backend precision losslessly) and starts a fresh lineage.
-//
-// Runtime-adjacent loaders — anything running inside a parallel
-// experiment grid — must use UnmarshalModelScoped instead: drawing from
-// the global scope would perturb the shared counter and break run-level
-// ID determinism.
-func UnmarshalModel(b []byte) (*Model, error) {
-	return UnmarshalModelScoped(b, globalIDs)
-}
-
 // UnmarshalModelScoped reconstructs a model serialized by MarshalBinary,
 // minting its ID (and any IDs of cells later derived from it) from the
 // given per-run IDGen scope, so loading a model inside one run cannot
-// perturb the ID sequences of concurrent runs.
+// perturb the ID sequences of concurrent runs. The loaded model computes
+// exactly the same function (the float32 wire format carries backend
+// precision losslessly) and starts a fresh lineage.
 func UnmarshalModelScoped(b []byte, gen *IDGen) (*Model, error) {
 	d := wire.NewDec(b, &persistErrs)
 	hdr := d.Take(d.Count(1))

@@ -25,7 +25,7 @@ func roundTrip(t *testing.T, spec Spec, features int) {
 	if err != nil {
 		t.Fatalf("%s: marshal: %v", spec.Family, err)
 	}
-	back, err := UnmarshalModel(blob)
+	back, err := UnmarshalModelScoped(blob, globalIDs)
 	if err != nil {
 		t.Fatalf("%s: unmarshal: %v", spec.Family, err)
 	}
@@ -60,7 +60,7 @@ func TestPersistTransformedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalModel(blob)
+	back, err := UnmarshalModelScoped(blob, globalIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,19 +80,19 @@ func TestPersistRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalModel(nil); err == nil {
+	if _, err := UnmarshalModelScoped(nil, globalIDs); err == nil {
 		t.Error("nil blob must fail")
 	}
-	if _, err := UnmarshalModel(blob[:3]); err == nil {
+	if _, err := UnmarshalModelScoped(blob[:3], globalIDs); err == nil {
 		t.Error("truncated header length must fail")
 	}
-	if _, err := UnmarshalModel(blob[:len(blob)-2]); err == nil {
+	if _, err := UnmarshalModelScoped(blob[:len(blob)-2], globalIDs); err == nil {
 		t.Error("truncated weights must fail")
 	}
 	// Flip a weight byte: codec checksum must catch it.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-10] ^= 0xFF
-	if _, err := UnmarshalModel(bad); err == nil {
+	if _, err := UnmarshalModelScoped(bad, globalIDs); err == nil {
 		t.Error("corrupted weights must fail")
 	}
 }
@@ -102,7 +102,7 @@ func TestPersistFreshLineage(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := Spec{Family: "dense", Input: []int{4}, Hidden: []int{3}, Classes: 2}.Build(rng)
 	blob, _ := m.MarshalBinary()
-	back, err := UnmarshalModel(blob)
+	back, err := UnmarshalModelScoped(blob, globalIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPersistMultiStrideSpatialTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalModel(blob)
+	back, err := UnmarshalModelScoped(blob, globalIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPersistMultiHeadAttention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalModel(blob)
+	back, err := UnmarshalModelScoped(blob, globalIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestPersistMultiHeadAttention(t *testing.T) {
 	if bytes.Contains(sblob[:64], []byte("heads")) {
 		t.Error("single-head header mentions heads; legacy blobs would differ")
 	}
-	sback, err := UnmarshalModel(sblob)
+	sback, err := UnmarshalModelScoped(sblob, globalIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPersistMultiHeadAttention(t *testing.T) {
 		t.Fatal("test setup: header rewrite changed length")
 	}
 	copy(hdr, fixed)
-	if _, err := UnmarshalModel(bad); !errors.Is(err, ErrCorruptModel) {
+	if _, err := UnmarshalModelScoped(bad, globalIDs); !errors.Is(err, ErrCorruptModel) {
 		t.Errorf("non-dividing head count gave %v, want ErrCorruptModel", err)
 	}
 }
@@ -251,7 +251,7 @@ func convBlob(tb testing.TB, stride int, wShape []int, biasLen int) []byte {
 	}
 	out := binary.BigEndian.AppendUint32(nil, uint32(len(hdr)))
 	out = append(out, hdr...)
-	return append(out, codec.Encode([]*tensor.Tensor{
+	return append(out, codec.AppendEncode(nil, []*tensor.Tensor{
 		tensor.New(wShape...), tensor.New(biasLen),
 		tensor.New(wShape[0], 3), tensor.New(3),
 	})...)
@@ -330,7 +330,7 @@ func TestPersistBoundsAttentionByItsWeights(t *testing.T) {
 	} {
 		ws := []*tensor.Tensor{tensor.New(tc.wq...), tensor.New(4, 4), tensor.New(4, 4), tensor.New(4, 4),
 			tensor.New(tc.w1...), tensor.New(4), tensor.New(4, 4), tensor.New(4), tensor.New(4, 2), tensor.New(2)}
-		blob := append(append([]byte{0, 0, 0, byte(len(hdr))}, hdr...), codec.Encode(ws)...)
+		blob := append(append([]byte{0, 0, 0, byte(len(hdr))}, hdr...), codec.AppendEncode(nil, ws)...)
 		if m, err := UnmarshalModelScoped(blob, NewIDGen()); !errors.Is(err, ErrCorruptModel) {
 			t.Errorf("%s: loaded %v with error %v, want ErrCorruptModel", tc.name, m, err)
 		}
@@ -415,7 +415,7 @@ func headerBlob(header string, shapes [][]int) []byte {
 		ws[k] = tensor.New(shape...)
 	}
 	out := binary.BigEndian.AppendUint32(nil, uint32(len(header)))
-	return append(append(out, header...), codec.Encode(ws)...)
+	return append(append(out, header...), codec.AppendEncode(nil, ws)...)
 }
 
 func TestPersistRejectsBrokenChains(t *testing.T) {

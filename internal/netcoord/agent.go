@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"fedtrans/internal/chaos"
 	"fedtrans/internal/codec"
 	"fedtrans/internal/data"
 	"fedtrans/internal/fl"
@@ -25,23 +23,14 @@ import (
 type AgentConfig struct {
 	// Addr is the coordinator's host:port.
 	Addr string
-	// Workers is the number of concurrent connections (each one serves
-	// one training attempt at a time). Defaults to 1.
+	// Workers is the number of concurrent connections, at least 1; each
+	// serves one training attempt at a time.
 	Workers int
-	// DialTimeout bounds each (re)connect attempt's total retry budget.
-	// Defaults to 30s.
-	DialTimeout time.Duration
-	// IOTimeout bounds each frame exchange (writes, response reads, and
-	// the body of a request whose header has arrived; idle waits between
-	// requests are never bounded). 0 adopts the coordinator's WELCOME
-	// value (DefaultIOTimeout if it sent none); negative disables
-	// deadlines.
-	IOTimeout time.Duration
-	// WireChaos injects deterministic transport faults into uploads
-	// (tests): the mangled attempt fails on the coordinator, which
-	// retries it, and this worker redials.
-	WireChaos chaos.WireConfig
 }
+
+// dialBudget bounds the retries of one (re)connect. Frame exchanges run
+// under the deadline the coordinator's WELCOME names.
+const dialBudget = 30 * time.Second
 
 // RunAgents connects Workers agent connections to the coordinator,
 // synthesizes the client population the WELCOME frame describes (bit-
@@ -52,10 +41,7 @@ type AgentConfig struct {
 // instead).
 func RunAgents(cfg AgentConfig) error {
 	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 30 * time.Second
+		return fmt.Errorf("netcoord: %d agent workers, want at least 1", cfg.Workers)
 	}
 	// The dataset is shared across workers: synthesis can dominate
 	// startup, and shards are read-only during training.
@@ -85,7 +71,7 @@ func RunAgents(cfg AgentConfig) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = agentLoop(cfg, getDS, &served)
+			errs[w] = agentLoop(cfg.Addr, dialBudget, getDS, &served)
 		}(w)
 	}
 	wg.Wait()
@@ -97,31 +83,31 @@ func RunAgents(cfg AgentConfig) error {
 	return nil
 }
 
-// errReconnect tells agentLoop the connection is gone (injected fault,
-// coordinator-dropped conn) but the run may still be live: redial.
+// errReconnect tells agentLoop a welcomed connection is gone but the run
+// may still be live: redial.
 var errReconnect = errors.New("netcoord: connection lost, reconnecting")
 
-func agentLoop(cfg AgentConfig, getDS func(RunConfig) *data.Dataset, served *atomic.Bool) error {
-	winj := chaos.NewWire(cfg.WireChaos)
+// agentLoop is one worker. The hub drops a connection whenever an
+// attempt on it fails (a short or corrupt frame, a timeout, an error
+// reply), and the run goes on without it, so a lost connection — even a
+// clean EOF between frames — is redialed. The run is over when a served
+// pool's redial is refused or a new connection gets no WELCOME.
+func agentLoop(addr string, budget time.Duration, getDS func(RunConfig) *data.Dataset, served *atomic.Bool) error {
 	for {
-		c, err := dialRetry(cfg.Addr, cfg.DialTimeout, served)
+		c, err := dialRetry(addr, budget, served)
 		if err != nil {
 			if served.Load() {
-				// The coordinator answered earlier and is now gone: the
-				// run is over.
 				return nil
 			}
 			return err
 		}
-		err = serveConn(c, cfg.IOTimeout, getDS, winj)
-		switch {
-		case err == nil:
-			served.Store(true)
-			return nil
-		case errors.Is(err, errReconnect):
-			served.Store(true)
-		default:
+		err = serveConn(c, getDS)
+		if err != nil && !errors.Is(err, errReconnect) {
 			return err
+		}
+		served.Store(true)
+		if err == nil {
+			return nil
 		}
 	}
 }
@@ -154,16 +140,18 @@ type connState struct {
 	resp     []byte
 }
 
-func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.Dataset, winj *chaos.WireInjector) error {
+// serveConn serves one connection: nil if it got no WELCOME (the
+// coordinator is gone), errReconnect if it was lost after one.
+func serveConn(c net.Conn, getDS func(RunConfig) *data.Dataset) error {
 	defer c.Close()
-	fc := newFrameConnTimeout(c, normalizeTimeout(ioTimeout))
+	fc := newFrameConn(c)
 
 	if err := fc.sendHello(); err != nil {
-		return errReconnect
+		return nil
 	}
 	t, payload, err := fc.read()
 	if err != nil {
-		return errReconnect
+		return nil
 	}
 	var wh welcomeHdr
 	d := wire.NewDec(payload, &ftncErrs)
@@ -184,10 +172,7 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 	if _, err := rc.Data.Check(rc.Generative); err != nil {
 		return fmt.Errorf("%w: WELCOME config: %v", ErrBadHandshake, err)
 	}
-	if ioTimeout == 0 && rc.IOTimeout != 0 {
-		// No local override: adopt the coordinator's frame deadline.
-		fc.timeout = normalizeTimeout(rc.IOTimeout)
-	}
+	fc.timeout = normalizeTimeout(rc.IOTimeout)
 	ds := getDS(rc)
 
 	gen := model.NewIDGen()
@@ -202,9 +187,6 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 		// that starts must finish within the frame deadline.
 		t, payload, err := fc.readIdle()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil // clean close at a frame boundary: run over
-			}
 			return errReconnect
 		}
 		switch t {
@@ -213,7 +195,7 @@ func serveConn(c net.Conn, ioTimeout time.Duration, getDS func(RunConfig) *data.
 				return err
 			}
 		case ftTrain:
-			if err := st.handleTrain(fc, payload, winj); err != nil {
+			if err := st.handleTrain(fc, payload); err != nil {
 				return err
 			}
 		default:
@@ -243,7 +225,7 @@ func (st *connState) handleModel(payload []byte, gen *model.IDGen) error {
 	return nil
 }
 
-func (st *connState) handleTrain(fc *frameConn, payload []byte, winj *chaos.WireInjector) error {
+func (st *connState) handleTrain(fc *frameConn, payload []byte) error {
 	var th trainHdr
 	d := wire.NewDec(payload, &ftncErrs)
 	th.walk(wire.Decoding(&d))
@@ -270,40 +252,24 @@ func (st *connState) handleTrain(fc *frameConn, payload []byte, winj *chaos.Wire
 	case !finite(lcfg.LR) || !finite(lcfg.ProxMu):
 		bad = fmt.Sprintf("non-finite lr %v or proxMu %v", lcfg.LR, lcfg.ProxMu)
 	}
+	if bad == "" {
+		if err := codec.DecodeInto(tr.Model().Params(), weights); err != nil {
+			bad = fmt.Sprintf("weights: %v", err)
+		}
+	}
 	if bad != "" {
-		return st.respondErr(fc, winj, seed, bad)
+		st.resp = errPayload(st.resp[:0], bad)
+	} else {
+		loss, samples := tr.Train(client, lcfg, seed, st.uploads[id])
+		res := trainResHdr{loss: loss, samples: uint32(samples)}
+		e := wire.Enc{B: st.resp[:0]}
+		res.walk(wire.Encoding(&e))
+		st.resp = codec.AppendEncode(e.B, st.uploads[id])
 	}
-	if err := codec.DecodeInto(tr.Model().Params(), weights); err != nil {
-		return st.respondErr(fc, winj, seed, fmt.Sprintf("weights: %v", err))
-	}
-	loss, samples := tr.Train(client, lcfg, seed, st.uploads[id])
-
-	res := trainResHdr{loss: loss, samples: uint32(samples)}
-	e := wire.Enc{B: st.resp[:0]}
-	res.walk(wire.Encoding(&e))
-	st.resp = codec.AppendEncode(e.B, st.uploads[id])
-	return st.send(fc, winj, seed, st.resp)
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-func (st *connState) respondErr(fc *frameConn, winj *chaos.WireInjector, seed int64, msg string) error {
-	st.resp = errPayload(st.resp[:0], msg)
-	return st.send(fc, winj, seed, st.resp)
-}
-
-// send writes the TRAINRES frame, applying any wire fault drawn for
-// this attempt's seed. An injected fault poisons the connection, so the
-// worker redials; the coordinator retries the attempt elsewhere.
-func (st *connState) send(fc *frameConn, winj *chaos.WireInjector, seed int64, payload []byte) error {
-	if f := winj.Fault(seed); f != chaos.WireNone {
-		fc.mangle = f
-		fc.write(ftTrainRes, payload)
-		fc.mangle = chaos.WireNone
-		return errReconnect
-	}
-	if err := fc.write(ftTrainRes, payload); err != nil {
+	if err := fc.write(ftTrainRes, st.resp); err != nil {
 		return errReconnect
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -23,7 +23,7 @@ func TestLateWorkerAfterRunEnds(t *testing.T) {
 	var served atomic.Bool
 	served.Store(true)
 	start := time.Now()
-	if err := agentLoop(AgentConfig{Addr: addr, DialTimeout: 30 * time.Second}, nil, &served); err != nil {
+	if err := agentLoop(addr, dialBudget, nil, &served); err != nil {
 		t.Errorf("late worker of a served pool: %v, want a clean exit", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -31,7 +31,15 @@ func TestLateWorkerAfterRunEnds(t *testing.T) {
 	}
 
 	served.Store(false)
-	if err := agentLoop(AgentConfig{Addr: addr, DialTimeout: 100 * time.Millisecond}, nil, &served); err == nil {
+	if err := agentLoop(addr, 100*time.Millisecond, nil, &served); err == nil {
 		t.Error("a pool no coordinator ever answered must report the failed dial")
+	}
+}
+
+// TestRunAgentsNeedsAWorker: a pool of no workers is an error, not a
+// pool of one.
+func TestRunAgentsNeedsAWorker(t *testing.T) {
+	if err := RunAgents(AgentConfig{Addr: "127.0.0.1:1"}); err == nil {
+		t.Error("RunAgents with no workers returned nil")
 	}
 }

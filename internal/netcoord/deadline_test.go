@@ -5,10 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
-	"fedtrans/internal/chaos"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
@@ -174,7 +174,7 @@ func TestStalledInferenceServerTimesOut(t *testing.T) {
 // bound single frame exchanges, so a healthy run must still be
 // byte-identical to the in-process run.
 func TestHealthyRunUnaffectedByDeadlines(t *testing.T) {
-	want, _ := loopRun(t, nil, false, chaos.WireConfig{})
+	want, _, _ := loopRun(t, nil, nil)
 	model.ResetIDs()
 	dcfg := loopDataCfg()
 	ds := data.Generate(dcfg)
@@ -204,7 +204,7 @@ func TestHealthyRunUnaffectedByDeadlines(t *testing.T) {
 	if err := <-agentErr; err != nil {
 		t.Fatalf("agents exited with: %v", err)
 	}
-	if want.MeanAcc != got.MeanAcc || want.Costs != got.Costs {
+	if !reflect.DeepEqual(want, got) {
 		t.Fatal("deadline-bounded networked run diverged from in-process run")
 	}
 }

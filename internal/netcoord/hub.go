@@ -19,14 +19,15 @@ import (
 // Hub is the coordinator's side of the wire: it accepts agent
 // connections and serves the FL runtime as its fl.Trainer, farming each
 // local-training attempt out to an idle connection. Connections are
-// checked out per attempt, so up to StreamWindow attempts ride the pool
-// concurrently while each connection stays lock-stepped.
+// checked out per attempt, so as many attempts as the runtime's stream
+// window holds (max(4, 2·GOMAXPROCS)) ride the pool concurrently while
+// each connection stays lock-stepped.
 //
 // A connection that fails mid-attempt is dropped and the typed wire
 // error is returned to the runtime, which retries the attempt (same
-// seed, next attempt salt) through another connection — determinism
-// holds because training depends only on (weights, shard, seed), never
-// on which connection carried it.
+// seed, next attempt salt) through another connection; the agent
+// redials. Determinism holds because training depends only on (weights,
+// shard, seed), never on which connection carried it.
 type Hub struct {
 	ln      net.Listener
 	welcome []byte
@@ -85,8 +86,8 @@ func NewHub(addr string, cfg RunConfig) (*Hub, error) {
 // Addr is the hub's actual listen address (useful with port 0).
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
 
-// Close stops accepting agents and drops every connection. Agents see a
-// clean EOF at a frame boundary and exit. Safe to call more than once.
+// Close stops accepting agents and drops every connection. Agents see
+// their redial refused and exit. Safe to call more than once.
 func (h *Hub) Close() {
 	h.closeOnce.Do(func() {
 		close(h.closed)

@@ -121,7 +121,7 @@ func TestHubBoundsTrainRes(t *testing.T) {
 	<-fakeDone
 
 	agents := make(chan error, 1)
-	go func() { agents <- RunAgents(AgentConfig{Addr: hub.Addr()}) }()
+	go func() { agents <- RunAgents(AgentConfig{Addr: hub.Addr(), Workers: 1}) }()
 	spec.Attempt = 1
 	if _, samples, err := hub.Train(m, spec, local, upload); err != nil || samples == 0 {
 		t.Fatalf("retry through a real agent: samples %d, err %v", samples, err)

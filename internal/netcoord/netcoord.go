@@ -72,7 +72,6 @@ import (
 	"os"
 	"time"
 
-	"fedtrans/internal/chaos"
 	"fedtrans/internal/data"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/wire"
@@ -157,8 +156,8 @@ type RunConfig struct {
 	Local fl.LocalConfig `json:"local"`
 	// IOTimeout bounds every frame exchange on both ends of the run: the
 	// coordinator applies it to its connections, and agents adopt it
-	// from the WELCOME frame unless their AgentConfig overrides it. 0
-	// means DefaultIOTimeout; negative disables deadlines (tests).
+	// from the WELCOME frame. 0 means DefaultIOTimeout; negative disables
+	// deadlines (tests).
 	IOTimeout time.Duration `json:"ioTimeout,omitempty"`
 }
 
@@ -180,9 +179,6 @@ type frameConn struct {
 	// announce; readFrame refuses a longer one before allocating for
 	// it. maxFrame unless the endpoint knows a tighter bound.
 	limit uint32
-	// mangle injects a transport fault into the next write (the agent's
-	// wire-chaos hook); the connection is unusable afterwards.
-	mangle chaos.WireFault
 }
 
 func newFrameConn(c net.Conn) *frameConn {
@@ -192,9 +188,6 @@ func newFrameConn(c net.Conn) *frameConn {
 func newFrameConnTimeout(c net.Conn, timeout time.Duration) *frameConn {
 	return &frameConn{c: c, r: bufio.NewReaderSize(c, 1<<16), timeout: timeout, limit: maxFrame}
 }
-
-// errWireInjected marks a write that deliberately broke the connection.
-var errWireInjected = errors.New("netcoord: injected wire fault")
 
 func (fc *frameConn) write(t byte, payload []byte) error {
 	n := 1 + 4 + len(payload)
@@ -209,29 +202,11 @@ func (fc *frameConn) write(t byte, payload []byte) error {
 	e.U8(t)
 	e.U32(wire.Checksum(payload))
 	e.Raw(payload)
-	b := e.B
-	fc.wbuf = b
-	switch fc.mangle {
-	case chaos.WireTruncate:
-		// Cut the frame mid-payload and drop the connection: the peer
-		// sees an unexpected EOF inside the frame.
-		fc.c.Write(b[:len(b)/2])
-		fc.c.Close()
-		return errWireInjected
-	case chaos.WireCorrupt:
-		// Flip a payload bit after the CRC was computed: the peer's
-		// checksum must reject the frame.
-		b[len(b)-1] ^= 0x40
-		fc.c.Write(b)
-		return errWireInjected
-	case chaos.WireDrop:
-		fc.c.Close()
-		return errWireInjected
-	}
+	fc.wbuf = e.B
 	if fc.timeout > 0 {
 		fc.c.SetWriteDeadline(time.Now().Add(fc.timeout))
 	}
-	_, err := fc.c.Write(b)
+	_, err := fc.c.Write(e.B)
 	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
 		return fmt.Errorf("%w: write stalled for %v (frame type 0x%02x)", ErrIOTimeout, fc.timeout, t)
 	}

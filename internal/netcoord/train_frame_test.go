@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"fedtrans/internal/chaos"
 	"fedtrans/internal/codec"
 	"fedtrans/internal/data"
 	"fedtrans/internal/fl"
@@ -86,7 +85,7 @@ func TestTrainFrames(t *testing.T) {
 	coord, agent := net.Pipe()
 	served := make(chan error, 1)
 	go func() {
-		served <- serveConn(agent, 5*time.Second, func(RunConfig) *data.Dataset { return ds }, chaos.NewWire(chaos.WireConfig{}))
+		served <- serveConn(agent, func(RunConfig) *data.Dataset { return ds })
 	}()
 	fc := newFrameConnTimeout(coord, 5*time.Second)
 	if ft, p, err := fc.read(); err != nil || ft != ftHello || !bytes.Equal(p, []byte("FTNC\x00\x01")) {
@@ -209,7 +208,7 @@ func TestAgentSurvivesHostileModelFrame(t *testing.T) {
 		coord, agent := net.Pipe()
 		served := make(chan error, 1)
 		go func() {
-			served <- serveConn(agent, 5*time.Second, func(RunConfig) *data.Dataset { return ds }, chaos.NewWire(chaos.WireConfig{}))
+			served <- serveConn(agent, func(RunConfig) *data.Dataset { return ds })
 		}()
 		fc := newFrameConnTimeout(coord, 5*time.Second)
 		if ft, _, err := fc.read(); err != nil || ft != ftHello {
@@ -273,7 +272,7 @@ func TestHubRejectsUnknownKind(t *testing.T) {
 	<-fakeDone
 
 	agents := make(chan error, 1)
-	go func() { agents <- RunAgents(AgentConfig{Addr: hub.Addr()}) }()
+	go func() { agents <- RunAgents(AgentConfig{Addr: hub.Addr(), Workers: 1}) }()
 	spec.Attempt = 1
 	if _, samples, err := hub.Train(m, spec, local, upload); err != nil || samples == 0 {
 		t.Fatalf("retry through a real agent: samples %d, err %v", samples, err)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"fedtrans/internal/chaos"
 	"fedtrans/internal/data"
 )
 
@@ -20,7 +19,7 @@ func welcome(t testing.TB, js []byte, getDS func(RunConfig) *data.Dataset) error
 	coord, agent := net.Pipe()
 	defer coord.Close()
 	served := make(chan error, 1)
-	go func() { served <- serveConn(agent, 5*time.Second, getDS, chaos.NewWire(chaos.WireConfig{})) }()
+	go func() { served <- serveConn(agent, getDS) }()
 	fc := newFrameConnTimeout(coord, 5*time.Second)
 	if ft, _, err := fc.read(); err != nil || ft != ftHello {
 		t.Fatalf("HELLO: frame 0x%02x, err %v", ft, err)
