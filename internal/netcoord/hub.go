@@ -36,12 +36,28 @@ type Hub struct {
 
 	mu           sync.Mutex
 	conns        map[*agentConn]struct{}
-	wireErrs     []error // the first maxWireErrs faults
-	wireErrCount int     // every fault
+	pending      map[net.Conn]struct{} // handshakes under way
+	wireErrs     []error               // the first maxWireErrs faults
+	wireErrCount int                   // every fault
 
+	slots     chan struct{} // one token per handshake under way
 	closed    chan struct{}
 	closeOnce sync.Once
+	running   sync.WaitGroup // the accept loop and every handshake
 }
+
+// maxHandshakes caps the connections the hub handshakes at once. Each
+// holds a goroutine and a 64 KiB reader until HELLO arrives or
+// helloTimeout passes. With every slot taken the hub stops accepting, so
+// later dials wait in the kernel's listen backlog and are admitted in
+// arrival order as slots free; none is turned away.
+const maxHandshakes = 64
+
+// helloTimeout bounds the wait for a new connection's HELLO (the I/O
+// timeout where that is shorter). An agent sends HELLO as soon as it
+// connects, so a dial silent this long is no agent; dropping it frees
+// its slot for the dials queued behind it.
+const helloTimeout = 10 * time.Second
 
 // Hub must satisfy the runtime's remote-training hook.
 var _ fl.Trainer = (*Hub)(nil)
@@ -77,8 +93,11 @@ func NewHub(addr string, cfg RunConfig) (*Hub, error) {
 		timeout: normalizeTimeout(cfg.IOTimeout),
 		idle:    make(chan *agentConn, 1024),
 		conns:   make(map[*agentConn]struct{}),
+		pending: make(map[net.Conn]struct{}),
+		slots:   make(chan struct{}, maxHandshakes),
 		closed:  make(chan struct{}),
 	}
+	h.running.Add(1)
 	go h.acceptLoop()
 	return h, nil
 }
@@ -86,8 +105,10 @@ func NewHub(addr string, cfg RunConfig) (*Hub, error) {
 // Addr is the hub's actual listen address (useful with port 0).
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
 
-// Close stops accepting agents and drops every connection. Agents see
-// their redial refused and exit. Safe to call more than once.
+// Close stops accepting agents, drops every connection, admitted or
+// still handshaking, and returns once the accept loop and the handshakes
+// have exited. Agents see their redial refused and exit. Safe to call
+// more than once.
 func (h *Hub) Close() {
 	h.closeOnce.Do(func() {
 		close(h.closed)
@@ -96,9 +117,23 @@ func (h *Hub) Close() {
 		for ac := range h.conns {
 			ac.fc.close()
 		}
+		for c := range h.pending {
+			c.Close()
+		}
 		h.conns = make(map[*agentConn]struct{})
 		h.mu.Unlock()
 	})
+	h.running.Wait()
+}
+
+// closing reports whether Close has begun.
+func (h *Hub) closing() bool {
+	select {
+	case <-h.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // maxWireErrs caps the wire faults a hub retains: a long-lived
@@ -132,10 +167,31 @@ func (h *Hub) recordErr(err error) {
 	h.mu.Unlock()
 }
 
+// acceptLoop hands each connection to a handshake of its own. It takes
+// a slot before it accepts, so at most maxHandshakes run at once and the
+// rest wait unaccepted. Registering the connection under mu, after
+// checking for Close, is what lets Close reach every handshake.
 func (h *Hub) acceptLoop() {
+	defer h.running.Done()
 	for {
+		select {
+		case h.slots <- struct{}{}:
+		case <-h.closed:
+			return
+		}
 		c, err := h.ln.Accept()
 		if err != nil {
+			return
+		}
+		h.mu.Lock()
+		ok := !h.closing()
+		if ok {
+			h.pending[c] = struct{}{}
+			h.running.Add(1)
+		}
+		h.mu.Unlock()
+		if !ok {
+			c.Close()
 			return
 		}
 		go h.admit(c)
@@ -144,26 +200,28 @@ func (h *Hub) acceptLoop() {
 
 // admit runs the handshake and parks the connection in the idle pool.
 func (h *Hub) admit(c net.Conn) {
-	ac := &agentConn{fc: newFrameConnTimeout(c, h.timeout), sent: make(map[int]bool)}
-	if err := ac.fc.readHello(); err != nil {
+	defer h.running.Done()
+	defer func() { <-h.slots }()
+	ac := &agentConn{fc: newFrameConnTimeout(c, min(h.timeout, helloTimeout)), sent: make(map[int]bool)}
+	err := ac.fc.readHello()
+	ac.fc.timeout = h.timeout
+	if err != nil && !h.closing() {
 		h.recordErr(fmt.Errorf("%w from %s", ErrBadHandshake, c.RemoteAddr()))
-		c.Close()
-		return
 	}
-	if err := ac.fc.write(ftWelcome, h.welcome); err != nil {
-		c.Close()
-		return
+	if err == nil {
+		err = ac.fc.write(ftWelcome, h.welcome)
 	}
 	h.mu.Lock()
-	select {
-	case <-h.closed:
-		h.mu.Unlock()
+	delete(h.pending, c)
+	ok := err == nil && !h.closing()
+	if ok {
+		h.conns[ac] = struct{}{}
+	}
+	h.mu.Unlock()
+	if !ok {
 		c.Close()
 		return
-	default:
 	}
-	h.conns[ac] = struct{}{}
-	h.mu.Unlock()
 	h.checkin(ac)
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -125,6 +126,109 @@ func TestHubBoundsTrainRes(t *testing.T) {
 	spec.Attempt = 1
 	if _, samples, err := hub.Train(m, spec, local, upload); err != nil || samples == 0 {
 		t.Fatalf("retry through a real agent: samples %d, err %v", samples, err)
+	}
+	hub.Close()
+	if err := <-agents; err != nil {
+		t.Errorf("agents exited with: %v", err)
+	}
+}
+
+// silentDials opens n connections to addr that never send HELLO and
+// waits until the hub is handshaking all it will: n, or maxHandshakes.
+func silentDials(t *testing.T, hub *Hub, n int) []net.Conn {
+	t.Helper()
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		c, err := net.Dial("tcp", hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		conns[i] = c
+	}
+	for deadline := time.Now().Add(5 * time.Second); hub.handshakes() < min(n, maxHandshakes); {
+		if time.Now().After(deadline) {
+			t.Fatalf("hub took up %d handshakes of %d silent dials", hub.handshakes(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return conns
+}
+
+func (h *Hub) handshakes() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.pending)
+}
+
+// TestHubBoundsHandshakes: a connection that never sends HELLO holds a
+// handshake — a goroutine and a 64 KiB reader — until helloTimeout. The
+// hub runs at most maxHandshakes at once and leaves later dials waiting
+// in the listen backlog; Close closes every one of them and returns
+// after the handshake goroutines have exited.
+func TestHubBoundsHandshakes(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", RunConfig{Data: loopDataCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	silent := silentDials(t, hub, maxHandshakes+8)
+	time.Sleep(50 * time.Millisecond)
+	if n := hub.handshakes(); n != maxHandshakes {
+		t.Fatalf("%d handshakes under way, want the cap of %d", n, maxHandshakes)
+	}
+	before := runtime.NumGoroutine()
+	hub.Close()
+	if after := runtime.NumGoroutine(); before-after < maxHandshakes {
+		t.Errorf("Close left %d of the %d handshake goroutines running", maxHandshakes-(before-after), maxHandshakes)
+	}
+	for i, c := range silent {
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("silent dial %d still open after Close (read: %v)", i, err)
+		}
+	}
+	if n := hub.WireErrorCount(); n != 0 {
+		t.Errorf("Close counted %d handshakes it cut short as wire faults", n)
+	}
+}
+
+// TestHubAdmitsAgentPastSilentDials: dials that fill every handshake
+// slot and never send HELLO must not lock agents out. An agent dialing
+// behind them waits in the listen backlog until their HELLO deadline
+// frees a slot, then is welcomed and trains; it never reads the wait as
+// the coordinator having gone.
+func TestHubAdmitsAgentPastSilentDials(t *testing.T) {
+	hub, err := NewHub("127.0.0.1:0", RunConfig{Data: loopDataCfg(), IOTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	silentDials(t, hub, maxHandshakes)
+	ds := data.Generate(loopDataCfg())
+	m := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes).Build(rand.New(rand.NewSource(1)))
+	upload := uploadLike(m)
+
+	agents := make(chan error, 1)
+	go func() { agents <- RunAgents(AgentConfig{Addr: hub.Addr(), Workers: 1}) }()
+	trained := make(chan error, 1)
+	go func() {
+		_, samples, err := hub.Train(m, fl.TrainSpec{Round: 1, Client: 0, Seed: 7}, fl.LocalConfig{Steps: 1, BatchSize: 2, LR: 0.05}, upload)
+		if err == nil && samples == 0 {
+			err = errors.New("no samples trained")
+		}
+		trained <- err
+	}()
+	select {
+	case err := <-trained:
+		if err != nil {
+			t.Fatalf("attempt behind %d silent dials: %v", maxHandshakes, err)
+		}
+	case err := <-agents:
+		hub.Close()
+		t.Fatalf("agent exited before it was served (err %v)", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("no agent admitted behind the silent dials")
 	}
 	hub.Close()
 	if err := <-agents; err != nil {

@@ -7,12 +7,12 @@ import "fmt"
 // A block-diagonal product — every item multiplying its own panels —
 // runs here as one call over contiguous (batch, m, n) buffers: the
 // per-item view bookkeeping, destination validation, COW unsharing and
-// zero pass happen once per product instead of once per item, and the
-// inner loops land directly on the chunked axpy4/dot4 micro-kernels in
-// gemm.go. The attention cell no longer calls them (its head-interleaved
-// products are the fused kernels of attention.go); they stay as the
-// benchmark's layer probes and as the reference composition those
-// fused kernels are tested against.
+// zero pass happen once per product instead of once per item, and each
+// item runs the tier's rank-2 product kernel. The attention cell no
+// longer calls them (its head-interleaved products are the fused
+// kernels of attention.go); they stay as the benchmark's layer probes
+// and as the reference composition those fused kernels are tested
+// against.
 //
 // Like the rank-2 kernels, every batched kernel is generic over
 // float32|float64; the float64 instantiations are exported as
@@ -43,15 +43,10 @@ func checkBatchedDst(dst, a, b *Tensor, batch, m, n int, kind string) {
 	dst.Zero()
 }
 
-func batchedGemmAcc[E elem](c, a, b []E, batch, m, k, n int) {
+// batchedGemm runs gemm (C += A·B or A·Bᵀ, dims m, k, n) on every item.
+func batchedGemm[E elem](gemm func(c, a, b []E, m, k, n int), c, a, b []E, batch, m, k, n int) {
 	for bi := 0; bi < batch; bi++ {
-		gemmAcc(c[bi*m*n:(bi+1)*m*n], a[bi*m*k:(bi+1)*m*k], b[bi*k*n:(bi+1)*k*n], m, k, n)
-	}
-}
-
-func batchedGemmTBAcc[E elem](c, a, b []E, batch, m, k, n int) {
-	for bi := 0; bi < batch; bi++ {
-		gemmTBAcc(c[bi*m*n:(bi+1)*m*n], a[bi*m*k:(bi+1)*m*k], b[bi*n*k:(bi+1)*n*k], m, k, n)
+		gemm(c[bi*m*n:(bi+1)*m*n], a[bi*m*k:(bi+1)*m*k], b[bi*k*n:(bi+1)*k*n], m, k, n)
 	}
 }
 
@@ -64,7 +59,7 @@ func BatchedMatMulInto(dst, a, b *Tensor) {
 	}
 	batch, m, k, n := a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[2]
 	checkBatchedDst(dst, a, b, batch, m, n, "BatchedMatMulInto")
-	batchedGemmAcc(dst.Data, a.Data, b.Data, batch, m, k, n)
+	batchedGemm(f32Gemm.acc, dst.Data, a.Data, b.Data, batch, m, k, n)
 }
 
 // BatchedMatMulTransBInto computes dst[b] = A[b] @ B[b]ᵀ for every batch
@@ -76,7 +71,7 @@ func BatchedMatMulTransBInto(dst, a, b *Tensor) {
 	}
 	batch, m, k, n := a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[1]
 	checkBatchedDst(dst, a, b, batch, m, n, "BatchedMatMulTransBInto")
-	batchedGemmTBAcc(dst.Data, a.Data, b.Data, batch, m, k, n)
+	batchedGemm(f32Gemm.tb, dst.Data, a.Data, b.Data, batch, m, k, n)
 }
 
 // BatchedSoftmaxInto applies the row-wise softmax of alpha*src into dst
@@ -95,13 +90,13 @@ func BatchedSoftmaxInto(dst, src *Tensor, alpha float64) {
 // Ref64BatchedGemm computes C[b] += A[b]@B[b] on float64 buffers — the
 // reference instantiation of the strided-batch GEMM.
 func Ref64BatchedGemm(c, a, b []float64, batch, m, k, n int) {
-	batchedGemmAcc(c, a, b, batch, m, k, n)
+	batchedGemm(gemmAcc[float64], c, a, b, batch, m, k, n)
 }
 
 // Ref64BatchedGemmTransB computes C[b] += A[b]@B[b]ᵀ for A (batch, m, k),
 // B (batch, n, k) on float64 buffers (reference instantiation).
 func Ref64BatchedGemmTransB(c, a, b []float64, batch, m, k, n int) {
-	batchedGemmTBAcc(c, a, b, batch, m, k, n)
+	batchedGemm(gemmTBAcc[float64], c, a, b, batch, m, k, n)
 }
 
 // Ref64BatchedSoftmax applies the scaled row-wise softmax on float64

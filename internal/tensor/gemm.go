@@ -12,17 +12,34 @@ import (
 // overwrite a caller-owned destination and the *AccInto variants
 // accumulate into it, so steady-state training performs no allocation.
 //
-// The kernels are generic over the element type: the public Tensor API
-// instantiates them at the backend type Float (float32 — half the cache
-// and memory traffic per element of the historical float64 core), while
-// the float64 instantiation survives as the reference path behind the
-// Ref64 entry points used by parity tests.
+// The Go loop nests are generic over the element type: float32 (Float)
+// is the backend, float64 the reference behind the Ref64 entry points.
+// A float32 product runs on the tier SetSIMDLevel chose: these nests
+// over generic Go lanes, the same nests over the YMM kernels of
+// simd_amd64.s (AVX2+FMA), or one ZMM call per product (AVX-512F,
+// gemm_amd64.s). The nests block k and j for cache; blocking never
+// changes an element's operations.
 //
-// The inner loops are cache-blocked: the k (reduction) and j (output
-// column) axes are tiled so the active panel of B and the destination
-// rows stay resident in L1/L2 while A is streamed. Per-element
-// accumulation order over the reduction axis is preserved (ascending p),
-// so results are deterministic regardless of blocking.
+// Per output element, every tier performs these float32 operations, in
+// this order (gemm_oracle_test.go holds each tier to it bit for bit; a
+// tier-independent arithmetic would replace it). Let n8 = n&^7, quads be
+// p = 4q..4q+3 below k&^3, and a quad skipped if its four A values are
+// ±0; every product and sum is rounded, none fused, unless it says FMA:
+//
+//   - A@B, Aᵀ@B at the assembly tiers, columns j < n8: one FMA per p,
+//     ascending. Skipped quads are skipped, except in A@B's rows below
+//     m&^3 (its 4-row tiles). A k%4 remainder term is FMA'd unless A is
+//     ±0.
+//   - Every other A@B, Aᵀ@B column: per quad not skipped,
+//     c + (((a0·b0 + a1·b1) + a2·b2) + a3·b3); then c + a·b per
+//     remainder term whose A is not ±0.
+//   - A@Bᵀ: c + r, r a dot product. From k = 8 at the assembly tiers,
+//     output quads reduce as dot4Asm/dot4Asm512 (lane accumulators, a
+//     fixed reduction tree, then the k%8 terms ascending) and the n%4
+//     tail columns as dotAsm/dotAsm512; otherwise the Go dot4/dot bodies.
+//
+// The generic tier holds this only where the compiler does not fuse a
+// multiply-add (amd64 below GOAMD64=v3).
 const (
 	gemmBlockK = 256
 	gemmBlockJ = 480
@@ -34,40 +51,13 @@ type elem interface {
 	~float32 | ~float64
 }
 
-// checkMatMul validates the destination of a GEMM and unshares it: dst
-// is about to be written, so a COW-shared buffer is detached (copied if
-// another header still references it) before the alias check runs.
-func checkMatMul(dst, a, b *Tensor, m, n int, kind string) {
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d]", kind, dst.Shape, m, n))
-	}
-	dst.EnsureOwned()
-	if &dst.Data[0] == &a.Data[0] || &dst.Data[0] == &b.Data[0] {
-		panic("tensor: " + kind + " dst must not alias an operand")
-	}
-}
-
-// Vector-lane micro-kernels.
-//
-// The axpy/dot family below is written as fixed-width chunked loops:
-// each iteration converts the active window to an array pointer
-// ((*[16]E)(dst[i:])), which eliminates per-element bounds checks and
-// gives the compiler a constant-trip-count straight-line body it can
-// schedule onto vector lanes (GOAMD64=v3 builds select FMA/AVX2 forms;
-// on any target the independent accumulator lanes keep the FP units
-// pipelined). Every kernel ends with a remainder tail, so all lengths
-// are legal. The quad variants (axpy4, dot4) fuse four reduction steps
-// per pass, quartering the load/store traffic on the destination row —
-// the dominant cost of an axpy-style GEMM inner loop.
-//
-// The float64 instantiations are exported as Ref64Axpy/Ref64Dot and
-// serve as the parity reference for the backend (paritytest harness).
-//
-// On amd64 hosts with AVX2+FMA, the float32 instantiations dispatch to
-// the assembly kernels in simd_amd64.s (8 lanes per YMM register, fused
-// multiply-add). The isF32 guard is a compile-time constant in each
-// instantiation, so the float64 reference path never reaches the
-// assembly and the dispatch itself costs one predictable branch.
+// Vector-lane micro-kernels: axpy, axpy4 (four axpy steps in one pass
+// over dst), dot and dot4 (one row against four). The generic bodies
+// are fixed-width chunked loops ((*[16]E)(dst[i:]) drops the bounds
+// checks; independent lanes keep the FP units busy). At the assembly
+// tiers the float32 instantiations run their leading len&^7 elements in
+// simd_amd64.s and the rest in Go. isF32 is constant per instantiation,
+// so the float64 reference never reaches the assembly.
 
 // isF32 reports whether the instantiation element type is the float32
 // backend type — constant-folded per instantiation.
@@ -101,13 +91,21 @@ func (l SIMDLevel) String() string {
 	}
 }
 
-// Dispatch state. simdF32 gates the assembly fast paths as before and
-// simd512 selects the ZMM forms within them; both derive from the
-// current level so each kernel guard stays a single predictable branch.
+// gemmKernels is one tier's float32 products: acc is C += A@B (dims m,
+// k, n), ta is C += Aᵀ@B for A stored k×m (dims k, m, n) and tb is
+// C += A@Bᵀ for B stored n×k (dims m, k, n).
+type gemmKernels struct {
+	acc, ta, tb func(c, a, b []float32, x, y, z int)
+}
+
+// Dispatch state, all derived from the level by SetSIMDLevel: simdF32
+// and simd512 gate the micro-kernels' assembly forms, f32Gemm holds the
+// tier's products.
 var (
 	simdLevel SIMDLevel
 	simdF32   bool
 	simd512   bool
+	f32Gemm   gemmKernels
 )
 
 func init() { SetSIMDLevel(simdMax) }
@@ -135,6 +133,13 @@ func SetSIMDLevel(l SIMDLevel) SIMDLevel {
 	simdLevel = l
 	simdF32 = l >= SIMDAVX2
 	simd512 = l >= SIMDAVX512
+	f32Gemm = gemmKernels{gemmAcc[float32], gemmTAAcc[float32], gemmTBAcc[float32]}
+	if simdF32 {
+		f32Gemm.acc = gemmAccF32Tiled
+	}
+	if simd512 {
+		f32Gemm = zmmGemm
+	}
 	return prev
 }
 
@@ -341,16 +346,7 @@ func Ref64Dot(a, b []float64) float64 { return dot(a, b) }
 // axis is consumed four steps at a time through axpy4 (one destination
 // pass per quad); the all-zero quad skip keeps ReLU-masked gradient
 // rows cheap, matching the zero-skip of the scalar tail.
-//
-// On the float32 SIMD path, batches of four or more rows route through
-// the register-tiled kernel instead: single-row products (m < 4) have
-// no row reuse to exploit and stay on the axpy formulation, which is
-// exactly why a batched forward out-throughputs per-row inference.
 func gemmAcc[E elem](c, a, b []E, m, k, n int) {
-	if isF32[E]() && simdF32 && m >= 4 && n >= 8 && k >= 4 {
-		gemmAccF32Tiled(f32s(c), f32s(a), f32s(b), m, k, n)
-		return
-	}
 	for j0 := 0; j0 < n; j0 += gemmBlockJ {
 		jmax := j0 + gemmBlockJ
 		if jmax > n {
@@ -387,30 +383,23 @@ func gemmAcc[E elem](c, a, b []E, m, k, n int) {
 	}
 }
 
-// gemmAccF32Tiled is the m-blocked float32 fast path of gemmAcc: rows
-// are consumed four at a time by the register-tiled kernels, which keep
-// the four destination rows in vector registers across the whole
-// reduction block so every B panel row is loaded once per four C rows
-// instead of once per row. At the avx512 level the leading w16 columns
-// of each block run on the 16-wide ZMM tile and the w8−w16 strip on the
-// 8-wide YMM tile; column and reduction remainders (n%8, k%4) and the
-// m%4 trailing rows drain through the per-row kernels. Per destination
-// element the accumulation order is unchanged — ascending p, one FMA
-// per step — so a tiled product matches the per-row formulation bit for
-// bit on finite inputs regardless of tile width (the tile forgoes only
-// the all-zero quad skip, which is an arithmetic no-op there).
+// gemmAccF32Tiled is the avx2 tier's A@B: rows go four at a time through
+// the YMM tile, which keeps the four destination rows in registers
+// across a reduction block, so each B row is loaded once per four C
+// rows. Column and reduction remainders (n%8, k%4) and the m%4 trailing
+// rows drain through the per-row kernels; shapes without a tile run
+// gemmAcc.
 func gemmAccF32Tiled(c, a, b []float32, m, k, n int) {
-	use512 := simd512
+	if m < 4 || n < 8 || k < 4 {
+		gemmAcc(c, a, b, m, k, n)
+		return
+	}
 	for j0 := 0; j0 < n; j0 += gemmBlockJ {
 		jmax := j0 + gemmBlockJ
 		if jmax > n {
 			jmax = n
 		}
 		w8 := (jmax - j0) &^ 7
-		w16 := 0
-		if use512 {
-			w16 = (jmax - j0) &^ 15
-		}
 		for k0 := 0; k0 < k; k0 += gemmBlockK {
 			kmax := k0 + gemmBlockK
 			if kmax > k {
@@ -419,11 +408,8 @@ func gemmAccF32Tiled(c, a, b []float32, m, k, n int) {
 			kq := (kmax - k0) >> 2
 			i := 0
 			for ; i+4 <= m; i += 4 {
-				if kq > 0 && w16 > 0 {
-					gemm4Rows512Asm(&c[i*n+j0], n, &a[i*k+k0], k, &b[k0*n+j0], n, kq, w16)
-				}
-				if kq > 0 && w8 > w16 {
-					gemm4RowsAsm(&c[i*n+j0+w16], n, &a[i*k+k0], k, &b[k0*n+j0+w16], n, kq, w8-w16)
+				if kq > 0 && w8 > 0 {
+					gemm4RowsAsm(&c[i*n+j0], n, &a[i*k+k0], k, &b[k0*n+j0], n, kq, w8)
 				}
 				for r := i; r < i+4; r++ {
 					arow := a[r*k : (r+1)*k]
@@ -548,66 +534,52 @@ func gemmTBAcc[E elem](c, a, b []E, m, k, n int) {
 
 // MatMulInto computes dst = A@B for A (m×k), B (k×n), dst (m×n).
 // dst must not alias either operand.
-func MatMulInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	checkMatMul(dst, a, b, m, n, "MatMulInto")
-	dst.Zero()
-	gemmAcc(dst.Data, a.Data, b.Data, m, k, n)
-}
+func MatMulInto(dst, a, b *Tensor) { matMul(dst, a, b, 1, 0, false, "MatMulInto", f32Gemm.acc) }
 
 // MatMulAccInto computes dst += A@B.
-func MatMulAccInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	checkMatMul(dst, a, b, m, n, "MatMulAccInto")
-	gemmAcc(dst.Data, a.Data, b.Data, m, k, n)
-}
+func MatMulAccInto(dst, a, b *Tensor) { matMul(dst, a, b, 1, 0, true, "MatMulAccInto", f32Gemm.acc) }
 
 // MatMulTransAInto computes dst = Aᵀ@B for A (k×m), B (k×n), dst (m×n).
 func MatMulTransAInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	checkMatMul(dst, a, b, m, n, "MatMulTransAInto")
-	dst.Zero()
-	gemmTAAcc(dst.Data, a.Data, b.Data, k, m, n)
+	matMul(dst, a, b, 0, 0, false, "MatMulTransAInto", f32Gemm.ta)
 }
 
 // MatMulTransAAccInto computes dst += Aᵀ@B.
 func MatMulTransAAccInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	checkMatMul(dst, a, b, m, n, "MatMulTransAAccInto")
-	gemmTAAcc(dst.Data, a.Data, b.Data, k, m, n)
+	matMul(dst, a, b, 0, 0, true, "MatMulTransAAccInto", f32Gemm.ta)
 }
 
 // MatMulTransBInto computes dst = A@Bᵀ for A (m×k), B (n×k), dst (m×n).
 func MatMulTransBInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	checkMatMul(dst, a, b, m, n, "MatMulTransBInto")
-	dst.Zero()
-	gemmTBAcc(dst.Data, a.Data, b.Data, m, k, n)
+	matMul(dst, a, b, 1, 1, false, "MatMulTransBInto", f32Gemm.tb)
 }
 
 // MatMulTransBAccInto computes dst += A@Bᵀ.
 func MatMulTransBAccInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %v x %v", a.Shape, b.Shape))
+	matMul(dst, a, b, 1, 1, true, "MatMulTransBAccInto", f32Gemm.tb)
+}
+
+// matMul runs one product of the tier. A and B meet on their axes ra and
+// rb, dst is A's other axis by B's, and kernel takes the dims (A rows,
+// A columns, B's other axis), the order of every gemmKernels entry. dst
+// is validated and unshared — a COW-shared buffer is detached before the
+// alias check — then zeroed unless acc.
+func matMul(dst, a, b *Tensor, ra, rb int, acc bool, kind string, kernel func(c, a, b []float32, x, y, z int)) {
+	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[ra] != b.Shape[rb] {
+		panic(fmt.Sprintf("tensor: %s shape mismatch %v x %v", kind, a.Shape, b.Shape))
 	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	checkMatMul(dst, a, b, m, n, "MatMulTransBAccInto")
-	gemmTBAcc(dst.Data, a.Data, b.Data, m, k, n)
+	m, n := a.Shape[1-ra], b.Shape[1-rb]
+	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d]", kind, dst.Shape, m, n))
+	}
+	dst.EnsureOwned()
+	if &dst.Data[0] == &a.Data[0] || &dst.Data[0] == &b.Data[0] {
+		panic("tensor: " + kind + " dst must not alias an operand")
+	}
+	if !acc {
+		dst.Zero()
+	}
+	kernel(dst.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], n)
 }
 
 // Ref64Gemm computes C += A@B on float64 buffers — the float64 reference

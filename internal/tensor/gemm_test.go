@@ -280,7 +280,8 @@ func BenchmarkMatMul(b *testing.B) {
 // product must equal row-by-row products bit for bit (same ascending-p
 // accumulation order per element), including zero entries in A (the
 // tile skips the all-zero-quad shortcut, which must be an arithmetic
-// no-op on finite data). Shapes cover the n%8, k%4, and m%4 tails.
+// no-op on finite data, C starting at +0). Shapes cover the n%8, k%4,
+// and m%4 tails.
 func TestMatMulTiledMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, sz := range [][3]int{{4, 8, 8}, {9, 37, 19}, {16, 64, 8}, {6, 4, 300}, {13, 259, 487}} {
@@ -296,7 +297,7 @@ func TestMatMulTiledMatchesPerRow(t *testing.T) {
 			ar := &Tensor{Shape: []int{1, k}, Data: a.Data[i*k : (i+1)*k]}
 			MatMulInto(row, ar, b)
 			for j := 0; j < n; j++ {
-				if batch.Data[i*n+j] != row.Data[j] {
+				if math.Float32bits(batch.Data[i*n+j]) != math.Float32bits(row.Data[j]) {
 					t.Fatalf("%v: row %d col %d: batched %g != per-row %g",
 						sz, i, j, batch.Data[i*n+j], row.Data[j])
 				}

@@ -2,24 +2,14 @@
 
 package tensor
 
-// AVX2+FMA and AVX-512F vector-lane kernels for the float32 backend.
-//
-// The Go compiler schedules the chunked generic loops in gemm.go onto
-// scalar FP units only, which caps an axpy/dot-built GEMM at roughly
-// one MAC per cycle. The assembly kernels in simd_amd64.s run the same
-// micro-kernels (axpy, axpy4, dot, dot4, and the 4-row GEMM tile) on
-// 8-lane YMM registers with fused multiply-add, with 16-lane ZMM forms
-// selected when the CPU and OS additionally support AVX-512F (CPUID +
-// XGETBV probe below). The generic Go path remains the fallback for
-// older hardware — and the float64 instantiation, which never
-// dispatches to assembly, remains the Ref64 parity reference the
-// harness pins both vector tiers against.
-//
-// Contract shared by all kernels: n is a multiple of 8 (callers pass
-// n&^7 and drain the remainder through the generic tail; the ZMM forms
-// drain their own 8-wide sub-remainder on YMM lanes), and slices may
-// overlap only exactly (dst == src is fine, partial overlap is not —
-// the same rule the Go kernels live by).
+// The assembly behind the float32 tiers: the YMM (AVX2+FMA) and ZMM
+// (AVX-512F) forms of the micro-kernels axpy, axpy4, dot and dot4 and
+// the YMM 4-row tile (simd_amd64.s), which the avx2 tier's loop nests
+// and the attention kernels call on lengths that are multiples of 8;
+// the avx512 tier's whole-product GEMMs (gemm_amd64.s); and the ZMM
+// softmax rows (softmax_amd64.s). The tier probe below is CPUID plus
+// XGETBV. Operands may overlap only exactly (dst == src), as for the Go
+// kernels.
 
 // simdMax is the highest dispatch level this host supports.
 var simdMax = detectSIMD()
@@ -81,8 +71,42 @@ func dotAsm512(a, b *float32, n int) float32
 //go:noescape
 func dot4Asm512(a, b0, b1, b2, b3 *float32, n int) (r0, r1, r2, r3 float32)
 
+// zmmGemm is the avx512 tier's products, one gemm_amd64.s call each
+// after a bounds check. A@Bᵀ below k = 8 runs the Go body: its dot
+// forms have no vector part there.
+var zmmGemm = gemmKernels{
+	acc: func(c, a, b []float32, m, k, n int) { gemmZMM(c, a, b, m, k, n, k, 1, m&^3) },
+	ta:  func(c, a, b []float32, k, m, n int) { gemmZMM(c, a, b, m, k, n, 1, m, 0) },
+	tb: func(c, a, b []float32, m, k, n int) {
+		if k < 8 || m == 0 || n == 0 {
+			gemmTBAcc(c, a, b, m, k, n)
+			return
+		}
+		_, _, _ = c[m*n-1], a[m*k-1], b[n*k-1]
+		gemmTBAsm512(&c[0], &a[0], &b[0], m, k, n)
+	},
+}
+
+// gemmZMM checks that the operands hold the elements the kernel touches
+// (C m×n, A m×k, B k×n) and runs it.
+func gemmZMM(c, a, b []float32, m, k, n, ai, ap, tile int) {
+	if m == 0 || k == 0 || n == 0 {
+		return
+	}
+	_, _, _ = c[m*n-1], a[m*k-1], b[k*n-1]
+	gemmAsm512(&c[0], &a[0], &b[0], m, k, n, ai, ap, tile)
+}
+
+// gemmAsm512 computes C += A·B with A[i][p] at a[i·ai+p·ap]; rows below
+// tile (a multiple of 4; ap = 1) run as 4-row FMA tiles.
+//
 //go:noescape
-func gemm4Rows512Asm(c *float32, cs int, a *float32, as int, b *float32, bs int, kq, w16 int)
+func gemmAsm512(c, a, b *float32, m, k, n, ai, ap, tile int)
+
+// gemmTBAsm512 computes C += A·Bᵀ for B n×k, k ≥ 8.
+//
+//go:noescape
+func gemmTBAsm512(c, a, b *float32, m, k, n int)
 
 // softmaxRowsAsm512 writes the scaled softmax of up to rows rows of cols
 // ≥ 1 columns and returns how many it wrote: it stops, unwritten, at the

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2+FMA instantiations of the four vector-lane micro-kernels. See
-// simd_amd64.go for the dispatch contract (n is a multiple of 8; the
-// Go wrappers drain remainders through the generic tails).
+// AVX2+FMA instantiations of the four vector-lane micro-kernels and the
+// 4-row tile. See simd_amd64.go for the dispatch contract (n is a
+// multiple of 8; the Go wrappers drain remainders through the generic
+// tails).
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -347,19 +348,17 @@ gemm4p:
 	VZEROUPPER
 	RET
 
-// AVX-512F (ZMM, 16 float32 lanes) forms of the five kernels above,
-// selected when detectSIMD reports SIMDAVX512. The dispatch contract is
-// unchanged — n is a multiple of 8 — so each kernel drains a possible
-// trailing 8-wide group on YMM lanes after its 16-wide loops. The
-// per-element reduction order of the axpy/GEMM family stays ascending
-// with one FMA per step, so those kernels match the AVX2 and generic
-// formulations bit for bit on finite inputs; the dot family reduces
-// across different lane partitions (pinned, like the YMM forms, against
-// the float64 reference by the parity harness). Accumulator zeroing
-// uses VEX-encoded VXORPS on the YMM form, which architecturally zeroes
-// the full ZMM register, and YMM tail accumulators live in separate
-// registers because a VEX write would clear the high 256 bits of a live
-// ZMM accumulator.
+// AVX-512F (ZMM, 16 float32 lanes) forms of the four micro-kernels
+// above, selected when detectSIMD reports SIMDAVX512. The dispatch
+// contract is unchanged — n is a multiple of 8 — so each kernel drains a
+// possible trailing 8-wide group on YMM lanes after its 16-wide loops.
+// axpy and axpy4 keep one FMA per step, ascending, and so match their
+// YMM forms bit for bit; the dot family reduces across different lane
+// partitions (gemm.go states which products take which). Accumulator
+// zeroing uses VEX-encoded VXORPS on the YMM form, which architecturally
+// zeroes the full ZMM register, and YMM tail accumulators live in
+// separate registers because a VEX write would clear the high 256 bits
+// of a live ZMM accumulator.
 
 // func axpyAsm512(dst, src *float32, alpha float32, n int)
 TEXT ·axpyAsm512(SB), NOSPLIT, $0-32
@@ -662,94 +661,3 @@ dot4z512reduce:
 	VZEROUPPER
 	RET
 
-// func gemm4Rows512Asm(c *float32, cs int, a *float32, as int, b *float32, bs int, kq, w16 int)
-// ZMM form of gemm4RowsAsm: C[0:4][0:w16] += A[0:4][0:4*kq] @
-// B[0:4*kq][0:w16] in 16-column groups, four ZMM accumulators (one per
-// C row) live across the whole reduction. w16 is a positive multiple of
-// 16; the Go wrapper routes the w16..w8 strip through the YMM tile and
-// everything narrower through the per-row kernels. Per destination
-// element the reduction advances in ascending p with one FMA per step,
-// matching the YMM tile and the axpy formulation bit for bit on finite
-// inputs.
-TEXT ·gemm4Rows512Asm(SB), NOSPLIT, $0-64
-	MOVQ c+0(FP), DI
-	MOVQ cs+8(FP), CX
-	MOVQ a+16(FP), R8
-	MOVQ as+24(FP), DX
-	MOVQ b+32(FP), R9
-	MOVQ bs+40(FP), R13
-	MOVQ w16+56(FP), AX
-
-	// Element strides to byte strides, plus the 3x forms for row 3 of
-	// each operand and the 4-row advance of the B cursor.
-	SHLQ $2, CX
-	SHLQ $2, DX
-	SHLQ $2, R13
-	LEAQ (CX)(CX*2), R12   // 3*cs
-	LEAQ (DX)(DX*2), R11   // 3*as
-	LEAQ (R13)(R13*2), R14 // 3*bs
-	LEAQ (R13)(R13*2), R15
-	ADDQ R13, R15          // 4*bs
-
-gemm16j:
-	VMOVUPS (DI), Z12
-	VMOVUPS (DI)(CX*1), Z13
-	VMOVUPS (DI)(CX*2), Z14
-	VMOVUPS (DI)(R12*1), Z15
-	MOVQ    R8, SI
-	MOVQ    R9, BX
-	MOVQ    kq+48(FP), R10
-
-gemm16p:
-	VMOVUPS      (BX), Z0
-	VMOVUPS      (BX)(R13*1), Z1
-	VMOVUPS      (BX)(R13*2), Z2
-	VMOVUPS      (BX)(R14*1), Z3
-	VBROADCASTSS (SI), Z4
-	VFMADD231PS  Z0, Z4, Z12
-	VBROADCASTSS 4(SI), Z4
-	VFMADD231PS  Z1, Z4, Z12
-	VBROADCASTSS 8(SI), Z4
-	VFMADD231PS  Z2, Z4, Z12
-	VBROADCASTSS 12(SI), Z4
-	VFMADD231PS  Z3, Z4, Z12
-	VBROADCASTSS (SI)(DX*1), Z5
-	VFMADD231PS  Z0, Z5, Z13
-	VBROADCASTSS 4(SI)(DX*1), Z5
-	VFMADD231PS  Z1, Z5, Z13
-	VBROADCASTSS 8(SI)(DX*1), Z5
-	VFMADD231PS  Z2, Z5, Z13
-	VBROADCASTSS 12(SI)(DX*1), Z5
-	VFMADD231PS  Z3, Z5, Z13
-	VBROADCASTSS (SI)(DX*2), Z6
-	VFMADD231PS  Z0, Z6, Z14
-	VBROADCASTSS 4(SI)(DX*2), Z6
-	VFMADD231PS  Z1, Z6, Z14
-	VBROADCASTSS 8(SI)(DX*2), Z6
-	VFMADD231PS  Z2, Z6, Z14
-	VBROADCASTSS 12(SI)(DX*2), Z6
-	VFMADD231PS  Z3, Z6, Z14
-	VBROADCASTSS (SI)(R11*1), Z7
-	VFMADD231PS  Z0, Z7, Z15
-	VBROADCASTSS 4(SI)(R11*1), Z7
-	VFMADD231PS  Z1, Z7, Z15
-	VBROADCASTSS 8(SI)(R11*1), Z7
-	VFMADD231PS  Z2, Z7, Z15
-	VBROADCASTSS 12(SI)(R11*1), Z7
-	VFMADD231PS  Z3, Z7, Z15
-	ADDQ         $16, SI
-	ADDQ         R15, BX
-	DECQ         R10
-	JNZ          gemm16p
-
-	VMOVUPS Z12, (DI)
-	VMOVUPS Z13, (DI)(CX*1)
-	VMOVUPS Z14, (DI)(CX*2)
-	VMOVUPS Z15, (DI)(R12*1)
-	ADDQ    $64, DI
-	ADDQ    $64, R9
-	SUBQ    $16, AX
-	JNZ     gemm16j
-
-	VZEROUPPER
-	RET
