@@ -2,6 +2,7 @@ package fedtrans
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -33,7 +34,19 @@ func sessionDigest(t *testing.T, o Options) uint64 {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sum := s.Run()
+	return summaryDigest(s.Run(), func(i int) []byte {
+		blob, err := s.ExportModel(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}).Sum64()
+}
+
+// summaryDigest hashes every field of sum with FNV-1a, floats as their
+// IEEE-754 bits, and after each model's fields the bytes blob returns for
+// that model.
+func summaryDigest(sum Summary, blob func(i int) []byte) hash.Hash64 {
 	h := fnv.New64a()
 	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 	floats := func(vs ...float64) {
@@ -53,14 +66,11 @@ func sessionDigest(t *testing.T, o Options) uint64 {
 		h.Write([]byte(m.Arch))
 		floats(m.MACs)
 		word(uint64(m.Params))
-		blob, err := s.ExportModel(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		word(uint64(len(blob)))
-		h.Write(blob)
+		b := blob(i)
+		word(uint64(len(b)))
+		h.Write(b)
 	}
-	return h.Sum64()
+	return h
 }
 
 // attentionGoldenDigests holds sessionDigest of attentionGoldenOptions at

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fedtrans/internal/data"
@@ -39,22 +40,7 @@ func benchRuntime(profile string) *Runtime {
 func BenchmarkRoundLoop(b *testing.B) {
 	for _, cpr := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("clients=%d", cpr), func(b *testing.B) {
-			model.ResetIDs()
-			ds := data.Generate(data.Config{
-				Profile: "scale", Clients: 1200, Heterogeneity: 1,
-				MinSamples: 8, MaxSamples: 16, TestSamples: 8, Seed: 1,
-			})
-			spec := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
-			base := spec.Build(rand.New(rand.NewSource(0))).MACsPerSample()
-			tr := device.NewTrace(device.TraceConfig{
-				N: 1200, MinCapacityMACs: base, MaxCapacityMACs: base * 32, Seed: 101,
-			})
-			cfg := DefaultConfig()
-			cfg.ClientsPerRound = cpr
-			cfg.Local = LocalConfig{Steps: 2, BatchSize: 8, LR: 0.05}
-			cfg.DisableTransform = true // fixed suite across iterations
-			cfg.ConvergePatience = 0
-			rt := New(cfg, ds, tr, spec)
+			rt := roundLoopRuntime(cpr, 0)
 			var res Result
 			rt.runRound(0, &res) // warm pools, sessions, accumulators
 			b.ReportAllocs()
@@ -170,23 +156,7 @@ func TestTrainStepAllocationRegression(t *testing.T) {
 func BenchmarkAsyncRoundLoop(b *testing.B) {
 	for _, cpr := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("clients=%d", cpr), func(b *testing.B) {
-			model.ResetIDs()
-			ds := data.Generate(data.Config{
-				Profile: "scale", Clients: 2400, Heterogeneity: 1,
-				MinSamples: 8, MaxSamples: 16, TestSamples: 8, Seed: 1,
-			})
-			spec := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
-			base := spec.Build(rand.New(rand.NewSource(0))).MACsPerSample()
-			tr := device.NewTrace(device.TraceConfig{
-				N: 2400, MinCapacityMACs: base, MaxCapacityMACs: base * 32, Seed: 101,
-			})
-			cfg := DefaultConfig()
-			cfg.ClientsPerRound = cpr
-			cfg.MaxStaleness = 2
-			cfg.Local = LocalConfig{Steps: 2, BatchSize: 8, LR: 0.05}
-			cfg.DisableTransform = true // fixed suite across iterations
-			cfg.ConvergePatience = 0
-			rt := New(cfg, ds, tr, spec)
+			rt := roundLoopRuntime(cpr, 2)
 			var res Result
 			rt.runRound(0, &res) // warm pools, sessions, the in-flight set
 			rt.runRound(1, &res)
@@ -198,6 +168,86 @@ func BenchmarkAsyncRoundLoop(b *testing.B) {
 			b.StopTimer()
 			rt.drainAsync()
 		})
+	}
+}
+
+// roundLoopRuntime is the round-loop benchmarks' runtime: a fixed suite
+// over a "scale" population of 1200 clients (2400 when asynchronous),
+// cpr participants a round, two local steps.
+func roundLoopRuntime(cpr, maxStaleness int) *Runtime {
+	model.ResetIDs()
+	n := 1200
+	if maxStaleness > 0 {
+		n = 2400
+	}
+	ds := data.Generate(data.Config{
+		Profile: "scale", Clients: n, Heterogeneity: 1,
+		MinSamples: 8, MaxSamples: 16, TestSamples: 8, Seed: 1,
+	})
+	spec := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
+	base := spec.Build(rand.New(rand.NewSource(0))).MACsPerSample()
+	tr := device.NewTrace(device.TraceConfig{
+		N: n, MinCapacityMACs: base, MaxCapacityMACs: base * 32, Seed: 101,
+	})
+	cfg := DefaultConfig()
+	cfg.ClientsPerRound = cpr
+	cfg.MaxStaleness = maxStaleness
+	cfg.Local = LocalConfig{Steps: 2, BatchSize: 8, LR: 0.05}
+	cfg.DisableTransform = true // fixed suite across iterations
+	cfg.ConvergePatience = 0
+	return New(cfg, ds, tr, spec)
+}
+
+// TestRoundLoopAllocationRegression pins the steady-state allocations of
+// one synchronous and one asynchronous round at 100 and 1000
+// participants: every per-participant record, buffer and session is
+// pooled, so a round allocates per-round bookkeeping (the selection, the
+// per-model counts, the Finalize copies) and little more. The ceilings are
+// the counts measured before sync rounds moved onto the async engine.
+func TestRoundLoopAllocationRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 1000-participant rounds")
+	}
+	for _, c := range []struct {
+		cpr, staleness int
+		ceiling        float64
+	}{
+		{100, 0, 156}, {1000, 0, 26}, {100, 2, 406}, {1000, 2, 2147},
+	} {
+		rt := roundLoopRuntime(c.cpr, c.staleness)
+		var res Result
+		round := 0
+		next := func() { rt.runRound(round, &res); round++ }
+		next() // warm pools, sessions, accumulators and the in-flight set
+		next()
+		allocs := testing.AllocsPerRun(4, next)
+		rt.drainAsync()
+		t.Logf("participants %d, staleness %d: %.1f allocs a round", c.cpr, c.staleness, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("participants %d, staleness %d: %.1f allocs a round, ceiling %.0f", c.cpr, c.staleness, allocs, c.ceiling)
+		}
+	}
+}
+
+// TestSyncRoundHoldsWindowUploads pins the streaming round's memory bound:
+// a synchronous round of 1000 participants keeps at most streamWindow()
+// updates trained but not yet folded. Upload buffer sets are built only
+// when the pool is empty, so the sets the pool holds after the round are
+// the most that were ever out at once.
+func TestSyncRoundHoldsWindowUploads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 1000-participant round")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rt := roundLoopRuntime(1000, 0)
+	var res Result
+	rt.runRound(0, &res)
+	held := 0
+	for _, sets := range rt.uploads.free {
+		held += len(sets)
+	}
+	if held == 0 || held > streamWindow() {
+		t.Errorf("a 1000-participant round held %d upload sets at once, window %d", held, streamWindow())
 	}
 }
 

@@ -25,9 +25,10 @@ import (
 type oracleDraw struct {
 	o       Options
 	tier    tensor.SIMDLevel
-	edges   int // EdgeAggregators of the tiered arm
-	workers int // agent workers of the networked arm
-	every   int // CheckpointEvery of the checkpointing arm, in [1, Rounds)
+	edges   int  // EdgeAggregators of the tiered arm
+	workers int  // agent workers of the networked arm
+	every   int  // CheckpointEvery of the checkpointing arm, in [1, Rounds)
+	clamped bool // the drawn tier was above the host's, so tier is not it
 }
 
 var oracleProfiles = []string{"femnist", "cifar10", "speech", "openimage", "vit", "scale"}
@@ -80,12 +81,14 @@ func drawOracle(seed uint64) oracleDraw {
 		if coin() {
 			o.EvalSample = 1 + r.Intn(o.Clients+2)
 		}
+		tier := tensor.SIMDLevel(r.Intn(3))
 		d := oracleDraw{
 			o:       o,
-			tier:    min(tensor.SIMDLevel(r.Intn(3)), tensor.SIMDSupported()),
+			tier:    min(tier, tensor.SIMDSupported()),
 			edges:   []int{2, 3, 5}[r.Intn(3)],
 			workers: 1 + r.Intn(3),
 			every:   1 + r.Intn(o.Rounds-1),
+			clamped: tier > tensor.SIMDSupported(),
 		}
 		if o.validate() == nil {
 			return d
@@ -246,8 +249,10 @@ func oracleRun(t *testing.T, o Options, workers int) (Summary, []byte) {
 //     before its agents dial, and they wait out their dial budget);
 //   - a session resumed from the last checkpoint the first arm wrote.
 //
-// It returns what the draw covered, in the coverage check's terms.
-func checkOracle(t *testing.T, d oracleDraw) []string {
+// It returns what the draw covered, in the coverage check's terms, and
+// the reference's digest: summaryDigest of its Summary, followed by its
+// checkpoint bytes.
+func checkOracle(t *testing.T, d oracleDraw) (covered []string, digest uint64) {
 	defer tensor.SetSIMDLevel(tensor.SetSIMDLevel(d.tier))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	path := filepath.Join(t.TempDir(), "ck")
@@ -304,7 +309,7 @@ func checkOracle(t *testing.T, d oracleDraw) []string {
 	}
 	check(fmt.Sprintf("resumed at round %d", ck.Round), sum, resumedCk)
 
-	covered := []string{"profile " + d.o.Profile, "tier " + d.tier.String()}
+	covered = []string{"profile " + d.o.Profile, "tier " + d.tier.String()}
 	for what, ok := range map[string]bool{
 		"in-flight resume": len(ck.Inflight) > 0,
 		"transform":        len(want.Models) > 1,
@@ -316,7 +321,10 @@ func checkOracle(t *testing.T, d oracleDraw) []string {
 			covered = append(covered, what)
 		}
 	}
-	return covered
+	h := summaryDigest(want, func(int) []byte { return nil })
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(wantCk))))
+	h.Write(wantCk)
+	return covered, h.Sum64()
 }
 
 // oracleCorpus is the seed corpus tier-1 runs; the CI fuzz job draws
@@ -327,6 +335,21 @@ func checkOracle(t *testing.T, d oracleDraw) []string {
 var oracleCorpus = []uint64{
 	1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
 	13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+}
+
+// oracleGoldens pins each corpus seed's reference run in absolute terms
+// (checkOracle's digest), so a change that moves every arm at once
+// still fails. The digests hold on amd64 for draws whose tier the host
+// runs as drawn; other draws log theirs.
+var oracleGoldens = map[uint64]uint64{
+	1: 0xa6d4be47e42d2c2d, 2: 0x7e5550512bb3997b, 3: 0x9e157de942051051,
+	4: 0x444c338128de9419, 5: 0x572a0d3be3497664, 6: 0x37cbd7f10d96e4ee,
+	7: 0x2914521327a291d6, 8: 0x9b41b93cc1e94953, 9: 0xab552753de9a3cb7,
+	10: 0xa5e01f05d05544c0, 11: 0xa988f43871579ff3, 12: 0x0359e078cb4b11fe,
+	13: 0x5b3d0bbde336feb6, 14: 0xc0b35d63a3763f70, 15: 0x4e0ba35af7860df5,
+	16: 0x76ca9cbf857a836f, 17: 0x9099c0e5e734c59b, 18: 0xb4507496355351e1,
+	19: 0x656896f3998939c9, 20: 0x6f7524048dee3a08, 21: 0x02603984d99660e9,
+	22: 0xdbbeb07cf2e0ec5b, 23: 0xc6420ab652c902c2, 24: 0x64f3e156906fc29f,
 }
 
 // oracleSeen holds what each seed that ran covered.
@@ -347,7 +370,16 @@ func FuzzDeterminismOracle(f *testing.F) {
 	}
 	f.Cleanup(func() { checkOracleCoverage(f) })
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		covered := checkOracle(t, drawOracle(seed))
+		d := drawOracle(seed)
+		covered, digest := checkOracle(t, d)
+		if want, ok := oracleGoldens[seed]; ok {
+			switch {
+			case d.clamped || runtime.GOARCH != "amd64":
+				t.Logf("seed %d: digest %#x (not pinned: drawn tier clamped, or not amd64)", seed, digest)
+			case digest != want:
+				t.Errorf("seed %d: reference digest %#x, golden %#x", seed, digest, want)
+			}
+		}
 		oracleMu.Lock()
 		oracleSeen[seed] = covered
 		oracleMu.Unlock()
