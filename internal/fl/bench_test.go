@@ -166,7 +166,7 @@ func BenchmarkAsyncRoundLoop(b *testing.B) {
 				rt.runRound(i+2, &res)
 			}
 			b.StopTimer()
-			rt.drainAsync()
+			rt.drain()
 		})
 	}
 }
@@ -221,7 +221,7 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 		next() // warm pools, sessions, accumulators and the in-flight set
 		next()
 		allocs := testing.AllocsPerRun(4, next)
-		rt.drainAsync()
+		rt.drain()
 		t.Logf("participants %d, staleness %d: %.1f allocs a round", c.cpr, c.staleness, allocs)
 		if allocs > c.ceiling {
 			t.Errorf("participants %d, staleness %d: %.1f allocs a round, ceiling %.0f", c.cpr, c.staleness, allocs, c.ceiling)

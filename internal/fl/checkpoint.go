@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fedtrans/internal/model"
-	"fedtrans/internal/par"
 	"fedtrans/internal/selection"
 	"fedtrans/internal/transform"
 	"fedtrans/internal/wire"
@@ -384,10 +383,8 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 	if rt.churn != nil {
 		ck.ChurnOnline = rt.churn.Snapshot()
 	}
-	ck.AsyncNow = rt.asyncNow
-	ck.StaleSum = rt.staleSum
-	ck.StaleCnt = rt.staleCnt
-	ck.AsyncSeq = rt.asyncSeq
+	sc := &rt.sched
+	ck.AsyncNow, ck.StaleSum, ck.StaleCnt, ck.AsyncSeq = sc.now, sc.staleSum, sc.staleCnt, sc.seq
 	for _, at := range rt.inflight {
 		// The dispatch snapshot is read-only for its whole life, so a COW
 		// clone here is race-free against the still-running background
@@ -584,17 +581,8 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 		// online, mirroring NewChurn's initialization.
 		rt.churn.RestoreResized(ck.ChurnOnline, rt.ds.Len())
 	}
-	rt.asyncNow = ck.AsyncNow
-	rt.staleSum = ck.StaleSum
-	rt.staleCnt = ck.StaleCnt
-	rt.asyncSeq = ck.AsyncSeq
+	rt.sched = schedule{now: ck.AsyncNow, seq: ck.AsyncSeq, staleSum: ck.StaleSum, staleCnt: ck.StaleCnt}
 	if len(ck.Inflight) > 0 {
-		if rt.agg == nil {
-			rt.agg = rt.newAgg()
-		}
-		if rt.asyncStr == nil {
-			rt.asyncStr = par.NewTaskStream(streamWindow())
-		}
 		byID := make(map[int]*model.Model, len(rt.suite))
 		for _, m := range rt.suite {
 			byID[m.ID] = m
@@ -621,21 +609,14 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			src.ID = m.ID
 			src.Params()
 			src.ParamCount()
-			at := &asyncTask{
-				slot:       roundTask{client: f.Client, m: m, src: src},
-				version:    f.Version,
-				seq:        f.Seq,
-				dispatchAt: f.DispatchAt,
-			}
 			// Arrival is a pure function of (version, client, model), so
-			// it is recomputed rather than stored; the interrupted run's
-			// training itself is redone deterministically from the
-			// snapshot weights.
-			at.arrival = f.DispatchAt + rt.attemptChain(f.Version, f.Client, m)
-			slot := &at.slot
-			version := at.version
-			at.tk = rt.asyncStr.Go(func() { rt.trainTask(version, 0, slot) })
-			rt.inflight = append(rt.inflight, at)
+			// submit recomputes it rather than reading it back; the
+			// interrupted run's training itself is redone
+			// deterministically from the snapshot weights.
+			at := rt.flightGet()
+			at.slot = roundTask{client: f.Client, m: m, src: src}
+			at.version, at.seq, at.dispatchAt = f.Version, f.Seq, f.DispatchAt
+			rt.submit(at)
 		}
 	}
 

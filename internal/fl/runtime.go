@@ -57,8 +57,9 @@ type Config struct {
 	// still training, an update may fold up to MaxStaleness rounds after
 	// its model version was dispatched (discounted by 1/√(1+s) at the
 	// accumulator), and older in-flight work is force-committed so the
-	// schedule stays deterministic. 0 keeps fully synchronous rounds,
-	// bit-identical to the pre-async runtime.
+	// schedule stays deterministic. 0 runs synchronous rounds: the same
+	// loop at staleness 0, where every participant settles in the round
+	// that selected it.
 	MaxStaleness int
 	// AsyncConcurrency is the constant number of clients kept training
 	// concurrently in asynchronous mode: each round tops the in-flight
@@ -283,44 +284,33 @@ type Runtime struct {
 	// Streaming-aggregation state, all recycled across rounds so the
 	// steady-state round loop allocates O(1) regardless of participants:
 	// the per-model sharded accumulators, pooled training sessions and
-	// upload buffers, and the per-round task / loss-standardization /
-	// compatibility scratch slices.
-	agg        aggregate.Aggregator
-	sessions   modelPool[*localSession]
-	uploads    modelPool[[]*tensor.Tensor]
-	roundTasks []roundTask
-	// evalPanel is the lazily drawn EvalSample evaluation panel (sorted
-	// client indices); nil means every client. Derived purely from the
-	// config, so it needs no checkpoint state.
-	evalPanel []int
+	// upload buffers, and the loss-standardization / compatibility
+	// scratch slices.
+	agg       aggregate.Aggregator
+	sessions  modelPool[*localSession]
+	uploads   modelPool[[]*tensor.Tensor]
+	evalPanel []int // the lazily drawn EvalSample panel; nil means every client
 	lossBuf   []float64
 	stdBuf    []float64
 	compatBuf []*model.Model
-	activeBuf []int
 	commitBuf []*roundTask
 
-	// Asynchronous-mode state (Config.MaxStaleness ≥ 1): the virtual
-	// wall clock, the global dispatch sequence counter, the staleness
-	// tallies behind Result.MeanStaleness, and the in-flight dispatch
-	// list — all checkpointed, so Resume reproduces the interrupted
-	// schedule exactly. sortBuf/candBuf/busyBuf are per-round scratch.
-	asyncNow float64
-	asyncSeq int
-	staleSum int64
-	staleCnt int64
-	inflight []*asyncTask
-	asyncStr *par.TaskStream
-	sortBuf  []*asyncTask
-	candBuf  []int
-	busyBuf  map[int]bool
-
-	// Dispatch recycling (see PERF.md): retired dispatch-snapshot husks
-	// keyed by model ID, re-armed via ShareWeightsFrom on the next
-	// dispatch of the same model, and a freelist for the asyncTask
-	// scheduling records — together they flatten the async loop's
-	// per-dispatch allocations the way sessions/uploads are pooled.
-	snapFree map[int][]*model.Model
-	atFree   []*asyncTask
+	// The round engine (round.go): its policy, the completion stream the
+	// clients train on, and the scheduler state a checkpoint carries —
+	// the schedule and the in-flight dispatches, so Resume reproduces the
+	// interrupted schedule exactly. sortBuf/candBuf/busyBuf are per-round
+	// scratch. Retired dispatch records and weight-snapshot husks (keyed
+	// by model ID, re-armed via ShareWeightsFrom) are recycled the way
+	// sessions and uploads are pooled.
+	pol        roundPolicy
+	stream     *par.TaskStream
+	sched      schedule
+	inflight   []*flight
+	sortBuf    []*flight
+	candBuf    []int
+	busyBuf    map[int]bool
+	snapFree   map[int][]*model.Model
+	flightFree []*flight
 }
 
 // roundTask is one selected, non-dropped participant's slot in the
@@ -334,7 +324,7 @@ type roundTask struct {
 	// src, in asynchronous mode, is the COW snapshot of m taken at
 	// dispatch: the client trains from the weights it downloaded, not
 	// the weights the server has since moved past. nil in synchronous
-	// rounds (train directly on m).
+	// rounds (train directly on m; see roundPolicy.snapshot).
 	src *model.Model
 	// stale counts the server rounds between dispatch and fold; the
 	// accumulator discounts the update by 1/√(1+stale). Always 0 in
@@ -402,6 +392,9 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		rngSrc: src,
 		chaos:  chaos.New(cfg.Chaos),
 	}
+	rt.pol = newPolicy(&cfg, &rt.sched)
+	rt.stream = par.NewTaskStream(rt.pol.window)
+	rt.agg = rt.newAgg()
 	if cfg.Churn.Enabled() {
 		ccfg := cfg.Churn
 		if ccfg.MinOnline < cfg.ClientsPerRound {
@@ -518,11 +511,11 @@ loop:
 			rt.checkpointAsync(round + 1)
 		}
 	}
-	rt.drainAsync()
+	rt.drain()
 	rt.ckptWG.Wait()
 
-	if rt.staleCnt > 0 {
-		res.MeanStaleness = float64(rt.staleSum) / float64(rt.staleCnt)
+	if sc := rt.sched; sc.staleCnt > 0 {
+		res.MeanStaleness = float64(sc.staleSum) / float64(sc.staleCnt)
 	}
 	accs, bestMACs := rt.EvaluateAll()
 	res.ClientAcc = accs
@@ -550,111 +543,6 @@ func (rt *Runtime) CheckpointErr() error {
 // ClientsPerRound. The result is byte-identical for every window; it
 // trades only pipeline overlap against memory.
 func streamWindow() int { return max(4, 2*stdruntime.GOMAXPROCS(0)) }
-
-// errQuorumLost aborts the completion stream once the remaining
-// participants can no longer reach the round quorum.
-var errQuorumLost = errors.New("fl: round lost quorum")
-
-// runRound executes one FL round as a streaming, sharded aggregation
-// pipeline and returns the weighted mean training loss, the simulated
-// round completion time, the per-model update counts, and whether the
-// round committed.
-//
-// As each parallel local-training task finishes, the completion stream
-// (par.StreamErr) hands it to the consumer in deterministic submission
-// order: the update is clipped/noised and folded straight into the
-// per-model sharded accumulator — after which its upload buffers go back
-// to the pool for the next client. The coordinator therefore holds
-// O(stream window) updates at peak instead of all ClientsPerRound of them,
-// and the post-round stages (FedAvg finalize, Yogi, activeness, joint
-// utility, soft aggregation) consume accumulator state plus per-task
-// scalars rather than retained weight tensors.
-//
-// Fault tolerance: each participant attempt may fail (injected chaos
-// fault, corrupt or non-finite upload rejected at the accumulator
-// boundary, or a simulated timeout). Failed attempts are retried up to
-// RetryBudget times, synchronously on the consumer so the retry order —
-// and therefore every rng draw — is deterministic. When Quorum is set,
-// the round commits only if enough participants fold; otherwise the
-// partial aggregate is discarded and the suite is left untouched.
-func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]int, bool) {
-	cfg := rt.cfg
-	if cfg.MaxStaleness > 0 {
-		return rt.runAsyncRound(round, res)
-	}
-
-	// Deterministic churn step, then participant selection over the
-	// online population only.
-	var selected []int
-	if rt.churn != nil {
-		rt.churn.Step(rt.rng)
-		rt.activeBuf = rt.churn.ActiveInto(rt.activeBuf[:0])
-		selected = rt.selectFrom(round, rt.activeBuf, cfg.ClientsPerRound)
-	} else {
-		selected = cfg.Selector.Select(round, rt.ds.Len(), cfg.ClientsPerRound, rt.rng)
-	}
-
-	// Model assignment is sequential (it consumes the round RNG in a
-	// deterministic order); local training runs in parallel with
-	// per-client reseeded RNGs so results are reproducible regardless of
-	// scheduling.
-	rt.roundTasks = rt.roundTasks[:0] // capacity kept from earlier rounds
-	roundDropouts := rt.assignAll(selected, res, func(c int, m *model.Model) {
-		rt.roundTasks = append(rt.roundTasks, roundTask{client: c, m: m})
-	})
-	tasks := rt.roundTasks
-
-	if rt.agg == nil {
-		rt.agg = rt.newAgg()
-	}
-	rt.primeSuite()
-
-	// Quorum is measured against everyone the round tried to reach:
-	// dropped-out clients count toward the denominator, so heavy dropout
-	// alone can abort a quorum-gated round.
-	need := rt.quorumNeed(len(tasks) + roundDropouts)
-	folded := 0
-	roundTime := 0.0
-	streamErr := par.StreamErr(len(tasks), streamWindow(), func(i int) {
-		rt.trainTask(round, 0, &tasks[i])
-	}, func(i int) error {
-		elapsed, ok := rt.settle(round, &tasks[i], res)
-		if elapsed > roundTime {
-			roundTime = elapsed
-		}
-		if ok {
-			folded++
-		} else if need > 0 && folded+(len(tasks)-(i+1)) < need {
-			return errQuorumLost // survivors can no longer reach quorum
-		}
-		return nil
-	})
-
-	// An abort leaves later tasks produced-but-unconsumed (or never
-	// produced); reclaim any upload buffers they hold.
-	for i := range tasks {
-		rt.releaseUploads(&tasks[i])
-	}
-
-	if need > 0 && (streamErr != nil || folded < need) {
-		// Quorum missed: discard the partial aggregate; weights, DoC and
-		// utilities stay exactly as they were before the round.
-		rt.agg.Abort()
-		res.AbortedRounds++
-		return 0, roundTime, nil, false
-	}
-
-	// Post-fold stages, shared with the asynchronous round loop.
-	committed := rt.commitBuf[:0]
-	for i := range tasks {
-		if tasks[i].ok {
-			committed = append(committed, &tasks[i])
-		}
-	}
-	rt.commitBuf = committed
-	roundLoss, perModel := rt.applyCommitted(round, committed, res)
-	return roundLoss, roundTime, perModel, true
-}
 
 // selectFrom picks up to n participants out of the candidate client
 // list: natively when the selector supports subsets, otherwise by
@@ -765,9 +653,8 @@ func (rt *Runtime) releaseUploads(u *roundTask) {
 // per-model FedAvg finalize (+ optional Yogi server step) and
 // activeness observation, joint utility learning over round-
 // standardized losses, and soft inter-model aggregation — all fed from
-// the accumulator state plus the committed tasks' scalars. It is
-// shared verbatim by the synchronous and asynchronous round loops and
-// returns the weighted mean training loss and per-model update counts.
+// the accumulator state plus the committed tasks' scalars. It returns
+// the weighted mean training loss and per-model update counts.
 func (rt *Runtime) applyCommitted(round int, committed []*roundTask, res *Result) (float64, map[int]int) {
 	cfg := rt.cfg
 
@@ -840,11 +727,11 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 	u.fault = rt.chaos.Fault(round, u.client, attempt)
 	u.delay = rt.chaos.Delay(round, u.client, attempt)
 	u.err = nil
-	// In asynchronous mode the task trains from its dispatch-time weight
-	// snapshot, and — because this may run concurrently with the
-	// consumer finalizing the live model — all pool lookups key off the
-	// snapshot too (Clone preserves the model ID, so the pools are
-	// shared with the synchronous path).
+	// A task with a dispatch-time weight snapshot trains from it, and —
+	// because this may run concurrently with the consumer finalizing the
+	// live model — all pool lookups key off the snapshot too (Clone
+	// preserves the model ID, so the pools are shared with tasks that
+	// train on the live model).
 	src := u.m
 	if u.src != nil {
 		src = u.src

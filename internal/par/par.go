@@ -78,214 +78,120 @@ func ForN(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// StreamErr is the bounded producer/consumer pipeline behind the
-// streaming round loop: produce(i) runs for every i in [0, n) across the
-// worker pool (the same process-wide token budget as ForN), while
-// consume(i) is called exactly once per index, in strictly ascending
-// index order, on the calling goroutine, overlapping with production. At
-// most window results are outstanding — claimed for production but not
-// yet consumed — at any moment, so peak memory for per-item results is
-// O(window) instead of O(n): a producer that runs ahead of the
-// consumption frontier blocks until the frontier catches up.
-//
-// Because consume runs single-threaded in index order, it may use shared
-// state (an RNG, accumulators) without synchronization and the overall
-// result is byte-identical to the serial loop
+// StreamErr runs produce(i) for every i in [0, n) on a TaskStream of the
+// given window and calls consume(i) on the caller once per index, in
+// ascending order, overlapping with production: at most window indices
+// are produced but not yet consumed at any moment, so per-item results
+// take O(window) memory, and consume(i) happens-after produce(i). Because
+// consume runs single-threaded in index order, it may use shared state
+// (an RNG, accumulators) without synchronization, and the result is
+// byte-identical to the serial loop
 //
 //	for i := 0; i < n; i++ { produce(i); consume(i) }
 //
-// which is exactly what StreamErr degrades to at GOMAXPROCS=1 or when
-// the token budget is exhausted. produce must confine its writes to
-// index-owned state; consume(i) happens-after produce(i).
-//
-// When consume returns a non-nil error, no further indices are claimed
-// for production or consumed, outstanding producers are drained (every
-// produce already started runs to completion — no goroutine is leaked
-// and no index-owned state is left half-written), and the error is
-// returned. Indices after the failed one may never be produced at all;
-// callers owning per-index resources must tolerate both
-// produced-but-unconsumed and never-produced indices after an abort.
+// which is what StreamErr runs at GOMAXPROCS=1. When consume returns an
+// error, no later index is consumed or starts producing, the producers
+// already running finish, and the error is returned; callers owning
+// per-index resources must tolerate both produced-but-unconsumed and
+// never-produced indices after it.
 func StreamErr(n, window int, produce func(i int), consume func(i int) error) error {
-	if n <= 0 {
-		return nil
+	s := NewTaskStream(max(window, 1))
+	tasks := make([]Task, max(n, 0))
+	for i := range tasks {
+		tasks[i].Fn = func() { produce(i) }
+		s.Submit(&tasks[i])
 	}
-	if window < 1 {
-		window = 1
-	}
-	w := Limit(n)
-	// At most window items are ever claimable at once, so workers beyond
-	// that would only park on the condvar while pinning process-wide pool
-	// tokens — cap the crew (caller included) at the window.
-	if w > window {
-		w = window
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			produce(i)
-			if err := consume(i); err != nil {
-				return err
+	for i := range tasks {
+		s.Wait(&tasks[i])
+		if err := consume(i); err != nil {
+			// Withdraw from the back: a window slot freed here can then
+			// only go to the oldest index left, never past the window.
+			for j := n - 1; j > i; j-- {
+				s.Drop(&tasks[j])
 			}
-		}
-		return nil
-	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		next     int // next index to claim for production
-		frontier int // next index to consume
-		aborted  bool
-		done     = make([]bool, n)
-	)
-	claim := func() (int, bool) {
-		// Caller holds mu. Claims the next index if the window allows.
-		if !aborted && next < n && next < frontier+window {
-			i := next
-			next++
-			return i, true
-		}
-		return 0, false
-	}
-	finish := func(i int) {
-		mu.Lock()
-		done[i] = true
-		cond.Broadcast()
-		mu.Unlock()
-	}
-	worker := func() {
-		for {
-			mu.Lock()
-			for !aborted && next < n && next >= frontier+window {
-				cond.Wait()
-			}
-			i, ok := claim()
-			mu.Unlock()
-			if !ok {
-				return // all indices claimed, or the stream aborted
-			}
-			produce(i)
-			finish(i)
+			return err
 		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < w-1; g++ {
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer func() {
-					<-tokens
-					wg.Done()
-				}()
-				worker()
-			}()
-		default:
-			g = w // budget exhausted; the caller alone produces the rest
-		}
-	}
-	// The calling goroutine drains the completion stream in index order,
-	// producing itself whenever the frontier item is not ready and the
-	// window still has room.
-	var err error
-	for frontier < n {
-		mu.Lock()
-		if done[frontier] {
-			i := frontier
-			mu.Unlock()
-			cerr := consume(i)
-			mu.Lock()
-			frontier++
-			if cerr != nil {
-				err = cerr
-				aborted = true
-			}
-			cond.Broadcast()
-			mu.Unlock()
-			if cerr != nil {
-				break
-			}
-			continue
-		}
-		if i, ok := claim(); ok {
-			mu.Unlock()
-			produce(i)
-			finish(i)
-			continue
-		}
-		for !done[frontier] && !(next < n && next < frontier+window) {
-			cond.Wait()
-		}
-		mu.Unlock()
-	}
-	mu.Lock()
-	cond.Broadcast() // frontier == n or aborted: release waiting workers
-	mu.Unlock()
-	wg.Wait()
-	return err
+	return nil
 }
 
-// Task states in a TaskStream.
+// Task states in a TaskStream. The zero value is a task no stream holds.
 const (
-	taskQueued  = iota // submitted, claimable by a worker or by Wait
-	taskRunning        // some goroutine is executing fn
-	taskDone           // fn returned
+	taskIdle    = iota // never submitted, or consumed
+	taskQueued         // submitted, claimable by a worker or by the consumer
+	taskRunning        // some goroutine is executing Fn
+	taskDone           // Fn returned; not yet consumed
 )
 
-// Task is one submitted unit of work in a TaskStream. The zero value is
-// not useful; obtain Tasks from TaskStream.Go.
+// Task is one unit of work in a TaskStream. Go makes one per call; a
+// caller that must not allocate per task sets Fn once and hands the same
+// Task to Submit again after Wait or Drop returned for it.
 type Task struct {
-	fn    func()
+	Fn    func()
 	state int
 }
 
-// TaskStream generalizes StreamErr's completion stream to
-// dynamically submitted tasks whose consumption order — and epoch — the
-// consumer chooses: where StreamErr claims a fixed index range and
-// consumes it in ascending order within one epoch, a TaskStream lets the
-// single consumer release producers into later epochs before earlier
-// epochs' items commit (the staleness-bounded asynchronous round loop
-// schedules over it; the staleness bound itself is the scheduler's
-// commit policy, enforced by which tasks it chooses to Wait on each
-// epoch). StreamErr remains the synchronous special case — its window
-// semantics and results are untouched.
+// TaskStream is the completion stream: tasks are submitted in order, run
+// by background workers or inline by the consumer, and consumed by Wait
+// in whatever order the consumer chooses (the round engine's fold order).
+// At most window tasks are started but not yet consumed at any moment — a
+// task stays counted until the consumer's next Wait or Drop, so the one it
+// is folding counts too — which bounds the results held at once to
+// O(window) however many tasks are submitted.
 //
-// Producers run on the shared process-wide token budget, capped at
-// limit background workers. Wait(t) is the consumption point: a task no
-// worker has claimed runs inline on the caller — so with no spare
-// tokens or GOMAXPROCS=1 the stream degrades to a serial loop executing
-// tasks in Wait order — and a task mid-execution is awaited. Because a
-// task's fn must confine its writes to task-owned state, results are
-// byte-identical regardless of which goroutine ran which task.
+// Workers run on the shared process-wide token budget, at most window of
+// them and fewer than GOMAXPROCS. Wait runs a still-queued task inline,
+// and while the task it awaits runs elsewhere it runs the oldest queued
+// task itself if the window has room. So with no spare tokens, or at
+// GOMAXPROCS=1, the stream is a serial loop executing tasks in Wait order.
+// Because a task's Fn must confine its writes to task-owned state, results
+// are byte-identical regardless of which goroutine ran which task.
 //
-// Go and Wait must be called from a single consumer goroutine.
+// Every submitted task must be waited or dropped. Submit, Go, Wait and
+// Drop must be called from a single consumer goroutine.
 type TaskStream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*Task // submitted, not yet claimed
+	queue   []*Task // in submission order; entries no longer queued are skipped
+	head    int     // queue[:head] holds no queued task
+	out     int     // tasks started and not yet consumed
+	held    bool    // out counts the task Wait last returned
 	workers int     // live background workers
-	limit   int
+	window  int
 }
 
-// NewTaskStream returns a stream running at most limit background
-// producers (additionally bounded by live GOMAXPROCS and the shared
-// token budget; limit < 1 means every task runs inline at Wait).
-func NewTaskStream(limit int) *TaskStream {
-	s := &TaskStream{limit: limit}
+// NewTaskStream returns a stream that starts at most window tasks ahead of
+// their consumption (window < 1: every task runs inline at Wait).
+func NewTaskStream(window int) *TaskStream {
+	s := &TaskStream{window: window}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Go submits fn for execution and returns its Task handle. fn may begin
-// on a background worker immediately or run inline later at Wait; it
-// must confine its writes to task-owned state.
+// Go submits fn for execution and returns its Task handle.
 func (s *TaskStream) Go(fn func()) *Task {
-	t := &Task{fn: fn}
+	t := &Task{Fn: fn}
+	s.Submit(t)
+	return t
+}
+
+// Submit queues t, which must be idle. t.Fn may begin on a background
+// worker at once or run inline later at Wait; it must confine its writes
+// to task-owned state. Submit allocates nothing once the queue has grown
+// to the stream's peak.
+func (s *TaskStream) Submit(t *Task) {
 	s.mu.Lock()
+	t.state = taskQueued
+	if s.next() == nil {
+		s.queue, s.head = s.queue[:0], 0
+	} else if s.head > 0 && len(s.queue) == cap(s.queue) {
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
 	s.queue = append(s.queue, t)
 	spawn := false
-	// Mirror ForN/StreamErr's degradation: background workers only while
-	// the live GOMAXPROCS leaves room for the consumer, within the
-	// stream's own cap, and within the process-wide budget.
-	if s.workers < s.limit && s.workers < runtime.GOMAXPROCS(0)-1 {
+	if s.workers < s.window && s.workers < runtime.GOMAXPROCS(0)-1 {
 		select {
 		case tokens <- struct{}{}:
 			s.workers++
@@ -297,54 +203,80 @@ func (s *TaskStream) Go(fn func()) *Task {
 	if spawn {
 		go s.worker()
 	}
-	return t
+}
+
+// next returns the oldest queued task, or nil. The caller holds mu.
+func (s *TaskStream) next() *Task {
+	for ; s.head < len(s.queue); s.head++ {
+		if t := s.queue[s.head]; t.state == taskQueued {
+			return t
+		}
+		s.queue[s.head] = nil
+	}
+	return nil
+}
+
+// run executes t, claimed by the caller, with mu released around Fn.
+func (s *TaskStream) run(t *Task) {
+	t.state = taskRunning
+	s.out++
+	s.mu.Unlock()
+	t.Fn()
+	s.mu.Lock()
+	t.state = taskDone
+	s.cond.Broadcast()
 }
 
 func (s *TaskStream) worker() {
 	s.mu.Lock()
-	for len(s.queue) > 0 {
-		t := s.queue[0]
-		s.queue = s.queue[1:]
-		t.state = taskRunning
-		s.mu.Unlock()
-		t.fn()
-		s.mu.Lock()
-		t.state = taskDone
-		s.cond.Broadcast()
+	for t := s.next(); t != nil; t = s.next() {
+		if s.out >= s.window {
+			s.cond.Wait()
+			continue
+		}
+		s.run(t)
 	}
 	s.workers--
 	s.mu.Unlock()
 	<-tokens
 }
 
-// Wait ensures t's fn has run and returns: a still-queued task is
-// claimed and run inline on the caller, a running task is awaited, a
-// finished task returns immediately. After Wait returns, all of fn's
-// writes are visible to the caller. Waiting the same task again is a
-// no-op.
-func (s *TaskStream) Wait(t *Task) {
+// Wait ensures t's Fn has run and consumes t: a still-queued task runs
+// inline on the caller, a running task is awaited, a finished task
+// returns at once. After Wait returns, all of Fn's writes are visible to
+// the caller. Waiting a consumed task again is a no-op.
+func (s *TaskStream) Wait(t *Task) { s.consume(t, true) }
+
+// Drop consumes t without its result: a still-queued task is withdrawn
+// and never runs, a running one is awaited.
+func (s *TaskStream) Drop(t *Task) { s.consume(t, false) }
+
+func (s *TaskStream) consume(t *Task, run bool) {
 	s.mu.Lock()
-	switch t.state {
-	case taskQueued:
-		for i, q := range s.queue {
-			if q == t {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		t.state = taskRunning
-		s.mu.Unlock()
-		t.fn()
-		s.mu.Lock()
-		t.state = taskDone
-		s.mu.Unlock()
-	case taskRunning:
-		for t.state != taskDone {
+	defer s.mu.Unlock()
+	defer s.cond.Broadcast() // out fell, or a queued task left the queue
+	if s.held {
+		s.held = false
+		s.out--
+	}
+	if t.state == taskIdle || t.state == taskQueued && !run {
+		t.state = taskIdle
+		return
+	}
+	for t.state != taskDone {
+		if t.state == taskQueued {
+			s.run(t)
+		} else if n := s.next(); n != nil && s.out < s.window {
+			s.run(n)
+		} else {
 			s.cond.Wait()
 		}
-		s.mu.Unlock()
-	default: // taskDone
-		s.mu.Unlock()
+	}
+	t.state = taskIdle
+	if run {
+		s.held = true
+	} else {
+		s.out--
 	}
 }
 

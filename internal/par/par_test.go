@@ -432,3 +432,59 @@ func TestStreamErrAbortWhileStale(t *testing.T) {
 		})
 	}
 }
+
+// TestTaskStreamSubmitAllocatesNothing pins the round engine's
+// per-dispatch cost: resubmitting a recycled Task allocates nothing.
+func TestTaskStreamSubmitAllocatesNothing(t *testing.T) {
+	s := NewTaskStream(4)
+	runs := 0
+	tk := Task{Fn: func() { runs++ }}
+	s.Submit(&tk)
+	s.Wait(&tk)
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Submit(&tk)
+		s.Wait(&tk)
+	}); allocs != 0 {
+		t.Errorf("Submit+Wait of a recycled task allocates %.1f times", allocs)
+	}
+	if runs != 102 {
+		t.Errorf("task ran %d times, want 102", runs)
+	}
+}
+
+// TestTaskStreamDropWithdrawsQueued pins Drop: a task no goroutine
+// started never runs, one already started is awaited, and no more than
+// the window ever starts ahead of consumption.
+func TestTaskStreamDropWithdrawsQueued(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(procs, func() {
+			const n, window = 50, 2
+			s := NewTaskStream(window)
+			state := make([]int32, n) // 0 never ran, 1 running, 2 finished
+			tasks := make([]*Task, n)
+			for i := range tasks {
+				tasks[i] = s.Go(func() {
+					atomic.StoreInt32(&state[i], 1)
+					time.Sleep(50 * time.Microsecond)
+					atomic.StoreInt32(&state[i], 2)
+				})
+			}
+			s.Wait(tasks[0])
+			for i := n - 1; i > 0; i-- {
+				s.Drop(tasks[i])
+			}
+			started := 0
+			for i := 1; i < n; i++ {
+				switch atomic.LoadInt32(&state[i]) {
+				case 1:
+					t.Fatalf("procs %d: task %d still running after Drop returned", procs, i)
+				case 2:
+					started++
+				}
+			}
+			if started > window {
+				t.Fatalf("procs %d: %d dropped tasks ran, window %d", procs, started, window)
+			}
+		})
+	}
+}
