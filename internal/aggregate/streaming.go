@@ -37,8 +37,10 @@ var ErrNonFinite = errors.New("aggregate: non-finite value in update")
 // into fixed-width shards. Each Add folds one update across all shards
 // (in parallel when workers are free); within a shard the contributions
 // are applied in Add-call order. As long as the caller Adds updates in a
-// deterministic order — the runtime commits them in client submission
-// order through par.StreamErr — the float64 sums, and therefore the
+// deterministic order — the round engine folds them in its fold order,
+// selection order when synchronous and (arrival, seq) when
+// asynchronous, both fixed before any training result is read — the
+// float64 sums, and therefore the
 // finalized weights, are byte-identical regardless of worker scheduling,
 // and identical to the buffered FedAvg over the same batch.
 //

@@ -10,9 +10,9 @@ import (
 )
 
 // The tests in this file are the golden expectations of the deleted
-// internal/async simulator, re-targeted at the unified asynchronous
-// round loop (Config.MaxStaleness ≥ 1) running through par.TaskStream,
-// StreamingFedAvg, and the fl runtime.
+// internal/async simulator, re-targeted at the round engine's
+// asynchronous policy (Config.MaxStaleness ≥ 1) running through
+// par.TaskStream, StreamingFedAvg, and the fl runtime.
 
 // asyncConfig is the baseline asynchronous configuration: staleness
 // bound 2, default 2×ClientsPerRound concurrency.

@@ -232,7 +232,7 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	ascending(c, ck.Inflight, "in-flight sequence numbers", func(f *CkptInflight) int { return f.Seq })
 
 	// v2 reserves a block here for accumulators caught mid-round. No
-	// writer ever filled it — both round loops end in Finalize or Abort,
+	// writer ever filled it — every round ends in Finalize or Abort,
 	// so there is nothing in flight at any boundary a checkpoint is taken
 	// — and its count stays on the wire as a zero.
 	var accums uint32
@@ -587,10 +587,7 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 		for _, m := range rt.suite {
 			byID[m.ID] = m
 		}
-		for _, m := range rt.suite {
-			m.Params()
-			m.ParamCount()
-		}
+		rt.primeSuite()
 		for i := range ck.Inflight {
 			f := &ck.Inflight[i]
 			m := byID[f.ModelID]

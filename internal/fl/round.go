@@ -27,9 +27,10 @@ import (
 // for any worker scheduling, including fully serial execution.
 
 // roundPolicy is what sets a synchronous round (MaxStaleness 0) apart from
-// an asynchronous one; New derives it once from Config. Apart from
-// inFlight and window, each field keeps a synchronous round's numbers and
-// checkpoint bytes what they were when it ran a loop of its own.
+// an asynchronous one; New derives it once from Config. byArrival,
+// abortEarly and sched keep a synchronous round's numbers and checkpoint
+// bytes what they were when it ran a loop of its own; snapshot only
+// spares it a weight snapshot per dispatch.
 type roundPolicy struct {
 	// inFlight is how many clients train at once: AsyncConcurrency, or
 	// every participant of a synchronous round.
@@ -51,7 +52,8 @@ type roundPolicy struct {
 	abortEarly bool
 	// snapshot trains each dispatch on a copy-on-write snapshot of the
 	// weights it was sent. Otherwise it trains on the live model, which
-	// nothing moves before the round's last fold.
+	// nothing moves before the round's last fold, so the result is the
+	// same.
 	snapshot bool
 	// sched receives the dispatch counter, virtual clock and staleness
 	// tallies: the runtime's checkpointed schedule, or a scratch one that

@@ -394,7 +394,13 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 	}
 	rt.pol = newPolicy(&cfg, &rt.sched)
 	rt.stream = par.NewTaskStream(rt.pol.window)
-	rt.agg = rt.newAgg()
+	// Hierarchical two-tier aggregation when EdgeAggregators ≥ 2,
+	// single-tier streaming otherwise.
+	if cfg.EdgeAggregators > 1 {
+		rt.agg = aggregate.NewTiered(cfg.EdgeAggregators)
+	} else {
+		rt.agg = aggregate.NewStreaming()
+	}
 	if cfg.Churn.Enabled() {
 		ccfg := cfg.Churn
 		if ccfg.MinOnline < cfg.ClientsPerRound {
@@ -408,15 +414,6 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 	// independent of the population size.
 	rt.maxCapacity = trace.CapacityBound()
 	return rt
-}
-
-// newAgg builds the round aggregator the config asks for: hierarchical
-// two-tier when EdgeAggregators ≥ 2, single-tier streaming otherwise.
-func (rt *Runtime) newAgg() aggregate.Aggregator {
-	if rt.cfg.EdgeAggregators > 1 {
-		return aggregate.NewTiered(rt.cfg.EdgeAggregators)
-	}
-	return aggregate.NewStreaming()
 }
 
 // Suite returns the current model suite (creation order).

@@ -28,9 +28,9 @@ type TrainSpec struct {
 // normal retry/quorum machinery, exactly as for an injected chaos
 // fault. m is only read.
 //
-// A Trainer must be safe for concurrent calls: the streaming round loop
-// dispatches up to its stream window, max(4, 2·GOMAXPROCS), of attempts
-// at once.
+// A Trainer must be safe for concurrent calls: the round engine runs up
+// to GOMAXPROCS attempts at once, its stream's workers plus the
+// consumer.
 type Trainer interface {
 	Train(m *model.Model, spec TrainSpec, cfg LocalConfig, upload []*tensor.Tensor) (loss float64, samples int, err error)
 }

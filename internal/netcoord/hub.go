@@ -20,8 +20,8 @@ import (
 // connections and serves the FL runtime as its fl.Trainer, farming each
 // local-training attempt out to an idle connection. Connections are
 // checked out per attempt, so as many attempts as the runtime's stream
-// window holds (max(4, 2·GOMAXPROCS)) ride the pool concurrently while
-// each connection stays lock-stepped.
+// runs at once (up to GOMAXPROCS) ride the pool concurrently while each
+// connection stays lock-stepped.
 //
 // A connection that fails mid-attempt is dropped and the typed wire
 // error is returned to the runtime, which retries the attempt (same
@@ -36,28 +36,14 @@ type Hub struct {
 
 	mu           sync.Mutex
 	conns        map[*agentConn]struct{}
-	pending      map[net.Conn]struct{} // handshakes under way
-	wireErrs     []error               // the first maxWireErrs faults
-	wireErrCount int                   // every fault
+	wireErrs     []error // the first maxWireErrs faults
+	wireErrCount int     // every fault
 
-	slots     chan struct{} // one token per handshake under way
+	acc       *acceptor
 	closed    chan struct{}
 	closeOnce sync.Once
-	running   sync.WaitGroup // the accept loop and every handshake
+	running   sync.WaitGroup // the accept loop, which waits for its handshakes
 }
-
-// maxHandshakes caps the connections the hub handshakes at once. Each
-// holds a goroutine and a 64 KiB reader until HELLO arrives or
-// helloTimeout passes. With every slot taken the hub stops accepting, so
-// later dials wait in the kernel's listen backlog and are admitted in
-// arrival order as slots free; none is turned away.
-const maxHandshakes = 64
-
-// helloTimeout bounds the wait for a new connection's HELLO (the I/O
-// timeout where that is shorter). An agent sends HELLO as soon as it
-// connects, so a dial silent this long is no agent; dropping it frees
-// its slot for the dials queued behind it.
-const helloTimeout = 10 * time.Second
 
 // Hub must satisfy the runtime's remote-training hook.
 var _ fl.Trainer = (*Hub)(nil)
@@ -93,12 +79,14 @@ func NewHub(addr string, cfg RunConfig) (*Hub, error) {
 		timeout: normalizeTimeout(cfg.IOTimeout),
 		idle:    make(chan *agentConn, 1024),
 		conns:   make(map[*agentConn]struct{}),
-		pending: make(map[net.Conn]struct{}),
-		slots:   make(chan struct{}, maxHandshakes),
 		closed:  make(chan struct{}),
 	}
+	h.acc = newAcceptor(ln, h.timeout)
 	h.running.Add(1)
-	go h.acceptLoop()
+	go func() {
+		defer h.running.Done()
+		h.acc.serve(h.admit)
+	}()
 	return h, nil
 }
 
@@ -116,9 +104,6 @@ func (h *Hub) Close() {
 		h.mu.Lock()
 		for ac := range h.conns {
 			ac.fc.close()
-		}
-		for c := range h.pending {
-			c.Close()
 		}
 		h.conns = make(map[*agentConn]struct{})
 		h.mu.Unlock()
@@ -167,62 +152,29 @@ func (h *Hub) recordErr(err error) {
 	h.mu.Unlock()
 }
 
-// acceptLoop hands each connection to a handshake of its own. It takes
-// a slot before it accepts, so at most maxHandshakes run at once and the
-// rest wait unaccepted. Registering the connection under mu, after
-// checking for Close, is what lets Close reach every handshake.
-func (h *Hub) acceptLoop() {
-	defer h.running.Done()
-	for {
-		select {
-		case h.slots <- struct{}{}:
-		case <-h.closed:
-			return
-		}
-		c, err := h.ln.Accept()
-		if err != nil {
-			return
-		}
-		h.mu.Lock()
-		ok := !h.closing()
-		if ok {
-			h.pending[c] = struct{}{}
-			h.running.Add(1)
-		}
-		h.mu.Unlock()
-		if !ok {
-			c.Close()
-			return
-		}
-		go h.admit(c)
-	}
-}
-
-// admit runs the handshake and parks the connection in the idle pool.
-func (h *Hub) admit(c net.Conn) {
-	defer h.running.Done()
-	defer func() { <-h.slots }()
-	ac := &agentConn{fc: newFrameConnTimeout(c, min(h.timeout, helloTimeout)), sent: make(map[int]bool)}
-	err := ac.fc.readHello()
-	ac.fc.timeout = h.timeout
+// admit answers an agent's HELLO with the WELCOME and parks the
+// connection in the idle pool. Registering it under mu, after checking
+// for Close, is what lets Close reach every admitted connection.
+func (h *Hub) admit(fc *frameConn, err error) func() {
 	if err != nil && !h.closing() {
-		h.recordErr(fmt.Errorf("%w from %s", ErrBadHandshake, c.RemoteAddr()))
+		h.recordErr(fmt.Errorf("%w from %s", ErrBadHandshake, fc.c.RemoteAddr()))
 	}
 	if err == nil {
-		err = ac.fc.write(ftWelcome, h.welcome)
+		err = fc.write(ftWelcome, h.welcome)
 	}
+	ac := &agentConn{fc: fc, sent: make(map[int]bool)}
 	h.mu.Lock()
-	delete(h.pending, c)
 	ok := err == nil && !h.closing()
 	if ok {
 		h.conns[ac] = struct{}{}
 	}
 	h.mu.Unlock()
 	if !ok {
-		c.Close()
-		return
+		fc.close()
+		return nil
 	}
 	h.checkin(ac)
+	return nil
 }
 
 func (h *Hub) checkout() (*agentConn, error) {

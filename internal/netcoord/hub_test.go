@@ -156,9 +156,9 @@ func silentDials(t *testing.T, hub *Hub, n int) []net.Conn {
 }
 
 func (h *Hub) handshakes() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.pending)
+	h.acc.mu.Lock()
+	defer h.acc.mu.Unlock()
+	return len(h.acc.pending)
 }
 
 // TestHubBoundsHandshakes: a connection that never sends HELLO holds a

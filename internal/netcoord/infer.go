@@ -66,32 +66,35 @@ func ServeInferenceTimeout(ln net.Listener, dim int, predict PredictFunc, timeou
 }
 
 // ServeInferenceRows is the serving loop itself: newConn is called once
-// per accepted connection and its RowsFunc answers that connection's
-// frames, so per-connection state needs no locking. The handshake, each
-// PREDICT body (once its header arrives), and each PREDICTRES write
-// must complete within timeout, so one stalled client cannot pin its
-// serving goroutine forever; the idle wait between requests on a
-// healthy connection is never bounded. timeout 0 means
-// DefaultIOTimeout; negative disables deadlines.
+// per handshaken connection and its RowsFunc answers that connection's
+// frames, so per-connection state needs no locking. Connections are
+// accepted the way the hub accepts agents: at most maxHandshakes wait
+// for HELLO at once, each for at most helloTimeout, and closing ln
+// closes those still waiting. Each PREDICT body (once its header
+// arrives) and each PREDICTRES write must complete within timeout, so
+// one stalled client cannot pin its serving goroutine forever; the idle
+// wait between requests on a healthy connection is never bounded.
+// timeout 0 means DefaultIOTimeout; negative disables deadlines.
 func ServeInferenceRows(ln net.Listener, dim int, newConn func() RowsFunc, timeout time.Duration) error {
-	for {
-		c, err := ln.Accept()
+	return newAcceptor(ln, normalizeTimeout(timeout)).serve(inferHello(dim, newConn))
+}
+
+// inferHello is the inference endpoint's answer to a HELLO read: a
+// connection that said HELLO is served by serveInferConn.
+func inferHello(dim int, newConn func() RowsFunc) func(*frameConn, error) func() {
+	return func(fc *frameConn, err error) func() {
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
+			fc.close()
+			return nil
 		}
-		go serveInferConn(c, dim, newConn(), normalizeTimeout(timeout))
+		return func() { serveInferConn(fc, dim, newConn()) }
 	}
 }
 
-func serveInferConn(c net.Conn, dim int, predict RowsFunc, timeout time.Duration) {
-	defer c.Close()
-	fc := newFrameConnTimeout(c, timeout)
-	if fc.readHello() != nil {
-		return
-	}
+// serveInferConn sends a connection that said HELLO the WELCOME and
+// answers its PREDICT frames until it closes or fails.
+func serveInferConn(fc *frameConn, dim int, predict RowsFunc) {
+	defer fc.close()
 	wh := welcomeHdr{version: ProtoVersion, dim: uint32(dim)}
 	var e wire.Enc // the response buffer, reused across frames
 	wh.walkInfer(wire.Encoding(&e))

@@ -2,8 +2,10 @@ package netcoord
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,6 +43,15 @@ func argmaxServer(t *testing.T) (addr string) {
 	return ln.Addr().String()
 }
 
+// serveOne serves one connection the way ServeInferenceRows serves each
+// connection it accepts.
+func serveOne(c net.Conn, dim int, predict RowsFunc, timeout time.Duration) {
+	a := newAcceptor(nil, timeout)
+	a.slots <- struct{}{}
+	a.wg.Add(1)
+	a.handshake(c, inferHello(dim, func() RowsFunc { return predict }))
+}
+
 // TestOversizedFrameBeforeHelloAllocatesNothing: a peer that has not
 // said HELLO may announce at most a HELLO-sized frame. A 200 MiB header
 // is refused from the 4 header bytes alone — the connection is dropped
@@ -55,7 +66,7 @@ func TestOversizedFrameBeforeHelloAllocatesNothing(t *testing.T) {
 	}()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	serveInferConn(server, 4, func([]byte, []int) error {
+	serveOne(server, 4, func([]byte, []int) error {
 		t.Error("predict reached without a handshake")
 		return nil
 	}, time.Second)
@@ -141,7 +152,7 @@ func TestPredictFuncClassCountChecked(t *testing.T) {
 func TestPredictRowsBoundedAtDimZero(t *testing.T) {
 	server, peer := net.Pipe()
 	defer peer.Close()
-	go serveInferConn(server, 0, func([]byte, []int) error {
+	go serveOne(server, 0, func([]byte, []int) error {
 		t.Error("predict reached with an impossible row count")
 		return nil
 	}, 5*time.Second)
@@ -158,4 +169,91 @@ func TestPredictRowsBoundedAtDimZero(t *testing.T) {
 	if ft, p, err := fc.read(); err != nil || ft != ftPredictRes || len(p) < 2 || p[0] != 1 {
 		t.Fatalf("PREDICTRES: frame 0x%02x % x, err %v; want status 1 and a message", ft, p, err)
 	}
+}
+
+// inferServer serves dim-4 rows on a fresh loopback listener with the
+// given frame timeout, answering class 0. stop closes the listener and
+// returns how long ServeInferenceRows took to return.
+func inferServer(t *testing.T, timeout time.Duration) (addr string, stop func() time.Duration) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeInferenceRows(ln, 4, func() RowsFunc {
+			return func(_ []byte, classes []int) error { clear(classes); return nil }
+		}, timeout)
+	}()
+	return ln.Addr().String(), func() time.Duration {
+		start := time.Now()
+		ln.Close()
+		if err := <-served; err != nil {
+			t.Errorf("ServeInferenceRows: %v", err)
+		}
+		return time.Since(start)
+	}
+}
+
+// dialSilent opens n connections to addr that never send a byte.
+func dialSilent(t *testing.T, addr string, n int) []net.Conn {
+	t.Helper()
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		conns[i] = c
+	}
+	return conns
+}
+
+// TestServeInferenceBoundsHandshakes: the inference endpoint accepts the
+// way the hub does. Dials that never send HELLO hold at most
+// maxHandshakes handshakes however many arrive; a client dialing behind
+// them is answered once their HELLO deadline frees slots; and closing the
+// listener closes the handshakes still waiting, so a silent dial sees its
+// connection end at once rather than at its deadline.
+func TestServeInferenceBoundsHandshakes(t *testing.T) {
+	const dials = 200
+	t.Run("bounded, closed with the listener", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		addr, stop := inferServer(t, 0) // HELLO deadline: helloTimeout
+		silent := dialSilent(t, addr, dials)
+		held := 0
+		for deadline := time.Now().Add(5 * time.Second); held < maxHandshakes && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+			held = runtime.NumGoroutine() - before
+		}
+		time.Sleep(50 * time.Millisecond)
+		// The serving loop itself, plus at most one goroutine a handshake.
+		if held = runtime.NumGoroutine() - before; held > maxHandshakes+1 {
+			t.Errorf("%d silent dials hold %d goroutines, want at most %d handshakes", dials, held, maxHandshakes)
+		}
+		if took := stop(); took > time.Second {
+			t.Errorf("ServeInferenceRows took %v to return after its listener closed", took)
+		}
+		for i, c := range silent {
+			c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("silent dial %d still open after its listener closed (read: %v)", i, err)
+			}
+		}
+	})
+	t.Run("a client behind silent dials is answered", func(t *testing.T) {
+		addr, stop := inferServer(t, 100*time.Millisecond) // HELLO deadline: 100 ms
+		defer stop()
+		dialSilent(t, addr, dials)
+		cl, err := DialInferenceTimeout(addr, 10*time.Second)
+		if err != nil {
+			t.Fatalf("dial behind %d silent dials: %v", dials, err)
+		}
+		defer cl.Close()
+		if class, err := cl.Predict(make([]float64, 4)); err != nil || class != 0 {
+			t.Fatalf("predict behind %d silent dials: class %d, err %v", dials, class, err)
+		}
+	})
 }

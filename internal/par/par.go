@@ -158,12 +158,13 @@ type TaskStream struct {
 	held    bool    // out counts the task Wait last returned
 	workers int     // live background workers
 	window  int
+	spawn   int // the most workers: window, and fewer than GOMAXPROCS at construction
 }
 
 // NewTaskStream returns a stream that starts at most window tasks ahead of
 // their consumption (window < 1: every task runs inline at Wait).
 func NewTaskStream(window int) *TaskStream {
-	s := &TaskStream{window: window}
+	s := &TaskStream{window: window, spawn: min(window, runtime.GOMAXPROCS(0)-1)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -191,7 +192,9 @@ func (s *TaskStream) Submit(t *Task) {
 	}
 	s.queue = append(s.queue, t)
 	spawn := false
-	if s.workers < s.window && s.workers < runtime.GOMAXPROCS(0)-1 {
+	// The live GOMAXPROCS is read only when a worker may be missing: the
+	// read takes the scheduler's lock.
+	if s.workers < s.spawn && s.workers < runtime.GOMAXPROCS(0)-1 {
 		select {
 		case tokens <- struct{}{}:
 			s.workers++

@@ -6,7 +6,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"time"
 
 	"fedtrans/internal/netcoord"
 	"fedtrans/internal/tensor"
@@ -285,27 +284,19 @@ func (s *InferenceServer) Close() {
 // and many coalesce into shared passes exactly like concurrent
 // in-process callers. Blocks; run it in a goroutine and close ln (and
 // then the server) to stop. A client that stalls mid-frame is dropped
-// after the default 2-minute frame deadline (see ServeTimeout to pick
-// it), so it cannot pin its goroutine forever.
+// after the 2-minute frame deadline, so it cannot pin its goroutine
+// forever; idle gaps between requests are never bounded. A frame's
+// features are decoded from the wire straight into the lane's input and
+// its classes land in the connection's own buffer, so a served frame
+// allocates nothing.
 func (s *InferenceServer) Serve(ln net.Listener) error {
-	return s.ServeTimeout(ln, 0)
-}
-
-// ServeTimeout is Serve with an explicit per-frame I/O deadline: the
-// handshake, each PREDICT body, and each PREDICTRES write must complete
-// within timeout. Idle gaps between requests on a healthy connection
-// are never bounded. timeout 0 uses the netcoord default (2 minutes);
-// negative disables deadlines. A frame's features are decoded from the
-// wire straight into the lane's input and its classes land in the
-// connection's own buffer, so a served frame allocates nothing.
-func (s *InferenceServer) ServeTimeout(ln net.Listener, timeout time.Duration) error {
 	return netcoord.ServeInferenceRows(ln, s.d.dim, func() netcoord.RowsFunc {
 		r := &inferReq{ready: make(chan *inferSession, 1)}
 		return func(feats []byte, classes []int) error {
 			r.wire, r.class = feats, classes
 			return s.serve(r)
 		}
-	}, timeout)
+	}, 0)
 }
 
 // InferenceClient is a connection to an InferenceServer.Serve endpoint.
