@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"fedtrans/internal/experiments"
@@ -26,13 +27,9 @@ var registry = map[string]runner{
 	"fig1b":  func(s experiments.Scale) fmt.Stringer { return experiments.RunFigure1b(s, 5) },
 	"fig2":   func(s experiments.Scale) fmt.Stringer { return experiments.RunFigure2(s) },
 	"table1": func(s experiments.Scale) fmt.Stringer { return experiments.RunTable1(s) },
-	"table2": func(s experiments.Scale) fmt.Stringer { return experiments.RunTable2(s, nil) },
-	"fig6": func(s experiments.Scale) fmt.Stringer {
-		return stringerFunc(func() string { return experiments.RunTable2(s, nil).Figure6String() })
-	},
-	"fig7": func(s experiments.Scale) fmt.Stringer {
-		return stringerFunc(func() string { return experiments.RunTable2(s, nil).Figure7String() })
-	},
+	"table2": func(s experiments.Scale) fmt.Stringer { return table2(s) },
+	"fig6":   func(s experiments.Scale) fmt.Stringer { return stringerFunc(table2(s).Figure6String) },
+	"fig7":   func(s experiments.Scale) fmt.Stringer { return stringerFunc(table2(s).Figure7String) },
 	"fig8":   func(s experiments.Scale) fmt.Stringer { return experiments.RunFigure8(s) },
 	"fig9":   func(s experiments.Scale) fmt.Stringer { return experiments.RunFigure9(s) },
 	"table3": func(s experiments.Scale) fmt.Stringer { return experiments.RunTable3(s) },
@@ -50,6 +47,18 @@ var registry = map[string]runner{
 type stringerFunc func() string
 
 func (f stringerFunc) String() string { return f() }
+
+// table2Once holds Table 2, which table2, fig6 and fig7 all render: a
+// process runs at one scale, so it is computed once.
+var table2Once struct {
+	sync.Once
+	r experiments.Table2Result
+}
+
+func table2(s experiments.Scale) experiments.Table2Result {
+	table2Once.Do(func() { table2Once.r = experiments.RunTable2(s, nil) })
+	return table2Once.r
+}
 
 func main() {
 	exp := flag.String("exp", "", "experiment to run (or 'all')")

@@ -150,9 +150,9 @@ func TestTrainStepAllocationRegression(t *testing.T) {
 // round — top-up selection over the non-busy population, COW dispatch
 // snapshots, background training through par.TaskStream, arrival-ordered
 // staleness-discounted folding, and the virtual-clock advance — at
-// increasing commit budgets. Tracked by cmd/bench next to the
-// synchronous BenchmarkRoundLoop so the unified path's overhead over
-// sync stays visible round over round.
+// increasing commit budgets. Run it next to the synchronous
+// BenchmarkRoundLoop to see what the asynchronous policy costs over
+// sync on the one round engine.
 func BenchmarkAsyncRoundLoop(b *testing.B) {
 	for _, cpr := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("clients=%d", cpr), func(b *testing.B) {

@@ -236,8 +236,8 @@ func TestTransformedCloneCOW(t *testing.T) {
 	}
 }
 
-// BenchmarkClone tracks the cost of the round loop's per-client model
-// clone — O(headers) under COW (cmd/bench records it as op "Clone").
+// BenchmarkClone measures the cost of the round loop's per-client model
+// clone — O(headers) under COW.
 func BenchmarkClone(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	spec := Spec{Family: "dense", Input: []int{512}, Hidden: []int{512, 512}, Classes: 16}

@@ -92,8 +92,8 @@ func TestStalledPredictClientDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go ServeInferenceTimeout(ln, 4, func(rows [][]float64) ([]int, error) {
-		return make([]int, len(rows)), nil
+	go ServeInferenceRows(ln, 4, func() RowsFunc {
+		return widenRows(4, func(rows [][]float64) ([]int, error) { return make([]int, len(rows)), nil })
 	}, stallTimeout)
 
 	c, err := net.Dial("tcp", ln.Addr().String())
@@ -153,7 +153,7 @@ func TestStalledInferenceServerTimesOut(t *testing.T) {
 		select {}
 	}()
 
-	cl, err := DialInferenceTimeout(ln.Addr().String(), stallTimeout)
+	cl, err := dialInference(ln.Addr().String(), stallTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

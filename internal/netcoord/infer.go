@@ -32,37 +32,34 @@ const maxPredictRows = 1024
 // through predict until the listener closes. dim is the model's flat
 // feature dimension, advertised in the WELCOME frame so clients can
 // validate rows before they travel. Frame exchanges are bounded by
-// DefaultIOTimeout; use ServeInferenceTimeout to pick the deadline.
+// DefaultIOTimeout; ServeInferenceRows takes an explicit deadline.
 func ServeInference(ln net.Listener, dim int, predict PredictFunc) error {
-	return ServeInferenceTimeout(ln, dim, predict, DefaultIOTimeout)
+	return ServeInferenceRows(ln, dim, func() RowsFunc { return widenRows(dim, predict) }, DefaultIOTimeout)
 }
 
-// ServeInferenceTimeout is ServeInference with an explicit frame
-// deadline (see ServeInferenceRows, which it adapts to: each
-// connection widens its frames into reusable float64 rows).
-func ServeInferenceTimeout(ln net.Listener, dim int, predict PredictFunc, timeout time.Duration) error {
-	return ServeInferenceRows(ln, dim, func() RowsFunc {
-		var rows [][]float64
-		var vals []float64
-		var f32 []float32
-		return func(feats []byte, classes []int) error {
-			f32 = slices.Grow(f32[:0], len(feats)/4)[:len(feats)/4]
-			wire.F32s(f32, feats)
-			vals, rows = vals[:0], rows[:0]
-			for _, v := range f32 {
-				vals = append(vals, float64(v))
-			}
-			for i := range classes {
-				rows = append(rows, vals[i*dim:(i+1)*dim])
-			}
-			got, err := predict(rows)
-			if err == nil && len(got) != len(classes) {
-				err = fmt.Errorf("netcoord: predict returned %d classes for %d rows", len(got), len(classes))
-			}
-			copy(classes, got)
-			return err
+// widenRows adapts predict to one connection's frames: each frame is
+// widened into float64 rows the connection reuses.
+func widenRows(dim int, predict PredictFunc) RowsFunc {
+	var rows [][]float64
+	var vals []float64
+	var f32 []float32
+	return func(feats []byte, classes []int) error {
+		f32 = slices.Grow(f32[:0], len(feats)/4)[:len(feats)/4]
+		wire.F32s(f32, feats)
+		vals, rows = vals[:0], rows[:0]
+		for _, v := range f32 {
+			vals = append(vals, float64(v))
 		}
-	}, timeout)
+		for i := range classes {
+			rows = append(rows, vals[i*dim:(i+1)*dim])
+		}
+		got, err := predict(rows)
+		if err == nil && len(got) != len(classes) {
+			err = fmt.Errorf("netcoord: predict returned %d classes for %d rows", len(got), len(classes))
+		}
+		copy(classes, got)
+		return err
+	}
 }
 
 // ServeInferenceRows is the serving loop itself: newConn is called once
@@ -151,18 +148,16 @@ type InferClient struct {
 }
 
 // DialInference connects to a ServeInference endpoint and completes the
-// handshake. Frame exchanges are bounded by DefaultIOTimeout; use
-// DialInferenceTimeout to pick the deadline.
+// handshake. Every exchange (handshake and each PREDICT / PREDICTRES
+// round trip) is bounded by DefaultIOTimeout, so a stalled server
+// surfaces ErrIOTimeout instead of blocking the caller forever.
 func DialInference(addr string) (*InferClient, error) {
-	return DialInferenceTimeout(addr, DefaultIOTimeout)
+	return dialInference(addr, DefaultIOTimeout)
 }
 
-// DialInferenceTimeout is DialInference with an explicit frame
-// deadline applied to every exchange (handshake and each PREDICT /
-// PREDICTRES round trip), so a stalled server surfaces ErrIOTimeout
-// instead of blocking the caller forever. timeout 0 means
-// DefaultIOTimeout; negative disables deadlines.
-func DialInferenceTimeout(addr string, timeout time.Duration) (*InferClient, error) {
+// dialInference is DialInference with an explicit frame deadline:
+// timeout 0 means DefaultIOTimeout; negative disables deadlines.
+func dialInference(addr string, timeout time.Duration) (*InferClient, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netcoord: dial inference %s: %w", addr, err)

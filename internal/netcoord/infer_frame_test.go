@@ -85,7 +85,7 @@ func TestInferenceFrames(t *testing.T) {
 		expect(c, "PREDICT", inferFrames.predict)
 		c.Write(inferFrames.predictRes)
 	}()
-	cl, err := DialInferenceTimeout(ln.Addr().String(), 5*time.Second)
+	cl, err := dialInference(ln.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatalf("client refused the golden WELCOME: %v", err)
 	}

@@ -247,7 +247,7 @@ func TestServeInferenceBoundsHandshakes(t *testing.T) {
 		addr, stop := inferServer(t, 100*time.Millisecond) // HELLO deadline: 100 ms
 		defer stop()
 		dialSilent(t, addr, dials)
-		cl, err := DialInferenceTimeout(addr, 10*time.Second)
+		cl, err := dialInference(addr, 10*time.Second)
 		if err != nil {
 			t.Fatalf("dial behind %d silent dials: %v", dials, err)
 		}

@@ -8,12 +8,11 @@ import (
 	"fedtrans/internal/tensor"
 )
 
-// The attention benchmarks run the ViT-generality workload shape from
-// the perf trajectory (batch 8, 16 tokens, model dim 64, feed-forward
-// 128) — the configuration the BENCH_<n>.json acceptance numbers are
-// quoted at. Both passes must stay at 0 allocs/op: all scratch is
-// pooled workspace memory and the batched score/attention products
-// reuse the same views.
+// The attention benchmarks run one ViT-style cell (batch 8, 16 tokens,
+// model dim 64, feed-forward 128), the shape PERF.md's history quotes
+// attention numbers at. Both passes must stay at 0 allocs/op: all
+// scratch is pooled workspace memory and the per-head products work in
+// place on the projections.
 func benchAttentionHeads(b *testing.B, heads int) (*AttentionCell, *tensor.Tensor) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -28,10 +27,9 @@ func benchAttention(b *testing.B) (*AttentionCell, *tensor.Tensor) {
 	return benchAttentionHeads(b, 1)
 }
 
-// The forward benchmark sweeps the head count: heads=1 is the historical
-// single-head op (pure-view path), heads=4 adds the head-major
-// transposes around narrower score products — the tracked op for the
-// multi-head cost profile.
+// The forward benchmark sweeps the head count: heads=1 is the
+// single-head cell, heads=4 runs four times the (item, head) blocks over
+// narrower slices — the multi-head cost profile.
 func BenchmarkAttentionForward(b *testing.B) {
 	for _, heads := range []int{1, 4} {
 		b.Run(fmt.Sprintf("heads=%d", heads), func(b *testing.B) {

@@ -67,9 +67,9 @@ const serveFrameRows = 8
 // predictions per request, as the TCP frontend does) through the
 // InferenceServer: 16 clients per lane, so most frames queue and the
 // lane that frees coalesces them into one strided batch forward on the
-// register-tiled kernel. ns/op is per prediction; sustained
-// predictions/sec must beat the per-call Predict baseline by >= 2x at
-// 0 steady-state allocs/op — requests and lanes are pooled.
+// register-tiled kernel. ns/op is per prediction, at 0 steady-state
+// allocs/op (TestPredictServeAllocationRegression pins that): requests
+// and lanes are pooled.
 func BenchmarkPredictServe(b *testing.B) {
 	d := benchDeployed(b)
 	srv := NewInferenceServer(d, DefaultMaxBatch)
@@ -102,9 +102,10 @@ func BenchmarkPredictServe(b *testing.B) {
 }
 
 // TestPredictServeAllocationRegression pins the zero-allocation steady
-// state of the serving path: after the lanes' warm-up passes, a
-// prediction reuses its pooled request, the session input buffer, and
-// the forward workspaces end to end.
+// state of the serving path, for a single-row Predict and for a
+// serveFrameRows-row PredictBatchInto frame: after the lanes' warm-up
+// passes, a request reuses its pooled request, the session input
+// buffer, and the forward workspaces end to end.
 func TestPredictServeAllocationRegression(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clients = 12
@@ -126,20 +127,36 @@ func TestPredictServeAllocationRegression(t *testing.T) {
 	srv := NewInferenceServer(d, 8)
 	defer srv.Close()
 	f := benchFeatures(d.InputDim())
-	for i := 0; i < 16; i++ { // warm request pool, input buffer, workspaces
-		if _, err := srv.Predict(f); err != nil {
-			t.Fatal(err)
+	rows := make([][]float64, serveFrameRows)
+	for i := range rows {
+		rows[i] = f
+	}
+	class := make([]int, serveFrameRows)
+	forms := []struct {
+		name string
+		call func() error
+	}{
+		{"Predict", func() error { _, err := srv.Predict(f); return err }},
+		{"PredictBatchInto of an 8-row frame", func() error { return srv.PredictBatchInto(rows, class) }},
+	}
+	for _, form := range forms {
+		for i := 0; i < 16; i++ { // warm request pool, input buffer, workspaces
+			if err := form.call(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts; alloc counts are nondeterministic")
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := srv.Predict(f); err != nil {
-			t.Fatal(err)
+	for _, form := range forms {
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := form.call(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("steady-state served %s allocates %.1f times, want 0", form.name, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state served prediction allocates %.1f times, want 0", allocs)
 	}
 }
