@@ -2,22 +2,24 @@
 # Compares the benchmark at a base commit with the checkout's HEAD, on one
 # machine, in alternated pairs:
 #
-#   bash .github/bench-pairs.sh <base-commit> [pairs]
+#   bash .github/bench-pairs.sh <base-commit>
 #
 # Both sides are built once with benchmark/run.sh (the base in a git
 # worktree under .bench_build/) and run from this checkout's root, so they
-# share .bench_build/. Each of round_scale, split_async and serve_tcp (the
-# workloads whose A/A gaps are <= 3 %) runs `pairs` times a side (default
-# 5) at --seed 1, the side that goes first alternating. The script exits
-# non-zero if any end-to-end metric's median is worse than the base's by
-# more than that metric's bound in BENCHMARK.json, or if the change fails
-# more operations than the base. Needs git, go and jq.
+# share .bench_build/. Every workload in BENCHMARK.json runs 5 times a side
+# at --seed 1, the side that goes first alternating: each is the only speed
+# gate on some code (train_conv the GEMM and conv kernels, train_attn
+# attention, round_scale and split_async the coordinator, serve_tcp
+# serving). The script exits non-zero if any end-to-end metric's median is
+# worse than the base's by more than that metric's bound in BENCHMARK.json,
+# or if the change fails more operations than the base. Needs git, go and
+# jq.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-base=${1:?usage: bench-pairs.sh <base-commit> [pairs]}
-pairs=${2:-5}
-workloads=(round_scale split_async serve_tcp)
+(($# == 1)) || { echo "usage: bench-pairs.sh <base-commit>" >&2; exit 2; }
+base=$1
+pairs=5
 
 out=.bench_build/pairs
 tree=$out/base
@@ -26,6 +28,15 @@ mkdir -p "$out"
 git worktree prune
 git worktree add --detach -q "$tree" "$base"
 trap 'git worktree remove --force "$tree"' EXIT
+
+# The workloads both sides' BENCHMARK.json declare; one the base lacks is
+# only named.
+known() {
+	jq -rn --slurpfile h BENCHMARK.json --slurpfile b "$tree/BENCHMARK.json" --argjson in "$1" '
+		$h[0].workloads[].name | select(IN($b[0].workloads[].name) == $in)'
+}
+mapfile -t workloads < <(known true)
+known false | sed 's/$/\tnew workload, not compared/'
 
 # --smoke builds each side's end-to-end binary and runs it for a second.
 (cd "$tree" && bash benchmark/run.sh --workload round_scale --smoke >/dev/null)
@@ -44,21 +55,33 @@ done
 
 # One line per (workload, metric): base and head medians, the change in
 # per cent (positive is worse), the bound, and a verdict; then the failed
-# operations of each side.
+# operations of each side. A rise from a base median of 0 is infinitely
+# worse; a metric the base does not emit is reported "new" and not judged,
+# one the change stops emitting is WORSE.
 status=0
 for w in "${workloads[@]}"; do
 	jq -nr --arg w "$w" --slurpfile spec BENCHMARK.json \
 		--slurpfile base "$out/$w.base" --slurpfile head "$out/$w.head" '
 		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
 			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-		def r3: . * 1000 | round / 1000;
+		def med($name): map(.metrics[$name].value) | if any(. == null) then null else median end;
+		def fmt: if . == null then "" else . * 1000 | round / 1000 end;
+		def pct: if . == infinite then "+inf" elif . == -infinite then "-inf"
+			else 100 * . | fmt + 0 | tostring end + "%";
 		($spec[0].end_to_end[] as $m
-			| ($base | map(.metrics[$m.name].value) | median) as $b
-			| ($head | map(.metrics[$m.name].value) | median) as $h
-			| (if $b == 0 then 0 else ($h / $b - 1) * (if $m.better == "lower" then 1 else -1 end) end) as $worse
-			| [$w, $m.name, ($b | r3), ($h | r3), (100 * $worse | r3 + 0 | tostring) + "%",
-				"bound " + (100 * $m.bound | tostring) + "%",
-				if $worse > $m.bound then "WORSE" else "ok" end]),
+			| ($base | med($m.name)) as $b
+			| ($head | med($m.name)) as $h
+			| (if $m.better == "lower" then 1 else -1 end) as $sign
+			| [$w, $m.name, ($b | fmt), ($h | fmt)] + (
+				if $h == null and $b != null then ["missing", "", "WORSE"]
+				elif $b == null then ["new", "", "ok"]
+				else (if $b != 0 then ($h / $b - 1) * $sign
+					elif $h == 0 then 0
+					elif $h * $sign > 0 then infinite
+					else -infinite end) as $worse
+					| [($worse | pct), "bound " + (100 * $m.bound | tostring) + "%",
+						if $worse > $m.bound then "WORSE" else "ok" end]
+				end)),
 		([$base, $head] | map(map(.failed) | add) as [$fb, $fh]
 			| [$w, "failed", $fb, $fh, "", "", if $fh > $fb then "WORSE" else "ok" end])
 		| @tsv' >"$out/$w.report"
