@@ -44,7 +44,19 @@ func main() {
 		sort.Float64s(accs)
 		q := len(accs) / 4
 		lo, hi := accs[:q], accs[len(accs)-q:]
-		fmt.Printf("bottom-quartile mean accuracy: %.1f%%\n", fedtrans.Mean(lo)*100)
-		fmt.Printf("top-quartile mean accuracy   : %.1f%%\n\n", fedtrans.Mean(hi)*100)
+		fmt.Printf("bottom-quartile mean accuracy: %.1f%%\n", mean(lo)*100)
+		fmt.Printf("top-quartile mean accuracy   : %.1f%%\n\n", mean(hi)*100)
 	}
+}
+
+// mean is the arithmetic mean of xs, 0 when it is empty.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }

@@ -4,8 +4,8 @@
 // and resident state depend only on the active participants — not on the
 // population size. Aggregation is sharded across four edge aggregators;
 // the result is bit-identical to a single-tier, fully materialized run
-// with the same seed (fedtrans.MassiveOptions scales the same profile to
-// one million clients).
+// with the same seed. Raising Population to one million scales the same
+// profile to the paper's production population size.
 //
 // Run with:
 //

@@ -25,7 +25,6 @@ import (
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
-	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/netcoord"
 	"fedtrans/internal/selection"
@@ -49,8 +48,7 @@ type Options struct {
 	// session setup cost and resident state are independent of the
 	// population size — O(active clients), not O(Population). Results are
 	// bit-identical to a materialized run with Clients = Population,
-	// which opens the 10⁶-client workload class (see ScaleOptions /
-	// MassiveOptions).
+	// which opens the 10⁶-client workload class (see ScaleOptions).
 	Population int
 	// EdgeAggregators ≥ 2 enables hierarchical two-tier aggregation: that
 	// many edge aggregators each own a disjoint slice of every model's
@@ -200,20 +198,6 @@ func ScaleOptions() Options {
 	o.Rounds = 10
 	o.LocalSteps = 2
 	o.BatchSize = 8
-	return o
-}
-
-// MassiveOptions is the extended scale profile at production population
-// size: one million generative clients (nothing materialized until a
-// client is sampled) behind four edge aggregators. With EvalSample unset
-// every evaluation pass visits every client, so full runs are long; set
-// EvalSample to evaluate a fixed seeded panel instead, or lower
-// Population for CI-sized experiments.
-func MassiveOptions() Options {
-	o := ScaleOptions()
-	o.Population = 1_000_000
-	o.EdgeAggregators = 4
-	o.Rounds = 5
 	return o
 }
 
@@ -607,6 +591,3 @@ func Run(opts Options) (Summary, error) {
 	}
 	return s.Run(), nil
 }
-
-// Mean is re-exported for example programs that aggregate accuracies.
-func Mean(values []float64) float64 { return metrics.Mean(values) }

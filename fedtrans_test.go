@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fedtrans/internal/codec"
+	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
 )
@@ -286,12 +287,6 @@ func TestRunWithChaosAndQuorum(t *testing.T) {
 	}
 }
 
-func TestMeanHelper(t *testing.T) {
-	if Mean([]float64{1, 3}) != 2 {
-		t.Error("Mean helper wrong")
-	}
-}
-
 func TestRunWithDropoutAndGuidedSelection(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clients = 14
@@ -367,8 +362,8 @@ func TestPersonalizedPass(t *testing.T) {
 	if len(pers) != opts.Clients {
 		t.Fatalf("personalized accs = %d", len(pers))
 	}
-	if Mean(pers) < sum.MeanAccuracy-0.1 {
-		t.Errorf("personalization hurt badly: %.3f vs %.3f", Mean(pers), sum.MeanAccuracy)
+	if metrics.Mean(pers) < sum.MeanAccuracy-0.1 {
+		t.Errorf("personalization hurt badly: %.3f vs %.3f", metrics.Mean(pers), sum.MeanAccuracy)
 	}
 }
 

@@ -3,18 +3,13 @@ package fedtrans
 import "testing"
 
 // TestPopulationValidates pins option plumbing: Population overrides
-// Clients (so ClientsPerRound validates against it), and MassiveOptions
-// carries the extended scale profile.
+// Clients, so ClientsPerRound validates against it.
 func TestPopulationValidates(t *testing.T) {
 	opts := ScaleOptions()
 	opts.Population = 30
 	opts.ClientsPerRound = 40
 	if _, err := NewSession(opts); err == nil {
 		t.Error("ClientsPerRound > Population must fail validation")
-	}
-	m := MassiveOptions()
-	if m.Population != 1_000_000 || m.EdgeAggregators < 2 || m.Profile != "scale" {
-		t.Errorf("MassiveOptions = %+v", m)
 	}
 }
 

@@ -15,13 +15,26 @@ import (
 // Forward and Backward lower the convolution onto the shared GEMM
 // kernels via im2col/col2im: each batch item's receptive fields are
 // unrolled into a transposed (outH·outW × inCh·k·k) column matrix — one
-// row per output position — so the forward pass is one matrix product
-// per item and the backward pass is two (weight gradient and column
-// gradient), with col2im scattering the column gradient back to input
-// coordinates. The transposed layout makes the forward product
-// contiguous dot products and lets both backward products stream the
-// (ReLU-masked, hence sparse) gradient as the axpy scalar. The column
-// matrix is built once per Forward and reused by Backward.
+// row per output position — so the forward pass is one A@Bᵀ product per
+// item (contiguous dot products against the weights) and the backward
+// pass is two: the weight gradient gB@col (A@B) and the column gradient
+// gBᵀ@W (Aᵀ@B), with col2im scattering the latter back to input
+// coordinates. Both backward products take the ReLU-masked gradient gB
+// as A and skip each quad of four gradient values that are all ±0 —
+// except in the weight-gradient product's 4-row tiles (rows below
+// outCh&^3, columns below ck&^7), which at the avx2 and avx512 tiers
+// skip nothing (gemm.go's header has the contract). The column matrix is
+// built once per Forward and reused by Backward.
+//
+// The plumbing around the products changes no float operation from tier
+// to tier. Per element, im2col is a copy; the bias+ReLU epilogue is one
+// add (pre-activation first) and a select; the ReLU mask is a select;
+// col2im, the bias-gradient sums and the pooling sums (rowSums) are one
+// ascending sum per element or channel. At the avx512 tier im2col,
+// col2im, the copies in and out of the plane, the pooling backward's
+// broadcast and the two ReLU kernels run as conv_amd64.s calls in
+// internal/tensor, held bit for bit to their Go bodies; rowSums runs
+// four channels per pass, each still summed in order.
 //
 // Both im2col and col2im work on a zero-bordered copy of the item —
 // (inCh, h+2·pad, w+2·pad), pad = k/2 — in which every receptive field
@@ -97,9 +110,7 @@ func (c *Conv2DCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	oh, ow := c.outSize(h), c.outSize(w)
 	ck, cn := inCh*k*k, oh*ow
 	// The column matrix is stored transposed — (cn × ck), one row per
-	// output position — so the forward product is contiguous dot
-	// products and both backward products stream the gradient as the
-	// axpy scalar (zero entries from the ReLU mask are skipped).
+	// output position; see the type comment.
 	col := c.ws.Ensure(&c.col, batch, cn, ck)
 	out := c.ws.Ensure(&c.out, batch, outCh, oh, ow)
 	res := out
@@ -114,8 +125,8 @@ func (c *Conv2DCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	plane := c.ws.EnsureZero(&c.plane, inCh, ph, pw)
 	for b := 0; b < batch; b++ {
 		colB := setView(&c.colView, col.Data[b*ck*cn:(b+1)*ck*cn], cn, ck)
-		copyInterior(plane.Data, x.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, pad, true)
-		im2col(colB.Data, plane.Data, inCh, ph, pw, k, c.Stride, oh, ow)
+		tensor.CopyInterior(plane.Data, x.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, pad, true)
+		tensor.Im2col(colB.Data, plane.Data, inCh, ph, pw, k, c.Stride, oh, ow)
 		lo, hi := b*outCh*cn, (b+1)*outCh*cn
 		outB := setView(&c.outView, out.Data[lo:hi], outCh, cn)
 		tensor.MatMulTransBInto(outB, wView, colB)
@@ -128,98 +139,6 @@ func (c *Conv2DCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.x = x
 	c.pre = out
 	return res
-}
-
-// copyInterior moves one item's (inCh, h, w) planes between their plain
-// layout and the interior of the zero-bordered layout (inCh, h+2·pad,
-// w+2·pad): into the padded planes when in is set, out of them
-// otherwise. The border is not touched.
-func copyInterior(padded, plain []tensor.Float, inCh, h, w, pad int, in bool) {
-	ph, pw := h+2*pad, w+2*pad
-	for ic := 0; ic < inCh; ic++ {
-		for y := 0; y < h; y++ {
-			p := padded[(ic*ph+y+pad)*pw+pad:][:w]
-			q := plain[(ic*h+y)*w:][:w]
-			if in {
-				copy(p, q)
-			} else {
-				copy(q, p)
-			}
-		}
-	}
-}
-
-// im2col unrolls one item's receptive fields, read from its
-// zero-bordered planes src (inCh, ph, pw), into dst laid out transposed —
-// (oh·ow) rows of (inCh·k·k) taps, one row per output position. Output
-// position (oy, ox) reads the k×k window whose corner is (oy·s, ox·s) in
-// padded coordinates; the last one ends at (oh−1)·s+k ≤ h+2·pad because
-// oh = ⌈h/s⌉, so no window leaves the plane and none is special.
-func im2col(dst, src []tensor.Float, inCh, ph, pw, k, s, oh, ow int) {
-	kk, pp := k*k, ph*pw
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			drow := dst[(oy*ow+ox)*inCh*kk:][:inCh*kk]
-			win := src[oy*s*pw+ox*s:]
-			if k == 3 {
-				for ic := 0; ic < inCh; ic++ {
-					p := win[ic*pp:]
-					s0, s1, s2 := p[:3], p[pw:pw+3], p[2*pw:2*pw+3]
-					d := drow[ic*9:][:9]
-					d[0], d[1], d[2] = s0[0], s0[1], s0[2]
-					d[3], d[4], d[5] = s1[0], s1[1], s1[2]
-					d[6], d[7], d[8] = s2[0], s2[1], s2[2]
-				}
-				continue
-			}
-			for ic := 0; ic < inCh; ic++ {
-				for ky := 0; ky < k; ky++ {
-					copy(drow[ic*kk+ky*k:][:k], win[ic*pp+ky*pw:])
-				}
-			}
-		}
-	}
-}
-
-// col2im scatter-adds a transposed column-gradient matrix (oh·ow ×
-// inCh·k·k) into one item's zero-bordered gradient planes dst, which the
-// caller has zeroed — the adjoint of im2col, window for window. Taps
-// that fell on padding land in the border and are dropped with it; every
-// interior element receives its additions in ascending output-position
-// order.
-func col2im(dst, src []tensor.Float, inCh, ph, pw, k, s, oh, ow int) {
-	kk, pp := k*k, ph*pw
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			srow := src[(oy*ow+ox)*inCh*kk:][:inCh*kk]
-			win := dst[oy*s*pw+ox*s:]
-			if k == 3 {
-				for ic := 0; ic < inCh; ic++ {
-					p := win[ic*pp:]
-					d0, d1, d2 := p[:3], p[pw:pw+3], p[2*pw:2*pw+3]
-					v := srow[ic*9:][:9]
-					d0[0] += v[0]
-					d0[1] += v[1]
-					d0[2] += v[2]
-					d1[0] += v[3]
-					d1[1] += v[4]
-					d1[2] += v[5]
-					d2[0] += v[6]
-					d2[1] += v[7]
-					d2[2] += v[8]
-				}
-				continue
-			}
-			for ic := 0; ic < inCh; ic++ {
-				for ky := 0; ky < k; ky++ {
-					drow := win[ic*pp+ky*pw:][:k]
-					for i, v := range srow[ic*kk+ky*k:][:k] {
-						drow[i] += v
-					}
-				}
-			}
-		}
-	}
 }
 
 // NaiveForward is the original 7-deep loop-nest convolution, kept as the
@@ -295,8 +214,9 @@ func (c *Conv2DCell) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.bac
 func (c *Conv2DCell) BackwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
 
 // backward reuses the column matrix built by the matching Forward call:
-// the weight gradient is one GEMM per batch item against the cached
-// columns, and the input gradient — when asked for — is one GEMM into a
+// the bias gradient is each channel's ascending sum of gB, the weight
+// gradient is one GEMM per batch item against the cached columns, and
+// the input gradient — when asked for — is one GEMM into a
 // column-gradient scratch followed by a col2im scatter. The GW product
 // runs through a view of GW's buffer, which bypasses COW tracking, so
 // grads are materialized (never shared) up front.
@@ -324,16 +244,7 @@ func (c *Conv2DCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Tenso
 	gwView := setView(&c.gwView, c.GW.Data, outCh, ck)
 	for b := 0; b < batch; b++ {
 		gB := setView(&c.gView, g.Data[b*outCh*cn:(b+1)*outCh*cn], outCh, cn)
-		for oc := 0; oc < outCh; oc++ {
-			row := gB.Data[oc*cn : (oc+1)*cn]
-			var s tensor.Float
-			for _, v := range row {
-				s += v
-			}
-			c.GB.Data[oc] += s
-		}
-		// Both products stream gB as the axpy scalar, so ReLU-masked
-		// zero gradients cost nothing.
+		rowSums(c.GB.Data, gB.Data, cn, 1, true)
 		colB := setView(&c.colView, c.col.Data[b*ck*cn:(b+1)*ck*cn], cn, ck)
 		tensor.MatMulAccInto(gwView, gB, colB)
 		if !needInput {
@@ -341,8 +252,8 @@ func (c *Conv2DCell) backward(grad *tensor.Tensor, needInput bool) *tensor.Tenso
 		}
 		tensor.MatMulTransAInto(dcol, gB, wView)
 		plane.Zero()
-		col2im(plane.Data, dcol.Data, inCh, ph, pw, k, c.Stride, oh, ow)
-		copyInterior(plane.Data, gin.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, pad, false)
+		tensor.Col2im(plane.Data, dcol.Data, inCh, ph, pw, k, c.Stride, oh, ow)
+		tensor.CopyInterior(plane.Data, gin.Data[b*inCh*h*w:(b+1)*inCh*h*w], inCh, h, w, pad, false)
 	}
 	return gin
 }
@@ -548,17 +459,7 @@ func (c *GlobalAvgPoolCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	batch, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	c.inShape = append(c.inShape[:0], x.Shape...)
 	out := c.ws.Ensure(&c.out, batch, ch)
-	inv := tensor.Float(1.0 / float64(h*w))
-	for b := 0; b < batch; b++ {
-		for cc := 0; cc < ch; cc++ {
-			base := ((b*ch + cc) * h) * w
-			var s tensor.Float
-			for i := 0; i < h*w; i++ {
-				s += x.Data[base+i]
-			}
-			out.Data[b*ch+cc] = s * inv
-		}
-	}
+	rowSums(out.Data, x.Data, h*w, tensor.Float(1.0/float64(h*w)), false)
 	return out
 }
 
@@ -566,16 +467,7 @@ func (c *GlobalAvgPoolCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (c *GlobalAvgPoolCell) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch, ch, h, w := c.inShape[0], c.inShape[1], c.inShape[2], c.inShape[3]
 	gin := c.ws.Ensure(&c.gin, batch, ch, h, w)
-	inv := tensor.Float(1.0 / float64(h*w))
-	for b := 0; b < batch; b++ {
-		for cc := 0; cc < ch; cc++ {
-			gv := grad.Data[b*ch+cc] * inv
-			base := ((b*ch + cc) * h) * w
-			for i := 0; i < h*w; i++ {
-				gin.Data[base+i] = gv
-			}
-		}
-	}
+	tensor.FillRows(gin.Data, grad.Data[:batch*ch], h*w, tensor.Float(1.0/float64(h*w)))
 	return gin
 }
 
@@ -596,3 +488,43 @@ func (c *GlobalAvgPoolCell) MACsPerSample() float64 { return 0 }
 
 // WidthTransparent implements the WidthTransparent marker.
 func (c *GlobalAvgPoolCell) WidthTransparent() {}
+
+// rowSums reduces each of the len(dst) rows of n elements in m to its
+// sum, added in ascending order, times scale: dst[r] = s·scale, or
+// dst[r] += s·scale when acc is set (scale 1 leaves s as it is). Four
+// rows share a pass, so their four dependent chains of additions
+// overlap; no row's order changes.
+func rowSums(dst, m []tensor.Float, n int, scale tensor.Float, acc bool) {
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		x0 := m[r*n:][:n]
+		x1, x2, x3 := m[(r+1)*n:][:n], m[(r+2)*n:][:n], m[(r+3)*n:][:n]
+		var s0, s1, s2, s3 tensor.Float
+		for i := range x0 {
+			s0 += x0[i]
+			s1 += x1[i]
+			s2 += x2[i]
+			s3 += x3[i]
+		}
+		d := (*[4]tensor.Float)(dst[r:])
+		if acc {
+			d[0] += s0 * scale
+			d[1] += s1 * scale
+			d[2] += s2 * scale
+			d[3] += s3 * scale
+		} else {
+			d[0], d[1], d[2], d[3] = s0*scale, s1*scale, s2*scale, s3*scale
+		}
+	}
+	for ; r < len(dst); r++ {
+		var s tensor.Float
+		for _, v := range m[r*n:][:n] {
+			s += v
+		}
+		if acc {
+			dst[r] += s * scale
+		} else {
+			dst[r] = s * scale
+		}
+	}
+}

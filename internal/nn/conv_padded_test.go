@@ -159,11 +159,23 @@ func wantSameBits(t *testing.T, what string, got, want []tensor.Float) {
 	}
 }
 
+// eachTier runs fn at every kernel tier the host supports, named by it.
+func eachTier(t *testing.T, fn func(t *testing.T)) {
+	orig := tensor.CurrentSIMDLevel()
+	defer tensor.SetSIMDLevel(orig)
+	for level := tensor.SIMDGeneric; level <= tensor.SIMDSupported(); level++ {
+		tensor.SetSIMDLevel(level)
+		t.Run(level.String(), fn)
+	}
+}
+
 // TestPaddedIm2colBitIdenticalToBranchy sweeps kernel, stride, channel
 // count and every spatial size 1…9 (square and rectangular, so planes
 // smaller than the kernel and strides that skip the last column are in)
-// through both directions.
-func TestPaddedIm2colBitIdenticalToBranchy(t *testing.T) {
+// through both directions, at every host tier.
+func TestPaddedIm2colBitIdenticalToBranchy(t *testing.T) { eachTier(t, testPaddedIm2col) }
+
+func testPaddedIm2col(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	nan := tensor.Float(math.NaN())
 	for _, k := range []int{1, 3, 5} {
@@ -181,12 +193,12 @@ func TestPaddedIm2colBitIdenticalToBranchy(t *testing.T) {
 						want := make([]tensor.Float, cn*ck)
 						c.im2colT(want, x, inCh, h, w, oh, ow)
 						plane := make([]tensor.Float, inCh*ph*pw)
-						copyInterior(plane, x, inCh, h, w, pad, true)
+						tensor.CopyInterior(plane, x, inCh, h, w, pad, true)
 						got := make([]tensor.Float, cn*ck)
 						for i := range got {
 							got[i] = nan // every tap must be written
 						}
-						im2col(got, plane, inCh, ph, pw, k, stride, oh, ow)
+						tensor.Im2col(got, plane, inCh, ph, pw, k, stride, oh, ow)
 						wantSameBits(t, name+" im2col", got, want)
 
 						dcol := randSigned(rng, cn*ck)
@@ -195,12 +207,12 @@ func TestPaddedIm2colBitIdenticalToBranchy(t *testing.T) {
 						for i := range plane {
 							plane[i] = 0
 						}
-						col2im(plane, dcol, inCh, ph, pw, k, stride, oh, ow)
+						tensor.Col2im(plane, dcol, inCh, ph, pw, k, stride, oh, ow)
 						gotG := make([]tensor.Float, inCh*h*w)
 						for i := range gotG {
 							gotG[i] = nan
 						}
-						copyInterior(plane, gotG, inCh, h, w, pad, false)
+						tensor.CopyInterior(plane, gotG, inCh, h, w, pad, false)
 						wantSameBits(t, name+" col2im", gotG, wantG)
 					}
 				}
@@ -227,8 +239,11 @@ func poison(c *Conv2DCell) {
 // TestPaddedPlaneSurvivesDirtyPool runs a cell whose scratch comes back
 // full of NaN — from the pool after a larger workspace was released,
 // and from its own slots when the geometry shrinks — against the
-// oracle: the border is zeroed on every use, not once.
-func TestPaddedPlaneSurvivesDirtyPool(t *testing.T) {
+// oracle, at every host tier: the border is zeroed on every use, not
+// once.
+func TestPaddedPlaneSurvivesDirtyPool(t *testing.T) { eachTier(t, testDirtyPool) }
+
+func testDirtyPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
 	// Several dirty buffers per size class, so the small cell below draws
 	// poisoned memory whichever of its slots asks first.
@@ -273,4 +288,33 @@ func TestPaddedPlaneSurvivesDirtyPool(t *testing.T) {
 	check(2, 5, 7) // smaller geometry inside the cell's own dirty slots
 	poison(c)
 	check(3, 8, 8)
+}
+
+// BenchmarkIm2col times one item's im2col and col2im at the workload's
+// two conv shapes (3×3, stride 1, 8×8 planes, 3 and 12 input channels)
+// beside a contiguous copy of the same number of floats — the host's
+// memory-roof reference — and reports each as ns per column-matrix
+// float.
+func BenchmarkIm2col(b *testing.B) {
+	const k, s, h, w = 3, 1, 8, 8
+	for _, inCh := range []int{3, 12} {
+		pad := k / 2
+		ph, pw := h+2*pad, w+2*pad
+		ck, cn := inCh*k*k, h*w
+		rng := rand.New(rand.NewSource(int64(inCh)))
+		plane, col := randSigned(rng, inCh*ph*pw), randSigned(rng, cn*ck)
+		floats := float64(cn * ck)
+		run := func(name string, fn func()) {
+			b.Run(fmt.Sprintf("%s/inCh%d", name, inCh), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/floats, "ns/float")
+			})
+		}
+		dst := make([]tensor.Float, cn*ck)
+		run("im2col", func() { tensor.Im2col(dst, plane, inCh, ph, pw, k, s, h, w) })
+		run("col2im", func() { tensor.Col2im(plane, col, inCh, ph, pw, k, s, h, w) })
+		run("copy", func() { copy(dst, col) })
+	}
 }

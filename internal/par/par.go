@@ -9,13 +9,42 @@
 // grid cell whose runtime parallelizes local training) share a single
 // concurrency budget instead of multiplying — and can never deadlock:
 // when no tokens are available the work simply runs inline.
+//
+// A panic in a task is never left on a goroutine nobody can recover: the
+// first one a fan-out's worker raises is re-raised, with the worker's
+// stack, on the goroutine that called ForN, Chunked or StreamErr, or
+// that waits the task (TaskStream.Wait).
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// workerPanic is what a re-raised task panic carries: the value the task
+// panicked with and the stack of the goroutine that ran it.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("par: task panicked: %v\n\n%s", p.value, p.stack)
+}
+
+// catch runs fn and returns the panic it raised, or nil.
+func catch(fn func()) (p *workerPanic) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = &workerPanic{r, debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
 
 // tokens bounds the number of extra worker goroutines alive across all
 // concurrent ForN/Chunked calls in the process.
@@ -49,6 +78,7 @@ func ForN(n int, fn func(i int)) {
 		return
 	}
 	var idx atomic.Int64
+	var first atomic.Pointer[workerPanic]
 	work := func() {
 		for {
 			i := int(idx.Add(1)) - 1
@@ -68,7 +98,7 @@ func ForN(n int, fn func(i int)) {
 					<-tokens
 					wg.Done()
 				}()
-				work()
+				first.CompareAndSwap(nil, catch(work))
 			}()
 		default:
 			g = w // budget exhausted; remaining work runs inline
@@ -76,6 +106,9 @@ func ForN(n int, fn func(i int)) {
 	}
 	work()
 	wg.Wait()
+	if p := first.Load(); p != nil {
+		panic(p)
+	}
 }
 
 // StreamErr runs produce(i) for every i in [0, n) on a TaskStream of the
@@ -94,6 +127,9 @@ func ForN(n int, fn func(i int)) {
 // already running finish, and the error is returned; callers owning
 // per-index resources must tolerate both produced-but-unconsumed and
 // never-produced indices after it.
+//
+// A panic in produce(i) is re-raised by the Wait for index i, on the
+// caller; like an error, it withdraws every later index first.
 func StreamErr(n, window int, produce func(i int), consume func(i int) error) error {
 	s := NewTaskStream(max(window, 1))
 	tasks := make([]Task, max(n, 0))
@@ -101,14 +137,17 @@ func StreamErr(n, window int, produce func(i int), consume func(i int) error) er
 		tasks[i].Fn = func() { produce(i) }
 		s.Submit(&tasks[i])
 	}
-	for i := range tasks {
+	i := 0
+	defer func() {
+		// Withdraw from the back: a window slot freed here can then only
+		// go to the oldest index left, never past the window.
+		for j := n - 1; j > i; j-- {
+			s.Drop(&tasks[j])
+		}
+	}()
+	for ; i < n; i++ {
 		s.Wait(&tasks[i])
 		if err := consume(i); err != nil {
-			// Withdraw from the back: a window slot freed here can then
-			// only go to the oldest index left, never past the window.
-			for j := n - 1; j > i; j-- {
-				s.Drop(&tasks[j])
-			}
 			return err
 		}
 	}
@@ -129,6 +168,7 @@ const (
 type Task struct {
 	Fn    func()
 	state int
+	panic *workerPanic // what Fn raised, until the task is consumed
 }
 
 // TaskStream is the completion stream: tasks are submitted in order, run
@@ -224,9 +264,9 @@ func (s *TaskStream) run(t *Task) {
 	t.state = taskRunning
 	s.out++
 	s.mu.Unlock()
-	t.Fn()
+	p := catch(t.Fn)
 	s.mu.Lock()
-	t.state = taskDone
+	t.state, t.panic = taskDone, p
 	s.cond.Broadcast()
 }
 
@@ -247,11 +287,14 @@ func (s *TaskStream) worker() {
 // Wait ensures t's Fn has run and consumes t: a still-queued task runs
 // inline on the caller, a running task is awaited, a finished task
 // returns at once. After Wait returns, all of Fn's writes are visible to
-// the caller. Waiting a consumed task again is a no-op.
+// the caller. If Fn panicked, on whichever goroutine ran it, Wait
+// re-raises that panic with the goroutine's stack. Waiting a consumed
+// task again is a no-op.
 func (s *TaskStream) Wait(t *Task) { s.consume(t, true) }
 
 // Drop consumes t without its result: a still-queued task is withdrawn
-// and never runs, a running one is awaited.
+// and never runs, a running one is awaited, and a panic of its Fn is
+// discarded.
 func (s *TaskStream) Drop(t *Task) { s.consume(t, false) }
 
 func (s *TaskStream) consume(t *Task, run bool) {
@@ -276,10 +319,15 @@ func (s *TaskStream) consume(t *Task, run bool) {
 		}
 	}
 	t.state = taskIdle
-	if run {
-		s.held = true
-	} else {
+	p := t.panic
+	t.panic = nil
+	if !run {
 		s.out--
+		return
+	}
+	s.held = true
+	if p != nil {
+		panic(p)
 	}
 }
 
@@ -297,6 +345,7 @@ func Chunked(n int, fn func(lo, hi int)) {
 	}
 	base, rem := n/w, n%w
 	var wg sync.WaitGroup
+	var first atomic.Pointer[workerPanic]
 	lo := 0
 	for g := 0; g < w; g++ {
 		sz := base
@@ -316,7 +365,7 @@ func Chunked(n int, fn func(lo, hi int)) {
 					<-tokens
 					wg.Done()
 				}()
-				fn(lo, hi)
+				first.CompareAndSwap(nil, catch(func() { fn(lo, hi) }))
 			}(lo, hi)
 		default:
 			fn(lo, hi)
@@ -324,4 +373,7 @@ func Chunked(n int, fn func(lo, hi int)) {
 		lo = hi
 	}
 	wg.Wait()
+	if p := first.Load(); p != nil {
+		panic(p)
+	}
 }

@@ -1,8 +1,11 @@
 package par
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -487,4 +490,127 @@ func TestTaskStreamDropWithdrawsQueued(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recoverWorkerPanic runs fn, which must panic with a re-raised task
+// panic, and checks that it carries the task's value and the stack of
+// the goroutine the task ran on (where frame names the task's function).
+func recoverWorkerPanic(t *testing.T, what, frame string, fn func()) {
+	t.Helper()
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		fn()
+	}()
+	p, ok := r.(*workerPanic)
+	if !ok {
+		t.Fatalf("%s: recovered %#v, want a re-raised *workerPanic", what, r)
+	}
+	if p.value != "boom" {
+		t.Fatalf("%s: panic value %v, want boom", what, p.value)
+	}
+	if msg := p.Error(); !strings.Contains(msg, "boom") || !strings.Contains(msg, frame) {
+		t.Fatalf("%s: message does not carry the value and the task's frame %q:\n%s", what, frame, msg)
+	}
+}
+
+// onCaller reports whether the running goroutine is the test's own: only
+// its stack holds the test function's frame (a task's closures are
+// named test.funcN).
+func onCaller(test string) bool { return bytes.Contains(debug.Stack(), []byte(test+"(")) }
+
+// tokensFree waits until every background worker of an earlier test has
+// returned its token: one that exits late would make the next fan-out
+// run inline.
+func tokensFree(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(tokens) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers still hold tokens", len(tokens))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestForNReraisesWorkerPanic(t *testing.T) {
+	tokensFree(t)
+	withGOMAXPROCS(2, func() {
+		workerRan := make(chan struct{})
+		recoverWorkerPanic(t, "ForN", "TestForNReraisesWorkerPanic.func", func() {
+			ForN(2, func(i int) {
+				if !onCaller("par.TestForNReraisesWorkerPanic") {
+					close(workerRan)
+					panic("boom")
+				}
+				select { // the caller's index waits for the worker's
+				case <-workerRan:
+				case <-time.After(10 * time.Second):
+					t.Error("no worker ran the other index")
+				}
+			})
+		})
+	})
+}
+
+func TestChunkedReraisesWorkerPanic(t *testing.T) {
+	tokensFree(t)
+	withGOMAXPROCS(2, func() {
+		recoverWorkerPanic(t, "Chunked", "TestChunkedReraisesWorkerPanic.func", func() {
+			Chunked(2, func(lo, hi int) {
+				if lo == 0 { // the first chunk goes to a worker
+					if onCaller("par.TestChunkedReraisesWorkerPanic") {
+						t.Error("the first chunk ran on the caller")
+					}
+					panic("boom")
+				}
+			})
+		})
+	})
+}
+
+func TestStreamErrReraisesWorkerPanic(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(procs, func() {
+			var consumed []int
+			var produced atomic.Int32
+			recoverWorkerPanic(t, "StreamErr", "TestStreamErrReraisesWorkerPanic.func", func() {
+				StreamErr(40, 4, func(i int) {
+					produced.Add(1)
+					if i == 3 {
+						panic("boom")
+					}
+				}, func(i int) error {
+					consumed = append(consumed, i)
+					return nil
+				})
+			})
+			if len(consumed) != 3 {
+				t.Fatalf("procs %d: consumed %v, want 0 1 2", procs, consumed)
+			}
+			if n := produced.Load(); n > 3+1+4 {
+				t.Fatalf("procs %d: %d indices produced past a window of 4 after the panic", procs, n)
+			}
+			// Every worker returns its token: the later indices were
+			// withdrawn, not left queued behind a consumer that is gone.
+			tokensFree(t)
+		})
+	}
+}
+
+func TestTaskStreamWaitReraisesWorkerPanic(t *testing.T) {
+	withGOMAXPROCS(4, func() {
+		s := NewTaskStream(4)
+		started := make(chan struct{})
+		bad := s.Go(func() {
+			close(started)
+			panic("boom")
+		})
+		<-started // running on a worker, not inline at Wait
+		ok := s.Go(func() {})
+		recoverWorkerPanic(t, "Wait", "TestTaskStreamWaitReraisesWorkerPanic.func", func() { s.Wait(bad) })
+		s.Wait(ok) // the stream stays usable, and the panic was raised once
+		s.Wait(bad)
+		dropped := s.Go(func() { panic("boom") })
+		s.Drop(dropped) // Drop discards the result, panic included
+	})
 }

@@ -122,10 +122,22 @@ func checkEpilogues(t *testing.T, pre, grad []uint32, bias []float32) {
 	wantBits(t, "AddChannelBiasRelu bias only", pc, biased)
 }
 
+// eachTier runs fn at every tier the host supports, named by it.
+func eachTier(t *testing.T, fn func(t *testing.T)) {
+	orig := CurrentSIMDLevel()
+	defer SetSIMDLevel(orig)
+	for level := SIMDGeneric; level <= SIMDSupported(); level++ {
+		SetSIMDLevel(level)
+		t.Run(level.String(), fn)
+	}
+}
+
 // TestEpilogueBitExactSpecialsAndTails covers every length 0–67 (each
 // tail of any unrolling) with the special patterns rotated through
-// every position.
-func TestEpilogueBitExactSpecialsAndTails(t *testing.T) {
+// every position, at every host tier.
+func TestEpilogueBitExactSpecialsAndTails(t *testing.T) { eachTier(t, testEpilogueSpecials) }
+
+func testEpilogueSpecials(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for n := 0; n <= 67; n++ {
 		pre, grad := make([]uint32, n), make([]uint32, n)
@@ -148,8 +160,11 @@ func TestEpilogueBitExactSpecialsAndTails(t *testing.T) {
 }
 
 // TestEpilogueBitExactRandomPatterns draws 2²⁰ raw bit patterns, so
-// NaN payloads, denormals and both signs appear at their natural share.
-func TestEpilogueBitExactRandomPatterns(t *testing.T) {
+// NaN payloads, denormals and both signs appear at their natural share,
+// at every host tier.
+func TestEpilogueBitExactRandomPatterns(t *testing.T) { eachTier(t, testEpilogueRandom) }
+
+func testEpilogueRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1818))
 	const n = 1 << 20
 	pre, grad := make([]uint32, n), make([]uint32, n)

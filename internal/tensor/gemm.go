@@ -743,6 +743,16 @@ func ReluMaskInto(dst, src, pre *Tensor) {
 	dd := dst.Data
 	sd := src.Data[:len(dd)]
 	pd := pre.Data[:len(dd)]
+	if simd512 && len(dd) > 0 {
+		reluMaskAsm512(&dd[0], &sd[0], &pd[0], len(dd))
+		return
+	}
+	reluMask(dd, sd, pd)
+}
+
+// reluMask is ReluMaskInto's Go body, the oracle of its assembly.
+func reluMask(dd, sd, pd []Float) {
+	sd, pd = sd[:len(dd)], pd[:len(dd)]
 	for i := range dd {
 		b := math.Float32bits(pd[i])
 		dd[i] = math.Float32frombits(math.Float32bits(sd[i]) & (posMask(b) | nanMask(b)))
@@ -788,8 +798,25 @@ func AddBiasReluRows(act, pre, bias *Tensor) {
 
 // AddChannelBiasRelu is the same epilogue for channel-major rows (the
 // conv layout): pre holds len(bias) rows of n elements and row c gets
-// the scalar bias[c]. A nil act adds the bias only.
+// the scalar bias[c]. A nil act adds the bias only. At the avx512 tier
+// it is one conv_amd64.s call doing the same add and select per element.
 func AddChannelBiasRelu(act, pre, bias []Float, n int) {
+	if simd512 && n > 0 && len(bias) > 0 {
+		m := len(bias) * n
+		_ = pre[m-1]
+		var a *float32
+		if act != nil {
+			a = &act[:m][0]
+		}
+		addChannelBiasReluAsm512(a, &pre[0], &bias[0], len(bias), n)
+		return
+	}
+	addChannelBiasRelu(act, pre, bias, n)
+}
+
+// addChannelBiasRelu is AddChannelBiasRelu's Go body, the oracle of its
+// assembly.
+func addChannelBiasRelu(act, pre, bias []Float, n int) {
 	for c, b := range bias {
 		prow := pre[c*n : (c+1)*n]
 		if act == nil {

@@ -6,8 +6,9 @@ package tensor
 // (AVX-512F) forms of the micro-kernels axpy, axpy4, dot and dot4 and
 // the YMM 4-row tile (simd_amd64.s), which the avx2 tier's loop nests
 // and the attention kernels call on lengths that are multiples of 8;
-// the avx512 tier's whole-product GEMMs (gemm_amd64.s); and the ZMM
-// softmax rows (softmax_amd64.s). The tier probe below is CPUID plus
+// the avx512 tier's whole-product GEMMs (gemm_amd64.s); the ZMM
+// softmax rows (softmax_amd64.s); and the avx512 tier's conv plumbing
+// around the GEMMs (conv_amd64.s). The tier probe below is CPUID plus
 // XGETBV. Operands may overlap only exactly (dst == src), as for the Go
 // kernels.
 
@@ -114,6 +115,39 @@ func gemmTBAsm512(c, a, b *float32, m, k, n int)
 //
 //go:noescape
 func softmaxRowsAsm512(dst, src *float32, rows, cols int, alpha float64) int
+
+// im2colAsm512 is Im2col's body for k ≤ 4 (conv_amd64.s); the last
+// tail output positions store under a mask.
+//
+//go:noescape
+func im2colAsm512(dst, src *float32, inCh, ph, pw, k, s, oh, ow, tail int)
+
+// col2imAsm512 is Col2im's body for k ≤ 16 (conv_amd64.s).
+//
+//go:noescape
+func col2imAsm512(plane, col *float32, inCh, ph, pw, k, s, oh, ow int)
+
+// copyPlanesAsm512 is CopyInterior's body for planes, rows, n ≥ 1
+// (conv_amd64.s).
+//
+//go:noescape
+func copyPlanesAsm512(dst, src *float32, planes, rows, n, dstRow, srcRow, dstPlane, srcPlane int)
+
+// fillRowsAsm512 is FillRows' body for rows, n ≥ 1 (conv_amd64.s).
+//
+//go:noescape
+func fillRowsAsm512(dst, vals *float32, rows, n int, scale float32)
+
+// reluMaskAsm512 is ReluMaskInto's body for n elements (conv_amd64.s).
+//
+//go:noescape
+func reluMaskAsm512(dst, src, pre *float32, n int)
+
+// addChannelBiasReluAsm512 is AddChannelBiasRelu's body for ch ≥ 1
+// channels of n ≥ 1 elements; act may be nil (conv_amd64.s).
+//
+//go:noescape
+func addChannelBiasReluAsm512(act, pre, bias *float32, ch, n int)
 
 // expAsm512 replaces each of the eight values with the softmax kernel's
 // lane exponent (softmax_amd64.s); the tests hold it to math.Exp.

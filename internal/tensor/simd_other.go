@@ -41,3 +41,19 @@ func dot4Asm512(a, b0, b1, b2, b3 *float32, n int) (r0, r1, r2, r3 float32) {
 
 // softmaxRowsAsm512 writes no row: every row takes the scalar code.
 func softmaxRowsAsm512(dst, src *float32, rows, cols int, alpha float64) int { return 0 }
+
+func im2colAsm512(dst, src *float32, inCh, ph, pw, k, s, oh, ow, tail int) {
+	panic("tensor: no simd")
+}
+
+func col2imAsm512(plane, col *float32, inCh, ph, pw, k, s, oh, ow int) { panic("tensor: no simd") }
+
+func reluMaskAsm512(dst, src, pre *float32, n int) { panic("tensor: no simd") }
+
+func addChannelBiasReluAsm512(act, pre, bias *float32, ch, n int) { panic("tensor: no simd") }
+
+func copyPlanesAsm512(dst, src *float32, planes, rows, n, dstRow, srcRow, dstPlane, srcPlane int) {
+	panic("tensor: no simd")
+}
+
+func fillRowsAsm512(dst, vals *float32, rows, n int, scale float32) { panic("tensor: no simd") }
