@@ -187,9 +187,11 @@ func zeroQuads(attn *tensor.Tensor) int {
 }
 
 // TestAttentionFusedMatchesOracle sweeps head counts 1–8, token counts
-// on both sides of the dot4/axpy4 quads, head widths below and at or
-// above the 8-lane vector kernels, and inputs large enough that some
-// probabilities round to exactly zero (the all-zero quad skip).
+// on both sides of the dot4/axpy4 quads and of the 16 tokens up to which
+// narrow heads take the avx512 tier's block kernels, head widths below
+// and at or above the 8-lane vector kernels, and inputs large enough
+// that some probabilities round to exactly zero (the all-zero quad
+// skip).
 func TestAttentionFusedMatchesOracle(t *testing.T) {
 	defer tensor.SetSIMDLevel(tensor.CurrentSIMDLevel())
 	skipped := 0
@@ -197,7 +199,7 @@ func TestAttentionFusedMatchesOracle(t *testing.T) {
 		tensor.SetSIMDLevel(level)
 		for _, d := range []int{8, 24, 32} {
 			for _, heads := range []int{1, 2, 4, 8} {
-				for _, tokens := range []int{1, 3, 8, 9} {
+				for _, tokens := range []int{1, 3, 8, 9, 16, 17} {
 					for _, scale := range []float64{1, 40} {
 						if d%heads != 0 {
 							continue

@@ -19,9 +19,23 @@ import (
 // score gradient are gemmTBAcc rows (dot4 per quad of columns, dot for
 // the rest) into zeroed destinations; A·V, dA·K, Aᵀ·dH and dAᵀ·Q are
 // gemmAcc's per-row axpy4 quads with the all-zero quad skipped, then
-// axpy per remaining term. For dh < 8 no vector kernel ever runs at
-// that length, so the generic loop bodies are inlined below; for
-// dh ≥ 8 the kernels call dot4/dot/axpy4/axpy themselves.
+// axpy per remaining term. For dh < 8 the micro-kernels have no vector
+// part at that length, so their generic bodies are inlined below; for
+// dh ≥ 8 the kernels call dot4/dot/axpy4/axpy themselves. At the avx512
+// tier a block with dh < 8 and t ≤ 16 runs scoresZMM and rowsZMM
+// instead (attention_amd64.s), one call each with the lanes across the
+// block's output elements: every element gets the inlined bodies'
+// operations in their order, bit for bit (NaN payloads aside:
+// attention_amd64.s says why). Whatever dh, the avx512 tier's softmax
+// takes a block's rows eight at a time (softmax_amd64.s).
+
+// blockKernels picks the products for (t, dh) blocks.
+func blockKernels(t, dh int) (scores func(s, x, y []Float, t, dh, ld int), rows func(c, w []Float, wi, wp int, y []Float, t, dh, ld int)) {
+	if simd512 && dh < 8 && t <= 16 {
+		return scoresZMM, rowsZMM
+	}
+	return scoresAcc, rowsAcc
+}
 
 // checkAttention validates the operands of one attention call and
 // returns its geometry.
@@ -51,13 +65,14 @@ func AttentionInto(ctx, attn, q, k, v *Tensor, heads int) {
 	ctx.Zero()
 	attn.Zero()
 	alpha := 1.0 / math.Sqrt(float64(dh))
+	scores, rows := blockKernels(t, dh)
 	for b := 0; b < batch; b++ {
 		for h := 0; h < heads; h++ {
 			off := b*t*d + h*dh
 			a := attn.Data[(b*heads+h)*t*t:][:t*t]
-			scoresAcc(a, q.Data[off:], k.Data[off:], t, dh, d)
+			scores(a, q.Data[off:], k.Data[off:], t, dh, d)
 			softmaxRowsScaled(a, a, t, t, alpha)
-			rowsAcc(ctx.Data[off:], a, t, 1, v.Data[off:], t, dh, d)
+			rows(ctx.Data[off:], a, t, 1, v.Data[off:], t, dh, d)
 		}
 	}
 }
@@ -78,16 +93,17 @@ func AttentionBackwardInto(dq, dk, dv, ds, attn, q, k, v, dctx *Tensor, heads in
 	ds.EnsureOwnedDiscard() // cleared per block below
 	alpha := Float(1.0 / math.Sqrt(float64(dh)))
 	s := ds.Data
+	scores, rows := blockKernels(t, dh)
 	for b := 0; b < batch; b++ {
 		for h := 0; h < heads; h++ {
 			off := b*t*d + h*dh
 			a := attn.Data[(b*heads+h)*t*t:][:t*t]
 			clear(s)
-			scoresAcc(s, dctx.Data[off:], v.Data[off:], t, dh, d) // dA = dH·Vᵀ
-			rowsAcc(dv.Data[off:], a, 1, t, dctx.Data[off:], t, dh, d)
+			scores(s, dctx.Data[off:], v.Data[off:], t, dh, d) // dA = dH·Vᵀ
+			rows(dv.Data[off:], a, 1, t, dctx.Data[off:], t, dh, d)
 			softmaxBackwardRows(s, a, s, t, t, alpha)
-			rowsAcc(dq.Data[off:], s, t, 1, k.Data[off:], t, dh, d)
-			rowsAcc(dk.Data[off:], s, 1, t, q.Data[off:], t, dh, d)
+			rows(dq.Data[off:], s, t, 1, k.Data[off:], t, dh, d)
+			rows(dk.Data[off:], s, 1, t, q.Data[off:], t, dh, d)
 		}
 	}
 }

@@ -7,7 +7,8 @@ package tensor
 // the YMM 4-row tile (simd_amd64.s), which the avx2 tier's loop nests
 // and the attention kernels call on lengths that are multiples of 8;
 // the avx512 tier's whole-product GEMMs (gemm_amd64.s); the ZMM
-// softmax rows (softmax_amd64.s); and the avx512 tier's conv plumbing
+// softmax rows (softmax_amd64.s); the avx512 tier's attention block
+// products for narrow heads (attention_amd64.s); and its conv plumbing
 // around the GEMMs (conv_amd64.s). The tier probe below is CPUID plus
 // XGETBV. Operands may overlap only exactly (dst == src), as for the Go
 // kernels.
@@ -110,11 +111,30 @@ func gemmAsm512(c, a, b *float32, m, k, n, ai, ap, tile int)
 func gemmTBAsm512(c, a, b *float32, m, k, n int)
 
 // softmaxRowsAsm512 writes the scaled softmax of up to rows rows of cols
-// ≥ 1 columns and returns how many it wrote: it stops, unwritten, at the
-// first row the scalar code must take (softmax_amd64.s).
+// ≥ 1 columns, eight rows at a time, and returns how many it wrote: it
+// stops, unwritten, at the first row the scalar code must take, having
+// written the rows before it (softmax_amd64.s).
 //
 //go:noescape
 func softmaxRowsAsm512(dst, src *float32, rows, cols int, alpha float64) int
+
+// scoresZMM is scoresAcc for t ≤ 16, dh < 8 (attention_amd64.s).
+func scoresZMM(s, x, y []Float, t, dh, ld int) {
+	_, _, _ = s[t*t-1], x[(t-1)*ld+dh-1], y[(t-1)*ld+dh-1]
+	scoresAsm512(&s[0], &x[0], &y[0], t, dh, ld)
+}
+
+// rowsZMM is rowsAcc for t ≤ 16, dh < 8 (attention_amd64.s).
+func rowsZMM(c, w []Float, wi, wp int, y []Float, t, dh, ld int) {
+	_, _, _ = c[(t-1)*ld+dh-1], w[(t-1)*(wi+wp)], y[(t-1)*ld+dh-1]
+	rowsAsm512(&c[0], &w[0], wi, wp, &y[0], t, dh, ld)
+}
+
+//go:noescape
+func scoresAsm512(s, x, y *float32, t, dh, ld int)
+
+//go:noescape
+func rowsAsm512(c, w *float32, wi, wp int, y *float32, t, dh, ld int)
 
 // im2colAsm512 is Im2col's body for k ≤ 4 (conv_amd64.s); the last
 // tail output positions store under a mask.

@@ -42,6 +42,10 @@ func dot4Asm512(a, b0, b1, b2, b3 *float32, n int) (r0, r1, r2, r3 float32) {
 // softmaxRowsAsm512 writes no row: every row takes the scalar code.
 func softmaxRowsAsm512(dst, src *float32, rows, cols int, alpha float64) int { return 0 }
 
+func scoresZMM(s, x, y []Float, t, dh, ld int) { panic("tensor: no simd") }
+
+func rowsZMM(c, w []Float, wi, wp int, y []Float, t, dh, ld int) { panic("tensor: no simd") }
+
 func im2colAsm512(dst, src *float32, inCh, ph, pw, k, s, oh, ow, tail int) {
 	panic("tensor: no simd")
 }

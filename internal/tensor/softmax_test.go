@@ -45,7 +45,9 @@ func needAVX512(t testing.TB) {
 
 // TestSoftmaxZMMMatchesScalar sweeps every masked tail (cols 1–40),
 // several scales, rows whose scaled spread straddles the −700 fallback
-// bound, and rows holding NaN, ±Inf and ±0.
+// bound, and rows holding NaN, ±Inf and ±0; then every row count 1–17
+// (groups of eight and the one-row rest) with one row the kernel must
+// decline at each position in turn.
 func TestSoftmaxZMMMatchesScalar(t *testing.T) {
 	needAVX512(t)
 	rng := rand.New(rand.NewSource(7))
@@ -75,11 +77,26 @@ func TestSoftmaxZMMMatchesScalar(t *testing.T) {
 			softmaxBoth(t, src, rows, cols, alpha)
 		}
 	}
+	for rows := 1; rows <= 17; rows++ {
+		for _, cols := range []int{1, 3, 8, 9, 16, 21} {
+			src := make([]float32, rows*cols)
+			for i := range src {
+				src[i] = float32(rng.NormFloat64() * 4)
+			}
+			softmaxBoth(t, src, rows, cols, 0.5)
+			for bad := 0; bad < rows; bad++ {
+				row := append([]float32(nil), src...)
+				row[bad*cols+rng.Intn(cols)] = []float32{nan, inf, -inf, -1e6}[bad%4]
+				softmaxBoth(t, row, rows, cols, 0.5)
+			}
+		}
+	}
 }
 
 // TestSoftmaxZMMTakesOrdinaryRows keeps the comparison above from going
-// vacuous: the kernel accepts ordinary rows and declines a row whose
-// spread passes −700 without writing it.
+// vacuous: the kernel accepts ordinary rows, one at a time and in
+// groups of eight, and stops at a row whose spread passes −700 without
+// writing it, after writing the rows before it, in a group as alone.
 func TestSoftmaxZMMTakesOrdinaryRows(t *testing.T) {
 	needAVX512(t)
 	src := []float32{0.5, -1, 2, 0, 1.25, -3, 7, 0.5, 1, 2, 3, 4, -700, 5, 6}
@@ -89,6 +106,35 @@ func TestSoftmaxZMMTakesOrdinaryRows(t *testing.T) {
 	}
 	if n := softmaxRowsAsm512(&dst[0], &src[0], 1, 15, 1); n != 0 || dst[12] != 0 {
 		t.Fatalf("kernel wrote %d rows (dst[12] = %v) of a row spanning more than 700", n, dst[12])
+	}
+	const rows, cols = 19, 10
+	rng := rand.New(rand.NewSource(3))
+	for bad := -1; bad < rows; bad++ {
+		grid := make([]float32, rows*cols)
+		for i := range grid {
+			grid[i] = float32(rng.NormFloat64())
+		}
+		want := rows
+		if bad >= 0 {
+			grid[bad*cols+bad%cols] = -1000
+			want = bad
+		}
+		out := make([]float32, len(grid))
+		if n := softmaxRowsAsm512(&out[0], &grid[0], rows, cols, 1); n != want {
+			t.Fatalf("failing row %d: kernel wrote %d rows, want %d", bad, n, want)
+		}
+		for i := 0; i < rows; i++ {
+			ref := make([]float32, cols)
+			softmaxRow(ref, grid[i*cols:(i+1)*cols], 1)
+			for j, v := range out[i*cols : (i+1)*cols] {
+				if i < want && math.Float32bits(v) != math.Float32bits(ref[j]) {
+					t.Fatalf("failing row %d: row %d col %d = %v, scalar %v", bad, i, j, v, ref[j])
+				}
+				if i >= want && v != 0 {
+					t.Fatalf("failing row %d: row %d was written (col %d = %v)", bad, i, j, v)
+				}
+			}
+		}
 	}
 }
 
