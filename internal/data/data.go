@@ -71,12 +71,24 @@ func (d *Dataset) Len() int {
 
 // Fetch returns client k. On a materialized dataset it points into
 // Clients and cur may be nil. On a generative dataset the client is
-// synthesized into cur's recycled buffers: the returned pointer is
-// invalidated by the cursor's next Fetch, and a cursor must not be
-// shared across goroutines.
+// synthesized into cur's recycled buffers from a full re-seed of the
+// cursor's RNG: the returned pointer is invalidated by the cursor's next
+// fetch, and a cursor must not be shared across goroutines.
 func (d *Dataset) Fetch(cur *ClientCursor, k int) *Client {
 	if d.Gen != nil {
 		return d.Gen.Synth(cur, k)
+	}
+	return &d.Clients[k]
+}
+
+// FetchTrain is Fetch for a caller that reads only TrainX, TrainY and
+// Complexity, as local training does. On a generative dataset synthesis
+// stops after the train split, whose draws come first, so those fields
+// equal Fetch's; the test split is left empty (zero rows). On a
+// materialized dataset it returns the whole client, as Fetch does.
+func (d *Dataset) FetchTrain(cur *ClientCursor, k int) *Client {
+	if d.Gen != nil {
+		return d.Gen.synth(cur, k, false)
 	}
 	return &d.Clients[k]
 }
@@ -202,11 +214,13 @@ type Generator struct {
 }
 
 // ClientCursor is a reusable synthesis buffer for generative datasets.
-// Synth recycles its RNG, client tensors, and per-client scratch slices,
-// so steady-state fetching allocates nothing. One cursor per goroutine.
+// Synth re-seeds its RNG in place and recycles its client tensors and
+// per-client scratch slices, so steady-state fetching allocates
+// nothing. One cursor per goroutine.
 type ClientCursor struct {
 	Client                    Client
-	rng                       *rand.Rand
+	src                       *xrand.Source
+	rng                       *rand.Rand // over src
 	scales, biases, labelDist []float64
 }
 
@@ -275,14 +289,21 @@ func NewGenerator(cfg Config) *Generator {
 // Synth synthesizes client k into cur and returns &cur.Client. The
 // result is bit-identical to ds.Clients[k] of the materialized dataset
 // Generate builds for the same Config: both paths run this routine.
-func (g *Generator) Synth(cur *ClientCursor, k int) *Client {
-	if cur.rng == nil {
-		cur.rng = rand.New(xrand.New(0))
+func (g *Generator) Synth(cur *ClientCursor, k int) *Client { return g.synth(cur, k, true) }
+
+// synth is Synth, stopping after the train split when test is false.
+func (g *Generator) synth(cur *ClientCursor, k int, test bool) *Client {
+	if cur.src == nil {
+		cur.src = xrand.New(0)
+		cur.rng = rand.New(cur.src)
 	}
 	crng := cur.rng
-	// An O(1) xrand re-seed: the stream equals a fresh
-	// rand.New(rand.NewSource(seed)) (xrand.TestReseedInPlace).
-	crng.Seed(g.cfg.Seed + int64(k)*7919 + 1)
+	// A full xrand re-seed: the stream equals a fresh
+	// rand.New(rand.NewSource(seed)) (xrand.TestReseedInPlace), and a
+	// shard reads past the point where deriving the register lazily
+	// would cost more (see package xrand). Nothing here calls crng.Read,
+	// whose position rand.Rand.Seed would also reset.
+	cur.src.SeedFull(g.cfg.Seed + int64(k)*7919 + 1)
 	complexity := crng.Intn(maxComplexity + 1)
 	cur.scales, cur.biases = clientTransformInto(cur.scales, cur.biases, g.geom.featureDim, crng)
 	cur.labelDist = dirichletInto(cur.labelDist, g.geom.classes, g.cfg.Heterogeneity, crng)
@@ -300,7 +321,13 @@ func (g *Generator) Synth(cur *ClientCursor, k int) *Client {
 		cl.TestX = &tensor.Tensor{}
 	}
 	cl.TrainY = sampleSetInto(cl.TrainX, cl.TrainY, nTrain, sp, crng)
-	cl.TestY = sampleSetInto(cl.TestX, cl.TestY, g.cfg.TestSamples, sp, crng)
+	if test {
+		cl.TestY = sampleSetInto(cl.TestX, cl.TestY, g.cfg.TestSamples, sp, crng)
+	} else {
+		cl.TestX.Data = cl.TestX.Data[:0]
+		cl.TestX.Shape = append(cl.TestX.Shape[:0], 0, g.geom.featureDim)
+		cl.TestY = cl.TestY[:0]
+	}
 	cl.Complexity = complexity
 	return cl
 }
@@ -351,12 +378,6 @@ type sampleParams struct {
 	imageShaped    bool
 }
 
-func sampleSet(n int, sp sampleParams, rng *rand.Rand) (*tensor.Tensor, []int) {
-	x := &tensor.Tensor{}
-	y := sampleSetInto(x, nil, n, sp, rng)
-	return x, y
-}
-
 // sampleSetInto fills x/y with n synthesized samples, reusing their
 // buffers when capacity allows, and returns the resized label slice.
 func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, rng *rand.Rand) []int {
@@ -405,10 +426,6 @@ func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, rng *rand.
 	return y
 }
 
-func clientTransform(d int, rng *rand.Rand) (scales, biases []float64) {
-	return clientTransformInto(nil, nil, d, rng)
-}
-
 func clientTransformInto(scales, biases []float64, d int, rng *rand.Rand) ([]float64, []float64) {
 	scales = resize(scales, d)
 	biases = resize(biases, d)
@@ -419,12 +436,8 @@ func clientTransformInto(scales, biases []float64, d int, rng *rand.Rand) ([]flo
 	return scales, biases
 }
 
-// dirichlet samples a categorical distribution from Dirichlet(h,...,h)
-// using Gamma(h) marginals (Marsaglia-Tsang).
-func dirichlet(k int, h float64, rng *rand.Rand) []float64 {
-	return dirichletInto(nil, k, h, rng)
-}
-
+// dirichletInto samples a categorical distribution from
+// Dirichlet(h,...,h) into out using Gamma(h) marginals (Marsaglia-Tsang).
 func dirichletInto(out []float64, k int, h float64, rng *rand.Rand) []float64 {
 	out = resize(out, k)
 	sum := 0.0
@@ -566,6 +579,3 @@ func BatchInto(bx *tensor.Tensor, by []int, x *tensor.Tensor, y []int, idx []int
 		by[i] = y[s]
 	}
 }
-
-// newRand returns a seeded *rand.Rand; shared by tests.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

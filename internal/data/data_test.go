@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +117,7 @@ func TestDirichletSumsToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		r := newRand(seed)
 		for _, h := range []float64{0.1, 1, 10} {
-			p := dirichlet(7, h, r)
+			p := dirichletInto(nil, 7, h, r)
 			sum := 0.0
 			for _, v := range p {
 				if v < 0 {
@@ -246,3 +247,6 @@ func TestCheckBoundsConfig(t *testing.T) {
 		}
 	}
 }
+
+// newRand returns a seeded *rand.Rand.
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

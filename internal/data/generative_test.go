@@ -3,6 +3,8 @@ package data
 import (
 	"math/rand"
 	"testing"
+
+	"fedtrans/internal/tensor"
 )
 
 // clientsEqual compares two clients bit for bit.
@@ -21,7 +23,8 @@ func clientsEqual(a, b *Client) bool {
 			return false
 		}
 	}
-	if len(a.TrainX.Shape) != len(b.TrainX.Shape) || len(a.TestX.Shape) != len(b.TestX.Shape) {
+	if len(a.TrainX.Shape) != len(b.TrainX.Shape) || len(a.TestX.Shape) != len(b.TestX.Shape) ||
+		len(a.TrainX.Data) != len(b.TrainX.Data) || len(a.TestX.Data) != len(b.TestX.Data) {
 		return false
 	}
 	for i := range a.TrainX.Shape {
@@ -78,6 +81,28 @@ func TestGenerateLazyBitIdentical(t *testing.T) {
 				t.Fatalf("%s: client %d diverges from materialized", cfg.Profile, k)
 			}
 		}
+		// The train-only fetch: the train split and Complexity of the
+		// materialized client, an empty test split. One cursor alternates
+		// both fetches, so neither may leave state the other reads.
+		var alt ClientCursor
+		for k := mat.Len() - 1; k >= 0; k-- {
+			want := &mat.Clients[k]
+			if k%2 == 0 {
+				if got := lazy.Fetch(&alt, k); !clientsEqual(got, want) {
+					t.Fatalf("%s: client %d after a train-only fetch diverges from materialized", cfg.Profile, k)
+				}
+				continue
+			}
+			trainOnly := *want
+			trainOnly.TestX = &tensor.Tensor{Shape: []int{0, mat.FeatureDim}}
+			trainOnly.TestY = nil
+			if got := lazy.FetchTrain(&alt, k); !clientsEqual(got, &trainOnly) {
+				t.Fatalf("%s: train-only client %d is not the materialized train split with an empty test split", cfg.Profile, k)
+			}
+		}
+		if got := mat.FetchTrain(nil, 2); got != &mat.Clients[2] {
+			t.Fatalf("%s: materialized FetchTrain does not return &Clients[k]", cfg.Profile)
+		}
 		// Repeat access: cursor reuse must not corrupt resynthesis.
 		first := lazy.Fetch(&cur, 3)
 		snapshot := append([]int(nil), first.TrainY...)
@@ -88,6 +113,49 @@ func TestGenerateLazyBitIdentical(t *testing.T) {
 				t.Fatalf("%s: re-fetch of client 3 diverges at %d", cfg.Profile, i)
 			}
 		}
+	}
+}
+
+// scaleShape is the round_scale workload's client shape.
+var scaleShape = Config{Profile: "scale", Clients: 100_000, Heterogeneity: 1,
+	MinSamples: 8, MaxSamples: 16, TestSamples: 8, Seed: 1}
+
+// TestFetchSteadyStateAllocs pins both fetches at 0 allocs once a
+// cursor's buffers have grown to the largest shard of the shape.
+func TestFetchSteadyStateAllocs(t *testing.T) {
+	ds := GenerateLazy(scaleShape)
+	for _, c := range []struct {
+		name  string
+		fetch func(*ClientCursor, int) *Client
+	}{{"Fetch", ds.Fetch}, {"FetchTrain", ds.FetchTrain}} {
+		var cur ClientCursor
+		for k := 0; k < 100; k++ { // warm: some shard here has 16 samples
+			c.fetch(&cur, k)
+		}
+		k := 0
+		if a := testing.AllocsPerRun(200, func() {
+			k++
+			c.fetch(&cur, k%100)
+		}); a != 0 {
+			t.Errorf("%s at the scale shape: %v allocs, want 0", c.name, a)
+		}
+	}
+}
+
+// BenchmarkFetch synthesizes scale-shape clients: full is both splits
+// (Fetch), train the train split only (FetchTrain).
+func BenchmarkFetch(b *testing.B) {
+	ds := GenerateLazy(scaleShape)
+	for _, c := range []struct {
+		name  string
+		fetch func(*ClientCursor, int) *Client
+	}{{"full", ds.Fetch}, {"train", ds.FetchTrain}} {
+		b.Run(c.name, func(b *testing.B) {
+			var cur ClientCursor
+			for i := 0; i < b.N; i++ {
+				c.fetch(&cur, i%ds.Len())
+			}
+		})
 	}
 }
 

@@ -750,7 +750,7 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 		}
 	} else {
 		sess := rt.sessions.get(src, newLocalSession)
-		u.loss, u.samples = sess.run(src, rt.ds.Fetch(&sess.cur, u.client), cfg.Local, seed, u.up)
+		u.loss, u.samples = sess.run(src, rt.ds.FetchTrain(&sess.cur, u.client), cfg.Local, seed, u.up)
 		rt.sessions.put(src.ID, sess)
 	}
 	if u.fault == chaos.NonFinite && u.samples > 0 {

@@ -28,8 +28,8 @@ type localSession struct {
 	by  []int
 	bx  *tensor.Tensor
 	// cur is the session's client-synthesis cursor: for generative
-	// datasets, Fetch reuses its RNG and shard buffers so pulling a
-	// client's shard on demand is allocation-free in steady state.
+	// datasets, FetchTrain reuses its RNG and shard buffers so pulling a
+	// client's train split on demand is allocation-free in steady state.
 	cur data.ClientCursor
 }
 

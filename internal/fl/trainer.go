@@ -61,5 +61,5 @@ func (t *ClientTrainer) Model() *model.Model { return t.m }
 // Train runs one local-training pass for the client with the given
 // attempt-salted seed, filling upload with the trained weights.
 func (t *ClientTrainer) Train(client int, cfg LocalConfig, seed int64, upload []*tensor.Tensor) (loss float64, samples int) {
-	return t.sess.run(t.m, t.ds.Fetch(&t.sess.cur, client), cfg, seed, upload)
+	return t.sess.run(t.m, t.ds.FetchTrain(&t.sess.cur, client), cfg, seed, upload)
 }

@@ -6,7 +6,29 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"fedtrans/internal/tensor"
 )
+
+// tiers are the tensor tiers SeedFull runs at on this host: the Go loop
+// always, the kernel where the host has AVX-512.
+func tiers() []tensor.SIMDLevel {
+	if tensor.SIMDSupported() >= tensor.SIMDAVX512 {
+		return []tensor.SIMDLevel{tensor.SIMDGeneric, tensor.SIMDAVX512}
+	}
+	return []tensor.SIMDLevel{tensor.SIMDGeneric}
+}
+
+// goRegister is the register the Go loop derives for seed: the oracle
+// for the kernel's.
+func goRegister(seed int64) [regLen]int64 {
+	var s Source
+	s.Seed(seed)
+	for i := range s.vec {
+		s.vec[i] = s.word(i)
+	}
+	return s.vec
+}
 
 // testSeeds covers every branch of seed normalization (zero, the
 // replacement constant, negatives, multiples of the modulus, the int64
@@ -82,17 +104,29 @@ func TestRandMethodsMatchMathRand(t *testing.T) {
 // from rand.New(rand.NewSource(s)), wherever the previous stream stopped.
 func TestReseedInPlace(t *testing.T) {
 	seeds := testSeeds()
-	rng := rand.New(New(99))
-	for k, n := range drawCounts {
-		for j, seed := range seeds[:30] {
-			// Leave the previous stream at a different depth each time,
-			// including mid-way through the lazy phase.
-			for i := 0; i < (k*31+j*7)%700; i++ {
-				rng.Int63()
-			}
-			rng.Seed(seed)
-			if got, want := consume(rng, n), consume(rand.New(rand.NewSource(seed)), n); !slices.Equal(got, want) {
-				t.Fatalf("re-seed to %d after a used stream, %d rounds: diverges from a fresh math/rand source", seed, n)
+	src := New(99)
+	rng := rand.New(src)
+	defer tensor.SetSIMDLevel(tensor.CurrentSIMDLevel())
+	for _, level := range tiers() {
+		tensor.SetSIMDLevel(level)
+		for _, full := range []bool{false, true} {
+			for k, n := range drawCounts {
+				for j, seed := range seeds[:30] {
+					// Leave the previous stream at a different depth each
+					// time, including mid-way through the lazy phase.
+					for i := 0; i < (k*31+j*7)%700; i++ {
+						rng.Int63()
+					}
+					if full {
+						src.SeedFull(seed)
+					} else {
+						rng.Seed(seed)
+					}
+					if got, want := consume(rng, n), consume(rand.New(rand.NewSource(seed)), n); !slices.Equal(got, want) {
+						t.Fatalf("%v tier, full %v: re-seed to %d after a used stream, %d rounds: diverges from a fresh math/rand source",
+							level, full, seed, n)
+					}
+				}
 			}
 		}
 	}
@@ -118,6 +152,25 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 		for i := 0; i < int(n%700); i++ {
 			if g, w := got.Uint64(), want.Uint64(); g != w {
 				t.Fatalf("re-seed %d draw %d: %#x, want %#x", seed+1, i, g, w)
+			}
+		}
+		// So must a full re-seed of it, at every tier, and the register
+		// it writes must be the Go loop's word for word.
+		reg := goRegister(seed)
+		for _, level := range tiers() {
+			prev := tensor.SetSIMDLevel(level)
+			got.SeedFull(seed)
+			tensor.SetSIMDLevel(prev)
+			for i := range reg {
+				if got.vec[i] != reg[i] {
+					t.Fatalf("%v tier: full re-seed %d: word %d %#x, Go loop %#x", level, seed, i, got.vec[i], reg[i])
+				}
+			}
+			want = rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < int(n); i++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("%v tier: full re-seed %d draw %d: %#x, want %#x", level, seed, i, g, w)
+				}
 			}
 		}
 	})
@@ -148,6 +201,15 @@ func TestAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("re-seed + 4 draws: %v allocs, want 0", a)
 	}
+	src := New(1)
+	rng = rand.New(src)
+	if a := testing.AllocsPerRun(100, func() {
+		seed++
+		src.SeedFull(seed)
+		sink += rng.Float64() + rng.NormFloat64() + rng.NormFloat64() + rng.NormFloat64()
+	}); a != 0 {
+		t.Errorf("full re-seed + 4 draws: %v allocs, want 0", a)
+	}
 	if a := testing.AllocsPerRun(10, func() { sink += float64(PermPrefix(rng, 100_000, 1000)[0]) }); a > 1 {
 		t.Errorf("PermPrefix(100000, 1000): %v allocs, want at most the one result slice", a)
 	}
@@ -165,6 +227,27 @@ func reseed4(b *testing.B, rng *rand.Rand) {
 
 func BenchmarkReseed4Std(b *testing.B)  { reseed4(b, rand.New(rand.NewSource(0))) }
 func BenchmarkReseed4Lazy(b *testing.B) { reseed4(b, rand.New(New(0))) }
+
+// BenchmarkSeedFull derives the whole register: sub-benchmark kernel at
+// the avx512 tier (skipped without AVX-512), go on the Go loop.
+func BenchmarkSeedFull(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		level tensor.SIMDLevel
+	}{{"kernel", tensor.SIMDAVX512}, {"go", tensor.SIMDGeneric}} {
+		b.Run(c.name, func(b *testing.B) {
+			if tensor.SIMDSupported() < c.level {
+				b.Skip("no AVX-512")
+			}
+			defer tensor.SetSIMDLevel(tensor.SetSIMDLevel(c.level))
+			s := New(0)
+			for i := 0; i < b.N; i++ {
+				s.SeedFull(int64(i))
+			}
+			sink += float64(s.vec[0])
+		})
+	}
+}
 
 func int63Steady(n int, src rand.Source) time.Duration {
 	for i := 0; i < regLen; i++ { // past the lazy phase

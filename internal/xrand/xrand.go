@@ -2,17 +2,37 @@
 // whose cost is out of proportion to what the per-client streams take
 // from them, each reproducing math/rand's output bit for bit:
 //
-//   - Source is math/rand's additive lagged-Fibonacci generator with an
-//     O(1) Seed. math/rand fills all 607 words of the feedback register
-//     on every Seed (1 841 steps of the seeding LCG); a stream that is
-//     re-seeded per client and asked for a handful of numbers touches a
-//     few of them. Source derives each word when a draw first reads it.
+//   - Source is math/rand's additive lagged-Fibonacci generator.
+//     math/rand fills all 607 words of its feedback register on every
+//     Seed (1 841 steps of the seeding LCG). Source seeds two ways, and
+//     each caller picks the one its stream's length pays for.
 //   - PermPrefix is rand.Perm(total)[:n] in O(n) memory.
+//
+// Seed is O(1): each word is derived when a draw first reads it, so a
+// stream that is re-seeded per client and asked for a handful of
+// numbers pays for the few words it touches. A device trace entry (4
+// draws) and a local session's batch indices, in the round engine and
+// in HeteroFL, seed this way.
+//
+// SeedFull derives all 607 words in one pass: one ZMM kernel at the
+// avx512 tier (derive_amd64.s), a Go loop elsewhere. Deriving lazily,
+// each of the first 273 draws costs two words and the next 61 one each,
+// at ~5 ns a word against ~1 ns in the kernel. So a stream that reads
+// more than ~50 draws is cheaper seeded in full at the avx512 tier; on
+// the Go loop (~2.7 µs a register) only one that reads most of the
+// lazy phase's 334 is. data.Generator.Synth seeds in full: a client
+// shard draws 2·featureDim normals for its client transform before its
+// first sample, and ~500 values for a train split at the round_scale
+// shape.
 //
 // source_test.go pins both against math/rand.
 package xrand
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"fedtrans/internal/tensor"
+)
 
 const (
 	regLen = 607
@@ -26,14 +46,20 @@ const (
 	lazyDraws = regLen - regTap
 )
 
-// seedPow[k] = 48271^k mod seedMod. math/rand seeds word i from LCG
-// steps 21+3i, 22+3i and 23+3i, and step k of the LCG is seedPow[k]·seed
-// mod seedMod, so every word is a closed-form function of the seed.
-var seedPow = func() (p [23 + 3*(regLen-1) + 1]uint32) {
+// seedPow[i] = 48271^(21+3i) mod seedMod. math/rand seeds word i from
+// LCG steps 21+3i, 22+3i and 23+3i, and step k of the LCG is
+// 48271^k·seed mod seedMod, so every word is a closed-form function of
+// the seed: its first value is seedPow[i]·seed, and the other two are one
+// step of the LCG each from the one before.
+var seedPow = func() (p [regLen]uint32) {
 	x := uint64(1)
-	for k := range p {
-		p[k] = uint32(x)
+	for range 21 {
 		x = x * 48271 % seedMod
+	}
+	const step3 = 48271 * 48271 * 48271 % seedMod // three LCG steps
+	for i := range p {
+		p[i] = uint32(x)
+		x = x * step3 % seedMod
 	}
 	return p
 }()
@@ -58,7 +84,8 @@ func New(seed int64) *Source {
 	return s
 }
 
-// Seed resets the generator to the state rand.NewSource(seed) starts in.
+// Seed resets the generator to the state rand.NewSource(seed) starts in,
+// deriving the register lazily.
 func (s *Source) Seed(seed int64) {
 	seed %= seedMod
 	if seed < 0 {
@@ -73,18 +100,34 @@ func (s *Source) Seed(seed int64) {
 	s.lazy = true
 }
 
-// word derives register word i from the seed.
-func (s *Source) word(i int) int64 {
-	p := seedPow[21+3*i:][:3]
-	return int64(mulmod(p[0], s.seed))<<40 ^ int64(mulmod(p[1], s.seed))<<20 ^
-		int64(mulmod(p[2], s.seed)) ^ cooked[i]
+// SeedFull is Seed followed by the derivation of every register word:
+// it leaves the state Seed and lazyDraws draws' derivation reach, before
+// any draw. The kernel runs at the tensor package's current tier.
+func (s *Source) SeedFull(seed int64) {
+	s.Seed(seed)
+	i := 0
+	if tensor.CurrentSIMDLevel() >= tensor.SIMDAVX512 {
+		i = regLen &^ 7
+		deriveAsm512(&s.vec[0], &seedPow[0], &cooked[0], s.seed, i)
+	}
+	for ; i < regLen; i++ {
+		s.vec[i] = s.word(i)
+	}
+	s.lazy = false
 }
 
-// mulmod returns a·b mod seedMod for a, b < 2³¹, folding the high bits
-// onto the low ones (2³¹ ≡ 1).
-func mulmod(a uint32, b uint64) uint64 {
-	x := uint64(a) * b
-	x = x&seedMod + x>>31
+// word derives register word i from the seed.
+func (s *Source) word(i int) int64 {
+	x0 := reduce(uint64(seedPow[i]) * s.seed)
+	x1 := reduce(x0 * 48271)
+	return int64(x0<<40^x1<<20^reduce(x1*48271)) ^ cooked[i]
+}
+
+// reduce returns x mod seedMod for a product x < 2⁶² of two nonzero
+// residues of the prime seedMod, so never a multiple of it: one fold of
+// the bits from 31 up onto the low 31 (2³¹ ≡ 1) leaves at most
+// 2·seedMod, and one conditional subtract finishes.
+func reduce(x uint64) uint64 {
 	x = x&seedMod + x>>31
 	if x >= seedMod {
 		x -= seedMod
