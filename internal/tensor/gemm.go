@@ -17,8 +17,10 @@ import (
 // A float32 product runs on the tier SetSIMDLevel chose: these nests
 // over generic Go lanes, the same nests over the YMM kernels of
 // simd_amd64.s (AVX2+FMA), or one ZMM call per product (AVX-512F,
-// gemm_amd64.s). The nests block k and j for cache; blocking never
-// changes an element's operations.
+// gemm_amd64.s), which keeps each C element in a register across the
+// whole reduction: A@B and Aᵀ@B rows in 4- or 8-row tiles, the rest in
+// one-row panels of 64 columns. The nests block k and j for cache;
+// blocking never changes an element's operations.
 //
 // Per output element, every tier performs these float32 operations, in
 // this order (gemm_oracle_test.go holds each tier to it bit for bit; a

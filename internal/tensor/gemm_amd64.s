@@ -10,10 +10,179 @@
 // are used: EVEX operations run on ZMM registers (a masked ZMM load or
 // store stands in for a narrow one) and 128/256-bit work stays on VEX
 // encodings of registers 0–15.
+//
+// gemmAsm512 has four paths, and none of them reloads C inside the
+// reduction: each loads its C elements into registers once, adds every
+// term of k into them, and stores them once.
+//
+//   - 4-row tiles run two 16-column groups per pass over k (8
+//     accumulators), sharing each B load across the rows.
+//   - When the vector columns fit one group (n&^7 ≤ 16), 8-row tiles:
+//     packed (n&^7 = 8), two rows per register in 256-bit halves (4
+//     accumulators, B's row loaded into both halves), or narrow
+//     (n&^7 = 16), one accumulator per row (8 FMA chains).
+//   - Every other row runs alone in column panels of up to four groups
+//     (64 columns), one accumulator per group; the row's n%8 tail rides
+//     in the last panel.
+//
+// Tile rows take their n%8 tail columns 4 rows at a time after the
+// vector columns.
+
+// skipmask holds the skip opmasks of tile rows, looked up by the rows'
+// bits (set: the row's quad is not all ±0). At 0, entry b (0–15) is four
+// 16-bit opmasks, all ones for row r of a 4-row block when bit r is set.
+// At 128, entry b is two opmasks for row pairs packed in 256-bit halves:
+// lanes 0–7 for the pair's first row when bit 2j is set, 8–15 for its
+// second when bit 2j+1 is.
+DATA skipmask<>+0x00(SB)/8, $0x0000000000000000
+DATA skipmask<>+0x08(SB)/8, $0x000000000000ffff
+DATA skipmask<>+0x10(SB)/8, $0x00000000ffff0000
+DATA skipmask<>+0x18(SB)/8, $0x00000000ffffffff
+DATA skipmask<>+0x20(SB)/8, $0x0000ffff00000000
+DATA skipmask<>+0x28(SB)/8, $0x0000ffff0000ffff
+DATA skipmask<>+0x30(SB)/8, $0x0000ffffffff0000
+DATA skipmask<>+0x38(SB)/8, $0x0000ffffffffffff
+DATA skipmask<>+0x40(SB)/8, $0xffff000000000000
+DATA skipmask<>+0x48(SB)/8, $0xffff00000000ffff
+DATA skipmask<>+0x50(SB)/8, $0xffff0000ffff0000
+DATA skipmask<>+0x58(SB)/8, $0xffff0000ffffffff
+DATA skipmask<>+0x60(SB)/8, $0xffffffff00000000
+DATA skipmask<>+0x68(SB)/8, $0xffffffff0000ffff
+DATA skipmask<>+0x70(SB)/8, $0xffffffffffff0000
+DATA skipmask<>+0x78(SB)/8, $0xffffffffffffffff
+DATA skipmask<>+0x80(SB)/4, $0x00000000
+DATA skipmask<>+0x84(SB)/4, $0x000000ff
+DATA skipmask<>+0x88(SB)/4, $0x0000ff00
+DATA skipmask<>+0x8c(SB)/4, $0x0000ffff
+DATA skipmask<>+0x90(SB)/4, $0x00ff0000
+DATA skipmask<>+0x94(SB)/4, $0x00ff00ff
+DATA skipmask<>+0x98(SB)/4, $0x00ffff00
+DATA skipmask<>+0x9c(SB)/4, $0x00ffffff
+DATA skipmask<>+0xa0(SB)/4, $0xff000000
+DATA skipmask<>+0xa4(SB)/4, $0xff0000ff
+DATA skipmask<>+0xa8(SB)/4, $0xff00ff00
+DATA skipmask<>+0xac(SB)/4, $0xff00ffff
+DATA skipmask<>+0xb0(SB)/4, $0xffff0000
+DATA skipmask<>+0xb4(SB)/4, $0xffff00ff
+DATA skipmask<>+0xb8(SB)/4, $0xffffff00
+DATA skipmask<>+0xbc(SB)/4, $0xffffffff
+GLOBL skipmask<>(SB), RODATA|NOPTR, $192
+
+// ROWMASKS loads the skip opmasks of four tile rows (K3, K4, K6, K7)
+// from skipmask (R10) by the rows' bits in IDX.
+#define ROWMASKS(IDX) \
+	KMOVW (R10)(IDX*8), K3;  \
+	KMOVW 2(R10)(IDX*8), K4; \
+	KMOVW 4(R10)(IDX*8), K6; \
+	KMOVW 6(R10)(IDX*8), K7
+
+// ROWBITS8 tests the quad at A (SI, p step R15) of 8 Aᵀ@B tile rows
+// against ±0: the rows' four terms are four 32-byte loads, ORed; the
+// bits of rows 0–3 (set: not all ±0) go to AX, of rows 4–7 to R9.
+#define ROWBITS8 \
+	LEAQ     (SI)(R15*2), DI;     \
+	VMOVUPS  (SI), Y8;            \
+	VPOR     (SI)(R15*1), Y8, Y8; \
+	VPOR     (DI), Y8, Y8;        \
+	VPOR     (DI)(R15*1), Y8, Y8; \
+	VPTESTMD Z30, Z8, K3;         \
+	KMOVW    K3, R9;              \
+	MOVL     R9, AX;              \
+	ANDL     $15, AX;             \
+	SHRL     $4, R9
+
+// NARROWP adds one term of k into four rows of a narrow tile: B's row in
+// BV, row r's a broadcast from Ar, one FMA into Cr under the row's skip
+// opmask.
+#define NARROWP(BV, A0, A1, A2, A3, C0, C1, C2, C3) \
+	VBROADCASTSS A0, Z4;         \
+	VFMADD231PS  BV, Z4, K3, C0; \
+	VBROADCASTSS A1, Z5;         \
+	VFMADD231PS  BV, Z5, K4, C1; \
+	VBROADCASTSS A2, Z6;         \
+	VFMADD231PS  BV, Z6, K6, C2; \
+	VBROADCASTSS A3, Z7;         \
+	VFMADD231PS  BV, Z7, K7, C3
+
+// PAIRFMA adds one term of k into a row pair of a packed tile: B's 8
+// columns in both halves of Z0, the pair's a broadcast into the halves
+// of V from A0 and A1 (K2 = the upper half), one FMA into C under the
+// pair's skip opmask K.
+#define PAIRFMA(A0, A1, V, K, C) \
+	VBROADCASTSS A0, V;         \
+	VBROADCASTSS A1, K2, V;     \
+	VFMADD231PS  Z0, V, K, C
+
+// PACKEDP adds the term of k at A (SI: rows 0–3, DI: rows 4–7) and B
+// (BX) into a packed tile's four pairs, then steps all three to the next
+// term.
+#define PACKEDP \
+	VBROADCASTF64X4 (BX), Z0;                      \
+	PAIRFMA((SI), (SI)(DX*1), Z4, K3, Z12);        \
+	PAIRFMA((SI)(DX*2), (SI)(R11*1), Z5, K4, Z13); \
+	PAIRFMA((DI), (DI)(DX*1), Z6, K6, Z14);        \
+	PAIRFMA((DI)(DX*2), (DI)(R11*1), Z7, K7, Z15); \
+	ADDQ            R15, SI;                       \
+	ADDQ            R15, DI;                       \
+	ADDQ            R13, BX
+
+// PAIRREM adds one remainder term into a row pair of a packed tile,
+// fused, in each half unless its row's a is ±0 (K6).
+#define PAIRREM(A0, A1, C) \
+	VBROADCASTSS A0, Z4;          \
+	VBROADCASTSS A1, K2, Z4;      \
+	VCMPPS       $4, Z31, Z4, K6; \
+	VFMADD231PS  Z0, Z4, K6, C
+
+// WIDEP adds the term of k at A (DI) and B (BX) into a 4-row tile's two
+// column groups (Z12–Z15, Z16–Z19) under the rows' skip opmasks, then
+// steps both to the next term.
+#define WIDEP \
+	VMOVUPS.Z    (BX), K1, Z0;     \
+	VMOVUPS.Z    64(BX), K2, Z1;   \
+	VBROADCASTSS (DI), Z4;         \
+	VFMADD231PS  Z0, Z4, K3, Z12;  \
+	VFMADD231PS  Z1, Z4, K3, Z16;  \
+	VBROADCASTSS (DI)(DX*1), Z5;   \
+	VFMADD231PS  Z0, Z5, K4, Z13;  \
+	VFMADD231PS  Z1, Z5, K4, Z17;  \
+	VBROADCASTSS (DI)(DX*2), Z6;   \
+	VFMADD231PS  Z0, Z6, K6, Z14;  \
+	VFMADD231PS  Z1, Z6, K6, Z18;  \
+	VBROADCASTSS (DI)(R11*1), Z7;  \
+	VFMADD231PS  Z0, Z7, K7, Z15;  \
+	VFMADD231PS  Z1, Z7, K7, Z19;  \
+	ADDQ         R15, DI;          \
+	ADDQ         R13, BX
+
+// REMFMA adds one remainder term into C, c + a·b fused with B's group
+// in Z0, unless a is ±0 (K6); REMFMA2 also into D, B's second group in
+// Z1.
+#define REMFMA(A, C) \
+	VBROADCASTSS A, Z4;           \
+	VCMPPS       $4, Z31, Z4, K6; \
+	VFMADD231PS  Z0, Z4, K6, C
+
+#define REMFMA2(A, C, D) \
+	REMFMA(A, C);                 \
+	VFMADD231PS  Z1, Z4, K6, D
+
+// PANELGROUP adds a quad into one column group of a one-row panel: B's
+// four rows at OFF(BX) under the group's opmask K, one FMA per p.
+#define PANELGROUP(OFF, K, C) \
+	VMOVUPS.Z   OFF(BX), K, Z0;          \
+	VFMADD231PS Z0, Z4, C;               \
+	VMOVUPS.Z   OFF(BX)(R13*1), K, Z1;   \
+	VFMADD231PS Z1, Z5, C;               \
+	VMOVUPS.Z   OFF(BX)(R13*2), K, Z2;   \
+	VFMADD231PS Z2, Z6, C;               \
+	VMOVUPS.Z   OFF(BX)(R14*1), K, Z3;   \
+	VFMADD231PS Z3, Z7, C
 
 // TAILQUAD adds one quad of a row's column tail into C: the generic sum
 // (((a0·b0 + a1·b1) + a2·b2) + a3·b3), B's four rows in Z0–Z3, merged
-// into C only when one of the four a is not ±0 (K6).
+// into C only when one of the four a is not ±0 (K6: their bits ORed,
+// tested against Z30 = 0x7fffffff).
 #define TAILQUAD(A0, A1, A2, A3, C) \
 	VBROADCASTSS A0, Z4;          \
 	VBROADCASTSS A1, Z5;          \
@@ -26,13 +195,10 @@
 	VADDPS       Z9, Z8, Z8;      \
 	VMULPS       Z3, Z7, Z9;      \
 	VADDPS       Z9, Z8, Z8;      \
-	VCMPPS       $4, Z31, Z4, K6; \
-	VCMPPS       $4, Z31, Z5, K7; \
-	KORW         K7, K6, K6;      \
-	VCMPPS       $4, Z31, Z6, K7; \
-	KORW         K7, K6, K6;      \
-	VCMPPS       $4, Z31, Z7, K7; \
-	KORW         K7, K6, K6;      \
+	VPORD        Z5, Z4, Z10;     \
+	VPORD        Z7, Z6, Z11;     \
+	VPORD        Z11, Z10, Z10;   \
+	VPTESTMD     Z30, Z10, K6;    \
 	VADDPS       Z8, C, K6, C
 
 // TAILREM adds one remainder term of a row's column tail into C, c + a·b
@@ -49,22 +215,26 @@
 // ap = 1 is A@B and ai = 1, ap = m is Aᵀ@B over A stored k×m. Columns
 // below n&^7 are vector columns, the rest (masked by K5) the tail.
 //
-//	Rows below tile (a multiple of 4, nonzero only when ap = 1) go four
-//	  at a time. Vector columns: 8 ZMM accumulators per pass over two
-//	  16-column groups (masked to what is left), one FMA per p
-//	  ascending; the k%4 remainder FMA'd per row unless a is ±0. Tail:
-//	  per quad unless the row's four a are ±0, the generic sum, then
-//	  c + a·b per remainder term unless a is ±0.
-//	Every other row goes alone, both column kinds in one pass: per quad
-//	  unless all four a are ±0, four FMAs into each vector group and the
-//	  generic sum into the tail; per remainder term unless a is ±0, one
-//	  FMA and c + a·b.
+//	Rows below tile (a multiple of 4) go in tiles of 8 rows when the
+//	  vector columns fit one group and 8 rows are left (two rows per
+//	  register when they are 8), else of 4. Vector columns: one FMA
+//	  per p ascending into register accumulators; the k%4 remainder
+//	  FMA'd per row unless a is ±0. A@B (ap = 1) skips no quad there.
+//	  Aᵀ@B skips per row: its rows' four a of a quad are four 16-byte
+//	  loads (32 for 8 rows), ORed and tested against ±0 (VPTESTMD), and
+//	  each row's FMAs run under the skipmask entry of the result, so a
+//	  skipped row's lanes keep C. Tail: per quad unless the row's four a
+//	  are ±0, the generic sum, then c + a·b per remainder term unless a
+//	  is ±0.
+//	Every other row goes alone, one panel of up to 64 vector columns at
+//	  a time (the last panel also carries the tail): per quad unless all
+//	  four a are ±0, four FMAs into each group and the generic sum into
+//	  the tail; per remainder term unless a is ±0, one FMA and c + a·b.
 //
-// A quad's all-±0 test that can skip FMAs is a branch (one integer test:
-// the four a's bits, ORed and shifted left by one, are zero); the other
-// ±0 tests are opmasks from VCMPPS against +0 (Z31), so a skipped term
-// leaves C's lanes as they were.
-TEXT ·gemmAsm512(SB), NOSPLIT, $8-72
+// The one-row quad skip is a branch (one integer test: the four a's
+// bits, ORed and shifted left by one, are zero); the other ±0 tests are
+// opmasks, so a skipped term leaves C's lanes as they were.
+TEXT ·gemmAsm512(SB), NOSPLIT, $24-72
 	MOVQ    n+40(FP), CX
 	MOVQ    CX, R15
 	ANDQ    $-8, R15
@@ -78,170 +248,316 @@ TEXT ·gemmAsm512(SB), NOSPLIT, $8-72
 	MOVQ    n+40(FP), R13
 	SHLQ    $2, R13           // row stride of B and C, bytes
 	LEAQ    (R13)(R13*2), R14
-	MOVL    $0xffff, AX
-	KMOVW   AX, K1            // a full 16-column group
-	MOVL    $0xff, AX
-	KMOVW   AX, K2            // a group of 8
 	VPXORD  Z31, Z31, Z31
 	MOVQ    c+0(FP), R12      // C row cursor
 	MOVQ    a+8(FP), R8       // A row cursor
+	MOVQ    tile+64(FP), AX
+	TESTQ   AX, AX
+	JZ      rows
 
-	// Tile rows. DX, R11 = 1·, 3·(A row stride); A steps 4 bytes per p.
-	MOVQ  ai+48(FP), DX
-	SHLQ  $2, DX
-	LEAQ  (DX)(DX*2), R11
-	MOVQ  tile+64(FP), AX
-	TESTQ AX, AX
-	JZ    rows
+	// Tiles. DX, R11 = 1·, 3·(A's row step), R15 = A's p step, in bytes;
+	// R10 = skipmask; Z30 = 0x7fffffff in every lane; tr = tile rows left.
+	MOVQ       AX, tr-16(SP)
+	MOVQ       ai+48(FP), DX
+	SHLQ       $2, DX
+	LEAQ       (DX)(DX*2), R11
+	MOVQ       ap+56(FP), R15
+	SHLQ       $2, R15
+	LEAQ       skipmask<>(SB), R10
+	VPTERNLOGD $0xff, Z30, Z30, Z30
+	VPSRLD     $1, Z30, Z30
 
 tileblock:
-	MOVQ R12, DI
-	MOVQ b+16(FP), R9
-	MOVQ n+40(FP), R10
-	ANDQ $-8, R10          // vector columns left
-	JZ   tiletail
+	MOVQ  $4, rb-24(SP)        // rows in this block
+	MOVQ  n8b-8(SP), AX
+	TESTQ AX, AX
+	JZ    tiletails
+	CMPQ  AX, $64
+	JGT   wide
+	CMPQ  tr-16(SP), $8
+	JLT   wide
 
-tilegroup:
-	KMOVW K1, K3
-	KMOVW K1, K4
-	CMPQ  R10, $32
-	JGE   tileload
-	KMOVW K2, K4
-	CMPQ  R10, $24
-	JEQ   tileload
-	KXORW K4, K4, K4
-	CMPQ  R10, $16
-	JEQ   tileload
-	KMOVW K2, K3
+	MOVQ      $8, rb-24(SP)
+	CMPQ      AX, $32
+	JEQ       packed
 
-tileload:
-	VMOVUPS.Z (DI), K3, Z12
-	VMOVUPS.Z (DI)(R13*1), K3, Z13
-	VMOVUPS.Z (DI)(R13*2), K3, Z14
-	VMOVUPS.Z (DI)(R14*1), K3, Z15
-	VMOVUPS.Z 64(DI), K4, Z16
-	VMOVUPS.Z 64(DI)(R13*1), K4, Z17
-	VMOVUPS.Z 64(DI)(R13*2), K4, Z18
-	VMOVUPS.Z 64(DI)(R14*1), K4, Z19
+	// Narrow tile: 8 rows, one group (K1), accumulators Z12–Z19. A quad
+	// runs rows 0–3 over its four terms, then rows 4–7, so four opmasks
+	// hold the skips of either half.
+	MOVL      $0xffff, BX
+	MOVL      $0xff, CX
+	CMPQ      AX, $64
+	CMOVQEQ   BX, CX
+	KMOVW     CX, K1
+	LEAQ      (R12)(R13*4), DI
+	VMOVUPS.Z (R12), K1, Z12
+	VMOVUPS.Z (R12)(R13*1), K1, Z13
+	VMOVUPS.Z (R12)(R13*2), K1, Z14
+	VMOVUPS.Z (R12)(R14*1), K1, Z15
+	VMOVUPS.Z (DI), K1, Z16
+	VMOVUPS.Z (DI)(R13*1), K1, Z17
+	VMOVUPS.Z (DI)(R13*2), K1, Z18
+	VMOVUPS.Z (DI)(R14*1), K1, Z19
+	KXNORW    K3, K3, K3
+	KMOVW     K3, K4
+	KMOVW     K3, K6
+	KMOVW     K3, K7
 	MOVQ      R8, SI
-	MOVQ      R9, BX
+	MOVQ      b+16(FP), BX
 	MOVQ      k+32(FP), CX
 	SHRQ      $2, CX
-	JZ        tilerem
+	JZ        narrowrem
 
-tilequad:
-	VMOVUPS.Z    (BX), K3, Z0
-	VMOVUPS.Z    (BX)(R13*1), K3, Z1
-	VMOVUPS.Z    (BX)(R13*2), K3, Z2
-	VMOVUPS.Z    (BX)(R14*1), K3, Z3
-	VMOVUPS.Z    64(BX), K4, Z20
-	VMOVUPS.Z    64(BX)(R13*1), K4, Z21
-	VMOVUPS.Z    64(BX)(R13*2), K4, Z22
-	VMOVUPS.Z    64(BX)(R14*1), K4, Z23
-	VBROADCASTSS (SI), Z4
-	VFMADD231PS  Z0, Z4, Z12
-	VFMADD231PS  Z20, Z4, Z16
-	VBROADCASTSS 4(SI), Z4
-	VFMADD231PS  Z1, Z4, Z12
-	VFMADD231PS  Z21, Z4, Z16
-	VBROADCASTSS 8(SI), Z4
-	VFMADD231PS  Z2, Z4, Z12
-	VFMADD231PS  Z22, Z4, Z16
-	VBROADCASTSS 12(SI), Z4
-	VFMADD231PS  Z3, Z4, Z12
-	VFMADD231PS  Z23, Z4, Z16
-	VBROADCASTSS (SI)(DX*1), Z5
-	VFMADD231PS  Z0, Z5, Z13
-	VFMADD231PS  Z20, Z5, Z17
-	VBROADCASTSS 4(SI)(DX*1), Z5
-	VFMADD231PS  Z1, Z5, Z13
-	VFMADD231PS  Z21, Z5, Z17
-	VBROADCASTSS 8(SI)(DX*1), Z5
-	VFMADD231PS  Z2, Z5, Z13
-	VFMADD231PS  Z22, Z5, Z17
-	VBROADCASTSS 12(SI)(DX*1), Z5
-	VFMADD231PS  Z3, Z5, Z13
-	VFMADD231PS  Z23, Z5, Z17
-	VBROADCASTSS (SI)(DX*2), Z6
-	VFMADD231PS  Z0, Z6, Z14
-	VFMADD231PS  Z20, Z6, Z18
-	VBROADCASTSS 4(SI)(DX*2), Z6
-	VFMADD231PS  Z1, Z6, Z14
-	VFMADD231PS  Z21, Z6, Z18
-	VBROADCASTSS 8(SI)(DX*2), Z6
-	VFMADD231PS  Z2, Z6, Z14
-	VFMADD231PS  Z22, Z6, Z18
-	VBROADCASTSS 12(SI)(DX*2), Z6
-	VFMADD231PS  Z3, Z6, Z14
-	VFMADD231PS  Z23, Z6, Z18
-	VBROADCASTSS (SI)(R11*1), Z7
-	VFMADD231PS  Z0, Z7, Z15
-	VFMADD231PS  Z20, Z7, Z19
-	VBROADCASTSS 4(SI)(R11*1), Z7
-	VFMADD231PS  Z1, Z7, Z15
-	VFMADD231PS  Z21, Z7, Z19
-	VBROADCASTSS 8(SI)(R11*1), Z7
-	VFMADD231PS  Z2, Z7, Z15
-	VFMADD231PS  Z22, Z7, Z19
-	VBROADCASTSS 12(SI)(R11*1), Z7
-	VFMADD231PS  Z3, Z7, Z15
-	VFMADD231PS  Z23, Z7, Z19
-	ADDQ         $16, SI
-	LEAQ         (BX)(R13*4), BX
-	DECQ         CX
-	JNZ          tilequad
+narrowquad:
+	VMOVUPS.Z (BX), K1, Z0
+	VMOVUPS.Z (BX)(R13*1), K1, Z1
+	VMOVUPS.Z (BX)(R13*2), K1, Z2
+	VMOVUPS.Z (BX)(R14*1), K1, Z3
+	CMPQ      R15, $4
+	JEQ       narrowlo
+	ROWBITS8
+	ROWMASKS(AX)
 
-tilerem:
+narrowlo:
+	MOVQ    SI, DI
+	NARROWP(Z0, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z12, Z13, Z14, Z15)
+	ADDQ    R15, DI
+	NARROWP(Z1, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z12, Z13, Z14, Z15)
+	ADDQ    R15, DI
+	NARROWP(Z2, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z12, Z13, Z14, Z15)
+	ADDQ    R15, DI
+	NARROWP(Z3, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z12, Z13, Z14, Z15)
+	CMPQ    R15, $4
+	JEQ     narrowhi
+	ROWMASKS(R9)
+
+narrowhi:
+	LEAQ    (SI)(DX*4), DI
+	NARROWP(Z0, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z16, Z17, Z18, Z19)
+	ADDQ    R15, DI
+	NARROWP(Z1, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z16, Z17, Z18, Z19)
+	ADDQ    R15, DI
+	NARROWP(Z2, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z16, Z17, Z18, Z19)
+	ADDQ    R15, DI
+	NARROWP(Z3, (DI), (DI)(DX*1), (DI)(DX*2), (DI)(R11*1), Z16, Z17, Z18, Z19)
+	LEAQ    (SI)(R15*4), SI
+	LEAQ    (BX)(R13*4), BX
+	DECQ    CX
+	JNZ     narrowquad
+
+narrowrem:
 	MOVQ k+32(FP), CX
 	ANDQ $3, CX
-	JZ   tilestore
+	JZ   narrowstore
 
-tileremp:
-	VMOVUPS.Z (BX), K3, Z0
-	VMOVUPS.Z 64(BX), K4, Z20
-	VBROADCASTSS (SI), Z4
-	VCMPPS       $4, Z31, Z4, K6
-	VFMADD231PS  Z0, Z4, K6, Z12
-	VFMADD231PS  Z20, Z4, K6, Z16
-	VBROADCASTSS (SI)(DX*1), Z5
-	VCMPPS       $4, Z31, Z5, K6
-	VFMADD231PS  Z0, Z5, K6, Z13
-	VFMADD231PS  Z20, Z5, K6, Z17
-	VBROADCASTSS (SI)(DX*2), Z6
-	VCMPPS       $4, Z31, Z6, K6
-	VFMADD231PS  Z0, Z6, K6, Z14
-	VFMADD231PS  Z20, Z6, K6, Z18
-	VBROADCASTSS (SI)(R11*1), Z7
-	VCMPPS       $4, Z31, Z7, K6
-	VFMADD231PS  Z0, Z7, K6, Z15
-	VFMADD231PS  Z20, Z7, K6, Z19
-	ADDQ         $4, SI
-	ADDQ         R13, BX
-	DECQ         CX
-	JNZ          tileremp
+narrowremp:
+	VMOVUPS.Z (BX), K1, Z0
+	LEAQ      (SI)(DX*4), DI
+	REMFMA((SI), Z12)
+	REMFMA((SI)(DX*1), Z13)
+	REMFMA((SI)(DX*2), Z14)
+	REMFMA((SI)(R11*1), Z15)
+	REMFMA((DI), Z16)
+	REMFMA((DI)(DX*1), Z17)
+	REMFMA((DI)(DX*2), Z18)
+	REMFMA((DI)(R11*1), Z19)
+	ADDQ      R15, SI
+	ADDQ      R13, BX
+	DECQ      CX
+	JNZ       narrowremp
 
-tilestore:
-	VMOVUPS Z12, K3, (DI)
-	VMOVUPS Z13, K3, (DI)(R13*1)
-	VMOVUPS Z14, K3, (DI)(R13*2)
-	VMOVUPS Z15, K3, (DI)(R14*1)
-	VMOVUPS Z16, K4, 64(DI)
-	VMOVUPS Z17, K4, 64(DI)(R13*1)
-	VMOVUPS Z18, K4, 64(DI)(R13*2)
-	VMOVUPS Z19, K4, 64(DI)(R14*1)
-	ADDQ    $128, DI
+narrowstore:
+	LEAQ    (R12)(R13*4), DI
+	VMOVUPS Z12, K1, (R12)
+	VMOVUPS Z13, K1, (R12)(R13*1)
+	VMOVUPS Z14, K1, (R12)(R13*2)
+	VMOVUPS Z15, K1, (R12)(R14*1)
+	VMOVUPS Z16, K1, (DI)
+	VMOVUPS Z17, K1, (DI)(R13*1)
+	VMOVUPS Z18, K1, (DI)(R13*2)
+	VMOVUPS Z19, K1, (DI)(R14*1)
+	JMP     tiletails
+
+	// Packed tile: 8 rows of 8 vector columns, rows 2j and 2j+1 in the
+	// low and high halves of Z(12+j) (K1, K2), each B row loaded into
+	// both halves. The C rows of a pair are 8 floats apart in the
+	// register and a row stride apart in memory, so the high half loads
+	// and stores 32 bytes before the odd row.
+packed:
+	MOVL      $0xff, CX
+	KMOVW     CX, K1
+	MOVL      $0xff00, CX
+	KMOVW     CX, K2
+	LEAQ      (R12)(R13*4), DI
+	VMOVUPS.Z (R12), K1, Z12
+	VMOVUPS   -32(R12)(R13*1), K2, Z12
+	VMOVUPS.Z (R12)(R13*2), K1, Z13
+	VMOVUPS   -32(R12)(R14*1), K2, Z13
+	VMOVUPS.Z (DI), K1, Z14
+	VMOVUPS   -32(DI)(R13*1), K2, Z14
+	VMOVUPS.Z (DI)(R13*2), K1, Z15
+	VMOVUPS   -32(DI)(R14*1), K2, Z15
+	KXNORW    K3, K3, K3
+	KMOVW     K3, K4
+	KMOVW     K3, K6
+	KMOVW     K3, K7
+	MOVQ      R8, SI
+	MOVQ      b+16(FP), BX
+	MOVQ      k+32(FP), CX
+	SHRQ      $2, CX
+	JZ        packedrem
+
+packedquad:
+	CMPQ      R15, $4
+	JEQ       packedfma
+	ROWBITS8
+	KMOVW     128(R10)(AX*4), K3
+	KMOVW     130(R10)(AX*4), K4
+	KMOVW     128(R10)(R9*4), K6
+	KMOVW     130(R10)(R9*4), K7
+
+packedfma:
+	LEAQ (SI)(DX*4), DI
+	PACKEDP
+	PACKEDP
+	PACKEDP
+	PACKEDP
+	DECQ CX
+	JNZ  packedquad
+
+packedrem:
+	MOVQ k+32(FP), CX
+	ANDQ $3, CX
+	JZ   packedstore
+	LEAQ (SI)(DX*4), DI
+
+packedremp:
+	VBROADCASTF64X4 (BX), Z0
+	PAIRREM((SI), (SI)(DX*1), Z12)
+	PAIRREM((SI)(DX*2), (SI)(R11*1), Z13)
+	PAIRREM((DI), (DI)(DX*1), Z14)
+	PAIRREM((DI)(DX*2), (DI)(R11*1), Z15)
+	ADDQ            R15, SI
+	ADDQ            R15, DI
+	ADDQ            R13, BX
+	DECQ            CX
+	JNZ             packedremp
+
+packedstore:
+	LEAQ    (R12)(R13*4), DI
+	VMOVUPS Z12, K1, (R12)
+	VMOVUPS Z12, K2, -32(R12)(R13*1)
+	VMOVUPS Z13, K1, (R12)(R13*2)
+	VMOVUPS Z13, K2, -32(R12)(R14*1)
+	VMOVUPS Z14, K1, (DI)
+	VMOVUPS Z14, K2, -32(DI)(R13*1)
+	VMOVUPS Z15, K1, (DI)(R13*2)
+	VMOVUPS Z15, K2, -32(DI)(R14*1)
+	JMP     tiletails
+
+	// 4-row tile: passes over two 16-column groups (K1, K2, masked to
+	// what is left); R9 = the pass's column offset, bytes.
+wide:
+	XORL R9, R9
+
+widepass:
+	MOVQ      n8b-8(SP), AX
+	SUBQ      R9, AX
+	MOVL      $0xffff, BX
+	MOVL      $0xff, CX
+	CMPQ      AX, $64
+	CMOVQGE   BX, CX
+	KMOVW     CX, K1
+	XORL      CX, CX
+	CMPQ      AX, $96
+	JLT       widek2
+	MOVL      $0xff, CX
+	CMOVQGT   BX, CX
+
+widek2:
+	KMOVW     CX, K2
+	LEAQ      (R12)(R9*1), DI
+	VMOVUPS.Z (DI), K1, Z12
+	VMOVUPS.Z (DI)(R13*1), K1, Z13
+	VMOVUPS.Z (DI)(R13*2), K1, Z14
+	VMOVUPS.Z (DI)(R14*1), K1, Z15
+	VMOVUPS.Z 64(DI), K2, Z16
+	VMOVUPS.Z 64(DI)(R13*1), K2, Z17
+	VMOVUPS.Z 64(DI)(R13*2), K2, Z18
+	VMOVUPS.Z 64(DI)(R14*1), K2, Z19
+	KXNORW    K3, K3, K3
+	KMOVW     K3, K4
+	KMOVW     K3, K6
+	KMOVW     K3, K7
+	MOVQ      R8, SI
+	MOVQ      b+16(FP), BX
+	ADDQ      R9, BX
+	MOVQ      k+32(FP), CX
+	SHRQ      $2, CX
+	JZ        widerem
+
+widequad:
+	CMPQ     R15, $4
+	JEQ      widefma
+	LEAQ     (SI)(R15*2), DI
+	VMOVUPS  (SI), X8
+	VPOR     (SI)(R15*1), X8, X8
+	VPOR     (DI), X8, X8
+	VPOR     (DI)(R15*1), X8, X8
+	VPTESTMD Z30, Z8, K3
+	KMOVW    K3, AX
+	ROWMASKS(AX)
+
+widefma:
+	MOVQ SI, DI
+	WIDEP
+	WIDEP
+	WIDEP
+	WIDEP
+	MOVQ DI, SI
+	DECQ CX
+	JNZ  widequad
+
+widerem:
+	MOVQ k+32(FP), CX
+	ANDQ $3, CX
+	JZ   widestore
+
+wideremp:
+	VMOVUPS.Z (BX), K1, Z0
+	VMOVUPS.Z 64(BX), K2, Z1
+	REMFMA2((SI), Z12, Z16)
+	REMFMA2((SI)(DX*1), Z13, Z17)
+	REMFMA2((SI)(DX*2), Z14, Z18)
+	REMFMA2((SI)(R11*1), Z15, Z19)
+	ADDQ      R15, SI
+	ADDQ      R13, BX
+	DECQ      CX
+	JNZ       wideremp
+
+widestore:
+	LEAQ    (R12)(R9*1), DI
+	VMOVUPS Z12, K1, (DI)
+	VMOVUPS Z13, K1, (DI)(R13*1)
+	VMOVUPS Z14, K1, (DI)(R13*2)
+	VMOVUPS Z15, K1, (DI)(R14*1)
+	VMOVUPS Z16, K2, 64(DI)
+	VMOVUPS Z17, K2, 64(DI)(R13*1)
+	VMOVUPS Z18, K2, 64(DI)(R13*2)
+	VMOVUPS Z19, K2, 64(DI)(R14*1)
 	ADDQ    $128, R9
-	SUBQ    $32, R10
-	JG      tilegroup
+	CMPQ    R9, n8b-8(SP)
+	JLT     widepass
 
-	// The four rows' column tails, sharing each B load.
-tiletail:
+	// The block's column tails, four rows at a time, sharing each B
+	// load; AX, R9, DI address the quad's terms 1–3.
+tiletails:
 	KORTESTW  K5, K5
 	JZ        tilenext
-	MOVQ      n8b-8(SP), R15
-	LEAQ      (R12)(R15*1), DI
+	MOVQ      n8b-8(SP), AX
+	LEAQ      (R12)(AX*1), DI
 	MOVQ      b+16(FP), BX
-	ADDQ      R15, BX
+	ADDQ      AX, BX
 	VMOVUPS.Z (DI), K5, Z12
 	VMOVUPS.Z (DI)(R13*1), K5, Z13
 	VMOVUPS.Z (DI)(R13*2), K5, Z14
@@ -256,11 +572,14 @@ tiletailquad:
 	VMOVUPS.Z (BX)(R13*1), K5, Z1
 	VMOVUPS.Z (BX)(R13*2), K5, Z2
 	VMOVUPS.Z (BX)(R14*1), K5, Z3
-	TAILQUAD((SI), 4(SI), 8(SI), 12(SI), Z12)
-	TAILQUAD((SI)(DX*1), 4(SI)(DX*1), 8(SI)(DX*1), 12(SI)(DX*1), Z13)
-	TAILQUAD((SI)(DX*2), 4(SI)(DX*2), 8(SI)(DX*2), 12(SI)(DX*2), Z14)
-	TAILQUAD((SI)(R11*1), 4(SI)(R11*1), 8(SI)(R11*1), 12(SI)(R11*1), Z15)
-	ADDQ      $16, SI
+	LEAQ      (SI)(R15*1), AX
+	LEAQ      (SI)(R15*2), R9
+	LEAQ      (AX)(R15*2), DI
+	TAILQUAD((SI), (AX), (R9), (DI), Z12)
+	TAILQUAD((SI)(DX*1), (AX)(DX*1), (R9)(DX*1), (DI)(DX*1), Z13)
+	TAILQUAD((SI)(DX*2), (AX)(DX*2), (R9)(DX*2), (DI)(DX*2), Z14)
+	TAILQUAD((SI)(R11*1), (AX)(R11*1), (R9)(R11*1), (DI)(R11*1), Z15)
+	LEAQ      (SI)(R15*4), SI
 	LEAQ      (BX)(R13*4), BX
 	DECQ      CX
 	JNZ       tiletailquad
@@ -276,12 +595,14 @@ tiletailremp:
 	TAILREM((SI)(DX*1), Z13)
 	TAILREM((SI)(DX*2), Z14)
 	TAILREM((SI)(R11*1), Z15)
-	ADDQ      $4, SI
+	ADDQ      R15, SI
 	ADDQ      R13, BX
 	DECQ      CX
 	JNZ       tiletailremp
 
 tiletailstore:
+	MOVQ    n8b-8(SP), AX
+	LEAQ    (R12)(AX*1), DI
 	VMOVUPS Z12, K5, (DI)
 	VMOVUPS Z13, K5, (DI)(R13*1)
 	VMOVUPS Z14, K5, (DI)(R13*2)
@@ -290,24 +611,62 @@ tiletailstore:
 tilenext:
 	LEAQ (R12)(R13*4), R12
 	LEAQ (R8)(DX*4), R8
-	SUBQ $4, AX
+	SUBQ $4, tr-16(SP)
+	SUBQ $4, rb-24(SP)
+	JNZ  tiletails
+	CMPQ tr-16(SP), $0
 	JNZ  tileblock
 
-	// Every other row alone. DX, R11 = 1·, 3·(A step per p); the row's
-	// column tail stays in Z13.
+	// Every other row alone. DX, R11 = 1·, 3·(A step per p); R9 = the
+	// panel's column offset and R10 the vector bytes from it on, which
+	// is where the tail starts. Groups in K1–K4, Z12–Z15; the tail in
+	// K7 (K5 in the last panel, else empty), Z16.
 rows:
-	MOVQ ap+56(FP), DX
-	SHLQ $2, DX
-	LEAQ (DX)(DX*2), R11
 	MOVQ m+24(FP), AX
 	SUBQ tile+64(FP), AX
 	JZ   done
+	MOVQ ap+56(FP), DX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), R11
 
 rowloop:
-	MOVQ      n8b-8(SP), R15
-	VMOVUPS.Z (R12)(R15*1), K5, Z13
+	XORL R9, R9
+
+rowpanel:
+	MOVQ  n8b-8(SP), R10
+	SUBQ  R9, R10
+	MOVQ  $-1, R15
+	CMPQ  R10, $256
+	JGE   rowmasks
+	MOVQ  R10, CX
+	SHRQ  $2, CX
+	MOVL  $1, R15
+	SHLQ  CX, R15
+	DECQ  R15
+
+rowmasks:
+	KMOVW R15, K1
+	SHRQ  $16, R15
+	KMOVW R15, K2
+	SHRQ  $16, R15
+	KMOVW R15, K3
+	SHRQ  $16, R15
+	KMOVW R15, K4
+	KXORW K7, K7, K7
+	CMPQ  R10, $256
+	JGT   rowload
+	KMOVW K5, K7
+
+rowload:
+	LEAQ      (R12)(R9*1), DI
+	VMOVUPS.Z (DI), K1, Z12
+	VMOVUPS.Z 64(DI), K2, Z13
+	VMOVUPS.Z 128(DI), K3, Z14
+	VMOVUPS.Z 192(DI), K4, Z15
+	VMOVUPS.Z (DI)(R10*1), K7, Z16
 	MOVQ      R8, SI
 	MOVQ      b+16(FP), BX
+	ADDQ      R9, BX
 	MOVQ      k+32(FP), CX
 	SHRQ      $2, CX
 	JZ        rowrem
@@ -323,51 +682,33 @@ rowquad:
 	VBROADCASTSS (SI)(DX*1), Z5
 	VBROADCASTSS (SI)(DX*2), Z6
 	VBROADCASTSS (SI)(R11*1), Z7
-	MOVQ         R12, DI
-	MOVQ         BX, R9
-	MOVQ         n+40(FP), R10
-	ANDQ         $-8, R10
+	PANELGROUP(0, K1, Z12)
+	KORTESTW     K2, K2
 	JZ           rowquadtail
-
-rowquadgroup:
-	KMOVW K1, K3
-	CMPQ  R10, $16
-	JGE   rowquadfma
-	KMOVW K2, K3
-
-rowquadfma:
-	VMOVUPS.Z   (DI), K3, Z12
-	VMOVUPS.Z   (R9), K3, Z0
-	VFMADD231PS Z0, Z4, Z12
-	VMOVUPS.Z   (R9)(R13*1), K3, Z1
-	VFMADD231PS Z1, Z5, Z12
-	VMOVUPS.Z   (R9)(R13*2), K3, Z2
-	VFMADD231PS Z2, Z6, Z12
-	VMOVUPS.Z   (R9)(R14*1), K3, Z3
-	VFMADD231PS Z3, Z7, Z12
-	VMOVUPS     Z12, K3, (DI)
-	ADDQ        $64, DI
-	ADDQ        $64, R9
-	SUBQ        $16, R10
-	JG          rowquadgroup
+	PANELGROUP(64, K2, Z13)
+	KORTESTW     K3, K3
+	JZ           rowquadtail
+	PANELGROUP(128, K3, Z14)
+	KORTESTW     K4, K4
+	JZ           rowquadtail
+	PANELGROUP(192, K4, Z15)
 
 rowquadtail:
-	KORTESTW  K5, K5
-	JZ        rowquadnext
-	MOVQ      n8b-8(SP), R15
-	LEAQ      (BX)(R15*1), R9
-	VMOVUPS.Z (R9), K5, Z0
-	VMOVUPS.Z (R9)(R13*1), K5, Z1
-	VMOVUPS.Z (R9)(R13*2), K5, Z2
-	VMOVUPS.Z (R9)(R14*1), K5, Z3
-	VMULPS    Z0, Z4, Z8
-	VMULPS    Z1, Z5, Z9
-	VADDPS    Z9, Z8, Z8
-	VMULPS    Z2, Z6, Z9
-	VADDPS    Z9, Z8, Z8
-	VMULPS    Z3, Z7, Z9
-	VADDPS    Z9, Z8, Z8
-	VADDPS    Z8, Z13, Z13
+	KORTESTW     K7, K7
+	JZ           rowquadnext
+	LEAQ         (BX)(R10*1), DI
+	VMOVUPS.Z    (DI), K7, Z0
+	VMOVUPS.Z    (DI)(R13*1), K7, Z1
+	VMOVUPS.Z    (DI)(R13*2), K7, Z2
+	VMOVUPS.Z    (DI)(R14*1), K7, Z3
+	VMULPS       Z0, Z4, Z8
+	VMULPS       Z1, Z5, Z9
+	VADDPS       Z9, Z8, Z8
+	VMULPS       Z2, Z6, Z9
+	VADDPS       Z9, Z8, Z8
+	VMULPS       Z3, Z7, Z9
+	VADDPS       Z9, Z8, Z8
+	VADDPS       Z8, Z16, Z16
 
 rowquadnext:
 	LEAQ (SI)(DX*4), SI
@@ -378,46 +719,37 @@ rowquadnext:
 rowrem:
 	MOVQ k+32(FP), CX
 	ANDQ $3, CX
-	JZ   rownext
+	JZ   rowstore
 
 rowremp:
 	VBROADCASTSS (SI), Z4
 	VCMPPS       $4, Z31, Z4, K6
-	MOVQ         R12, DI
-	MOVQ         BX, R9
-	MOVQ         n+40(FP), R10
-	ANDQ         $-8, R10
-	JZ           rowremtail
+	VMOVUPS.Z    (BX), K1, Z0
+	VFMADD231PS  Z0, Z4, K6, Z12
+	VMOVUPS.Z    64(BX), K2, Z1
+	VFMADD231PS  Z1, Z4, K6, Z13
+	VMOVUPS.Z    128(BX), K3, Z2
+	VFMADD231PS  Z2, Z4, K6, Z14
+	VMOVUPS.Z    192(BX), K4, Z3
+	VFMADD231PS  Z3, Z4, K6, Z15
+	VMOVUPS.Z    (BX)(R10*1), K7, Z0
+	VMULPS       Z0, Z4, Z8
+	VADDPS       Z8, Z16, K6, Z16
+	ADDQ         DX, SI
+	ADDQ         R13, BX
+	DECQ         CX
+	JNZ          rowremp
 
-rowremgroup:
-	KMOVW K1, K3
-	CMPQ  R10, $16
-	JGE   rowremfma
-	KMOVW K2, K3
-
-rowremfma:
-	VMOVUPS.Z   (DI), K3, Z12
-	VMOVUPS.Z   (R9), K3, Z0
-	VFMADD231PS Z0, Z4, K6, Z12
-	VMOVUPS     Z12, K3, (DI)
-	ADDQ        $64, DI
-	ADDQ        $64, R9
-	SUBQ        $16, R10
-	JG          rowremgroup
-
-rowremtail:
-	MOVQ      n8b-8(SP), R15
-	VMOVUPS.Z (BX)(R15*1), K5, Z0
-	VMULPS    Z0, Z4, Z8
-	VADDPS    Z8, Z13, K6, Z13
-	ADDQ      DX, SI
-	ADDQ      R13, BX
-	DECQ      CX
-	JNZ       rowremp
-
-rownext:
-	MOVQ    n8b-8(SP), R15
-	VMOVUPS Z13, K5, (R12)(R15*1)
+rowstore:
+	LEAQ    (R12)(R9*1), DI
+	VMOVUPS Z12, K1, (DI)
+	VMOVUPS Z13, K2, 64(DI)
+	VMOVUPS Z14, K3, 128(DI)
+	VMOVUPS Z15, K4, 192(DI)
+	VMOVUPS Z16, K7, (DI)(R10*1)
+	ADDQ    $256, R9
+	CMPQ    R9, n8b-8(SP)
+	JLT     rowpanel
 	ADDQ    R13, R12
 	MOVQ    ai+48(FP), R15
 	LEAQ    (R8)(R15*4), R8

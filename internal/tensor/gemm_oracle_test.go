@@ -115,11 +115,25 @@ func gemmCheck(t *testing.T, kind string, acc bool, a, b, pre *Tensor, m, k, n i
 	}
 }
 
+// gemmShapes are the products FedTrans's cells run per local step
+// (m×k×n, A stored k×m for Aᵀ@B): the vit attention cell's projections
+// and their gradients, and the cifar10 conv cells' im2col products. The
+// oracle test runs them explicitly and BenchmarkMatMulShapes times them.
+var gemmShapes = []struct {
+	kind    string
+	m, k, n int
+}{
+	{"A@B", 80, 8, 8}, {"A@B", 80, 8, 16},
+	{"AT@B", 8, 80, 8}, {"AT@B", 8, 80, 16}, {"AT@B", 16, 80, 8},
+	{"AT@B", 64, 12, 108}, {"AT@B", 64, 24, 108}, {"AT@B", 33, 8, 32},
+	{"A@B", 6, 64, 27}, {"A@B", 12, 64, 27}, {"A@B", 12, 64, 108},
+}
+
 // TestGemmMatchesOracle holds every product at every host tier to the
 // oracle, bit for bit, in both forms. The dimensions cross the 4/8/16
 // lane and quad boundaries and gemmBlockK/gemmBlockJ; every (m, k) pair
 // runs, with n cycling through its list, and every n runs at a few (m,
-// k).
+// k). Then every shape of gemmShapes runs.
 func TestGemmMatchesOracle(t *testing.T) {
 	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 31, 33}
 	ks := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 25, 27, 31, 32, 33, 54, 64, 65, 255, 256, 259}
@@ -148,6 +162,9 @@ func TestGemmMatchesOracle(t *testing.T) {
 				run(kind, ms[in%len(ms)], ks[(5*in)%len(ks)], n)
 			}
 		}
+		for _, s := range gemmShapes {
+			run(s.kind, s.m, s.k, s.n)
+		}
 	}
 }
 
@@ -172,6 +189,21 @@ func FuzzGemmBits(f *testing.F) {
 	f.Add(uint32(8323252), []byte("0"))
 	// A@B m=24 k=65 n=27: a tile row's ±0 remainder term meets an Inf.
 	f.Add(uint32(225215), []byte("00a0x"))
+	// Aᵀ@B m=4 k=8 n=24, then m=8 k=9 n=8 and n=16 (AccInto): a 4-row,
+	// a packed and a narrow tile whose rows disagree on quad 0's skip
+	// while B holds an Inf there, so a mask shared by the tile's rows
+	// gives NaN where a row skips.
+	f.Add(uint32(29626974), []byte("0"))
+	f.Add(uint32(42102331), []byte("0"))
+	f.Add(uint32(42170971), []byte("0"))
+	// A@B m=1 k=9 n=65 and Aᵀ@B m=3 k=13 n=104: one-row products whose
+	// vector columns end on the 64-column panel edge and past it.
+	f.Add(uint32(25774584), []byte("0"))
+	f.Add(uint32(30313538), []byte("0"))
+	// A@B m=8 k=13 n=8 and n=16: a packed and a narrow tile, rows 4–7
+	// and the k%4 remainder included.
+	f.Add(uint32(25285663), []byte("0"))
+	f.Add(uint32(25354303), []byte("0"))
 	f.Fuzz(func(t *testing.T, shape uint32, vals []byte) {
 		m, k, n := 1+int(shape%33), 1+int(shape/33%260), 1+int(shape/(33*260)%490)
 		form := shape / perForm

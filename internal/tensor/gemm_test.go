@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -269,6 +271,29 @@ func BenchmarkMatMul(b *testing.B) {
 			_ = naiveMatMul(a, bb)
 		}
 	})
+}
+
+// BenchmarkMatMulShapes times MatMulInto/MatMulTransAInto at each of
+// gemmShapes on the host's tier, in GFLOP/s (2·m·k·n per product).
+func BenchmarkMatMulShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range gemmShapes {
+		a, bb, _, _ := gemmOperands(s.kind, s.m, s.k, s.n)
+		a.RandNormal(rng, 1)
+		bb.RandNormal(rng, 1)
+		dst := New(s.m, s.n)
+		mul := MatMulInto
+		if s.kind == "AT@B" {
+			mul = MatMulTransAInto
+		}
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", strings.Replace(s.kind, "@", "", 1), s.m, s.k, s.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mul(dst, a, bb)
+			}
+			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
+	}
 }
 
 // The float32-vs-Ref64 parity sweep for every kernel (rank-2 GEMMs,

@@ -78,7 +78,7 @@ func dot4Asm512(a, b0, b1, b2, b3 *float32, n int) (r0, r1, r2, r3 float32)
 // forms have no vector part there.
 var zmmGemm = gemmKernels{
 	acc: func(c, a, b []float32, m, k, n int) { gemmZMM(c, a, b, m, k, n, k, 1, m&^3) },
-	ta:  func(c, a, b []float32, k, m, n int) { gemmZMM(c, a, b, m, k, n, 1, m, 0) },
+	ta:  func(c, a, b []float32, k, m, n int) { gemmZMM(c, a, b, m, k, n, 1, m, m&^3) },
 	tb: func(c, a, b []float32, m, k, n int) {
 		if k < 8 || m == 0 || n == 0 {
 			gemmTBAcc(c, a, b, m, k, n)
@@ -100,7 +100,9 @@ func gemmZMM(c, a, b []float32, m, k, n, ai, ap, tile int) {
 }
 
 // gemmAsm512 computes C += A·B with A[i][p] at a[i·ai+p·ap]; rows below
-// tile (a multiple of 4; ap = 1) run as 4-row FMA tiles.
+// tile (a multiple of 4) run as 4- or 8-row FMA tiles, which skip no
+// quad for A@B (ap = 1) and skip per row for Aᵀ@B, and the rest one at
+// a time in 64-column panels.
 //
 //go:noescape
 func gemmAsm512(c, a, b *float32, m, k, n, ai, ap, tile int)
