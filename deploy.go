@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"sync"
 
-	"fedtrans/internal/assign"
-	"fedtrans/internal/data"
-	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
 	"fedtrans/internal/tensor"
 )
 
 // ExportModel serializes the i-th model of the trained suite (creation
-// order, as reported by Models) into a self-contained blob that
+// order, as reported by Summary.Models) into a self-contained blob that
 // LoadModel can deploy without the training session.
 func (s *Session) ExportModel(i int) ([]byte, error) {
 	suite := s.runtime.Suite()
@@ -133,40 +130,4 @@ func (d *Deployed) PredictBatch(features [][]float64) ([]int, error) {
 // Info describes the deployed model.
 func (d *Deployed) Info() ModelInfo {
 	return ModelInfo{Arch: d.m.ArchString(), MACs: d.m.MACsPerSample(), Params: d.m.ParamCount()}
-}
-
-// Personalized fine-tunes each client's best compatible model on its own
-// local data for the given number of SGD steps and returns the resulting
-// per-client accuracies — the standard FL personalization pass. The
-// trained suite is not mutated. Call after Session.Run.
-//
-// When Options.EvalSample is set, only the deterministic evaluation
-// panel is fine-tuned and the returned slice has one entry per panel
-// client, in panel (ascending client ID) order.
-func (s *Session) Personalized(steps int) []float64 {
-	rng := randFor(s.opts.Seed + 12345)
-	suite := s.runtime.Suite()
-	var cur data.ClientCursor
-	personalize := func(c int) float64 {
-		compatible := assign.Compatible(suite, s.trace.At(c).CapacityMACs)
-		m := s.runtime.Manager().Best(c, compatible)
-		if m == nil {
-			return 0
-		}
-		_, acc := fl.Personalize(m, s.dataset.Fetch(&cur, c), steps, s.opts.LearningRate, rng)
-		return acc
-	}
-	if panel := s.runtime.EvalClients(); panel != nil {
-		accs := make([]float64, len(panel))
-		for i, c := range panel {
-			accs[i] = personalize(c)
-		}
-		return accs
-	}
-	n := s.dataset.Len()
-	accs := make([]float64, n)
-	for c := 0; c < n; c++ {
-		accs[c] = personalize(c)
-	}
-	return accs
 }

@@ -3,7 +3,7 @@
 // InferenceServer (whose lanes run a lone request inline and coalesce a
 // backlog into one strided batch forward), exposes it over TCP, and
 // drives it from several remote clients at once. The same lanes also
-// answer in-process Predict/PredictBatch calls.
+// answer in-process Predict/PredictBatchInto calls.
 //
 // Run with:
 //

@@ -1,0 +1,163 @@
+package fedtrans
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// testOnlyExportAllowed reports whether an exported name may have only
+// test callers: the references tests compare against (the Ref64 and
+// Naive prefixes), the tensor scaffolding external test packages build
+// on, and the test-only parity harness package (the same exception CI's
+// orphan package check makes).
+func testOnlyExportAllowed(dir, name string) bool {
+	return strings.HasPrefix(name, "Ref64") || strings.HasPrefix(name, "Naive") ||
+		dir == "internal/tensor/paritytest" ||
+		dir == "internal/tensor" && (name == "Axpy" || name == "Dot" || name == "FromSlice")
+}
+
+// TestNoTestOnlyExports holds every package-level exported func, type,
+// var and const in a non-test file of the module (cmd/, examples/ and
+// internal/ included) and of benchmark/, which builds on it, to having a
+// non-test caller: some non-test file must name it other than by its
+// declaring identifier or as its own methods' receiver. A name only
+// tests reach is API the program does not use; delete it with its
+// tests, or allow it in testOnlyExportAllowed with a reason.
+//
+// It parses without type information, so it does not cover methods (a
+// method's callers need the receiver's type, and interface dispatch on
+// top), and a same-named identifier in the declaring package counts as a
+// reference.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	type file struct {
+		dir string
+		f   *ast.File
+	}
+	var files []file
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// declared maps each (package directory, name) to its declaring
+	// identifiers (a name may be declared once per build-tagged file).
+	type object struct{ dir, name string }
+	declared := map[object][]*ast.Ident{}
+	declaring := map[*ast.Ident]bool{}
+	declare := func(dir string, id *ast.Ident) {
+		if id.IsExported() {
+			declared[object{dir, id.Name}] = append(declared[object{dir, id.Name}], id)
+			declaring[id] = true
+		}
+	}
+	for _, fl := range files {
+		for _, d := range fl.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declare(fl.dir, d.Name)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						declare(fl.dir, s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declare(fl.dir, id)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[object]bool{}
+	for _, fl := range files {
+		imports := map[string]string{} // local name -> package dir
+		for _, im := range fl.f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if p != "fedtrans" && !strings.HasPrefix(p, "fedtrans/") {
+				continue
+			}
+			dir := strings.TrimPrefix(strings.TrimPrefix(p, "fedtrans"), "/")
+			if dir == "" {
+				dir = "."
+			}
+			name := path.Base(p)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = dir
+		}
+		receivers := map[ast.Node]bool{}
+		for _, d := range fl.f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				receivers[fd.Recv] = true
+			}
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FieldList:
+				return !receivers[n]
+			case *ast.SelectorExpr:
+				// pkg.Name names an import's object; x.Name names a
+				// field or method, which this test does not track.
+				if x, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := imports[x.Name]; ok {
+						used[object{dir, n.Sel.Name}] = true
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				if !declaring[n] {
+					used[object{fl.dir, n.Name}] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(fl.f, visit)
+	}
+
+	var orphans []string
+	for o, ids := range declared {
+		if !used[o] && !testOnlyExportAllowed(o.dir, o.name) {
+			orphans = append(orphans, fset.Position(ids[0].Pos()).String()+": exported "+o.name+" has no non-test caller")
+		}
+	}
+	sort.Strings(orphans)
+	for _, o := range orphans {
+		t.Error(o)
+	}
+}

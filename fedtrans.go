@@ -11,8 +11,10 @@
 //	opts.Profile = "femnist"
 //	summary, err := fedtrans.Run(opts)
 //
-// Advanced users can construct a Session to inspect the model suite and
-// drive evaluation themselves.
+// Advanced users can construct a Session to checkpoint, resume or serve a
+// run. The Summary's Models field describes the trained model suite, and
+// Session.ExportModel hands any of its models to LoadModel for
+// deployment.
 package fedtrans
 
 import (
@@ -147,8 +149,8 @@ type Options struct {
 	// CheckpointEvery is the checkpoint cadence in rounds (default 10).
 	CheckpointEvery int
 	// EvalSample, when > 0 and smaller than the client count, restricts
-	// every full-population evaluation pass (the periodic EvaluateAll,
-	// the final accuracy sweep, and Personalized) to a fixed
+	// every full-population evaluation pass (the periodic EvaluateAll
+	// and the final accuracy sweep) to a fixed
 	// deterministic panel of EvalSample clients drawn once from the run
 	// seed. Per-client outputs then have one entry per panel client in
 	// ascending client order. EvalSample >= the population is the
@@ -278,7 +280,6 @@ type Summary struct {
 // can be inspected after Run.
 type Session struct {
 	opts    Options
-	dataset *data.Dataset
 	trace   *device.Trace
 	runtime *fl.Runtime
 	hub     *netcoord.Hub
@@ -433,7 +434,7 @@ func NewSession(opts Options) (*Session, error) {
 	}
 	cfg.Churn = selection.ChurnConfig{JoinRate: opts.ChurnJoinRate, LeaveRate: opts.ChurnLeaveRate}
 	cfg.EvalSample = opts.EvalSample
-	s := &Session{opts: opts, dataset: ds, trace: trace}
+	s := &Session{opts: opts, trace: trace}
 	if opts.ServeAddr != "" {
 		hub, err := netcoord.NewHub(opts.ServeAddr, netcoord.RunConfig{
 			Data:       dcfg,
@@ -567,16 +568,6 @@ func (s *Session) summarize(res fl.Result) Summary {
 		})
 	}
 	return sum
-}
-
-// Models describes the current model suite (after Run, the full trained
-// suite).
-func (s *Session) Models() []ModelInfo {
-	var out []ModelInfo
-	for _, m := range s.runtime.Suite() {
-		out = append(out, ModelInfo{Arch: m.ArchString(), MACs: m.MACsPerSample(), Params: m.ParamCount()})
-	}
-	return out
 }
 
 // DeviceDisparity reports the max/min capacity ratio of the simulated

@@ -13,24 +13,6 @@ func TestPopulationValidates(t *testing.T) {
 	}
 }
 
-// TestPersonalizedGenerative pins that the post-training
-// personalization pass works over a generative population.
-func TestPersonalizedGenerative(t *testing.T) {
-	opts := ScaleOptions()
-	opts.Population = 60
-	opts.ClientsPerRound = 20
-	opts.Rounds = 2
-	s, err := NewSession(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	pers := s.Personalized(5)
-	if len(pers) != 60 {
-		t.Fatalf("personalized accs = %d, want 60", len(pers))
-	}
-}
-
 // TestPredictBatchSingleForward pins the serving bugfix: a batched
 // prediction must agree with row-by-row Predict and must not allocate
 // per row — one conversion buffer, one forward, one result slice,

@@ -153,20 +153,6 @@ func (mg *Manager) Best(c int, compatible []*model.Model) *model.Model {
 	return best
 }
 
-// Utility returns client c's utility for a model ID (0 when unexplored).
-func (mg *Manager) Utility(c, modelID int) float64 { return mg.utilities[c][modelID] }
-
-// SetUtility overwrites client c's utility for a model ID, creating the
-// client's lazily-allocated entry if needed.
-func (mg *Manager) SetUtility(c, modelID int, v float64) {
-	u := mg.utilities[c]
-	if u == nil {
-		u = make(map[int]float64, 1)
-		mg.utilities[c] = u
-	}
-	u[modelID] = v
-}
-
 // UpdateJoint applies Eq. 4 after client c trained model trained with the
 // given standardized loss: for every compatible model Mk,
 //

@@ -40,7 +40,7 @@ func TestSampleRespectsUtilities(t *testing.T) {
 	s := suite(t)
 	mgr := NewManager(1)
 	// Give model 2 a huge utility; sampling should overwhelmingly pick it.
-	mgr.SetUtility(0, s[2].ID, 50)
+	mgr.ImportUtilities([]map[int]float64{{s[2].ID: 50}})
 	rng := rand.New(rand.NewSource(2))
 	picks := map[int]int{}
 	for i := 0; i < 200; i++ {
@@ -82,8 +82,7 @@ func TestSampleEdgeCases(t *testing.T) {
 func TestBestPrefersHighUtility(t *testing.T) {
 	s := suite(t)
 	mgr := NewManager(1)
-	mgr.SetUtility(0, s[1].ID, 3)
-	mgr.SetUtility(0, s[2].ID, 1)
+	mgr.ImportUtilities([]map[int]float64{{s[1].ID: 3, s[2].ID: 1}})
 	if got := mgr.Best(0, s); got != s[1] {
 		t.Errorf("Best = model %d, want %d", got.ID, s[1].ID)
 	}
@@ -100,8 +99,8 @@ func TestUpdateJointSpreadsBySimilarity(t *testing.T) {
 	// Client trained s[1] with a high standardized loss (+2): utilities
 	// must drop, more for similar models.
 	mgr.UpdateJoint(0, s[1], 2, s)
-	u1 := mgr.Utility(0, s[1].ID)
-	u0 := mgr.Utility(0, s[0].ID)
+	u := mgr.ExportUtilities()[0]
+	u1, u0 := u[s[1].ID], u[s[0].ID]
 	if u1 >= 0 {
 		t.Errorf("trained model utility = %v, want negative", u1)
 	}
@@ -113,7 +112,7 @@ func TestUpdateJointSpreadsBySimilarity(t *testing.T) {
 	}
 	// Negative standardized loss (better than average) raises utility.
 	mgr.UpdateJoint(0, s[1], -2, s)
-	if mgr.Utility(0, s[1].ID) != 0 {
+	if mgr.ExportUtilities()[0][s[1].ID] != 0 {
 		t.Error("symmetric updates should cancel")
 	}
 }
@@ -121,12 +120,13 @@ func TestUpdateJointSpreadsBySimilarity(t *testing.T) {
 func TestInheritUtilities(t *testing.T) {
 	s := suite(t)
 	mgr := NewManager(2)
-	mgr.SetUtility(0, s[1].ID, 5)
+	mgr.ImportUtilities([]map[int]float64{{s[1].ID: 5}, nil})
 	mgr.InheritUtilities(s[1].ID, s[2].ID)
-	if mgr.Utility(0, s[2].ID) != 5 {
+	u := mgr.ExportUtilities()
+	if u[0][s[2].ID] != 5 {
 		t.Error("child should inherit parent utility")
 	}
-	if mgr.Utility(1, s[2].ID) != 0 {
+	if u[1][s[2].ID] != 0 {
 		t.Error("clients without parent utility must stay at zero")
 	}
 }

@@ -332,10 +332,6 @@ func (g *Generator) synth(cur *ClientCursor, k int, test bool) *Client {
 	return cl
 }
 
-// Clients is the normalized population size of the Config the generator
-// was built from.
-func (g *Generator) Clients() int { return g.cfg.Clients }
-
 // Generate builds a synthetic federated dataset with every client
 // materialized.
 func Generate(cfg Config) *Dataset {

@@ -155,32 +155,3 @@ func TestSweepDriversProduceAllPoints(t *testing.T) {
 		}
 	}
 }
-
-func TestRepeatFedTrans(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three training runs")
-	}
-	r := RepeatFedTrans("femnist", microScale(), 3)
-	if len(r.PerSeed) != 3 {
-		t.Fatalf("runs = %d", len(r.PerSeed))
-	}
-	if r.Mean <= 0 || r.CostMean <= 0 {
-		t.Errorf("degenerate summary %+v", r)
-	}
-	if r.Std < 0 {
-		t.Errorf("negative std")
-	}
-	if !strings.Contains(r.String(), "±") {
-		t.Error("String() missing std")
-	}
-	// Different seeds must actually differ (std > 0 almost surely).
-	same := true
-	for _, v := range r.PerSeed[1:] {
-		if v != r.PerSeed[0] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("all seeds produced identical accuracy; seeding broken")
-	}
-}

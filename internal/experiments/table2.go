@@ -9,12 +9,6 @@ import (
 	"fedtrans/internal/par"
 )
 
-// MethodResult pairs a method name with its run summary.
-type MethodResult struct {
-	Method string
-	Result fl.Result
-}
-
 // Table2Row is one (dataset, method) row of Table 2.
 type Table2Row struct {
 	Dataset   string

@@ -219,7 +219,7 @@ func TestAsyncCheckpointResumeGolden(t *testing.T) {
 				if len(ck.Inflight) > 0 {
 					sawInflight = true
 				}
-				resumed, err := mk().Resume(blob)
+				resumed, err := resume(mk(), blob)
 				if err != nil {
 					t.Fatalf("resume at round %d: %v", round, err)
 				}

@@ -625,14 +625,6 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	return nil
 }
 
-// Resume restores a checkpoint and continues the run to completion.
-func (rt *Runtime) Resume(b []byte) (Result, error) {
-	if err := rt.Restore(b); err != nil {
-		return Result{}, err
-	}
-	return rt.Run(), nil
-}
-
 // cloneResult copies a Result's slices, preserving nil-ness so a
 // restored Result compares reflect.DeepEqual to the live one it was
 // captured from. A logged round's UpdatesPerModel is never written

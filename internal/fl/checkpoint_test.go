@@ -16,6 +16,15 @@ import (
 	"fedtrans/internal/wire"
 )
 
+// resume restores a checkpoint into rt and runs it to completion, the
+// way Session.Resume does.
+func resume(rt *Runtime, b []byte) (Result, error) {
+	if err := rt.Restore(b); err != nil {
+		return Result{}, err
+	}
+	return rt.Run(), nil
+}
+
 // ckptConfig is the kitchen-sink deterministic configuration the
 // checkpoint golden tests run under: transformation and dropout on, so a
 // resumed run must reproduce every stateful subsystem.
@@ -88,7 +97,7 @@ func TestCheckpointResumeGoldenEveryBoundary(t *testing.T) {
 				t.Fatalf("collected %d checkpoints, want %d", len(blobs), want)
 			}
 			for round := 1; round < ckptConfig().Rounds; round++ {
-				resumed, err := mk().Resume(blobs[round])
+				resumed, err := resume(mk(), blobs[round])
 				if err != nil {
 					t.Fatalf("resume at round %d: %v", round, err)
 				}
@@ -223,7 +232,7 @@ func TestCheckpointResumeChaosScenario(t *testing.T) {
 		if blob == nil {
 			t.Fatalf("no checkpoint at round %d (have %d blobs)", round, len(blobs))
 		}
-		resumed, err := mk().Resume(blob)
+		resumed, err := resume(mk(), blob)
 		if err != nil {
 			t.Fatalf("resume at round %d: %v", round, err)
 		}
@@ -431,7 +440,7 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	if err := build("femnist", 6).Restore(blob); !errors.Is(err, ErrGeometryMismatch) {
 		t.Errorf("restore onto a shrunk client population: err = %v, want ErrGeometryMismatch", err)
 	}
-	res, err := build("femnist", 16).Resume(blob)
+	res, err := resume(build("femnist", 16), blob)
 	if err != nil {
 		t.Fatalf("resume onto a grown same-shape population failed: %v", err)
 	}
@@ -467,7 +476,7 @@ func TestChurnGrowAcrossResume(t *testing.T) {
 		t.Fatalf("checkpoint churn bitmap covers %d clients, want 12", len(ck.ChurnOnline))
 	}
 
-	sameSize, err := mk(12).Resume(blob)
+	sameSize, err := resume(mk(12), blob)
 	if err != nil {
 		t.Fatalf("same-size churn resume: %v", err)
 	}
@@ -475,14 +484,14 @@ func TestChurnGrowAcrossResume(t *testing.T) {
 		t.Fatal("same-size churn resume diverged from the uninterrupted run")
 	}
 
-	grown, err := mk(16).Resume(blob)
+	grown, err := resume(mk(16), blob)
 	if err != nil {
 		t.Fatalf("resume onto a grown churning population: %v", err)
 	}
 	if grown.RoundsRun != 8 {
 		t.Errorf("grown resume ran %d rounds, want 8", grown.RoundsRun)
 	}
-	again, err := mk(16).Resume(blob)
+	again, err := resume(mk(16), blob)
 	if err != nil {
 		t.Fatal(err)
 	}

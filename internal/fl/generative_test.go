@@ -138,7 +138,7 @@ func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 		if blob == nil {
 			continue
 		}
-		resumed, err := mk(20, 0).Resume(blob)
+		resumed, err := resume(mk(20, 0), blob)
 		if err != nil {
 			t.Fatalf("resume at round %d: %v", round, err)
 		}
@@ -156,7 +156,7 @@ func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 	// Tiered resume: the aggregator topology is not part of the
 	// checkpoint, so a two-tier runtime resumes a single-tier blob and
 	// still reproduces the run bit for bit.
-	resumed, err := mk(20, 3).Resume(blob)
+	resumed, err := resume(mk(20, 3), blob)
 	if err != nil {
 		t.Fatalf("tiered resume: %v", err)
 	}

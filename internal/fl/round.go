@@ -29,8 +29,10 @@ import (
 // roundPolicy is what sets a synchronous round (MaxStaleness 0) apart from
 // an asynchronous one; New derives it once from Config. byArrival,
 // abortEarly and sched keep a synchronous round's numbers and checkpoint
-// bytes what they were when it ran a loop of its own; snapshot only
-// spares it a weight snapshot per dispatch.
+// bytes what they were when it ran a loop of its own; snapshot moves no
+// number and stays for its cost: a snapshot per synchronous dispatch
+// adds about 9 % to round_scale's bytes allocated per update and, in
+// most alternated benchmark pairs on 2 vCPUs, costs updates per second.
 type roundPolicy struct {
 	// inFlight is how many clients train at once: AsyncConcurrency, or
 	// every participant of a synchronous round.

@@ -419,9 +419,6 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 // Suite returns the current model suite (creation order).
 func (rt *Runtime) Suite() []*model.Model { return rt.suite }
 
-// Manager exposes the Client Manager (used by evaluation helpers).
-func (rt *Runtime) Manager() *assign.Manager { return rt.mgr }
-
 func (rt *Runtime) storageBytes() int64 {
 	var b int64
 	for _, m := range rt.suite {
@@ -734,7 +731,7 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 		src = u.src
 	}
 	if u.up == nil {
-		u.up = rt.uploads.get(src, newUploadSet)
+		u.up = rt.uploads.get(src, NewUploadSet)
 	}
 	if u.fault == chaos.Crash {
 		u.loss, u.samples = 0, 0

@@ -139,9 +139,10 @@ func (p *modelPool[T]) put(modelID int, v T) {
 	p.mu.Unlock()
 }
 
-// newUploadSet allocates one upload buffer set shaped like src's
-// parameters.
-func newUploadSet(src *model.Model) []*tensor.Tensor {
+// NewUploadSet allocates one upload buffer set shaped like src's
+// parameters: the one shape rule for where a local session writes its
+// update, in process and on a remote agent.
+func NewUploadSet(src *model.Model) []*tensor.Tensor {
 	params := src.Params()
 	set := make([]*tensor.Tensor, len(params))
 	for i, t := range params {

@@ -37,9 +37,6 @@ func (c *Costs) ObserveStorage(bytes int64) {
 	}
 }
 
-// PMACs returns training cost in peta-MACs (the paper's Table 2 unit).
-func (c *Costs) PMACs() float64 { return c.TrainMACs / 1e15 }
-
 // MB converts bytes to megabytes.
 func MB(b int64) float64 { return float64(b) / 1e6 }
 
@@ -126,19 +123,6 @@ type Series struct {
 func (s *Series) Append(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
-}
-
-// YAtX returns the last y whose x does not exceed the query (linear scan;
-// series are short).
-func (s *Series) YAtX(x float64) float64 {
-	y := 0.0
-	for i := range s.X {
-		if s.X[i] > x {
-			break
-		}
-		y = s.Y[i]
-	}
-	return y
 }
 
 // Table is a simple fixed-column text table used by the benchmark harness

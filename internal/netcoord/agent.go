@@ -216,12 +216,7 @@ func (st *connState) handleModel(payload []byte, gen *model.IDGen) error {
 		return fmt.Errorf("netcoord: MODEL frame: %w", err)
 	}
 	st.trainers[mh.model] = fl.NewClientTrainer(st.ds, m)
-	params := m.Params()
-	up := make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		up[i] = tensor.New(p.Shape...)
-	}
-	st.uploads[mh.model] = up
+	st.uploads[mh.model] = fl.NewUploadSet(m)
 	return nil
 }
 

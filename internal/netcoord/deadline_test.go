@@ -159,7 +159,7 @@ func TestStalledInferenceServerTimesOut(t *testing.T) {
 	}
 	defer cl.Close()
 	start := time.Now()
-	_, err = cl.Predict([]float64{1, 2, 3, 4})
+	_, err = cl.PredictBatch([][]float64{{1, 2, 3, 4}})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrIOTimeout) {
 		t.Fatalf("stalled server surfaced %v, want ErrIOTimeout", err)

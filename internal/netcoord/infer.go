@@ -191,24 +191,11 @@ func (c *InferClient) Dim() int { return c.dim }
 // Close shuts the connection down.
 func (c *InferClient) Close() error { return c.fc.close() }
 
-// Predict classifies one feature vector.
-func (c *InferClient) Predict(features []float64) (int, error) {
-	out, err := c.predict([][]float64{features})
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
 // PredictBatch classifies a batch of feature vectors in one exchange.
 func (c *InferClient) PredictBatch(rows [][]float64) ([]int, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	return c.predict(rows)
-}
-
-func (c *InferClient) predict(rows [][]float64) ([]int, error) {
 	if len(rows) > maxPredictRows {
 		return nil, fmt.Errorf("netcoord: %d rows in one PREDICT frame, the server reads at most %d", len(rows), maxPredictRows)
 	}

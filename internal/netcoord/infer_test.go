@@ -108,8 +108,8 @@ func TestPredictFrameLimit(t *testing.T) {
 	if _, err := cl.PredictBatch(rows); err == nil || !strings.Contains(err.Error(), "rows") {
 		t.Fatalf("%d-row frame: err %v, want the client to refuse it", len(rows), err)
 	}
-	if got, err := cl.Predict(rows[2]); err != nil || got != 2 {
-		t.Fatalf("connection unusable after a refused batch: class %d, err %v", got, err)
+	if got, err := cl.PredictBatch(rows[2:3]); err != nil || len(got) != 1 || got[0] != 2 {
+		t.Fatalf("connection unusable after a refused batch: classes %v, err %v", got, err)
 	}
 
 	fc := handshakeAsAgent(t, addr) // the inference endpoint opens with the same HELLO/WELCOME
@@ -140,7 +140,7 @@ func TestPredictFuncClassCountChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Predict(make([]float64, 4)); err == nil || !strings.Contains(err.Error(), "2 classes for 1 rows") {
+	if _, err := cl.PredictBatch([][]float64{make([]float64, 4)}); err == nil || !strings.Contains(err.Error(), "2 classes for 1 rows") {
 		t.Fatalf("miscounting PredictFunc: err %v", err)
 	}
 }
@@ -252,8 +252,8 @@ func TestServeInferenceBoundsHandshakes(t *testing.T) {
 			t.Fatalf("dial behind %d silent dials: %v", dials, err)
 		}
 		defer cl.Close()
-		if class, err := cl.Predict(make([]float64, 4)); err != nil || class != 0 {
-			t.Fatalf("predict behind %d silent dials: class %d, err %v", dials, class, err)
+		if classes, err := cl.PredictBatch([][]float64{make([]float64, 4)}); err != nil || len(classes) != 1 || classes[0] != 0 {
+			t.Fatalf("predict behind %d silent dials: classes %v, err %v", dials, classes, err)
 		}
 	})
 }

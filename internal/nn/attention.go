@@ -52,16 +52,10 @@ type AttentionCell struct {
 	views viewSet
 }
 
-// NewAttentionCell returns a single-head attention block with model dim
-// d and feed-forward hidden width ff, operating on sequences of the
-// given length.
-func NewAttentionCell(d, ff, tokens int, rng *rand.Rand) *AttentionCell {
-	return NewAttentionCellHeads(d, ff, tokens, 1, rng)
-}
-
-// NewAttentionCellHeads returns an attention block with heads attention
-// heads of width d/heads each. heads must be positive and divide the
-// model dimension. Parameter shapes are independent of the head count —
+// NewAttentionCellHeads returns an attention block with model dim d,
+// feed-forward hidden width ff and heads attention heads of width
+// d/heads each, operating on sequences of the given length. heads must
+// be positive and divide the model dimension. Parameter shapes are independent of the head count —
 // heads only changes how the score/attention products partition the
 // projected activations — so any two head counts share the wire format.
 func NewAttentionCellHeads(d, ff, tokens, heads int, rng *rand.Rand) *AttentionCell {

@@ -9,13 +9,12 @@ import (
 	"fedtrans/internal/tensor"
 )
 
-// TestAttentionHeadsOneBitIdentical pins the compatibility contract the
-// golden determinism suite rests on: a heads=1 cell computes forward and
-// backward byte-identically to the single-head NewAttentionCell — not
-// merely close.
+// TestAttentionHeadsOneBitIdentical pins the contract the golden
+// determinism suite rests on: two heads=1 cells built from one seed
+// compute forward and backward byte-identically — not merely close.
 func TestAttentionHeadsOneBitIdentical(t *testing.T) {
 	const batch, tokens, d, ff = 3, 5, 6, 12
-	single := NewAttentionCell(d, ff, tokens, rand.New(rand.NewSource(41)))
+	single := NewAttentionCellHeads(d, ff, tokens, 1, rand.New(rand.NewSource(41)))
 	one := NewAttentionCellHeads(d, ff, tokens, 1, rand.New(rand.NewSource(41)))
 	for pi, p := range single.Params() {
 		q := one.Params()[pi]
@@ -148,7 +147,7 @@ func TestAttentionHeadsStructuralOps(t *testing.T) {
 	if got := c.Forward(x); !tensor.Equal(keep, got, 1e-5) {
 		t.Error("WidenSelf changed the function of a multi-head cell")
 	}
-	single := NewAttentionCell(8, 6, 4, rand.New(rand.NewSource(55)))
+	single := NewAttentionCellHeads(8, 6, 4, 1, rand.New(rand.NewSource(55)))
 	multi := NewAttentionCellHeads(8, 6, 4, 4, rand.New(rand.NewSource(55)))
 	if single.MACsPerSample() != multi.MACsPerSample() {
 		t.Errorf("MACs differ across head counts: %v vs %v",

@@ -10,7 +10,7 @@ import (
 
 func TestAttentionShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := NewAttentionCell(6, 12, 4, rng)
+	c := NewAttentionCellHeads(6, 12, 4, 1, rng)
 	x := tensor.New(2, 4, 6)
 	x.RandNormal(rng, 1)
 	out := c.Forward(x)
@@ -26,7 +26,7 @@ func TestAttentionShapes(t *testing.T) {
 
 func TestAttentionGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := NewAttentionCell(3, 5, 3, rng)
+	c := NewAttentionCellHeads(3, 5, 3, 1, rng)
 	x := tensor.New(2, 3, 3)
 	x.RandNormal(rng, 1)
 	forward := func() *tensor.Tensor { return c.Forward(x) }
@@ -53,7 +53,7 @@ func TestAttentionGradientCheck(t *testing.T) {
 
 func TestAttentionIdentityLike(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := NewAttentionCell(4, 8, 5, rng)
+	c := NewAttentionCellHeads(4, 8, 5, 1, rng)
 	id := c.IdentityLike().(*AttentionCell)
 	x := tensor.New(2, 5, 4)
 	x.RandNormal(rng, 1) // attention identity holds for any sign
@@ -65,7 +65,7 @@ func TestAttentionIdentityLike(t *testing.T) {
 
 func TestAttentionWidenSelfPreservesFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := NewAttentionCell(4, 6, 3, rng)
+	c := NewAttentionCellHeads(4, 6, 3, 1, rng)
 	x := tensor.New(1, 3, 4)
 	x.RandNormal(rng, 1)
 	want := c.Forward(x)
@@ -81,7 +81,7 @@ func TestAttentionWidenSelfPreservesFunction(t *testing.T) {
 
 func TestAttentionWidenSelfMinimumGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := NewAttentionCell(4, 6, 3, rng)
+	c := NewAttentionCellHeads(4, 6, 3, 1, rng)
 	c.WidenSelf(1.0, rng) // factor too small: must still grow by 1
 	if c.FF() != 7 {
 		t.Errorf("FF = %d, want 7", c.FF())
@@ -90,7 +90,7 @@ func TestAttentionWidenSelfMinimumGrowth(t *testing.T) {
 
 func TestAttentionCloneIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := NewAttentionCell(4, 8, 3, rng)
+	c := NewAttentionCellHeads(4, 8, 3, 1, rng)
 	cl := c.Clone().(*AttentionCell)
 	cl.Wq.Set(0, 0, 123)
 	if c.Wq.Data[0] == 123 {
@@ -117,12 +117,12 @@ func TestAttentionMACsFormula(t *testing.T) {
 	}
 	for _, sz := range [][3]int{{3, 5, 2}, {6, 12, 4}, {64, 128, 16}} {
 		d, ff, tokens := sz[0], sz[1], sz[2]
-		c := NewAttentionCell(d, ff, tokens, rng)
+		c := NewAttentionCellHeads(d, ff, tokens, 1, rng)
 		if got, want := c.MACsPerSample(), macs(tokens, d, ff); got != want {
 			t.Errorf("MACs(d=%d, ff=%d, t=%d) = %v, want %v", d, ff, tokens, got, want)
 		}
 	}
-	c := NewAttentionCell(4, 8, 3, rng)
+	c := NewAttentionCellHeads(4, 8, 3, 1, rng)
 	x := tensor.New(2, 5, 4) // sequence length 5 overrides the constructed 3
 	x.RandNormal(rng, 1)
 	c.Forward(x)
@@ -133,8 +133,8 @@ func TestAttentionMACsFormula(t *testing.T) {
 
 func TestAttentionMACsGrowWithFF(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	small := NewAttentionCell(4, 4, 3, rng)
-	big := NewAttentionCell(4, 16, 3, rng)
+	small := NewAttentionCellHeads(4, 4, 3, 1, rng)
+	big := NewAttentionCellHeads(4, 16, 3, 1, rng)
 	if small.MACsPerSample() >= big.MACsPerSample() {
 		t.Error("MACs must grow with FF width")
 	}

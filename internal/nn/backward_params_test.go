@@ -39,7 +39,7 @@ func TestBackwardParamsBitEqualToBackward(t *testing.T) {
 		{"conv2d", NewConv2DCell(3, 4, 3, 1, true, rng), []int{3, 3, 6, 5}},
 		{"conv2d/stride2", NewConv2DCell(2, 3, 5, 2, false, rng), []int{2, 2, 7, 7}},
 		{"residual", NewResidualDenseCell(6, 9, rng), []int{4, 6}},
-		{"attention", NewAttentionCell(6, 10, 4, rng), []int{3, 4, 6}},
+		{"attention", NewAttentionCellHeads(6, 10, 4, 1, rng), []int{3, 4, 6}},
 		{"attention/heads", NewAttentionCellHeads(8, 10, 4, 4, rng), []int{3, 4, 8}},
 	}
 	for _, tc := range cases {

@@ -277,7 +277,7 @@ func TestAttentionFloat32AgainstRef64(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range attnParityCases {
 		t.Run(fmt.Sprintf("%+v", tc), func(t *testing.T) {
-			c := NewAttentionCell(tc.d, tc.ff, tc.tokens, rng)
+			c := NewAttentionCellHeads(tc.d, tc.ff, tc.tokens, 1, rng)
 			x := tensor.New(tc.batch, tc.tokens, tc.d)
 			x.RandNormal(rng, 1)
 			got := c.Forward(x)

@@ -6,19 +6,10 @@ import (
 	"fedtrans/internal/tensor"
 )
 
-// SoftmaxCrossEntropy returns the mean cross-entropy loss of logits
-// (batch, classes) against integer labels, and the gradient of the loss
-// with respect to the logits. Allocating wrapper over
-// SoftmaxCrossEntropyInto.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape...)
-	loss := SoftmaxCrossEntropyInto(grad, logits, labels)
-	return loss, grad
-}
-
 // SoftmaxCrossEntropyInto computes the mean cross-entropy loss of logits
-// against labels and writes the loss gradient w.r.t. the logits into
-// grad (same shape as logits, fully overwritten). grad may alias logits.
+// (batch, classes) against integer labels and writes the loss gradient
+// w.r.t. the logits into grad (same shape as logits, fully overwritten).
+// grad may alias logits.
 func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 {
 	batch, classes := logits.Shape[0], logits.Shape[1]
 	if batch != len(labels) {

@@ -11,7 +11,8 @@ import (
 
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	logits := tensor.FromSlice([]tensor.Float{0, 0}, 1, 2)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
+	grad := tensor.New(1, 2)
+	loss := SoftmaxCrossEntropyInto(grad, logits, []int{0})
 	if math.Abs(loss-math.Log(2)) > 1e-12 {
 		t.Errorf("loss = %v, want ln2", loss)
 	}
@@ -26,16 +27,17 @@ func TestSoftmaxCrossEntropyGradientCheck(t *testing.T) {
 	logits := tensor.New(3, 4)
 	logits.RandNormal(rng, 1)
 	labels := []int{1, 3, 0}
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	grad, scratch := tensor.New(3, 4), tensor.New(3, 4)
+	SoftmaxCrossEntropyInto(grad, logits, labels)
 	eps := tensor.Float(1e-3)
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
 		hp := float64(logits.Data[i])
-		lp, _ := SoftmaxCrossEntropy(logits, labels)
+		lp := SoftmaxCrossEntropyInto(scratch, logits, labels)
 		logits.Data[i] = orig - eps
 		hm := float64(logits.Data[i])
-		lm, _ := SoftmaxCrossEntropy(logits, labels)
+		lm := SoftmaxCrossEntropyInto(scratch, logits, labels)
 		logits.Data[i] = orig
 		want := (lp - lm) / (hp - hm)
 		if math.Abs(float64(grad.Data[i])-want) > 1e-3 {
@@ -54,7 +56,8 @@ func TestSoftmaxCrossEntropyGradSumsToZeroPerRow(t *testing.T) {
 		for i := range labels {
 			labels[i] = r.Intn(cols)
 		}
-		_, grad := SoftmaxCrossEntropy(logits, labels)
+		grad := tensor.New(rows, cols)
+		SoftmaxCrossEntropyInto(grad, logits, labels)
 		for i := 0; i < rows; i++ {
 			sum := 0.0
 			for j := 0; j < cols; j++ {
@@ -77,7 +80,7 @@ func TestSoftmaxCrossEntropyPanicsOnMismatch(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(tensor.New(2, 3), []int{0})
+	SoftmaxCrossEntropyInto(tensor.New(2, 3), tensor.New(2, 3), []int{0})
 }
 
 func TestAccuracy(t *testing.T) {

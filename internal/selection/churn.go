@@ -63,12 +63,6 @@ func (c *Churn) Step(rng *rand.Rand) {
 	}
 }
 
-// NumOnline returns the current online-client count.
-func (c *Churn) NumOnline() int { return c.n }
-
-// Online reports whether client i is currently online.
-func (c *Churn) Online(i int) bool { return c.online[i] }
-
 // ActiveInto appends the online client IDs in ascending order to buf
 // (pass buf[:0] to reuse capacity) — the round loop's per-round
 // candidate list without a per-round allocation.
@@ -84,12 +78,6 @@ func (c *Churn) ActiveInto(buf []int) []int {
 // Snapshot returns a copy of the online bitmap (checkpointing).
 func (c *Churn) Snapshot() []bool {
 	return append([]bool(nil), c.online...)
-}
-
-// Restore replaces the online bitmap (checkpoint restore). The length
-// must match the tracked population.
-func (c *Churn) Restore(online []bool) {
-	c.RestoreResized(online, len(online))
 }
 
 // RestoreResized restores a snapshot that may cover fewer clients than

@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// numOnline counts the online clients through ActiveInto, the round
+// loop's view of the population.
+func numOnline(c *Churn) int { return len(c.ActiveInto(nil)) }
+
 func TestChurnDeterministicAndFloored(t *testing.T) {
 	cfg := ChurnConfig{JoinRate: 0.3, LeaveRate: 0.4, MinOnline: 5}
 	a := NewChurn(20, cfg)
@@ -21,10 +25,10 @@ func TestChurnDeterministicAndFloored(t *testing.T) {
 		if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 			t.Fatalf("round %d: same seed diverged", round)
 		}
-		if a.NumOnline() < cfg.MinOnline {
-			t.Fatalf("round %d: online %d below floor %d", round, a.NumOnline(), cfg.MinOnline)
+		if numOnline(a) < cfg.MinOnline {
+			t.Fatalf("round %d: online %d below floor %d", round, numOnline(a), cfg.MinOnline)
 		}
-		if a.NumOnline() < 20 {
+		if numOnline(a) < 20 {
 			sawChurn = true
 		}
 	}
@@ -60,11 +64,12 @@ func TestChurnActiveIntoSortedOnline(t *testing.T) {
 		c.Step(rng)
 	}
 	act := c.ActiveInto(nil)
-	if len(act) != c.NumOnline() {
-		t.Fatalf("ActiveInto len %d != NumOnline %d", len(act), c.NumOnline())
+	if len(act) != c.n {
+		t.Fatalf("ActiveInto len %d != online count %d", len(act), c.n)
 	}
+	snap := c.Snapshot()
 	for i, id := range act {
-		if !c.Online(id) {
+		if !snap[id] {
 			t.Fatalf("ActiveInto returned offline client %d", id)
 		}
 		if i > 0 && act[i-1] >= id {
@@ -83,9 +88,9 @@ func TestChurnSnapshotRestoreRoundtrip(t *testing.T) {
 	snap := a.Snapshot()
 
 	b := NewChurn(15, cfg)
-	b.Restore(snap)
-	if b.NumOnline() != a.NumOnline() {
-		t.Fatalf("restored NumOnline %d != %d", b.NumOnline(), a.NumOnline())
+	b.RestoreResized(snap, len(snap))
+	if b.n != a.n {
+		t.Fatalf("restored online count %d != %d", b.n, a.n)
 	}
 	// Both must evolve identically from the restored state.
 	rngA := rand.New(rand.NewSource(40))
@@ -183,12 +188,12 @@ func TestChurnFloorPopulationAtMinimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 20; round++ {
 		c.Step(rng)
-		if c.NumOnline() != 4 {
-			t.Fatalf("round %d: floor-sized population shrank to %d", round, c.NumOnline())
+		if numOnline(c) != 4 {
+			t.Fatalf("round %d: floor-sized population shrank to %d", round, numOnline(c))
 		}
 	}
-	for i := 0; i < 4; i++ {
-		if !c.Online(i) {
+	for i, on := range c.Snapshot() {
+		if !on {
 			t.Fatalf("client %d went offline in a floor-sized population", i)
 		}
 	}
@@ -201,8 +206,8 @@ func TestChurnLeaveBurstStopsExactlyAtFloor(t *testing.T) {
 	c := NewChurn(10, cfg)
 	rng := rand.New(rand.NewSource(13))
 	c.Step(rng)
-	if c.NumOnline() != cfg.MinOnline {
-		t.Fatalf("leave burst left %d online, want exactly the floor %d", c.NumOnline(), cfg.MinOnline)
+	if numOnline(c) != cfg.MinOnline {
+		t.Fatalf("leave burst left %d online, want exactly the floor %d", numOnline(c), cfg.MinOnline)
 	}
 	// Leaves suppress in ascending client order, so the floor keeps the
 	// highest-numbered clients (0..6 drained first, then the guard held).
@@ -211,8 +216,8 @@ func TestChurnLeaveBurstStopsExactlyAtFloor(t *testing.T) {
 	}
 	// Repeated bursts stay pinned at the floor.
 	c.Step(rng)
-	if c.NumOnline() != cfg.MinOnline {
-		t.Fatalf("second burst moved the population to %d", c.NumOnline())
+	if numOnline(c) != cfg.MinOnline {
+		t.Fatalf("second burst moved the population to %d", numOnline(c))
 	}
 }
 
@@ -223,12 +228,12 @@ func TestChurnFloorClampedToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 3; round++ {
 		c.Step(rng)
-		if c.NumOnline() < 1 {
+		if numOnline(c) < 1 {
 			t.Fatalf("round %d: population fully drained despite the implicit floor", round)
 		}
 	}
-	if c.NumOnline() != 1 {
-		t.Fatalf("LeaveRate 1 should pin the population at the clamped floor 1, got %d", c.NumOnline())
+	if numOnline(c) != 1 {
+		t.Fatalf("LeaveRate 1 should pin the population at the clamped floor 1, got %d", numOnline(c))
 	}
 }
 
@@ -239,14 +244,14 @@ func TestChurnRejoinLiftsOffFloor(t *testing.T) {
 	c := NewChurn(6, cfg)
 	rng := rand.New(rand.NewSource(19))
 	c.Step(rng)
-	if c.NumOnline() != 2 {
-		t.Fatalf("drain left %d online, want 2", c.NumOnline())
+	if numOnline(c) != 2 {
+		t.Fatalf("drain left %d online, want 2", numOnline(c))
 	}
 	c.cfg.LeaveRate = 0
 	c.cfg.JoinRate = 1
 	c.Step(rng)
-	if c.NumOnline() != 6 {
-		t.Fatalf("full rejoin brought %d online, want 6", c.NumOnline())
+	if numOnline(c) != 6 {
+		t.Fatalf("full rejoin brought %d online, want 6", numOnline(c))
 	}
 }
 

@@ -57,7 +57,7 @@ func TestLazyCloneAliasesUntilWrite(t *testing.T) {
 			AddScaledInto(x, a, b, 0.5)
 		}},
 		{"SoftmaxInto", func(x *Tensor) { SoftmaxInto(x, randomTensor(rng, 4, 5)) }},
-		{"ReluInto", func(x *Tensor) { ReluInto(x, randomTensor(rng, 4, 5)) }},
+		{"AddBiasReluRowsAct", func(x *Tensor) { AddBiasReluRows(x, randomTensor(rng, 4, 5), randomTensor(rng, 5)) }},
 		{"ReluMask", func(x *Tensor) { ReluMask(x, randomTensor(rng, 4, 5)) }},
 		{"ReluMaskIntoDst", func(x *Tensor) { ReluMaskInto(x, randomTensor(rng, 4, 5), randomTensor(rng, 4, 5)) }},
 		{"AddBiasRows", func(x *Tensor) { AddBiasRows(x, randomTensor(rng, 5)) }},

@@ -716,19 +716,6 @@ func relu(v Float) Float {
 	return math.Float32frombits(b & posMask(b))
 }
 
-// ReluInto computes dst = max(src, 0) element-wise. dst may alias src.
-func ReluInto(dst, src *Tensor) {
-	if len(dst.Data) != len(src.Data) {
-		panic("tensor: ReluInto size mismatch")
-	}
-	dst.EnsureOwned()
-	dd := dst.Data
-	sd := src.Data[:len(dd)]
-	for i := range dd {
-		dd[i] = relu(sd[i])
-	}
-}
-
 // ReluMask zeroes dst[i] wherever pre[i] <= 0 (the ReLU backward mask);
 // a NaN pre-activation compares false and keeps its gradient.
 func ReluMask(dst, pre *Tensor) { ReluMaskInto(dst, dst, pre) }

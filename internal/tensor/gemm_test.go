@@ -176,11 +176,11 @@ func TestAddScaledInto(t *testing.T) {
 func TestReluIntoAndMask(t *testing.T) {
 	x := FromSlice([]Float{-1, 0, 2, -3, 4, -0.5}, 2, 3)
 	out := New(2, 3)
-	ReluInto(out, x)
+	AddBiasReluRows(out, x.Clone(), New(3))
 	for i, v := range x.Data {
 		want := Float(math.Max(float64(v), 0))
 		if out.Data[i] != want {
-			t.Fatalf("ReluInto[%d] = %v, want %v", i, out.Data[i], want)
+			t.Fatalf("AddBiasReluRows act[%d] = %v, want %v", i, out.Data[i], want)
 		}
 	}
 	g := FromSlice([]Float{1, 2, 3, 4, 5, 6}, 2, 3)

@@ -70,9 +70,6 @@ func NewDoCTracker(gamma, delta int) *DoCTracker {
 // Observe appends the round-i training loss.
 func (d *DoCTracker) Observe(loss float64) { d.losses = append(d.losses, loss) }
 
-// Len returns the number of observed rounds.
-func (d *DoCTracker) Len() int { return len(d.losses) }
-
 // Reset clears the loss history (used after a transformation so the new
 // suite must re-converge before transforming again).
 func (d *DoCTracker) Reset() { d.losses = d.losses[:0] }

@@ -70,7 +70,7 @@ func TestDoCReset(t *testing.T) {
 		d.Observe(1)
 	}
 	d.Reset()
-	if d.Len() != 0 {
+	if len(d.losses) != 0 {
 		t.Error("Reset did not clear history")
 	}
 	if _, ok := d.DoC(); ok {

@@ -33,7 +33,7 @@ const DefaultMaxBatch = 64
 // steady-state prediction allocates nothing.
 //
 // Serve exposes the same lanes over TCP (FTNC PREDICT frames, see
-// internal/netcoord); in-process callers just use Predict/PredictBatch.
+// internal/netcoord); in-process callers just use Predict/PredictBatchInto.
 type InferenceServer struct {
 	d        *Deployed
 	maxBatch int
@@ -109,24 +109,11 @@ func (s *InferenceServer) Predict(features []float64) (int, error) {
 	return class, err
 }
 
-// PredictBatch classifies a batch of feature vectors as one request
-// (the rows stay contiguous in the forward pass).
-func (s *InferenceServer) PredictBatch(features [][]float64) ([]int, error) {
-	if len(features) == 0 {
-		return nil, nil
-	}
-	out := make([]int, len(features))
-	if err := s.PredictBatchInto(features, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictBatchInto classifies a batch into a caller-owned class slice
-// (len(out) must equal len(features)). This is the zero-allocation form
-// of PredictBatch: a steady-state caller reusing its row and class
-// buffers allocates nothing per request, which is what lets a serving
-// frontend sustain its predictions/sec ceiling.
+// PredictBatchInto classifies a batch of feature vectors as one request
+// (the rows stay contiguous in the forward pass) into a caller-owned
+// class slice (len(out) must equal len(features)). A steady-state caller
+// reusing its row and class buffers allocates nothing per request, which
+// is what lets a serving frontend sustain its predictions/sec ceiling.
 func (s *InferenceServer) PredictBatchInto(features [][]float64, out []int) error {
 	for _, f := range features {
 		if len(f) != s.d.dim {
@@ -318,15 +305,10 @@ func DialInference(addr string) (*InferenceClient, error) {
 // InputDim is the feature dimension the remote model expects.
 func (c *InferenceClient) InputDim() int { return c.c.Dim() }
 
-// Predict classifies one feature vector remotely. Features travel as
-// float32 — the backend element type — so the remote prediction equals
-// the local one.
-func (c *InferenceClient) Predict(features []float64) (int, error) {
-	return c.c.Predict(features)
-}
-
 // PredictBatch classifies a batch remotely in one exchange of at most
-// 1024 rows, the longest PREDICT frame a server reads.
+// 1024 rows, the longest PREDICT frame a server reads. Features travel
+// as float32 — the backend element type — so the remote prediction
+// equals the local one.
 func (c *InferenceClient) PredictBatch(rows [][]float64) ([]int, error) {
 	return c.c.PredictBatch(rows)
 }

@@ -81,9 +81,9 @@ func TestInferenceServerParity(t *testing.T) {
 			t.Fatalf("server row %d: class %d, direct %d", i, y, want[i])
 		}
 	}
-	sBatch, err := srv.PredictBatch(rows)
-	if err != nil || !reflect.DeepEqual(sBatch, want) {
-		t.Fatalf("server PredictBatch diverged (err %v)", err)
+	sBatch := make([]int, len(rows))
+	if err := srv.PredictBatchInto(rows, sBatch); err != nil || !reflect.DeepEqual(sBatch, want) {
+		t.Fatalf("server PredictBatchInto diverged (err %v)", err)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -104,8 +104,8 @@ func TestInferenceServerParity(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(rBatch, want) {
 		t.Fatalf("remote PredictBatch diverged (err %v)", err)
 	}
-	if y, err := cl.Predict(rows[3]); err != nil || y != want[3] {
-		t.Fatalf("remote Predict: %d, %v; want %d", y, err, want[3])
+	if y, err := cl.PredictBatch(rows[3:4]); err != nil || len(y) != 1 || y[0] != want[3] {
+		t.Fatalf("remote one-row PredictBatch: %v, %v; want [%d]", y, err, want[3])
 	}
 	if _, err := cl.PredictBatch([][]float64{make([]float64, 3)}); err == nil {
 		t.Fatal("remote wrong-dim row must fail")
@@ -182,7 +182,7 @@ func TestInferenceServerClosed(t *testing.T) {
 	if _, err := srv.Predict(make([]float64, d.InputDim())); !errors.Is(err, ErrInferenceClosed) {
 		t.Fatalf("predict after close: %v, want ErrInferenceClosed", err)
 	}
-	if _, err := srv.PredictBatch(fixtureRows(d.InputDim(), 2)); !errors.Is(err, ErrInferenceClosed) {
+	if err := srv.PredictBatchInto(fixtureRows(d.InputDim(), 2), make([]int, 2)); !errors.Is(err, ErrInferenceClosed) {
 		t.Fatalf("batch after close: %v, want ErrInferenceClosed", err)
 	}
 }
@@ -236,8 +236,7 @@ func TestServeLoopbackByteIdentical(t *testing.T) {
 
 // TestEvalSamplePublic pins the public sampled-evaluation option:
 // EvalSample >= Clients is the identity, and a strict sample yields one
-// accuracy (and one Personalized entry) per panel client,
-// deterministically.
+// accuracy per panel client, deterministically.
 func TestEvalSamplePublic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clients = 12
@@ -265,9 +264,6 @@ func TestEvalSamplePublic(t *testing.T) {
 	sumA := sA.Run()
 	if len(sumA.ClientAccuracy) != 5 {
 		t.Fatalf("sampled run reports %d client accuracies, want 5", len(sumA.ClientAccuracy))
-	}
-	if accs := sA.Personalized(2); len(accs) != 5 {
-		t.Fatalf("sampled Personalized returned %d entries, want 5", len(accs))
 	}
 	sB, err := NewSession(opts)
 	if err != nil {
