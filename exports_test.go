@@ -2,6 +2,7 @@ package fedtrans
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -16,17 +17,54 @@ import (
 // testOnlyExportAllowed reports whether an exported name may have only
 // test callers: the references tests compare against (the Ref64 and
 // Naive prefixes), the tensor scaffolding external test packages build
-// on, and the test-only parity harness package (the same exception CI's
-// orphan package check makes).
+// on (Equal compares outputs within a tolerance), and the test-only
+// parity harness package (the same exception CI's orphan check makes).
 func testOnlyExportAllowed(dir, name string) bool {
 	return strings.HasPrefix(name, "Ref64") || strings.HasPrefix(name, "Naive") ||
 		dir == "internal/tensor/paritytest" ||
-		dir == "internal/tensor" && (name == "Axpy" || name == "Dot" || name == "FromSlice")
+		dir == "internal/tensor" && (name == "Axpy" || name == "Dot" || name == "Equal" || name == "FromSlice")
+}
+
+// moduleFile is one parsed Go file and its package directory.
+type moduleFile struct {
+	dir string
+	f   *ast.File
+}
+
+// parseModule parses the module's test or non-test files, benchmark/
+// included, skipping testdata, dot and underscore directories.
+func parseModule(t *testing.T, fset *token.FileSet, tests bool, mode parser.Mode) []moduleFile {
+	t.Helper()
+	var files []moduleFile
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") != tests {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, mode)
+		if err != nil {
+			return err
+		}
+		files = append(files, moduleFile{filepath.ToSlash(filepath.Dir(p)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestNoTestOnlyExports holds every package-level exported func, type,
-// var and const in a non-test file of the module (cmd/, examples/ and
-// internal/ included) and of benchmark/, which builds on it, to having a
+// var and const in a non-test file of the module (cmd/ and internal/
+// included) and of benchmark/, which builds on it, to having a
 // non-test caller: some non-test file must name it other than by its
 // declaring identifier or as its own methods' receiver. A name only
 // tests reach is API the program does not use; delete it with its
@@ -38,34 +76,7 @@ func testOnlyExportAllowed(dir, name string) bool {
 // reference.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	type file struct {
-		dir string
-		f   *ast.File
-	}
-	var files []file
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(p)), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := parseModule(t, fset, false, parser.SkipObjectResolution)
 
 	// declared maps each (package directory, name) to its declaring
 	// identifiers (a name may be declared once per build-tagged file).
@@ -159,5 +170,19 @@ func TestNoTestOnlyExports(t *testing.T) {
 	sort.Strings(orphans)
 	for _, o := range orphans {
 		t.Error(o)
+	}
+}
+
+// TestExamplesHaveOutput holds every Example function in the module's
+// test files to an "// Output:" or "// Unordered output:" block: go test
+// compiles an Example without one but never runs it, so it can rot.
+func TestExamplesHaveOutput(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, fl := range parseModule(t, fset, true, parser.ParseComments) {
+		for _, ex := range doc.Examples(fl.f) {
+			if ex.Output == "" && !ex.EmptyOutput {
+				t.Errorf("%s: Example%s has no // Output: block, so go test never runs it", fset.Position(ex.Code.Pos()), ex.Name)
+			}
+		}
 	}
 }

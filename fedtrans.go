@@ -14,7 +14,7 @@
 // Advanced users can construct a Session to checkpoint, resume or serve a
 // run. The Summary's Models field describes the trained model suite, and
 // Session.ExportModel hands any of its models to LoadModel for
-// deployment.
+// deployment. go test runs every Example below and checks its output.
 package fedtrans
 
 import (
