@@ -6,8 +6,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -183,6 +185,74 @@ func TestExamplesHaveOutput(t *testing.T) {
 			if ex.Output == "" && !ex.EmptyOutput {
 				t.Errorf("%s: Example%s has no // Output: block, so go test never runs it", fset.Position(ex.Code.Pos()), ex.Name)
 			}
+		}
+	}
+}
+
+// TestKernelLedger holds PERF.md's kernel ledger to the assembly: every
+// TEXT symbol in the module's .s files outside benchmark/ has exactly
+// one ledger row, which names the file that defines it, and every row
+// names a symbol that exists. A change that adds a kernel adds its row,
+// with what it costs to route the kernel to its Go body.
+func TestKernelLedger(t *testing.T) {
+	text := regexp.MustCompile(`(?m)^TEXT\s+·(\w+)\(SB\)`)
+	defined := map[string]string{} // symbol -> file
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".s") {
+			return nil
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, m := range text.FindAllSubmatch(b, -1) {
+			if prev, ok := defined[string(m[1])]; ok {
+				t.Errorf("TEXT ·%s is defined in %s and %s", m[1], prev, p)
+			}
+			defined[string(m[1])] = filepath.ToSlash(p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defined) == 0 {
+		t.Fatal("no TEXT symbol found: the walk missed the assembly")
+	}
+
+	perf, err := os.ReadFile("PERF.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ledger, ok := strings.Cut(string(perf), "\n## Kernel ledger\n")
+	if !ok {
+		t.Fatal("PERF.md has no \"## Kernel ledger\" section")
+	}
+	ledger, _, _ = strings.Cut(ledger, "\n## ")
+	row := regexp.MustCompile("(?m)^\\| `(\\w+)` \\| `([^`]+)`")
+	rows := map[string]int{}
+	for _, m := range row.FindAllStringSubmatch(ledger, -1) {
+		name, file := m[1], m[2]
+		rows[name]++
+		switch want, ok := defined[name]; {
+		case !ok:
+			t.Errorf("ledger row %s names no TEXT symbol", name)
+		case file != want:
+			t.Errorf("ledger row %s says %s, but the symbol is in %s", name, file, want)
+		}
+	}
+	for name, file := range defined {
+		if n := rows[name]; n != 1 {
+			t.Errorf("%s: TEXT ·%s has %d ledger rows in PERF.md, want 1", file, name, n)
 		}
 	}
 }

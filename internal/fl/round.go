@@ -261,7 +261,7 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	if want := pol.inFlight - len(rt.inflight); rt.churn == nil && len(rt.inflight) == 0 {
 		selected = cfg.Selector.Select(round, rt.ds.Len(), want, rt.rng)
 	} else if cand := rt.candidates(); want > 0 && len(cand) > 0 {
-		selected = rt.selectFrom(round, cand, want)
+		selected = cfg.Selector.SelectFrom(round, cand, min(want, len(cand)), rt.rng)
 	}
 	roundDropouts := rt.assignAll(selected, res, func(c int, m *model.Model) {
 		rt.dispatch(round, c, m)

@@ -538,25 +538,6 @@ func (rt *Runtime) CheckpointErr() error {
 // trades only pipeline overlap against memory.
 func streamWindow() int { return max(4, 2*stdruntime.GOMAXPROCS(0)) }
 
-// selectFrom picks up to n participants out of the candidate client
-// list: natively when the selector supports subsets, otherwise by
-// selecting positions into the list so candidate restriction still
-// holds.
-func (rt *Runtime) selectFrom(round int, cand []int, n int) []int {
-	if n > len(cand) {
-		n = len(cand)
-	}
-	if ss, ok := rt.cfg.Selector.(selection.SubsetSelector); ok {
-		return ss.SelectFrom(round, cand, n, rt.rng)
-	}
-	pos := rt.cfg.Selector.Select(round, len(cand), n, rt.rng)
-	selected := make([]int, len(pos))
-	for i, p := range pos {
-		selected[i] = cand[p]
-	}
-	return selected
-}
-
 // assignAll samples a model for each selected client and draws its
 // dropout, in selection order (both consume the round RNG), calling emit
 // for every participant that goes on to train. It returns the number of

@@ -86,7 +86,6 @@ type OutputWidener interface {
 // mapping[j] divided by counts[mapping[j]] (the number of replicas), which
 // preserves the function exactly for linear and convolutional operators.
 type InputWidener interface {
-	InUnits() int
 	WidenInput(mapping []int, counts []int)
 }
 

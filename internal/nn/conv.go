@@ -386,9 +386,6 @@ func (c *Conv2DCell) WidenOutput(mapping []int) {
 	c.GW, c.GB = nil, nil
 }
 
-// InUnits implements InputWidener (units = input channels).
-func (c *Conv2DCell) InUnits() int { return c.InCh() }
-
 // WidenInput implements InputWidener by duplicating input-channel slices
 // scaled by 1/replica-count.
 func (c *Conv2DCell) WidenInput(mapping []int, counts []int) {

@@ -143,9 +143,6 @@ func (c *DenseCell) WidenOutput(mapping []int) {
 	c.GW, c.GB = nil, nil
 }
 
-// InUnits implements InputWidener.
-func (c *DenseCell) InUnits() int { return c.InDim() }
-
 // WidenInput implements InputWidener: new input row j takes source row
 // mapping[j] scaled by 1/counts[mapping[j]], preserving the function.
 func (c *DenseCell) WidenInput(mapping []int, counts []int) {

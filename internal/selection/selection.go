@@ -22,18 +22,15 @@ import (
 type Selector interface {
 	// Select returns n distinct client indices from [0, total).
 	Select(round, total, n int, rng *rand.Rand) []int
+	// SelectFrom selects among an explicit candidate set instead of
+	// the full [0, total) population — the entry point used when client
+	// churn restricts the eligible clients of a round. Candidates are
+	// real client IDs in ascending order; the returned slice holds
+	// client IDs drawn from them.
+	SelectFrom(round int, candidates []int, n int, rng *rand.Rand) []int
 	// Feedback reports a participant's observed training loss and
 	// simulated round duration.
 	Feedback(client int, loss, duration float64)
-}
-
-// SubsetSelector selects among an explicit candidate set instead of the
-// full [0, total) population — the entry point used when client churn
-// restricts the eligible clients of a round. Candidates are real client
-// IDs in ascending order; the returned slice holds client IDs drawn
-// from them.
-type SubsetSelector interface {
-	SelectFrom(round int, candidates []int, n int, rng *rand.Rand) []int
 }
 
 // Stateful is implemented by selectors whose decisions depend on
@@ -64,7 +61,7 @@ func (Random) Select(round, total, n int, rng *rand.Rand) []int {
 	return xrand.PermPrefix(rng, total, n)
 }
 
-// SelectFrom implements SubsetSelector: uniform sampling without
+// SelectFrom implements Selector: uniform sampling without
 // replacement over the candidate set.
 func (Random) SelectFrom(round int, candidates []int, n int, rng *rand.Rand) []int {
 	if n >= len(candidates) {
@@ -156,10 +153,10 @@ func (o *Oort) Select(round, total, n int, rng *rand.Rand) []int {
 	return o.SelectFrom(round, candidates, n, rng)
 }
 
-// SelectFrom implements SubsetSelector with the same
-// exploit/explore split restricted to the candidate set, so guided
-// selection keeps honoring per-client feedback under churn (candidates
-// are real client IDs, matching the IDs Feedback is keyed by).
+// SelectFrom implements Selector with the same exploit/explore split
+// restricted to the candidate set, so guided selection keeps honoring
+// per-client feedback under churn (candidates are real client IDs,
+// matching the IDs Feedback is keyed by).
 func (o *Oort) SelectFrom(round int, candidates []int, n int, rng *rand.Rand) []int {
 	if n >= len(candidates) {
 		return append([]int(nil), candidates...)

@@ -58,8 +58,10 @@ type elem interface {
 // are fixed-width chunked loops ((*[16]E)(dst[i:]) drops the bounds
 // checks; independent lanes keep the FP units busy). At the assembly
 // tiers the float32 instantiations run their leading len&^7 elements in
-// simd_amd64.s and the rest in Go. isF32 is constant per instantiation,
-// so the float64 reference never reaches the assembly.
+// simd_amd64.s and the rest in Go: axpy and axpy4 on their one YMM form
+// at both tiers (one FMA per element, so lane width cannot change a
+// bit), dot and dot4 on the tier's own form. isF32 is constant per
+// instantiation, so the float64 reference never reaches the assembly.
 
 // isF32 reports whether the instantiation element type is the float32
 // backend type — constant-folded per instantiation.
@@ -156,11 +158,7 @@ func axpy[E elem](dst, src []E, alpha E) {
 	if isF32[E]() && simdF32 && n >= 8 {
 		nn := n &^ 7
 		d, s := f32s(dst), f32s(src)
-		if simd512 {
-			axpyAsm512(&d[0], &s[0], float32(alpha), nn)
-		} else {
-			axpyAsm(&d[0], &s[0], float32(alpha), nn)
-		}
+		axpyAsm(&d[0], &s[0], float32(alpha), nn)
 		for i := nn; i < n; i++ {
 			dst[i] += alpha * src[i]
 		}
@@ -213,13 +211,8 @@ func axpy4[E elem](dst, s0, s1, s2, s3 []E, a0, a1, a2, a3 E) {
 	if isF32[E]() && simdF32 && n >= 8 {
 		nn := n &^ 7
 		d, x0, x1, x2, x3 := f32s(dst), f32s(s0), f32s(s1), f32s(s2), f32s(s3)
-		if simd512 {
-			axpy4Asm512(&d[0], &x0[0], &x1[0], &x2[0], &x3[0],
-				float32(a0), float32(a1), float32(a2), float32(a3), nn)
-		} else {
-			axpy4Asm(&d[0], &x0[0], &x1[0], &x2[0], &x3[0],
-				float32(a0), float32(a1), float32(a2), float32(a3), nn)
-		}
+		axpy4Asm(&d[0], &x0[0], &x1[0], &x2[0], &x3[0],
+			float32(a0), float32(a1), float32(a2), float32(a3), nn)
 		for i := nn; i < n; i++ {
 			dst[i] += a0*s0[i] + a1*s1[i] + a2*s2[i] + a3*s3[i]
 		}

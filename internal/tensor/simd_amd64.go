@@ -2,10 +2,11 @@
 
 package tensor
 
-// The assembly behind the float32 tiers: the YMM (AVX2+FMA) and ZMM
-// (AVX-512F) forms of the micro-kernels axpy, axpy4, dot and dot4 and
-// the YMM 4-row tile (simd_amd64.s), which the avx2 tier's loop nests
-// and the attention kernels call on lengths that are multiples of 8;
+// The assembly behind the float32 tiers: the micro-kernels axpy and
+// axpy4 (one YMM form, which both tiers call), dot and dot4 (a YMM
+// (AVX2+FMA) and a ZMM (AVX-512F) form) and the YMM 4-row tile
+// (simd_amd64.s), which the avx2 tier's loop nests and the attention
+// kernels call on lengths that are multiples of 8;
 // the avx512 tier's whole-product GEMMs (gemm_amd64.s); the ZMM
 // softmax rows (softmax_amd64.s); the avx512 tier's attention block
 // products for narrow heads (attention_amd64.s); and its conv plumbing
@@ -60,12 +61,6 @@ func dot4Asm(a, b0, b1, b2, b3 *float32, n int) (r0, r1, r2, r3 float32)
 
 //go:noescape
 func gemm4RowsAsm(c *float32, cs int, a *float32, as int, b *float32, bs int, kq, w8 int)
-
-//go:noescape
-func axpyAsm512(dst, src *float32, alpha float32, n int)
-
-//go:noescape
-func axpy4Asm512(dst, s0, s1, s2, s3 *float32, a0, a1, a2, a3 float32, n int)
 
 //go:noescape
 func dotAsm512(a, b *float32, n int) float32
@@ -176,3 +171,10 @@ func addChannelBiasReluAsm512(act, pre, bias *float32, ch, n int)
 //
 //go:noescape
 func expAsm512(x *[8]float64)
+
+// colsumAsm512 adds row r's eight exponentials e[8r:8r+8] to sums[r]
+// through the softmax kernel's COLSUM (softmax_amd64.s); the tests hold
+// it to ascending-order sums.
+//
+//go:noescape
+func colsumAsm512(e *[64]float64, sums *[8]float64)

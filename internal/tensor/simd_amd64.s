@@ -2,10 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2+FMA instantiations of the four vector-lane micro-kernels and the
-// 4-row tile. See simd_amd64.go for the dispatch contract (n is a
-// multiple of 8; the Go wrappers drain remainders through the generic
-// tails).
+// AVX2+FMA forms of the four vector-lane micro-kernels and the 4-row
+// tile. n is a multiple of 8: the Go wrappers in gemm.go drain the
+// remainders (simd_amd64.go states the dispatch).
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -348,144 +347,12 @@ gemm4p:
 	VZEROUPPER
 	RET
 
-// AVX-512F (ZMM, 16 float32 lanes) forms of the four micro-kernels
-// above, selected when detectSIMD reports SIMDAVX512. The dispatch
-// contract is unchanged — n is a multiple of 8 — so each kernel drains a
-// possible trailing 8-wide group on YMM lanes after its 16-wide loops.
-// axpy and axpy4 keep one FMA per step, ascending, and so match their
-// YMM forms bit for bit; the dot family reduces across different lane
-// partitions (gemm.go states which products take which). Accumulator
-// zeroing uses VEX-encoded VXORPS on the YMM form, which architecturally
-// zeroes the full ZMM register, and YMM tail accumulators live in
-// separate registers because a VEX write would clear the high 256 bits
-// of a live ZMM accumulator.
-
-// func axpyAsm512(dst, src *float32, alpha float32, n int)
-TEXT ·axpyAsm512(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	VBROADCASTSS alpha+16(FP), Z0
-	MOVQ         n+24(FP), CX
-
-axpy512x64:
-	CMPQ        CX, $64
-	JL          axpy512x16
-	VMOVUPS     (DI), Z1
-	VMOVUPS     64(DI), Z2
-	VMOVUPS     128(DI), Z3
-	VMOVUPS     192(DI), Z4
-	VFMADD231PS (SI), Z0, Z1
-	VFMADD231PS 64(SI), Z0, Z2
-	VFMADD231PS 128(SI), Z0, Z3
-	VFMADD231PS 192(SI), Z0, Z4
-	VMOVUPS     Z1, (DI)
-	VMOVUPS     Z2, 64(DI)
-	VMOVUPS     Z3, 128(DI)
-	VMOVUPS     Z4, 192(DI)
-	ADDQ        $256, DI
-	ADDQ        $256, SI
-	SUBQ        $64, CX
-	JMP         axpy512x64
-
-axpy512x16:
-	CMPQ        CX, $16
-	JL          axpy512x8
-	VMOVUPS     (DI), Z1
-	VFMADD231PS (SI), Z0, Z1
-	VMOVUPS     Z1, (DI)
-	ADDQ        $64, DI
-	ADDQ        $64, SI
-	SUBQ        $16, CX
-	JMP         axpy512x16
-
-axpy512x8:
-	CMPQ        CX, $8
-	JL          axpy512done
-	VMOVUPS     (DI), Y1
-	VFMADD231PS (SI), Y0, Y1
-	VMOVUPS     Y1, (DI)
-	ADDQ        $32, DI
-	ADDQ        $32, SI
-	SUBQ        $8, CX
-	JMP         axpy512x8
-
-axpy512done:
-	VZEROUPPER
-	RET
-
-// func axpy4Asm512(dst, s0, s1, s2, s3 *float32, a0, a1, a2, a3 float32, n int)
-TEXT ·axpy4Asm512(SB), NOSPLIT, $0-64
-	MOVQ         dst+0(FP), DI
-	MOVQ         s0+8(FP), SI
-	MOVQ         s1+16(FP), R8
-	MOVQ         s2+24(FP), R9
-	MOVQ         s3+32(FP), R10
-	VBROADCASTSS a0+40(FP), Z0
-	VBROADCASTSS a1+44(FP), Z1
-	VBROADCASTSS a2+48(FP), Z2
-	VBROADCASTSS a3+52(FP), Z3
-	MOVQ         n+56(FP), CX
-
-axpy4z32:
-	CMPQ        CX, $32
-	JL          axpy4z16
-	VMOVUPS     (DI), Z4
-	VMOVUPS     64(DI), Z5
-	VFMADD231PS (SI), Z0, Z4
-	VFMADD231PS 64(SI), Z0, Z5
-	VFMADD231PS (R8), Z1, Z4
-	VFMADD231PS 64(R8), Z1, Z5
-	VFMADD231PS (R9), Z2, Z4
-	VFMADD231PS 64(R9), Z2, Z5
-	VFMADD231PS (R10), Z3, Z4
-	VFMADD231PS 64(R10), Z3, Z5
-	VMOVUPS     Z4, (DI)
-	VMOVUPS     Z5, 64(DI)
-	ADDQ        $128, DI
-	ADDQ        $128, SI
-	ADDQ        $128, R8
-	ADDQ        $128, R9
-	ADDQ        $128, R10
-	SUBQ        $32, CX
-	JMP         axpy4z32
-
-axpy4z16:
-	CMPQ        CX, $16
-	JL          axpy4z8
-	VMOVUPS     (DI), Z4
-	VFMADD231PS (SI), Z0, Z4
-	VFMADD231PS (R8), Z1, Z4
-	VFMADD231PS (R9), Z2, Z4
-	VFMADD231PS (R10), Z3, Z4
-	VMOVUPS     Z4, (DI)
-	ADDQ        $64, DI
-	ADDQ        $64, SI
-	ADDQ        $64, R8
-	ADDQ        $64, R9
-	ADDQ        $64, R10
-	SUBQ        $16, CX
-	JMP         axpy4z16
-
-axpy4z8:
-	CMPQ        CX, $8
-	JL          axpy4zdone
-	VMOVUPS     (DI), Y4
-	VFMADD231PS (SI), Y0, Y4
-	VFMADD231PS (R8), Y1, Y4
-	VFMADD231PS (R9), Y2, Y4
-	VFMADD231PS (R10), Y3, Y4
-	VMOVUPS     Y4, (DI)
-	ADDQ        $32, DI
-	ADDQ        $32, SI
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	SUBQ        $8, CX
-	JMP         axpy4z8
-
-axpy4zdone:
-	VZEROUPPER
-	RET
+// AVX-512F (ZMM) forms of dot and dot4 for SIMDAVX512; axpy and axpy4
+// have only the YMM forms above (one FMA per element: lane width moves
+// no bit). n is a multiple of 8, so each drains a trailing 8-wide group
+// in YMM registers apart from its ZMM accumulators, since a VEX write
+// clears a ZMM's high half; VEX VXORPS on the Y form still zeroes a
+// whole ZMM accumulator. gemm.go says which products take which lanes.
 
 // func dotAsm512(a, b *float32, n int) float32
 // Four ZMM accumulator lanes (64 elements per iteration) plus a

@@ -27,12 +27,6 @@ func gemm4RowsAsm(c *float32, cs int, a *float32, as int, b *float32, bs int, kq
 	panic("tensor: no simd")
 }
 
-func axpyAsm512(dst, src *float32, alpha float32, n int) { panic("tensor: no simd") }
-
-func axpy4Asm512(dst, s0, s1, s2, s3 *float32, a0, a1, a2, a3 float32, n int) {
-	panic("tensor: no simd")
-}
-
 func dotAsm512(a, b *float32, n int) float32 { panic("tensor: no simd") }
 
 func dot4Asm512(a, b0, b1, b2, b3 *float32, n int) (r0, r1, r2, r3 float32) {

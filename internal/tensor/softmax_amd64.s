@@ -195,11 +195,10 @@ GLOBL expc<>(SB), RODATA|NOPTR, $120
 	VMOVUPS   Y9, dst
 
 // COLSUM transposes the eight rows' exponentials Z0–Z7 (8×8 float64) and
-// adds the columns to the row sums in ascending column order, one
-// vertical add per column. The sums live at 96(SP) between blocks and
-// are left in Z8.
-#define COLSUM \
-	VMOVUPD    96(SP), Z8; \
+// adds the columns to the row sums at sums in ascending column order,
+// one vertical add per column, leaving the sums in Z8 too.
+#define COLSUM(sums) \
+	VMOVUPD    sums, Z8; \
 	VUNPCKLPD  Z1, Z0, Z9; \
 	VUNPCKHPD  Z1, Z0, Z1; \
 	VUNPCKLPD  Z3, Z2, Z0; \
@@ -232,7 +231,7 @@ GLOBL expc<>(SB), RODATA|NOPTR, $120
 	VADDPD     Z5, Z8, Z8; \
 	VSHUFF64X2 $0xDD, Z7, Z3, Z5; \
 	VADDPD     Z5, Z8, Z8; \
-	VMOVUPD    Z8, 96(SP)
+	VMOVUPD    Z8, sums
 
 // GNORM scales a whole block at addr by the float32 at inv; GNORMT
 // scales the partial block parked at off into addr under K1.
@@ -387,7 +386,7 @@ gexptail:
 	GSTORET(Z7, 384)
 
 gexpsum:
-	COLSUM
+	COLSUM(96(SP))
 	ADDQ $32, R8
 	ADDQ $32, R10
 	ADDQ $32, R11
@@ -551,5 +550,22 @@ TEXT ·expAsm512(SB), NOSPLIT, $0-8
 	VMOVUPD (AX), Z2
 	EXPPD(Z2, Z6, Z7)
 	VMOVUPD Z2, (AX)
+	VZEROUPPER
+	RET
+
+// func colsumAsm512(e *[64]float64, sums *[8]float64)
+// sums[r] += e[8r], …, e[8r+7]: COLSUM alone, for the test of its order.
+TEXT ·colsumAsm512(SB), NOSPLIT, $0-16
+	MOVQ    e+0(FP), AX
+	MOVQ    sums+8(FP), BX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	VMOVUPD 128(AX), Z2
+	VMOVUPD 192(AX), Z3
+	VMOVUPD 256(AX), Z4
+	VMOVUPD 320(AX), Z5
+	VMOVUPD 384(AX), Z6
+	VMOVUPD 448(AX), Z7
+	COLSUM((BX))
 	VZEROUPPER
 	RET

@@ -41,3 +41,48 @@ func TestExpLanesMatchMathExp(t *testing.T) {
 		}
 	}
 }
+
+// TestColsumAddsColumnsAscending holds the softmax kernel's group sum
+// (COLSUM: transpose eight rows' exponentials, add the columns) to the
+// ascending float64 row sums the one-row path and softmaxRow compute. A
+// stored row shows its sum only through float32(1/sum), which hides a
+// reordered add in all but about 2⁻²⁹ of rows, so the sums are checked
+// before the divide, on exponentials spread over many binades, where
+// the order of the adds changes the sum.
+func TestColsumAddsColumnsAscending(t *testing.T) {
+	needAVX512(t)
+	rng := rand.New(rand.NewSource(12))
+	const groups = 1000
+	orderMatters := 0
+	for g := 0; g < groups; g++ {
+		var e [64]float64
+		var sums [8]float64
+		for i := range e {
+			e[i] = math.Exp(-40 * rng.Float64())
+		}
+		for r := range sums {
+			sums[r] = math.Exp(-10 * rng.Float64())
+		}
+		want, down := sums, sums
+		for r := range want {
+			for c := 0; c < 8; c++ {
+				want[r] += e[8*r+c]
+				down[r] += e[8*r+7-c]
+			}
+			if want[r] != down[r] {
+				orderMatters++
+			}
+		}
+		colsumAsm512(&e, &sums)
+		for r, got := range sums {
+			if math.Float64bits(got) != math.Float64bits(want[r]) {
+				t.Fatalf("group %d row %d: COLSUM sum %v, ascending sum %v (exponentials %v)", g, r, got, want[r], e[8*r:8*r+8])
+			}
+		}
+	}
+	// Guard the inputs: a reversed order must change a quarter of the
+	// sums at least (about 40 % of them change at this seed).
+	if orderMatters < 8*groups/4 {
+		t.Fatalf("only %d of %d rows depend on the order of their adds", orderMatters, 8*groups)
+	}
+}
