@@ -175,6 +175,68 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// TestOptionsFieldsHaveCallers holds every exported field of Options to
+// having a program that sets or reads it: some non-test file outside
+// this package that imports it (cmd/fedtrans and benchmark/) must name
+// the field, as a selector (x.F, &x.F) or a composite-literal key. A
+// field no program turns is a knob only tests cover; delete it with the
+// code behind it. Without type information any selector or key spelled
+// like the field counts.
+func TestOptionsFieldsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseModule(t, fset, false, parser.SkipObjectResolution)
+	fields := map[string]token.Pos{}
+	named := map[string]bool{}
+	for _, fl := range files {
+		if fl.dir == "." {
+			ast.Inspect(fl.f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Options" {
+					for _, f := range ts.Type.(*ast.StructType).Fields.List {
+						for _, id := range f.Names {
+							if id.IsExported() {
+								fields[id.Name] = id.Pos()
+							}
+						}
+					}
+				}
+				return true
+			})
+			continue
+		}
+		importsRoot := false
+		for _, im := range fl.f.Imports {
+			importsRoot = importsRoot || im.Path.Value == `"fedtrans"`
+		}
+		if !importsRoot {
+			continue
+		}
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				named[n.Sel.Name] = true
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					named[id.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(fields) == 0 {
+		t.Fatal("no exported Options fields found")
+	}
+	var unset []string
+	for name, pos := range fields {
+		if !named[name] {
+			unset = append(unset, fset.Position(pos).String()+": Options."+name+" is named by no program")
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Error(u)
+	}
+}
+
 // TestExamplesHaveOutput holds every Example function in the module's
 // test files to an "// Output:" or "// Unordered output:" block: go test
 // compiles an Example without one but never runs it, so it can rot.

@@ -29,7 +29,6 @@ import (
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
 	"fedtrans/internal/netcoord"
-	"fedtrans/internal/selection"
 )
 
 // Options configures a FedTrans training run. Start from DefaultOptions()
@@ -91,13 +90,6 @@ type Options struct {
 	// AllowL2S enables large-to-small weight sharing (off by default; see
 	// Table 1).
 	AllowL2S bool
-	// DropoutRate injects client churn: the probability that a selected
-	// participant downloads the model but never returns an update.
-	DropoutRate float64
-	// GuidedSelection replaces uniform participant sampling with an
-	// Oort-style guided selector (high statistical utility, acceptable
-	// system speed).
-	GuidedSelection bool
 	// MaxStaleness ≥ 1 switches the coordinator to FedBuff-style
 	// staleness-bounded asynchronous rounds: clients train against the
 	// model version current at dispatch, rounds commit the earliest
@@ -121,25 +113,9 @@ type Options struct {
 	// RetryBudget is the number of deterministic re-training attempts per
 	// failed client upload before the client counts as a round failure.
 	RetryBudget int
-	// RetryBackoff is the simulated delay (seconds) added before the first
-	// retry; each subsequent attempt doubles it.
-	RetryBackoff float64
-	// ClientTimeout drops any client whose simulated round time exceeds
-	// this many simulated seconds (0 = no timeout). Timed-out clients
-	// still charge their training compute and download bytes. It is not
-	// a wall-clock bound: a networked session's wire frames run under
-	// netcoord.DefaultIOTimeout whatever it is.
-	ClientTimeout float64
 	// Chaos configures the deterministic fault-injection harness. All
 	// rates zero (the default) leaves the run fault-free.
 	Chaos ChaosOptions
-	// ChurnJoinRate and ChurnLeaveRate enable client churn: each round,
-	// every offline client rejoins with probability ChurnJoinRate and
-	// every online client leaves with probability ChurnLeaveRate. Both
-	// zero disables churn. The online population never drops below
-	// ClientsPerRound.
-	ChurnJoinRate  float64
-	ChurnLeaveRate float64
 	// CheckpointPath, when non-empty, makes the coordinator write a
 	// resumable checkpoint to this file every CheckpointEvery rounds
 	// (atomically, via a temp file + rename). Session.Resume restores a
@@ -258,7 +234,7 @@ type Summary struct {
 	// Rounds is the number of rounds executed.
 	Rounds int
 	// Failures counts client attempts that ended in a fault (crash,
-	// corrupt or non-finite upload, timeout) after exhausting retries;
+	// corrupt or non-finite upload, lost agent) after exhausting retries;
 	// Retries counts re-training attempts. AbortedRounds counts rounds
 	// that lost quorum and left the suite untouched. All zero on
 	// fault-free runs.
@@ -344,20 +320,15 @@ func (o Options) validate() error {
 		{"WidenFactor", o.WidenFactor, o.WidenFactor > 1, "> 1"},
 		{"DeepenCells", o.DeepenCells, o.DeepenCells >= 1, ">= 1"},
 		{"CapacitySpread", o.CapacitySpread, o.CapacitySpread >= 1, ">= 1"},
-		{"DropoutRate", o.DropoutRate, rate(o.DropoutRate), "in [0, 1]"},
 		{"MaxStaleness", o.MaxStaleness, o.MaxStaleness >= 0, ">= 0"},
 		{"AsyncConcurrency", o.AsyncConcurrency, o.AsyncConcurrency >= 0, ">= 0"},
 		{"Quorum", o.Quorum, rate(o.Quorum), "in [0, 1]"},
 		{"RetryBudget", o.RetryBudget, o.RetryBudget >= 0, ">= 0"},
-		{"RetryBackoff", o.RetryBackoff, o.RetryBackoff >= 0, ">= 0"},
-		{"ClientTimeout", o.ClientTimeout, o.ClientTimeout >= 0, ">= 0"},
 		{"Chaos.CrashRate", o.Chaos.CrashRate, rate(o.Chaos.CrashRate), "in [0, 1]"},
 		{"Chaos.CorruptRate", o.Chaos.CorruptRate, rate(o.Chaos.CorruptRate), "in [0, 1]"},
 		{"Chaos.NonFiniteRate", o.Chaos.NonFiniteRate, rate(o.Chaos.NonFiniteRate), "in [0, 1]"},
 		{"Chaos.StragglerRate", o.Chaos.StragglerRate, rate(o.Chaos.StragglerRate), "in [0, 1]"},
 		{"Chaos.StragglerDelay", o.Chaos.StragglerDelay, o.Chaos.StragglerDelay >= 0, ">= 0"},
-		{"ChurnJoinRate", o.ChurnJoinRate, rate(o.ChurnJoinRate), "in [0, 1]"},
-		{"ChurnLeaveRate", o.ChurnLeaveRate, rate(o.ChurnLeaveRate), "in [0, 1]"},
 		{"CheckpointEvery", o.CheckpointEvery, o.CheckpointEvery >= 1, ">= 1"},
 		{"EvalSample", o.EvalSample, o.EvalSample >= 0, ">= 0"},
 		{"AttentionHeads", o.AttentionHeads, o.AttentionHeads >= 0 &&
@@ -416,23 +387,16 @@ func NewSession(opts Options) (*Session, error) {
 	cfg.Transform.WidenFactor = opts.WidenFactor
 	cfg.Transform.DeepenCells = opts.DeepenCells
 	cfg.Soft.AllowL2S = opts.AllowL2S
-	cfg.DropoutRate = opts.DropoutRate
-	if opts.GuidedSelection {
-		cfg.Selector = selection.NewOort()
-	}
 	cfg.MaxStaleness = opts.MaxStaleness
 	cfg.AsyncConcurrency = opts.AsyncConcurrency
 	cfg.EdgeAggregators = opts.EdgeAggregators
 	cfg.Seed = opts.Seed
 	cfg.Quorum = opts.Quorum
 	cfg.RetryBudget = opts.RetryBudget
-	cfg.RetryBackoff = opts.RetryBackoff
-	cfg.ClientTimeout = opts.ClientTimeout
 	cfg.Chaos = opts.Chaos
 	if cfg.Chaos.Seed == 0 {
 		cfg.Chaos.Seed = opts.Seed + 10_007
 	}
-	cfg.Churn = selection.ChurnConfig{JoinRate: opts.ChurnJoinRate, LeaveRate: opts.ChurnLeaveRate}
 	cfg.EvalSample = opts.EvalSample
 	s := &Session{opts: opts, trace: trace}
 	if opts.ServeAddr != "" {
@@ -529,8 +493,8 @@ func (s *Session) Resume(checkpoint []byte) (Summary, error) {
 }
 
 // Checkpoint serializes the coordinator's current state (suite weights,
-// aggregator shards, RNG position, selector/churn/optimizer state) into a
-// self-describing blob accepted by Resume.
+// RNG position, client utilities, optimizer and asynchronous scheduler
+// state) into a self-describing blob accepted by Resume.
 func (s *Session) Checkpoint() ([]byte, error) { return s.runtime.Checkpoint() }
 
 // CheckpointError reports the first error encountered while encoding or

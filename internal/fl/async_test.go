@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fedtrans/internal/chaos"
-	"fedtrans/internal/selection"
 )
 
 // The tests in this file are the golden expectations of the deleted
@@ -139,10 +138,9 @@ func TestAsyncMitigatesStragglersInWallClock(t *testing.T) {
 }
 
 // asyncChaosScenario is the asynchronous kitchen-sink configuration:
-// staleness-bounded rounds with chaos faults, retries with backoff,
-// timeouts, quorum, churn, a stateful guided selector, the server
-// optimizer, clip+noise, and dropout — every
-// subsystem the async checkpoint must carry through kill/resume.
+// staleness-bounded rounds with chaos faults, retries, quorum and the
+// server optimizer — every subsystem the async checkpoint must carry
+// through kill/resume.
 func asyncChaosScenario(t *testing.T) func() *Runtime {
 	return func() *Runtime {
 		ds, tr, spec := smokeSetup(t, 20)
@@ -150,11 +148,8 @@ func asyncChaosScenario(t *testing.T) func() *Runtime {
 		cfg.Rounds = 12
 		cfg.MaxStaleness = 2
 		cfg.ServerYogi = true
-		cfg.Selector = selection.NewOort()
 		cfg.Quorum = 0.4
 		cfg.RetryBudget = 2
-		cfg.RetryBackoff = 2
-		cfg.ClientTimeout = 25
 		cfg.Chaos = chaos.Config{
 			Seed:           99,
 			CrashRate:      0.10,
@@ -163,7 +158,6 @@ func asyncChaosScenario(t *testing.T) func() *Runtime {
 			StragglerRate:  0.15,
 			StragglerDelay: 30,
 		}
-		cfg.Churn = selection.ChurnConfig{JoinRate: 0.3, LeaveRate: 0.2}
 		return New(cfg, ds, tr, spec)
 	}
 }

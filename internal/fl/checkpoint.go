@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fedtrans/internal/model"
-	"fedtrans/internal/selection"
 	"fedtrans/internal/transform"
 	"fedtrans/internal/wire"
 )
@@ -18,11 +17,11 @@ import (
 // not deployment: a resumed suite must keep transforming and computing
 // similarity exactly as before), the ID-scope counters, the exact rng
 // position as a draw count, the Client Manager utilities, the DoC and
-// activeness windows, server-optimizer and selector state, churn
-// membership, the asynchronous-mode scheduler state (virtual clock,
-// staleness tallies, and the in-flight dispatches with their
-// download-time weight snapshots — resume re-submits them and
-// deterministically retrains), and the accumulated Result. Aggregator
+// activeness windows, server-optimizer state, the asynchronous-mode
+// scheduler state (virtual clock, staleness tallies, and the in-flight
+// dispatches with their download-time weight snapshots — resume
+// re-submits them and deterministically retrains), and the accumulated
+// Result. Aggregator
 // state is not part of it: a checkpoint is taken at a round boundary,
 // where every accumulator has been finalized or aborted.
 //
@@ -32,10 +31,10 @@ import (
 //
 // The body is this struct's fields in the order (*Checkpoint).walk
 // lists them — the one statement of the layout, run by the encoder and
-// the decoder alike — with Res last and one reserved zero word (an
-// accumulator count no writer ever filled) before it. The per-model
-// Blob payloads are internal/codec weight blobs behind a JSON header.
-// Byte order, the slice and map encodings, the envelope and the
+// the decoder alike — with Res last, and reserved zero words (see
+// reserved) where it held state this program does not keep. The
+// per-model Blob payloads are internal/codec weight blobs behind a JSON
+// header. Byte order, the slice and map encodings, the envelope and the
 // decoder's error and allocation contract are internal/wire's; the
 // lists keyed by an ID (Act, Yogi, Inflight) must ascend. Together
 // these make the encoding canonical: any blob that decodes re-encodes
@@ -81,12 +80,6 @@ type Checkpoint struct {
 	// Yogi holds the server optimizer's moment vectors, ascending by
 	// slot; nil when no server optimizer state exists.
 	Yogi []CkptYogi
-	// Selector is the selector's StateSnapshot (nil for stateless
-	// selectors such as uniform random).
-	Selector []byte
-	// ChurnOnline is the churn tracker's online bitmap (nil when churn
-	// is disabled).
-	ChurnOnline []bool
 	// AsyncNow/StaleSum/StaleCnt/AsyncSeq are the asynchronous-mode
 	// virtual clock, staleness tallies, and dispatch sequence counter;
 	// all zero for synchronous runs.
@@ -214,8 +207,8 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	})
 	ascending(c, ck.Yogi, "yogi slots", func(y *CkptYogi) int { return y.Slot })
 
-	c.Bytes(&ck.Selector)
-	wire.Slice(c, &ck.ChurnOnline, 1, c.Bool)
+	reserved(c, c.U32, "selector state length")
+	reserved(c, c.U32, "churn bitmap length")
 
 	c.F64(&ck.AsyncNow)
 	c.I64(&ck.StaleSum)
@@ -231,14 +224,9 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	})
 	ascending(c, ck.Inflight, "in-flight sequence numbers", func(f *CkptInflight) int { return f.Seq })
 
-	// v2 reserves a block here for accumulators caught mid-round. No
-	// writer ever filled it — every round ends in Finalize or Abort,
-	// so there is nothing in flight at any boundary a checkpoint is taken
-	// — and its count stays on the wire as a zero.
-	var accums uint32
-	if c.U32(&accums); accums != 0 {
-		c.Corruptf("%d mid-round accumulators, which no version of this program wrote", accums)
-	}
+	// No writer ever filled v2's block of accumulators caught mid-round:
+	// every round ends in Finalize or Abort.
+	reserved(c, c.U32, "mid-round accumulator count")
 
 	r := &ck.Res
 	c.F64s(&r.ClientAcc)
@@ -263,7 +251,7 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	c.I64(&r.Overhead.DoCUpdates)
 	c.I64(&r.Overhead.Transforms)
 	c.F64s(&r.BestModelMACs)
-	c.Int(&r.Dropouts)
+	reserved(c, c.U64, "dropout count")
 	c.Int(&r.Failures)
 	c.Int(&r.Retries)
 	c.Int(&r.AbortedRounds)
@@ -271,7 +259,7 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	wire.Slice(c, &r.Log, 67, func(l *RoundLog) {
 		c.Int(&l.Round)
 		c.Int(&l.Updates)
-		c.Int(&l.Dropouts)
+		reserved(c, c.U64, "round dropout count")
 		c.F64(&l.MeanLoss)
 		c.F64(&l.RoundTime)
 		wire.Map(c, &l.UpdatesPerModel, 8, c.Int)
@@ -281,6 +269,18 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 		c.Int(&l.Retries)
 		c.Bool(&l.Committed)
 	})
+}
+
+// reserved is a v2 word for state this program does not keep: the
+// selector's and the churn tracker's (the uniform sampler and the fixed
+// population have none), the dropout counts, and the mid-round
+// accumulators no writer ever filled. It is written as zero, and a
+// decode that finds anything else fails with ErrCkptCorrupt.
+func reserved[T uint32 | uint64](c wire.Coder, code func(*T), what string) {
+	var v T
+	if code(&v); v != 0 {
+		c.Corruptf("%s %d, which this program never writes", what, v)
+	}
 }
 
 // ascending fails a decode whose list is not in strictly ascending key
@@ -376,12 +376,6 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 			m, v := rt.serverOpt.y.State(slot)
 			ck.Yogi = append(ck.Yogi, CkptYogi{Slot: slot, M: m, V: v})
 		}
-	}
-	if st, ok := rt.cfg.Selector.(selection.Stateful); ok {
-		ck.Selector = st.StateSnapshot()
-	}
-	if rt.churn != nil {
-		ck.ChurnOnline = rt.churn.Snapshot()
 	}
 	sc := &rt.sched
 	ck.AsyncNow, ck.StaleSum, ck.StaleCnt, ck.AsyncSeq = sc.now, sc.staleSum, sc.staleCnt, sc.seq
@@ -558,28 +552,6 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			y := &ck.Yogi[i]
 			rt.serverOpt.y.SetState(y.Slot, y.M, y.V)
 		}
-	}
-	if len(ck.Selector) > 0 {
-		st, ok := cfg.Selector.(selection.Stateful)
-		if !ok {
-			return errors.New("fl: checkpoint carries selector state but the configured selector is stateless")
-		}
-		if err := st.StateRestore(ck.Selector); err != nil {
-			return err
-		}
-	}
-	if len(ck.ChurnOnline) > 0 {
-		if rt.churn == nil {
-			return errors.New("fl: checkpoint carries churn state but churn is disabled")
-		}
-		if len(ck.ChurnOnline) > rt.ds.Len() {
-			return fmt.Errorf("%w: churn bitmap covers %d clients, dataset has only %d (shrinking the population across a resume is unsupported)",
-				ErrCkptCorrupt, len(ck.ChurnOnline), rt.ds.Len())
-		}
-		// Like the utility table above, a bitmap saved against a smaller
-		// population still restores: clients beyond the saved prefix start
-		// online, mirroring NewChurn's initialization.
-		rt.churn.RestoreResized(ck.ChurnOnline, rt.ds.Len())
 	}
 	rt.sched = schedule{now: ck.AsyncNow, seq: ck.AsyncSeq, staleSum: ck.StaleSum, staleCnt: ck.StaleCnt}
 	if len(ck.Inflight) > 0 {

@@ -12,7 +12,6 @@ import (
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
-	"fedtrans/internal/selection"
 	"fedtrans/internal/wire"
 )
 
@@ -26,15 +25,14 @@ func resume(rt *Runtime, b []byte) (Result, error) {
 }
 
 // ckptConfig is the kitchen-sink deterministic configuration the
-// checkpoint golden tests run under: transformation and dropout on, so a
-// resumed run must reproduce every stateful subsystem.
+// checkpoint golden tests run under: transformation on, so a resumed run
+// must reproduce every stateful subsystem.
 func ckptConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Rounds = 10
 	cfg.ClientsPerRound = 6
 	cfg.EvalEvery = 3
 	cfg.ConvergePatience = 0
-	cfg.DropoutRate = 0.1
 	cfg.Transform.Gamma = 3
 	cfg.Transform.Delta = 3
 	cfg.Transform.Beta = 0.05
@@ -110,20 +108,16 @@ func TestCheckpointResumeGoldenEveryBoundary(t *testing.T) {
 }
 
 // chaosScenario builds the full-stack fault-tolerance configuration:
-// chaos faults with retries, straggler timeouts, quorum commits, client
-// churn, a stateful guided selector, and the server optimizer — every
-// piece of state a checkpoint must carry.
+// chaos faults with retries, stragglers, quorum commits and the server
+// optimizer — every piece of state a checkpoint must carry.
 func chaosScenario(t *testing.T) func() *Runtime {
 	return func() *Runtime {
 		ds, tr, spec := smokeSetup(t, 20)
 		cfg := ckptConfig()
 		cfg.Rounds = 12
 		cfg.ServerYogi = true
-		cfg.Selector = selection.NewOort()
 		cfg.Quorum = 0.5
 		cfg.RetryBudget = 2
-		cfg.RetryBackoff = 2
-		cfg.ClientTimeout = 25
 		cfg.Chaos = chaos.Config{
 			Seed:           99,
 			CrashRate:      0.15,
@@ -132,13 +126,12 @@ func chaosScenario(t *testing.T) func() *Runtime {
 			StragglerRate:  0.15,
 			StragglerDelay: 30,
 		}
-		cfg.Churn = selection.ChurnConfig{JoinRate: 0.3, LeaveRate: 0.2}
 		return New(cfg, ds, tr, spec)
 	}
 }
 
 // TestChaosQuorumCommitsUnderFailures: with ~30% injected faults plus
-// straggler timeouts, retried attempts must keep rounds committing via
+// stragglers, retried attempts must keep rounds committing via
 // quorum, and the whole chaotic run must be deterministic for a fixed
 // chaos seed — including serial vs parallel execution.
 func TestChaosQuorumCommitsUnderFailures(t *testing.T) {
@@ -216,9 +209,8 @@ func TestChaosAbortLeavesWeightsUntouched(t *testing.T) {
 }
 
 // TestCheckpointResumeChaosScenario: kill/resume determinism with every
-// stateful subsystem engaged at once — chaos retries, quorum aborts,
-// churn membership, Oort's feedback tables, and Yogi moments must all
-// round-trip through the checkpoint.
+// stateful subsystem engaged at once — chaos retries, quorum aborts and
+// Yogi moments must all round-trip through the checkpoint.
 func TestCheckpointResumeChaosScenario(t *testing.T) {
 	mk := chaosScenario(t)
 	expected := mk().Run()
@@ -306,18 +298,30 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsMismatchedRuntime: selector/churn state in the blob
-// must not silently vanish when the resuming config lacks the subsystem.
+// TestRestoreRejectsMismatchedRuntime: state in the blob must not
+// silently vanish when the resuming config lacks the subsystem: in-flight
+// asynchronous dispatches do not restore into a synchronous runtime.
 func TestRestoreRejectsMismatchedRuntime(t *testing.T) {
-	_, blobs := runWithCheckpoints(t, chaosScenario(t), 4)
-	blob := blobs[4]
-
-	ds, tr, spec := smokeSetup(t, 20)
-	cfg := ckptConfig()
-	cfg.Rounds = 12
-	plain := New(cfg, ds, tr, spec) // stateless selector, no churn
-	if err := plain.Restore(blob); err == nil {
-		t.Error("restore into a runtime without selector/churn support succeeded")
+	_, blobs := runWithCheckpoints(t, asyncChaosScenario(t), 1)
+	tried := false
+	for round, blob := range blobs {
+		ck, err := DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ck.Inflight) == 0 {
+			continue
+		}
+		tried = true
+		ds, tr, spec := smokeSetup(t, 20)
+		cfg := ckptConfig()
+		cfg.Rounds = 12
+		if err := New(cfg, ds, tr, spec).Restore(blob); err == nil {
+			t.Errorf("round %d: in-flight dispatches restored into a synchronous runtime", round)
+		}
+	}
+	if !tried {
+		t.Fatal("no checkpoint carried in-flight dispatches")
 	}
 }
 
@@ -446,56 +450,5 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	}
 	if res.RoundsRun != 6 {
 		t.Errorf("grown-population resume ran %d rounds, want 6", res.RoundsRun)
-	}
-}
-
-// TestChurnGrowAcrossResume: a checkpoint whose churn bitmap covers a
-// smaller population than the resuming dataset must restore — clients
-// beyond the saved prefix start online, like NewChurn's initialization —
-// instead of being rejected as corrupt. Churn draws one rng value per
-// client per round, so a grown resume is not expected to reproduce the
-// small run; the contract is that it is deterministic (two identical
-// grown resumes agree bit-for-bit) while a same-size resume stays
-// bit-identical to the uninterrupted run.
-func TestChurnGrowAcrossResume(t *testing.T) {
-	mk := func(clients int) *Runtime {
-		ds, tr, spec := smokeSetup(t, clients)
-		cfg := ckptConfig()
-		cfg.Rounds = 8
-		cfg.Churn = selection.ChurnConfig{JoinRate: 0.3, LeaveRate: 0.2, MinOnline: 2}
-		return New(cfg, ds, tr, spec)
-	}
-	small, blobs := runWithCheckpoints(t, func() *Runtime { return mk(12) }, 4)
-	blob := blobs[4]
-
-	ck, err := DecodeCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ck.ChurnOnline) != 12 {
-		t.Fatalf("checkpoint churn bitmap covers %d clients, want 12", len(ck.ChurnOnline))
-	}
-
-	sameSize, err := resume(mk(12), blob)
-	if err != nil {
-		t.Fatalf("same-size churn resume: %v", err)
-	}
-	if !reflect.DeepEqual(small, sameSize) {
-		t.Fatal("same-size churn resume diverged from the uninterrupted run")
-	}
-
-	grown, err := resume(mk(16), blob)
-	if err != nil {
-		t.Fatalf("resume onto a grown churning population: %v", err)
-	}
-	if grown.RoundsRun != 8 {
-		t.Errorf("grown resume ran %d rounds, want 8", grown.RoundsRun)
-	}
-	again, err := resume(mk(16), blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(grown, again) {
-		t.Fatal("grown churn resume is not deterministic")
 	}
 }

@@ -2,11 +2,11 @@ package fl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
-	"fedtrans/internal/selection"
 	"fedtrans/internal/tensor"
 )
 
@@ -38,38 +38,39 @@ func TestSelectClients(t *testing.T) {
 	}
 }
 
-// TestRunRoundDropoutCostAccounting pins the failure-injection cost
-// model: a dropped participant costs exactly one model download — no
-// upload, no training MACs — and increments the dropout counter.
-func TestRunRoundDropoutCostAccounting(t *testing.T) {
-	ds, tr, spec := smokeSetup(t, 8)
-	cfg := DefaultConfig()
-	cfg.Rounds = 4
-	cfg.ClientsPerRound = 5
-	cfg.DropoutRate = 1.0
-	cfg.ConvergePatience = 0
-	rt := New(cfg, ds, tr, spec)
-	res := rt.Run()
-	wantDropouts := cfg.Rounds * cfg.ClientsPerRound
-	if res.Dropouts != wantDropouts {
-		t.Errorf("dropouts = %d, want %d", res.Dropouts, wantDropouts)
+func TestRandomSelectDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	got := SelectClients(20, 6, rng)
+	if len(got) != 6 {
+		t.Fatalf("selected %d", len(got))
 	}
-	// Every participant downloaded the (single, untransformed) initial
-	// model and uploaded nothing.
-	wantNet := int64(wantDropouts) * rt.Suite()[0].Bytes()
-	if res.Costs.NetworkBytes != wantNet {
-		t.Errorf("network = %d, want %d (downloads only)", res.Costs.NetworkBytes, wantNet)
-	}
-	if res.Costs.TrainMACs != 0 {
-		t.Errorf("training MACs %v without any survivor", res.Costs.TrainMACs)
-	}
-	if len(res.RoundTimes) != cfg.Rounds {
-		t.Fatalf("%d round times", len(res.RoundTimes))
-	}
-	for r, rtime := range res.RoundTimes {
-		if rtime != 0 {
-			t.Errorf("round %d has nonzero completion time with no survivors", r)
+	seen := map[int]bool{}
+	for _, c := range got {
+		if seen[c] || c < 0 || c >= 20 {
+			t.Fatal("invalid selection")
 		}
+		seen[c] = true
+	}
+	if all := SelectClients(3, 9, rng); len(all) != 3 {
+		t.Errorf("n>total should return all, got %d", len(all))
+	}
+}
+
+func TestRandomSelectFromUniformOverCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	cands := []int{2, 4, 6, 8}
+	got := selectFrom(cands, 2, rng)
+	if len(got) != 2 {
+		t.Fatalf("selected %d, want 2", len(got))
+	}
+	for _, c := range got {
+		if c%2 != 0 || c < 2 || c > 8 {
+			t.Fatalf("selected %d outside candidates", c)
+		}
+	}
+	all := selectFrom(cands, 9, rng)
+	if !reflect.DeepEqual(all, cands) {
+		t.Fatalf("n >= len(candidates) must return all candidates, got %v", all)
 	}
 }
 
@@ -282,62 +283,6 @@ func TestRuntimeSuiteLineage(t *testing.T) {
 	}
 }
 
-func TestRuntimeSurvivesClientDropout(t *testing.T) {
-	ds, tr, spec := smokeSetup(t, 16)
-	cfg := DefaultConfig()
-	cfg.Rounds = 40
-	cfg.ClientsPerRound = 8
-	cfg.DropoutRate = 0.3
-	cfg.Transform.Gamma = 3
-	cfg.Transform.Delta = 3
-	cfg.Transform.Beta = 0.05
-	cfg.ConvergePatience = 0
-	rt := New(cfg, ds, tr, spec)
-	res := rt.Run()
-	if res.Dropouts == 0 {
-		t.Fatal("failure injection never fired")
-	}
-	if res.MeanAcc < 2.0/float64(ds.Classes) {
-		t.Errorf("training collapsed under 30%% dropout: acc %.3f", res.MeanAcc)
-	}
-}
-
-func TestRuntimeDropoutAll(t *testing.T) {
-	// Even with every participant failing, the run must terminate cleanly
-	// with the initial model intact.
-	ds, tr, spec := smokeSetup(t, 8)
-	cfg := DefaultConfig()
-	cfg.Rounds = 5
-	cfg.ClientsPerRound = 4
-	cfg.DropoutRate = 1.0
-	cfg.ConvergePatience = 0
-	rt := New(cfg, ds, tr, spec)
-	res := rt.Run()
-	if res.Dropouts != 5*4 {
-		t.Errorf("dropouts = %d, want 20", res.Dropouts)
-	}
-	if len(res.SuiteArch) != 1 {
-		t.Errorf("suite grew with zero updates: %v", res.SuiteArch)
-	}
-	if res.Costs.TrainMACs != 0 {
-		t.Errorf("training cost %v without any training", res.Costs.TrainMACs)
-	}
-}
-
-func TestRuntimeWithOortSelector(t *testing.T) {
-	ds, tr, spec := smokeSetup(t, 16)
-	cfg := DefaultConfig()
-	cfg.Rounds = 25
-	cfg.ClientsPerRound = 6
-	cfg.Selector = selection.NewOort()
-	cfg.ConvergePatience = 0
-	rt := New(cfg, ds, tr, spec)
-	res := rt.Run()
-	if res.MeanAcc < 2.0/float64(ds.Classes) {
-		t.Errorf("Oort-selected training collapsed: %.3f", res.MeanAcc)
-	}
-}
-
 func TestRoundLogConsistency(t *testing.T) {
 	ds, tr, spec := smokeSetup(t, 12)
 	cfg := DefaultConfig()
@@ -364,9 +309,8 @@ func TestRoundLogConsistency(t *testing.T) {
 		if sum != l.Updates {
 			t.Errorf("round %d: per-model sum %d != updates %d", i, sum, l.Updates)
 		}
-		if l.Updates+l.Dropouts != cfg.ClientsPerRound {
-			t.Errorf("round %d: updates %d + dropouts %d != participants %d",
-				i, l.Updates, l.Dropouts, cfg.ClientsPerRound)
+		if l.Updates != cfg.ClientsPerRound {
+			t.Errorf("round %d: updates %d != participants %d", i, l.Updates, cfg.ClientsPerRound)
 		}
 		if l.Transformed {
 			transforms++

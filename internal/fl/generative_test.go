@@ -10,7 +10,6 @@ import (
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
-	"fedtrans/internal/selection"
 )
 
 // genSetup mirrors smokeSetup with a lazy/materialized switch: the same
@@ -35,7 +34,7 @@ func genSetup(t testing.TB, clients int, lazy bool) (*data.Dataset, *device.Trac
 }
 
 // genChaosConfig is the kitchen-sink scenario the generative-equality
-// golden runs under: churn + chaos + retries + quorum, so
+// golden runs under: chaos + retries + quorum, so
 // every stateful subsystem exercises the on-demand client path.
 func genChaosConfig() Config {
 	cfg := DefaultConfig()
@@ -45,17 +44,15 @@ func genChaosConfig() Config {
 	cfg.ConvergePatience = 0
 	cfg.Quorum = 0.5
 	cfg.RetryBudget = 2
-	cfg.RetryBackoff = 2
 	cfg.Chaos = chaos.Config{
 		Seed: 99, CrashRate: 0.1, CorruptRate: 0.05, StragglerRate: 0.1, StragglerDelay: 20,
 	}
-	cfg.Churn = selection.ChurnConfig{JoinRate: 0.3, LeaveRate: 0.2}
 	return cfg
 }
 
 // TestRuntimeGenerativeMatchesMaterialized is the tentpole golden test
 // at the runtime level: a full run over a generative population —
-// synchronous and staleness-bounded asynchronous, under churn and chaos
+// synchronous and staleness-bounded asynchronous, under chaos
 // — must be bit-identical (reflect.DeepEqual on the full
 // Result, including per-client accuracies and RNG-driven logs) to the
 // same run over the materialized dataset and trace.
@@ -166,19 +163,17 @@ func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 
 	// Larger same-shape generative population: accepted (the documented
 	// EnsureClients grow path; late joiners start at zero utility) and
-	// must run to completion deterministically. The churn bitmap is
-	// strictly population-sized, so the grow path runs churn-free.
+	// must run to completion deterministically.
 	mkGrow := func(clients int) *Runtime {
 		ds, tr, spec := genSetup(t, clients, true)
 		cfg := genChaosConfig()
 		cfg.MaxStaleness = 2
-		cfg.Churn = selection.ChurnConfig{}
 		return New(cfg, ds, tr, spec)
 	}
 	_, growBlobs := runWithCheckpoints(t, func() *Runtime { return mkGrow(20) }, 5)
 	growBlob := growBlobs[5]
 	if growBlob == nil {
-		t.Fatal("no churn-free checkpoint at round 5")
+		t.Fatal("no checkpoint at round 5")
 	}
 	big := mkGrow(200)
 	if err := big.Restore(growBlob); err != nil {

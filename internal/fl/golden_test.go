@@ -15,8 +15,8 @@ import (
 // goldenCheckpoint fills every FTCP field from literals — no training,
 // no rng — so the bytes are the same on every architecture: negative
 // and 64-bit integers, a NaN payload, nil next to empty maps and
-// slices, the async in-flight list, Yogi moments, activeness windows,
-// churn bitmap, selector state and a RoundLog with and without its map.
+// slices, the async in-flight list, Yogi moments, activeness windows and
+// a RoundLog with and without its map.
 func goldenCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Round: 7, RNGCount: 0x0123456789abcdef, BestAcc: 0.8125, Stall: 2,
@@ -42,9 +42,7 @@ func goldenCheckpoint() *Checkpoint {
 			{Slot: 0, M: []float64{0.5, -0.5}, V: []float64{1e-6, 2e-6}},
 			{Slot: 2},
 		},
-		Selector:    []byte{0, 0, 0, 1, 0, 0, 0, 9, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0x40, 0x14, 0, 0, 0, 0, 0, 0},
-		ChurnOnline: []bool{true, false, true, true},
-		AsyncNow:    12.5, StaleSum: 9, StaleCnt: 4, AsyncSeq: 31,
+		AsyncNow: 12.5, StaleSum: 9, StaleCnt: 4, AsyncSeq: 31,
 		Inflight: []CkptInflight{
 			{Client: 3, ModelID: 1, Version: 6, Seq: 29, DispatchAt: 11.75, SrcBlob: []byte("src-a")},
 			{Client: 8, ModelID: 3, Version: 7, Seq: 30, DispatchAt: 12.25},
@@ -59,9 +57,9 @@ func goldenCheckpoint() *Checkpoint {
 			SuiteMACs: []float64{128, 256, 384}, RoundsRun: 7,
 			Overhead:      Overhead{UtilityUpdates: 42, DoCUpdates: 7, Transforms: 2},
 			BestModelMACs: []float64{128, 384, 128},
-			Dropouts:      3, Failures: 1, Retries: 5, AbortedRounds: 1, MeanStaleness: 0.75,
+			Failures:      1, Retries: 5, AbortedRounds: 1, MeanStaleness: 0.75,
 			Log: []RoundLog{
-				{Round: 0, Updates: 4, Dropouts: 1, MeanLoss: 2.5, RoundTime: 3.5,
+				{Round: 0, Updates: 4, MeanLoss: 2.5, RoundTime: 3.5,
 					UpdatesPerModel: map[int]int{1: 3, 3: 1}, Transformed: true, SuiteSize: 2,
 					Failures: 1, Retries: 2, Committed: true},
 				{Round: 1, MeanLoss: math.Inf(1), RoundTime: 4.25, SuiteSize: 2},
@@ -75,19 +73,11 @@ func goldenCheckpoint() *Checkpoint {
 // checkpoint encodes to the committed bytes, and the committed bytes
 // decode and re-encode to themselves.
 func TestCheckpointGoldenBytes(t *testing.T) {
-	const path = "testdata/checkpoint_v2.hex"
 	got, err := EncodeCheckpoint(goldenCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readHex(t, "testdata/checkpoint_v2.hex")
 	if !bytes.Equal(got, want) {
 		t.Fatalf("FTCP encoding moved: %d bytes, golden %d\n got %x", len(got), len(want), got)
 	}
@@ -98,17 +88,61 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if re, err := EncodeCheckpoint(ck); err != nil || !bytes.Equal(re, want) {
 		t.Fatalf("decode → encode of the golden blob is not the identity (err %v)", err)
 	}
-	if ck.Inflight[0].Seq != 29 || ck.Res.Log[0].UpdatesPerModel[3] != 1 || !ck.ChurnOnline[2] ||
+	if ck.Inflight[0].Seq != 29 || ck.Res.Log[0].UpdatesPerModel[3] != 1 ||
 		math.Float64bits(ck.DoCLosses[2]) != 0x7ff8000000000abc || ck.Models[0].ParentID != -1 {
 		t.Fatalf("golden blob decoded to the wrong values: %+v", ck)
 	}
 }
 
+// readHex reads a hex-encoded test blob.
+func readHex(t *testing.T, path string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCheckpointRejectsRetiredState: a reserved word that is not zero
+// fails the decode with ErrCkptCorrupt, naming the word. Each is set in
+// turn in the golden, at its offset there; and the golden as FTCP v2
+// wrote it while selector state, a churn bitmap and dropout counts
+// existed (checkpoint_v2_retired.hex, which holds all four) no longer
+// decodes.
+func TestCheckpointRejectsRetiredState(t *testing.T) {
+	golden := readHex(t, "testdata/checkpoint_v2.hex")
+	for _, w := range []struct {
+		what      string
+		at, width int
+	}{
+		{"selector state length", 519, 4},
+		{"churn bitmap length", 523, 4},
+		{"dropout count", 955, 8},
+		{"round dropout count", 1015, 8},
+	} {
+		bad := bytes.Clone(golden)
+		bad[w.at+w.width-1] = 1
+		_, err := DecodeCheckpoint(resign(bad))
+		if !errors.Is(err, ErrCkptCorrupt) || !strings.Contains(err.Error(), w.what+" 1,") {
+			t.Errorf("%s set to 1: %v, want ErrCkptCorrupt naming it", w.what, err)
+		}
+	}
+	if _, err := DecodeCheckpoint(readHex(t, "testdata/checkpoint_v2_retired.hex")); !errors.Is(err, ErrCkptCorrupt) {
+		t.Errorf("blob with selector state, churn bitmap and dropout counts: %v, want ErrCkptCorrupt", err)
+	}
+}
+
 // Offsets into any FTCP v2 blob, and into the encoding of an empty
 // Checkpoint: magic, version and nine 8-byte scalars precede the model
-// count; with every list empty, seven 4-byte counts and the four async
-// scalars more precede the in-flight count, and the reserved
-// accumulator count follows it.
+// count; with every list empty, seven 4-byte words (five counts and the
+// reserved selector and churn words) and the four async scalars more
+// precede the in-flight count, and the reserved accumulator count
+// follows it.
 const (
 	ckptModelsAt      = 4 + 4 + 9*8
 	ckptEmptyAccumsAt = ckptModelsAt + 7*4 + 4*8 + 4

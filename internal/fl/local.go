@@ -9,9 +9,8 @@ import (
 
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
-	"fedtrans/internal/nn"
-	"fedtrans/internal/selection"
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/xrand"
 )
 
 // LocalConfig parameterizes client local training (§5.1: 20 local steps,
@@ -41,51 +40,18 @@ type LocalResult struct {
 	Samples int
 }
 
-// TrainLocal lazily clones the given model (weights shared copy-on-write
-// until the first SGD step writes them), runs local SGD on the client's
-// data, and returns the result. The input model is not mutated, and the
-// clone is fully released before returning; the uploaded weights are a
-// COW snapshot of the trained parameters, so no copy is made for the
-// upload either.
+// TrainLocal runs the coordinator's local-SGD loop (localSession.train)
+// on a lazy clone of the given model (weights shared copy-on-write until
+// the first SGD step writes them), drawing batches from the caller's rng,
+// and returns the result. The input model is not mutated, and the clone
+// is fully released before returning; the uploaded weights are a COW
+// snapshot of the trained parameters, so no copy is made for the upload
+// either.
 func TrainLocal(m *model.Model, cl *data.Client, cfg LocalConfig, rng *rand.Rand) LocalResult {
-	local := m.Clone()
-	defer local.Release()
-	opt := nn.NewSGD(cfg.LR)
-	if cfg.ProxMu > 0 {
-		opt.ProxMu = cfg.ProxMu
-		for _, p := range local.Params() {
-			opt.SetProxAnchor(p, p.Data)
-		}
-	}
-	n := len(cl.TrainY)
-	if n == 0 {
-		// Nothing to train on: return the downloaded weights with
-		// Samples 0 (zero FedAvg weight) instead of pushing an empty
-		// batch through TrainStep.
-		return LocalResult{Weights: local.CopyWeights(), Loss: 0, Samples: 0}
-	}
-	lossSum := 0.0
-	steps := cfg.Steps
-	if steps < 1 {
-		steps = 1
-	}
-	for s := 0; s < steps; s++ {
-		bs := cfg.BatchSize
-		if bs > n {
-			bs = n
-		}
-		idx := make([]int, bs)
-		for i := range idx {
-			idx[i] = rng.Intn(n)
-		}
-		bx, by := data.Batch(cl.TrainX, cl.TrainY, idx)
-		lossSum += local.TrainStep(bx, by, opt)
-	}
-	return LocalResult{
-		Weights: local.CopyWeights(),
-		Loss:    lossSum / float64(steps),
-		Samples: n,
-	}
+	s := newLocalSession(m)
+	defer s.m.Release()
+	loss, samples := s.train(cl, cfg, rng)
+	return LocalResult{Weights: s.m.CopyWeights(), Loss: loss, Samples: samples}
 }
 
 // EvaluateOn returns the model's accuracy on the client's test split.
@@ -94,7 +60,29 @@ func EvaluateOn(m *model.Model, cl *data.Client) float64 {
 	return acc
 }
 
-// SelectClients samples n distinct client indices from [0, total).
+// SelectClients samples n distinct client indices from [0, total),
+// uniformly without replacement: the first n entries of rng.Perm(total),
+// drawn in O(n) memory. It draws nothing when n covers the population.
 func SelectClients(total, n int, rng *rand.Rand) []int {
-	return selection.Random{}.Select(0, total, n, rng)
+	if n >= total {
+		out := make([]int, total)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	return xrand.PermPrefix(rng, total, n)
+}
+
+// selectFrom is SelectClients over an explicit candidate list: n of the
+// candidates, drawn the same way.
+func selectFrom(candidates []int, n int, rng *rand.Rand) []int {
+	if n >= len(candidates) {
+		return append([]int(nil), candidates...)
+	}
+	out := xrand.PermPrefix(rng, len(candidates), n)
+	for i, j := range out {
+		out[i] = candidates[j]
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"fedtrans/internal/assign"
 	"fedtrans/internal/chaos"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
@@ -112,9 +113,6 @@ func (rt *Runtime) attemptOutcome(version, attempt, client int, m *model.Model) 
 	}
 	t = rt.trace.TrainingTime(client, m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) +
 		rt.chaos.Delay(version, client, attempt)
-	if cfg.ClientTimeout > 0 && t > cfg.ClientTimeout {
-		return cfg.ClientTimeout, false
-	}
 	// Corrupt and non-finite uploads are rejected at the accumulator
 	// after their full simulated duration elapsed — the bytes traveled.
 	return t, fault == chaos.None
@@ -124,13 +122,9 @@ func (rt *Runtime) attemptOutcome(version, attempt, client int, m *model.Model) 
 // settle's — and returns the total simulated time until the update
 // arrives (or the coordinator gives up on the client).
 func (rt *Runtime) attemptChain(version, client int, m *model.Model) float64 {
-	cfg := rt.cfg
 	t, ok := rt.attemptOutcome(version, 0, client, m)
 	elapsed := t
-	for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
-		if cfg.RetryBackoff > 0 {
-			elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
-		}
+	for attempt := 1; !ok && attempt <= rt.cfg.RetryBudget; attempt++ {
 		t, ok = rt.attemptOutcome(version, attempt, client, m)
 		elapsed += t
 	}
@@ -239,33 +233,33 @@ func (rt *Runtime) retire(f *flight) {
 // scalars rather than retained weight tensors.
 //
 // Fault tolerance: each attempt may fail (injected chaos fault, corrupt
-// or non-finite upload rejected at the accumulator boundary, transport
-// error, or simulated timeout). Failed attempts are retried up to
-// RetryBudget times, on the consumer with the dispatch version's seeds,
-// so the retry order — and every rng draw — is deterministic. When Quorum
+// or non-finite upload rejected at the accumulator boundary, or transport
+// error). Failed attempts are retried up to RetryBudget times, on the
+// consumer with the dispatch version's seeds, so the retry order — and
+// every rng draw — is deterministic. When Quorum
 // is set, the round commits only if enough participants fold; otherwise
 // the partial aggregate is discarded and the suite is left untouched.
 func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]int, bool) {
 	cfg, pol, sc := &rt.cfg, &rt.pol, rt.pol.sched
 	rt.primeSuite()
 
-	// Deterministic churn step, then top-up selection over the online
-	// clients not already in flight (a client trains one dispatch at a
-	// time): over the whole population, with no candidate list, when
-	// every client is eligible. Assignment and dropout draws consume the
-	// round RNG in selection order.
-	if rt.churn != nil {
-		rt.churn.Step(rt.rng)
-	}
+	// Top-up selection over the clients not already in flight (a client
+	// trains one dispatch at a time): over the whole population, with no
+	// candidate list, when every client is eligible. Each selected client
+	// some model fits is assigned one and dispatched; assignment draws
+	// consume the round RNG in selection order.
 	var selected []int
-	if want := pol.inFlight - len(rt.inflight); rt.churn == nil && len(rt.inflight) == 0 {
-		selected = cfg.Selector.Select(round, rt.ds.Len(), want, rt.rng)
+	if want := pol.inFlight - len(rt.inflight); len(rt.inflight) == 0 {
+		selected = SelectClients(rt.ds.Len(), want, rt.rng)
 	} else if cand := rt.candidates(); want > 0 && len(cand) > 0 {
-		selected = cfg.Selector.SelectFrom(round, cand, min(want, len(cand)), rt.rng)
+		selected = selectFrom(cand, min(want, len(cand)), rt.rng)
 	}
-	roundDropouts := rt.assignAll(selected, res, func(c int, m *model.Model) {
-		rt.dispatch(round, c, m)
-	})
+	for _, c := range selected {
+		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
+		if m := rt.mgr.Sample(c, rt.compatBuf, rt.rng); m != nil {
+			rt.dispatch(round, c, m)
+		}
+	}
 
 	order := rt.inflight
 	if pol.byArrival {
@@ -293,10 +287,9 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	}
 
 	// Fold the commit set. Quorum is measured against everyone the round
-	// settled, dropouts included, so heavy dropout alone can abort a
-	// quorum-gated round. An update that arrived while the server was busy
-	// with earlier rounds costs no extra wall clock.
-	need := rt.quorumNeed(commitN + roundDropouts)
+	// settles. An update that arrived while the server was busy with
+	// earlier rounds costs no extra wall clock.
+	need := rt.quorumNeed(commitN)
 	prevNow, longest := sc.now, 0.0
 	folded, left, lost := 0, commitN, false
 	committed := rt.commitBuf[:0]
@@ -348,7 +341,7 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	return roundLoss, roundTime, perModel, true
 }
 
-// candidates lists the online clients not already in flight.
+// candidates lists the clients not already in flight, ascending.
 func (rt *Runtime) candidates() []int {
 	if rt.busyBuf == nil {
 		rt.busyBuf = make(map[int]bool)
@@ -357,21 +350,13 @@ func (rt *Runtime) candidates() []int {
 	for _, f := range rt.inflight {
 		rt.busyBuf[f.slot.client] = true
 	}
-	all := rt.candBuf[:0]
-	if rt.churn != nil {
-		all = rt.churn.ActiveInto(all)
-	} else {
-		for c := range rt.ds.Len() {
-			all = append(all, c)
-		}
-	}
-	rt.candBuf = all
-	cand := all[:0]
-	for _, c := range all {
+	cand := rt.candBuf[:0]
+	for c := range rt.ds.Len() {
 		if !rt.busyBuf[c] {
 			cand = append(cand, c)
 		}
 	}
+	rt.candBuf = cand
 	return cand
 }
 

@@ -16,7 +16,6 @@ import (
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
-	"fedtrans/internal/selection"
 	"fedtrans/internal/tensor"
 	"fedtrans/internal/transform"
 )
@@ -45,10 +44,6 @@ type Config struct {
 	// completes when accuracy has not improved by more than convergeDelta
 	// over ConvergePatience consecutive evaluations.
 	ConvergePatience int
-	// DropoutRate is the probability that a selected participant fails
-	// mid-round (device churn): it downloads the model but never returns
-	// an update. 0 disables failure injection.
-	DropoutRate float64
 	// ServerYogi applies the FedYogi server optimizer to per-model
 	// aggregates (used in the Figure 8 experiment).
 	ServerYogi bool
@@ -95,12 +90,8 @@ type Config struct {
 	// across resume. 0, or any value covering the population, evaluates
 	// every client through the exact unsampled code path.
 	EvalSample int
-	// Selector picks each round's participants; nil means uniform random
-	// (the paper's setup). An Oort-style guided selector is available in
-	// internal/selection.
-	Selector selection.Selector
-	// Seed drives client selection, assignment sampling, and local
-	// batching.
+	// Seed drives client selection (uniform, without replacement: the
+	// paper's setup), assignment sampling, and local batching.
 	Seed int64
 	// Quorum, when positive, is the fraction of a round's selected
 	// participants whose updates must fold into the aggregator for the
@@ -111,24 +102,14 @@ type Config struct {
 	// rounds. 0 keeps the legacy behavior (every round commits).
 	Quorum float64
 	// RetryBudget is how many times a failed participant attempt (chaos
-	// crash, corrupt upload, timeout) is retried before the client counts
-	// as failed for the round. Retries run with attempt-salted local
-	// seeds, so they are deterministic without replaying the failure.
+	// crash, corrupt or non-finite upload, transport error) is retried
+	// before the client counts as failed for the round. Retries run with
+	// attempt-salted local seeds, so they are deterministic without
+	// replaying the failure.
 	RetryBudget int
-	// RetryBackoff is the simulated seconds added to a client's round
-	// time before retry attempt k (backoff × 2^(k-1)).
-	RetryBackoff float64
-	// ClientTimeout, when positive, fails any attempt whose simulated
-	// training+straggler time exceeds it; the coordinator charges itself
-	// the timeout wait instead of the client's full duration.
-	ClientTimeout float64
 	// Chaos configures deterministic fault injection (internal/chaos).
 	// The zero value disables it.
 	Chaos chaos.Config
-	// Churn configures deterministic join/leave client churn
-	// (internal/selection). The zero value disables it: every client is
-	// always online, as before.
-	Churn selection.ChurnConfig
 	// CheckpointEvery, when positive together with CheckpointSink,
 	// snapshots the full runtime state after every CheckpointEvery-th
 	// round. The snapshot is taken synchronously (cheap: COW model
@@ -172,7 +153,6 @@ const (
 type RoundLog struct {
 	Round     int
 	Updates   int
-	Dropouts  int
 	MeanLoss  float64
 	RoundTime float64
 	// UpdatesPerModel maps model ID to the number of client updates it
@@ -184,7 +164,7 @@ type RoundLog struct {
 	// SuiteSize is the model count after the round.
 	SuiteSize int
 	// Failures counts participants that exhausted their retry budget
-	// this round (chaos faults / timeouts, not dropout draws).
+	// this round.
 	Failures int
 	// Retries counts retry attempts consumed this round.
 	Retries int
@@ -228,11 +208,8 @@ type Result struct {
 	// BestModelMACs records, per client, the complexity of its assigned
 	// model at final evaluation.
 	BestModelMACs []float64
-	// Dropouts counts participants that failed mid-round (when
-	// Config.DropoutRate is set).
-	Dropouts int
 	// Failures counts participants that exhausted their retry budget
-	// (chaos faults, corrupt uploads, timeouts).
+	// (chaos faults, corrupt or non-finite uploads, transport errors).
 	Failures int
 	// Retries counts failed attempts that were retried.
 	Retries int
@@ -260,7 +237,6 @@ type Runtime struct {
 	rngSrc    *countingSource
 	serverOpt *yogiOpt
 	chaos     *chaos.Injector
-	churn     *selection.Churn
 
 	maxCapacity float64
 
@@ -313,11 +289,11 @@ type Runtime struct {
 	flightFree []*flight
 }
 
-// roundTask is one selected, non-dropped participant's slot in the
+// roundTask is one selected participant's slot in the
 // streaming round pipeline: produce fills the upload buffers and the
 // scalar outcomes, consume folds the upload into the accumulator and
 // releases the buffers back to the pool. fault/delay carry the chaos
-// draw of the latest attempt; ok marks clients whose update committed.
+// draw of the latest attempt.
 type roundTask struct {
 	client int
 	m      *model.Model
@@ -338,7 +314,6 @@ type roundTask struct {
 	// err records a Trainer transport failure (wire fault, lost agent):
 	// the attempt failed before any upload arrived.
 	err error
-	ok  bool
 }
 
 // countingSource wraps a rand.Source and counts state advances. It
@@ -372,9 +347,6 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 	if cfg.Local.Steps == 0 {
 		cfg.Local = DefaultLocalConfig()
 	}
-	if cfg.Selector == nil {
-		cfg.Selector = selection.Random{}
-	}
 	src := &countingSource{src: rand.NewSource(cfg.Seed)}
 	rng := rand.New(src)
 	// A per-run ID scope keeps model/cell IDs deterministic even when
@@ -400,14 +372,6 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		rt.agg = aggregate.NewTiered(cfg.EdgeAggregators)
 	} else {
 		rt.agg = aggregate.NewStreaming()
-	}
-	if cfg.Churn.Enabled() {
-		ccfg := cfg.Churn
-		if ccfg.MinOnline < cfg.ClientsPerRound {
-			// The coordinator needs a full round's worth of candidates.
-			ccfg.MinOnline = cfg.ClientsPerRound
-		}
-		rt.churn = selection.NewChurn(ds.Len(), ccfg)
 	}
 	// The configured capacity ceiling, not an O(N) empirical scan:
 	// synthesis clamps every device to it, so setup cost stays
@@ -442,7 +406,6 @@ func (rt *Runtime) Run() Result {
 
 loop:
 	for round := rt.nextRound; round < cfg.Rounds; round++ {
-		dropoutsBefore := res.Dropouts
 		failuresBefore, retriesBefore := res.Failures, res.Retries
 		roundLoss, roundTime, perModel, committed := rt.runRound(round, res)
 		res.RoundTimes = append(res.RoundTimes, roundTime)
@@ -470,7 +433,6 @@ loop:
 		}
 		res.Log = append(res.Log, RoundLog{
 			Round: round, Updates: updates,
-			Dropouts: res.Dropouts - dropoutsBefore,
 			MeanLoss: roundLoss, RoundTime: roundTime,
 			UpdatesPerModel: perModel,
 			Transformed:     transformed,
@@ -538,30 +500,6 @@ func (rt *Runtime) CheckpointErr() error {
 // trades only pipeline overlap against memory.
 func streamWindow() int { return max(4, 2*stdruntime.GOMAXPROCS(0)) }
 
-// assignAll samples a model for each selected client and draws its
-// dropout, in selection order (both consume the round RNG), calling emit
-// for every participant that goes on to train. It returns the number of
-// dropouts drawn.
-func (rt *Runtime) assignAll(selected []int, res *Result, emit func(client int, m *model.Model)) (dropouts int) {
-	for _, c := range selected {
-		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
-		m := rt.mgr.Sample(c, rt.compatBuf, rt.rng)
-		if m == nil {
-			continue
-		}
-		if rt.cfg.DropoutRate > 0 && rt.rng.Float64() < rt.cfg.DropoutRate {
-			// The client received the model but drops out before
-			// uploading: count the download, skip training.
-			res.Costs.NetworkBytes += m.Bytes()
-			res.Dropouts++
-			dropouts++
-			continue
-		}
-		emit(c, m)
-	}
-	return dropouts
-}
-
 // primeSuite builds each model's lazily cached Params and ParamCount
 // before a parallel section: workers read suite params concurrently
 // (session downloads and clones, upload-buffer shaping, cost accounting,
@@ -587,19 +525,14 @@ func (rt *Runtime) quorumNeed(settled int) int {
 }
 
 // settle commits a trained task: it folds the first attempt, retries a
-// failed one up to RetryBudget times with back-off (version is the round
-// whose seeds and chaos draws the attempts use), returns the upload
-// buffers to the pool, and records the outcome — selector feedback for a
-// folded update, a failure otherwise. It returns the simulated time the
-// attempt chain took and whether the update folded.
+// failed one up to RetryBudget times (version is the round whose seeds
+// and chaos draws the attempts use), returns the upload buffers to the
+// pool, and counts a failure when no attempt folded. It returns the
+// simulated time the attempt chain took and whether the update folded.
 func (rt *Runtime) settle(version int, u *roundTask, res *Result) (elapsed float64, ok bool) {
-	cfg := &rt.cfg
 	ok = rt.commitAttempt(u, &elapsed, res)
-	for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
+	for attempt := 1; !ok && attempt <= rt.cfg.RetryBudget; attempt++ {
 		res.Retries++
-		if cfg.RetryBackoff > 0 {
-			elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
-		}
 		// Retries run synchronously on the (single) consumer
 		// goroutine: determinism needs no extra machinery, and a
 		// retry storm degrades throughput instead of correctness.
@@ -607,10 +540,7 @@ func (rt *Runtime) settle(version int, u *roundTask, res *Result) (elapsed float
 		ok = rt.commitAttempt(u, &elapsed, res)
 	}
 	rt.releaseUploads(u)
-	if ok {
-		u.ok = true
-		cfg.Selector.Feedback(u.client, u.loss, elapsed)
-	} else {
+	if !ok {
 		res.Failures++
 	}
 	return elapsed, ok
@@ -744,9 +674,9 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 // commitAttempt folds one attempt's upload into the accumulator,
 // charging its simulated costs and time, and reports whether it
 // succeeded. Failure modes: chaos crash (download spent, nothing else),
-// timeout (download spent, coordinator waits out ClientTimeout), and a
-// corrupt or non-finite upload rejected at the accumulator boundary
-// (full cost spent — the bytes did travel).
+// a transport error (likewise), and a corrupt or non-finite upload
+// rejected at the accumulator boundary (full cost spent — the bytes did
+// travel).
 func (rt *Runtime) commitAttempt(u *roundTask, elapsed *float64, res *Result) bool {
 	cfg := rt.cfg
 	m := u.m
@@ -769,11 +699,6 @@ func (rt *Runtime) commitAttempt(u *roundTask, elapsed *float64, res *Result) bo
 	}
 	t := rt.trace.TrainingTime(u.client, m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) + u.delay
 	res.Costs.AddTraining(m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
-	if cfg.ClientTimeout > 0 && t > cfg.ClientTimeout {
-		*elapsed += cfg.ClientTimeout
-		res.Costs.NetworkBytes += m.Bytes()
-		return false
-	}
 	*elapsed += t
 	ws := u.up
 	if u.fault == chaos.CorruptUpload && len(ws) > 0 {

@@ -51,6 +51,18 @@ func newLocalSession(src *model.Model) *localSession {
 func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, seed int64, upload []*tensor.Tensor) (loss float64, samples int) {
 	s.m.SetWeights(src.Params())
 	s.rng.Seed(seed)
+	loss, samples = s.train(cl, cfg, s.rng)
+	for i, p := range s.m.Params() {
+		copy(upload[i].Data, p.Data)
+	}
+	return loss, samples
+}
+
+// train runs local SGD on the session clone's current weights, drawing
+// each step's batch indices from rng, and leaves the trained weights in
+// the clone. It returns the mean training loss and the client's sample
+// count; a zero-sample shard leaves the weights untouched.
+func (s *localSession) train(cl *data.Client, cfg LocalConfig, rng *rand.Rand) (loss float64, samples int) {
 	s.opt.LR = cfg.LR
 	s.opt.ProxMu = cfg.ProxMu
 	if cfg.ProxMu > 0 {
@@ -66,9 +78,6 @@ func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, s
 		// downloaded weights untouched with Samples 0 — zero FedAvg
 		// weight, so the coordinator never folds the update. Without
 		// this guard the batch sampler below panics on Intn(0).
-		for i, p := range s.m.Params() {
-			copy(upload[i].Data, p.Data)
-		}
 		return 0, 0
 	}
 	steps := cfg.Steps
@@ -92,13 +101,10 @@ func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, s
 	lossSum := 0.0
 	for st := 0; st < steps; st++ {
 		for i := range s.idx {
-			s.idx[i] = s.rng.Intn(n)
+			s.idx[i] = rng.Intn(n)
 		}
 		data.BatchInto(s.bx, s.by, cl.TrainX, cl.TrainY, s.idx)
 		lossSum += s.m.TrainStep(s.bx, s.by, s.opt)
-	}
-	for i, p := range s.m.Params() {
-		copy(upload[i].Data, p.Data)
 	}
 	return lossSum / float64(steps), n
 }
