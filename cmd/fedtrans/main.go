@@ -43,8 +43,6 @@ func main() {
 	flag.IntVar(&opts.Clients, "clients", opts.Clients, "number of federated clients")
 	flag.IntVar(&opts.Population, "population", opts.Population,
 		"generative population size: overrides -clients and synthesizes client state on demand, O(active) server state")
-	flag.IntVar(&opts.EdgeAggregators, "edge-aggregators", opts.EdgeAggregators,
-		"hierarchical two-tier aggregation across this many edge aggregators (<=1 = single tier, results bit-identical)")
 	flag.IntVar(&opts.Rounds, "rounds", opts.Rounds, "training round budget")
 	flag.IntVar(&opts.ClientsPerRound, "participants", opts.ClientsPerRound, "clients per round")
 	flag.Float64Var(&opts.Heterogeneity, "h", opts.Heterogeneity,

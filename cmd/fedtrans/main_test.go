@@ -48,7 +48,6 @@ func TestCLIRejectsInvalidNumericFlags(t *testing.T) {
 	}{
 		{"zero agent workers", []string{"-agent", "127.0.0.1:1", "-agent-workers", "0"}, "workers"},
 		{"negative population", []string{"-population", "-5"}, "Population"},
-		{"negative edge aggregators", []string{"-edge-aggregators", "-1"}, "EdgeAggregators"},
 		{"negative eval sample", []string{"-eval-sample", "-2"}, "EvalSample"},
 		{"zero clients", []string{"-clients", "0"}, "Clients"},
 		{"zero participants", []string{"-participants", "0"}, "ClientsPerRound"},

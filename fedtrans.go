@@ -51,13 +51,10 @@ type Options struct {
 	// bit-identical to a materialized run with Clients = Population,
 	// which opens the 10⁶-client workload class (see ScaleOptions).
 	Population int
-	// EdgeAggregators ≥ 2 enables hierarchical two-tier aggregation: that
-	// many edge aggregators each own a disjoint slice of every model's
-	// flat parameter space and merge into a root in fixed edge order at
-	// the round boundary. Bit-identical to single-tier aggregation for
-	// every MaxStaleness setting; only the peak
-	// per-aggregator accumulator memory changes (1/E of the flat space
-	// per edge).
+	// EdgeAggregators is read by nothing: every round folds into one
+	// streaming accumulator. Validate still rejects a negative value.
+	//
+	// Deprecated: no effect.
 	EdgeAggregators int
 	// Heterogeneity is the Dirichlet label-skew parameter h; lower is more
 	// heterogeneous (default 1).
@@ -164,10 +161,9 @@ type ChaosOptions = chaos.Config
 // streaming sharded aggregation pipeline (selection, assignment, local
 // training, accumulator folding) rather than the compute kernels. Peak
 // coordinator memory stays O(stream window × model bytes) even at
-// ClientsPerRound in the thousands. Set Population to detach
-// the population size from resident memory entirely (generative
-// clients), and EdgeAggregators to shard the round accumulator; both
-// leave results bit-identical.
+// ClientsPerRound in the thousands. Set Population to detach the
+// population size from resident memory entirely (generative clients);
+// results stay bit-identical.
 func ScaleOptions() Options {
 	o := DefaultOptions()
 	o.Profile = "scale"
@@ -389,7 +385,6 @@ func NewSession(opts Options) (*Session, error) {
 	cfg.Soft.AllowL2S = opts.AllowL2S
 	cfg.MaxStaleness = opts.MaxStaleness
 	cfg.AsyncConcurrency = opts.AsyncConcurrency
-	cfg.EdgeAggregators = opts.EdgeAggregators
 	cfg.Seed = opts.Seed
 	cfg.Quorum = opts.Quorum
 	cfg.RetryBudget = opts.RetryBudget

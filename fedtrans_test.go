@@ -72,6 +72,8 @@ func TestOptionsEdgeValuesRejected(t *testing.T) {
 		{"LearningRate", func(o *Options) { o.LearningRate = 0 }},
 		{"Quorum", func(o *Options) { o.Quorum = 1.5 }},
 		{"CrashRate", func(o *Options) { o.Chaos.CrashRate = -0.1 }},
+		// Deprecated and read by nothing, but what was invalid stays so.
+		{"EdgeAggregators", func(o *Options) { o.EdgeAggregators = -1 }},
 	} {
 		o := smallOptions()
 		tc.set(&o)

@@ -7,7 +7,7 @@
 //
 // The aggregator is transport-agnostic: uploads produced in-process and
 // uploads decoded off the wire by the networked coordinator
-// (internal/netcoord) feed the same streaming/tiered accumulators in
+// (internal/netcoord) feed the same streaming accumulator in
 // the same fold order, which is what keeps a distributed run
 // byte-identical to a local one.
 package aggregate

@@ -40,9 +40,12 @@ var ErrNonFinite = errors.New("aggregate: non-finite value in update")
 // deterministic order — the round engine folds them in its fold order,
 // selection order when synchronous and (arrival, seq) when
 // asynchronous, both fixed before any training result is read — the
-// float64 sums, and therefore the
-// finalized weights, are byte-identical regardless of worker scheduling,
-// and identical to the buffered FedAvg over the same batch.
+// float64 sums, and therefore the finalized weights, are byte-identical
+// regardless of worker scheduling, and identical to the buffered FedAvg
+// over the same batch.
+//
+// It is the round engine's only accumulator: the paper's Model
+// Aggregator has no hierarchy.
 //
 // The aggregator is not goroutine-safe: Add/Finalize must be called from
 // one goroutine (the runtime calls them from the completion stream's
@@ -50,22 +53,15 @@ var ErrNonFinite = errors.New("aggregate: non-finite value in update")
 // the next round while keeping the buffer allocated.
 type StreamingFedAvg struct {
 	shardSize int
-	// edge/edges restrict the aggregator to its contiguous, shard-aligned
-	// slice of each model's flat parameter space (two-tier aggregation);
-	// edge 0 of 1 — the default — owns everything.
-	edge, edges int
-	accs        map[int]*modelAcc
+	accs      map[int]*modelAcc
 }
 
 // modelAcc is one model's accumulator state.
 type modelAcc struct {
 	params  []*tensor.Tensor
-	offsets []int // offsets[i] is params[i]'s start in the flat space
-	total   int   // total scalar parameters
-	// lo/hi bound the owned flat range; sum[j] accumulates flat position
-	// lo+j. Full-space aggregators have lo=0, hi=total.
-	lo, hi  int
-	sum     []float64 // owned slice of the flat weighted sum, len == hi-lo
+	offsets []int     // offsets[i] is params[i]'s start in the flat space
+	total   int       // total scalar parameters
+	sum     []float64 // flat weighted sum, len == total
 	weight  float64   // Σ sample weights
 	lossSum float64   // Σ loss × weight
 	count   int       // updates folded this round
@@ -76,34 +72,20 @@ type modelAcc struct {
 func NewStreaming() *StreamingFedAvg { return NewStreamingSharded(DefaultShardSize) }
 
 // NewStreamingSharded returns an empty streaming aggregator whose
-// accumulators are reduced in shards of the given width (clamped to ≥ 1).
+// accumulators are reduced in shards of the given width (DefaultShardSize
+// when < 1).
 func NewStreamingSharded(shardSize int) *StreamingFedAvg {
-	return NewStreamingEdge(shardSize, 0, 1)
-}
-
-// NewStreamingEdge returns edge `edge` of an `edges`-way two-tier
-// split: an aggregator that folds only its contiguous, shard-aligned
-// slice of each model's flat parameter space and holds 1/edges of the
-// accumulator memory. Edge slices are disjoint and cover the space, so
-// merging every edge into a full-space root (MergeFrom, ascending edge
-// order) reproduces the single-tier accumulator bit for bit: each flat
-// position is owned by exactly one edge, whose partial sum was computed
-// by the identical sequence of float64 adds the single-tier fold runs.
-func NewStreamingEdge(shardSize, edge, edges int) *StreamingFedAvg {
 	if shardSize < 1 {
 		shardSize = DefaultShardSize
 	}
-	if edges < 1 {
-		edges = 1
-	}
-	if edge < 0 || edge >= edges {
-		edge = 0
-	}
-	return &StreamingFedAvg{
-		shardSize: shardSize, edge: edge, edges: edges,
-		accs: make(map[int]*modelAcc),
-	}
+	return &StreamingFedAvg{shardSize: shardSize, accs: make(map[int]*modelAcc)}
 }
+
+// NewTiered returns NewStreaming(): in one process a hierarchy of edge
+// accumulators computes the same sums as one accumulator.
+//
+// Deprecated: no effect; n is ignored. Use NewStreaming.
+func NewTiered(n int) *StreamingFedAvg { return NewStreaming() }
 
 // acc returns (creating on first use) the accumulator for dst. The
 // accumulator buffer survives Finalize, so steady-state rounds allocate
@@ -117,18 +99,7 @@ func (s *StreamingFedAvg) acc(dst *model.Model) *modelAcc {
 			a.offsets[i] = a.total
 			a.total += p.Len()
 		}
-		// Owned shard range: shards [edge·ns/edges, (edge+1)·ns/edges),
-		// so consecutive edges tile the flat space without overlap.
-		ns := s.shards(a.total)
-		a.lo = s.edge * ns / s.edges * s.shardSize
-		a.hi = (s.edge + 1) * ns / s.edges * s.shardSize
-		if a.hi > a.total {
-			a.hi = a.total
-		}
-		if a.lo > a.hi {
-			a.lo = a.hi
-		}
-		a.sum = make([]float64, a.hi-a.lo)
+		a.sum = make([]float64, a.total)
 		s.accs[dst.ID] = a
 	}
 	return a
@@ -176,33 +147,19 @@ func (a *modelAcc) validate(weights []*tensor.Tensor) error {
 	return nil
 }
 
-// shards returns the number of fixed-width shards covering the flat
-// parameter space.
-func (s *StreamingFedAvg) shards(total int) int {
-	return (total + s.shardSize - 1) / s.shardSize
-}
-
-// foldOwned runs fold(lo, hi) over every shard-aligned chunk of the
-// accumulator's owned flat range, in parallel across idle workers.
-// Chunk ranges are disjoint, and each chunk sees exactly one
-// contribution per Add call, so parallel shard reduction preserves the
-// deterministic per-shard fold order.
-func (s *StreamingFedAvg) foldOwned(a *modelAcc, fold func(lo, hi int)) {
-	if a.lo >= a.hi {
-		return
-	}
-	ns := (a.hi - a.lo + s.shardSize - 1) / s.shardSize
+// forShards runs fold(lo, hi) over every shard of the accumulator's
+// flat space, in parallel across idle workers. Shards are disjoint, and
+// each sees exactly one contribution per Add call, so parallel shard
+// reduction preserves the deterministic per-shard fold order.
+func (s *StreamingFedAvg) forShards(a *modelAcc, fold func(lo, hi int)) {
+	ns := (a.total + s.shardSize - 1) / s.shardSize
 	if ns <= 1 {
-		fold(a.lo, a.hi)
+		fold(0, a.total)
 		return
 	}
 	par.ForN(ns, func(i int) {
-		lo := a.lo + i*s.shardSize
-		hi := lo + s.shardSize
-		if hi > a.hi {
-			hi = a.hi
-		}
-		fold(lo, hi)
+		lo := i * s.shardSize
+		fold(lo, min(lo+s.shardSize, a.total))
 	})
 }
 
@@ -249,23 +206,22 @@ func (s *StreamingFedAvg) Add(dst *model.Model, u Update) error {
 	return nil
 }
 
-// fold accumulates one validated update over the owned flat range.
+// fold accumulates one validated update over the flat space.
 func (s *StreamingFedAvg) fold(a *modelAcc, w float64, weights []*tensor.Tensor) {
-	if a.hi-a.lo <= s.shardSize {
-		// Small model (or narrow edge slice): fold directly, no closure or
-		// fan-out overhead — this is the per-participant hot path of
-		// massive rounds.
-		a.foldDense(weights, w, a.lo, a.hi)
+	if a.total <= s.shardSize {
+		// Small model: fold directly, no closure or fan-out overhead —
+		// this is the per-participant hot path of massive rounds.
+		a.foldDense(weights, w, 0, a.total)
 		return
 	}
-	s.foldOwned(a, func(lo, hi int) { a.foldDense(weights, w, lo, hi) })
+	s.forShards(a, func(lo, hi int) { a.foldDense(weights, w, lo, hi) })
 }
 
 // foldDense accumulates weight×update over flat range [lo, hi).
 func (a *modelAcc) foldDense(weights []*tensor.Tensor, w float64, lo, hi int) {
 	a.forSegments(lo, hi, func(ti, tLo, tHi, flat int) {
 		src := weights[ti].Data[tLo:tHi]
-		acc := a.sum[flat-a.lo : flat-a.lo+len(src)]
+		acc := a.sum[flat : flat+len(src)]
 		for j, v := range src {
 			acc[j] += float64(v) * w
 		}
@@ -300,10 +256,10 @@ func (s *StreamingFedAvg) Finalize(dst *model.Model) (meanLoss float64, samples 
 	for _, p := range a.params {
 		p.EnsureOwnedDiscard()
 	}
-	s.foldOwned(a, func(lo, hi int) {
+	s.forShards(a, func(lo, hi int) {
 		a.forSegments(lo, hi, func(ti, tLo, tHi, flat int) {
 			dstSeg := a.params[ti].Data[tLo:tHi]
-			src := a.sum[flat-a.lo : flat-a.lo+len(dstSeg)]
+			src := a.sum[flat : flat+len(dstSeg)]
 			for j := range dstSeg {
 				dstSeg[j] = tensor.Float(src[j] * inv)
 			}
@@ -334,35 +290,4 @@ func (s *StreamingFedAvg) Abort() {
 			a.reset()
 		}
 	}
-}
-
-// MergeFrom folds src's accumulated state for dst into s and resets
-// src's accumulator — the edge→root handoff of two-tier aggregation.
-// src's owned flat range must lie inside s's (the root spans the whole
-// space), and sums add positionally. The scalar totals (weight, loss,
-// update count) add as-is, so a topology must track each update's
-// scalars on exactly one edge; NewTiered gives them all to edge 0.
-// Merging edges in ascending edge order reassembles the single-tier
-// accumulator bit for bit: edge ranges are disjoint, so every flat
-// position receives its one owning edge's partial sum — computed by the
-// identical add sequence the single-tier fold runs — added to zero.
-func (s *StreamingFedAvg) MergeFrom(dst *model.Model, src *StreamingFedAvg) error {
-	sa := src.accs[dst.ID]
-	if sa == nil {
-		return nil
-	}
-	a := s.acc(dst)
-	if sa.total != a.total || sa.lo < a.lo || sa.hi > a.hi {
-		return fmt.Errorf("%w: merge range [%d,%d) outside owned [%d,%d)",
-			ErrUpdateShape, sa.lo, sa.hi, a.lo, a.hi)
-	}
-	dstSeg := a.sum[sa.lo-a.lo : sa.hi-a.lo]
-	for j, v := range sa.sum {
-		dstSeg[j] += v
-	}
-	a.weight += sa.weight
-	a.lossSum += sa.lossSum
-	a.count += sa.count
-	sa.reset()
-	return nil
 }

@@ -3,7 +3,6 @@ package fl
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"fedtrans/internal/chaos"
@@ -80,62 +79,28 @@ func TestRuntimeGenerativeMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestRuntimeTieredMatchesSingleTierRun pins end-to-end two-tier
-// bit-identity: for every (window, staleness, edges) combination the
-// full Result must reflect.DeepEqual the single-tier run.
-func TestRuntimeTieredMatchesSingleTierRun(t *testing.T) {
-	for _, mode := range []struct {
-		name             string
-		procs, staleness int
-	}{
-		{windowModes[0].name, windowModes[0].procs, 0},
-		{windowModes[1].name, windowModes[1].procs, 0},
-		{"async-staleness2", runtime.GOMAXPROCS(0), 2},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(mode.procs)
-			defer runtime.GOMAXPROCS(prev)
-			run := func(edges int) Result {
-				ds, tr, spec := genSetup(t, 20, true)
-				cfg := genChaosConfig()
-				cfg.MaxStaleness = mode.staleness
-				cfg.EdgeAggregators = edges
-				return New(cfg, ds, tr, spec).Run()
-			}
-			single := run(0)
-			for _, edges := range []int{2, 5} {
-				if tiered := run(edges); !reflect.DeepEqual(single, tiered) {
-					t.Fatalf("%d-edge run diverged from single-tier", edges)
-				}
-			}
-		})
-	}
-}
-
 // TestCheckpointResumeGenerativePopulation is the FTCP kill/resume
 // golden test on a generative population: checkpoints written mid-run
 // restore into a fresh generative runtime — including one with a larger
-// same-shape population (late joiners at zero utility) and one running
-// two-tier aggregation, since no accumulator state crosses a round
-// boundary — and reproduce the uninterrupted run bit for bit. A smaller population
-// than the checkpoint covers is rejected with ErrGeometryMismatch.
+// same-shape population (late joiners at zero utility) — and reproduce
+// the uninterrupted run bit for bit. A smaller population than the
+// checkpoint covers is rejected with ErrGeometryMismatch.
 func TestCheckpointResumeGenerativePopulation(t *testing.T) {
-	mk := func(clients, edges int) *Runtime {
+	mk := func(clients int) *Runtime {
 		ds, tr, spec := genSetup(t, clients, true)
 		cfg := genChaosConfig()
 		cfg.MaxStaleness = 2 // async: in-flight dispatches ride the checkpoint
-		cfg.EdgeAggregators = edges
 		return New(cfg, ds, tr, spec)
 	}
-	expected := mk(20, 0).Run()
+	expected := mk(20).Run()
 
-	_, blobs := runWithCheckpoints(t, func() *Runtime { return mk(20, 0) }, 1)
+	_, blobs := runWithCheckpoints(t, func() *Runtime { return mk(20) }, 1)
 	for round := 1; round < genChaosConfig().Rounds; round++ {
 		blob := blobs[round]
 		if blob == nil {
 			continue
 		}
-		resumed, err := resume(mk(20, 0), blob)
+		resumed, err := resume(mk(20), blob)
 		if err != nil {
 			t.Fatalf("resume at round %d: %v", round, err)
 		}
@@ -150,37 +115,20 @@ func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 		t.Fatal("no checkpoint at round 5")
 	}
 
-	// Tiered resume: the aggregator topology is not part of the
-	// checkpoint, so a two-tier runtime resumes a single-tier blob and
-	// still reproduces the run bit for bit.
-	resumed, err := resume(mk(20, 3), blob)
-	if err != nil {
-		t.Fatalf("tiered resume: %v", err)
-	}
-	if !reflect.DeepEqual(expected, resumed) {
-		t.Fatal("tiered resume diverged from single-tier run")
-	}
-
 	// Larger same-shape generative population: accepted (the documented
 	// EnsureClients grow path; late joiners start at zero utility) and
 	// must run to completion deterministically.
-	mkGrow := func(clients int) *Runtime {
-		ds, tr, spec := genSetup(t, clients, true)
-		cfg := genChaosConfig()
-		cfg.MaxStaleness = 2
-		return New(cfg, ds, tr, spec)
-	}
-	_, growBlobs := runWithCheckpoints(t, func() *Runtime { return mkGrow(20) }, 5)
+	_, growBlobs := runWithCheckpoints(t, func() *Runtime { return mk(20) }, 5)
 	growBlob := growBlobs[5]
 	if growBlob == nil {
 		t.Fatal("no checkpoint at round 5")
 	}
-	big := mkGrow(200)
+	big := mk(200)
 	if err := big.Restore(growBlob); err != nil {
 		t.Fatalf("resume into larger population: %v", err)
 	}
 	a := big.Run()
-	big2 := mkGrow(200)
+	big2 := mk(200)
 	if err := big2.Restore(growBlob); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +137,7 @@ func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 	}
 
 	// Smaller population than the checkpoint covers: geometry mismatch.
-	if err := mk(10, 0).Restore(blob); !errors.Is(err, ErrGeometryMismatch) {
+	if err := mk(10).Restore(blob); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("smaller-population resume err = %v, want ErrGeometryMismatch", err)
 	}
 }

@@ -62,14 +62,10 @@ type Config struct {
 	// 2×ClientsPerRound; values below ClientsPerRound are clamped up so
 	// a full commit set can exist.
 	AsyncConcurrency int
-	// EdgeAggregators, when ≥ 2, runs hierarchical two-tier aggregation:
-	// that many edge aggregators each own a disjoint shard-aligned slice
-	// of every model's flat parameter space and are merged into a root
-	// in fixed edge order at each round boundary. Results are
-	// bit-identical to single-tier aggregation for every window and
-	// staleness setting (see aggregate.TieredFedAvg); only the peak
-	// per-aggregator accumulator memory changes. ≤ 1 keeps the
-	// single-tier streaming aggregator.
+	// EdgeAggregators is read by nothing: every round folds into one
+	// streaming accumulator.
+	//
+	// Deprecated: no effect.
 	EdgeAggregators int
 	// Trainer, when non-nil, runs every client local-training attempt
 	// instead of the in-process session pool — the hook the networked
@@ -262,7 +258,7 @@ type Runtime struct {
 	// the per-model sharded accumulators, pooled training sessions and
 	// upload buffers, and the loss-standardization / compatibility
 	// scratch slices.
-	agg       aggregate.Aggregator
+	agg       *aggregate.StreamingFedAvg
 	sessions  modelPool[*localSession]
 	uploads   modelPool[[]*tensor.Tensor]
 	evalPanel []int // the lazily drawn EvalSample panel; nil means every client
@@ -363,16 +359,10 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		rng:    rng,
 		rngSrc: src,
 		chaos:  chaos.New(cfg.Chaos),
+		agg:    aggregate.NewStreaming(),
 	}
 	rt.pol = newPolicy(&cfg, &rt.sched)
 	rt.stream = par.NewTaskStream(rt.pol.window)
-	// Hierarchical two-tier aggregation when EdgeAggregators ≥ 2,
-	// single-tier streaming otherwise.
-	if cfg.EdgeAggregators > 1 {
-		rt.agg = aggregate.NewTiered(cfg.EdgeAggregators)
-	} else {
-		rt.agg = aggregate.NewStreaming()
-	}
 	// The configured capacity ceiling, not an O(N) empirical scan:
 	// synthesis clamps every device to it, so setup cost stays
 	// independent of the population size.

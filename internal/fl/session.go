@@ -14,12 +14,14 @@ import (
 // localSession is a reusable client-training harness bound to one suite
 // model: a fully materialized training clone (owned weight buffers, warm
 // gradient storage and workspaces after the first client), a reseedable
-// RNG, and recycled batch scratch. The streaming round loop draws
-// sessions from a per-model pool so training a thousand clients per
-// round costs a thousand weight memcpys, not a thousand model-sized
-// allocations — the serial-equals-parallel guarantee is preserved
-// because every piece of session state is either overwritten per client
-// (weights, batch, RNG) or cleared per step (gradients).
+// RNG (built by the first run: TrainLocal draws from its caller's RNG
+// and evaluation draws nothing), and recycled batch scratch. The
+// streaming round loop draws sessions from a per-model pool so training
+// a thousand clients per round costs a thousand weight memcpys, not a
+// thousand model-sized allocations — the serial-equals-parallel
+// guarantee is preserved because every piece of session state is either
+// overwritten per client (weights, batch, RNG) or cleared per step
+// (gradients).
 type localSession struct {
 	m   *model.Model
 	opt *nn.SGD
@@ -37,7 +39,6 @@ func newLocalSession(src *model.Model) *localSession {
 	return &localSession{
 		m:   src.Clone(),
 		opt: nn.NewSGD(0),
-		rng: rand.New(xrand.New(0)),
 		bx:  &tensor.Tensor{},
 	}
 }
@@ -50,6 +51,9 @@ func newLocalSession(src *model.Model) *localSession {
 // mean training loss and the client's sample count. src is only read.
 func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, seed int64, upload []*tensor.Tensor) (loss float64, samples int) {
 	s.m.SetWeights(src.Params())
+	if s.rng == nil {
+		s.rng = rand.New(xrand.New(0))
+	}
 	s.rng.Seed(seed)
 	loss, samples = s.train(cl, cfg, s.rng)
 	for i, p := range s.m.Params() {

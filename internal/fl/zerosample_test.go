@@ -3,11 +3,14 @@ package fl
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
+	"fedtrans/internal/xrand"
 )
 
 // zeroSampleRuntime builds a small materialized runtime in which the
@@ -82,5 +85,29 @@ func TestZeroSampleClientUnpooled(t *testing.T) {
 		if !reflect.DeepEqual(res.Weights[i].Data, p.Data) {
 			t.Fatalf("param %d: empty-shard training changed the weights", i)
 		}
+	}
+}
+
+// TestTrainLocalBuildsNoSessionRNG pins that TrainLocal, which draws
+// batches from its caller's RNG, does not build the session RNG only
+// run draws from: a zero-sample call, which trains nothing, allocates
+// less than that RNG's xrand.Source alone.
+func TestTrainLocalBuildsNoSessionRNG(t *testing.T) {
+	ds := data.Generate(data.Config{Profile: "femnist", Clients: 1, Heterogeneity: 1, Seed: 3})
+	ds.Clients[0].TrainY = nil
+	m := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes).Build(rand.New(rand.NewSource(0)))
+	rng := rand.New(rand.NewSource(7))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	TrainLocal(m, &ds.Clients[0], DefaultLocalConfig(), rng)
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		TrainLocal(m, &ds.Clients[0], DefaultLocalConfig(), rng)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if src := uint64(unsafe.Sizeof(xrand.Source{})); perCall >= src {
+		t.Fatalf("zero-sample TrainLocal allocates %d B per call, want < %d (one xrand.Source)", perCall, src)
 	}
 }

@@ -25,7 +25,6 @@ import (
 type oracleDraw struct {
 	o       Options
 	tier    tensor.SIMDLevel
-	edges   int  // EdgeAggregators of the tiered arm
 	workers int  // agent workers of the networked arm
 	every   int  // CheckpointEvery of the checkpointing arm, in [1, Rounds)
 	clamped bool // the drawn tier was above the host's, so tier is not it
@@ -36,10 +35,11 @@ var oracleProfiles = []string{"femnist", "cifar10", "speech", "openimage", "vit"
 // drawOracle draws a configuration from seed: Options drawn field by
 // field and rejected until Options.validate accepts them. The draw is
 // the same on every host; only the tier is clamped to what the host
-// runs. Six draws are discarded: they set knobs Options no longer has
+// runs. Seven draws are discarded: they set knobs Options no longer has
 // (dropout, guided selection, retry back-off, client timeout, churn
-// joins and leaves), and taking them keeps every later draw, so each
-// seed still draws the configuration it drew with those knobs at zero.
+// joins and leaves) or no longer reads (edge aggregators), and taking
+// them keeps every later draw, so each seed still draws the
+// configuration it drew with those knobs at zero.
 func drawOracle(seed uint64) oracleDraw {
 	r := rand.New(rand.NewSource(int64(seed)))
 	coin := func() bool { return r.Intn(2) == 0 }
@@ -83,10 +83,10 @@ func drawOracle(seed uint64) oracleDraw {
 			o.EvalSample = 1 + r.Intn(o.Clients+2)
 		}
 		tier := tensor.SIMDLevel(r.Intn(3))
+		_ = r.Intn(3) // edge aggregators
 		d := oracleDraw{
 			o:       o,
 			tier:    min(tier, tensor.SIMDSupported()),
-			edges:   []int{2, 3, 5}[r.Intn(3)],
 			workers: 1 + r.Intn(3),
 			every:   1 + r.Intn(o.Rounds-1),
 			clamped: tier > tensor.SIMDSupported(),
@@ -243,7 +243,6 @@ func oracleRun(t *testing.T, o Options, workers int) (Summary, []byte) {
 // which must reproduce the reference's Summary and post-run checkpoint
 // byte for byte:
 //   - four cores, writing checkpoints every d.every rounds;
-//   - d.edges edge aggregators;
 //   - a generative population of the same size;
 //   - an agent pool of d.workers workers over loopback, when the
 //     reference trained at all (a session that trains nothing ends
@@ -273,7 +272,6 @@ func checkOracle(t *testing.T, d oracleDraw) (covered []string, digest uint64) {
 		set   func(o *Options)
 	}{
 		{"GOMAXPROCS 4, checkpointing", 4, func(o *Options) { o.CheckpointPath, o.CheckpointEvery = path, d.every }},
-		{fmt.Sprintf("%d edge aggregators", d.edges), 1, func(o *Options) { o.EdgeAggregators = d.edges }},
 		{"generative population", 1, func(o *Options) { o.Population = o.Clients }},
 		{fmt.Sprintf("networked, %d agent workers", d.workers), 1, func(o *Options) { o.ServeAddr = "127.0.0.1:0" }},
 	} {
@@ -360,7 +358,7 @@ var (
 
 // FuzzDeterminismOracle draws a configuration from the seed and checks
 // that every way this repository can execute it — serial or parallel,
-// single- or two-tier, materialized or generative, in process or over
+// materialized or generative, in process or over
 // the wire, straight through or resumed — yields the same Summary and
 // the same checkpoint bytes. A failing input reruns alone with
 // go test -run=FuzzDeterminismOracle/<seed#N or corpus file>.
