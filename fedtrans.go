@@ -47,7 +47,9 @@ type Options struct {
 	// entry, and RNG stream is synthesized deterministically on demand
 	// from (Seed, clientID) instead of being materialized up front, so
 	// session setup cost and resident state are independent of the
-	// population size — O(active clients), not O(Population). Results are
+	// population size — O(active clients), not O(Population); so are a
+	// checkpoint's bytes and the state a resume restores, which hold
+	// per-client utilities only for clients that trained. Results are
 	// bit-identical to a materialized run with Clients = Population,
 	// which opens the 10⁶-client workload class (see ScaleOptions).
 	Population int
@@ -518,7 +520,7 @@ func (s *Session) summarize(res fl.Result) Summary {
 		AbortedRounds:  res.AbortedRounds,
 		MeanStaleness:  res.MeanStaleness,
 	}
-	for _, rt := range res.RoundTimes {
+	for _, rt := range res.RoundTimes() {
 		sum.WallClock += rt
 	}
 	for _, m := range s.runtime.Suite() {

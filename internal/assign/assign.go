@@ -5,8 +5,10 @@
 package assign
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 
 	"fedtrans/internal/model"
 )
@@ -32,40 +34,35 @@ func NewManager(n int) *Manager {
 	return &Manager{utilities: make([]map[int]float64, n), Temperature: 1}
 }
 
-// EnsureClients grows the utility table to cover n clients; new entries
-// start at the paper's zero-utility initialization, so clients joining
-// mid-experiment are assigned like never-seen clients. The table never
-// shrinks: a departing client keeps its utilities for a later rejoin.
-func (mg *Manager) EnsureClients(n int) {
-	for len(mg.utilities) < n {
-		mg.utilities = append(mg.utilities, nil)
-	}
+// ClientUtility is one client's utility map, the unit a checkpoint
+// stores: only clients that hold some utility have one.
+type ClientUtility struct {
+	Client int
+	U      map[int]float64
 }
 
-// ExportUtilities deep-copies the per-client utility table
-// (checkpointing).
-func (mg *Manager) ExportUtilities() []map[int]float64 {
-	out := make([]map[int]float64, len(mg.utilities))
+// ExportUtilities deep-copies the utility table for a checkpoint: one
+// entry per client with a non-empty map, ascending by client, so its
+// size is O(clients ever trained) whatever the population.
+func (mg *Manager) ExportUtilities() []ClientUtility {
+	var out []ClientUtility
 	for c, u := range mg.utilities {
-		cp := make(map[int]float64, len(u))
-		for id, v := range u {
-			cp[id] = v
+		if len(u) > 0 {
+			out = append(out, ClientUtility{Client: c, U: maps.Clone(u)})
 		}
-		out[c] = cp
 	}
 	return out
 }
 
-// ImportUtilities replaces the utility table with a deep copy of u
-// (checkpoint restore).
-func (mg *Manager) ImportUtilities(u []map[int]float64) {
-	mg.utilities = make([]map[int]float64, len(u))
-	for c, src := range u {
-		cp := make(map[int]float64, len(src))
-		for id, v := range src {
-			cp[id] = v
-		}
-		mg.utilities[c] = cp
+// ImportUtilities replaces the utility table with one for n clients
+// holding a deep copy of list (checkpoint restore); every other client
+// starts at zero utility with a nil map. The table's storage is reused
+// when large enough, so a restored Manager holds one table, not two.
+func (mg *Manager) ImportUtilities(n int, list []ClientUtility) {
+	mg.utilities = slices.Grow(mg.utilities[:0], n)[:n]
+	clear(mg.utilities)
+	for _, cu := range list {
+		mg.utilities[cu.Client] = maps.Clone(cu.U)
 	}
 }
 

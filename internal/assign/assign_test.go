@@ -40,7 +40,7 @@ func TestSampleRespectsUtilities(t *testing.T) {
 	s := suite(t)
 	mgr := NewManager(1)
 	// Give model 2 a huge utility; sampling should overwhelmingly pick it.
-	mgr.ImportUtilities([]map[int]float64{{s[2].ID: 50}})
+	mgr.ImportUtilities(1, []ClientUtility{{0, map[int]float64{s[2].ID: 50}}})
 	rng := rand.New(rand.NewSource(2))
 	picks := map[int]int{}
 	for i := 0; i < 200; i++ {
@@ -82,7 +82,7 @@ func TestSampleEdgeCases(t *testing.T) {
 func TestBestPrefersHighUtility(t *testing.T) {
 	s := suite(t)
 	mgr := NewManager(1)
-	mgr.ImportUtilities([]map[int]float64{{s[1].ID: 3, s[2].ID: 1}})
+	mgr.ImportUtilities(1, []ClientUtility{{0, map[int]float64{s[1].ID: 3, s[2].ID: 1}}})
 	if got := mgr.Best(0, s); got != s[1] {
 		t.Errorf("Best = model %d, want %d", got.ID, s[1].ID)
 	}
@@ -99,7 +99,7 @@ func TestUpdateJointSpreadsBySimilarity(t *testing.T) {
 	// Client trained s[1] with a high standardized loss (+2): utilities
 	// must drop, more for similar models.
 	mgr.UpdateJoint(0, s[1], 2, s)
-	u := mgr.ExportUtilities()[0]
+	u := mgr.ExportUtilities()[0].U
 	u1, u0 := u[s[1].ID], u[s[0].ID]
 	if u1 >= 0 {
 		t.Errorf("trained model utility = %v, want negative", u1)
@@ -112,7 +112,7 @@ func TestUpdateJointSpreadsBySimilarity(t *testing.T) {
 	}
 	// Negative standardized loss (better than average) raises utility.
 	mgr.UpdateJoint(0, s[1], -2, s)
-	if mgr.ExportUtilities()[0][s[1].ID] != 0 {
+	if mgr.ExportUtilities()[0].U[s[1].ID] != 0 {
 		t.Error("symmetric updates should cancel")
 	}
 }
@@ -120,14 +120,43 @@ func TestUpdateJointSpreadsBySimilarity(t *testing.T) {
 func TestInheritUtilities(t *testing.T) {
 	s := suite(t)
 	mgr := NewManager(2)
-	mgr.ImportUtilities([]map[int]float64{{s[1].ID: 5}, nil})
+	mgr.ImportUtilities(2, []ClientUtility{{0, map[int]float64{s[1].ID: 5}}})
 	mgr.InheritUtilities(s[1].ID, s[2].ID)
 	u := mgr.ExportUtilities()
-	if u[0][s[2].ID] != 5 {
-		t.Error("child should inherit parent utility")
+	if len(u) != 1 || u[0].Client != 0 || u[0].U[s[2].ID] != 5 {
+		t.Errorf("child should inherit parent utility: %v", u)
 	}
-	if u[1][s[2].ID] != 0 {
-		t.Error("clients without parent utility must stay at zero")
+	if mgr.utilities[1] != nil {
+		t.Error("clients without parent utility must stay untouched")
+	}
+}
+
+// TestExportUtilitiesSparse: the export lists exactly the clients with a
+// non-empty map, ascending, as copies; an import leaves every other
+// client nil and sizes the table as asked.
+func TestExportUtilitiesSparse(t *testing.T) {
+	s := suite(t)
+	mgr := NewManager(6)
+	mgr.UpdateJoint(4, s[0], 1, s[:1])
+	mgr.UpdateJoint(1, s[0], -1, s[:1])
+	mgr.utilities[3] = map[int]float64{} // allocated, holds nothing
+	u := mgr.ExportUtilities()
+	if len(u) != 2 || u[0].Client != 1 || u[1].Client != 4 {
+		t.Fatalf("export = %v, want clients 1 and 4", u)
+	}
+	u[0].U[s[0].ID] = 99
+	if mgr.utilities[1][s[0].ID] == 99 {
+		t.Error("export shares a map with the manager")
+	}
+	back := NewManager(0)
+	back.ImportUtilities(8, u)
+	if len(back.utilities) != 8 {
+		t.Fatalf("imported table covers %d clients, want 8", len(back.utilities))
+	}
+	for c, m := range back.utilities {
+		if (m != nil) != (c == 1 || c == 4) {
+			t.Errorf("client %d: map %v after import", c, m)
+		}
 	}
 }
 

@@ -71,9 +71,11 @@ type method interface {
 // run is the round loop of every multi-model baseline: select, hand the
 // round to the method, settle the ledger and the round's simulated time,
 // evaluate on schedule. A client's time is the sum over the models it
-// trained; a round takes as long as its slowest client.
-func run(name string, cfg Config, ds *data.Dataset, trace *device.Trace, rng *rand.Rand, m method) fl.Result {
-	res := fl.Result{CostCurve: metrics.Series{Name: name}}
+// trained; a round takes as long as its slowest client. Each round's
+// Log record holds what Result's projections read: its time, the
+// cumulative training MACs and, when evaluated, the mean accuracy.
+func run(cfg Config, ds *data.Dataset, trace *device.Trace, rng *rand.Rand, m method) fl.Result {
+	var res fl.Result
 	var storage int64
 	for _, sm := range m.suite() {
 		storage += sm.Bytes()
@@ -98,12 +100,14 @@ func run(name string, cfg Config, ds *data.Dataset, trace *device.Trace, rng *ra
 				roundTime = clientTime
 			}
 		})
-		res.RoundTimes = append(res.RoundTimes, roundTime)
 		res.RoundsRun = round + 1
-		if (round+1)%evalEvery == 0 || round == cfg.Rounds-1 {
+		l := fl.RoundLog{Round: round, RoundTime: roundTime, TrainMACs: res.Costs.TrainMACs}
+		l.Evaluated = (round+1)%evalEvery == 0 || round == cfg.Rounds-1
+		if l.Evaluated {
 			res.ClientAcc = m.evaluate()
-			res.CostCurve.Append(res.Costs.TrainMACs, metrics.Mean(res.ClientAcc))
+			l.MeanAcc = metrics.Mean(res.ClientAcc)
 		}
+		res.Log = append(res.Log, l)
 	}
 	if res.ClientAcc == nil { // no round ran
 		res.ClientAcc = m.evaluate()

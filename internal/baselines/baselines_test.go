@@ -115,7 +115,7 @@ func TestFLuIDSubModelCostAccounting(t *testing.T) {
 	if res.Costs.NetworkBytes <= 0 {
 		t.Errorf("network bytes = %d, want > 0 (submodel transfer accounting lost)", res.Costs.NetworkBytes)
 	}
-	for r, rt := range res.RoundTimes {
+	for r, rt := range res.RoundTimes() {
 		if rt <= 0 {
 			t.Errorf("round %d time = %v, want > 0", r, rt)
 		}

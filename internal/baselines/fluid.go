@@ -222,7 +222,7 @@ func identitySet(n int) []int {
 }
 
 // Run executes FLuID training.
-func (f *FLuID) Run() fl.Result { return run("fluid", f.cfg, f.ds, f.trace, f.rng, f) }
+func (f *FLuID) Run() fl.Result { return run(f.cfg, f.ds, f.trace, f.rng, f) }
 
 func (f *FLuID) suite() []*model.Model { return []*model.Model{f.global} }
 

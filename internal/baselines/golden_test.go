@@ -61,9 +61,10 @@ func resultDigest(r fl.Result, suite []*model.Model) uint64 {
 	h.word(uint64(r.Costs.NetworkBytes))
 	h.word(uint64(r.Costs.StorageBytes))
 	h.floats(r.ClientAcc...)
-	h.floats(r.RoundTimes...)
-	h.floats(r.CostCurve.X...)
-	h.floats(r.CostCurve.Y...)
+	curve := r.CostCurve()
+	h.floats(r.RoundTimes()...)
+	h.floats(curve.X...)
+	h.floats(curve.Y...)
 	h.floats(r.SuiteMACs...)
 	for _, arch := range r.SuiteArch {
 		h.word(uint64(len(arch)))

@@ -72,7 +72,7 @@ func (h *HeteroFL) syncLevels() {
 }
 
 // Run executes HeteroFL training and returns the standard result summary.
-func (h *HeteroFL) Run() fl.Result { return run("heterofl", h.cfg, h.ds, h.trace, h.rng, h) }
+func (h *HeteroFL) Run() fl.Result { return run(h.cfg, h.ds, h.trace, h.rng, h) }
 
 func (h *HeteroFL) suite() []*model.Model { return h.levels }
 

@@ -33,20 +33,14 @@ func singleModelConfig(cfg Config) fl.Config {
 
 // RunFedAvg trains a single global model with plain FedAvg.
 func RunFedAvg(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Spec) fl.Result {
-	rt := fl.New(singleModelConfig(cfg), ds, trace, spec)
-	res := rt.Run()
-	res.CostCurve.Name = "fedavg"
-	return res
+	return fl.New(singleModelConfig(cfg), ds, trace, spec).Run()
 }
 
 // RunFedProx trains a single global model with the FedProx proximal term.
 func RunFedProx(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Spec, mu float64) fl.Result {
 	fc := singleModelConfig(cfg)
 	fc.Local.ProxMu = mu
-	rt := fl.New(fc, ds, trace, spec)
-	res := rt.Run()
-	res.CostCurve.Name = "fedprox"
-	return res
+	return fl.New(fc, ds, trace, spec).Run()
 }
 
 // RunFedYogi trains a single global model with the FedYogi server
@@ -54,10 +48,7 @@ func RunFedProx(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Sp
 func RunFedYogi(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Spec) fl.Result {
 	fc := singleModelConfig(cfg)
 	fc.ServerYogi = true
-	rt := fl.New(fc, ds, trace, spec)
-	res := rt.Run()
-	res.CostCurve.Name = "fedyogi"
-	return res
+	return fl.New(fc, ds, trace, spec).Run()
 }
 
 // RunCentralized trains the spec on the pooled, shuffled union of all

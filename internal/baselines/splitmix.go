@@ -57,7 +57,7 @@ func (s *SplitMix) budgetFor(capacity float64) int {
 }
 
 // Run executes SplitMix training.
-func (s *SplitMix) Run() fl.Result { return run("splitmix", s.cfg, s.ds, s.trace, s.rng, s) }
+func (s *SplitMix) Run() fl.Result { return run(s.cfg, s.ds, s.trace, s.rng, s) }
 
 func (s *SplitMix) suite() []*model.Model { return s.bases }
 

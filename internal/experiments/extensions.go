@@ -260,9 +260,10 @@ func RunTable6(sc Scale) Table6Result {
 	w := NewWorkload("femnist", sc, 1)
 	largest, ft := LargestSpec(w, sc)
 	avg := baselines.RunFedAvg(baselineConfig(sc), w.Dataset, w.Trace, largest)
+	ftTimes, avgTimes := ft.RoundTimes(), avg.RoundTimes()
 	return Table6Result{
-		FedTransMean: metrics.Mean(ft.RoundTimes), FedTransStd: metrics.Std(ft.RoundTimes),
-		FedAvgMean: metrics.Mean(avg.RoundTimes), FedAvgStd: metrics.Std(avg.RoundTimes),
+		FedTransMean: metrics.Mean(ftTimes), FedTransStd: metrics.Std(ftTimes),
+		FedAvgMean: metrics.Mean(avgTimes), FedAvgStd: metrics.Std(avgTimes),
 	}
 }
 

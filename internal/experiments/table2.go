@@ -82,8 +82,9 @@ func RunTable2(sc Scale, profiles []string) Table2Result {
 			})
 			key := names[pi] + "/" + method
 			out.PerClient[key] = r.Box
-			r.CostCurve.Name = key
-			out.Curves[key] = r.CostCurve
+			curve := r.CostCurve()
+			curve.Name = key
+			out.Curves[key] = curve
 		}
 	}
 	return out

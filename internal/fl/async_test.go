@@ -73,7 +73,7 @@ func TestAsyncWallClockAdvances(t *testing.T) {
 	rt := New(cfg, ds, tr, spec)
 	res := rt.Run()
 	wall := 0.0
-	for i, rtime := range res.RoundTimes {
+	for i, rtime := range res.RoundTimes() {
 		if rtime < 0 {
 			t.Fatalf("round %d charged negative time %v", i, rtime)
 		}
@@ -103,7 +103,7 @@ func TestAsyncMitigatesStragglersInWallClock(t *testing.T) {
 	}
 	wall := func(res Result) float64 {
 		w := 0.0
-		for _, rt := range res.RoundTimes {
+		for _, rt := range res.RoundTimes() {
 			w += rt
 		}
 		return w

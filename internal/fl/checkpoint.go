@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"fedtrans/internal/assign"
 	"fedtrans/internal/model"
 	"fedtrans/internal/transform"
 	"fedtrans/internal/wire"
@@ -13,36 +14,35 @@ import (
 // Checkpoint is a complete, deterministic snapshot of a Runtime between
 // rounds: resuming from it reproduces the uninterrupted run bit for bit.
 // It captures everything a round can read — the suite weights plus the
-// lineage metadata the wire format deliberately drops (checkpointing is
-// not deployment: a resumed suite must keep transforming and computing
-// similarity exactly as before), the ID-scope counters, the exact rng
-// position as a draw count, the Client Manager utilities, the DoC and
-// activeness windows, server-optimizer state, the asynchronous-mode
-// scheduler state (virtual clock, staleness tallies, and the in-flight
-// dispatches with their download-time weight snapshots — resume
-// re-submits them and deterministically retrains), and the accumulated
-// Result. Aggregator
-// state is not part of it: a checkpoint is taken at a round boundary,
-// where every accumulator has been finalized or aborted.
+// lineage metadata the wire format deliberately drops (a resumed suite
+// must keep transforming and computing similarity exactly as before),
+// the ID-scope counters, the rng position as a draw count, the utilities
+// of the clients that hold any, the DoC and activeness windows,
+// server-optimizer state, the round engine's scheduler state (virtual
+// clock, counters, and the in-flight dispatches with their download-time
+// weight snapshots, which resume retrains deterministically), and the
+// accumulated Result. Aggregator state is not part of it: a checkpoint is
+// taken at a round boundary, where every accumulator has been finalized
+// or aborted. Nothing in it grows with clients that never trained.
 //
-// # Wire format (FTCP v2)
+// # Wire format (FTCP v3)
 //
-//	"FTCP" | u32 version=2 | body | u32 CRC-32 of magic..body
+//	"FTCP" | u32 version=3 | body | u32 CRC-32 of magic..body
 //
 // The body is this struct's fields in the order (*Checkpoint).walk
 // lists them — the one statement of the layout, run by the encoder and
-// the decoder alike — with Res last, and reserved zero words (see
-// reserved) where it held state this program does not keep. The
-// per-model Blob payloads are internal/codec weight blobs behind a JSON
-// header. Byte order, the slice and map encodings, the envelope and the
-// decoder's error and allocation contract are internal/wire's; the
-// lists keyed by an ID (Act, Yogi, Inflight) must ascend. Together
+// the decoder alike — with Res last. The per-model Blob payloads are
+// internal/codec weight blobs behind a JSON header. Byte order, the
+// slice and map encodings, the envelope and the decoder's error and
+// allocation contract are internal/wire's. The lists keyed by an ID
+// (Utilities, Act, Yogi, Inflight) must ascend, every client named must
+// be below Clients, and a utility entry must hold a model. Together
 // these make the encoding canonical: any blob that decodes re-encodes
 // to the identical bytes (the FuzzCheckpointDecode invariant).
 //
-// v2 extends v1 with the dataset geometry (client count, feature
-// dimension, class count — validated on restore) and the asynchronous
-// scheduler block; v1 blobs are rejected with ErrCkptVersion.
+// v3 dropped v2's five reserved zero words, its cost curve and round
+// times (projections of Res.Log now) and the utility maps of clients
+// that hold none; v1 and v2 blobs fail with ErrCkptVersion.
 type Checkpoint struct {
 	// Round is the number of fully completed rounds; resume continues
 	// at this round index.
@@ -61,18 +61,18 @@ type Checkpoint struct {
 	CellCtr  int64
 	// Clients/FeatureDim/Classes pin the dataset geometry the run
 	// trained on. Restore validates them against the resuming dataset
-	// and rejects a mismatch with ErrGeometryMismatch — resuming onto
-	// differently shaped data used to be silently undefined. A larger
-	// client population than Clients is allowed (late joiners start at
-	// zero utility, the documented EnsureClients grow path).
+	// and rejects a mismatch with ErrGeometryMismatch. A larger client
+	// population than Clients is allowed: late joiners start at zero
+	// utility.
 	Clients    int
 	FeatureDim int
 	Classes    int
 	// Models is the suite in creation order: serialized weights plus
 	// the lineage metadata MarshalBinary drops.
 	Models []CkptModel
-	// Utilities is the Client Manager's per-client utility table.
-	Utilities []map[int]float64
+	// Utilities is the Client Manager's utility table, one entry per
+	// client with a non-empty map, ascending by client.
+	Utilities []assign.ClientUtility
 	// DoCLosses is the DoC tracker's loss window.
 	DoCLosses []float64
 	// Act holds each model's activeness windows, ascending by model ID.
@@ -80,9 +80,9 @@ type Checkpoint struct {
 	// Yogi holds the server optimizer's moment vectors, ascending by
 	// slot; nil when no server optimizer state exists.
 	Yogi []CkptYogi
-	// AsyncNow/StaleSum/StaleCnt/AsyncSeq are the asynchronous-mode
-	// virtual clock, staleness tallies, and dispatch sequence counter;
-	// all zero for synchronous runs.
+	// AsyncNow/StaleSum/StaleCnt/AsyncSeq are the round engine's virtual
+	// clock, staleness tallies, and dispatch sequence counter. A
+	// synchronous run's clock and staleness sum stay 0.
 	AsyncNow float64
 	StaleSum int64
 	StaleCnt int64
@@ -157,12 +157,12 @@ var ErrGeometryMismatch = errors.New("fl: checkpoint dataset geometry mismatch")
 
 const (
 	ckptMagic   = "FTCP"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 var ckptErrs = wire.Errs{Magic: ErrCkptMagic, Checksum: ErrCkptChecksum, Truncated: ErrCkptTruncated, Corrupt: ErrCkptCorrupt}
 
-// walk is the FTCP v2 body after the version word: the one statement of
+// walk is the FTCP v3 body after the version word: the one statement of
 // the field order, run by EncodeCheckpoint and DecodeCheckpoint alike.
 // The number beside each slice is the least one element occupies on the
 // wire (what bounds a decode's allocations).
@@ -191,7 +191,14 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	})
 
 	f64 := c.F64 // bound once: a method value made per map is an allocation per client
-	wire.Slice(c, &ck.Utilities, 1, func(u *map[int]float64) { wire.Map(c, u, 8, f64) })
+	wire.Slice(c, &ck.Utilities, 12, func(u *assign.ClientUtility) {
+		c.Int(&u.Client)
+		wire.SortedMap(c, &u.U, 8, f64)
+		if u.Client < 0 || u.Client >= ck.Clients || len(u.U) == 0 {
+			c.Corruptf("utility entry for client %d of %d holds %d models", u.Client, ck.Clients, len(u.U))
+		}
+	})
+	ascending(c, ck.Utilities, "utility client IDs", func(u *assign.ClientUtility) int { return u.Client })
 	c.F64s(&ck.DoCLosses)
 
 	wire.Slice(c, &ck.Act, 12, func(a *CkptAct) {
@@ -207,9 +214,6 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	})
 	ascending(c, ck.Yogi, "yogi slots", func(y *CkptYogi) int { return y.Slot })
 
-	reserved(c, c.U32, "selector state length")
-	reserved(c, c.U32, "churn bitmap length")
-
 	c.F64(&ck.AsyncNow)
 	c.I64(&ck.StaleSum)
 	c.I64(&ck.StaleCnt)
@@ -221,12 +225,11 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 		c.Int(&f.Seq)
 		c.F64(&f.DispatchAt)
 		c.Bytes(&f.SrcBlob)
+		if f.Client < 0 || f.Client >= ck.Clients {
+			c.Corruptf("in-flight client %d of %d", f.Client, ck.Clients)
+		}
 	})
 	ascending(c, ck.Inflight, "in-flight sequence numbers", func(f *CkptInflight) int { return f.Seq })
-
-	// No writer ever filled v2's block of accumulators caught mid-round:
-	// every round ends in Finalize or Abort.
-	reserved(c, c.U32, "mid-round accumulator count")
 
 	r := &ck.Res
 	c.F64s(&r.ClientAcc)
@@ -240,10 +243,6 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	c.F64(&r.Costs.TrainMACs)
 	c.I64(&r.Costs.NetworkBytes)
 	c.I64(&r.Costs.StorageBytes)
-	c.Str(&r.CostCurve.Name)
-	c.F64s(&r.CostCurve.X)
-	c.F64s(&r.CostCurve.Y)
-	c.F64s(&r.RoundTimes)
 	wire.Slice(c, &r.SuiteArch, 4, c.Str)
 	c.F64s(&r.SuiteMACs)
 	c.Int(&r.RoundsRun)
@@ -251,36 +250,25 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	c.I64(&r.Overhead.DoCUpdates)
 	c.I64(&r.Overhead.Transforms)
 	c.F64s(&r.BestModelMACs)
-	reserved(c, c.U64, "dropout count")
 	c.Int(&r.Failures)
 	c.Int(&r.Retries)
 	c.Int(&r.AbortedRounds)
 	c.F64(&r.MeanStaleness)
-	wire.Slice(c, &r.Log, 67, func(l *RoundLog) {
+	wire.Slice(c, &r.Log, 76, func(l *RoundLog) {
 		c.Int(&l.Round)
 		c.Int(&l.Updates)
-		reserved(c, c.U64, "round dropout count")
 		c.F64(&l.MeanLoss)
 		c.F64(&l.RoundTime)
+		c.F64(&l.TrainMACs)
 		wire.Map(c, &l.UpdatesPerModel, 8, c.Int)
 		c.Bool(&l.Transformed)
 		c.Int(&l.SuiteSize)
 		c.Int(&l.Failures)
 		c.Int(&l.Retries)
 		c.Bool(&l.Committed)
+		c.Bool(&l.Evaluated)
+		c.F64(&l.MeanAcc)
 	})
-}
-
-// reserved is a v2 word for state this program does not keep: the
-// selector's and the churn tracker's (the uniform sampler and the fixed
-// population have none), the dropout counts, and the mid-round
-// accumulators no writer ever filled. It is written as zero, and a
-// decode that finds anything else fails with ErrCkptCorrupt.
-func reserved[T uint32 | uint64](c wire.Coder, code func(*T), what string) {
-	var v T
-	if code(&v); v != 0 {
-		c.Corruptf("%s %d, which this program never writes", what, v)
-	}
 }
 
 // ascending fails a decode whose list is not in strictly ascending key
@@ -294,7 +282,7 @@ func ascending[T any](c wire.Coder, xs []T, what string, key func(*T) int) {
 	}
 }
 
-// EncodeCheckpoint serializes a checkpoint into the canonical FTCP v2
+// EncodeCheckpoint serializes a checkpoint into the canonical FTCP v3
 // byte layout described on Checkpoint.
 func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	e := wire.Enc{B: append(make([]byte, 0, 1024), ckptMagic...)}
@@ -303,7 +291,7 @@ func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	return wire.Seal(e.B, 0), nil
 }
 
-// DecodeCheckpoint parses and validates an FTCP v2 checkpoint. The
+// DecodeCheckpoint parses and validates an FTCP v3 checkpoint. The
 // decoder is strict: checksum, bounds, canonical key order, and exact
 // length are all enforced, and it reads the fields through the same
 // walk that wrote them, so any successfully decoded checkpoint
@@ -353,10 +341,7 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 		cm := CkptModel{ID: m.ID, ParentID: m.ParentID, BornRound: m.BornRound}
 		for i := range m.Cells {
 			c := &m.Cells[i]
-			cm.Cells = append(cm.Cells, CkptCell{
-				ID: c.ID, AncestorID: c.AncestorID,
-				InheritedFrac: c.InheritedFrac, WidenedLast: c.WidenedLast,
-			})
+			cm.Cells = append(cm.Cells, CkptCell{c.ID, c.AncestorID, c.InheritedFrac, c.WidenedLast})
 		}
 		ck.Models = append(ck.Models, cm)
 		s.models = append(s.models, m.Clone())
@@ -471,7 +456,7 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	// Geometry gate: the suite's weights are shaped by the dataset the
 	// run trained on. Feature dimension and class count must match
 	// exactly; the client population may only grow (late joiners start
-	// at zero utility via the EnsureClients path below).
+	// at zero utility).
 	if ck.FeatureDim != rt.ds.FeatureDim || ck.Classes != rt.ds.Classes {
 		return fmt.Errorf("%w: checkpoint trained on %d features / %d classes, dataset has %d / %d",
 			ErrGeometryMismatch, ck.FeatureDim, ck.Classes, rt.ds.FeatureDim, rt.ds.Classes)
@@ -482,11 +467,6 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	}
 	if len(ck.Inflight) > 0 && cfg.MaxStaleness <= 0 {
 		return errors.New("fl: checkpoint carries in-flight async state but MaxStaleness is 0")
-	}
-	for i := range ck.Inflight {
-		if c := ck.Inflight[i].Client; c < 0 || c >= rt.ds.Len() {
-			return fmt.Errorf("%w: in-flight client %d out of range", ErrCkptCorrupt, c)
-		}
 	}
 
 	// Rebuild the suite in a fresh ID scope, then overwrite the lineage
@@ -505,12 +485,9 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 				ErrCkptCorrupt, i, len(cm.Cells), len(m.Cells))
 		}
 		m.ID, m.ParentID, m.BornRound = cm.ID, cm.ParentID, cm.BornRound
-		for j := range m.Cells {
-			c := &cm.Cells[j]
-			m.Cells[j].ID = c.ID
-			m.Cells[j].AncestorID = c.AncestorID
-			m.Cells[j].InheritedFrac = c.InheritedFrac
-			m.Cells[j].WidenedLast = c.WidenedLast
+		for j, c := range cm.Cells {
+			mc := &m.Cells[j]
+			mc.ID, mc.AncestorID, mc.InheritedFrac, mc.WidenedLast = c.ID, c.AncestorID, c.InheritedFrac, c.WidenedLast
 		}
 		suite = append(suite, m)
 	}
@@ -532,11 +509,9 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	}
 	rt.suite = suite
 
-	rt.mgr.ImportUtilities(ck.Utilities)
-	// A checkpoint written against a smaller client population than the
-	// current dataset still restores: later-joined clients start at the
-	// zero-utility initialization.
-	rt.mgr.EnsureClients(rt.ds.Len())
+	// Sized for the resuming dataset, which may hold more clients than
+	// the checkpoint: those late joiners start at zero utility.
+	rt.mgr.ImportUtilities(rt.ds.Len(), ck.Utilities)
 	rt.doc.Restore(ck.DoCLosses)
 	rt.act = make(map[int]*transform.ActivenessTracker, len(ck.Act))
 	for i := range ck.Act {
@@ -604,9 +579,6 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 func cloneResult(r *Result) Result {
 	out := *r
 	out.ClientAcc = append([]float64(nil), r.ClientAcc...)
-	out.CostCurve.X = append([]float64(nil), r.CostCurve.X...)
-	out.CostCurve.Y = append([]float64(nil), r.CostCurve.Y...)
-	out.RoundTimes = append([]float64(nil), r.RoundTimes...)
 	out.SuiteArch = append([]string(nil), r.SuiteArch...)
 	out.SuiteMACs = append([]float64(nil), r.SuiteMACs...)
 	out.BestModelMACs = append([]float64(nil), r.BestModelMACs...)

@@ -52,7 +52,7 @@ var windowModes = []struct {
 
 // runWithCheckpoints executes cfg once, collecting every checkpoint
 // blob, and fails the test on any background encode error.
-func runWithCheckpoints(t *testing.T, mk func() *Runtime, every int) (Result, map[int][]byte) {
+func runWithCheckpoints(t testing.TB, mk func() *Runtime, every int) (Result, map[int][]byte) {
 	t.Helper()
 	blobs := make(map[int][]byte)
 	var mu sync.Mutex
@@ -353,6 +353,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(blob[:len(blob)/2])
 	golden, _ := EncodeCheckpoint(goldenCheckpoint())
 	f.Add(golden)
+	f.Add(readHex(f, "testdata/checkpoint_v2.hex"))
+	// A v3 blob whose utility list skips clients: an asynchronous run
+	// over a generative population few of whose clients ever trained.
+	f.Add(sparseCheckpoint(f, 400))
 	// A model count the blob cannot hold, under a valid checksum.
 	hostile := bytes.Clone(golden)
 	copy(hostile[ckptModelsAt:], "\xff\xff\xff\xff")

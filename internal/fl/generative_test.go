@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fedtrans/internal/chaos"
@@ -115,9 +116,8 @@ func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 		t.Fatal("no checkpoint at round 5")
 	}
 
-	// Larger same-shape generative population: accepted (the documented
-	// EnsureClients grow path; late joiners start at zero utility) and
-	// must run to completion deterministically.
+	// Larger same-shape generative population: accepted (late joiners
+	// start at zero utility) and must run to completion deterministically.
 	_, growBlobs := runWithCheckpoints(t, func() *Runtime { return mk(20) }, 5)
 	growBlob := growBlobs[5]
 	if growBlob == nil {
@@ -139,5 +139,64 @@ func TestCheckpointResumeGenerativePopulation(t *testing.T) {
 	// Smaller population than the checkpoint covers: geometry mismatch.
 	if err := mk(10).Restore(blob); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("smaller-population resume err = %v, want ErrGeometryMismatch", err)
+	}
+}
+
+// sparseRuntime is an asynchronous run over a generative population of
+// which at most Rounds × AsyncConcurrency clients ever train, evaluated
+// on a small panel so that nothing in it visits every client.
+func sparseRuntime(t testing.TB, population int) *Runtime {
+	ds, tr, spec := genSetup(t, population, true)
+	cfg := genChaosConfig()
+	cfg.Rounds = 6
+	cfg.MaxStaleness = 2
+	cfg.EvalSample = 8
+	return New(cfg, ds, tr, spec)
+}
+
+// sparseCheckpoint is sparseRuntime's checkpoint after four rounds, with
+// dispatches in flight.
+func sparseCheckpoint(t testing.TB, population int) []byte {
+	t.Helper()
+	_, blobs := runWithCheckpoints(t, func() *Runtime { return sparseRuntime(t, population) }, 4)
+	if blobs[4] == nil {
+		t.Fatal("no checkpoint at round 4")
+	}
+	return blobs[4]
+}
+
+// TestCheckpointSizeIndependentOfPopulation: per-client state is stored
+// for the clients that trained, so a hundredfold population leaves the
+// checkpoint within 10 % of its size.
+func TestCheckpointSizeIndependentOfPopulation(t *testing.T) {
+	small, big := sparseCheckpoint(t, 1_000), sparseCheckpoint(t, 100_000)
+	t.Logf("checkpoint %d B at population 10³, %d B at 10⁵", len(small), len(big))
+	if 10*len(big) > 11*len(small) {
+		t.Fatalf("checkpoint grew from %d B to %d B with the population", len(small), len(big))
+	}
+}
+
+// TestRestoreHeapIndependentOfPopulation: restoring allocates nothing per
+// client that never trained — the heap objects a restored runtime holds
+// on to do not grow with the population.
+func TestRestoreHeapIndependentOfPopulation(t *testing.T) {
+	objects := func(population int) int64 {
+		blob := sparseCheckpoint(t, population)
+		rt := sparseRuntime(t, population)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := rt.Restore(blob); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(rt)
+		return int64(after.HeapObjects) - int64(before.HeapObjects)
+	}
+	small, big := objects(1_000), objects(100_000)
+	t.Logf("restore holds %d heap objects at population 10³, %d at 10⁵", small, big)
+	if big > small+small/10+64 {
+		t.Fatalf("restore held %d heap objects at population 10⁵, %d at 10³", big, small)
 	}
 }

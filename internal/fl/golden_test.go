@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"fedtrans/internal/assign"
 	"fedtrans/internal/metrics"
 )
 
@@ -32,7 +33,7 @@ func goldenCheckpoint() *Checkpoint {
 			}},
 			{ID: 4, ParentID: 3, BornRound: 6},
 		},
-		Utilities: []map[int]float64{{0: 0.5, 3: -1.25, 11: 2}, nil, {}},
+		Utilities: []assign.ClientUtility{{Client: 0, U: map[int]float64{0: 0.5, 3: -1.25, 11: 2}}},
 		DoCLosses: []float64{2.5, 2.25, math.Float64frombits(0x7ff8000000000abc)},
 		Act: []CkptAct{
 			{ModelID: 1, Hist: map[int64][]float64{1: {0.125, 0.25}, 2: nil, 1 << 40: {1}}},
@@ -48,12 +49,11 @@ func goldenCheckpoint() *Checkpoint {
 			{Client: 8, ModelID: 3, Version: 7, Seq: 30, DispatchAt: 12.25},
 		},
 		Res: Result{
-			ClientAcc:  []float64{0.5, 0.75, 1},
-			MeanAcc:    0.75,
-			Box:        metrics.BoxStats{Min: 0.5, Q1: 0.625, Median: 0.75, Q3: 0.875, Max: 1, Mean: 0.75},
-			Costs:      metrics.Costs{TrainMACs: 1.5e9, NetworkBytes: 1 << 33, StorageBytes: 4096},
-			CostCurve:  metrics.Series{Name: "fedtrans", X: []float64{0, 1e6}, Y: []float64{0.25, 0.5}},
-			RoundTimes: []float64{3.5, 4.25}, SuiteArch: []string{"d8-d8", "", "d16-d8"},
+			ClientAcc: []float64{0.5, 0.75, 1},
+			MeanAcc:   0.75,
+			Box:       metrics.BoxStats{Min: 0.5, Q1: 0.625, Median: 0.75, Q3: 0.875, Max: 1, Mean: 0.75},
+			Costs:     metrics.Costs{TrainMACs: 1.5e9, NetworkBytes: 1 << 33, StorageBytes: 4096},
+			SuiteArch: []string{"d8-d8", "", "d16-d8"},
 			SuiteMACs: []float64{128, 256, 384}, RoundsRun: 7,
 			Overhead:      Overhead{UtilityUpdates: 42, DoCUpdates: 7, Transforms: 2},
 			BestModelMACs: []float64{128, 384, 128},
@@ -61,15 +61,16 @@ func goldenCheckpoint() *Checkpoint {
 			Log: []RoundLog{
 				{Round: 0, Updates: 4, MeanLoss: 2.5, RoundTime: 3.5,
 					UpdatesPerModel: map[int]int{1: 3, 3: 1}, Transformed: true, SuiteSize: 2,
-					Failures: 1, Retries: 2, Committed: true},
-				{Round: 1, MeanLoss: math.Inf(1), RoundTime: 4.25, SuiteSize: 2},
-				{Round: 2, UpdatesPerModel: map[int]int{}, Committed: true},
+					Failures: 1, Retries: 2, Committed: true, Evaluated: true, MeanAcc: 0.25},
+				{Round: 1, MeanLoss: math.Inf(1), RoundTime: 4.25, TrainMACs: 5e5, SuiteSize: 2},
+				{Round: 2, TrainMACs: 1e6, UpdatesPerModel: map[int]int{}, Committed: true,
+					Evaluated: true, MeanAcc: 0.5},
 			},
 		},
 	}
 }
 
-// TestCheckpointGoldenBytes pins FTCP v2 absolutely: the literal
+// TestCheckpointGoldenBytes pins FTCP v3 absolutely: the literal
 // checkpoint encodes to the committed bytes, and the committed bytes
 // decode and re-encode to themselves.
 func TestCheckpointGoldenBytes(t *testing.T) {
@@ -77,7 +78,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := readHex(t, "testdata/checkpoint_v2.hex")
+	want := readHex(t, "testdata/checkpoint_v3.hex")
 	if !bytes.Equal(got, want) {
 		t.Fatalf("FTCP encoding moved: %d bytes, golden %d\n got %x", len(got), len(want), got)
 	}
@@ -95,7 +96,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 }
 
 // readHex reads a hex-encoded test blob.
-func readHex(t *testing.T, path string) []byte {
+func readHex(t testing.TB, path string) []byte {
 	t.Helper()
 	text, err := os.ReadFile(path)
 	if err != nil {
@@ -108,70 +109,60 @@ func readHex(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestCheckpointRejectsRetiredState: a reserved word that is not zero
-// fails the decode with ErrCkptCorrupt, naming the word. Each is set in
-// turn in the golden, at its offset there; and the golden as FTCP v2
-// wrote it while selector state, a churn bitmap and dropout counts
-// existed (checkpoint_v2_retired.hex, which holds all four) no longer
-// decodes.
-func TestCheckpointRejectsRetiredState(t *testing.T) {
-	golden := readHex(t, "testdata/checkpoint_v2.hex")
-	for _, w := range []struct {
-		what      string
-		at, width int
-	}{
-		{"selector state length", 519, 4},
-		{"churn bitmap length", 523, 4},
-		{"dropout count", 955, 8},
-		{"round dropout count", 1015, 8},
-	} {
-		bad := bytes.Clone(golden)
-		bad[w.at+w.width-1] = 1
-		_, err := DecodeCheckpoint(resign(bad))
-		if !errors.Is(err, ErrCkptCorrupt) || !strings.Contains(err.Error(), w.what+" 1,") {
-			t.Errorf("%s set to 1: %v, want ErrCkptCorrupt naming it", w.what, err)
-		}
-	}
-	if _, err := DecodeCheckpoint(readHex(t, "testdata/checkpoint_v2_retired.hex")); !errors.Is(err, ErrCkptCorrupt) {
-		t.Errorf("blob with selector state, churn bitmap and dropout counts: %v, want ErrCkptCorrupt", err)
+// TestCheckpointRejectsRetiredVersion: the v2 golden, an intact blob of
+// the previous format, fails with ErrCkptVersion rather than decoding
+// into wrong fields.
+func TestCheckpointRejectsRetiredVersion(t *testing.T) {
+	if _, err := DecodeCheckpoint(readHex(t, "testdata/checkpoint_v2.hex")); !errors.Is(err, ErrCkptVersion) {
+		t.Fatalf("FTCP v2 blob: %v, want ErrCkptVersion", err)
 	}
 }
 
-// Offsets into any FTCP v2 blob, and into the encoding of an empty
-// Checkpoint: magic, version and nine 8-byte scalars precede the model
-// count; with every list empty, seven 4-byte words (five counts and the
-// reserved selector and churn words) and the four async scalars more
-// precede the in-flight count, and the reserved accumulator count
-// follows it.
-const (
-	ckptModelsAt      = 4 + 4 + 9*8
-	ckptEmptyAccumsAt = ckptModelsAt + 7*4 + 4*8 + 4
-)
+// ckptModelsAt is the offset of the model count in any FTCP v3 blob:
+// magic, version and nine 8-byte scalars precede it.
+const ckptModelsAt = 4 + 4 + 9*8
 
-// TestCheckpointRejectsHostileCounts: a count the remaining bytes
-// cannot hold is truncation, found before anything is allocated for it,
-// and the accumulator block — which no writer ever filled — must stay
-// empty.
+// TestCheckpointRejectsHostileCounts: a count the remaining bytes cannot
+// hold is truncation, found before anything is allocated for it, and a
+// utility list that breaks the canonical form — IDs out of order or out
+// of range, an entry with no models — is corrupt, because decoding it
+// and encoding again would not give the same bytes; so is a dispatch to
+// a client the checkpoint does not cover.
 func TestCheckpointRejectsHostileCounts(t *testing.T) {
-	empty, err := EncodeCheckpoint(&Checkpoint{})
-	if err != nil {
-		t.Fatal(err)
+	enc := func(ck *Checkpoint) []byte {
+		b, err := EncodeCheckpoint(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
+	empty := enc(&Checkpoint{})
 	if _, err := DecodeCheckpoint(empty); err != nil {
 		t.Fatalf("empty checkpoint: %v", err)
 	}
+	huge := bytes.Clone(empty)
+	copy(huge[ckptModelsAt:], "\xff\xff\xff\xff")
+	one := map[int]float64{1: 0.5}
+	utilities := func(clients int, us ...assign.ClientUtility) []byte {
+		return enc(&Checkpoint{Clients: clients, Utilities: us})
+	}
+	if _, err := DecodeCheckpoint(utilities(4, assign.ClientUtility{Client: 1, U: one}, assign.ClientUtility{Client: 3, U: one})); err != nil {
+		t.Fatalf("two ascending utility entries: %v", err)
+	}
 	for _, tc := range []struct {
 		name string
-		at   int
-		word string
+		blob []byte
 		want error
 	}{
-		{"2³²−1 models", ckptModelsAt, "\xff\xff\xff\xff", ErrCkptTruncated},
-		{"one accumulator", ckptEmptyAccumsAt, "\x00\x00\x00\x01", ErrCkptCorrupt},
+		{"2³²−1 models", resign(huge), ErrCkptTruncated},
+		{"utility client IDs descending", utilities(4, assign.ClientUtility{Client: 3, U: one}, assign.ClientUtility{Client: 1, U: one}), ErrCkptCorrupt},
+		{"utility client ID repeated", utilities(4, assign.ClientUtility{Client: 1, U: one}, assign.ClientUtility{Client: 1, U: one}), ErrCkptCorrupt},
+		{"utility client ID = Clients", utilities(4, assign.ClientUtility{Client: 4, U: one}), ErrCkptCorrupt},
+		{"negative utility client ID", utilities(4, assign.ClientUtility{Client: -1, U: one}), ErrCkptCorrupt},
+		{"empty utility map", utilities(4, assign.ClientUtility{Client: 2, U: map[int]float64{}}), ErrCkptCorrupt},
+		{"in-flight client ID = Clients", enc(&Checkpoint{Clients: 4, Inflight: []CkptInflight{{Client: 4}}}), ErrCkptCorrupt},
 	} {
-		bad := bytes.Clone(empty)
-		copy(bad[tc.at:], tc.word)
-		if _, err := DecodeCheckpoint(resign(bad)); !errors.Is(err, tc.want) {
+		if _, err := DecodeCheckpoint(tc.blob); !errors.Is(err, tc.want) {
 			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 		}
 	}

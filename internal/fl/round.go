@@ -28,12 +28,12 @@ import (
 // for any worker scheduling, including fully serial execution.
 
 // roundPolicy is what sets a synchronous round (MaxStaleness 0) apart from
-// an asynchronous one; New derives it once from Config. byArrival,
-// abortEarly and sched keep a synchronous round's numbers and checkpoint
-// bytes what they were when it ran a loop of its own; snapshot moves no
-// number and stays for its cost: a snapshot per synchronous dispatch
-// adds about 9 % to round_scale's bytes allocated per update and, in
-// most alternated benchmark pairs on 2 vCPUs, costs updates per second.
+// an asynchronous one; New derives it once from Config. byArrival and
+// abortEarly keep a synchronous round's numbers what they were when it
+// ran a loop of its own; snapshot moves no number and stays for its
+// cost: a snapshot per synchronous dispatch adds about 9 % to
+// round_scale's bytes allocated per update and, in most alternated
+// benchmark pairs on 2 vCPUs, costs updates per second.
 type roundPolicy struct {
 	// inFlight is how many clients train at once: AsyncConcurrency, or
 	// every participant of a synchronous round.
@@ -58,28 +58,25 @@ type roundPolicy struct {
 	// nothing moves before the round's last fold, so the result is the
 	// same.
 	snapshot bool
-	// sched receives the dispatch counter, virtual clock and staleness
-	// tallies: the runtime's checkpointed schedule, or a scratch one that
-	// keeps a synchronous run's checkpointed schedule zero.
-	sched *schedule
 }
 
 // newPolicy derives the round policy from cfg.
-func newPolicy(cfg *Config, sched *schedule) roundPolicy {
+func newPolicy(cfg *Config) roundPolicy {
 	if cfg.MaxStaleness <= 0 {
-		return roundPolicy{inFlight: cfg.ClientsPerRound, window: streamWindow(), abortEarly: true, sched: new(schedule)}
+		return roundPolicy{inFlight: cfg.ClientsPerRound, window: streamWindow(), abortEarly: true}
 	}
 	c := cfg.AsyncConcurrency
 	if c <= 0 {
 		c = 2 * cfg.ClientsPerRound
 	}
 	c = max(c, cfg.ClientsPerRound, 1)
-	return roundPolicy{inFlight: c, window: c, byArrival: true, snapshot: true, sched: sched}
+	return roundPolicy{inFlight: c, window: c, byArrival: true, snapshot: true}
 }
 
 // schedule is the engine's checkpointed scheduler state: the virtual
 // clock, the dispatch sequence counter (the fold order's tiebreak), and
-// the staleness tallies behind Result.MeanStaleness.
+// the staleness tallies behind Result.MeanStaleness. A synchronous run's
+// clock and staleness sum stay 0.
 type schedule struct {
 	now                float64
 	seq                int
@@ -186,7 +183,7 @@ func (rt *Runtime) dispatch(round, client int, m *model.Model) {
 	if rt.pol.snapshot {
 		f.slot.src = rt.snapGet(m)
 	}
-	sc := rt.pol.sched
+	sc := &rt.sched
 	f.version, f.seq, f.dispatchAt = round, sc.seq, sc.now
 	sc.seq++
 	rt.submit(f)
@@ -240,7 +237,7 @@ func (rt *Runtime) retire(f *flight) {
 // is set, the round commits only if enough participants fold; otherwise
 // the partial aggregate is discarded and the suite is left untouched.
 func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]int, bool) {
-	cfg, pol, sc := &rt.cfg, &rt.pol, rt.pol.sched
+	cfg, pol, sc := &rt.cfg, &rt.pol, &rt.sched
 	rt.primeSuite()
 
 	// Top-up selection over the clients not already in flight (a client

@@ -143,14 +143,18 @@ const (
 	activenessWindow = 5
 )
 
-// RoundLog is one round's structured trace record — the observability
-// hook for debugging transformation timing and assignment balance. Every
-// run keeps one per round, so checkpoints carry them too.
+// RoundLog is one round's record. Result.Log is a run's one per-round
+// record, which checkpoints carry and Result's methods project; it
+// holds deterministic facts only.
 type RoundLog struct {
-	Round     int
-	Updates   int
-	MeanLoss  float64
+	Round    int
+	Updates  int
+	MeanLoss float64
+	// RoundTime is the round's simulated completion time: a round
+	// completes when its slowest participant finishes.
 	RoundTime float64
+	// TrainMACs is the run's cumulative training MACs after this round.
+	TrainMACs float64
 	// UpdatesPerModel maps model ID to the number of client updates it
 	// received this round.
 	UpdatesPerModel map[int]int
@@ -167,6 +171,10 @@ type RoundLog struct {
 	// Committed reports whether the round reached quorum and its
 	// aggregate was applied; an uncommitted round changed no weights.
 	Committed bool
+	// Evaluated marks a round after which every client was evaluated;
+	// MeanAcc is then their mean accuracy, and 0 otherwise.
+	Evaluated bool
+	MeanAcc   float64
 }
 
 // Overhead counts the coordinator-side bookkeeping operations of Table 5.
@@ -187,12 +195,6 @@ type Result struct {
 	Box metrics.BoxStats
 	// Costs aggregates MACs / network / storage (Table 2).
 	Costs metrics.Costs
-	// CostCurve traces mean accuracy against cumulative training MACs
-	// (Figure 7).
-	CostCurve metrics.Series
-	// RoundTimes holds the simulated completion time of every round
-	// (Table 6); a round completes when its slowest participant finishes.
-	RoundTimes []float64
 	// SuiteArch describes every model trained, in creation order.
 	SuiteArch []string
 	// SuiteMACs is each model's per-sample forward MACs.
@@ -215,8 +217,30 @@ type Result struct {
 	// dispatch and update fold) over all committed updates. Always 0 for
 	// synchronous runs.
 	MeanStaleness float64
-	// Log holds one trace record per round run.
+	// Log is the one per-round record, of deterministic facts only.
 	Log []RoundLog
+}
+
+// RoundTimes projects Log onto each round's simulated completion time
+// (Table 6).
+func (r Result) RoundTimes() []float64 {
+	out := make([]float64, len(r.Log))
+	for i := range r.Log {
+		out[i] = r.Log[i].RoundTime
+	}
+	return out
+}
+
+// CostCurve projects Log onto mean accuracy against cumulative training
+// MACs at every evaluated round (Figure 7).
+func (r Result) CostCurve() metrics.Series {
+	var s metrics.Series
+	for i := range r.Log {
+		if l := &r.Log[i]; l.Evaluated {
+			s.Append(l.TrainMACs, l.MeanAcc)
+		}
+	}
+	return s
 }
 
 // Runtime executes FedTrans (Algorithm 1) over a dataset and device trace.
@@ -361,7 +385,7 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		chaos:  chaos.New(cfg.Chaos),
 		agg:    aggregate.NewStreaming(),
 	}
-	rt.pol = newPolicy(&cfg, &rt.sched)
+	rt.pol = newPolicy(&cfg)
 	rt.stream = par.NewTaskStream(rt.pol.window)
 	// The configured capacity ceiling, not an O(N) empirical scan:
 	// synthesis clamps every device to it, so setup cost stays
@@ -388,7 +412,7 @@ func (rt *Runtime) storageBytes() int64 {
 func (rt *Runtime) Run() Result {
 	cfg := rt.cfg
 	if !rt.resumed {
-		rt.res = Result{CostCurve: metrics.Series{Name: "fedtrans"}}
+		rt.res = Result{}
 		rt.res.Costs.ObserveStorage(rt.storageBytes())
 		rt.bestAcc, rt.stall, rt.nextRound = 0, 0, 0
 	}
@@ -398,7 +422,6 @@ loop:
 	for round := rt.nextRound; round < cfg.Rounds; round++ {
 		failuresBefore, retriesBefore := res.Failures, res.Retries
 		roundLoss, roundTime, perModel, committed := rt.runRound(round, res)
-		res.RoundTimes = append(res.RoundTimes, roundTime)
 		if committed {
 			rt.doc.Observe(roundLoss)
 			res.Overhead.DoCUpdates++
@@ -424,6 +447,7 @@ loop:
 		res.Log = append(res.Log, RoundLog{
 			Round: round, Updates: updates,
 			MeanLoss: roundLoss, RoundTime: roundTime,
+			TrainMACs:       res.Costs.TrainMACs,
 			UpdatesPerModel: perModel,
 			Transformed:     transformed,
 			SuiteSize:       len(rt.suite),
@@ -436,7 +460,8 @@ loop:
 		if (round+1)%cfg.EvalEvery == 0 || round == cfg.Rounds-1 {
 			accs, _ := rt.EvaluateAll()
 			mean := metrics.Mean(accs)
-			res.CostCurve.Append(res.Costs.TrainMACs, mean)
+			l := &res.Log[len(res.Log)-1]
+			l.Evaluated, l.MeanAcc = true, mean
 			if cfg.ConvergePatience > 0 {
 				if mean > rt.bestAcc+convergeDelta {
 					rt.bestAcc = mean

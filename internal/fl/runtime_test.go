@@ -32,7 +32,7 @@ func TestRuntimeLearnsAndTransforms(t *testing.T) {
 	res := rt.Run()
 	t.Logf("meanAcc=%.3f models=%d rounds=%d MACs=%.3g arch=%v",
 		res.MeanAcc, len(res.SuiteArch), res.RoundsRun, res.Costs.TrainMACs, res.SuiteArch)
-	t.Logf("curve=%v", res.CostCurve.Y)
+	t.Logf("curve=%v", res.CostCurve().Y)
 	chance := 1.0 / float64(ds.Classes)
 	if res.MeanAcc < 3*chance {
 		t.Fatalf("mean accuracy %.3f did not rise above 3x chance %.3f", res.MeanAcc, chance)

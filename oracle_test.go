@@ -35,11 +35,7 @@ var oracleProfiles = []string{"femnist", "cifar10", "speech", "openimage", "vit"
 // drawOracle draws a configuration from seed: Options drawn field by
 // field and rejected until Options.validate accepts them. The draw is
 // the same on every host; only the tier is clamped to what the host
-// runs. Seven draws are discarded: they set knobs Options no longer has
-// (dropout, guided selection, retry back-off, client timeout, churn
-// joins and leaves) or no longer reads (edge aggregators), and taking
-// them keeps every later draw, so each seed still draws the
-// configuration it drew with those knobs at zero.
+// runs.
 func drawOracle(seed uint64) oracleDraw {
 	r := rand.New(rand.NewSource(int64(seed)))
 	coin := func() bool { return r.Intn(2) == 0 }
@@ -70,20 +66,16 @@ func drawOracle(seed uint64) oracleDraw {
 			o.MaxStaleness = 1 + r.Intn(3)
 			o.AsyncConcurrency = r.Intn(3 * o.ClientsPerRound)
 		}
-		_, _ = rate(0.3), coin() // dropout, guided selection
 		o.Quorum = rate(1)
 		o.RetryBudget = r.Intn(3)
-		_, _ = rate(4), r.Intn(5) // retry back-off, client timeout
 		o.Chaos = ChaosOptions{
 			CrashRate: rate(0.3), CorruptRate: rate(0.15), NonFiniteRate: rate(0.15),
 			StragglerRate: rate(0.3), StragglerDelay: 50 * r.Float64(),
 		}
-		_, _ = rate(0.6), rate(0.4) // churn joins and leaves
 		if coin() {
 			o.EvalSample = 1 + r.Intn(o.Clients+2)
 		}
 		tier := tensor.SIMDLevel(r.Intn(3))
-		_ = r.Intn(3) // edge aggregators
 		d := oracleDraw{
 			o:       o,
 			tier:    min(tier, tensor.SIMDSupported()),
@@ -340,14 +332,14 @@ var oracleCorpus = []uint64{
 // still fails. The digests hold on amd64 for draws whose tier the host
 // runs as drawn; other draws log theirs.
 var oracleGoldens = map[uint64]uint64{
-	1: 0x049b12c93a371130, 2: 0x38b966a39e0c82d1, 3: 0x904d9330fb74d2c0,
-	4: 0xdd9d228fc5bcf18a, 5: 0x63bc28f132198dfa, 6: 0x4f0ab8654ca72913,
-	7: 0x3f9e8af9a8a51eb8, 8: 0x22c0881d8edef65a, 9: 0xa702d215330a8878,
-	10: 0xa93b75e2bdcfd329, 11: 0xb9209cae355bd189, 12: 0x0359e078cb4b11fe,
-	13: 0xb73bc314e3c78920, 14: 0x45ca55d2fa2a68fc, 15: 0x5b11782813b87d5f,
-	16: 0x1cf4e05ee2331966, 17: 0x04d698239bd5c67d, 18: 0x85274ede33f95e05,
-	19: 0xeb00487b65dfb673, 20: 0x4db081ad30e4e342, 21: 0x24cfbe68eafc4234,
-	22: 0x76f9e6dd746898bc, 23: 0x17934190895a61a5, 24: 0x5cf289d3dd88ba84,
+	1: 0x099b23fd8c85e4bd, 2: 0x12736ad696ef4585, 3: 0x42c70914d31dc86b,
+	4: 0x6b917581ea2ad575, 5: 0x0fbc97742ebbc361, 6: 0x59cdac8be840894e,
+	7: 0x283caa26983ea781, 8: 0x6f99cf2dd3d117d8, 9: 0x0941b529dafa3cfb,
+	10: 0xa2bf8951cfb12b12, 11: 0x59f20747868b25d8, 12: 0x6830375c39f53383,
+	13: 0x0f393cfb14d2880e, 14: 0xd80e42fca34dccf3, 15: 0xf29b82f3464bd4bf,
+	16: 0xebaa7a5990511fac, 17: 0x096c8d318bd53266, 18: 0xf4f058401b26cdb4,
+	19: 0xba2001672df39815, 20: 0xa6b7fb25b33318fa, 21: 0x353f104a75a95df4,
+	22: 0x2483b9b25ed4280b, 23: 0x0b5c95b5865b2b55, 24: 0x0037dd45c9c8c719,
 }
 
 // oracleSeen holds what each seed that ran covered.
