@@ -25,6 +25,9 @@ type Manager struct {
 	utilities []map[int]float64
 	// Temperature scales utilities inside the softmax; 1 matches Eq. 3.
 	Temperature float64
+	// probs is Sample's scratch, reused across calls: the round loop,
+	// Sample's one caller, assigns one client at a time.
+	probs []float64
 }
 
 // NewManager returns a Manager for n registered clients. Per-client maps
@@ -99,7 +102,8 @@ func (mg *Manager) Sample(c int, compatible []*model.Model, rng *rand.Rand) *mod
 		return compatible[0]
 	}
 	u := mg.utilities[c]
-	probs := make([]float64, len(compatible))
+	probs := slices.Grow(mg.probs[:0], len(compatible))[:len(compatible)]
+	mg.probs = probs
 	maxU := math.Inf(-1)
 	for i, m := range compatible {
 		v := u[m.ID] / mg.temp()

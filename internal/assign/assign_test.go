@@ -248,3 +248,20 @@ func TestSampleSoftAssignmentExploresAfterBadLoss(t *testing.T) {
 		t.Errorf("bad model still dominant: %v", picks)
 	}
 }
+
+// TestSampleReusesScratch pins Sample at zero allocations once its
+// probability scratch has grown to the suite: the round loop calls it
+// once per dispatch.
+func TestSampleReusesScratch(t *testing.T) {
+	s := suite(t)
+	mgr := NewManager(2)
+	mgr.UpdateJoint(1, s[1], 0.5, s)
+	rng := rand.New(rand.NewSource(6))
+	mgr.Sample(0, s, rng)
+	if a := testing.AllocsPerRun(100, func() {
+		mgr.Sample(0, s, rng)
+		mgr.Sample(1, s[:2], rng)
+	}); a != 0 {
+		t.Errorf("Sample: %v allocs a call pair, want 0", a)
+	}
+}

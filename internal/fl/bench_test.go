@@ -147,10 +147,10 @@ func TestTrainStepAllocationRegression(t *testing.T) {
 }
 
 // BenchmarkAsyncRoundLoop measures one staleness-bounded asynchronous
-// round — top-up selection over the non-busy population, COW dispatch
-// snapshots, background training through par.TaskStream, arrival-ordered
-// staleness-discounted folding, and the virtual-clock advance — at
-// increasing commit budgets. Run it next to the synchronous
+// round — top-up selection by rank over the clients not in flight, COW
+// dispatch snapshots, background training through par.TaskStream,
+// arrival-ordered staleness-discounted folding, and the virtual-clock
+// advance — at increasing commit budgets. Run it next to the synchronous
 // BenchmarkRoundLoop to see what the asynchronous policy costs over
 // sync on the one round engine.
 func BenchmarkAsyncRoundLoop(b *testing.B) {
@@ -175,20 +175,40 @@ func BenchmarkAsyncRoundLoop(b *testing.B) {
 // over a "scale" population of 1200 clients (2400 when asynchronous),
 // cpr participants a round, two local steps.
 func roundLoopRuntime(cpr, maxStaleness int) *Runtime {
-	model.ResetIDs()
 	n := 1200
 	if maxStaleness > 0 {
 		n = 2400
 	}
-	ds := data.Generate(data.Config{
+	return loopRuntime(n, false, cpr, maxStaleness)
+}
+
+// loopRuntime builds roundLoopRuntime's runtime over n clients,
+// materialized or, when lazy, generative: clients and devices are
+// synthesized on demand, so building it is O(n) in one slice of utility
+// pointers only.
+func loopRuntime(n int, lazy bool, cpr, maxStaleness int) *Runtime {
+	model.ResetIDs()
+	dcfg := data.Config{
 		Profile: "scale", Clients: n, Heterogeneity: 1,
 		MinSamples: 8, MaxSamples: 16, TestSamples: 8, Seed: 1,
-	})
+	}
+	var ds *data.Dataset
+	if lazy {
+		ds = data.GenerateLazy(dcfg)
+	} else {
+		ds = data.Generate(dcfg)
+	}
 	spec := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
 	base := spec.Build(rand.New(rand.NewSource(0))).MACsPerSample()
-	tr := device.NewTrace(device.TraceConfig{
+	tcfg := device.TraceConfig{
 		N: n, MinCapacityMACs: base, MaxCapacityMACs: base * 32, Seed: 101,
-	})
+	}
+	var tr *device.Trace
+	if lazy {
+		tr = device.NewTraceLazy(tcfg)
+	} else {
+		tr = device.NewTrace(tcfg)
+	}
 	cfg := DefaultConfig()
 	cfg.ClientsPerRound = cpr
 	cfg.MaxStaleness = maxStaleness
@@ -203,7 +223,8 @@ func roundLoopRuntime(cpr, maxStaleness int) *Runtime {
 // participants: every per-participant record, buffer and session is
 // pooled, so a round allocates per-round bookkeeping (the selection, the
 // per-model counts, the Finalize copies) and little more. The ceilings are
-// the counts measured before sync rounds moved onto the async engine.
+// the counts measured once the asynchronous top-up stopped listing the
+// population and Manager.Sample reused its scratch.
 func TestRoundLoopAllocationRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 1000-participant rounds")
@@ -215,7 +236,7 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 		cpr, staleness int
 		ceiling        float64
 	}{
-		{100, 0, 156}, {1000, 0, 26}, {100, 2, 405}, {1000, 2, 2144},
+		{100, 0, 155}, {1000, 0, 25}, {100, 2, 203}, {1000, 2, 143},
 	} {
 		rt := roundLoopRuntime(c.cpr, c.staleness)
 		var res Result
@@ -229,6 +250,41 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 		if allocs > c.ceiling {
 			t.Errorf("participants %d, staleness %d: %.1f allocs a round, ceiling %.0f", c.cpr, c.staleness, allocs, c.ceiling)
 		}
+	}
+}
+
+// TestAsyncRoundIndependentOfPopulation pins the asynchronous top-up
+// selection at O(in-flight): over a generative population of 10⁶
+// clients, the round loop allocates what it allocates at 10⁴, in bytes
+// and in objects, within 5 %. It counts from a fresh runtime through the
+// two warm-up rounds, where the loop grows its per-round scratch, and one
+// steady-state round, at 100 participants and staleness 2.
+func TestAsyncRoundIndependentOfPopulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a population of 10⁶ clients")
+	}
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops Puts, so the bytes a round allocates vary")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(population int) (bytes, objects uint64) {
+		rt := loopRuntime(population, true, 100, 2)
+		var res Result
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for round := range 3 {
+			rt.runRound(round, &res)
+		}
+		runtime.ReadMemStats(&after)
+		rt.drain()
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	smallB, smallN := measure(10_000)
+	bigB, bigN := measure(1_000_000)
+	t.Logf("three async rounds: %d B, %d objects at 10⁴; %d B, %d objects at 10⁶", smallB, smallN, bigB, bigN)
+	if 100*bigB > 105*smallB || 100*bigN > 105*smallN {
+		t.Errorf("the round loop allocates %d B and %d objects at 10⁶ clients against %d B and %d at 10⁴: it grows with the population",
+			bigB, bigN, smallB, smallN)
 	}
 }
 

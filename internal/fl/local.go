@@ -6,6 +6,7 @@ package fl
 
 import (
 	"math/rand"
+	"sort"
 
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
@@ -74,15 +75,18 @@ func SelectClients(total, n int, rng *rand.Rand) []int {
 	return xrand.PermPrefix(rng, total, n)
 }
 
-// selectFrom is SelectClients over an explicit candidate list: n of the
-// candidates, drawn the same way.
-func selectFrom(candidates []int, n int, rng *rand.Rand) []int {
-	if n >= len(candidates) {
-		return append([]int(nil), candidates...)
-	}
-	out := xrand.PermPrefix(rng, len(candidates), n)
-	for i, j := range out {
-		out[i] = candidates[j]
+// selectFree samples n of the clients in [0, total) that are not in busy
+// (ascending, distinct): the clients SelectClients(total−len(busy), n)
+// picks by index from the ascending list of free clients, from the same
+// draws, without listing them. Rank r maps to the r-th free client,
+// r + #{j : busy[j] − j ≤ r}; busy[j] − j counts the free clients below
+// busy[j] and never decreases, so the count is a binary search. Memory is
+// O(n) whatever total is; the draws are PermPrefix's, one per free
+// client, and the mapping adds O(n·log len(busy)).
+func selectFree(total int, busy []int, n int, rng *rand.Rand) []int {
+	out := SelectClients(total-len(busy), n, rng)
+	for i, r := range out {
+		out[i] = r + sort.Search(len(busy), func(j int) bool { return busy[j]-j > r })
 	}
 	return out
 }

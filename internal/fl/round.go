@@ -241,15 +241,21 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	rt.primeSuite()
 
 	// Top-up selection over the clients not already in flight (a client
-	// trains one dispatch at a time): over the whole population, with no
-	// candidate list, when every client is eligible. Each selected client
-	// some model fits is assigned one and dispatched; assignment draws
-	// consume the round RNG in selection order.
+	// trains one dispatch at a time, so the in-flight IDs are distinct):
+	// ranks are drawn over the free clients and mapped through the sorted
+	// in-flight IDs, with no list of the free clients. A synchronous round
+	// has no client in flight and draws over the whole population. Each
+	// selected client some model fits is assigned one and dispatched;
+	// assignment draws consume the round RNG in selection order.
 	var selected []int
-	if want := pol.inFlight - len(rt.inflight); len(rt.inflight) == 0 {
-		selected = SelectClients(rt.ds.Len(), want, rt.rng)
-	} else if cand := rt.candidates(); want > 0 && len(cand) > 0 {
-		selected = selectFrom(cand, min(want, len(cand)), rt.rng)
+	if want := pol.inFlight - len(rt.inflight); want > 0 {
+		busy := rt.busyIDs[:0]
+		for _, f := range rt.inflight {
+			busy = append(busy, f.slot.client)
+		}
+		slices.Sort(busy)
+		rt.busyIDs = busy
+		selected = selectFree(rt.ds.Len(), busy, want, rt.rng)
 	}
 	for _, c := range selected {
 		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
@@ -336,25 +342,6 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	}
 	roundLoss, perModel := rt.applyCommitted(round, committed, res)
 	return roundLoss, roundTime, perModel, true
-}
-
-// candidates lists the clients not already in flight, ascending.
-func (rt *Runtime) candidates() []int {
-	if rt.busyBuf == nil {
-		rt.busyBuf = make(map[int]bool)
-	}
-	clear(rt.busyBuf)
-	for _, f := range rt.inflight {
-		rt.busyBuf[f.slot.client] = true
-	}
-	cand := rt.candBuf[:0]
-	for c := range rt.ds.Len() {
-		if !rt.busyBuf[c] {
-			cand = append(cand, c)
-		}
-	}
-	rt.candBuf = cand
-	return cand
 }
 
 // drain retires every dispatch still in flight when the round loop ends:

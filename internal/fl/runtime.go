@@ -294,8 +294,8 @@ type Runtime struct {
 	// The round engine (round.go): its policy, the completion stream the
 	// clients train on, and the scheduler state a checkpoint carries —
 	// the schedule and the in-flight dispatches, so Resume reproduces the
-	// interrupted schedule exactly. sortBuf/candBuf/busyBuf are per-round
-	// scratch. Retired dispatch records and weight-snapshot husks (keyed
+	// interrupted schedule exactly. sortBuf and busyIDs (the in-flight
+	// client IDs, sorted for the top-up selection) are per-round scratch. Retired dispatch records and weight-snapshot husks (keyed
 	// by model ID, re-armed via ShareWeightsFrom) are recycled the way
 	// sessions and uploads are pooled.
 	pol        roundPolicy
@@ -303,8 +303,7 @@ type Runtime struct {
 	sched      schedule
 	inflight   []*flight
 	sortBuf    []*flight
-	candBuf    []int
-	busyBuf    map[int]bool
+	busyIDs    []int
 	snapFree   map[int][]*model.Model
 	flightFree []*flight
 }
