@@ -160,7 +160,7 @@ type ChaosOptions = chaos.Config
 
 // ScaleOptions returns the massive-round stress profile: thousands of
 // clients per round on a deliberately small task, exercising the
-// streaming sharded aggregation pipeline (selection, assignment, local
+// streaming aggregation pipeline (selection, assignment, local
 // training, accumulator folding) rather than the compute kernels. Peak
 // coordinator memory stays O(stream window × model bytes) even at
 // ClientsPerRound in the thousands. Set Population to detach the

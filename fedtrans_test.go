@@ -252,6 +252,40 @@ func TestSessionCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointAfterEarlyStopResumesNoRound pins resume after a run the
+// convergence rule ended: the checkpoint taken after Run holds no round
+// left to train, so resuming it reproduces the stopped run instead of
+// training on to Rounds.
+func TestCheckpointAfterEarlyStopResumesNoRound(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Clients = 20
+	opts.Rounds = 400
+	s, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := s.Run()
+	if full.Rounds >= opts.Rounds {
+		t.Fatalf("the run trained all %d rounds: the convergence rule never stopped it", full.Rounds)
+	}
+	blob, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := s2.Resume(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full, resumed) {
+		t.Errorf("resuming the stopped run diverged: %d rounds, accuracy %v; the run stopped at %d rounds, accuracy %v",
+			resumed.Rounds, resumed.MeanAccuracy, full.Rounds, full.MeanAccuracy)
+	}
+}
+
 // TestRunWithChaosAndQuorum exercises the fault-injection and elastic-round
 // options end to end: faults occur, retries happen, and the run stays
 // deterministic.

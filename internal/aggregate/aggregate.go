@@ -9,7 +9,9 @@
 // uploads decoded off the wire by the networked coordinator
 // (internal/netcoord) feed the same streaming accumulator in
 // the same fold order, which is what keeps a distributed run
-// byte-identical to a local one.
+// byte-identical to a local one. Every accumulator here keeps its
+// float64 sums per parameter tensor and folds on its caller's goroutine:
+// memory is O(models × params), and any fan-out is the caller's.
 package aggregate
 
 import (
@@ -125,12 +127,20 @@ func SoftAggregate(suite []*model.Model, round int, cfg SoftConfig) {
 		if wsum <= 0 {
 			continue
 		}
-		inv := 1.0 / wsum
-		for i, p := range params {
-			p.EnsureOwnedDiscard() // every element overwritten below
-			for k := range p.Data {
-				p.Data[k] = tensor.Float(acc[i][k] * inv)
-			}
+		writeMean(params, acc, 1.0/wsum)
+	}
+}
+
+// writeMean stores float32(sum·inv) into every entry of params, sums[i]
+// parallel to params[i].Data, detaching copy-on-write buffers first
+// (every entry is overwritten). StreamingFedAvg.Finalize and
+// SoftAggregate average through it.
+func writeMean(params []*tensor.Tensor, sums [][]float64, inv float64) {
+	for i, p := range params {
+		p.EnsureOwnedDiscard()
+		dst := p.Data[:len(sums[i])]
+		for j, v := range sums[i] {
+			dst[j] = tensor.Float(v * inv)
 		}
 	}
 }

@@ -23,10 +23,10 @@ func constantWeights(m *model.Model, v tensor.Float) []*tensor.Tensor {
 	return w
 }
 
-// FedAvg is the buffered reference the streaming accumulators are
-// tested against: dst's weights become the sample-weighted average of a
-// whole batch of updates, folded in slice order. With no updates it
-// leaves dst unchanged and returns ok=false; a malformed update panics.
+// FedAvg folds a whole batch of updates through one StreamingFedAvg in
+// slice order: dst's weights become their sample-weighted average. With
+// no updates it leaves dst unchanged and returns ok=false; a malformed
+// update panics.
 func FedAvg(dst *model.Model, updates []Update) (meanLoss float64, samples int, ok bool) {
 	if len(updates) == 0 {
 		return 0, 0, false

@@ -79,7 +79,7 @@ func FuzzStreamingUpdates(f *testing.F) {
 		params := m.Params()
 		batch := decodeFuzzBatch(data)
 
-		s := NewStreamingSharded(5) // small shards: exercise segment walking
+		s := NewStreaming()
 		folded := 0
 		wellFormed := func(u Update) bool {
 			if len(u.Weights) != len(params) {

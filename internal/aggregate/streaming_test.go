@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,50 +23,87 @@ func randomUpdate(m *model.Model, rng *rand.Rand, samples int) Update {
 	return Update{ModelID: m.ID, Weights: w, Samples: samples, Loss: rng.Float64() * 3}
 }
 
+// bufferedFedAvg is the gather-then-reduce FedAvg the streaming
+// accumulator must match bit for bit: it holds the whole batch, then
+// sums each entry's weighted contributions in float64 in batch order and
+// scales the sum by the reciprocal of the total weight.
+func bufferedFedAvg(dst *model.Model, batch []Update) (meanLoss float64, samples int) {
+	w := make([]float64, len(batch))
+	total, lossSum := 0.0, 0.0
+	for k, u := range batch {
+		w[k] = sampleWeight(u.Samples) * StalenessDiscount(u.Staleness)
+		total += w[k]
+		lossSum += u.Loss * w[k]
+	}
+	inv := 1 / total
+	for i, p := range dst.Params() {
+		p.EnsureOwned()
+		for j := range p.Data {
+			sum := 0.0
+			for k, u := range batch {
+				sum += float64(u.Weights[i].Data[j]) * w[k]
+			}
+			p.Data[j] = tensor.Float(sum * inv)
+		}
+	}
+	return lossSum * inv, int(total)
+}
+
 // TestStreamingMatchesBufferedFedAvg pins the core equivalence: folding
-// updates one at a time through the sharded accumulator produces
-// bit-identical weights, loss, and sample count to the buffered batch
-// average, for shard widths smaller than, comparable to, and larger
-// than the tensors.
+// updates one at a time through the accumulator produces bit-identical
+// weights, loss, and sample count to the buffered batch average, on a
+// small model and on the largest one the traffic folds (the femnist
+// suite's 17 712-param member), with a zero-sample and a stale update in
+// the batch.
 func TestStreamingMatchesBufferedFedAvg(t *testing.T) {
-	for _, shard := range []int{1, 3, 16, 1 << 20} {
-		model.ResetIDs()
-		ma := newModel(t, 5, 4)
-		model.ResetIDs()
-		mb := newModel(t, 5, 4)
+	for _, c := range []struct {
+		spec   model.Spec
+		params int64
+	}{
+		{model.Spec{Family: "dense", Input: []int{4}, Hidden: []int{5, 4}, Classes: 2}, 59},
+		{model.Spec{Family: "dense", Input: []int{64}, Hidden: []int{64, 64, 64, 32, 64}, Classes: 16}, 17712},
+	} {
+		build := func() *model.Model {
+			return c.spec.BuildScoped(rand.New(rand.NewSource(1)), model.NewIDGen())
+		}
+		ma, mb := build(), build()
+		if n := mb.ParamCount(); n != c.params {
+			t.Fatalf("%v: %d params, want %d", c.spec.Hidden, n, c.params)
+		}
 		rng := rand.New(rand.NewSource(11))
 		var batch []Update
 		for i := 0; i < 7; i++ {
-			u := randomUpdate(ma, rng, i%3) // includes zero-sample guard weights
-			batch = append(batch, u)
+			batch = append(batch, randomUpdate(ma, rng, 1+i%3))
 		}
-		lossA, nA, okA := FedAvg(ma, batch)
+		batch[2].Samples = 0 // folds with weight 1
+		batch[4].Staleness = 2
+		lossA, nA := bufferedFedAvg(ma, batch)
 
-		s := NewStreamingSharded(shard)
+		s := NewStreaming()
 		for _, u := range batch {
 			if err := s.Add(mb, u); err != nil {
-				t.Fatalf("shard %d: Add: %v", shard, err)
+				t.Fatalf("%d params: Add: %v", c.params, err)
 			}
 		}
 		if got := s.Updates(mb.ID); got != len(batch) {
-			t.Fatalf("shard %d: Updates = %d, want %d", shard, got, len(batch))
+			t.Fatalf("%d params: Updates = %d, want %d", c.params, got, len(batch))
 		}
-		lossB, nB, okB := s.Finalize(mb)
-		if okA != okB || nA != nB || lossA != lossB {
-			t.Fatalf("shard %d: finalize (%v,%d,%v) != buffered (%v,%d,%v)",
-				shard, lossB, nB, okB, lossA, nA, okA)
+		lossB, nB, ok := s.Finalize(mb)
+		if !ok || nA != nB || lossA != lossB {
+			t.Fatalf("%d params: finalize (%v,%d,%v) != buffered (%v,%d)",
+				c.params, lossB, nB, ok, lossA, nA)
 		}
 		pa, pb := ma.Params(), mb.Params()
 		for i := range pa {
 			for j := range pa[i].Data {
-				if pa[i].Data[j] != pb[i].Data[j] {
-					t.Fatalf("shard %d: weight [%d][%d] %v != buffered %v",
-						shard, i, j, pb[i].Data[j], pa[i].Data[j])
+				if math.Float32bits(pa[i].Data[j]) != math.Float32bits(pb[i].Data[j]) {
+					t.Fatalf("%d params: weight [%d][%d] %v != buffered %v",
+						c.params, i, j, pb[i].Data[j], pa[i].Data[j])
 				}
 			}
 		}
 		if s.Updates(mb.ID) != 0 {
-			t.Fatalf("shard %d: accumulator not reset after Finalize", shard)
+			t.Fatalf("%d params: accumulator not reset after Finalize", c.params)
 		}
 	}
 }
@@ -78,7 +116,7 @@ func TestStreamingRejectsMalformedAtomically(t *testing.T) {
 	if err := s.Add(m, good); err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), s.accs[m.ID].sum...)
+	before := slices.Concat(s.accs[m.ID].sum...)
 
 	short := Update{ModelID: m.ID, Weights: good.Weights[:1], Samples: 1}
 	if err := s.Add(m, short); !errors.Is(err, ErrUpdateShape) {
@@ -96,7 +134,7 @@ func TestStreamingRejectsMalformedAtomically(t *testing.T) {
 		t.Fatalf("empty update err = %v, want ErrUpdateShape", err)
 	}
 
-	for i, v := range s.accs[m.ID].sum {
+	for i, v := range slices.Concat(s.accs[m.ID].sum...) {
 		if v != before[i] {
 			t.Fatal("malformed update partially folded")
 		}
@@ -174,8 +212,8 @@ func TestStreamingConcurrentRoundsCOWStress(t *testing.T) {
 					// A fresh aggregator per clone: accumulators are keyed
 					// by model ID, and every goroutine's clone of the same
 					// parent shares that ID.
-					s := NewStreamingSharded(7) // tiny shards: many segment walks
-					clone := parent.Clone()     // COW-shares parent buffers
+					s := NewStreaming()
+					clone := parent.Clone() // COW-shares parent buffers
 					for u := 0; u < 3; u++ {
 						if err := s.Add(clone, randomUpdate(clone, rng, u)); err != nil {
 							t.Error(err)
@@ -224,7 +262,7 @@ func TestStreamingRejectsNonFiniteAtomically(t *testing.T) {
 	if err := s.Add(m, good); err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), s.accs[m.ID].sum...)
+	before := slices.Concat(s.accs[m.ID].sum...)
 
 	for _, bad := range []tensor.Float{
 		tensor.Float(math.NaN()),
@@ -239,7 +277,7 @@ func TestStreamingRejectsNonFiniteAtomically(t *testing.T) {
 		}
 	}
 
-	for i, v := range s.accs[m.ID].sum {
+	for i, v := range slices.Concat(s.accs[m.ID].sum...) {
 		if v != before[i] {
 			t.Fatal("non-finite update partially folded")
 		}

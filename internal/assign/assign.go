@@ -23,8 +23,6 @@ type Manager struct {
 	// table stays O(clients ever trained) in objects even for generative
 	// million-client populations.
 	utilities []map[int]float64
-	// Temperature scales utilities inside the softmax; 1 matches Eq. 3.
-	Temperature float64
 	// probs is Sample's scratch, reused across calls: the round loop,
 	// Sample's one caller, assigns one client at a time.
 	probs []float64
@@ -34,7 +32,7 @@ type Manager struct {
 // are allocated on first update, so construction is one slice whatever
 // the population.
 func NewManager(n int) *Manager {
-	return &Manager{utilities: make([]map[int]float64, n), Temperature: 1}
+	return &Manager{utilities: make([]map[int]float64, n)}
 }
 
 // ClientUtility is one client's utility map, the unit a checkpoint
@@ -106,7 +104,7 @@ func (mg *Manager) Sample(c int, compatible []*model.Model, rng *rand.Rand) *mod
 	mg.probs = probs
 	maxU := math.Inf(-1)
 	for i, m := range compatible {
-		v := u[m.ID] / mg.temp()
+		v := u[m.ID]
 		probs[i] = v
 		if v > maxU {
 			maxU = v
@@ -126,13 +124,6 @@ func (mg *Manager) Sample(c int, compatible []*model.Model, rng *rand.Rand) *mod
 		}
 	}
 	return compatible[len(compatible)-1]
-}
-
-func (mg *Manager) temp() float64 {
-	if mg.Temperature <= 0 {
-		return 1
-	}
-	return mg.Temperature
 }
 
 // Best returns the compatible model with the highest utility for client c

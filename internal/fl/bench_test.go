@@ -33,20 +33,20 @@ func benchRuntime(profile string) *Runtime {
 // assignment, parallel local training, clip, accumulator folding,
 // finalize, utility updates — at increasing participants per round over
 // a fixed dataset and suite. The headline claim is the B/op column: with
-// the sharded streaming accumulator and pooled sessions/upload buffers,
+// the streaming accumulator and pooled sessions/upload buffers,
 // round allocation no longer scales with ClientsPerRound (the buffered
 // loop retained every participant's full weight tensors), so the 1000-
 // client round must stay within ~2× of the 100-client round's B/op.
 func BenchmarkRoundLoop(b *testing.B) {
-	for _, cpr := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("clients=%d", cpr), func(b *testing.B) {
-			rt := roundLoopRuntime(cpr, 0)
+	for _, arm := range loopArms {
+		b.Run(arm.name, func(b *testing.B) {
+			rt, round := roundLoopRuntime(arm.cpr, 0, arm.models)
 			var res Result
-			rt.runRound(0, &res) // warm pools, sessions, accumulators
+			rt.runRound(round, &res) // warm pools, sessions, accumulators
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rt.runRound(i+1, &res)
+				rt.runRound(round+i+1, &res)
 			}
 		})
 	}
@@ -154,16 +154,16 @@ func TestTrainStepAllocationRegression(t *testing.T) {
 // BenchmarkRoundLoop to see what the asynchronous policy costs over
 // sync on the one round engine.
 func BenchmarkAsyncRoundLoop(b *testing.B) {
-	for _, cpr := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("clients=%d", cpr), func(b *testing.B) {
-			rt := roundLoopRuntime(cpr, 2)
+	for _, arm := range loopArms {
+		b.Run(arm.name, func(b *testing.B) {
+			rt, round := roundLoopRuntime(arm.cpr, 2, arm.models)
 			var res Result
-			rt.runRound(0, &res) // warm pools, sessions, the in-flight set
-			rt.runRound(1, &res)
+			rt.runRound(round, &res) // warm pools, sessions, the in-flight set
+			rt.runRound(round+1, &res)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rt.runRound(i+2, &res)
+				rt.runRound(round+i+2, &res)
 			}
 			b.StopTimer()
 			rt.drain()
@@ -171,15 +171,36 @@ func BenchmarkAsyncRoundLoop(b *testing.B) {
 	}
 }
 
-// roundLoopRuntime is the round-loop benchmarks' runtime: a fixed suite
-// over a "scale" population of 1200 clients (2400 when asynchronous),
-// cpr participants a round, two local steps.
-func roundLoopRuntime(cpr, maxStaleness int) *Runtime {
+// loopArms are the round-loop benchmarks' shapes: a one-model suite,
+// where Manager.Sample returns before its softmax and one accumulator
+// folds, at 100 and 1000 participants, and a three-model suite at 1000.
+var loopArms = []struct {
+	name        string
+	cpr, models int
+}{{"clients=100", 100, 1}, {"clients=1000", 1000, 1}, {"clients=1000,models=3", 1000, 3}}
+
+// roundLoopRuntime is the round-loop benchmarks' runtime: a "scale"
+// population of 1200 clients (2400 when asynchronous), cpr participants
+// a round, two local steps. Its suite is grown to models models, one
+// transformation after each round from round 0 on, then frozen; it
+// returns the runtime and the round to run next.
+func roundLoopRuntime(cpr, maxStaleness, models int) (*Runtime, int) {
 	n := 1200
 	if maxStaleness > 0 {
 		n = 2400
 	}
-	return loopRuntime(n, false, cpr, maxStaleness)
+	rt := loopRuntime(n, false, cpr, maxStaleness)
+	var res Result
+	round := 0
+	for len(rt.suite) < models {
+		if round == 8 {
+			panic(fmt.Sprintf("round loop suite stuck at %d models", len(rt.suite)))
+		}
+		rt.runRound(round, &res)
+		rt.tryTransform(round)
+		round++
+	}
+	return rt, round
 }
 
 // loopRuntime builds roundLoopRuntime's runtime over n clients,
@@ -220,11 +241,15 @@ func loopRuntime(n int, lazy bool, cpr, maxStaleness int) *Runtime {
 
 // TestRoundLoopAllocationRegression pins the steady-state allocations of
 // one synchronous and one asynchronous round at 100 and 1000
-// participants: every per-participant record, buffer and session is
-// pooled, so a round allocates per-round bookkeeping (the selection, the
-// per-model counts, the Finalize copies) and little more. The ceilings are
-// the counts measured once the asynchronous top-up stopped listing the
-// population and Manager.Sample reused its scratch.
+// participants over a one-model suite: every per-participant record,
+// buffer and session is pooled, so a round allocates per-round
+// bookkeeping (the selection, the per-model counts, the Finalize copies)
+// and little more. Its three-model arms, at 1000, also run Sample's
+// softmax for every participant with more than one compatible model and
+// fold into several accumulators; their ceilings include the ≈ 3 objects
+// each participant's joint-utility update allocates in model.Sim. The
+// ceilings are the counts measured once the asynchronous top-up stopped
+// listing the population and Manager.Sample reused its scratch.
 func TestRoundLoopAllocationRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 1000-participant rounds")
@@ -233,22 +258,30 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 	// background worker from carrying timing-dependent state into it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range []struct {
-		cpr, staleness int
-		ceiling        float64
+		cpr, staleness, models int
+		ceiling                float64
 	}{
-		{100, 0, 155}, {1000, 0, 25}, {100, 2, 203}, {1000, 2, 143},
+		{100, 0, 1, 155}, {1000, 0, 1, 25}, {1000, 0, 3, 3200},
+		{100, 2, 1, 203}, {1000, 2, 1, 143}, {1000, 2, 3, 4019},
 	} {
-		rt := roundLoopRuntime(c.cpr, c.staleness)
+		rt, round := roundLoopRuntime(c.cpr, c.staleness, c.models)
 		var res Result
-		round := 0
-		next := func() { rt.runRound(round, &res); round++ }
+		folded := 0
+		next := func() {
+			_, _, perModel, _ := rt.runRound(round, &res)
+			folded = len(perModel)
+			round++
+		}
 		next() // warm pools, sessions, accumulators and the in-flight set
 		next()
+		if folded < c.models {
+			t.Fatalf("participants %d, staleness %d: a round folded into %d of %d models", c.cpr, c.staleness, folded, c.models)
+		}
 		allocs := testing.AllocsPerRun(4, next)
 		rt.drain()
-		t.Logf("participants %d, staleness %d: %.1f allocs a round", c.cpr, c.staleness, allocs)
+		t.Logf("participants %d, staleness %d, %d models: %.1f allocs a round", c.cpr, c.staleness, c.models, allocs)
 		if allocs > c.ceiling {
-			t.Errorf("participants %d, staleness %d: %.1f allocs a round, ceiling %.0f", c.cpr, c.staleness, allocs, c.ceiling)
+			t.Errorf("participants %d, staleness %d, %d models: %.1f allocs a round, ceiling %.0f", c.cpr, c.staleness, c.models, allocs, c.ceiling)
 		}
 	}
 }
@@ -298,9 +331,9 @@ func TestSyncRoundHoldsWindowUploads(t *testing.T) {
 		t.Skip("builds a 1000-participant round")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	rt := roundLoopRuntime(1000, 0)
+	rt, round := roundLoopRuntime(1000, 0, 1)
 	var res Result
-	rt.runRound(0, &res)
+	rt.runRound(round, &res)
 	held := 0
 	for _, sets := range rt.uploads.free {
 		held += len(sets)

@@ -44,8 +44,10 @@ import (
 // times (projections of Res.Log now) and the utility maps of clients
 // that hold none; v1 and v2 blobs fail with ErrCkptVersion.
 type Checkpoint struct {
-	// Round is the number of fully completed rounds; resume continues
-	// at this round index.
+	// Round is the round index resume continues at: the number of
+	// fully completed rounds, or Config.Rounds once the convergence rule
+	// has ended the run (Res.RoundsRun keeps the rounds it ran), so a
+	// resumed finished run trains no further round.
 	Round int
 	// RNGCount is the number of source draws the run rng has consumed.
 	// Restore fast-forwards a freshly seeded source by this many steps,
@@ -429,7 +431,7 @@ func (rt *Runtime) checkpointAsync(round int) {
 }
 
 // Checkpoint synchronously captures and encodes the runtime's current
-// state (after rt.nextRound completed rounds).
+// state; a resume continues at round rt.nextRound.
 func (rt *Runtime) Checkpoint() ([]byte, error) {
 	return rt.snapshot(rt.nextRound).encode()
 }

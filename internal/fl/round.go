@@ -223,7 +223,7 @@ func (rt *Runtime) retire(f *flight) {
 // staleness 0, all of them), then the earliest arrivals up to
 // ClientsPerRound. As each committed client's training completes, the
 // stream hands it to the consumer in the fold order, where its update is
-// folded straight into the per-model sharded accumulator and its upload
+// folded straight into the per-model accumulator and its upload
 // buffers go back to the pool. So the coordinator holds O(window) updates
 // at peak, and the post-fold stages (FedAvg finalize, Yogi, activeness,
 // joint utility, soft aggregation) read accumulator state plus per-client

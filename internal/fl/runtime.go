@@ -279,7 +279,8 @@ type Runtime struct {
 
 	// Streaming-aggregation state, all recycled across rounds so the
 	// steady-state round loop allocates O(1) regardless of participants:
-	// the per-model sharded accumulators, pooled training sessions and
+	// the per-model accumulators (one float64 slice per parameter tensor,
+	// folded on the stream's consumer), pooled training sessions and
 	// upload buffers, and the loss-standardization / compatibility
 	// scratch slices.
 	agg       *aggregate.StreamingFedAvg
@@ -468,7 +469,8 @@ loop:
 				} else {
 					rt.stall++
 					if rt.stall >= cfg.ConvergePatience {
-						rt.nextRound = round + 1
+						// The run is over: no round is left to resume.
+						rt.nextRound = cfg.Rounds
 						break loop
 					}
 				}

@@ -47,7 +47,7 @@ func catch(fn func()) (p *workerPanic) {
 }
 
 // tokens bounds the number of extra worker goroutines alive across all
-// concurrent ForN/Chunked calls in the process.
+// concurrent ForN calls and TaskStreams in the process.
 var tokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // Limit returns the parallel width for n independent tasks: GOMAXPROCS
@@ -331,49 +331,17 @@ func (s *TaskStream) consume(t *Task, run bool) {
 	}
 }
 
-// Chunked splits [0, n) into one contiguous range per worker and runs
-// fn(lo, hi) on each. Use it when workers amortize per-worker state
-// (e.g. model clones) across their range. Chunks whose worker cannot be
-// spawned within the process-wide budget run inline on the caller.
+// Chunked splits [0, n) into Limit(n) contiguous ranges, the first n %
+// Limit(n) one longer, and runs fn(lo, hi) on each through ForN. Use it
+// when workers amortize per-worker state (e.g. model clones) across
+// their range.
 func Chunked(n int, fn func(lo, hi int)) {
-	w := Limit(n)
-	if w <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
+	if n <= 0 {
 		return
 	}
+	w := Limit(n)
 	base, rem := n/w, n%w
-	var wg sync.WaitGroup
-	var first atomic.Pointer[workerPanic]
-	lo := 0
-	for g := 0; g < w; g++ {
-		sz := base
-		if g < rem {
-			sz++
-		}
-		hi := lo + sz
-		if g == w-1 {
-			fn(lo, hi) // the caller always takes the last chunk
-			break
-		}
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer func() {
-					<-tokens
-					wg.Done()
-				}()
-				first.CompareAndSwap(nil, catch(func() { fn(lo, hi) }))
-			}(lo, hi)
-		default:
-			fn(lo, hi)
-		}
-		lo = hi
-	}
-	wg.Wait()
-	if p := first.Load(); p != nil {
-		panic(p)
-	}
+	ForN(w, func(g int) {
+		fn(g*base+min(g, rem), (g+1)*base+min(g+1, rem))
+	})
 }

@@ -555,13 +555,17 @@ func TestForNReraisesWorkerPanic(t *testing.T) {
 func TestChunkedReraisesWorkerPanic(t *testing.T) {
 	tokensFree(t)
 	withGOMAXPROCS(2, func() {
+		workerRan := make(chan struct{})
 		recoverWorkerPanic(t, "Chunked", "TestChunkedReraisesWorkerPanic.func", func() {
 			Chunked(2, func(lo, hi int) {
-				if lo == 0 { // the first chunk goes to a worker
-					if onCaller("par.TestChunkedReraisesWorkerPanic") {
-						t.Error("the first chunk ran on the caller")
-					}
+				if !onCaller("par.TestChunkedReraisesWorkerPanic") {
+					close(workerRan)
 					panic("boom")
+				}
+				select { // the caller's chunk waits for the worker's
+				case <-workerRan:
+				case <-time.After(10 * time.Second):
+					t.Error("no worker ran the other chunk")
 				}
 			})
 		})
