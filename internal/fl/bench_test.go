@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"fedtrans/internal/assign"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
@@ -205,8 +206,8 @@ func roundLoopRuntime(cpr, maxStaleness, models int) (*Runtime, int) {
 
 // loopRuntime builds roundLoopRuntime's runtime over n clients,
 // materialized or, when lazy, generative: clients and devices are
-// synthesized on demand, so building it is O(n) in one slice of utility
-// pointers only.
+// synthesized on demand, so what building it allocates stops growing
+// with n at the number of clients the run can train.
 func loopRuntime(n int, lazy bool, cpr, maxStaleness int) *Runtime {
 	model.ResetIDs()
 	dcfg := data.Config{
@@ -246,10 +247,11 @@ func loopRuntime(n int, lazy bool, cpr, maxStaleness int) *Runtime {
 // bookkeeping (the selection, the per-model counts, the Finalize copies)
 // and little more. Its three-model arms, at 1000, also run Sample's
 // softmax for every participant with more than one compatible model and
-// fold into several accumulators; their ceilings include the ≈ 3 objects
-// each participant's joint-utility update allocates in model.Sim. The
-// ceilings are the counts measured once the asynchronous top-up stopped
-// listing the population and Manager.Sample reused its scratch.
+// fold into several accumulators. A joint-utility update allocates
+// nothing once its client has a row: the Manager computes model.Sim
+// once per model pair and writes the row in place. The ceilings are the
+// counts measured once the utility table became columns over the
+// trained clients.
 func TestRoundLoopAllocationRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 1000-participant rounds")
@@ -261,8 +263,8 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 		cpr, staleness, models int
 		ceiling                float64
 	}{
-		{100, 0, 1, 155}, {1000, 0, 1, 25}, {1000, 0, 3, 3200},
-		{100, 2, 1, 203}, {1000, 2, 1, 143}, {1000, 2, 3, 4019},
+		{100, 0, 1, 22}, {1000, 0, 1, 22}, {1000, 0, 3, 183},
+		{100, 2, 1, 22}, {1000, 2, 1, 22}, {1000, 2, 3, 892},
 	} {
 		rt, round := roundLoopRuntime(c.cpr, c.staleness, c.models)
 		var res Result
@@ -320,6 +322,64 @@ func TestAsyncRoundIndependentOfPopulation(t *testing.T) {
 			bigB, bigN, smallB, smallN)
 	}
 }
+
+// TestManagerIndependentOfPopulation pins the Client Manager at
+// O(trained clients): NewManager allocates the same bytes at populations
+// 10⁴ and 10⁶, and the utility table a generative run holds after four
+// rounds of 100 participants is the same size, within 5 %, at both. The
+// table's size is the heap it keeps alive: the live heap with the
+// Manager minus the live heap without it.
+func TestManagerIndependentOfPopulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a population of 10⁶ clients")
+	}
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops Puts, so the heap a run leaves varies")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	newManager := func(population int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		managerSink = assign.NewManager(population)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, big := newManager(10_000), newManager(1_000_000)
+	t.Logf("NewManager allocates %d B at population 10⁴, %d B at 10⁶", small, big)
+	if small != big {
+		t.Errorf("NewManager allocates %d B at population 10⁴, %d B at 10⁶", small, big)
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties the sync.Pool victim caches
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	held := func(population int) (uint64, int) {
+		ds, tr, spec := genSetup(t, population, true)
+		cfg := DefaultConfig()
+		cfg.Rounds, cfg.ClientsPerRound, cfg.EvalSample, cfg.ConvergePatience = 4, 100, 8, 0
+		cfg.Local = LocalConfig{Steps: 2, BatchSize: 8, LR: 0.05}
+		rt := New(cfg, ds, tr, spec)
+		rt.Run()
+		trained := len(rt.mgr.ExportUtilities())
+		with := live()
+		rt.mgr = nil
+		without := live()
+		runtime.KeepAlive(rt)
+		return with - without, trained
+	}
+	smallB, smallN := held(10_000)
+	bigB, bigN := held(1_000_000)
+	t.Logf("the utility table holds %d B for %d trained clients at 10⁴, %d B for %d at 10⁶", smallB, smallN, bigB, bigN)
+	if 100*bigB > 105*smallB || 100*smallB > 105*bigB {
+		t.Errorf("the utility table holds %d B at 10⁶ clients against %d B at 10⁴: it grows with the population", bigB, smallB)
+	}
+}
+
+// managerSink keeps NewManager's result on the heap.
+var managerSink *assign.Manager
 
 // TestSyncRoundHoldsWindowUploads pins the streaming round's memory bound:
 // a synchronous round of 1000 participants keeps at most streamWindow()

@@ -72,8 +72,10 @@ type Checkpoint struct {
 	// Models is the suite in creation order: serialized weights plus
 	// the lineage metadata MarshalBinary drops.
 	Models []CkptModel
-	// Utilities is the Client Manager's utility table, one entry per
-	// client with a non-empty map, ascending by client.
+	// Utilities is the Client Manager's utility table: one entry per
+	// client that stores a utility, ascending by client, each listing
+	// its stored (model, value) pairs ascending by model. A stored 0 is
+	// listed; a utility never stored is not.
 	Utilities []assign.ClientUtility
 	// DoCLosses is the DoC tracker's loss window.
 	DoCLosses []float64
@@ -192,13 +194,22 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 		})
 	})
 
-	f64 := c.F64 // bound once: a method value made per map is an allocation per client
+	// A client's utilities travel as a map of model ID to value would
+	// (wire.SortedMap): a count, then (i64 model, f64 value) pairs with
+	// the models strictly ascending. Decoding carves every client's list
+	// from one arena.
+	var arena []assign.Utility
+	utility := func(e *assign.Utility) {
+		c.Int(&e.Model)
+		c.F64(&e.Value)
+	}
 	wire.Slice(c, &ck.Utilities, 12, func(u *assign.ClientUtility) {
 		c.Int(&u.Client)
-		wire.SortedMap(c, &u.U, 8, f64)
+		wire.SliceIn(c, &u.U, &arena, 16, utility)
 		if u.Client < 0 || u.Client >= ck.Clients || len(u.U) == 0 {
 			c.Corruptf("utility entry for client %d of %d holds %d models", u.Client, ck.Clients, len(u.U))
 		}
+		ascending(c, u.U, "utility model IDs", func(e *assign.Utility) int { return e.Model })
 	})
 	ascending(c, ck.Utilities, "utility client IDs", func(u *assign.ClientUtility) int { return u.Client })
 	c.F64s(&ck.DoCLosses)
@@ -285,9 +296,12 @@ func ascending[T any](c wire.Coder, xs []T, what string, key func(*T) int) {
 }
 
 // EncodeCheckpoint serializes a checkpoint into the canonical FTCP v3
-// byte layout described on Checkpoint.
+// byte layout described on Checkpoint, into one buffer allocated at the
+// size a counting pass over the same walk measures.
 func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
-	e := wire.Enc{B: append(make([]byte, 0, 1024), ckptMagic...)}
+	size := wire.Counting()
+	ck.walk(wire.Encoding(&size))
+	e := wire.Enc{B: append(make([]byte, 0, len(ckptMagic)+4+size.N+4), ckptMagic...)}
 	e.U32(ckptVersion)
 	ck.walk(wire.Encoding(&e))
 	return wire.Seal(e.B, 0), nil
@@ -511,9 +525,9 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	}
 	rt.suite = suite
 
-	// Sized for the resuming dataset, which may hold more clients than
-	// the checkpoint: those late joiners start at zero utility.
-	rt.mgr.ImportUtilities(rt.ds.Len(), ck.Utilities)
+	// Clients the checkpoint does not list, late joiners of a larger
+	// resuming population among them, start at zero utility.
+	rt.mgr.ImportUtilities(ck.Utilities)
 	rt.doc.Restore(ck.DoCLosses)
 	rt.act = make(map[int]*transform.ActivenessTracker, len(ck.Act))
 	for i := range ck.Act {
@@ -560,7 +574,7 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			// interrupted run's training itself is redone
 			// deterministically from the snapshot weights.
 			at := rt.flightGet()
-			at.slot = roundTask{client: f.Client, m: m, src: src}
+			at.slot = roundTask{client: f.Client, m: m, src: src, capacity: rt.trace.At(f.Client).CapacityMACs}
 			at.version, at.seq, at.dispatchAt = f.Version, f.Seq, f.DispatchAt
 			rt.submit(at)
 		}

@@ -33,7 +33,7 @@ func goldenCheckpoint() *Checkpoint {
 			}},
 			{ID: 4, ParentID: 3, BornRound: 6},
 		},
-		Utilities: []assign.ClientUtility{{Client: 0, U: map[int]float64{0: 0.5, 3: -1.25, 11: 2}}},
+		Utilities: []assign.ClientUtility{{Client: 0, U: []assign.Utility{{Model: 0, Value: 0.5}, {Model: 3, Value: -1.25}, {Model: 11, Value: 2}}}},
 		DoCLosses: []float64{2.5, 2.25, math.Float64frombits(0x7ff8000000000abc)},
 		Act: []CkptAct{
 			{ModelID: 1, Hist: map[int64][]float64{1: {0.125, 0.25}, 2: nil, 1 << 40: {1}}},
@@ -95,6 +95,27 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestEncodeCheckpointSizesItsBuffer: EncodeCheckpoint allocates its
+// buffer once, at the checkpoint's final size, for the golden literal
+// and for a trained run's checkpoint.
+func TestEncodeCheckpointSizesItsBuffer(t *testing.T) {
+	rt := benchRuntime("femnist")
+	rt.Run()
+	blob, err := rt.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := EncodeCheckpoint(goldenCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{golden, blob} {
+		if cap(b) != len(b) {
+			t.Errorf("a %d-byte checkpoint was encoded into a %d-byte buffer", len(b), cap(b))
+		}
+	}
+}
+
 // readHex reads a hex-encoded test blob.
 func readHex(t testing.TB, path string) []byte {
 	t.Helper()
@@ -142,7 +163,7 @@ func TestCheckpointRejectsHostileCounts(t *testing.T) {
 	}
 	huge := bytes.Clone(empty)
 	copy(huge[ckptModelsAt:], "\xff\xff\xff\xff")
-	one := map[int]float64{1: 0.5}
+	one := []assign.Utility{{Model: 1, Value: 0.5}}
 	utilities := func(clients int, us ...assign.ClientUtility) []byte {
 		return enc(&Checkpoint{Clients: clients, Utilities: us})
 	}
@@ -159,7 +180,9 @@ func TestCheckpointRejectsHostileCounts(t *testing.T) {
 		{"utility client ID repeated", utilities(4, assign.ClientUtility{Client: 1, U: one}, assign.ClientUtility{Client: 1, U: one}), ErrCkptCorrupt},
 		{"utility client ID = Clients", utilities(4, assign.ClientUtility{Client: 4, U: one}), ErrCkptCorrupt},
 		{"negative utility client ID", utilities(4, assign.ClientUtility{Client: -1, U: one}), ErrCkptCorrupt},
-		{"empty utility map", utilities(4, assign.ClientUtility{Client: 2, U: map[int]float64{}}), ErrCkptCorrupt},
+		{"empty utility list", utilities(4, assign.ClientUtility{Client: 2, U: []assign.Utility{}}), ErrCkptCorrupt},
+		{"utility model IDs repeated", utilities(4, assign.ClientUtility{Client: 2, U: []assign.Utility{{Model: 1}, {Model: 1}}}), ErrCkptCorrupt},
+		{"utility model IDs descending", utilities(4, assign.ClientUtility{Client: 2, U: []assign.Utility{{Model: 3}, {Model: 1}}}), ErrCkptCorrupt},
 		{"in-flight client ID = Clients", enc(&Checkpoint{Clients: 4, Inflight: []CkptInflight{{Client: 4}}}), ErrCkptCorrupt},
 	} {
 		if _, err := DecodeCheckpoint(tc.blob); !errors.Is(err, tc.want) {

@@ -174,12 +174,12 @@ func (rt *Runtime) flightGet() *flight {
 	return f
 }
 
-// dispatch sends model m to a client: it takes the weight snapshot the
-// policy asks for (COW, O(headers)) and submits the client's first
-// training attempt.
-func (rt *Runtime) dispatch(round, client int, m *model.Model) {
+// dispatch sends model m to a client whose device capacity, in MACs per
+// sample, is capacity: it takes the weight snapshot the policy asks for
+// (COW, O(headers)) and submits the client's first training attempt.
+func (rt *Runtime) dispatch(round, client int, m *model.Model, capacity float64) {
 	f := rt.flightGet()
-	f.slot = roundTask{client: client, m: m}
+	f.slot = roundTask{client: client, m: m, capacity: capacity}
 	if rt.pol.snapshot {
 		f.slot.src = rt.snapGet(m)
 	}
@@ -258,9 +258,10 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 		selected = selectFree(rt.ds.Len(), busy, want, rt.rng)
 	}
 	for _, c := range selected {
-		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
+		capacity := rt.trace.At(c).CapacityMACs
+		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, capacity)
 		if m := rt.mgr.Sample(c, rt.compatBuf, rt.rng); m != nil {
-			rt.dispatch(round, c, m)
+			rt.dispatch(round, c, m, capacity)
 		}
 	}
 

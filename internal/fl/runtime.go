@@ -317,6 +317,10 @@ type Runtime struct {
 type roundTask struct {
 	client int
 	m      *model.Model
+	// capacity is the client's device capacity in MACs per sample, read
+	// from the trace once at dispatch: the commit's joint-utility update
+	// filters the suite by it again.
+	capacity float64
 	// src, in asynchronous mode, is the COW snapshot of m taken at
 	// dispatch: the client trains from the weights it downloaded, not
 	// the weights the server has since moved past. nil in synchronous
@@ -386,6 +390,11 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		agg:    aggregate.NewStreaming(),
 	}
 	rt.pol = newPolicy(&cfg)
+	// A round commits about ClientsPerRound updates, or AsyncConcurrency
+	// when that is set higher, so about Rounds times that many clients
+	// (never more than the population) gain a utility: the table is
+	// sized for them once.
+	rt.mgr.Reserve(min(ds.Len(), max(cfg.Rounds, 0)*max(cfg.ClientsPerRound, cfg.AsyncConcurrency)))
 	rt.stream = par.NewTaskStream(rt.pol.window)
 	// The configured capacity ceiling, not an O(N) empirical scan:
 	// synthesis clamps every device to it, so setup cost stays
@@ -623,7 +632,7 @@ func (rt *Runtime) applyCommitted(round int, committed []*roundTask, res *Result
 	rt.stdBuf = assign.StandardizeLossesInto(rt.stdBuf[:0], losses)
 	std := rt.stdBuf
 	for k, u := range committed {
-		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(u.client).CapacityMACs)
+		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, u.capacity)
 		rt.mgr.UpdateJoint(u.client, u.m, std[k], rt.compatBuf)
 		res.Overhead.UtilityUpdates += int64(len(rt.compatBuf))
 	}

@@ -104,16 +104,43 @@ func F32s(dst []float32, src []byte) {
 	}
 }
 
-// Enc is the append-only encoder.
-type Enc struct{ B []byte }
+// Enc is the append-only encoder. A counting Enc (Counting) appends
+// nothing and adds to N the bytes each call would have appended, so a
+// layout run over it first sizes the buffer it is then encoded into.
+type Enc struct {
+	B        []byte
+	N        int
+	counting bool
+}
 
-func (e *Enc) U8(v uint8)   { e.B = append(e.B, v) }
+// Counting returns an Enc that counts bytes instead of appending them.
+func Counting() Enc { return Enc{counting: true} }
+
+func (e *Enc) U8(v uint8) {
+	if e.counting {
+		e.N++
+		return
+	}
+	e.B = append(e.B, v)
+}
+
 func (e *Enc) U32(v uint32) { e.uint(uint64(v), 4) }
 func (e *Enc) U64(v uint64) { e.uint(v, 8) }
-func (e *Enc) Raw(b []byte) { e.B = append(e.B, b...) }
+
+func (e *Enc) Raw(b []byte) {
+	if e.counting {
+		e.N += len(b)
+		return
+	}
+	e.B = append(e.B, b...)
+}
 
 // uint appends the low n bytes of v, most significant first.
 func (e *Enc) uint(v uint64, n int) {
+	if e.counting {
+		e.N += n
+		return
+	}
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	e.B = append(e.B, b[8-n:]...)
@@ -321,6 +348,31 @@ func Slice[T any](c Coder, p *[]T, minElemBytes int, elem func(*T)) {
 		}
 		elem(&(*p)[i])
 	}
+}
+
+// SliceIn is Slice whose decoded elements are carved from *arena, which
+// grows by appending: a list of lists decodes into a few backing arrays,
+// not one per list. Growing the arena may request up to twice what its
+// elements occupy. Encoding is Slice's.
+func SliceIn[T any](c Coder, p *[]T, arena *[]T, minElemBytes int, elem func(*T)) {
+	if c.d == nil {
+		Slice(c, p, minElemBytes, elem)
+		return
+	}
+	n := c.length(0, minElemBytes)
+	*p = nil
+	if n == 0 {
+		return
+	}
+	a := slices.Grow(*arena, n)
+	start := len(a)
+	a = a[:start+n]
+	clear(a[start:])
+	*arena = a
+	for i := start; i < start+n && c.d.err == nil; i++ {
+		elem(&a[i])
+	}
+	*p = a[start : start+n : start+n]
 }
 
 // Map is a presence byte and, for a non-nil map, SortedMap.

@@ -139,6 +139,50 @@ func TestConventions(t *testing.T) {
 	}
 }
 
+// TestCountingMatchesEncoding: a counting pass over a layout measures
+// exactly the bytes the encoding pass appends, and appends none.
+func TestCountingMatchesEncoding(t *testing.T) {
+	s := filledSink()
+	n := Counting()
+	s.walk(Encoding(&n))
+	if want := len(s.encode()) - len("SINK") - 4; n.N != want || n.B != nil {
+		t.Errorf("counted %d bytes (buffer %v), the encoding appends %d", n.N, n.B, want)
+	}
+}
+
+// TestSliceIn: SliceIn writes Slice's bytes, and decodes a list of lists
+// into windows of one arena that an append to one window cannot spill
+// into the next.
+func TestSliceIn(t *testing.T) {
+	lists := [][]int{{1, 2}, nil, {3}, {4, 5, 6}}
+	walk := func(c Coder, ls *[][]int, arena *[]int) {
+		Slice(c, ls, 4, func(l *[]int) {
+			if arena == nil {
+				Slice(c, l, 8, c.Int)
+			} else {
+				SliceIn(c, l, arena, 8, c.Int)
+			}
+		})
+	}
+	var plain, in Enc
+	walk(Encoding(&plain), &lists, nil)
+	walk(Encoding(&in), &lists, new([]int))
+	if !bytes.Equal(plain.B, in.B) {
+		t.Fatalf("SliceIn encodes %x, Slice %x", in.B, plain.B)
+	}
+	d := NewDec(in.B, &testErrs)
+	var back [][]int
+	var arena []int
+	walk(Decoding(&d), &back, &arena)
+	if err := d.Done(); err != nil || !reflect.DeepEqual(back, lists) || len(arena) != 6 {
+		t.Fatalf("decoded %v into an arena of %d (err %v), want %v in 6", back, len(arena), err, lists)
+	}
+	_ = append(back[0], 99)
+	if back[2][0] != 3 {
+		t.Error("an append to one decoded list overwrote the next")
+	}
+}
+
 // at returns a copy of the sealed blob b with put written at off and the
 // checksum recomputed.
 func at(b []byte, off int, put string) []byte {
