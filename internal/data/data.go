@@ -214,14 +214,16 @@ type Generator struct {
 }
 
 // ClientCursor is a reusable synthesis buffer for generative datasets.
-// Synth re-seeds its RNG in place and recycles its client tensors and
+// Synth re-seeds its source in place and recycles its client tensors and
 // per-client scratch slices, so steady-state fetching allocates
 // nothing. One cursor per goroutine.
 type ClientCursor struct {
 	Client                    Client
 	src                       *xrand.Source
-	rng                       *rand.Rand // over src
 	scales, biases, labelDist []float64
+	// norms holds the normals drawn in one call: the client transform's
+	// 2·featureDim, then each sample row's featureDim.
+	norms []float64
 }
 
 // NewGenerator normalizes cfg and builds the shared prototype bank.
@@ -295,23 +297,25 @@ func (g *Generator) Synth(cur *ClientCursor, k int) *Client { return g.synth(cur
 func (g *Generator) synth(cur *ClientCursor, k int, test bool) *Client {
 	if cur.src == nil {
 		cur.src = xrand.New(0)
-		cur.rng = rand.New(cur.src)
 	}
-	crng := cur.rng
+	src := cur.src
 	// A full xrand re-seed: the stream equals a fresh
-	// rand.New(rand.NewSource(seed)) (xrand.TestReseedInPlace), and a
-	// shard reads past the point where deriving the register lazily
-	// would cost more (see package xrand). Nothing here calls crng.Read,
-	// whose position rand.Rand.Seed would also reset.
-	cur.src.SeedFull(g.cfg.Seed + int64(k)*7919 + 1)
-	complexity := crng.Intn(maxComplexity + 1)
-	cur.scales, cur.biases = clientTransformInto(cur.scales, cur.biases, g.geom.featureDim, crng)
-	cur.labelDist = dirichletInto(cur.labelDist, g.geom.classes, g.cfg.Heterogeneity, crng)
-	nTrain := logUniformInt(g.cfg.MinSamples, g.cfg.MaxSamples, crng)
+	// rand.New(rand.NewSource(seed)), and Source's draws equal
+	// rand.Rand's of the same name (xrand.TestReseedInPlace,
+	// TestNormFloat64sMatchesMathRand), so a shard is the one math/rand
+	// would synthesize. It reads past the point where deriving the
+	// register lazily would cost more (see package xrand).
+	src.SeedFull(g.cfg.Seed + int64(k)*7919 + 1)
+	complexity := src.Intn(maxComplexity + 1)
+	d := g.geom.featureDim
+	cur.norms = resize(cur.norms, 2*d)
+	cur.scales, cur.biases = clientTransformInto(cur.scales, cur.biases, cur.norms, src)
+	cur.labelDist = dirichletInto(cur.labelDist, g.geom.classes, g.cfg.Heterogeneity, src)
+	nTrain := logUniformInt(g.cfg.MinSamples, g.cfg.MaxSamples, src)
 	sp := sampleParams{
 		geom: g.geom, protos: g.protos, maxModes: g.maxModes, complexity: complexity,
 		labelDist: cur.labelDist, scales: cur.scales, biases: cur.biases,
-		noise: noiseStd, imageShaped: g.imageShaped,
+		norms: cur.norms[:d], noise: noiseStd, imageShaped: g.imageShaped,
 	}
 	cl := &cur.Client
 	if cl.TrainX == nil {
@@ -320,9 +324,9 @@ func (g *Generator) synth(cur *ClientCursor, k int, test bool) *Client {
 	if cl.TestX == nil {
 		cl.TestX = &tensor.Tensor{}
 	}
-	cl.TrainY = sampleSetInto(cl.TrainX, cl.TrainY, nTrain, sp, crng)
+	cl.TrainY = sampleSetInto(cl.TrainX, cl.TrainY, nTrain, sp, src)
 	if test {
-		cl.TestY = sampleSetInto(cl.TestX, cl.TestY, g.cfg.TestSamples, sp, crng)
+		cl.TestY = sampleSetInto(cl.TestX, cl.TestY, g.cfg.TestSamples, sp, src)
 	} else {
 		cl.TestX.Data = cl.TestX.Data[:0]
 		cl.TestX.Shape = append(cl.TestX.Shape[:0], 0, g.geom.featureDim)
@@ -370,13 +374,17 @@ type sampleParams struct {
 	complexity     int
 	labelDist      []float64
 	scales, biases []float64
-	noise          float64
-	imageShaped    bool
+	// norms is featureDim of scratch for a row's noise draws.
+	norms       []float64
+	noise       float64
+	imageShaped bool
 }
 
 // sampleSetInto fills x/y with n synthesized samples, reusing their
 // buffers when capacity allows, and returns the resized label slice.
-func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, rng *rand.Rand) []int {
+// A row draws its label, mode and phase, then its featureDim noise
+// normals in one call.
+func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, src *xrand.Source) []int {
 	g := sp.geom
 	n = max(n, 1)
 	if need := n * g.featureDim; cap(x.Data) >= need {
@@ -392,17 +400,18 @@ func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, rng *rand.
 	}
 	modes := sp.complexity + 1
 	for i := 0; i < n; i++ {
-		c := sampleCategorical(sp.labelDist, rng)
-		mode := rng.Intn(modes)
+		c := sampleCategorical(sp.labelDist, src)
+		mode := src.Intn(modes)
 		p := sp.protos[c*sp.maxModes+mode]
 		row := x.Data[i*g.featureDim : (i+1)*g.featureDim]
 		var dy, dx int
 		if sp.imageShaped {
 			// Random texture phase: rewards translation-invariant models.
-			dy, dx = rng.Intn(2), rng.Intn(2)
+			dy, dx = src.Intn(2), src.Intn(2)
 		}
-		for j := 0; j < g.featureDim; j++ {
-			src := j
+		src.NormFloat64s(sp.norms)
+		for j, z := range sp.norms {
+			at := j
 			if sp.imageShaped {
 				ch, h, w := g.inputShape[0], g.inputShape[1], g.inputShape[2]
 				_ = ch
@@ -410,9 +419,9 @@ func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, rng *rand.
 				rem := j % (h * w)
 				yy := (rem/w + dy) % h
 				xx := (rem%w + dx) % w
-				src = (cc*h+yy)*w + xx
+				at = (cc*h+yy)*w + xx
 			}
-			v := p[src] + rng.NormFloat64()*sp.noise
+			v := p[at] + z*sp.noise
 			// Mild client-specific input shift (sensor/writer variation):
 			// per-feature gain and offset jitter.
 			row[j] = tensor.Float(v*sp.scales[j] + sp.biases[j])
@@ -422,19 +431,24 @@ func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, rng *rand.
 	return y
 }
 
-func clientTransformInto(scales, biases []float64, d int, rng *rand.Rand) ([]float64, []float64) {
+// clientTransformInto draws the client's per-feature gain and offset
+// jitter, len(norms)/2 features, interleaved: scales[i] from normal 2i,
+// biases[i] from normal 2i+1. norms is the scratch they are drawn into.
+func clientTransformInto(scales, biases, norms []float64, src *xrand.Source) ([]float64, []float64) {
+	d := len(norms) / 2
 	scales = resize(scales, d)
 	biases = resize(biases, d)
+	src.NormFloat64s(norms)
 	for i := range scales {
-		scales[i] = 1 + rng.NormFloat64()*0.12
-		biases[i] = rng.NormFloat64() * 0.08
+		scales[i] = 1 + norms[2*i]*0.12
+		biases[i] = norms[2*i+1] * 0.08
 	}
 	return scales, biases
 }
 
 // dirichletInto samples a categorical distribution from
 // Dirichlet(h,...,h) into out using Gamma(h) marginals (Marsaglia-Tsang).
-func dirichletInto(out []float64, k int, h float64, rng *rand.Rand) []float64 {
+func dirichletInto(out []float64, k int, h float64, rng *xrand.Source) []float64 {
 	out = resize(out, k)
 	sum := 0.0
 	for i := range out {
@@ -458,7 +472,7 @@ func resize(s []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-func gammaSample(alpha float64, rng *rand.Rand) float64 {
+func gammaSample(alpha float64, rng *xrand.Source) float64 {
 	if alpha < 1 {
 		// Johnk-style boost: Gamma(a) = Gamma(a+1) * U^(1/a).
 		return gammaSample(alpha+1, rng) * math.Pow(rng.Float64()+1e-16, 1/alpha)
@@ -482,7 +496,7 @@ func gammaSample(alpha float64, rng *rand.Rand) float64 {
 	}
 }
 
-func sampleCategorical(p []float64, rng *rand.Rand) int {
+func sampleCategorical(p []float64, rng *xrand.Source) int {
 	u := rng.Float64()
 	acc := 0.0
 	for i, v := range p {
@@ -498,7 +512,7 @@ func sampleCategorical(p []float64, rng *rand.Rand) int {
 // range [lo, hi]. The draw covers [log lo, log(hi+1)) so that every
 // integer in the range — including hi itself — has positive mass;
 // sampling over [log lo, log hi] would reach hi with probability ≈ 0.
-func logUniformInt(lo, hi int, rng *rand.Rand) int {
+func logUniformInt(lo, hi int, rng *xrand.Source) int {
 	if hi <= lo {
 		return lo
 	}

@@ -2,11 +2,11 @@ package data
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/xrand"
 )
 
 func TestGenerateProfiles(t *testing.T) {
@@ -248,5 +248,5 @@ func TestCheckBoundsConfig(t *testing.T) {
 	}
 }
 
-// newRand returns a seeded *rand.Rand.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// newRand returns a seeded source, the one the synthesis helpers draw from.
+func newRand(seed int64) *xrand.Source { return xrand.New(seed) }

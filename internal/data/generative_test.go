@@ -1,10 +1,10 @@
 package data
 
 import (
-	"math/rand"
 	"testing"
 
 	"fedtrans/internal/tensor"
+	"fedtrans/internal/xrand"
 )
 
 // clientsEqual compares two clients bit for bit.
@@ -205,7 +205,7 @@ func TestCentralizedGenerativeMatches(t *testing.T) {
 // with probability ≈ 0 — must have positive mass, and no draw may fall
 // outside the range.
 func TestLogUniformIntBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
+	rng := xrand.New(13)
 	lo, hi := 8, 16
 	seen := map[int]int{}
 	for i := 0; i < 20_000; i++ {

@@ -194,15 +194,19 @@ func (t *Trace) Disparity() float64 {
 	return max / min
 }
 
-// TrainingTime returns the simulated wall-clock seconds for device i to
-// train a model of the given per-sample forward MACs for steps×batch
+// TrainingTime returns the simulated wall-clock seconds for the device
+// to train a model of the given per-sample forward MACs for steps×batch
 // samples and to transfer modelBytes both ways. Backward is costed at 2×
 // forward, the convention used throughout the repository.
-func (t *Trace) TrainingTime(i int, macsPerSample float64, steps, batch int, modelBytes int64) float64 {
-	d := t.At(i)
+func (d Device) TrainingTime(macsPerSample float64, steps, batch int, modelBytes int64) float64 {
 	compute := 3 * macsPerSample * float64(steps*batch) / d.ComputeMACsPerSec
 	network := 2 * float64(modelBytes) / d.BandwidthBytesPerSec
 	return compute + network
+}
+
+// TrainingTime is Device.TrainingTime for device i.
+func (t *Trace) TrainingTime(i int, macsPerSample float64, steps, batch int, modelBytes int64) float64 {
+	return t.At(i).TrainingTime(macsPerSample, steps, batch, modelBytes)
 }
 
 // InferenceLatency returns the simulated per-sample inference latency in

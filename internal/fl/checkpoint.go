@@ -574,7 +574,7 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			// interrupted run's training itself is redone
 			// deterministically from the snapshot weights.
 			at := rt.flightGet()
-			at.slot = roundTask{client: f.Client, m: m, src: src, capacity: rt.trace.At(f.Client).CapacityMACs}
+			at.slot = roundTask{client: f.Client, m: m, src: src, dev: rt.trace.At(f.Client)}
 			at.version, at.seq, at.dispatchAt = f.Version, f.Seq, f.DispatchAt
 			rt.submit(at)
 		}

@@ -40,14 +40,14 @@ func ckptConfig() Config {
 }
 
 // windowModes are the GOMAXPROCS settings the golden tests run at. The
-// stream window is max(4, 2·GOMAXPROCS): the smallest window, serial,
+// stream window is max(16, 8·GOMAXPROCS): the smallest window, serial,
 // and a window far wider than a round, on more workers than clients.
 var windowModes = []struct {
 	name  string
 	procs int
 }{
-	{"serial-window4", 1},
-	{"parallel-window64", 32},
+	{"serial-window16", 1},
+	{"parallel-window256", 32},
 }
 
 // runWithCheckpoints executes cfg once, collecting every checkpoint
@@ -104,6 +104,34 @@ func TestCheckpointResumeGoldenEveryBoundary(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeAtLastRoundEvaluates resumes a checkpoint into a runtime
+// whose last round is the checkpoint's: Run runs no round, so it must
+// evaluate the restored state itself, and its Result must equal that of
+// an uninterrupted run that stops at that round.
+func TestResumeAtLastRoundEvaluates(t *testing.T) {
+	// Round stop-1 is an evaluation round (EvalEvery 3) of the longer run
+	// too, so both logs evaluate it.
+	const stop = 6
+	mk := func(rounds int) *Runtime {
+		ds, tr, spec := smokeSetup(t, 16)
+		cfg := ckptConfig()
+		cfg.Rounds = rounds
+		return New(cfg, ds, tr, spec)
+	}
+	_, blobs := runWithCheckpoints(t, func() *Runtime { return mk(ckptConfig().Rounds) }, 1)
+	want := mk(stop).Run()
+	got, err := resume(mk(stop), blobs[stop])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RoundsRun != stop || len(got.ClientAcc) == 0 {
+		t.Fatalf("resumed at its last round: %d rounds run, %d client accuracies", got.RoundsRun, len(got.ClientAcc))
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("a run resumed at its last round diverges from one that stopped there: MeanAcc %v, want %v", got.MeanAcc, want.MeanAcc)
 	}
 }
 

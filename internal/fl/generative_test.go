@@ -178,20 +178,28 @@ func TestCheckpointSizeIndependentOfPopulation(t *testing.T) {
 
 // TestRestoreHeapIndependentOfPopulation: restoring allocates nothing per
 // client that never trained — the heap objects a restored runtime holds
-// on to do not grow with the population.
+// on to do not grow with the population. At GOMAXPROCS 1 the streams
+// start no worker, so no goroutine trains a restored dispatch during a
+// measurement. A stream worker an earlier test left behind may still
+// hold that test's runtime until it is scheduled; it runs while the
+// first of two collections waits, and the second frees what it held.
 func TestRestoreHeapIndependentOfPopulation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	collect := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(m)
+	}
 	objects := func(population int) int64 {
 		blob := sparseCheckpoint(t, population)
 		rt := sparseRuntime(t, population)
 		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		collect(&before)
 		if err := rt.Restore(blob); err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(rt)
+		collect(&after)
+		rt.drain()
 		return int64(after.HeapObjects) - int64(before.HeapObjects)
 	}
 	small, big := objects(1_000), objects(100_000)

@@ -6,6 +6,7 @@ import (
 
 	"fedtrans/internal/assign"
 	"fedtrans/internal/chaos"
+	"fedtrans/internal/device"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
 )
@@ -102,14 +103,14 @@ type flight struct {
 // pure functions of (version, client, attempt), so the coordinator can
 // schedule commits by arrival time while the actual training is still
 // in flight.
-func (rt *Runtime) attemptOutcome(version, attempt, client int, m *model.Model) (t float64, ok bool) {
-	cfg := rt.cfg
-	fault := rt.chaos.Fault(version, client, attempt)
+func (rt *Runtime) attemptOutcome(version, attempt int, u *roundTask) (t float64, ok bool) {
+	cfg, m := rt.cfg, u.m
+	fault := rt.chaos.Fault(version, u.client, attempt)
 	if fault == chaos.Crash {
 		return 0, false
 	}
-	t = rt.trace.TrainingTime(client, m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) +
-		rt.chaos.Delay(version, client, attempt)
+	t = u.dev.TrainingTime(m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) +
+		rt.chaos.Delay(version, u.client, attempt)
 	// Corrupt and non-finite uploads are rejected at the accumulator
 	// after their full simulated duration elapsed — the bytes traveled.
 	return t, fault == chaos.None
@@ -118,11 +119,11 @@ func (rt *Runtime) attemptOutcome(version, attempt, client int, m *model.Model) 
 // attemptChain simulates a dispatch's full retry chain — identical to
 // settle's — and returns the total simulated time until the update
 // arrives (or the coordinator gives up on the client).
-func (rt *Runtime) attemptChain(version, client int, m *model.Model) float64 {
-	t, ok := rt.attemptOutcome(version, 0, client, m)
+func (rt *Runtime) attemptChain(version int, u *roundTask) float64 {
+	t, ok := rt.attemptOutcome(version, 0, u)
 	elapsed := t
 	for attempt := 1; !ok && attempt <= rt.cfg.RetryBudget; attempt++ {
-		t, ok = rt.attemptOutcome(version, attempt, client, m)
+		t, ok = rt.attemptOutcome(version, attempt, u)
 		elapsed += t
 	}
 	return elapsed
@@ -174,12 +175,12 @@ func (rt *Runtime) flightGet() *flight {
 	return f
 }
 
-// dispatch sends model m to a client whose device capacity, in MACs per
-// sample, is capacity: it takes the weight snapshot the policy asks for
-// (COW, O(headers)) and submits the client's first training attempt.
-func (rt *Runtime) dispatch(round, client int, m *model.Model, capacity float64) {
+// dispatch sends model m to a client with device dev: it takes the
+// weight snapshot the policy asks for (COW, O(headers)) and submits the
+// client's first training attempt.
+func (rt *Runtime) dispatch(round, client int, m *model.Model, dev device.Device) {
 	f := rt.flightGet()
-	f.slot = roundTask{client: client, m: m, capacity: capacity}
+	f.slot = roundTask{client: client, m: m, dev: dev}
 	if rt.pol.snapshot {
 		f.slot.src = rt.snapGet(m)
 	}
@@ -194,7 +195,7 @@ func (rt *Runtime) dispatch(round, client int, m *model.Model, capacity float64)
 func (rt *Runtime) submit(f *flight) {
 	f.arrival = f.dispatchAt
 	if rt.pol.byArrival {
-		f.arrival += rt.attemptChain(f.version, f.slot.client, f.slot.m)
+		f.arrival += rt.attemptChain(f.version, &f.slot)
 	}
 	rt.stream.Submit(&f.tk)
 	rt.inflight = append(rt.inflight, f)
@@ -258,10 +259,10 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 		selected = selectFree(rt.ds.Len(), busy, want, rt.rng)
 	}
 	for _, c := range selected {
-		capacity := rt.trace.At(c).CapacityMACs
-		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, capacity)
+		dev := rt.trace.At(c)
+		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, dev.CapacityMACs)
 		if m := rt.mgr.Sample(c, rt.compatBuf, rt.rng); m != nil {
-			rt.dispatch(round, c, m, capacity)
+			rt.dispatch(round, c, m, dev)
 		}
 	}
 

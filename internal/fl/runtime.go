@@ -317,10 +317,10 @@ type Runtime struct {
 type roundTask struct {
 	client int
 	m      *model.Model
-	// capacity is the client's device capacity in MACs per sample, read
-	// from the trace once at dispatch: the commit's joint-utility update
-	// filters the suite by it again.
-	capacity float64
+	// dev is the client's device, synthesized from the trace once at
+	// dispatch: every attempt's simulated time reads it, and the
+	// commit's joint-utility update filters the suite by its capacity.
+	dev device.Device
 	// src, in asynchronous mode, is the COW snapshot of m taken at
 	// dispatch: the client trains from the weights it downloaded, not
 	// the weights the server has since moved past. nil in synchronous
@@ -426,6 +426,10 @@ func (rt *Runtime) Run() Result {
 		rt.bestAcc, rt.stall, rt.nextRound = 0, 0, 0
 	}
 	res := &rt.res
+	// accs and bestMACs are the evaluation of the last round the loop
+	// runs: it evaluates round Rounds-1, and the convergence rule breaks
+	// only after an evaluation.
+	var accs, bestMACs []float64
 
 loop:
 	for round := rt.nextRound; round < cfg.Rounds; round++ {
@@ -467,7 +471,7 @@ loop:
 
 		// Periodic evaluation and the appendix convergence rule.
 		if (round+1)%cfg.EvalEvery == 0 || round == cfg.Rounds-1 {
-			accs, _ := rt.EvaluateAll()
+			accs, bestMACs = rt.EvaluateAll()
 			mean := metrics.Mean(accs)
 			l := &res.Log[len(res.Log)-1]
 			l.Evaluated, l.MeanAcc = true, mean
@@ -498,7 +502,12 @@ loop:
 	if sc := rt.sched; sc.staleCnt > 0 {
 		res.MeanStaleness = float64(sc.staleSum) / float64(sc.staleCnt)
 	}
-	accs, bestMACs := rt.EvaluateAll()
+	// drain moved no weight and no utility, so the loop's last evaluation
+	// is the end state's. A loop that ran no round (a run resumed from
+	// its last round, or Rounds 0) evaluates it here.
+	if accs == nil {
+		accs, bestMACs = rt.EvaluateAll()
+	}
 	res.ClientAcc = accs
 	res.BestModelMACs = bestMACs
 	res.MeanAcc = metrics.Mean(accs)
@@ -519,11 +528,16 @@ func (rt *Runtime) CheckpointErr() error {
 }
 
 // streamWindow bounds how many trained-but-not-yet-folded client updates
-// a round keeps in flight, max(4, 2·GOMAXPROCS): the coordinator's peak
+// a round keeps in flight, max(16, 8·GOMAXPROCS): the coordinator's peak
 // update memory is O(window × model bytes) regardless of
 // ClientsPerRound. The result is byte-identical for every window; it
-// trades only pipeline overlap against memory.
-func streamWindow() int { return max(4, 2*stdruntime.GOMAXPROCS(0)) }
+// trades only pipeline overlap against memory. The consumer runs its
+// share of the round's tasks inline, and the dispatch loop and the folds
+// between them, while the stream's workers run ahead. A window of 4
+// starves the worker: on 2 vCPUs (one worker) it gets three tasks ahead
+// of the fold and then waits, and round_scale keeps only ~1.55 of its 2
+// cores busy. PERF.md has the window sweep behind this bound.
+func streamWindow() int { return max(16, 8*stdruntime.GOMAXPROCS(0)) }
 
 // primeSuite builds each model's lazily cached Params and ParamCount
 // before a parallel section: workers read suite params concurrently
@@ -632,7 +646,7 @@ func (rt *Runtime) applyCommitted(round int, committed []*roundTask, res *Result
 	rt.stdBuf = assign.StandardizeLossesInto(rt.stdBuf[:0], losses)
 	std := rt.stdBuf
 	for k, u := range committed {
-		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, u.capacity)
+		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, u.dev.CapacityMACs)
 		rt.mgr.UpdateJoint(u.client, u.m, std[k], rt.compatBuf)
 		res.Overhead.UtilityUpdates += int64(len(rt.compatBuf))
 	}
@@ -722,7 +736,7 @@ func (rt *Runtime) commitAttempt(u *roundTask, elapsed *float64, res *Result) bo
 		res.Costs.NetworkBytes += m.Bytes()
 		return true
 	}
-	t := rt.trace.TrainingTime(u.client, m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) + u.delay
+	t := u.dev.TrainingTime(m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) + u.delay
 	res.Costs.AddTraining(m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
 	*elapsed += t
 	ws := u.up

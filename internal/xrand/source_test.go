@@ -287,3 +287,125 @@ func TestSteadyStateCost(t *testing.T) {
 		t.Errorf("steady-state Int63 costs %.2fx math/rand's, want at most 1.5x", float64(lazy)/float64(std))
 	}
 }
+
+// firstDraws is a rand.Source that records the first draw each
+// NormFloat64 takes, once armed before it.
+type firstDraws struct {
+	rand.Source
+	first int64
+	armed bool
+}
+
+func (f *firstDraws) Int63() int64 {
+	v := f.Source.Int63()
+	if f.armed {
+		f.first, f.armed = v, false
+	}
+	return v
+}
+
+// normalSeeds are testSeeds()' first 16 plus boundarySeed.
+func normalSeeds() []int64 { return append(testSeeds()[:16], boundarySeed) }
+
+// boundarySeed's stream, read as normals, has one whose first draw j
+// sits exactly on the fast path's bound (|j| == kn[j&0x7F]), which the
+// fast path must send to the wedge (its 92nd normal; a search over
+// seeds found it).
+const boundarySeed = 1680518
+
+// normalLengths are the slice lengths 0…300, plus three whose draws run
+// past a lazily seeded source's lazyDraws, so NormFloat64s enters its
+// register loop from the lazy phase.
+func normalLengths() []int {
+	var ns []int
+	for n := 0; n <= 300; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 340, 400, 700)
+}
+
+// TestNormFloat64sMatchesMathRand fills slices of every normalLengths
+// length from sources seeded both ways: the values, bit for bit, and the
+// draw after them must be a math/rand source's. The sweep must leave the
+// fast path on the base strip, on a wedge, and on the fast path's bound.
+func TestNormFloat64sMatchesMathRand(t *testing.T) {
+	var base, wedge, bound int
+	src := New(0)
+	for _, seed := range normalSeeds() {
+		for _, full := range []bool{false, true} {
+			for _, n := range normalLengths() {
+				if full {
+					src.SeedFull(seed)
+				} else {
+					src.Seed(seed)
+				}
+				got := make([]float64, n)
+				src.NormFloat64s(got)
+				rec := &firstDraws{Source: rand.NewSource(seed)}
+				ref := rand.New(rec)
+				for i, g := range got {
+					rec.armed = true
+					if w := ref.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("seed %d, full %v, length %d: normal %d is %v, want %v", seed, full, n, i, g, w)
+					}
+					if j := int32(rec.first >> 31); absInt32(j) >= kn[j&0x7F] {
+						switch {
+						case absInt32(j) == kn[j&0x7F]:
+							bound++
+						case j&0x7F == 0:
+							base++
+						default:
+							wedge++
+						}
+					}
+				}
+				if g, w := src.Int63(), ref.Int63(); g != w {
+					t.Fatalf("seed %d, full %v, length %d: the next draw is %#x, want %#x", seed, full, n, g, w)
+				}
+			}
+		}
+	}
+	t.Logf("normals off the fast path: %d on the base strip, %d on a wedge, %d on the bound", base, wedge, bound)
+	if base == 0 || wedge == 0 || bound == 0 {
+		t.Errorf("the sweep left the fast path %d times on the base strip, %d on a wedge and %d on its bound: each must be hit", base, wedge, bound)
+	}
+}
+
+// uniforms draws n rounds of Float64, NormFloat64 and Intn, at bounds
+// that cover Intn's power-of-two masks and Int31n's rejection loop, which
+// rejects most often for n just above 2³⁰.
+func uniforms(n int, float func() float64, norm func() float64, intn func(int) int) []float64 {
+	bounds := []int{1, 2, 3, 4, 7, 64, 1000, 1<<30 + 1, 1<<31 - 1}
+	out := make([]float64, 0, 3*n)
+	for i := 0; i < n; i++ {
+		out = append(out, float(), norm(), float64(intn(bounds[i%len(bounds)])))
+	}
+	return out
+}
+
+// TestFloat64IntnMatchMathRand holds Source's Float64, NormFloat64 and
+// Intn to rand.Rand's over both seedings, every length 0…300: the same
+// values and the same draw after them.
+func TestFloat64IntnMatchMathRand(t *testing.T) {
+	src := New(0)
+	for _, seed := range testSeeds()[:16] {
+		for _, full := range []bool{false, true} {
+			for n := 0; n <= 300; n++ {
+				if full {
+					src.SeedFull(seed)
+				} else {
+					src.Seed(seed)
+				}
+				ref := rand.New(rand.NewSource(seed))
+				got := uniforms(n, src.Float64, src.NormFloat64, src.Intn)
+				want := uniforms(n, ref.Float64, ref.NormFloat64, ref.Intn)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d, full %v, %d rounds: Source's draws diverge from rand.Rand's", seed, full, n)
+				}
+				if g, w := src.Int63(), ref.Int63(); g != w {
+					t.Fatalf("seed %d, full %v, %d rounds: the next draw is %#x, want %#x", seed, full, n, g, w)
+				}
+			}
+		}
+	}
+}

@@ -1,4 +1,4 @@
-// Package xrand holds drop-in replacements for two math/rand operations
+// Package xrand holds drop-in replacements for math/rand operations
 // whose cost is out of proportion to what the per-client streams take
 // from them, each reproducing math/rand's output bit for bit:
 //
@@ -6,6 +6,11 @@
 //     math/rand fills all 607 words of its feedback register on every
 //     Seed (1 841 steps of the seeding LCG). Source seeds two ways, and
 //     each caller picks the one its stream's length pays for.
+//   - Source's Float64, Intn and NormFloat64 are rand.Rand's methods of
+//     those names on a concrete source, with no interface call per draw,
+//     and NormFloat64s draws a slice of normals with the register's
+//     indices in locals. The ziggurat tables in normal.go are copied
+//     from $GOROOT/src/math/rand/normal.go under its BSD notice.
 //   - PermPrefix is rand.Perm(total)[:n] in O(n) memory.
 //
 // Seed is O(1): each word is derived when a draw first reads it, so a
@@ -23,9 +28,10 @@
 // lazy phase's 334 is. data.Generator.Synth seeds in full: a client
 // shard draws 2·featureDim normals for its client transform before its
 // first sample, and ~500 values for a train split at the round_scale
-// shape.
+// shape. It draws through Source's methods, each row's normals in one
+// NormFloat64s call.
 //
-// source_test.go pins both against math/rand.
+// source_test.go pins each of them against math/rand.
 package xrand
 
 import (
