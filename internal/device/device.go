@@ -174,15 +174,25 @@ func (t *Trace) CapacityBound() float64 {
 	return max
 }
 
-// Disparity returns the max/min capacity ratio across the trace.
+// Disparity returns the max/min capacity ratio across the trace. A
+// generated trace stops scanning once it has seen both clamped
+// capacities, exp(log Min) and exp(log Max): synthDevice clamps log
+// capacity to [log Min, log Max] and math.Exp is monotone, so no later
+// device lies outside them, and the ratio is the full scan's, bit for
+// bit. A hand-built trace, or one that never reaches a clamp, scans every
+// device.
 func (t *Trace) Disparity() float64 {
 	n := t.Len()
 	if n == 0 {
 		return 0
 	}
+	lo, hi := math.NaN(), math.NaN() // equal to nothing: no early exit
+	if t.cfg.N > 0 || t.lazy {
+		lo, hi = math.Exp(math.Log(t.cfg.MinCapacityMACs)), math.Exp(math.Log(t.cfg.MaxCapacityMACs))
+	}
 	first := t.At(0).CapacityMACs
 	min, max := first, first
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && (min != lo || max != hi); i++ {
 		c := t.At(i).CapacityMACs
 		if c < min {
 			min = c

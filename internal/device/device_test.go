@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -101,5 +102,43 @@ func TestEmptyTraceDisparity(t *testing.T) {
 	tr := &Trace{}
 	if tr.Disparity() != 0 {
 		t.Error("empty trace disparity should be 0")
+	}
+}
+
+// TestDisparityEarlyExitMatchesFullScan pins Disparity's early exit on
+// generated traces to the full scan, bit for bit: lazy and materialized
+// traces of up to 10⁶ devices, over spreads from one point (Min == Max)
+// to 1000× and several seeds, including traces too short to reach a
+// clamp.
+func TestDisparityEarlyExitMatchesFullScan(t *testing.T) {
+	full := func(tr *Trace) float64 {
+		min, max := tr.At(0).CapacityMACs, tr.At(0).CapacityMACs
+		for i := 1; i < tr.Len(); i++ {
+			c := tr.At(i).CapacityMACs
+			min, max = math.Min(min, c), math.Max(max, c)
+		}
+		return max / min
+	}
+	check := func(cfg TraceConfig) {
+		tr := NewTraceLazy(cfg)
+		want := full(tr)
+		if got := tr.Disparity(); got != want {
+			t.Errorf("%+v: lazy disparity %v, full scan %v", cfg, got, want)
+		}
+		if cfg.N <= 10_000 {
+			if got := NewTrace(cfg).Disparity(); got != want {
+				t.Errorf("%+v: materialized disparity %v, full scan %v", cfg, got, want)
+			}
+		}
+	}
+	for _, spread := range []float64{1, 4, 32, 1000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, n := range []int{1, 2, 7, 1000, 100_000} {
+				check(TraceConfig{N: n, MinCapacityMACs: 3e4, MaxCapacityMACs: 3e4 * spread, Seed: seed})
+			}
+		}
+	}
+	if !testing.Short() {
+		check(TraceConfig{N: 1_000_000, MinCapacityMACs: 1e3, MaxCapacityMACs: 32e3, Seed: 7})
 	}
 }

@@ -2,15 +2,20 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"fedtrans/internal/assign"
+	"fedtrans/internal/chaos"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/tensor"
 )
 
 func benchRuntime(profile string) *Runtime {
@@ -148,8 +153,8 @@ func TestTrainStepAllocationRegression(t *testing.T) {
 }
 
 // BenchmarkAsyncRoundLoop measures one staleness-bounded asynchronous
-// round — top-up selection by rank over the clients not in flight, COW
-// dispatch snapshots, background training through par.TaskStream,
+// round — top-up selection by rank over the clients not in flight, shared
+// version snapshots, background training through par.TaskStream,
 // arrival-ordered staleness-discounted folding, and the virtual-clock
 // advance — at increasing commit budgets. Run it next to the synchronous
 // BenchmarkRoundLoop to see what the asynchronous policy costs over
@@ -243,15 +248,16 @@ func loopRuntime(n int, lazy bool, cpr, maxStaleness int) *Runtime {
 // TestRoundLoopAllocationRegression pins the steady-state allocations of
 // one synchronous and one asynchronous round at 100 and 1000
 // participants over a one-model suite: every per-participant record,
-// buffer and session is pooled, so a round allocates per-round
-// bookkeeping (the selection, the per-model counts, the Finalize copies)
-// and little more. Its three-model arms, at 1000, also run Sample's
-// softmax for every participant with more than one compatible model and
-// fold into several accumulators. A joint-utility update allocates
-// nothing once its client has a row: the Manager computes model.Sim
-// once per model pair and writes the row in place. The ceilings are the
-// counts measured once the utility table became columns over the
-// trained clients.
+// buffer and session is pooled, and every dispatch of a model version
+// shares one snapshot, re-armed in place from its ring slot, so a round
+// allocates per-round bookkeeping (the selection, the per-model counts,
+// the Finalize copies) and little more. Its three-model arms, at 1000,
+// also run Sample's softmax for every participant with more than one
+// compatible model and fold into several accumulators. A joint-utility
+// update allocates nothing once its client has a row: the Manager
+// computes model.Sim once per model pair and writes the row in place.
+// The ceilings are the counts measured once dispatches shared one
+// snapshot per model version.
 func TestRoundLoopAllocationRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 1000-participant rounds")
@@ -264,7 +270,7 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 		ceiling                float64
 	}{
 		{100, 0, 1, 22}, {1000, 0, 1, 22}, {1000, 0, 3, 183},
-		{100, 2, 1, 22}, {1000, 2, 1, 22}, {1000, 2, 3, 892},
+		{100, 2, 1, 22}, {1000, 2, 1, 22}, {1000, 2, 3, 183},
 	} {
 		rt, round := roundLoopRuntime(c.cpr, c.staleness, c.models)
 		var res Result
@@ -286,6 +292,128 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 			t.Errorf("participants %d, staleness %d, %d models: %.1f allocs a round, ceiling %.0f", c.cpr, c.staleness, c.models, allocs, c.ceiling)
 		}
 	}
+}
+
+// TestAsyncSnapshotsSharedPerVersion pins the version snapshots' sharing
+// and their balance, synchronous (s = 0) and asynchronous (s = 2), over a
+// three-model suite. Every attempt of one model version trains from one
+// snapshot, never the live model, holding the weights the version was
+// dispatched with. The flights in flight hold at most models×(s+1)
+// snapshots, and each slot's refs counts exactly the flights that hold
+// it; a slot nobody holds keeps no buffer. After drain every slot is
+// unreferenced and bufferless, and no live parameter is shared. Crashes
+// make the consumer retry attempts from their snapshots after later
+// versions were dispatched, and stragglers keep flights in flight for
+// the whole staleness bound.
+func TestAsyncSnapshotsSharedPerVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 1000-participant rounds")
+	}
+	for _, s := range []int{0, 2} {
+		rt, round := roundLoopRuntime(1000, s, 3)
+		rt.drain() // no task may run while the test swaps its trainer and faults in
+		rec := &srcRecorder{srcs: make(map[[2]int]map[*model.Model]uint64)}
+		rt.cfg.Trainer, rt.cfg.RetryBudget = rec, 2
+		rt.chaos = chaos.New(chaos.Config{Seed: 3, CrashRate: 0.2, StragglerRate: 0.2, StragglerDelay: 100})
+		models := len(rt.suite)
+		want := make(map[[2]int]uint64) // (version, model ID) → weight digest at dispatch
+		var res Result
+		for range 6 {
+			for _, m := range rt.suite {
+				want[[2]int{round, m.ID}] = weightDigest(m)
+			}
+			rt.runRound(round, &res)
+			round++
+			holders := make(map[*snapSlot]int)
+			for _, f := range rt.inflight {
+				holders[f.slot.snap]++
+				if d, ok := want[[2]int{f.version, f.slot.m.ID}]; ok && weightDigest(f.slot.snap.m) != d {
+					t.Fatalf("staleness %d: a flight of version %d holds other weights", s, f.version)
+				}
+			}
+			if len(holders) > models*(s+1) {
+				t.Errorf("staleness %d: %d snapshots in flight, want at most %d", s, len(holders), models*(s+1))
+			}
+			checkSlots(t, rt, holders)
+		}
+		rt.drain()
+		checkSlots(t, rt, nil)
+		for _, m := range rt.suite {
+			for i, p := range m.Params() {
+				if p.Shared() {
+					t.Errorf("staleness %d: model %d parameter %d is still shared after drain", s, m.ID, i)
+				}
+			}
+		}
+		for k, srcs := range rec.srcs {
+			d, ok := want[k]
+			if !ok {
+				continue // dispatched before the checked rounds
+			}
+			for src, got := range srcs {
+				if len(srcs) > 1 || got != d || slices.Contains(rt.suite, src) {
+					t.Fatalf("staleness %d: version %d of model %d trained from %d sources, digest %x (want %x), live %v",
+						s, k[0], k[1], len(srcs), got, d, slices.Contains(rt.suite, src))
+				}
+			}
+		}
+	}
+}
+
+// checkSlots asserts that each ring slot's refs is its number of holders
+// and that a slot nobody holds keeps no parameter buffer.
+func checkSlots(t *testing.T, rt *Runtime, holders map[*snapSlot]int) {
+	t.Helper()
+	for id, ring := range rt.snaps {
+		for k := range ring {
+			sl := &ring[k]
+			if sl.refs != holders[sl] {
+				t.Fatalf("model %d slot %d: refs %d, held by %d flights", id, k, sl.refs, holders[sl])
+			}
+			if sl.refs > 0 || sl.m == nil {
+				continue
+			}
+			for i, p := range sl.m.Params() {
+				if p.Data != nil {
+					t.Fatalf("model %d slot %d: unreferenced, but parameter %d keeps its buffer", id, k, i)
+				}
+			}
+		}
+	}
+}
+
+// weightDigest is an FNV-1a hash of m's parameter bits.
+func weightDigest(m *model.Model) uint64 {
+	h := uint64(14695981039346656037)
+	for _, p := range m.Params() {
+		for _, v := range p.Data {
+			h = (h ^ uint64(math.Float32bits(float32(v)))) * 1099511628211
+		}
+	}
+	return h
+}
+
+// srcRecorder is a Trainer that records, by (version, model ID), each
+// model an attempt trained from and its weight digest, and uploads the
+// weights it was sent.
+type srcRecorder struct {
+	mu   sync.Mutex
+	srcs map[[2]int]map[*model.Model]uint64
+}
+
+func (r *srcRecorder) Train(m *model.Model, spec TrainSpec, _ LocalConfig, upload []*tensor.Tensor) (float64, int, error) {
+	for i, p := range m.Params() {
+		copy(upload[i].Data, p.Data)
+	}
+	d := weightDigest(m)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := [2]int{spec.Round, m.ID}
+	if r.srcs[k] == nil {
+		r.srcs[k] = make(map[*model.Model]uint64)
+	}
+	r.srcs[k][m] = d
+	return 1, 1, nil
 }
 
 // TestAsyncRoundIndependentOfPopulation pins the asynchronous top-up

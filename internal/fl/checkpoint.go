@@ -381,14 +381,14 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 	sc := &rt.sched
 	ck.AsyncNow, ck.StaleSum, ck.StaleCnt, ck.AsyncSeq = sc.now, sc.staleSum, sc.staleCnt, sc.seq
 	for _, at := range rt.inflight {
-		// The dispatch snapshot is read-only for its whole life, so a COW
-		// clone here is race-free against the still-running background
+		// A version snapshot is read-only while a flight holds it, so a
+		// COW clone here is race-free against the still-running background
 		// training task; marshalling happens later, off the round loop.
 		ck.Inflight = append(ck.Inflight, CkptInflight{
 			Client: at.slot.client, ModelID: at.slot.m.ID,
 			Version: at.version, Seq: at.seq, DispatchAt: at.dispatchAt,
 		})
-		s.srcs = append(s.srcs, at.slot.src.Clone())
+		s.srcs = append(s.srcs, at.slot.snap.m.Clone())
 	}
 	ck.Res = cloneResult(&rt.res)
 	return s
@@ -550,7 +550,6 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 		for _, m := range rt.suite {
 			byID[m.ID] = m
 		}
-		rt.primeSuite()
 		for i := range ck.Inflight {
 			f := &ck.Inflight[i]
 			m := byID[f.ModelID]
@@ -561,20 +560,20 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			// The snapshot decodes into a throwaway ID scope — it is a
 			// training source, not a suite member — but keeps the live
 			// model's ID so the session and upload pools key it together
-			// with the synchronous path.
+			// with the ring's snapshots. It serves this one flight, outside
+			// the ring, which holds only versions the resumed run dispatches.
 			src, err := model.UnmarshalModelScoped(f.SrcBlob, model.NewIDGen())
 			if err != nil {
 				return fmt.Errorf("fl: checkpoint in-flight model %d: %w", i, err)
 			}
 			src.ID = m.ID
-			src.Params()
-			src.ParamCount()
 			// Arrival is a pure function of (version, client, model), so
 			// submit recomputes it rather than reading it back; the
 			// interrupted run's training itself is redone
 			// deterministically from the snapshot weights.
 			at := rt.flightGet()
-			at.slot = roundTask{client: f.Client, m: m, src: src, dev: rt.trace.At(f.Client)}
+			at.slot = roundTask{client: f.Client, m: m, dev: rt.trace.At(f.Client),
+				snap: &snapSlot{m: primed(src), refs: 1}}
 			at.version, at.seq, at.dispatchAt = f.Version, f.Seq, f.DispatchAt
 			rt.submit(at)
 		}

@@ -31,10 +31,7 @@ import (
 // roundPolicy is what sets a synchronous round (MaxStaleness 0) apart from
 // an asynchronous one; New derives it once from Config. byArrival and
 // abortEarly keep a synchronous round's numbers what they were when it
-// ran a loop of its own; snapshot moves no number and stays for its
-// cost: a snapshot per synchronous dispatch adds about 9 % to
-// round_scale's bytes allocated per update and, in most alternated
-// benchmark pairs on 2 vCPUs, costs updates per second.
+// ran a loop of its own.
 type roundPolicy struct {
 	// inFlight is how many clients train at once: AsyncConcurrency, or
 	// every participant of a synchronous round.
@@ -54,11 +51,6 @@ type roundPolicy struct {
 	// abortEarly stops folding as soon as the clients left cannot reach
 	// quorum; otherwise the whole commit set settles first.
 	abortEarly bool
-	// snapshot trains each dispatch on a copy-on-write snapshot of the
-	// weights it was sent. Otherwise it trains on the live model, which
-	// nothing moves before the round's last fold, so the result is the
-	// same.
-	snapshot bool
 }
 
 // newPolicy derives the round policy from cfg.
@@ -71,7 +63,7 @@ func newPolicy(cfg *Config) roundPolicy {
 		c = 2 * cfg.ClientsPerRound
 	}
 	c = max(c, cfg.ClientsPerRound, 1)
-	return roundPolicy{inFlight: c, window: c, byArrival: true, snapshot: true}
+	return roundPolicy{inFlight: c, window: c, byArrival: true}
 }
 
 // schedule is the engine's checkpointed scheduler state: the virtual
@@ -129,37 +121,50 @@ func (rt *Runtime) attemptChain(version int, u *roundTask) float64 {
 	return elapsed
 }
 
-// snapGet returns a COW snapshot of m's current weights for a dispatch:
-// a pooled husk re-armed in place when one is available (zero
-// allocations), a fresh clone otherwise. Runs on the consumer only.
-func (rt *Runtime) snapGet(m *model.Model) *model.Model {
-	if list := rt.snapFree[m.ID]; len(list) > 0 {
-		src := list[len(list)-1]
-		rt.snapFree[m.ID] = list[:len(list)-1]
-		src.ShareWeightsFrom(m)
-		return src
-	}
-	src := m.Clone()
-	// Prime the snapshot's lazy caches on the consumer: the background
-	// task and a concurrent checkpoint snapshot both read them. Pooled
-	// husks keep these caches warm across reuses.
-	src.Params()
-	src.ParamCount()
-	return src
+// snapSlot holds one model version's read-only weights, shared by every
+// flight dispatched with that version: a client trains from the weights
+// it downloaded, not the weights the server has since moved to. refs
+// counts the flights that hold it.
+type snapSlot struct {
+	m    *model.Model
+	refs int
 }
 
-// snapPut retires a dispatch snapshot into the husk pool: each
-// parameter header drops its buffer interest (so pooled husks never
-// force Finalize's copy-on-write detach) but stays allocated for
-// snapGet to re-arm.
-func (rt *Runtime) snapPut(src *model.Model) {
-	for _, p := range src.Params() {
-		p.Release()
+// snapOf returns the snapshot of m's weights at version round, with one
+// more reference. Each model ID owns a ring of MaxStaleness+1 slots
+// indexed by version: every flight of version v retires by round
+// v+MaxStaleness, so the slot version v+MaxStaleness+1 reuses has no
+// holder left. The first dispatch of a version re-arms its slot in place
+// (COW, O(headers), no allocation), or clones m on the slot's first use;
+// dispatches come before any fold of the round, so the later ones share
+// the same weights. Runs on the consumer only.
+func (rt *Runtime) snapOf(m *model.Model, round int) *snapSlot {
+	ring := rt.snaps[m.ID]
+	if ring == nil {
+		ring = make([]snapSlot, max(rt.cfg.MaxStaleness, 0)+1)
+		rt.snaps[m.ID] = ring
 	}
-	if rt.snapFree == nil {
-		rt.snapFree = make(map[int][]*model.Model)
+	s := &ring[round%len(ring)]
+	switch {
+	case s.m == nil:
+		s.m = primed(m.Clone())
+	case s.refs == 0:
+		s.m.ShareWeightsFrom(m)
 	}
-	rt.snapFree[src.ID] = append(rt.snapFree[src.ID], src)
+	s.refs++
+	return s
+}
+
+// drop releases one flight's reference. The last one drops the
+// snapshot's interest in every parameter buffer, so a retired version
+// never forces Finalize or SoftAggregate to detach-copy the live model;
+// the headers stay allocated for snapOf to re-arm.
+func (s *snapSlot) drop() {
+	if s.refs--; s.refs == 0 {
+		for _, p := range s.m.Params() {
+			p.Release()
+		}
+	}
 }
 
 // flightGet returns a recycled dispatch record, or a new one whose task
@@ -175,15 +180,12 @@ func (rt *Runtime) flightGet() *flight {
 	return f
 }
 
-// dispatch sends model m to a client with device dev: it takes the
-// weight snapshot the policy asks for (COW, O(headers)) and submits the
-// client's first training attempt.
+// dispatch sends model m to a client with device dev: it takes a
+// reference to m's snapshot at this version and submits the client's
+// first training attempt.
 func (rt *Runtime) dispatch(round, client int, m *model.Model, dev device.Device) {
 	f := rt.flightGet()
-	f.slot = roundTask{client: client, m: m, dev: dev}
-	if rt.pol.snapshot {
-		f.slot.src = rt.snapGet(m)
-	}
+	f.slot = roundTask{client: client, m: m, dev: dev, snap: rt.snapOf(m, round)}
 	sc := &rt.sched
 	f.version, f.seq, f.dispatchAt = round, sc.seq, sc.now
 	sc.seq++
@@ -202,15 +204,13 @@ func (rt *Runtime) submit(f *flight) {
 }
 
 // retire returns a dispatch's pieces to their pools: its task (awaited,
-// or withdrawn if it never started), upload buffers, weight snapshot and
-// the record itself.
+// or withdrawn if it never started), upload buffers, snapshot reference
+// and the record itself.
 func (rt *Runtime) retire(f *flight) {
 	rt.stream.Drop(&f.tk)
 	rt.releaseUploads(&f.slot)
-	if f.slot.src != nil {
-		rt.snapPut(f.slot.src)
-		f.slot.src = nil
-	}
+	f.slot.snap.drop()
+	f.slot.snap = nil
 	rt.flightFree = append(rt.flightFree, f)
 }
 
@@ -239,7 +239,6 @@ func (rt *Runtime) retire(f *flight) {
 // the partial aggregate is discarded and the suite is left untouched.
 func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]int, bool) {
 	cfg, pol, sc := &rt.cfg, &rt.pol, &rt.sched
-	rt.primeSuite()
 
 	// Top-up selection over the clients not already in flight (a client
 	// trains one dispatch at a time, so the in-flight IDs are distinct):
@@ -348,8 +347,8 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 
 // drain retires every dispatch still in flight when the round loop ends:
 // the run is over, so their training is withdrawn or discarded (FedBuff
-// drops in-flight work at termination), and their buffers and snapshots
-// go back to the pools.
+// drops in-flight work at termination), their buffers go back to the
+// pools, and every snapshot's last reference drops its buffers.
 func (rt *Runtime) drain() {
 	for _, f := range rt.inflight {
 		rt.retire(f)

@@ -296,16 +296,16 @@ type Runtime struct {
 	// clients train on, and the scheduler state a checkpoint carries —
 	// the schedule and the in-flight dispatches, so Resume reproduces the
 	// interrupted schedule exactly. sortBuf and busyIDs (the in-flight
-	// client IDs, sorted for the top-up selection) are per-round scratch. Retired dispatch records and weight-snapshot husks (keyed
-	// by model ID, re-armed via ShareWeightsFrom) are recycled the way
-	// sessions and uploads are pooled.
+	// client IDs, sorted for the top-up selection) are per-round scratch.
+	// snaps holds each model ID's ring of version snapshots, and
+	// flightFree the retired dispatch records for reuse.
 	pol        roundPolicy
 	stream     *par.TaskStream
 	sched      schedule
 	inflight   []*flight
 	sortBuf    []*flight
 	busyIDs    []int
-	snapFree   map[int][]*model.Model
+	snaps      map[int][]snapSlot
 	flightFree []*flight
 }
 
@@ -321,11 +321,9 @@ type roundTask struct {
 	// dispatch: every attempt's simulated time reads it, and the
 	// commit's joint-utility update filters the suite by its capacity.
 	dev device.Device
-	// src, in asynchronous mode, is the COW snapshot of m taken at
-	// dispatch: the client trains from the weights it downloaded, not
-	// the weights the server has since moved past. nil in synchronous
-	// rounds (train directly on m; see roundPolicy.snapshot).
-	src *model.Model
+	// snap is the snapshot of m's weights at the dispatch version, which
+	// every attempt trains from; the consumer may move m meanwhile.
+	snap *snapSlot
 	// stale counts the server rounds between dispatch and fold; the
 	// accumulator discounts the update by 1/√(1+stale). Always 0 in
 	// synchronous rounds.
@@ -388,6 +386,7 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		rngSrc: src,
 		chaos:  chaos.New(cfg.Chaos),
 		agg:    aggregate.NewStreaming(),
+		snaps:  make(map[int][]snapSlot),
 	}
 	rt.pol = newPolicy(&cfg)
 	// A round commits about ClientsPerRound updates, or AsyncConcurrency
@@ -539,15 +538,14 @@ func (rt *Runtime) CheckpointErr() error {
 // cores busy. PERF.md has the window sweep behind this bound.
 func streamWindow() int { return max(16, 8*stdruntime.GOMAXPROCS(0)) }
 
-// primeSuite builds each model's lazily cached Params and ParamCount
-// before a parallel section: workers read suite params concurrently
-// (session downloads and clones, upload-buffer shaping, cost accounting,
-// the evaluation weight refresh) and must never race the cache build.
-func (rt *Runtime) primeSuite() {
-	for _, m := range rt.suite {
-		m.Params()
-		m.ParamCount()
-	}
+// primed builds m's lazily cached Params and ParamCount and returns m. A
+// model workers read concurrently is primed first, on the consumer, so
+// no worker races the cache build: every snapshot a flight trains from,
+// and the suite before evaluation reads it.
+func primed(m *model.Model) *model.Model {
+	m.Params()
+	m.ParamCount()
+	return m
 }
 
 // quorumNeed returns how many of the participants a round settled must
@@ -671,15 +669,10 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 	u.fault = rt.chaos.Fault(round, u.client, attempt)
 	u.delay = rt.chaos.Delay(round, u.client, attempt)
 	u.err = nil
-	// A task with a dispatch-time weight snapshot trains from it, and —
-	// because this may run concurrently with the consumer finalizing the
-	// live model — all pool lookups key off the snapshot too (Clone
-	// preserves the model ID, so the pools are shared with tasks that
-	// train on the live model).
-	src := u.m
-	if u.src != nil {
-		src = u.src
-	}
+	// The task reads only its snapshot, never the live model the
+	// consumer may be finalizing: pool lookups key off it too (Clone
+	// preserves the model ID).
+	src := u.snap.m
 	if u.up == nil {
 		u.up = rt.uploads.get(src, NewUploadSet)
 	}
@@ -816,7 +809,9 @@ func (rt *Runtime) EvaluateAll() (accs, bestMACs []float64) {
 		compatible := assign.Compatible(rt.suite, rt.trace.At(c).CapacityMACs)
 		chosen[i] = rt.mgr.Best(c, compatible)
 	}
-	rt.primeSuite()
+	for _, m := range rt.suite {
+		primed(m)
+	}
 	par.Chunked(k, func(lo, hi int) {
 		local := make(map[int]*localSession)
 		// One synthesis cursor per worker: generative datasets

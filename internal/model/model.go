@@ -334,8 +334,8 @@ func (m *Model) SetWeights(src []*tensor.Tensor) {
 // buffers as copy-on-write sharers, reusing m's existing tensor headers
 // instead of allocating new ones. m must be a structural clone of src
 // (same parameter arity; shapes are re-adopted from src). This turns a
-// pooled, previously-Released snapshot back into a live COW snapshot of
-// src in O(headers) with zero allocations.
+// snapshot whose parameters were Released back into a live COW snapshot
+// of src's current version in O(headers) with zero allocations.
 func (m *Model) ShareWeightsFrom(src *Model) {
 	dst, s := m.Params(), src.Params()
 	if len(dst) != len(s) {

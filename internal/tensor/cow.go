@@ -128,8 +128,8 @@ func (t *Tensor) SharesBufferWith(o *Tensor) bool {
 // sharer, reusing the header (and its Shape backing array) instead of
 // allocating a fresh one the way LazyClone does. Any interest the header
 // held in a previous buffer is dropped first, so a Released header can
-// be re-armed in place — the primitive behind pooled dispatch snapshots
-// in the async round loop.
+// be re-armed in place — the primitive behind the round engine's version
+// snapshots, which a ring slot re-arms for each new model version.
 func (t *Tensor) ShareFrom(src *Tensor) {
 	if s := t.cow.Load(); s != nil {
 		t.cow.Store(nil)
