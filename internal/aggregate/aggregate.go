@@ -52,44 +52,18 @@ const eta = 0.98
 // sharing, decay on.
 func DefaultSoftConfig() SoftConfig { return SoftConfig{} }
 
-// snapshot captures one model's weights keyed by cell ancestry so
-// contributions can be aligned across architecturally different suite
-// members: cells that share weights through the transformation lineage
-// share an AncestorID regardless of their position (deepen insertions
-// shift positions but never ancestry).
-type snapshot struct {
-	cells map[int64][]*tensor.Tensor
-	head  []*tensor.Tensor
-}
-
-// snapshotOf takes COW snapshots: the suite's in-place updates below
-// detach the models' own headers, so the snapshot stays stable without
-// copying any buffer.
-func snapshotOf(m *model.Model) snapshot {
-	s := snapshot{cells: make(map[int64][]*tensor.Tensor, len(m.Cells))}
-	for i := range m.Cells {
-		var ps []*tensor.Tensor
-		for _, p := range m.Cells[i].Cell.Params() {
-			ps = append(ps, p.LazyClone())
-		}
-		s.cells[m.Cells[i].AncestorID] = ps
-	}
-	for _, p := range m.Head.Params() {
-		s.head = append(s.head, p.LazyClone())
-	}
-	return s
-}
-
 // SoftAggregate applies Eq. 5 to the model suite in place: each model j's
 // weights become a similarity-weighted average over contributions from
 // models i ≤ j (suite order is creation order, so i ≤ j means equal or
 // smaller/earlier models unless AllowL2S is set, in which case all models
 // contribute). Contributor cells are matched to destination cells by
-// lineage (ancestor ID) — positions shift across deepen insertions — and
-// tensors are cropped to the destination shape as in HeteroFL. Cells with
-// no counterpart in a contributor keep the destination's own weights for
-// that contributor's share. All updates are computed from a snapshot so
-// suite ordering does not bias results.
+// lineage (model.Model.CellOf) — positions shift across deepen
+// insertions — and tensors are cropped to the destination shape as in
+// HeteroFL. Cells with no counterpart in a contributor keep the
+// destination's own weights for that contributor's share. Every model's
+// sums are taken from the live suite before any mean is written, so each
+// contributor counts at its pre-aggregation weights whatever the suite
+// order.
 func SoftAggregate(suite []*model.Model, round int, cfg SoftConfig) {
 	if len(suite) < 2 {
 		return
@@ -98,17 +72,15 @@ func SoftAggregate(suite []*model.Model, round int, cfg SoftConfig) {
 	if !cfg.DisableDecay {
 		decay = pow(eta, round)
 	}
-	snaps := make([]snapshot, len(suite))
-	for i, m := range suite {
-		snaps[i] = snapshotOf(m)
-	}
+	sums := make([][][]float64, len(suite))
+	inv := make([]float64, len(suite))
 	for j, mj := range suite {
 		params := mj.Params()
 		acc := make([][]float64, len(params))
-		wsum := 0.0
 		for i := range acc {
 			acc[i] = make([]float64, params[i].Len())
 		}
+		wsum := 0.0
 		for i, mi := range suite {
 			if !cfg.AllowL2S && i > j {
 				continue
@@ -122,12 +94,12 @@ func SoftAggregate(suite []*model.Model, round int, cfg SoftConfig) {
 				weight *= decay
 			}
 			wsum += weight
-			addAligned(acc, mj, snaps[i], weight)
+			addAligned(acc, mj, mi, weight)
 		}
-		if wsum <= 0 {
-			continue
-		}
-		writeMean(params, acc, 1.0/wsum)
+		sums[j], inv[j] = acc, 1.0/wsum // wsum ≥ 1: Sim(mj, mj) = 1
+	}
+	for j, mj := range suite {
+		writeMean(mj.Params(), sums[j], inv[j])
 	}
 }
 
@@ -145,11 +117,12 @@ func writeMean(params []*tensor.Tensor, sums [][]float64, inv float64) {
 	}
 }
 
-// addAligned accumulates weight×(contributor snapshot) into acc, walking
-// the destination model's cells and matching the contributor's cells by
-// ancestor ID. Unmatched or shape-incompatible tensors count the
-// destination's own weights so normalization stays consistent.
-func addAligned(acc [][]float64, dst *model.Model, src snapshot, weight float64) {
+// addAligned accumulates weight×(contributor src) into acc, walking the
+// destination model's cells and reading, for each, the contributor's
+// last cell of the same ancestor (src.CellOf), and the head from the
+// head. Unmatched or shape-incompatible tensors count the destination's
+// own weights so normalization stays consistent.
+func addAligned(acc [][]float64, dst, src *model.Model, weight float64) {
 	pi := 0
 	addOwn := func(d *tensor.Tensor) {
 		for j := range acc[pi] {
@@ -169,25 +142,23 @@ func addAligned(acc [][]float64, dst *model.Model, src snapshot, weight float64)
 		}
 		cropAdd(acc[pi], s, d, weight)
 	}
-	for ci := range dst.Cells {
-		dstParams := dst.Cells[ci].Cell.Params()
-		srcParams, ok := src.cells[dst.Cells[ci].AncestorID]
-		for k, d := range dstParams {
-			if ok && k < len(srcParams) {
-				addFrom(srcParams[k], d)
+	for ci := 0; ci <= len(dst.Cells); ci++ {
+		k := len(src.Cells) // the head
+		if ci < len(dst.Cells) {
+			k = src.CellOf(dst.Cells[ci].AncestorID)
+		}
+		var srcParams []*tensor.Tensor
+		if k >= 0 {
+			srcParams = src.CellParams(k)
+		}
+		for n, d := range dst.CellParams(ci) {
+			if n < len(srcParams) {
+				addFrom(srcParams[n], d)
 			} else {
 				addOwn(d)
 			}
 			pi++
 		}
-	}
-	for k, d := range dst.Head.Params() {
-		if k < len(src.head) {
-			addFrom(src.head[k], d)
-		} else {
-			addOwn(d)
-		}
-		pi++
 	}
 }
 

@@ -325,3 +325,32 @@ func TestSoftAggregateAlignsAcrossDeepen(t *testing.T) {
 		t.Error("inherited trailing cell did not borrow from its ancestor")
 	}
 }
+
+// TestSoftAggregateWritesInPlace pins that soft aggregation reads the
+// live suite and writes every mean into the buffer it read: on a suite
+// that shares no buffer, no parameter moves or ends up shared, and a
+// call allocates only its sums and Sim's parameter counts.
+func TestSoftAggregateWritesInPlace(t *testing.T) {
+	s := lineageSuite(t)
+	var data []*tensor.Float
+	for _, m := range s {
+		for _, p := range m.Params() {
+			p.EnsureOwned() // the child shares its parent's untouched tensors
+			data = append(data, &p.Data[0])
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() { SoftAggregate(s, 1, DefaultSoftConfig()) })
+	i := 0
+	for _, m := range s {
+		for n, p := range m.Params() {
+			if &p.Data[0] != data[i] || p.Shared() {
+				t.Errorf("model %d parameter %d: moved %v, shared %v", m.ID, n, &p.Data[0] != data[i], p.Shared())
+			}
+			i++
+		}
+	}
+	t.Logf("%.0f allocations a call", allocs)
+	if allocs > 14 {
+		t.Errorf("SoftAggregate allocates %.0f objects a call, ceiling 14", allocs)
+	}
+}

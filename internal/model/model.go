@@ -100,6 +100,7 @@ type Model struct {
 	reshaped   *tensor.Tensor // cached header for the input reshape view
 	ids        *IDGen         // ID scope this model allocates from
 	paramCache []*tensor.Tensor
+	cellOff    []int // paramCache[cellOff[i]:cellOff[i+1]] is cell i's, i == len(Cells) the head's
 	gradCache  []*tensor.Tensor
 	paramCount int64 // cached ParamCount; 0 = not computed yet
 }
@@ -251,12 +252,34 @@ func (m *Model) Release() {
 // extraction does.
 func (m *Model) Params() []*tensor.Tensor {
 	if m.paramCache == nil {
+		m.cellOff = make([]int, len(m.Cells)+2)
 		for i := range m.Cells {
 			m.paramCache = append(m.paramCache, m.Cells[i].Cell.Params()...)
+			m.cellOff[i+1] = len(m.paramCache)
 		}
 		m.paramCache = append(m.paramCache, m.Head.Params()...)
+		m.cellOff[len(m.Cells)+1] = len(m.paramCache)
 	}
 	return m.paramCache
+}
+
+// CellParams returns cell i's tensors as a slice of Params (same caching
+// contract); i == len(Cells) selects the head.
+func (m *Model) CellParams(i int) []*tensor.Tensor {
+	return m.Params()[m.cellOff[i]:m.cellOff[i+1]:m.cellOff[i+1]]
+}
+
+// CellOf returns the index of the last cell descended from ancestor, or
+// -1. Cells sharing weights through the transformation lineage share an
+// AncestorID wherever deepen insertions moved them, so this is how Sim
+// and soft aggregation match cells across two models.
+func (m *Model) CellOf(ancestor int64) int {
+	for i := len(m.Cells) - 1; i >= 0; i-- {
+		if m.Cells[i].AncestorID == ancestor {
+			return i
+		}
+	}
+	return -1
 }
 
 // Grads returns gradient tensors aligned with Params (same caching
@@ -274,7 +297,7 @@ func (m *Model) Grads() []*tensor.Tensor {
 // invalidateParamCache drops the cached Params/Grads slices and the
 // parameter count after a structural transformation.
 func (m *Model) invalidateParamCache() {
-	m.paramCache, m.gradCache = nil, nil
+	m.paramCache, m.cellOff, m.gradCache = nil, nil, nil
 	m.paramCount = 0
 }
 
@@ -371,13 +394,10 @@ func (m *Model) CellDeltaActiveness(prev []*tensor.Tensor, scale float64) []floa
 		scale = 1
 	}
 	out := make([]float64, len(m.Cells))
-	idx := 0
 	for i := range m.Cells {
-		ps := m.Cells[i].Cell.Params()
 		gSq, wSq := 0.0, 0.0
-		for _, p := range ps {
-			pv := prev[idx]
-			idx++
+		for k, p := range m.CellParams(i) {
+			pv := prev[m.cellOff[i]+k]
 			for j := range p.Data {
 				d := float64(pv.Data[j]-p.Data[j]) / scale
 				gSq += d * d

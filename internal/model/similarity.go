@@ -25,18 +25,14 @@ func Sim(a, b *Model) float64 {
 	if a.ID == b.ID {
 		return 1
 	}
-	bByAncestor := make(map[int64]nn.Cell, len(b.Cells))
-	for i := range b.Cells {
-		bByAncestor[b.Cells[i].AncestorID] = b.Cells[i].Cell
-	}
 	score := 0.0
 	for i := range a.Cells {
-		bc, ok := bByAncestor[a.Cells[i].AncestorID]
-		if !ok {
+		k := b.CellOf(a.Cells[i].AncestorID)
+		if k < 0 {
 			continue
 		}
 		pa := float64(nn.ParamCount(a.Cells[i].Cell))
-		pb := float64(nn.ParamCount(bc))
+		pb := float64(nn.ParamCount(b.Cells[k].Cell))
 		if pa == 0 || pb == 0 {
 			// Parameter-free cells (pooling) match fully.
 			score++
