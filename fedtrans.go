@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"fedtrans/internal/chaos"
@@ -424,14 +425,35 @@ func NewSession(opts Options) (*Session, error) {
 	return s, nil
 }
 
-// writeFileAtomic writes blob to path via a temp file + rename so a crash
-// mid-write never leaves a truncated checkpoint behind.
+// writeFileAtomic writes blob to path through a temp file and a rename,
+// syncing the file before the rename and its directory after it, so a
+// crash at any instant leaves the previous checkpoint or the new one at
+// path, never a truncated file.
 func writeFileAtomic(path string, blob []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(blob)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // Run executes training and returns the summary. A networked session

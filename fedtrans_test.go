@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"fedtrans/internal/codec"
@@ -249,6 +250,39 @@ func TestSessionCheckpointResume(t *testing.T) {
 	}
 	if _, err := s2.Resume([]byte("not a checkpoint")); err == nil {
 		t.Error("garbage blob must fail to resume")
+	}
+}
+
+// TestCheckpointSinkFailureKeepsRun: a checkpoint that cannot be written
+// (its path lies below a regular file, so the write fails with ENOTDIR
+// even for root, whom a read-only directory does not stop) leaves the
+// run's Summary that of an unchecked run, and CheckpointError reports the
+// round it failed at.
+func TestCheckpointSinkFailureKeepsRun(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Clients = 12
+	opts.Rounds = 5
+	opts.ClientsPerRound = 4
+	want, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.CheckpointPath = filepath.Join(file, "ck.bin")
+	opts.CheckpointEvery = 3
+	s, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("a failing checkpoint sink changed the run:\n got %+v\nwant %+v", got, want)
+	}
+	err = s.CheckpointError()
+	if !errors.Is(err, syscall.ENOTDIR) || !strings.Contains(err.Error(), "checkpoint at round 3") {
+		t.Fatalf("CheckpointError() = %v, want ENOTDIR at round 3", err)
 	}
 }
 

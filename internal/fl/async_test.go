@@ -141,7 +141,7 @@ func TestAsyncMitigatesStragglersInWallClock(t *testing.T) {
 // staleness-bounded rounds with chaos faults, retries, quorum and the
 // server optimizer — every subsystem the async checkpoint must carry
 // through kill/resume.
-func asyncChaosScenario(t *testing.T) func() *Runtime {
+func asyncChaosScenario(t testing.TB) func() *Runtime {
 	return func() *Runtime {
 		ds, tr, spec := smokeSetup(t, 20)
 		cfg := ckptConfig()

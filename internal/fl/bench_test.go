@@ -301,24 +301,51 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 // three-model suite. Every attempt of one model version trains from one
 // snapshot, never the live model, holding the weights the version was
 // dispatched with. The flights in flight hold at most models×(s+1)
-// snapshots, and each slot's refs counts exactly the flights that hold
-// it; a slot nobody holds keeps no buffer. After drain every slot is
-// unreferenced and bufferless, and no live parameter is shared. Crashes
-// make the consumer retry attempts from their snapshots after later
-// versions were dispatched, and stragglers keep flights in flight for
-// the whole staleness bound.
+// snapshots, each one a slot of its model's ring, and each slot's refs
+// counts exactly the flights that hold it; a slot nobody holds keeps no
+// buffer. After drain every slot is unreferenced and bufferless, and no
+// live parameter is shared. Crashes make the consumer retry attempts from
+// their snapshots after later versions were dispatched, and stragglers
+// keep flights in flight for the whole staleness bound. The resumed arm
+// restores a mid-run checkpoint into a fresh runtime first: its Snaps
+// hold exactly the (model, version) pairs in flight, and the restored
+// flights hold ring slots like dispatched ones.
 func TestAsyncSnapshotsSharedPerVersion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 1000-participant rounds")
 	}
-	for _, s := range []int{0, 2} {
+	for _, arm := range []struct {
+		name    string
+		s       int
+		resumed bool
+	}{{"staleness 0", 0, false}, {"staleness 2", 2, false}, {"staleness 2, resumed", 2, true}} {
+		s := arm.s
 		rt, round := roundLoopRuntime(1000, s, 3)
-		rt.drain() // no task may run while the test swaps its trainer and faults in
 		rec := &srcRecorder{srcs: make(map[[2]int]map[*model.Model]uint64)}
-		rt.cfg.Trainer, rt.cfg.RetryBudget = rec, 2
-		rt.chaos = chaos.New(chaos.Config{Seed: 3, CrashRate: 0.2, StragglerRate: 0.2, StragglerDelay: 100})
-		models := len(rt.suite)
+		faults := chaos.New(chaos.Config{Seed: 3, CrashRate: 0.2, StragglerRate: 0.2, StragglerDelay: 100})
 		want := make(map[[2]int]uint64) // (version, model ID) → weight digest at dispatch
+		models := len(rt.suite)
+		check := func() {
+			t.Helper()
+			holders := make(map[*snapSlot]int)
+			for _, f := range rt.inflight {
+				holders[f.slot.snap]++
+				if d, ok := want[[2]int{f.version, f.slot.m.ID}]; ok && weightDigest(f.slot.snap.m) != d {
+					t.Fatalf("%s: a flight of version %d holds other weights", arm.name, f.version)
+				}
+			}
+			if len(holders) > models*(s+1) {
+				t.Errorf("%s: %d snapshots in flight, want at most %d", arm.name, len(holders), models*(s+1))
+			}
+			checkSlots(t, rt, holders)
+		}
+		if arm.resumed {
+			rt = restoredLoop(t, rt, round, rec, faults, want)
+			check()
+		} else {
+			rt.drain() // no task may run while the test swaps its trainer and faults in
+			rt.cfg.Trainer, rt.cfg.RetryBudget, rt.chaos = rec, 2, faults
+		}
 		var res Result
 		for range 6 {
 			for _, m := range rt.suite {
@@ -326,24 +353,14 @@ func TestAsyncSnapshotsSharedPerVersion(t *testing.T) {
 			}
 			rt.runRound(round, &res)
 			round++
-			holders := make(map[*snapSlot]int)
-			for _, f := range rt.inflight {
-				holders[f.slot.snap]++
-				if d, ok := want[[2]int{f.version, f.slot.m.ID}]; ok && weightDigest(f.slot.snap.m) != d {
-					t.Fatalf("staleness %d: a flight of version %d holds other weights", s, f.version)
-				}
-			}
-			if len(holders) > models*(s+1) {
-				t.Errorf("staleness %d: %d snapshots in flight, want at most %d", s, len(holders), models*(s+1))
-			}
-			checkSlots(t, rt, holders)
+			check()
 		}
 		rt.drain()
 		checkSlots(t, rt, nil)
 		for _, m := range rt.suite {
 			for i, p := range m.Params() {
 				if p.Shared() {
-					t.Errorf("staleness %d: model %d parameter %d is still shared after drain", s, m.ID, i)
+					t.Errorf("%s: model %d parameter %d is still shared after drain", arm.name, m.ID, i)
 				}
 			}
 		}
@@ -354,23 +371,71 @@ func TestAsyncSnapshotsSharedPerVersion(t *testing.T) {
 			}
 			for src, got := range srcs {
 				if len(srcs) > 1 || got != d || slices.Contains(rt.suite, src) {
-					t.Fatalf("staleness %d: version %d of model %d trained from %d sources, digest %x (want %x), live %v",
-						s, k[0], k[1], len(srcs), got, d, slices.Contains(rt.suite, src))
+					t.Fatalf("%s: version %d of model %d trained from %d sources, digest %x (want %x), live %v",
+						arm.name, k[0], k[1], len(srcs), got, d, slices.Contains(rt.suite, src))
 				}
 			}
 		}
 	}
 }
 
-// checkSlots asserts that each ring slot's refs is its number of holders
-// and that a slot nobody holds keeps no parameter buffer.
+// restoredLoop checkpoints rt, which has run round rounds and has
+// dispatches in flight, and restores the checkpoint into a fresh runtime
+// that trains with rec under faults. It records each in-flight version's
+// dispatch digest in want, checks that the checkpoint's Snaps are the
+// distinct (model, version) pairs in flight and that the restored suite
+// holds rt's weights, and drains rt.
+func restoredLoop(t *testing.T, rt *Runtime, round int, rec Trainer, faults *chaos.Injector, want map[[2]int]uint64) *Runtime {
+	t.Helper()
+	pairs := make(map[[2]int]bool)
+	for _, f := range rt.inflight {
+		want[[2]int{f.version, f.slot.m.ID}] = weightDigest(f.slot.snap.m)
+		pairs[[2]int{f.slot.m.ID, f.version}] = true
+	}
+	blob, err := rt.snapshot(round).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Inflight) == 0 || len(ck.Snaps) != len(pairs) {
+		t.Fatalf("checkpoint of %d flights holds %d snapshots, %d (model, version) pairs in flight", len(ck.Inflight), len(ck.Snaps), len(pairs))
+	}
+	for _, sn := range ck.Snaps {
+		if !pairs[[2]int{sn.ModelID, sn.Version}] {
+			t.Fatalf("checkpoint holds a snapshot of model %d at version %d, which no flight trains", sn.ModelID, sn.Version)
+		}
+	}
+	fresh := loopRuntime(2400, false, 1000, 2)
+	fresh.cfg.Trainer, fresh.cfg.RetryBudget, fresh.chaos = rec, 2, faults
+	if err := fresh.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range fresh.suite {
+		if weightDigest(m) != weightDigest(rt.suite[i]) {
+			t.Fatalf("restored model %d holds other weights than the checkpointed one", m.ID)
+		}
+	}
+	rt.drain()
+	return fresh
+}
+
+// checkSlots asserts that each ring slot's refs is its number of holders,
+// that every holder is a ring slot, and that a slot nobody holds keeps no
+// parameter buffer.
 func checkSlots(t *testing.T, rt *Runtime, holders map[*snapSlot]int) {
 	t.Helper()
+	inRings := 0
 	for id, ring := range rt.snaps {
 		for k := range ring {
 			sl := &ring[k]
 			if sl.refs != holders[sl] {
 				t.Fatalf("model %d slot %d: refs %d, held by %d flights", id, k, sl.refs, holders[sl])
+			}
+			if sl.refs > 0 {
+				inRings++
 			}
 			if sl.refs > 0 || sl.m == nil {
 				continue
@@ -381,6 +446,9 @@ func checkSlots(t *testing.T, rt *Runtime, holders map[*snapSlot]int) {
 				}
 			}
 		}
+	}
+	if inRings != len(holders) {
+		t.Fatalf("%d of the %d snapshots in flight lie outside their model's ring", len(holders)-inRings, len(holders))
 	}
 }
 

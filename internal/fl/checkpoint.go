@@ -1,11 +1,14 @@
 package fl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"fedtrans/internal/assign"
+	"fedtrans/internal/codec"
 	"fedtrans/internal/model"
 	"fedtrans/internal/transform"
 	"fedtrans/internal/wire"
@@ -19,30 +22,30 @@ import (
 // the ID-scope counters, the rng position as a draw count, the utilities
 // of the clients that hold any, the DoC and activeness windows,
 // server-optimizer state, the round engine's scheduler state (virtual
-// clock, counters, and the in-flight dispatches with their download-time
-// weight snapshots, which resume retrains deterministically), and the
-// accumulated Result. Aggregator state is not part of it: a checkpoint is
-// taken at a round boundary, where every accumulator has been finalized
-// or aborted. Nothing in it grows with clients that never trained.
+// clock, counters, the in-flight dispatches and the weights of each
+// model version they train from, which resume retrains
+// deterministically), and the accumulated Result. Aggregator state is
+// not part of it: a checkpoint is taken at a round boundary, where every
+// accumulator has been finalized or aborted. Nothing in it grows with
+// clients that never trained.
 //
-// # Wire format (FTCP v3)
+// # Wire format (FTCP v4)
 //
-//	"FTCP" | u32 version=3 | body | u32 CRC-32 of magic..body
+//	"FTCP" | u32 version=4 | body | u32 CRC-32 of magic..body
 //
 // The body is this struct's fields in the order (*Checkpoint).walk
 // lists them — the one statement of the layout, run by the encoder and
 // the decoder alike — with Res last. The per-model Blob payloads are
-// internal/codec weight blobs behind a JSON header. Byte order, the
-// slice and map encodings, the envelope and the decoder's error and
-// allocation contract are internal/wire's. The lists keyed by an ID
-// (Utilities, Act, Yogi, Inflight) must ascend, every client named must
-// be below Clients, and a utility entry must hold a model. Together
-// these make the encoding canonical: any blob that decodes re-encodes
-// to the identical bytes (the FuzzCheckpointDecode invariant).
-//
-// v3 dropped v2's five reserved zero words, its cost curve and round
-// times (projections of Res.Log now) and the utility maps of clients
-// that hold none; v1 and v2 blobs fail with ErrCkptVersion.
+// internal/codec weight blobs behind a JSON header, Snaps' Weights bare
+// ones. Byte order, the slice and map encodings, the envelope and the
+// decoder's error and allocation contract are internal/wire's. The lists
+// keyed by an ID (Utilities, Act, Yogi, Snaps, Inflight) must ascend,
+// every client named must be below Clients, and a utility entry must
+// hold a model. Together these make the encoding canonical: any blob
+// that decodes re-encodes to the identical bytes (the
+// FuzzCheckpointDecode invariant). v4 writes each in-flight model
+// version's weights once, where v3 wrote a model blob per in-flight
+// dispatch; v1–v3 blobs fail with ErrCkptVersion.
 type Checkpoint struct {
 	// Round is the round index resume continues at: the number of
 	// fully completed rounds, or Config.Rounds once the convergence rule
@@ -91,6 +94,8 @@ type Checkpoint struct {
 	StaleSum int64
 	StaleCnt int64
 	AsyncSeq int
+	// Snaps holds each in-flight (model, version)'s weights, ascending.
+	Snaps []CkptSnap
 	// Inflight is the asynchronous in-flight dispatch list in dispatch
 	// (sequence) order; nil for synchronous runs and whenever no client
 	// is mid-training at the checkpoint boundary.
@@ -118,18 +123,21 @@ type CkptCell struct {
 }
 
 // CkptInflight is one asynchronous in-flight dispatch: which client is
-// training which model version, when it was dispatched on the virtual
-// clock, and the dispatch-time weight snapshot it trains from
-// (SrcBlob, a model.MarshalBinary frame — the codec is bit-lossless
-// for float32 weights, so resume retrains the attempt deterministically
-// and lands on the exact update of the uninterrupted run).
+// training which model version (from its Snaps entry), dispatched when.
 type CkptInflight struct {
 	Client     int
 	ModelID    int
 	Version    int
 	Seq        int
 	DispatchAt float64
-	SrcBlob    []byte
+}
+
+// CkptSnap is model ModelID's weights at version Version: a bit-lossless
+// internal/codec blob of its Params, as a model ID keeps its architecture.
+type CkptSnap struct {
+	ModelID int
+	Version int
+	Weights []byte
 }
 
 // CkptAct is one model's activeness history, keyed by cell ID.
@@ -161,12 +169,12 @@ var ErrGeometryMismatch = errors.New("fl: checkpoint dataset geometry mismatch")
 
 const (
 	ckptMagic   = "FTCP"
-	ckptVersion = 3
+	ckptVersion = 4
 )
 
 var ckptErrs = wire.Errs{Magic: ErrCkptMagic, Checksum: ErrCkptChecksum, Truncated: ErrCkptTruncated, Corrupt: ErrCkptCorrupt}
 
-// walk is the FTCP v3 body after the version word: the one statement of
+// walk is the FTCP v4 body after the version word: the one statement of
 // the field order, run by EncodeCheckpoint and DecodeCheckpoint alike.
 // The number beside each slice is the least one element occupies on the
 // wire (what bounds a decode's allocations).
@@ -209,40 +217,47 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 		if u.Client < 0 || u.Client >= ck.Clients || len(u.U) == 0 {
 			c.Corruptf("utility entry for client %d of %d holds %d models", u.Client, ck.Clients, len(u.U))
 		}
-		ascending(c, u.U, "utility model IDs", func(e *assign.Utility) int { return e.Model })
+		ascending(c, u.U, "utility model IDs", func(a, b *assign.Utility) int { return cmp.Compare(a.Model, b.Model) })
 	})
-	ascending(c, ck.Utilities, "utility client IDs", func(u *assign.ClientUtility) int { return u.Client })
+	ascending(c, ck.Utilities, "utility client IDs", func(a, b *assign.ClientUtility) int { return cmp.Compare(a.Client, b.Client) })
 	c.F64s(&ck.DoCLosses)
 
 	wire.Slice(c, &ck.Act, 12, func(a *CkptAct) {
 		c.Int(&a.ModelID)
 		wire.SortedMap(c, &a.Hist, 4, c.F64s)
 	})
-	ascending(c, ck.Act, "activeness model IDs", func(a *CkptAct) int { return a.ModelID })
+	ascending(c, ck.Act, "activeness model IDs", func(a, b *CkptAct) int { return cmp.Compare(a.ModelID, b.ModelID) })
 
 	wire.Slice(c, &ck.Yogi, 16, func(y *CkptYogi) {
 		c.Int(&y.Slot)
 		c.F64s(&y.M)
 		c.F64s(&y.V)
 	})
-	ascending(c, ck.Yogi, "yogi slots", func(y *CkptYogi) int { return y.Slot })
+	ascending(c, ck.Yogi, "yogi slots", func(a, b *CkptYogi) int { return cmp.Compare(a.Slot, b.Slot) })
 
 	c.F64(&ck.AsyncNow)
 	c.I64(&ck.StaleSum)
 	c.I64(&ck.StaleCnt)
 	c.Int(&ck.AsyncSeq)
-	wire.Slice(c, &ck.Inflight, 44, func(f *CkptInflight) {
+	wire.Slice(c, &ck.Snaps, 20, func(s *CkptSnap) {
+		c.Int(&s.ModelID)
+		c.Int(&s.Version)
+		c.Bytes(&s.Weights)
+	})
+	ascending(c, ck.Snaps, "snapshot (model, version) pairs", func(a, b *CkptSnap) int {
+		return cmp.Or(cmp.Compare(a.ModelID, b.ModelID), cmp.Compare(a.Version, b.Version))
+	})
+	wire.Slice(c, &ck.Inflight, 40, func(f *CkptInflight) {
 		c.Int(&f.Client)
 		c.Int(&f.ModelID)
 		c.Int(&f.Version)
 		c.Int(&f.Seq)
 		c.F64(&f.DispatchAt)
-		c.Bytes(&f.SrcBlob)
 		if f.Client < 0 || f.Client >= ck.Clients {
 			c.Corruptf("in-flight client %d of %d", f.Client, ck.Clients)
 		}
 	})
-	ascending(c, ck.Inflight, "in-flight sequence numbers", func(f *CkptInflight) int { return f.Seq })
+	ascending(c, ck.Inflight, "in-flight sequence numbers", func(a, b *CkptInflight) int { return cmp.Compare(a.Seq, b.Seq) })
 
 	r := &ck.Res
 	c.F64s(&r.ClientAcc)
@@ -284,18 +299,18 @@ func (ck *Checkpoint) walk(c wire.Coder) {
 	})
 }
 
-// ascending fails a decode whose list is not in strictly ascending key
-// order — the order every writer emits, and what makes the encoding of
-// a given state unique.
-func ascending[T any](c wire.Coder, xs []T, what string, key func(*T) int) {
+// ascending fails a decode whose list is not in strictly ascending
+// order by compare — the order every writer emits, and what makes the
+// encoding of a given state unique.
+func ascending[T any](c wire.Coder, xs []T, what string, compare func(a, b *T) int) {
 	for i := 1; i < len(xs); i++ {
-		if key(&xs[i]) <= key(&xs[i-1]) {
+		if compare(&xs[i-1], &xs[i]) >= 0 {
 			c.Corruptf("%s not ascending", what)
 		}
 	}
 }
 
-// EncodeCheckpoint serializes a checkpoint into the canonical FTCP v3
+// EncodeCheckpoint serializes a checkpoint into the canonical FTCP v4
 // byte layout described on Checkpoint, into one buffer allocated at the
 // size a counting pass over the same walk measures.
 func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
@@ -307,7 +322,7 @@ func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	return wire.Seal(e.B, 0), nil
 }
 
-// DecodeCheckpoint parses and validates an FTCP v3 checkpoint. The
+// DecodeCheckpoint parses and validates an FTCP v4 checkpoint. The
 // decoder is strict: checksum, bounds, canonical key order, and exact
 // length are all enforced, and it reads the fields through the same
 // walk that wrote them, so any successfully decoded checkpoint
@@ -334,7 +349,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 type ckptSnap struct {
 	ck     Checkpoint
 	models []*model.Model // live COW clones, parallel to ck.Models
-	srcs   []*model.Model // in-flight dispatch snapshots, parallel to ck.Inflight
+	srcs   []*model.Model // in-flight version snapshots, parallel to ck.Snaps
 }
 
 // snapshot captures the runtime's state after `round` completed rounds.
@@ -345,14 +360,9 @@ type ckptSnap struct {
 func (rt *Runtime) snapshot(round int) *ckptSnap {
 	s := &ckptSnap{}
 	ck := &s.ck
-	ck.Round = round
-	ck.RNGCount = rt.rngSrc.n
-	ck.BestAcc = rt.bestAcc
-	ck.Stall = rt.stall
+	ck.Round, ck.RNGCount, ck.BestAcc, ck.Stall = round, rt.rngSrc.n, rt.bestAcc, rt.stall
 	ck.ModelCtr, ck.CellCtr = rt.suite[0].IDScope().Counters()
-	ck.Clients = rt.ds.Len()
-	ck.FeatureDim = rt.ds.FeatureDim
-	ck.Classes = rt.ds.Classes
+	ck.Clients, ck.FeatureDim, ck.Classes = rt.ds.Len(), rt.ds.FeatureDim, rt.ds.Classes
 	for _, m := range rt.suite {
 		cm := CkptModel{ID: m.ID, ParentID: m.ParentID, BornRound: m.BornRound}
 		for i := range m.Cells {
@@ -364,12 +374,7 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 	}
 	ck.Utilities = rt.mgr.ExportUtilities()
 	ck.DoCLosses = rt.doc.Snapshot()
-	actIDs := make([]int, 0, len(rt.act))
-	for id := range rt.act {
-		actIDs = append(actIDs, id)
-	}
-	sort.Ints(actIDs)
-	for _, id := range actIDs {
+	for _, id := range slices.Sorted(maps.Keys(rt.act)) {
 		ck.Act = append(ck.Act, CkptAct{ModelID: id, Hist: rt.act[id].Snapshot()})
 	}
 	if rt.serverOpt != nil {
@@ -378,17 +383,19 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 			ck.Yogi = append(ck.Yogi, CkptYogi{Slot: slot, M: m, V: v})
 		}
 	}
-	sc := &rt.sched
-	ck.AsyncNow, ck.StaleSum, ck.StaleCnt, ck.AsyncSeq = sc.now, sc.staleSum, sc.staleCnt, sc.seq
+	ck.AsyncNow, ck.StaleSum, ck.StaleCnt, ck.AsyncSeq = rt.sched.now, rt.sched.staleSum, rt.sched.staleCnt, rt.sched.seq
 	for _, at := range rt.inflight {
-		// A version snapshot is read-only while a flight holds it, so a
-		// COW clone here is race-free against the still-running background
-		// training task; marshalling happens later, off the round loop.
-		ck.Inflight = append(ck.Inflight, CkptInflight{
-			Client: at.slot.client, ModelID: at.slot.m.ID,
-			Version: at.version, Seq: at.seq, DispatchAt: at.dispatchAt,
-		})
-		s.srcs = append(s.srcs, at.slot.snap.m.Clone())
+		ck.Inflight = append(ck.Inflight, CkptInflight{at.slot.client, at.slot.m.ID, at.version, at.seq, at.dispatchAt})
+	}
+	// At a round boundary flights hold versions round−S … round−1, a ring
+	// slot each, read-only: cloning one is race-free against its training.
+	for _, id := range slices.Sorted(maps.Keys(rt.snaps)) {
+		for v := max(round-rt.cfg.MaxStaleness, 0); v < round; v++ {
+			if sl := rt.slot(id, v); sl.refs > 0 {
+				ck.Snaps = append(ck.Snaps, CkptSnap{ModelID: id, Version: v})
+				s.srcs = append(s.srcs, sl.m.Clone())
+			}
+		}
 	}
 	ck.Res = cloneResult(&rt.res)
 	return s
@@ -403,19 +410,11 @@ func (s *ckptSnap) encode() ([]byte, error) {
 			return nil, fmt.Errorf("fl: checkpoint model %d: %w", i, err)
 		}
 		s.ck.Models[i].Blob = blob
-	}
-	for _, m := range s.models {
 		m.Release()
 	}
 	s.models = nil
 	for i, m := range s.srcs {
-		blob, err := m.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("fl: checkpoint in-flight model %d: %w", i, err)
-		}
-		s.ck.Inflight[i].SrcBlob = blob
-	}
-	for _, m := range s.srcs {
+		s.ck.Snaps[i].Weights = codec.AppendEncode(nil, m.Params())
 		m.Release()
 	}
 	s.srcs = nil
@@ -434,13 +433,11 @@ func (rt *Runtime) checkpointAsync(round int) {
 		blob, err := snap.encode()
 		rt.ckptMu.Lock()
 		defer rt.ckptMu.Unlock()
-		if err != nil {
-			if rt.ckptErr == nil {
-				rt.ckptErr = err
-			}
-			return
+		if err == nil {
+			sink(round, blob)
+		} else if rt.ckptErr == nil {
+			rt.ckptErr = err
 		}
-		sink(round, blob)
 	}()
 }
 
@@ -460,11 +457,6 @@ func (rt *Runtime) Restore(b []byte) error {
 	if err != nil {
 		return err
 	}
-	return rt.restore(ck)
-}
-
-func (rt *Runtime) restore(ck *Checkpoint) error {
-	cfg := rt.cfg
 	if len(ck.Models) == 0 {
 		return fmt.Errorf("%w: no models", ErrCkptCorrupt)
 	}
@@ -481,15 +473,13 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint covers %d clients, dataset has %d",
 			ErrGeometryMismatch, ck.Clients, rt.ds.Len())
 	}
-	if len(ck.Inflight) > 0 && cfg.MaxStaleness <= 0 {
-		return errors.New("fl: checkpoint carries in-flight async state but MaxStaleness is 0")
-	}
 
 	// Rebuild the suite in a fresh ID scope, then overwrite the lineage
 	// metadata persistence drops and realign the scope counters so IDs
 	// minted after the resume match the uninterrupted run.
 	gen := model.NewIDGen()
 	suite := make([]*model.Model, 0, len(ck.Models))
+	byID := make(map[int]*model.Model, len(ck.Models))
 	for i := range ck.Models {
 		cm := &ck.Models[i]
 		m, err := model.UnmarshalModelScoped(cm.Blob, gen)
@@ -506,8 +496,38 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			mc.ID, mc.AncestorID, mc.InheritedFrac, mc.WidenedLast = c.ID, c.AncestorID, c.InheritedFrac, c.WidenedLast
 		}
 		suite = append(suite, m)
+		byID[m.ID] = m
 	}
 	gen.SetCounters(ck.ModelCtr, ck.CellCtr)
+
+	// Each snapshot decodes into a clone of its suite model (DecodeInto
+	// detaches each buffer it writes) for its version's ring slot; no
+	// version passes at S = 0. Every flight must hold a snapshot and every
+	// snapshot a flight, all checked before the runtime changes.
+	lo, slots := max(ck.Round-rt.cfg.MaxStaleness, 0), make(map[[2]int]*snapSlot, len(ck.Snaps))
+	for _, sn := range ck.Snaps {
+		m := byID[sn.ModelID]
+		if m == nil || sn.Version < lo || sn.Version >= ck.Round {
+			return fmt.Errorf("%w: snapshot of model %d at version %d, round %d", ErrCkptCorrupt, sn.ModelID, sn.Version, ck.Round)
+		}
+		src := m.Clone()
+		if err := codec.DecodeInto(src.Params(), sn.Weights); err != nil {
+			return fmt.Errorf("fl: checkpoint snapshot of model %d at version %d: %w", sn.ModelID, sn.Version, err)
+		}
+		slots[[2]int{sn.ModelID, sn.Version}] = &snapSlot{m: primed(src)}
+	}
+	for _, f := range ck.Inflight {
+		s := slots[[2]int{f.ModelID, f.Version}]
+		if s == nil {
+			return fmt.Errorf("%w: in-flight dispatch of model %d at version %d has no snapshot", ErrCkptCorrupt, f.ModelID, f.Version)
+		}
+		s.refs++
+	}
+	for _, sn := range ck.Snaps {
+		if slots[[2]int{sn.ModelID, sn.Version}].refs == 0 {
+			return fmt.Errorf("%w: snapshot of model %d at version %d serves no dispatch", ErrCkptCorrupt, sn.ModelID, sn.Version)
+		}
+	}
 
 	// Fast-forward the rng to the checkpointed draw count. The wrapped
 	// source hides Source64, so each Int63 advances exactly one counted
@@ -545,45 +565,20 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 		}
 	}
 	rt.sched = schedule{now: ck.AsyncNow, seq: ck.AsyncSeq, staleSum: ck.StaleSum, staleCnt: ck.StaleCnt}
-	if len(ck.Inflight) > 0 {
-		byID := make(map[int]*model.Model, len(rt.suite))
-		for _, m := range rt.suite {
-			byID[m.ID] = m
-		}
-		for i := range ck.Inflight {
-			f := &ck.Inflight[i]
-			m := byID[f.ModelID]
-			if m == nil {
-				return fmt.Errorf("%w: in-flight dispatch for unknown model %d",
-					ErrCkptCorrupt, f.ModelID)
-			}
-			// The snapshot decodes into a throwaway ID scope — it is a
-			// training source, not a suite member — but keeps the live
-			// model's ID so the session and upload pools key it together
-			// with the ring's snapshots. It serves this one flight, outside
-			// the ring, which holds only versions the resumed run dispatches.
-			src, err := model.UnmarshalModelScoped(f.SrcBlob, model.NewIDGen())
-			if err != nil {
-				return fmt.Errorf("fl: checkpoint in-flight model %d: %w", i, err)
-			}
-			src.ID = m.ID
-			// Arrival is a pure function of (version, client, model), so
-			// submit recomputes it rather than reading it back; the
-			// interrupted run's training itself is redone
-			// deterministically from the snapshot weights.
-			at := rt.flightGet()
-			at.slot = roundTask{client: f.Client, m: m, dev: rt.trace.At(f.Client),
-				snap: &snapSlot{m: primed(src), refs: 1}}
-			at.version, at.seq, at.dispatchAt = f.Version, f.Seq, f.DispatchAt
-			rt.submit(at)
-		}
+	for k, s := range slots {
+		*rt.slot(k[0], k[1]) = *s
+	}
+	for _, f := range ck.Inflight {
+		// submit recomputes the arrival, a pure function of (version,
+		// client, model); training is redone from the snapshot weights.
+		at := rt.flightGet()
+		at.slot = roundTask{client: f.Client, m: byID[f.ModelID], dev: rt.trace.At(f.Client),
+			snap: rt.slot(f.ModelID, f.Version)}
+		at.version, at.seq, at.dispatchAt = f.Version, f.Seq, f.DispatchAt
+		rt.submit(at)
 	}
 
-	rt.res = ck.Res
-	rt.bestAcc = ck.BestAcc
-	rt.stall = ck.Stall
-	rt.nextRound = ck.Round
-	rt.resumed = true
+	rt.res, rt.bestAcc, rt.stall, rt.nextRound, rt.resumed = ck.Res, ck.BestAcc, ck.Stall, ck.Round, true
 	return nil
 }
 

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"fedtrans/internal/chaos"
+	"fedtrans/internal/codec"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
+	"fedtrans/internal/tensor"
 	"fedtrans/internal/wire"
 )
 
@@ -291,7 +294,8 @@ func TestCheckpointCanonicalRoundtrip(t *testing.T) {
 }
 
 // TestCheckpointDecodeRejectsCorruption: the strict decoder must refuse
-// bad magic, flipped payload bytes, truncations, and trailing garbage.
+// bad magic, flipped payload bytes, truncations, trailing garbage, and
+// snapshots whose (model, version) pairs do not strictly ascend.
 func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	ds, tr, spec := smokeSetup(t, 8)
 	cfg := ckptConfig()
@@ -323,6 +327,105 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+	for _, tc := range []struct {
+		snaps []CkptSnap
+		ok    bool
+	}{
+		{[]CkptSnap{{ModelID: 1, Version: 3}, {ModelID: 2, Version: 1}}, true},
+		{[]CkptSnap{{ModelID: 2, Version: 1}, {ModelID: 1, Version: 3}}, false},
+		{[]CkptSnap{{ModelID: 1, Version: 3}, {ModelID: 1, Version: 2}}, false},
+		{[]CkptSnap{{ModelID: 1, Version: 2}, {ModelID: 1, Version: 2}}, false},
+	} {
+		b, err := EncodeCheckpoint(&Checkpoint{Snaps: tc.snaps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(b); tc.ok != (err == nil) || !tc.ok && !errors.Is(err, ErrCkptCorrupt) {
+			t.Errorf("snapshots %v: %v", tc.snaps, err)
+		}
+	}
+}
+
+// asyncSnapsCheckpoint is the first of asyncChaosScenario's checkpoints,
+// from round 3 on, whose Snaps hold two or more in-flight versions.
+func asyncSnapsCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	_, blobs := runWithCheckpoints(t, asyncChaosScenario(t), 1)
+	for round := 3; round < 12; round++ {
+		if ck, err := DecodeCheckpoint(blobs[round]); err == nil && len(ck.Snaps) >= 2 {
+			return blobs[round]
+		}
+	}
+	t.Fatal("no asynchronous checkpoint holds two version snapshots")
+	return nil
+}
+
+// TestRestoreRejectsHostileSnapshots: a v4 checkpoint whose snapshots or
+// flights do not fit the runtime fails Restore with an error — never a
+// panic — and leaves the runtime as New built it: a snapshot of a model
+// the suite lacks, or at a version outside [Round−S, Round−1], each
+// with its flights moved along so that only the snapshot is at fault;
+// weights of another shape; a flight of a version no snapshot holds; and
+// a snapshot no flight holds.
+func TestRestoreRejectsHostileSnapshots(t *testing.T) {
+	blob := asyncSnapsCheckpoint(t)
+	mk := asyncChaosScenario(t)
+	pristine := mk()
+	if err := pristine.Restore(blob); err != nil {
+		t.Fatalf("pristine checkpoint: %v", err)
+	}
+	pristine.drain()
+	// move renames snapshot i, and every flight that trains from it, to
+	// (model, v); renaming the first snapshot down or the last one up
+	// keeps the list ascending.
+	move := func(ck *Checkpoint, i, model, v int) {
+		sn := &ck.Snaps[i]
+		for j := range ck.Inflight {
+			if f := &ck.Inflight[j]; f.ModelID == sn.ModelID && f.Version == sn.Version {
+				f.ModelID, f.Version = model, v
+			}
+		}
+		sn.ModelID, sn.Version = model, v
+	}
+	last := func(ck *Checkpoint) int { return len(ck.Snaps) - 1 }
+	for _, tc := range []struct {
+		name string
+		edit func(ck *Checkpoint)
+		want error
+	}{
+		{"snapshot of an unknown model", func(ck *Checkpoint) { move(ck, last(ck), 1<<20, ck.Round-1) }, ErrCkptCorrupt},
+		{"snapshot at version Round", func(ck *Checkpoint) { move(ck, last(ck), ck.Snaps[last(ck)].ModelID, ck.Round) }, ErrCkptCorrupt},
+		{"snapshot at version Round−S−1", func(ck *Checkpoint) { move(ck, 0, ck.Snaps[0].ModelID, ck.Round-pristine.cfg.MaxStaleness-1) }, ErrCkptCorrupt},
+		{"snapshot at version −1", func(ck *Checkpoint) { move(ck, 0, ck.Snaps[0].ModelID, -1) }, ErrCkptCorrupt},
+		{"flight of a version no snapshot holds", func(ck *Checkpoint) { ck.Inflight[0].Version = ck.Round }, ErrCkptCorrupt},
+		{"snapshot weights of another shape", func(ck *Checkpoint) {
+			ck.Snaps[0].Weights = codec.AppendEncode(nil, []*tensor.Tensor{tensor.New(3)})
+		}, codec.ErrDstMismatch},
+		{"snapshot no flight holds", func(ck *Checkpoint) {
+			sn := ck.Snaps[0]
+			ck.Inflight = slices.DeleteFunc(ck.Inflight, func(f CkptInflight) bool {
+				return f.ModelID == sn.ModelID && f.Version == sn.Version
+			})
+		}, ErrCkptCorrupt},
+	} {
+		ck, err := DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(ck)
+		b, err := EncodeCheckpoint(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := mk()
+		suite, draws := rt.suite, rt.rngSrc.n
+		if err := rt.Restore(b); !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+		if rt.resumed || len(rt.inflight) > 0 || len(rt.snaps) > 0 || !slices.Equal(rt.suite, suite) || rt.rngSrc.n != draws {
+			t.Errorf("%s: the failed restore changed the runtime", tc.name)
+		}
 	}
 }
 
@@ -382,9 +485,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	golden, _ := EncodeCheckpoint(goldenCheckpoint())
 	f.Add(golden)
 	f.Add(readHex(f, "testdata/checkpoint_v2.hex"))
-	// A v3 blob whose utility list skips clients: an asynchronous run
-	// over a generative population few of whose clients ever trained.
+	f.Add(readHex(f, "testdata/checkpoint_v3.hex"))
+	// A blob whose utility list skips clients: an asynchronous run over a
+	// generative population few of whose clients ever trained.
 	f.Add(sparseCheckpoint(f, 400))
+	// An asynchronous checkpoint taken mid-run, whose Snaps hold the
+	// weights of two or more in-flight versions.
+	f.Add(asyncSnapsCheckpoint(f))
 	// A model count the blob cannot hold, under a valid checksum.
 	hostile := bytes.Clone(golden)
 	copy(hostile[ckptModelsAt:], "\xff\xff\xff\xff")

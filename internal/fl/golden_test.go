@@ -16,8 +16,8 @@ import (
 // goldenCheckpoint fills every FTCP field from literals — no training,
 // no rng — so the bytes are the same on every architecture: negative
 // and 64-bit integers, a NaN payload, nil next to empty maps and
-// slices, the async in-flight list, Yogi moments, activeness windows and
-// a RoundLog with and without its map.
+// slices, the async in-flight list with its version snapshots, Yogi
+// moments, activeness windows and a RoundLog with and without its map.
 func goldenCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Round: 7, RNGCount: 0x0123456789abcdef, BestAcc: 0.8125, Stall: 2,
@@ -44,8 +44,12 @@ func goldenCheckpoint() *Checkpoint {
 			{Slot: 2},
 		},
 		AsyncNow: 12.5, StaleSum: 9, StaleCnt: 4, AsyncSeq: 31,
+		Snaps: []CkptSnap{
+			{ModelID: 1, Version: 6, Weights: []byte("src-a")},
+			{ModelID: 3, Version: 7},
+		},
 		Inflight: []CkptInflight{
-			{Client: 3, ModelID: 1, Version: 6, Seq: 29, DispatchAt: 11.75, SrcBlob: []byte("src-a")},
+			{Client: 3, ModelID: 1, Version: 6, Seq: 29, DispatchAt: 11.75},
 			{Client: 8, ModelID: 3, Version: 7, Seq: 30, DispatchAt: 12.25},
 		},
 		Res: Result{
@@ -70,7 +74,7 @@ func goldenCheckpoint() *Checkpoint {
 	}
 }
 
-// TestCheckpointGoldenBytes pins FTCP v3 absolutely: the literal
+// TestCheckpointGoldenBytes pins FTCP v4 absolutely: the literal
 // checkpoint encodes to the committed bytes, and the committed bytes
 // decode and re-encode to themselves.
 func TestCheckpointGoldenBytes(t *testing.T) {
@@ -78,7 +82,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := readHex(t, "testdata/checkpoint_v3.hex")
+	want := readHex(t, "testdata/checkpoint_v4.hex")
 	if !bytes.Equal(got, want) {
 		t.Fatalf("FTCP encoding moved: %d bytes, golden %d\n got %x", len(got), len(want), got)
 	}
@@ -89,7 +93,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	if re, err := EncodeCheckpoint(ck); err != nil || !bytes.Equal(re, want) {
 		t.Fatalf("decode → encode of the golden blob is not the identity (err %v)", err)
 	}
-	if ck.Inflight[0].Seq != 29 || ck.Res.Log[0].UpdatesPerModel[3] != 1 ||
+	if ck.Inflight[0].Seq != 29 || string(ck.Snaps[0].Weights) != "src-a" || ck.Res.Log[0].UpdatesPerModel[3] != 1 ||
 		math.Float64bits(ck.DoCLosses[2]) != 0x7ff8000000000abc || ck.Models[0].ParentID != -1 {
 		t.Fatalf("golden blob decoded to the wrong values: %+v", ck)
 	}
@@ -130,16 +134,18 @@ func readHex(t testing.TB, path string) []byte {
 	return b
 }
 
-// TestCheckpointRejectsRetiredVersion: the v2 golden, an intact blob of
-// the previous format, fails with ErrCkptVersion rather than decoding
-// into wrong fields.
+// TestCheckpointRejectsRetiredVersion: the v2 and v3 goldens, intact
+// blobs of earlier formats, fail with ErrCkptVersion rather than
+// decoding into wrong fields.
 func TestCheckpointRejectsRetiredVersion(t *testing.T) {
-	if _, err := DecodeCheckpoint(readHex(t, "testdata/checkpoint_v2.hex")); !errors.Is(err, ErrCkptVersion) {
-		t.Fatalf("FTCP v2 blob: %v, want ErrCkptVersion", err)
+	for _, v := range []string{"v2", "v3"} {
+		if _, err := DecodeCheckpoint(readHex(t, "testdata/checkpoint_"+v+".hex")); !errors.Is(err, ErrCkptVersion) {
+			t.Errorf("FTCP %s blob: %v, want ErrCkptVersion", v, err)
+		}
 	}
 }
 
-// ckptModelsAt is the offset of the model count in any FTCP v3 blob:
+// ckptModelsAt is the offset of the model count in any FTCP v4 blob:
 // magic, version and nine 8-byte scalars precede it.
 const ckptModelsAt = 4 + 4 + 9*8
 

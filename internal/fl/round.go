@@ -124,27 +124,32 @@ func (rt *Runtime) attemptChain(version int, u *roundTask) float64 {
 // snapSlot holds one model version's read-only weights, shared by every
 // flight dispatched with that version: a client trains from the weights
 // it downloaded, not the weights the server has since moved to. refs
-// counts the flights that hold it.
+// counts the flights that hold it. Every snapSlot is a ring slot (slot).
 type snapSlot struct {
 	m    *model.Model
 	refs int
 }
 
-// snapOf returns the snapshot of m's weights at version round, with one
-// more reference. Each model ID owns a ring of MaxStaleness+1 slots
-// indexed by version: every flight of version v retires by round
-// v+MaxStaleness, so the slot version v+MaxStaleness+1 reuses has no
-// holder left. The first dispatch of a version re-arms its slot in place
-// (COW, O(headers), no allocation), or clones m on the slot's first use;
-// dispatches come before any fold of the round, so the later ones share
-// the same weights. Runs on the consumer only.
-func (rt *Runtime) snapOf(m *model.Model, round int) *snapSlot {
-	ring := rt.snaps[m.ID]
+// slot returns model id's ring slot for version v. Each model ID owns a
+// ring of MaxStaleness+1 slots indexed by version, made on first use:
+// every flight of version v retires by round v+MaxStaleness, so the slot
+// version v+MaxStaleness+1 reuses has no holder left.
+func (rt *Runtime) slot(id, v int) *snapSlot {
+	ring := rt.snaps[id]
 	if ring == nil {
 		ring = make([]snapSlot, max(rt.cfg.MaxStaleness, 0)+1)
-		rt.snaps[m.ID] = ring
+		rt.snaps[id] = ring
 	}
-	s := &ring[round%len(ring)]
+	return &ring[v%len(ring)]
+}
+
+// snapOf returns the snapshot of m's weights at version round, with one
+// more reference. The first dispatch of a version re-arms its slot in
+// place (COW, O(headers), no allocation), or clones m on the slot's first
+// use; dispatches come before any fold of the round, so the later ones
+// share the same weights. Runs on the consumer only.
+func (rt *Runtime) snapOf(m *model.Model, round int) *snapSlot {
+	s := rt.slot(m.ID, round)
 	switch {
 	case s.m == nil:
 		s.m = primed(m.Clone())

@@ -332,14 +332,14 @@ var oracleCorpus = []uint64{
 // still fails. The digests hold on amd64 for draws whose tier the host
 // runs as drawn; other draws log theirs.
 var oracleGoldens = map[uint64]uint64{
-	1: 0x099b23fd8c85e4bd, 2: 0x12736ad696ef4585, 3: 0x42c70914d31dc86b,
-	4: 0x6b917581ea2ad575, 5: 0x0fbc97742ebbc361, 6: 0x59cdac8be840894e,
-	7: 0x283caa26983ea781, 8: 0x6f99cf2dd3d117d8, 9: 0x0941b529dafa3cfb,
-	10: 0xa2bf8951cfb12b12, 11: 0x59f20747868b25d8, 12: 0x6830375c39f53383,
-	13: 0x0f393cfb14d2880e, 14: 0xd80e42fca34dccf3, 15: 0xf29b82f3464bd4bf,
-	16: 0xebaa7a5990511fac, 17: 0x096c8d318bd53266, 18: 0xf4f058401b26cdb4,
-	19: 0xba2001672df39815, 20: 0xa6b7fb25b33318fa, 21: 0x353f104a75a95df4,
-	22: 0x2483b9b25ed4280b, 23: 0x0b5c95b5865b2b55, 24: 0x0037dd45c9c8c719,
+	1: 0x7b1000afa706b9ef, 2: 0x96190c39760b568b, 3: 0xe5682f213892d78b,
+	4: 0x4b7e09e86f32e282, 5: 0x65523903d745b189, 6: 0x6672176c5ad4458f,
+	7: 0x671222d12c29cad1, 8: 0xebe0520a97f448d0, 9: 0x1949b5ee16138d9e,
+	10: 0xa6bdde6c5e330aa6, 11: 0xac3db3ae0ee64538, 12: 0x8eebb0b96cd36ae1,
+	13: 0xd4511a2416faa873, 14: 0x57cd431e0df65686, 15: 0x493f7b570e1a2c2e,
+	16: 0x16761c6de90a9474, 17: 0xb26b3f38a16d99f7, 18: 0x4f626747db31e7d2,
+	19: 0xb8fcb86fb154037e, 20: 0x569994ddb7f83cdf, 21: 0x2f663e9fdf9e6841,
+	22: 0x2729228ecc526d12, 23: 0x5419ced97df97d44, 24: 0x806dfddcab7c2a3f,
 }
 
 // oracleSeen holds what each seed that ran covered.
