@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/rand"
 
+	"fedtrans/internal/par"
 	"fedtrans/internal/tensor"
 	"fedtrans/internal/xrand"
 )
@@ -337,16 +338,18 @@ func (g *Generator) synth(cur *ClientCursor, k int, test bool) *Client {
 }
 
 // Generate builds a synthetic federated dataset with every client
-// materialized.
+// materialized. Clients are synthesized in parallel (par.ForN): client
+// k's shard is a pure function of (Seed, k), each one is drawn into a
+// fresh cursor that its slot then owns, and the generator is only read,
+// so the dataset is the same at every GOMAXPROCS.
 func Generate(cfg Config) *Dataset {
 	gen := NewGenerator(cfg)
 	ds := gen.geom.metadata(gen.cfg.Profile)
 	ds.Clients = make([]Client, gen.cfg.Clients)
-	for k := range ds.Clients {
-		// A fresh cursor per client so each one owns its buffers.
+	par.ForN(len(ds.Clients), func(k int) {
 		var cur ClientCursor
 		ds.Clients[k] = *gen.Synth(&cur, k)
-	}
+	})
 	return ds
 }
 
@@ -404,31 +407,49 @@ func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, src *xrand
 		mode := src.Intn(modes)
 		p := sp.protos[c*sp.maxModes+mode]
 		row := x.Data[i*g.featureDim : (i+1)*g.featureDim]
-		var dy, dx int
 		if sp.imageShaped {
 			// Random texture phase: rewards translation-invariant models.
-			dy, dx = src.Intn(2), src.Intn(2)
-		}
-		src.NormFloat64s(sp.norms)
-		for j, z := range sp.norms {
-			at := j
-			if sp.imageShaped {
-				ch, h, w := g.inputShape[0], g.inputShape[1], g.inputShape[2]
-				_ = ch
-				cc := j / (h * w)
-				rem := j % (h * w)
-				yy := (rem/w + dy) % h
-				xx := (rem%w + dx) % w
-				at = (cc*h+yy)*w + xx
+			// Feature j = (c, y, x) reads the prototype at the shifted
+			// (c, (y+dy) mod h, (x+dx) mod w); dy, dx ∈ {0, 1}, so one
+			// compare wraps each.
+			dy, dx := src.Intn(2), src.Intn(2)
+			src.NormFloat64s(sp.norms)
+			ch, h, w := g.inputShape[0], g.inputShape[1], g.inputShape[2]
+			j := 0
+			for cc := 0; cc < ch; cc++ {
+				for yy := 0; yy < h; yy++ {
+					sy := yy + dy
+					if sy == h {
+						sy = 0
+					}
+					prow := p[(cc*h+sy)*w : (cc*h+sy+1)*w]
+					for xx := 0; xx < w; xx++ {
+						sx := xx + dx
+						if sx == w {
+							sx = 0
+						}
+						row[j] = sp.feature(j, prow[sx], sp.norms[j])
+						j++
+					}
+				}
 			}
-			v := p[at] + z*sp.noise
-			// Mild client-specific input shift (sensor/writer variation):
-			// per-feature gain and offset jitter.
-			row[j] = tensor.Float(v*sp.scales[j] + sp.biases[j])
+		} else {
+			src.NormFloat64s(sp.norms)
+			for j, z := range sp.norms {
+				row[j] = sp.feature(j, p[j], z)
+			}
 		}
 		y[i] = c
 	}
 	return y
+}
+
+// feature is feature j of a sample row: the prototype value proto plus
+// the noise normal z, then the client's mild input shift (sensor/writer
+// variation), a per-feature gain and offset jitter.
+func (sp *sampleParams) feature(j int, proto, z float64) tensor.Float {
+	v := proto + z*sp.noise
+	return tensor.Float(v*sp.scales[j] + sp.biases[j])
 }
 
 // clientTransformInto draws the client's per-feature gain and offset

@@ -2,6 +2,8 @@ package data
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +57,71 @@ func TestGenerateDeterminism(t *testing.T) {
 			if a.Clients[i].TrainX.Data[j] != b.Clients[i].TrainX.Data[j] {
 				t.Fatal("same seed must reproduce the dataset")
 			}
+		}
+	}
+}
+
+// TestGenerateParallelEqualsSerial builds the same datasets at one core
+// and at four: Generate synthesizes its clients through par.ForN, and
+// every client must come out the same whichever worker drew it.
+func TestGenerateParallelEqualsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, cfg := range []Config{
+		{Profile: "cifar10", Clients: 50, Seed: 1},
+		{Profile: "femnist", Clients: 37, Heterogeneity: 0.3, Seed: 7},
+		{Profile: "vit", Clients: 9, Seed: 3},
+	} {
+		runtime.GOMAXPROCS(1)
+		serial := Generate(cfg)
+		runtime.GOMAXPROCS(4)
+		parallel := Generate(cfg)
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s: Generate at GOMAXPROCS 4 differs from GOMAXPROCS 1", cfg.Profile)
+		}
+	}
+}
+
+// TestImageRemapMatchesDivisionOracle holds the image-shaped remap of
+// sampleSetInto to the division formula it replaced: feature j = (c, y,
+// x) reads the prototype at (c, (y+dy) mod h, (x+dx) mod w). Prototype
+// value i is i and the noise, gain and offset are the identity, so each
+// row spells out the index it read; the row's first feature gives its
+// phase (dy, dx), and every phase must occur.
+func TestImageRemapMatchesDivisionOracle(t *testing.T) {
+	for _, shape := range [][3]int{{3, 8, 8}, {1, 12, 12}, {2, 3, 5}, {1, 2, 7}, {4, 5, 2}} {
+		ch, h, w := shape[0], shape[1], shape[2]
+		d := ch * h * w
+		proto := make([]float64, d)
+		for i := range proto {
+			proto[i] = float64(i)
+		}
+		ones, zeros := make([]float64, d), make([]float64, d)
+		for i := range ones {
+			ones[i] = 1
+		}
+		sp := sampleParams{
+			geom:   profileGeom{classes: 1, featureDim: d, inputShape: []int{ch, h, w}},
+			protos: [][]float64{proto}, maxModes: 1, labelDist: []float64{1},
+			scales: ones, biases: zeros, norms: make([]float64, d), imageShaped: true,
+		}
+		var x tensor.Tensor
+		n := 64
+		sampleSetInto(&x, nil, n, sp, xrand.New(int64(d)))
+		seen := map[[2]int]bool{}
+		for i := 0; i < n; i++ {
+			row := x.Data[i*d : (i+1)*d]
+			dy, dx := int(row[0])/w, int(row[0])%w
+			seen[[2]int{dy, dx}] = true
+			for j, v := range row {
+				cc, rem := j/(h*w), j%(h*w)
+				yy, xx := (rem/w+dy)%h, (rem%w+dx)%w
+				if want := (cc*h+yy)*w + xx; int(v) != want {
+					t.Fatalf("shape %v, phase (%d, %d): feature %d read prototype %v, want %d", shape, dy, dx, j, v, want)
+				}
+			}
+		}
+		if len(seen) != 4 {
+			t.Errorf("shape %v: %d of the 4 phases drawn in %d rows", shape, len(seen), n)
 		}
 	}
 }

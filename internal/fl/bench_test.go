@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -257,9 +258,9 @@ func loopRuntime(n int, lazy bool, cpr, maxStaleness int) *Runtime {
 // update allocates nothing once its client has a row: the Manager
 // computes model.Sim once per model pair and writes the row in place,
 // and soft aggregation sums every model from the live suite, with no
-// snapshot of its own.
-// The ceilings are the counts measured once soft aggregation stopped
-// snapshotting the suite.
+// snapshot of its own, and model.Sim counts parameters through the
+// cached CellParams. The ceilings are the counts measured once Sim
+// stopped allocating per matched cell.
 func TestRoundLoopAllocationRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 1000-participant rounds")
@@ -271,8 +272,8 @@ func TestRoundLoopAllocationRegression(t *testing.T) {
 		cpr, staleness, models int
 		ceiling                float64
 	}{
-		{100, 0, 1, 21}, {1000, 0, 1, 21}, {1000, 0, 3, 91},
-		{100, 2, 1, 21}, {1000, 2, 1, 21}, {1000, 2, 3, 91},
+		{100, 0, 1, 21}, {1000, 0, 1, 21}, {1000, 0, 3, 85},
+		{100, 2, 1, 21}, {1000, 2, 1, 21}, {1000, 2, 3, 85},
 	} {
 		rt, round := roundLoopRuntime(c.cpr, c.staleness, c.models)
 		var res Result
@@ -485,6 +486,79 @@ func (r *srcRecorder) Train(m *model.Model, spec TrainSpec, _ LocalConfig, uploa
 	r.srcs[k][m] = d
 	return 1, 1, nil
 }
+
+// orderRecorder is a Trainer that records each attempt's client and its
+// model's MACs per sample, in the order the attempts ran, and uploads the
+// weights it was sent.
+type orderRecorder struct {
+	mu    sync.Mutex
+	calls [][2]float64 // (client, MACs per sample)
+}
+
+func (r *orderRecorder) Train(m *model.Model, spec TrainSpec, _ LocalConfig, upload []*tensor.Tensor) (float64, int, error) {
+	for i, p := range m.Params() {
+		copy(upload[i].Data, p.Data)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls = append(r.calls, [2]float64{float64(spec.Client), m.MACsPerSample()})
+	return 1, 1, nil
+}
+
+// TestSyncRoundTrainsLargestFirst pins the synchronous round's training
+// order on a three-model suite at GOMAXPROCS 1, where the consumer runs
+// every task itself, in the order it takes them. A round whose
+// dispatches fit the stream window trains them in stable descending
+// MACs per sample; a round larger than the window trains them in
+// selection order, as it dispatches them. A round's flights are retired
+// to flightFree in dispatch order, which is where the test reads the
+// selection order from.
+func TestSyncRoundTrainsLargestFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 1000-participant rounds")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt, round := roundLoopRuntime(1000, 0, 3)
+	rec := &orderRecorder{}
+	rt.cfg.Trainer = rec
+	dispatched := func(n int) [][2]float64 {
+		var out [][2]float64
+		for _, f := range rt.flightFree[len(rt.flightFree)-n:] {
+			out = append(out, [2]float64{float64(f.slot.client), f.slot.m.MACsPerSample()})
+		}
+		return out
+	}
+	var res Result
+	rt.runRound(round, &res)
+	round++
+	if n := len(rec.calls); n <= rt.pol.window || !slices.Equal(rec.calls, dispatched(n)) {
+		t.Fatalf("a round of %d dispatches, window %d, did not train in selection order", n, rt.pol.window)
+	}
+
+	rt.cfg.ClientsPerRound = 12
+	rt.pol = newPolicy(&rt.cfg)
+	reordered := 0
+	for range 8 {
+		rec.calls = rec.calls[:0]
+		rt.runRound(round, &res)
+		round++
+		n := len(rec.calls)
+		want := dispatched(n)
+		if !slices.IsSortedFunc(want, byMACsDesc) {
+			reordered++
+		}
+		slices.SortStableFunc(want, byMACsDesc)
+		if n == 0 || n > rt.pol.window || !slices.Equal(rec.calls, want) {
+			t.Fatalf("round %d: a round of %d dispatches, window %d, trained %v, want largest first %v", round-1, n, rt.pol.window, rec.calls, want)
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("no small round dispatched out of largest-first order: the test shows nothing")
+	}
+}
+
+// byMACsDesc orders orderRecorder calls by descending MACs per sample.
+func byMACsDesc(a, b [2]float64) int { return cmp.Compare(b[1], a[1]) }
 
 // TestAsyncRoundIndependentOfPopulation pins the asynchronous top-up
 // selection at O(in-flight): over a generative population of 10⁶

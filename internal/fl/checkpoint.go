@@ -569,13 +569,14 @@ func (rt *Runtime) Restore(b []byte) error {
 		*rt.slot(k[0], k[1]) = *s
 	}
 	for _, f := range ck.Inflight {
-		// submit recomputes the arrival, a pure function of (version,
+		// record recomputes the arrival, a pure function of (version,
 		// client, model); training is redone from the snapshot weights.
 		at := rt.flightGet()
 		at.slot = roundTask{client: f.Client, m: byID[f.ModelID], dev: rt.trace.At(f.Client),
 			snap: rt.slot(f.ModelID, f.Version)}
 		at.version, at.seq, at.dispatchAt = f.Version, f.Seq, f.DispatchAt
-		rt.submit(at)
+		rt.record(at)
+		rt.stream.Submit(&at.tk)
 	}
 
 	rt.res, rt.bestAcc, rt.stall, rt.nextRound, rt.resumed = ck.Res, ck.BestAcc, ck.Stall, ck.Round, true

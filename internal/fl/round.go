@@ -186,26 +186,50 @@ func (rt *Runtime) flightGet() *flight {
 }
 
 // dispatch sends model m to a client with device dev: it takes a
-// reference to m's snapshot at this version and submits the client's
-// first training attempt.
-func (rt *Runtime) dispatch(round, client int, m *model.Model, dev device.Device) {
+// reference to m's snapshot at this version and records the flight. It
+// submits the client's first training attempt too, unless queue is false
+// and the caller submits it later.
+func (rt *Runtime) dispatch(round, client int, m *model.Model, dev device.Device, queue bool) {
 	f := rt.flightGet()
 	f.slot = roundTask{client: client, m: m, dev: dev, snap: rt.snapOf(m, round)}
 	sc := &rt.sched
 	f.version, f.seq, f.dispatchAt = round, sc.seq, sc.now
 	sc.seq++
-	rt.submit(f)
+	rt.record(f)
+	if queue {
+		rt.stream.Submit(&f.tk)
+	}
 }
 
-// submit predicts a dispatch's arrival, when the policy reads it, and
-// puts its training task on the stream.
-func (rt *Runtime) submit(f *flight) {
+// record predicts a dispatch's arrival, when the policy reads it, and
+// adds it to the in-flight set.
+func (rt *Runtime) record(f *flight) {
 	f.arrival = f.dispatchAt
 	if rt.pol.byArrival {
 		f.arrival += rt.attemptChain(f.version, &f.slot)
 	}
-	rt.stream.Submit(&f.tk)
 	rt.inflight = append(rt.inflight, f)
+}
+
+// trainLargestFirst submits the round's dispatches in stable descending
+// MACsPerSample and waits them in that order, so the consumer and the
+// stream's worker each take the largest task left (Graham's LPT list
+// schedule) and the round does not end on one large task while the
+// other core idles. Waiting ahead of the fold changes no number: the
+// fold reads the results in its own order, and waiting a consumed task
+// again is a no-op.
+func (rt *Runtime) trainLargestFirst() {
+	order := append(rt.sortBuf[:0], rt.inflight...)
+	rt.sortBuf = order
+	slices.SortStableFunc(order, func(a, b *flight) int {
+		return cmp.Compare(b.slot.m.MACsPerSample(), a.slot.m.MACsPerSample())
+	})
+	for _, f := range order {
+		rt.stream.Submit(&f.tk)
+	}
+	for _, f := range order {
+		rt.stream.Wait(&f.tk)
+	}
 }
 
 // retire returns a dispatch's pieces to their pools: its task (awaited,
@@ -252,6 +276,12 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	// has no client in flight and draws over the whole population. Each
 	// selected client some model fits is assigned one and dispatched;
 	// assignment draws consume the round RNG in selection order.
+	//
+	// A synchronous round whose dispatches all fit the stream window
+	// trains them largest first once every one is assigned
+	// (trainLargestFirst). Any other round submits each dispatch as it is
+	// made: deferring a round larger than the window, or an asynchronous
+	// one, would idle the worker through the Sample loop.
 	var selected []int
 	if want := pol.inFlight - len(rt.inflight); want > 0 {
 		busy := rt.busyIDs[:0]
@@ -262,12 +292,16 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 		rt.busyIDs = busy
 		selected = selectFree(rt.ds.Len(), busy, want, rt.rng)
 	}
+	lpt := cfg.MaxStaleness <= 0 && len(selected) <= pol.window
 	for _, c := range selected {
 		dev := rt.trace.At(c)
 		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, dev.CapacityMACs)
 		if m := rt.mgr.Sample(c, rt.compatBuf, rt.rng); m != nil {
-			rt.dispatch(round, c, m, dev)
+			rt.dispatch(round, c, m, dev, !lpt)
 		}
+	}
+	if lpt {
+		rt.trainLargestFirst()
 	}
 
 	order := rt.inflight

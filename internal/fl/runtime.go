@@ -781,15 +781,16 @@ func (rt *Runtime) tryTransform(round int) bool {
 
 // EvaluateAll evaluates every client on its best-utility compatible model
 // and returns per-client accuracies and the MACs of each client's chosen
-// model. Clients are evaluated in parallel across a GOMAXPROCS-bounded
-// worker pool; model selection is deterministic and each worker
-// evaluates on private training sessions drawn from the round loop's
+// model. Clients are claimed one at a time by a GOMAXPROCS-bounded worker
+// pool (par.ForN), so a worker that drew small models takes more clients
+// instead of idling; model selection is deterministic and each client is
+// evaluated on a private training session drawn from the round loop's
 // session pool (Forward mutates activation caches, so sessions are never
 // shared), so the results are identical to a serial evaluation. Pooled
 // sessions persist across rounds and evaluations: the steady-state
 // evaluation allocates nothing beyond the result slices, at the cost of
-// one weight refresh per (worker, model) pair — a pooled session's
-// weights are stale because Finalize moves the live suite every round.
+// one weight refresh per client — a pooled session's weights are stale
+// because Finalize moves the live suite every round.
 // When Config.EvalSample is set below the population size, only the
 // fixed deterministic panel returned by EvalClients is scored, and the
 // result slices are indexed by panel position instead of client ID.
@@ -812,29 +813,16 @@ func (rt *Runtime) EvaluateAll() (accs, bestMACs []float64) {
 	for _, m := range rt.suite {
 		primed(m)
 	}
-	par.Chunked(k, func(lo, hi int) {
-		local := make(map[int]*localSession)
-		// One synthesis cursor per worker: generative datasets
-		// materialize each client's shard into it on demand, so the
-		// chunk reuses one set of shard buffers.
-		var cur data.ClientCursor
-		for i := lo; i < hi; i++ {
-			m := chosen[i]
-			if m == nil {
-				continue
-			}
-			s := local[m.ID]
-			if s == nil {
-				s = rt.sessions.get(m, newLocalSession)
-				s.m.SetWeights(m.Params())
-				local[m.ID] = s
-			}
-			accs[i] = EvaluateOn(s.m, rt.ds.Fetch(&cur, at(i)))
-			bestMACs[i] = m.MACsPerSample()
+	par.ForN(k, func(i int) {
+		m := chosen[i]
+		if m == nil {
+			return
 		}
-		for id, s := range local {
-			rt.sessions.put(id, s)
-		}
+		s := rt.sessions.get(m, newLocalSession)
+		s.m.SetWeights(m.Params())
+		accs[i] = EvaluateOn(s.m, rt.ds.Fetch(&s.cur, at(i)))
+		bestMACs[i] = m.MACsPerSample()
+		rt.sessions.put(m.ID, s)
 	})
 	return accs, bestMACs
 }

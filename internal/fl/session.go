@@ -30,8 +30,9 @@ type localSession struct {
 	by  []int
 	bx  *tensor.Tensor
 	// cur is the session's client-synthesis cursor: for generative
-	// datasets, FetchTrain reuses its RNG and shard buffers so pulling a
-	// client's train split on demand is allocation-free in steady state.
+	// datasets, FetchTrain (training) and Fetch (EvaluateAll) reuse its
+	// RNG and shard buffers, so pulling a client's shard on demand is
+	// allocation-free in steady state. Whoever holds the session owns it.
 	cur data.ClientCursor
 }
 

@@ -31,8 +31,10 @@ func Sim(a, b *Model) float64 {
 		if k < 0 {
 			continue
 		}
-		pa := float64(nn.ParamCount(a.Cells[i].Cell))
-		pb := float64(nn.ParamCount(b.Cells[k].Cell))
+		// The cached CellParams, not Cell.Params(): a conv cell's
+		// Params allocates its slice on every call.
+		pa := float64(nn.CountParams(a.CellParams(i)))
+		pb := float64(nn.CountParams(b.CellParams(k)))
 		if pa == 0 || pb == 0 {
 			// Parameter-free cells (pooling) match fully.
 			score++

@@ -111,12 +111,15 @@ type WidthTransparent interface {
 }
 
 // ParamCount returns the total number of scalar parameters of a cell.
-// It counts from tensor shapes rather than buffer lengths, so size and
-// byte accounting stay correct even on a model whose buffers have been
-// COW-released (tensor.Release nils Data but keeps Shape).
-func ParamCount(c Cell) int64 {
+func ParamCount(c Cell) int64 { return CountParams(c.Params()) }
+
+// CountParams returns the number of scalars in params. It counts from
+// tensor shapes rather than buffer lengths, so size and byte accounting
+// stay correct even on a model whose buffers have been COW-released
+// (tensor.Release nils Data but keeps Shape).
+func CountParams(params []*tensor.Tensor) int64 {
 	var n int64
-	for _, p := range c.Params() {
+	for _, p := range params {
 		e := int64(1)
 		for _, d := range p.Shape {
 			e *= int64(d)

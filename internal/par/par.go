@@ -12,7 +12,7 @@
 //
 // A panic in a task is never left on a goroutine nobody can recover: the
 // first one a fan-out's worker raises is re-raised, with the worker's
-// stack, on the goroutine that called ForN, Chunked or StreamErr, or
+// stack, on the goroutine that called ForN or StreamErr, or
 // that waits the task (TaskStream.Wait).
 package par
 
@@ -329,19 +329,4 @@ func (s *TaskStream) consume(t *Task, run bool) {
 	if p != nil {
 		panic(p)
 	}
-}
-
-// Chunked splits [0, n) into Limit(n) contiguous ranges, the first n %
-// Limit(n) one longer, and runs fn(lo, hi) on each through ForN. Use it
-// when workers amortize per-worker state (e.g. model clones) across
-// their range.
-func Chunked(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := Limit(n)
-	base, rem := n/w, n%w
-	ForN(w, func(g int) {
-		fn(g*base+min(g, rem), (g+1)*base+min(g+1, rem))
-	})
 }

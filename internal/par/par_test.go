@@ -136,29 +136,6 @@ func TestForNCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestChunkedCoversRangeExactly(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		for _, n := range []int{0, 1, 2, 5, 97} {
-			withGOMAXPROCS(procs, func() {
-				counts := make([]int32, n)
-				Chunked(n, func(lo, hi int) {
-					if lo > hi || lo < 0 || hi > n {
-						t.Errorf("bad chunk [%d, %d) for n=%d", lo, hi, n)
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&counts[i], 1)
-					}
-				})
-				for i, c := range counts {
-					if c != 1 {
-						t.Fatalf("procs=%d n=%d: index %d covered %d times", procs, n, i, c)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestNestedForNDoesNotDeadlock exercises the shared token budget: an
 // outer fan-out whose workers each fan out again must complete (inner
 // calls degrade to inline execution when the budget is exhausted).
@@ -546,26 +523,6 @@ func TestForNReraisesWorkerPanic(t *testing.T) {
 				case <-workerRan:
 				case <-time.After(10 * time.Second):
 					t.Error("no worker ran the other index")
-				}
-			})
-		})
-	})
-}
-
-func TestChunkedReraisesWorkerPanic(t *testing.T) {
-	tokensFree(t)
-	withGOMAXPROCS(2, func() {
-		workerRan := make(chan struct{})
-		recoverWorkerPanic(t, "Chunked", "TestChunkedReraisesWorkerPanic.func", func() {
-			Chunked(2, func(lo, hi int) {
-				if !onCaller("par.TestChunkedReraisesWorkerPanic") {
-					close(workerRan)
-					panic("boom")
-				}
-				select { // the caller's chunk waits for the worker's
-				case <-workerRan:
-				case <-time.After(10 * time.Second):
-					t.Error("no worker ran the other chunk")
 				}
 			})
 		})
