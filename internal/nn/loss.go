@@ -67,12 +67,7 @@ func (c *MeanTokensCell) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := c.ws.EnsureZero(&c.out, batch, d)
 	inv := tensor.Float(1.0 / float64(t))
 	for b := 0; b < batch; b++ {
-		for i := 0; i < t; i++ {
-			base := (b*t + i) * d
-			for j := 0; j < d; j++ {
-				out.Data[b*d+j] += x.Data[base+j] * inv
-			}
-		}
+		tensor.SumRowsScaled(out.Data[b*d:(b+1)*d], x.Data[b*t*d:(b+1)*t*d], d, inv)
 	}
 	return out
 }

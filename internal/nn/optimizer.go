@@ -34,9 +34,10 @@ func (o *SGD) SetProxAnchor(p *tensor.Tensor, anchor []tensor.Float) {
 
 // Step applies one update to each parameter given its gradient. The
 // hyperparameters are narrowed to the backend element type once so the
-// inner loops run entirely in backend precision.
+// inner loops run entirely in backend precision. The update is
+// p + (−lr)·g, which is p − lr·g bit for bit: negation is exact, and
+// x − y is x + (−y).
 func (o *SGD) Step(params, grads []*tensor.Tensor) {
-	lr := tensor.Float(o.LR)
 	mu := tensor.Float(o.ProxMu)
 	for i, p := range params {
 		g := grads[i]
@@ -50,9 +51,7 @@ func (o *SGD) Step(params, grads []*tensor.Tensor) {
 				}
 			}
 		}
-		for j := range p.Data {
-			p.Data[j] -= lr * g.Data[j]
-		}
+		tensor.AddScaledInto(p, p, g, -o.LR)
 	}
 }
 

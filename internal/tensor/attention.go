@@ -27,7 +27,8 @@ import (
 // block's output elements: every element gets the inlined bodies'
 // operations in their order, bit for bit (NaN payloads aside:
 // attention_amd64.s says why). Whatever dh, the avx512 tier's softmax
-// takes a block's rows eight at a time (softmax_amd64.s).
+// takes a block's rows eight at a time (softmax_amd64.s), and its
+// backward takes an 8×8 block in one call (rows_amd64.s).
 
 // blockKernels picks the products for (t, dh) blocks.
 func blockKernels(t, dh int) (scores func(s, x, y []Float, t, dh, ld int), rows func(c, w []Float, wi, wp int, y []Float, t, dh, ld int)) {
@@ -101,11 +102,24 @@ func AttentionBackwardInto(dq, dk, dv, ds, attn, q, k, v, dctx *Tensor, heads in
 			clear(s)
 			scores(s, dctx.Data[off:], v.Data[off:], t, dh, d) // dA = dH·Vᵀ
 			rows(dv.Data[off:], a, 1, t, dctx.Data[off:], t, dh, d)
-			softmaxBackwardRows(s, a, s, t, t, alpha)
+			softmaxBackBlock(s, a, t, alpha)
 			rows(dq.Data[off:], s, t, 1, k.Data[off:], t, dh, d)
 			rows(dk.Data[off:], s, 1, t, q.Data[off:], t, dh, d)
 		}
 	}
+}
+
+// softmaxBackBlock is the softmax backward of one (t, t) block of score
+// gradients s in place, against its probabilities a: at the avx512 tier
+// one rows_amd64.s call for t = 8, the only token count a profile
+// builds, softmaxBackwardRows otherwise.
+func softmaxBackBlock(s, a []Float, t int, alpha Float) {
+	if simd512 && t == 8 {
+		_, _ = s[63], a[63]
+		softmaxBack8Asm512(&s[0], &a[0], alpha)
+		return
+	}
+	softmaxBackwardRows(s, a, s, t, t, alpha)
 }
 
 // scoresAcc adds x_i · y_j to s[i·t+j] for the t dh-wide rows x_i =

@@ -8,8 +8,9 @@ import (
 )
 
 // The avx512 tier's attention block kernels against the Go bodies they
-// replace, bit for bit: scoresZMM against scoresAcc and rowsZMM against
-// rowsAcc in both orientations, over the shapes blockKernels sends them
+// replace, bit for bit: scoresZMM against scoresAcc, rowsZMM against
+// rowsAcc in both orientations and softmaxBack8Asm512 against
+// softmaxBackwardRows, over the shapes blockKernels sends them
 // and the ones past its bounds, with ±0, two NaN payloads, ±Inf and
 // subnormals among the operands. A NaN must come out where the Go body
 // makes one, but its payload is not compared: when both operands of an
@@ -89,6 +90,13 @@ func attnBlockBoth(t *testing.T, seed int64, tt, dh, heads, h int, special, zero
 		rows(got[off:], w, o[0], o[1], y[off:], tt, dh, ld)
 		sameAttnBits(t, fmt.Sprintf("%s rows (wi, wp) = %v", name, o), got, want)
 	}
+	// The softmax backward in place, as AttentionBackwardInto runs it
+	// (one kernel call at t = 8), against softmaxBackwardRows.
+	alpha := Float(1 / math.Sqrt(float64(dh)))
+	want, got = append([]Float(nil), s0...), append([]Float(nil), s0...)
+	softmaxBackwardRows(want, w, want, tt, tt, alpha)
+	softmaxBackBlock(got, w, tt, alpha)
+	sameAttnBits(t, name+" softmax backward", got, want)
 }
 
 func sameAttnBits(t *testing.T, name string, got, want []Float) {
@@ -127,6 +135,7 @@ func FuzzAttentionBits(f *testing.F) {
 	f.Add(int64(2), uint8(7), uint8(5), uint8(3), uint8(2), uint8(64), uint8(200))
 	f.Add(int64(3), uint8(17), uint8(7), uint8(8), uint8(7), uint8(200), uint8(128))
 	f.Add(int64(4), uint8(12), uint8(4), uint8(2), uint8(1), uint8(255), uint8(0))
+	f.Add(int64(5), uint8(7), uint8(1), uint8(3), uint8(3), uint8(40), uint8(64))
 	f.Fuzz(func(t *testing.T, seed int64, tt, dh, heads, h, special, zeros uint8) {
 		needAVX512(t)
 		defer SetSIMDLevel(SetSIMDLevel(SIMDAVX512))

@@ -594,13 +594,20 @@ func Ref64GemmTransB(c, a, b []float64, m, k, n int) { gemmTBAcc(c, a, b, m, k, 
 // (reference instantiation).
 func Ref64Softmax(dst, src []float64, rows, cols int) { softmaxRows(dst, src, rows, cols) }
 
-// AddScaledInto computes dst = a + alpha*b element-wise. dst may alias a.
+// AddScaledInto computes dst = a + alpha*b element-wise. dst may alias a
+// or b: each element's operands are read before it is written. At the
+// avx512 tier it is one rows_amd64.s call doing the same rounded product
+// and add per element.
 func AddScaledInto(dst, a, b *Tensor, alpha float64) {
 	if len(dst.Data) != len(a.Data) || len(dst.Data) != len(b.Data) {
 		panic("tensor: AddScaledInto size mismatch")
 	}
 	dst.EnsureOwned()
 	al := Float(alpha)
+	if simd512 && len(dst.Data) > 0 {
+		addScaledAsm512(&dst.Data[0], &a.Data[0], &b.Data[0], al, len(dst.Data))
+		return
+	}
 	ad, bd := a.Data[:len(dst.Data)], b.Data[:len(dst.Data)]
 	for i := range dst.Data {
 		dst.Data[i] = ad[i] + al*bd[i]
@@ -742,7 +749,8 @@ func reluMask(dd, sd, pd []Float) {
 }
 
 // AddBiasRows adds a bias vector (length = dst.Shape[last]) to every row
-// of a rank-2 tensor.
+// of a rank-2 tensor. At the avx512 tier it is AddBiasReluRows' kernel
+// without the ReLU, for the same widths.
 func AddBiasRows(dst, bias *Tensor) {
 	cols := dst.Shape[dst.Rank()-1]
 	if bias.Len() != cols {
@@ -750,6 +758,9 @@ func AddBiasRows(dst, bias *Tensor) {
 	}
 	dst.EnsureOwned()
 	bd := bias.Data[:cols]
+	if simd512 && biasRowsZMM(nil, dst.Data, bd) {
+		return
+	}
 	for off := 0; off < len(dst.Data); off += cols {
 		row := dst.Data[off : off+cols]
 		for j, b := range bd {
@@ -760,7 +771,9 @@ func AddBiasRows(dst, bias *Tensor) {
 
 // AddBiasReluRows is the fused dense epilogue: it adds bias to every
 // row of pre in place (backward masks with the biased pre-activation)
-// and writes max(pre, 0) into act, in one pass over the rows.
+// and writes max(pre, 0) into act, in one pass over the rows. At the
+// avx512 tier, rows of a width that is a multiple of 16 or divides 16
+// take one rows_amd64.s call doing the same add and select per element.
 func AddBiasReluRows(act, pre, bias *Tensor) {
 	cols := pre.Shape[pre.Rank()-1]
 	if bias.Len() != cols || len(act.Data) != len(pre.Data) {
@@ -769,6 +782,9 @@ func AddBiasReluRows(act, pre, bias *Tensor) {
 	act.EnsureOwned()
 	pre.EnsureOwned()
 	bd := bias.Data[:cols]
+	if simd512 && biasRowsZMM(act.Data, pre.Data, bd) {
+		return
+	}
 	for off := 0; off < len(pre.Data); off += cols {
 		prow, arow := pre.Data[off:off+cols], act.Data[off:off+cols]
 		for j, b := range bd {
@@ -816,7 +832,9 @@ func addChannelBiasRelu(act, pre, bias []Float, n int) {
 }
 
 // SumRowsAcc accumulates the column-wise sums of a rank-2 tensor into a
-// vector of length src.Shape[1] (the bias-gradient reduction).
+// vector of length src.Shape[1] (the bias-gradient reduction). At the
+// avx512 tier it is SumRowsScaled's kernel at scale 1: v·1 is v, bit for
+// bit.
 func SumRowsAcc(dst, src *Tensor) {
 	cols := src.Shape[src.Rank()-1]
 	if dst.Len() != cols {
@@ -824,10 +842,36 @@ func SumRowsAcc(dst, src *Tensor) {
 	}
 	dst.EnsureOwned()
 	dd := dst.Data
+	if simd512 {
+		sumRowsZMM(dd, src.Data, cols, 1)
+		return
+	}
 	for off := 0; off < len(src.Data); off += cols {
 		row := src.Data[off : off+cols]
 		for j := range row {
 			dd[j] += row[j]
+		}
+	}
+}
+
+// SumRowsScaled adds v·scale to dst[j] for every element v of column j
+// of src, rows of cols floats, in ascending row order — the token mean's
+// sum. At the avx512 tier it is one rows_amd64.s call doing the same
+// rounded product and add per element, a column's adds in row order.
+func SumRowsScaled(dst, src []Float, cols int, scale Float) {
+	if simd512 {
+		sumRowsZMM(dst, src, cols, scale)
+		return
+	}
+	sumRowsScaled(dst, src, cols, scale)
+}
+
+// sumRowsScaled is SumRowsScaled's Go body, the oracle of its assembly.
+func sumRowsScaled(dst, src []Float, cols int, scale Float) {
+	dst = dst[:cols]
+	for off := 0; off < len(src); off += cols {
+		for j, v := range src[off : off+cols] {
+			dst[j] += v * scale
 		}
 	}
 }

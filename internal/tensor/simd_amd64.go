@@ -9,10 +9,11 @@ package tensor
 // kernels call on lengths that are multiples of 8;
 // the avx512 tier's whole-product GEMMs (gemm_amd64.s); the ZMM
 // softmax rows (softmax_amd64.s); the avx512 tier's attention block
-// products for narrow heads (attention_amd64.s); and its conv plumbing
-// around the GEMMs (conv_amd64.s). The tier probe below is CPUID plus
-// XGETBV. Operands may overlap only exactly (dst == src), as for the Go
-// kernels.
+// products for narrow heads (attention_amd64.s); its conv plumbing
+// around the GEMMs (conv_amd64.s); and its row plumbing around the
+// attention and dense products (rows_amd64.s). The tier probe below is
+// CPUID plus XGETBV. Operands may overlap only exactly (dst == src), as
+// for the Go kernels.
 
 // simdMax is the highest dispatch level this host supports.
 var simdMax = detectSIMD()
@@ -126,6 +127,55 @@ func rowsZMM(c, w []Float, wi, wp int, y []Float, t, dh, ld int) {
 	_, _, _ = c[(t-1)*ld+dh-1], w[(t-1)*(wi+wp)], y[(t-1)*ld+dh-1]
 	rowsAsm512(&c[0], &w[0], wi, wp, &y[0], t, dh, ld)
 }
+
+// biasRowsZMM adds bias to every row of pre, len(bias) columns, and
+// writes the ReLU of the sums into act unless act is nil, in one
+// rows_amd64.s call, and reports true; for a width that is neither a
+// multiple of 16 nor divides 16 it does nothing and reports false. The
+// kernel steps 16 floats at a time through the rows, so a width that
+// divides 16 runs against the bias repeated to 16.
+func biasRowsZMM(act, pre, bias []Float) bool {
+	var rep [16]Float
+	switch cols := len(bias); {
+	case cols%16 == 0:
+	case 16%cols == 0:
+		for n := copy(rep[:], bias); n < 16; n += copy(rep[n:], rep[:n]) {
+		}
+		bias = rep[:]
+	default:
+		return false
+	}
+	if len(pre) > 0 {
+		var a *float32
+		if act != nil {
+			a = &act[:len(pre)][0]
+		}
+		biasRowsAsm512(a, &pre[0], &bias[0], len(pre), len(bias))
+	}
+	return true
+}
+
+// sumRowsZMM adds Σ_r src[r·cols+j]·scale to dst[j], rows ascending
+// (rows_amd64.s).
+func sumRowsZMM(dst, src []Float, cols int, scale Float) {
+	if len(src) == 0 {
+		return
+	}
+	_ = dst[cols-1]
+	sumRowsAsm512(&dst[0], &src[0], len(src)/cols, cols, scale)
+}
+
+//go:noescape
+func addScaledAsm512(dst, a, b *float32, alpha float32, n int)
+
+//go:noescape
+func biasRowsAsm512(act, pre, bias *float32, n, cols int)
+
+//go:noescape
+func sumRowsAsm512(dst, src *float32, rows, cols int, scale float32)
+
+//go:noescape
+func softmaxBack8Asm512(ds, a *float32, alpha float32)
 
 //go:noescape
 func scoresAsm512(s, x, y *float32, t, dh, ld int)

@@ -55,3 +55,11 @@ func copyPlanesAsm512(dst, src *float32, planes, rows, n, dstRow, srcRow, dstPla
 }
 
 func fillRowsAsm512(dst, vals *float32, rows, n int, scale float32) { panic("tensor: no simd") }
+
+func addScaledAsm512(dst, a, b *float32, alpha float32, n int) { panic("tensor: no simd") }
+
+func biasRowsZMM(act, pre, bias []Float) bool { panic("tensor: no simd") }
+
+func sumRowsZMM(dst, src []Float, cols int, scale Float) { panic("tensor: no simd") }
+
+func softmaxBack8Asm512(ds, a *float32, alpha float32) { panic("tensor: no simd") }
